@@ -1,0 +1,143 @@
+"""Command-line entry points.
+
+Verbs:
+    run      --config PATH [--seed N] [--out DIR]
+    suite    --config PATH [--reps R] --out DIR
+    compare  --config A --config B [...] --out DIR
+    diag     --run DIR
+    oracle   --env KIND [--theta X]
+
+Exit codes: 0 on success, 1 on configuration/validation errors, 2 on
+numerical non-convergence.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from dataclasses import replace
+
+from . import env as envmod
+from . import harness
+from .linmodel import DualNonConvergenceError
+
+
+def _cmd_run(args) -> int:
+    config = harness.load_config(args.config)
+    seed = config.base_seed if args.seed is None else args.seed
+    result = harness.run_one(config, seed)
+    out = args.out or config.out_dir
+    if out:
+        harness.write_run_dir(result, out)
+        print(f"wrote run artifacts to {out}")
+    trace = result.trace
+    print(f"rounds={len(trace)} cum_e_regret={trace.cum_e_regret[-1]:.4f} "
+          f"noisy_regret={trace.noisy_regret_total:.4f} epochs_completed={len(result.events)}")
+    if result.lemma_report is not None:
+        failed = [c for c in result.lemma_report if not c.passed]
+        print(f"lemma checks: {len(result.lemma_report) - len(failed)} passed, "
+              f"{len(failed)} failed")
+    return 0
+
+
+def _cmd_suite(args) -> int:
+    config = harness.load_config(args.config)
+    if args.reps is not None:
+        config = replace(config, replications=args.reps)
+    summary = harness.run_suite(config)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "summary.csv")
+    harness.write_summary_csv(summary, path)
+    print(f"wrote {path} ({summary.replications} replications, "
+          f"mean final cum regret {summary.mean_cum_e_regret[-1]:.4f})")
+    return 0
+
+
+def _cmd_compare(args) -> int:
+    configs = [harness.load_config(p) for p in args.config]
+    table = harness.compare(configs)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "compare.csv")
+    harness.write_compare_csv(table, path)
+    print(table.format_text())
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_diag(args) -> int:
+    report = harness.reanalyze_run_dir(args.run)
+    path = os.path.join(args.run, "lemmas.csv")
+    harness.write_lemmas_csv(report, path)
+    for c in report:
+        where = "" if c.epoch is None else f" m={c.epoch}"
+        print(f"{'PASS' if c.passed else 'FAIL'} {c.name}{where}: "
+              f"lhs={c.lhs:.5g} rhs={c.rhs:.5g} ({c.note})")
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_oracle(args) -> int:
+    kwargs = dict(kind=args.env)
+    if args.theta is not None:
+        kwargs["theta"] = args.theta
+    spec = envmod.EnvSpec(**kwargs)
+    fit = envmod.best_linear_fit_uniform(spec)
+    b = envmod.approximation_error_b(spec, num_mc=10_000)
+    B = envmod.worst_case_error_B(spec, num_mc=10_000)
+    print(f"best linear fit under uniform sampling ({spec.kind}):")
+    for a in range(fit.num_arms):
+        cells = " ".join(f"{w:.10g}" for w in fit.weights[a])
+        print(f"  arm {a + 1}: {cells}")
+    print(f"approximation error b = {b.closed_form:.10g}")
+    print(f"worst-case error    B = {B.closed_form:.10g}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="banditlab",
+                                     description="contextual-bandit experiment runner")
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    p = sub.add_parser("run", help="one run of one agent")
+    p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.set_defaults(fn=_cmd_run)
+
+    p = sub.add_parser("suite", help="replicated runs, aggregated")
+    p.add_argument("--config", required=True)
+    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=_cmd_suite)
+
+    p = sub.add_parser("compare", help="cumulative regret table across configs")
+    p.add_argument("--config", action="append", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=_cmd_compare)
+
+    p = sub.add_parser("diag", help="re-run inequality checks on stored artifacts")
+    p.add_argument("--run", required=True)
+    p.set_defaults(fn=_cmd_diag)
+
+    p = sub.add_parser("oracle", help="closed-form fit and error constants")
+    p.add_argument("--env", required=True, choices=list(envmod.ENV_KINDS))
+    p.add_argument("--theta", type=float, default=None)
+    p.set_defaults(fn=_cmd_oracle)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (harness.ConfigError, harness.ConfigMismatchError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (DualNonConvergenceError, RuntimeError) as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

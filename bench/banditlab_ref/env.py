@@ -1,0 +1,342 @@
+"""Stochastic contextual-bandit environments with known ground truth.
+
+Three built-in families, all with contexts drawn uniformly from (0,1):
+
+* ``step_function`` -- two arms; arm 1 pays 1 when x > 0.5 and 0 otherwise,
+  arm 2 pays a constant 0.5.  The best linear approximation to arm 1 is the
+  line 1.5x - 0.25, which induces the same threshold policy as the truth.
+* ``sensitivity_family`` -- two arms, parameterized by theta in (0, 0.05].
+  Arm 1 pays 0.1 on x <= 1-theta and 1 above; arm 2 is linear,
+  1 + m_theta * x, with the slope chosen so that arm 2 meets the best linear
+  fit of arm 1 exactly at x = 1-theta.  The best-in-class policy is optimal
+  here, yet data collected under it makes the unconstrained least-squares
+  fit of arm 1 collapse to the constant 1.
+* ``realizable_linear`` -- K arms with truly linear mean rewards whose
+  weights are drawn once from the spec seed; arms are kept well separated
+  so the instance has a clear optimal arm at every context.
+
+Mean rewards are deterministic functions of (x, arm); observation noise is
+Gaussian with standard deviation ``noise_sd`` and is NOT clipped to [0,1]
+unless ``clip_rewards`` is set (clipping would bias the closed-form
+least-squares oracles below).
+
+Everything random flows through ``numpy.random.Generator`` seeded with the
+Philox counter-based bit generator, so streams are reproducible across
+platforms.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .linmodel import LinearModel
+
+STEP_FUNCTION = "step_function"
+SENSITIVITY_FAMILY = "sensitivity_family"
+REALIZABLE_LINEAR = "realizable_linear"
+ENV_KINDS = (STEP_FUNCTION, SENSITIVITY_FAMILY, REALIZABLE_LINEAR)
+
+
+class InvalidArmError(ValueError):
+    """Arm index outside 1..K."""
+
+
+def make_generator(seed) -> np.random.Generator:
+    """Philox-backed generator; the single RNG family used everywhere."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.Generator(np.random.Philox(seed))
+
+
+@dataclass(frozen=True)
+class EnvSpec:
+    """Declarative description of an environment instance.
+
+    ``theta`` must be present iff kind is ``sensitivity_family`` (and lie in
+    (0, 0.05]).  The two misspecified families fix ``num_arms = 2``;
+    ``realizable_linear`` additionally supports ``context_dim`` > 1.
+    """
+
+    kind: str = STEP_FUNCTION
+    num_arms: int = 2
+    noise_sd: float = 0.1
+    theta: Optional[float] = None
+    seed: int = 0
+    clip_rewards: bool = False
+    context_dim: int = 1
+
+    def __post_init__(self):
+        for msg in self.validation_errors():
+            raise ValueError(msg)
+
+    def validation_errors(self) -> list[str]:
+        errs = []
+        if self.kind not in ENV_KINDS:
+            errs.append(f"env.kind: unknown kind {self.kind!r}")
+        if self.kind in (STEP_FUNCTION, SENSITIVITY_FAMILY):
+            if self.num_arms != 2:
+                errs.append("env.num_arms: must be 2 for this kind")
+            if self.context_dim != 1:
+                errs.append("env.context_dim: must be 1 for this kind")
+        if self.kind == SENSITIVITY_FAMILY:
+            if self.theta is None or not (0.0 < self.theta <= 0.05):
+                errs.append("env.theta: required in (0, 0.05] for sensitivity_family")
+        elif self.theta is not None:
+            errs.append("env.theta: only valid for sensitivity_family")
+        if self.num_arms < 2:
+            errs.append("env.num_arms: need at least 2 arms")
+        if self.noise_sd < 0:
+            errs.append("env.noise_sd: must be >= 0")
+        if self.context_dim < 1:
+            errs.append("env.context_dim: must be >= 1")
+        return errs
+
+
+def _check_arm(spec: EnvSpec, a: int) -> None:
+    if not 1 <= int(a) <= spec.num_arms:
+        raise InvalidArmError(f"arm {a} out of range 1..{spec.num_arms}")
+
+
+# ---------------------------------------------------------------------------
+# closed forms for the misspecified families
+#
+# For a scalar target g on Unif(0,1) the least-squares line has
+# slope = Cov(x, g)/Var(x) = 12 Cov(x, g) and intercept = E[g] - slope/2.
+# ---------------------------------------------------------------------------
+
+def sensitivity_arm1_fit(theta: float) -> tuple[float, float]:
+    """(intercept, slope) of the least-squares line for arm 1 of the
+    sensitivity family: target 0.1 + 0.9 * 1{x > 1-theta} on Unif(0,1)."""
+    slope = 5.4 * theta * (1.0 - theta)
+    intercept = 0.1 + 0.9 * theta - 2.7 * theta * (1.0 - theta)
+    return intercept, slope
+
+
+def sensitivity_slope_m(theta: float) -> float:
+    """Slope of arm 2's (linear) mean reward: the line through (0, 1) that
+    meets arm 1's best linear fit at x = 1 - theta."""
+    intercept, slope = sensitivity_arm1_fit(theta)
+    fhat_at_knee = intercept + slope * (1.0 - theta)
+    return (fhat_at_knee - 1.0) / (1.0 - theta)
+
+
+def _sensitivity_arm1_residual(theta: float) -> float:
+    # E[(fit - target)^2] = Var(g) - slope^2 Var(x), both in closed form.
+    return 0.81 * theta * (1.0 - theta) - 2.43 * theta**2 * (1.0 - theta) ** 2
+
+
+# step function: arm-1 fit is 1.5x - 0.25 with mean squared residual
+# Var(g) - slope^2/12 = 1/4 - 3/16 = 1/16.
+_STEP_ARM1_FIT = (-0.25, 1.5)
+_STEP_ARM1_RESIDUAL = 1.0 / 16.0
+
+
+def _realizable_weights(spec: EnvSpec) -> np.ndarray:
+    """True weights for a realizable instance, drawn once from the spec seed.
+
+    Intercepts are spread so arms stay separated (no reward crossings in the
+    context box); slope mass is kept small enough that every mean reward
+    stays inside [0, 1].
+    """
+    rng = make_generator([spec.seed, 0x7EA15])
+    K, dx = spec.num_arms, spec.context_dim
+    intercepts = 0.25 + 0.35 * np.arange(K) / (K - 1) + rng.uniform(-0.05, 0.05, size=K)
+    order = rng.permutation(K)
+    slopes = rng.uniform(-0.075, 0.075, size=(K, dx)) / dx
+    w = np.zeros((K, dx + 1))
+    w[:, 0] = intercepts[order]
+    w[:, 1:] = slopes
+    return w
+
+
+def true_model(spec: EnvSpec) -> Optional[LinearModel]:
+    """The true mean-reward model when it is linear (realizable kind only)."""
+    if spec.kind == REALIZABLE_LINEAR:
+        return LinearModel(_realizable_weights(spec))
+    return None
+
+
+def mean_reward(spec: EnvSpec, x, a: int) -> float:
+    """Ground-truth mean reward for context x and arm a (1-based)."""
+    _check_arm(spec, a)
+    if spec.kind == STEP_FUNCTION:
+        return (1.0 if x > 0.5 else 0.0) if a == 1 else 0.5
+    if spec.kind == SENSITIVITY_FAMILY:
+        if a == 1:
+            return 0.1 if x <= 1.0 - spec.theta else 1.0
+        return 1.0 + sensitivity_slope_m(spec.theta) * x
+    return true_model(spec).predict(x, a)
+
+
+def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
+    """Vectorized truth surface: (n, K) matrix of mean rewards."""
+    xs = np.asarray(xs, dtype=float)
+    n = xs.shape[0]
+    if spec.kind == STEP_FUNCTION:
+        out = np.empty((n, 2))
+        out[:, 0] = (xs > 0.5).astype(float)
+        out[:, 1] = 0.5
+        return out
+    if spec.kind == SENSITIVITY_FAMILY:
+        out = np.empty((n, 2))
+        out[:, 0] = np.where(xs <= 1.0 - spec.theta, 0.1, 1.0)
+        out[:, 1] = 1.0 + sensitivity_slope_m(spec.theta) * xs
+        return out
+    return true_model(spec).predict_matrix(xs)
+
+
+def optimal_policy_action(spec: EnvSpec, x) -> int:
+    """argmax_a of the true mean reward; ties go to the lowest arm index."""
+    if spec.context_dim > 1:
+        xs = np.asarray(x, dtype=float).reshape(1, -1)
+    else:
+        xs = np.array([x], dtype=float)
+    return int(np.argmax(mean_reward_matrix(spec, xs)[0])) + 1
+
+
+def optimal_actions(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
+    return np.argmax(mean_reward_matrix(spec, xs), axis=1) + 1
+
+
+def best_linear_fit_uniform(spec: EnvSpec) -> LinearModel:
+    """Population least-squares fit per arm under Unif(0,1) contexts and
+    uniformly sampled arms (the objective separates across arms, so each
+    arm is fit independently)."""
+    if spec.kind == STEP_FUNCTION:
+        return LinearModel(np.array([[_STEP_ARM1_FIT[0], _STEP_ARM1_FIT[1]], [0.5, 0.0]]))
+    if spec.kind == SENSITIVITY_FAMILY:
+        intercept, slope = sensitivity_arm1_fit(spec.theta)
+        return LinearModel(np.array([[intercept, slope],
+                                     [1.0, sensitivity_slope_m(spec.theta)]]))
+    if spec.kind == REALIZABLE_LINEAR:
+        return true_model(spec)
+    raise ValueError(f"unsupported kind {spec.kind!r}")
+
+
+@dataclass(frozen=True)
+class ErrorEstimate:
+    """Monte Carlo estimate with its standard error, plus the exact value
+    (piecewise polynomial integral) when one is available."""
+
+    mc: float
+    se: float
+    closed_form: Optional[float]
+
+
+def _residual_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
+    fit = best_linear_fit_uniform(spec)
+    return (fit.predict_matrix(xs) - mean_reward_matrix(spec, xs)) ** 2
+
+
+def _draw_contexts(spec: EnvSpec, num: int, rng) -> np.ndarray:
+    rng = make_generator(rng if rng is not None else spec.seed)
+    if spec.context_dim == 1:
+        return rng.random(num)
+    return rng.random((num, spec.context_dim))
+
+
+def approximation_error_b(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorEstimate:
+    """Mean squared gap between the best uniform-design linear fit and the
+    truth, averaged over contexts and uniformly over arms."""
+    xs = _draw_contexts(spec, num_mc, rng)
+    per_x = _residual_matrix(spec, xs).mean(axis=1)
+    mc = float(per_x.mean())
+    se = float(per_x.std(ddof=1) / math.sqrt(num_mc))
+    if spec.kind == STEP_FUNCTION:
+        cf = _STEP_ARM1_RESIDUAL / 2.0
+    elif spec.kind == SENSITIVITY_FAMILY:
+        cf = _sensitivity_arm1_residual(spec.theta) / 2.0
+    else:
+        cf = 0.0
+    return ErrorEstimate(mc, se, cf)
+
+
+def worst_case_error_B(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorEstimate:
+    """Like ``approximation_error_b`` but taking the worst arm at every
+    context instead of averaging over arms."""
+    xs = _draw_contexts(spec, num_mc, rng)
+    per_x = _residual_matrix(spec, xs).max(axis=1)
+    mc = float(per_x.mean())
+    se = float(per_x.std(ddof=1) / math.sqrt(num_mc))
+    if spec.kind == STEP_FUNCTION:
+        cf = _STEP_ARM1_RESIDUAL  # arm-2 residual is identically zero
+    elif spec.kind == SENSITIVITY_FAMILY:
+        cf = _sensitivity_arm1_residual(spec.theta)
+    else:
+        cf = 0.0
+    return ErrorEstimate(mc, se, cf)
+
+
+class Environment:
+    """A live environment: an EnvSpec plus a private RNG stream.
+
+    Immutable after construction except for the generator state.  One
+    instance per simulation run; do not share a single instance across
+    concurrent runs.
+    """
+
+    def __init__(self, spec: EnvSpec, seed=None):
+        self.spec = spec
+        self.rng = make_generator(spec.seed if seed is None else seed)
+        self._truth = true_model(spec)
+        self._slope_m = sensitivity_slope_m(spec.theta) \
+            if spec.kind == SENSITIVITY_FAMILY else None
+
+    @property
+    def num_arms(self) -> int:
+        return self.spec.num_arms
+
+    def sample_context(self):
+        """One context ~ Unif(0,1)^d (a bare float when d == 1)."""
+        if self.spec.context_dim == 1:
+            return self.rng.random()
+        return self.rng.random(self.spec.context_dim)
+
+    def mean_reward(self, x, a: int) -> float:
+        return mean_reward(self.spec, x, a)
+
+    def mean_rewards(self, x) -> np.ndarray:
+        """All K mean rewards at one context."""
+        kind = self.spec.kind
+        if kind == STEP_FUNCTION:
+            return np.array([1.0 if x > 0.5 else 0.0, 0.5])
+        if kind == SENSITIVITY_FAMILY:
+            return np.array([0.1 if x <= 1.0 - self.spec.theta else 1.0,
+                             1.0 + self._slope_m * x])
+        return self._truth.predict_all(x)
+
+    def sample_reward(self, x, a: int) -> float:
+        _check_arm(self.spec, a)
+        r = self.mean_reward(x, a)
+        if self.spec.noise_sd > 0:
+            r += self.spec.noise_sd * self.rng.standard_normal()
+        if self.spec.clip_rewards:
+            r = min(1.0, max(0.0, r))
+        return float(r)
+
+    def observe(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(mean rewards, noisy reward vector) at one context.
+
+        The run loop observes only the chosen entry of the noisy vector,
+        but drawing all K entries makes the realized regret sum (reward at
+        the optimal arm minus reward at the chosen arm) well defined.
+        """
+        means = self.mean_rewards(x)
+        r = means.copy()
+        if self.spec.noise_sd > 0:
+            r += self.spec.noise_sd * self.rng.standard_normal(self.num_arms)
+        if self.spec.clip_rewards:
+            np.clip(r, 0.0, 1.0, out=r)
+        return means, r
+
+    def sample_reward_vector(self, x) -> np.ndarray:
+        """Draw the full K-vector of noisy rewards at one context."""
+        return self.observe(x)[1]
+
+    def optimal_action(self, x) -> int:
+        row = self.mean_rewards(x)
+        return int(np.argmax(row)) + 1

@@ -1,0 +1,373 @@
+"""Inverse-gap-weighted bandit agents on a doubling epoch schedule.
+
+The main agent runs in epochs whose boundaries double (tau_m = tau1 *
+2^(m-1)).  Within epoch m it carries a fixed linear reward model f_m and a
+scale gamma_m, and splits the epoch into an ACTIVE prefix, where arms are
+drawn from the inverse-gap-weighted kernel
+
+    p(a | x) = 1 / (K + gamma * (f_m(x, best) - f_m(x, a)))   for a != best,
+
+with the predicted-best arm taking the remainder, and a PASSIVE suffix of
+ceil(epsilon * epoch_length) uniformly-random rounds.  At the epoch boundary
+the model is refit: the passive rounds define a budget (best attainable
+normalized SSE on them plus a shrinking slack) and the next model minimizes
+the active-round error subject to that budget, via the constrained
+regression oracle in ``linmodel``.  With epsilon = 0 there is no passive
+data and the update degrades to the plain unconstrained fit -- that is the
+un-guarded variant offered as the ``falcon`` baseline.
+
+Baselines: ``LinUCBAgent`` (per-arm ridge regression with an upper
+confidence bonus, refreshed in batches) and ``UniformAgent``.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
+                       fit_ols)
+
+
+class SequencingError(RuntimeError):
+    """A round was played outside the agent's current epoch."""
+
+
+class InvalidConfidenceError(ValueError):
+    """gamma schedule hit a nonpositive log term."""
+
+
+@dataclass(frozen=True)
+class EpochSchedule:
+    """Doubling boundaries: tau_0 = 0, tau_m = tau1 * 2^(m-1)."""
+
+    tau1: int = 4
+
+    def __post_init__(self):
+        if self.tau1 < 4:
+            raise ValueError("tau1 must be >= 4")
+
+    def boundary(self, m: int) -> int:
+        if m < 0:
+            raise ValueError("epoch index must be >= 0")
+        return 0 if m == 0 else self.tau1 * 2 ** (m - 1)
+
+    def epoch_length(self, m: int) -> int:
+        return self.boundary(m) - self.boundary(m - 1)
+
+    def epoch_of(self, t: int) -> int:
+        """Smallest m with tau_m >= t, for t >= 1."""
+        if t < 1:
+            raise ValueError("round index starts at 1")
+        m = 1
+        while self.boundary(m) < t:
+            m += 1
+        return m
+
+
+@dataclass(frozen=True)
+class RateParams:
+    """Rate knobs for the gamma schedule and the constraint budget.
+
+    The linear preset is rho = 1, rho_prime = 0, comp = total parameter
+    count.  The constants C1 and C3 are not pinned by theory; both default
+    to 1.
+    """
+
+    rho: float = 1.0
+    rho_prime: float = 0.0
+    comp: float = 4.0
+    C1: float = 1.0
+    C3: float = 1.0
+    delta: float = 0.1
+
+    def __post_init__(self):
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError("rho must be in (0, 1]")
+        if self.rho_prime < 0:
+            raise ValueError("rho_prime must be >= 0")
+        if self.comp <= 0 or self.C1 <= 0 or self.C3 <= 0:
+            raise ValueError("comp, C1, C3 must be > 0")
+        if not 0.0 < self.delta <= 0.5:
+            raise ValueError("delta must be in (0, 0.5]")
+
+    @staticmethod
+    def linear_preset(num_arms: int, context_dim: int = 1, **overrides) -> "RateParams":
+        d = num_arms * (context_dim + 1)
+        return RateParams(rho=1.0, rho_prime=0.0, comp=float(d), **overrides)
+
+
+def _log_pow(n: float, rho_prime: float) -> float:
+    # ln^rho'(n); exactly 1 when rho' == 0 regardless of n
+    if rho_prime == 0.0:
+        return 1.0
+    return math.log(n) ** rho_prime
+
+
+def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: int) -> float:
+    """Active-phase exploration scale for epoch m.
+
+    gamma_1 = 1; for m >= 2,
+    gamma_m = sqrt(C3 * K * len_{m-1}^rho
+                   / (ln^rho'(len_{m-1}) * ln((m-1)/delta) * comp))
+    with len_{m-1} = tau_{m-1} - tau_{m-2}.  Larger gamma means less
+    exploration.
+    """
+    if m < 1:
+        raise ValueError("epoch index starts at 1")
+    if m == 1:
+        return 1.0
+    if (m - 1) / rates.delta <= 1.0:
+        raise InvalidConfidenceError(
+            f"ln((m-1)/delta) nonpositive for m={m}, delta={rates.delta}")
+    n_prev = sched.epoch_length(m - 1)
+    denom = _log_pow(n_prev, rates.rho_prime) * math.log((m - 1) / rates.delta) * rates.comp
+    return math.sqrt(rates.C3 * num_arms * n_prev ** rates.rho / denom)
+
+
+@dataclass
+class ActionKernel:
+    """Per-context arm distribution; probs[a-1] is the chance of arm a."""
+
+    probs: np.ndarray
+    best_arm: int
+
+    def sample(self, rng) -> int:
+        u = rng.random()
+        acc = 0.0
+        for i, p in enumerate(self.probs):
+            acc += p
+            if u < acc:
+                return i + 1
+        return len(self.probs)  # guard against accumulated rounding
+
+
+def action_kernel(model: LinearModel, x, gamma: float, num_arms: Optional[int] = None) -> ActionKernel:
+    """Inverse-gap-weighted kernel at one context.
+
+    Gaps are nonnegative by construction, so every denominator is >= K and
+    the best arm's remainder is >= 1/K.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be > 0")
+    preds = model.predict_all(x)
+    K = len(preds) if num_arms is None else num_arms
+    best = int(np.argmax(preds))
+    gaps = preds[best] - preds
+    probs = 1.0 / (K + gamma * gaps)
+    probs[best] = 0.0
+    probs[best] = 1.0 - probs.sum()
+    return ActionKernel(probs, best + 1)
+
+
+def kernel_prob_matrix(model: LinearModel, xs, gamma: float) -> np.ndarray:
+    """(n, K) matrix of kernel probabilities across many contexts."""
+    preds = model.predict_matrix(xs)
+    n, K = preds.shape
+    best = np.argmax(preds, axis=1)
+    gaps = preds[np.arange(n), best][:, None] - preds
+    probs = 1.0 / (K + gamma * gaps)
+    probs[np.arange(n), best] = 0.0
+    probs[np.arange(n), best] = 1.0 - probs.sum(axis=1)
+    return probs
+
+
+def tune_epsilon(b_guess: float, num_arms: int, c: float = 1.0) -> float:
+    """Passive-exploration fraction from a guess of the approximation error:
+    c * K^(4/5) * b^(2/5), capped at 0.49 (the analysis needs eps < 0.5)."""
+    if b_guess < 0:
+        raise ValueError("b_guess must be >= 0")
+    if c <= 0:
+        raise ValueError("c must be > 0")
+    return min(c * num_arms ** 0.8 * b_guess ** 0.4, 0.49)
+
+
+@dataclass
+class EpochEvent:
+    """What happened at one epoch boundary (the refit of the model)."""
+
+    m: int
+    tau_start: int            # first round of epoch m
+    tau_end: int              # last round of epoch m
+    gamma: float              # gamma_m in force during the epoch
+    alpha: float              # best normalized SSE on the passive batch
+    slack: float              # constraint budget above alpha
+    lambda_star: float
+    duality_gap: float
+    new_weights: np.ndarray   # model installed for epoch m+1
+    constraint_residual: float = float("nan")
+    unconstrained: bool = False  # no passive data: plain least-squares update
+    ridge_fallback: bool = False
+    mse_to_best_fit: float = float("nan")  # filled by the harness
+
+
+class EpsilonFalconAgent:
+    """Epoch state machine: kernel sampling, phase bookkeeping, refits.
+
+    The caller drives it with ``act`` (choose an arm for round t) and
+    ``record`` (store the observed triple); ``record`` fires the
+    end-of-epoch update automatically when t closes the epoch.  Rounds must
+    arrive in order -- playing a round outside the current epoch raises
+    ``SequencingError``.
+    """
+
+    def __init__(self, num_arms: int, context_dim: int = 1, epsilon: float = 0.1,
+                 schedule: EpochSchedule = EpochSchedule(), rates: Optional[RateParams] = None,
+                 tol: float = 1e-6):
+        if not 0.0 <= epsilon < 0.5:
+            raise ValueError("epsilon must be in [0, 0.5)")
+        self.num_arms = num_arms
+        self.context_dim = context_dim
+        self.epsilon = epsilon
+        self.schedule = schedule
+        self.rates = rates if rates is not None else RateParams.linear_preset(num_arms, context_dim)
+        self.tol = tol
+        self.m = 1
+        self.model = LinearModel.zeros(num_arms, context_dim)
+        self.gamma = gamma_for_epoch(1, schedule, self.rates, num_arms)
+        self.active_batch = DataBatch(num_arms, context_dim)
+        self.passive_batch = DataBatch(num_arms, context_dim)
+        self.events: list[EpochEvent] = []
+        self.model_history: list[np.ndarray] = [self.model.weights.copy()]
+        self.gamma_history: list[float] = [self.gamma]
+
+    def passive_rounds(self, m: Optional[int] = None) -> int:
+        length = self.schedule.epoch_length(self.m if m is None else m)
+        return math.ceil(self.epsilon * length)
+
+    def phase_of(self, t: int) -> str:
+        """'active' or 'passive' for round t of the current epoch."""
+        m = self.schedule.epoch_of(t)
+        if m != self.m:
+            raise SequencingError(
+                f"round {t} belongs to epoch {m}, agent is in epoch {self.m}")
+        last_active = self.schedule.boundary(m) - self.passive_rounds(m)
+        return "active" if t <= last_active else "passive"
+
+    def act(self, t: int, x, rng) -> int:
+        if self.phase_of(t) == "passive":
+            return int(rng.integers(self.num_arms)) + 1
+        return action_kernel(self.model, x, self.gamma, self.num_arms).sample(rng)
+
+    def record(self, t: int, x, a: int, r: float) -> Optional[EpochEvent]:
+        """Store one observed round; returns the epoch event if t closed
+        the current epoch."""
+        phase = self.phase_of(t)
+        (self.active_batch if phase == "active" else self.passive_batch).append(x, a, r)
+        if t == self.schedule.boundary(self.m):
+            return self.end_of_epoch_update()
+        return None
+
+    def end_of_epoch_update(self) -> EpochEvent:
+        """Refit the model from this epoch's data and advance the epoch.
+
+        With passive data present the refit is the constrained oracle with
+        budget slack = C1 * ln^rho'(n') * ln(12 m^2 / delta) * comp / n'^rho
+        over the passive ERM's normalized SSE.  With epsilon = 0 there is
+        nothing to constrain against and the update falls back to the plain
+        unconstrained fit on the active batch.
+        """
+        m, rates = self.m, self.rates
+        tau_start = self.schedule.boundary(m - 1) + 1
+        tau_end = self.schedule.boundary(m)
+        if len(self.passive_batch) > 0:
+            n_pass = len(self.passive_batch)
+            slack = (rates.C1 * _log_pow(n_pass, rates.rho_prime)
+                     * math.log(12.0 * m * m / rates.delta) * rates.comp
+                     / n_pass ** rates.rho)
+            cons = ConstraintSpec(self.passive_batch, slack)
+            new_model, report = constrained_fit(self.active_batch, cons, self.tol)
+            event = EpochEvent(m, tau_start, tau_end, self.gamma, report.alpha,
+                               slack, report.lam, report.duality_gap,
+                               new_model.weights.copy(),
+                               constraint_residual=report.constraint_residual,
+                               ridge_fallback=new_model.ridge_fallback)
+        else:
+            new_model = fit_ols(self.active_batch)
+            event = EpochEvent(m, tau_start, tau_end, self.gamma,
+                               float("nan"), float("nan"), float("nan"),
+                               float("nan"), new_model.weights.copy(),
+                               unconstrained=True,
+                               ridge_fallback=new_model.ridge_fallback)
+        self.model = new_model
+        self.m = m + 1
+        self.gamma = gamma_for_epoch(self.m, self.schedule, rates, self.num_arms)
+        self.active_batch = DataBatch(self.num_arms, self.context_dim)
+        self.passive_batch = DataBatch(self.num_arms, self.context_dim)
+        self.events.append(event)
+        self.model_history.append(self.model.weights.copy())
+        self.gamma_history.append(self.gamma)
+        return event
+
+
+def plain_falcon(num_arms: int, context_dim: int = 1, schedule: EpochSchedule = EpochSchedule(),
+                 rates: Optional[RateParams] = None) -> EpsilonFalconAgent:
+    """The un-guarded baseline: epsilon = 0, so every update is the plain
+    unconstrained least-squares fit on the epoch's (all-active) data."""
+    return EpsilonFalconAgent(num_arms, context_dim, epsilon=0.0,
+                              schedule=schedule, rates=rates)
+
+
+class LinUCBAgent:
+    """Disjoint per-arm ridge regression with an upper-confidence bonus.
+
+    Scores are theta_a . phi(x) + alpha_ucb * sqrt(phi' A_a^{-1} phi).  The
+    sufficient statistics accumulate every round, but theta and A^{-1} are
+    refreshed only every ``batch_size`` observations.
+    """
+
+    def __init__(self, num_arms: int, context_dim: int = 1, alpha_ucb: float = 0.2,
+                 ridge: float = 1.0, batch_size: int = 100):
+        if ridge <= 0:
+            raise ValueError("ridge must be > 0")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        p = context_dim + 1
+        self.num_arms = num_arms
+        self.context_dim = context_dim
+        self.alpha_ucb = alpha_ucb
+        self.batch_size = batch_size
+        self.G = np.stack([ridge * np.eye(p) for _ in range(num_arms)])
+        self.bvec = np.zeros((num_arms, p))
+        self._refresh()
+        self._since_refresh = 0
+
+    def _refresh(self) -> None:
+        self.G_inv = np.linalg.inv(self.G)
+        self.theta = np.einsum("aij,aj->ai", self.G_inv, self.bvec)
+
+    def act(self, t: int, x, rng) -> int:
+        phi = np.empty(self.context_dim + 1)
+        phi[0] = 1.0
+        phi[1:] = x
+        means = self.theta @ phi
+        widths = np.sqrt(np.einsum("i,aij,j->a", phi, self.G_inv, phi))
+        return int(np.argmax(means + self.alpha_ucb * widths)) + 1
+
+    def record(self, t: int, x, a: int, r: float) -> None:
+        phi = np.empty(self.context_dim + 1)
+        phi[0] = 1.0
+        phi[1:] = x
+        self.G[a - 1] += np.outer(phi, phi)
+        self.bvec[a - 1] += r * phi
+        self._since_refresh += 1
+        if self._since_refresh >= self.batch_size:
+            self._refresh()
+            self._since_refresh = 0
+
+
+class UniformAgent:
+    """Context-free uniform arm choice."""
+
+    def __init__(self, num_arms: int, context_dim: int = 1):
+        self.num_arms = num_arms
+        self.context_dim = context_dim
+
+    def act(self, t: int, x, rng) -> int:
+        return int(rng.integers(self.num_arms)) + 1
+
+    def record(self, t: int, x, a: int, r: float) -> None:
+        pass

@@ -1,0 +1,589 @@
+"""Experiment runner: configuration, single runs, multi-seed suites, and
+flat-file artifacts.
+
+A run is fully determined by (config, seed).  The seed feeds a
+SeedSequence that is split into three independent Philox streams -- one
+for the environment (contexts and reward noise), one for the agent's arm
+draws, one for Monte Carlo diagnostics -- so adding diagnostics never
+perturbs the simulated trajectory.  Replication r of a suite uses seed
+base_seed + r, which makes every replication independent of how many
+others are requested.
+
+Artifacts are plain CSV.  Schemas:
+
+* trace:   t,epoch,phase,x,action,reward,e_regret,cum_e_regret
+* epochs:  m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar
+* weights: m,arm,w0,w1,...   (model in force during epoch m)
+
+Config files are flat ``key = value`` lines with dotted section prefixes
+(env.kind, agent.epsilon, run.horizon, ...); ``#`` starts a comment.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from dataclasses import dataclass, field, replace
+from typing import Optional
+
+import numpy as np
+
+from . import diag as diagmod
+from . import env as envmod
+from .diag import LemmaCheck, RegretTrace, RunArtifacts
+from .env import Environment, EnvSpec, make_generator
+from .falcon import (EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
+                     RateParams, UniformAgent, gamma_for_epoch)
+from .linmodel import LinearModel
+
+AGENT_NAMES = ("epsilon_falcon", "falcon", "lin_ucb", "uniform")
+
+TRACE_HEADER = "t,epoch,phase,x,action,reward,e_regret,cum_e_regret"
+EPOCHS_HEADER = "m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar"
+SUMMARY_HEADER = "t,mean_e_regret,se_e_regret,mean_cum_e_regret,se_cum_e_regret"
+COMPARE_HEADER = "checkpoint,config,agent,cum_e_regret_mean,cum_e_regret_se"
+LEMMAS_HEADER = "name,epoch,lhs,rhs,se,passed,note"
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; ``errors`` lists offending fields."""
+
+    def __init__(self, errors: list[str]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
+class ConfigMismatchError(ValueError):
+    """compare() was given configs with different environments/horizons."""
+
+
+@dataclass
+class RunConfig:
+    env: EnvSpec = field(default_factory=EnvSpec)
+    agent: str = "epsilon_falcon"
+    epsilon: float = 0.1
+    delta: float = 0.1
+    tau1: int = 4
+    c1: float = 1.0
+    c3: float = 1.0
+    rho: float = 1.0
+    rho_prime: float = 0.0
+    comp: Optional[float] = None      # None: total parameter count K*(d+1)
+    alpha_ucb: float = 0.2
+    ridge: float = 1.0
+    batch_size: int = 100
+    horizon: int = 1000
+    replications: int = 1
+    base_seed: int = 0
+    mc_samples: int = 100_000
+    out_dir: Optional[str] = None
+
+    def validation_errors(self) -> list[str]:
+        errs = [e for e in self.env.validation_errors()]
+        if self.agent not in AGENT_NAMES:
+            errs.append(f"agent.name: unknown agent {self.agent!r}")
+        if not 0.0 <= self.epsilon < 0.5:
+            errs.append("agent.epsilon: must be in [0, 0.5)")
+        if not 0.0 < self.delta <= 0.5:
+            errs.append("agent.delta: must be in (0, 0.5]")
+        if self.tau1 < 4:
+            errs.append("agent.tau1: must be >= 4")
+        if self.c1 <= 0 or self.c3 <= 0:
+            errs.append("agent.c1/agent.c3: must be > 0")
+        if not 0.0 < self.rho <= 1.0:
+            errs.append("agent.rho: must be in (0, 1]")
+        if self.rho_prime < 0:
+            errs.append("agent.rho_prime: must be >= 0")
+        if self.comp is not None and self.comp <= 0:
+            errs.append("agent.comp: must be > 0 (or auto)")
+        if self.ridge <= 0:
+            errs.append("agent.ridge: must be > 0")
+        if self.batch_size < 1:
+            errs.append("agent.batch_size: must be >= 1")
+        if self.horizon < 1:
+            errs.append("run.horizon: must be >= 1")
+        if self.replications < 1:
+            errs.append("run.replications: must be >= 1")
+        if self.mc_samples < 1:
+            errs.append("run.mc_samples: must be >= 1")
+        return errs
+
+    def validate(self) -> None:
+        errs = self.validation_errors()
+        if errs:
+            raise ConfigError(errs)
+
+    def rate_params(self) -> RateParams:
+        comp = self.comp
+        if comp is None:
+            comp = float(self.env.num_arms * (self.env.context_dim + 1))
+        return RateParams(rho=self.rho, rho_prime=self.rho_prime, comp=comp,
+                          C1=self.c1, C3=self.c3, delta=self.delta)
+
+
+# ---------------------------------------------------------------------------
+# config file format
+# ---------------------------------------------------------------------------
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def serialize_config(config: RunConfig) -> str:
+    e = config.env
+    lines = [
+        f"env.kind = {e.kind}",
+        f"env.num_arms = {e.num_arms}",
+        f"env.noise_sd = {_fmt(e.noise_sd)}",
+    ]
+    if e.theta is not None:
+        lines.append(f"env.theta = {_fmt(e.theta)}")
+    lines += [
+        f"env.seed = {e.seed}",
+        f"env.clip_rewards = {_fmt(e.clip_rewards)}",
+        f"env.context_dim = {e.context_dim}",
+        f"agent.name = {config.agent}",
+        f"agent.epsilon = {_fmt(config.epsilon)}",
+        f"agent.delta = {_fmt(config.delta)}",
+        f"agent.tau1 = {config.tau1}",
+        f"agent.c1 = {_fmt(config.c1)}",
+        f"agent.c3 = {_fmt(config.c3)}",
+        f"agent.rho = {_fmt(config.rho)}",
+        f"agent.rho_prime = {_fmt(config.rho_prime)}",
+        f"agent.comp = {'auto' if config.comp is None else _fmt(config.comp)}",
+        f"agent.alpha_ucb = {_fmt(config.alpha_ucb)}",
+        f"agent.ridge = {_fmt(config.ridge)}",
+        f"agent.batch_size = {config.batch_size}",
+        f"run.horizon = {config.horizon}",
+        f"run.replications = {config.replications}",
+        f"run.base_seed = {config.base_seed}",
+        f"run.mc_samples = {config.mc_samples}",
+    ]
+    if config.out_dir is not None:
+        lines.append(f"run.out_dir = {config.out_dir}")
+    return "\n".join(lines) + "\n"
+
+
+_BOOL = {"true": True, "false": False}
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse the flat key=value format; raises ConfigError with field names
+    on anything unreadable or invalid."""
+    raw: dict[str, str] = {}
+    errs: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            errs.append(f"line {lineno}: expected key = value")
+            continue
+        key, val = (part.strip() for part in stripped.split("=", 1))
+        raw[key] = val
+    if errs:
+        raise ConfigError(errs)
+
+    def take(key, conv, default):
+        if key not in raw:
+            return default
+        val = raw.pop(key)
+        try:
+            if conv is bool:
+                return _BOOL[val.lower()]
+            return conv(val)
+        except (ValueError, KeyError):
+            errs.append(f"{key}: cannot parse {val!r}")
+            return default
+
+    kind = take("env.kind", str, envmod.STEP_FUNCTION)
+    env_kwargs = dict(
+        kind=kind,
+        num_arms=take("env.num_arms", int, 2),
+        noise_sd=take("env.noise_sd", float, 0.1),
+        seed=take("env.seed", int, 0),
+        clip_rewards=take("env.clip_rewards", bool, False),
+        context_dim=take("env.context_dim", int, 1),
+    )
+    if "env.theta" in raw:
+        env_kwargs["theta"] = take("env.theta", float, None)
+
+    comp_raw = raw.pop("agent.comp", "auto")
+    if comp_raw == "auto":
+        comp = None
+    else:
+        try:
+            comp = float(comp_raw)
+        except ValueError:
+            errs.append(f"agent.comp: cannot parse {comp_raw!r}")
+            comp = None
+
+    kwargs = dict(
+        agent=take("agent.name", str, "epsilon_falcon"),
+        epsilon=take("agent.epsilon", float, 0.1),
+        delta=take("agent.delta", float, 0.1),
+        tau1=take("agent.tau1", int, 4),
+        c1=take("agent.c1", float, 1.0),
+        c3=take("agent.c3", float, 1.0),
+        rho=take("agent.rho", float, 1.0),
+        rho_prime=take("agent.rho_prime", float, 0.0),
+        comp=comp,
+        alpha_ucb=take("agent.alpha_ucb", float, 0.2),
+        ridge=take("agent.ridge", float, 1.0),
+        batch_size=take("agent.batch_size", int, 100),
+        horizon=take("run.horizon", int, 1000),
+        replications=take("run.replications", int, 1),
+        base_seed=take("run.base_seed", int, 0),
+        mc_samples=take("run.mc_samples", int, 100_000),
+        out_dir=raw.pop("run.out_dir", None),
+    )
+    for key in raw:
+        errs.append(f"{key}: unknown key")
+    if errs:
+        raise ConfigError(errs)
+    try:
+        spec = EnvSpec(**env_kwargs)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+    config = RunConfig(env=spec, **kwargs)
+    config.validate()
+    return config
+
+
+def load_config(path: str) -> RunConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())
+
+
+def save_config(config: RunConfig, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_config(config))
+
+
+# ---------------------------------------------------------------------------
+# running
+# ---------------------------------------------------------------------------
+
+def build_agent(config: RunConfig):
+    spec = config.env
+    K, dim = spec.num_arms, spec.context_dim
+    if config.agent in ("epsilon_falcon", "falcon"):
+        epsilon = 0.0 if config.agent == "falcon" else config.epsilon
+        return EpsilonFalconAgent(K, dim, epsilon, EpochSchedule(config.tau1),
+                                  config.rate_params())
+    if config.agent == "lin_ucb":
+        return LinUCBAgent(K, dim, config.alpha_ucb, config.ridge, config.batch_size)
+    if config.agent == "uniform":
+        return UniformAgent(K, dim)
+    raise ConfigError([f"agent.name: unknown agent {config.agent!r}"])
+
+
+@dataclass
+class RunResult:
+    config: RunConfig
+    seed: int
+    trace: RegretTrace
+    events: list[EpochEvent]
+    artifacts: RunArtifacts
+    lemma_report: Optional[list[LemmaCheck]]
+
+
+def run_one(config: RunConfig, seed: Optional[int] = None,
+            with_lemmas: bool = True) -> RunResult:
+    """Play ``horizon`` rounds of agent vs. environment under one seed."""
+    config.validate()
+    if seed is None:
+        seed = config.base_seed
+    env_ss, agent_ss, diag_ss = np.random.SeedSequence(seed).spawn(3)
+    spec = config.env
+    env = Environment(spec, seed=env_ss)
+    agent = build_agent(config)
+    agent_rng = make_generator(agent_ss)
+    schedule = EpochSchedule(config.tau1)
+    is_falcon = isinstance(agent, EpsilonFalconAgent)
+
+    T = config.horizon
+    dim = spec.context_dim
+    xs = np.empty(T) if dim == 1 else np.empty((T, dim))
+    epochs = np.empty(T, dtype=np.int64)
+    phases = np.empty(T, dtype="<U7")
+    actions = np.empty(T, dtype=np.int64)
+    rewards = np.empty(T)
+    e_regret = np.empty(T)
+    noisy_total = 0.0
+
+    epoch = 1
+    boundary = schedule.boundary(1)
+    for i in range(T):
+        t = i + 1
+        if t > boundary:
+            epoch += 1
+            boundary = schedule.boundary(epoch)
+        x = env.sample_context()
+        phase = agent.phase_of(t) if is_falcon else "active"
+        a = agent.act(t, x, agent_rng)
+        means, rvec = env.observe(x)
+        r = float(rvec[a - 1])
+        agent.record(t, x, a, r)
+        best = int(np.argmax(means))
+        xs[i] = x
+        epochs[i] = epoch
+        phases[i] = phase
+        actions[i] = a
+        rewards[i] = r
+        e_regret[i] = means[best] - means[a - 1]
+        noisy_total += float(rvec[best]) - r
+
+    trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs, actions,
+                        rewards, e_regret, np.cumsum(e_regret), noisy_total)
+
+    events: list[EpochEvent] = []
+    models: list[LinearModel] = []
+    gammas: list[float] = []
+    if is_falcon:
+        events = agent.events
+        started = schedule.epoch_of(T)
+        models = [LinearModel(w) for w in agent.model_history[:started]]
+        gammas = agent.gamma_history[:started]
+        best_fit = envmod.best_linear_fit_uniform(spec)
+        diag_rng = make_generator(diag_ss)
+        n_mse = min(config.mc_samples, 20_000)
+        for ev in events:
+            ev.mse_to_best_fit = diagmod.model_mse(
+                LinearModel(ev.new_weights), best_fit, spec,
+                "uniform", n_mse, diag_rng).value
+
+    artifacts = RunArtifacts(spec, models, gammas,
+                             epsilon=agent.epsilon if is_falcon else None,
+                             rho=config.rho)
+    report = None
+    if with_lemmas:
+        report = diagmod.lemma_suite(artifacts, num_mc=min(config.mc_samples, 20_000),
+                                     rng=make_generator(diag_ss.spawn(1)[0]))
+    return RunResult(config, seed, trace, events, artifacts, report)
+
+
+@dataclass
+class SuiteSummary:
+    t: np.ndarray
+    mean_e_regret: np.ndarray
+    se_e_regret: np.ndarray
+    mean_cum_e_regret: np.ndarray
+    se_cum_e_regret: np.ndarray
+    replications: int
+
+
+def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSummary:
+    """Run all replications and aggregate per-round regret by replication
+    index.  ``order`` only changes execution order (a stand-in for
+    concurrent scheduling); the aggregation is index-keyed, so any order
+    produces the same summary.
+    """
+    config.validate()
+    R = config.replications
+    if order is None:
+        order = list(range(R))
+    if sorted(order) != list(range(R)):
+        raise ValueError("order must be a permutation of range(replications)")
+    per_rep: list[Optional[np.ndarray]] = [None] * R
+    for r in order:
+        try:
+            res = run_one(config, config.base_seed + r, with_lemmas=False)
+        except Exception as exc:
+            raise RuntimeError(f"replication {r} failed: {exc}") from exc
+        per_rep[r] = res.trace.e_regret
+    e = np.stack(per_rep)
+    cum = np.cumsum(e, axis=1)
+    if R > 1:
+        se = e.std(axis=0, ddof=1) / math.sqrt(R)
+        cum_se = cum.std(axis=0, ddof=1) / math.sqrt(R)
+    else:
+        se = np.zeros(config.horizon)
+        cum_se = np.zeros(config.horizon)
+    return SuiteSummary(np.arange(1, config.horizon + 1), e.mean(axis=0), se,
+                        cum.mean(axis=0), cum_se, R)
+
+
+def checkpoints(horizon: int) -> list[int]:
+    return sorted({max(1, horizon // 8), max(1, horizon // 4),
+                   max(1, horizon // 2), horizon})
+
+
+@dataclass
+class CompareRow:
+    checkpoint: int
+    config_index: int
+    agent: str
+    cum_mean: float
+    cum_se: float
+
+
+@dataclass
+class CompareTable:
+    rows: list[CompareRow]
+
+    def column(self, config_index: int) -> list[float]:
+        return [row.cum_mean for row in self.rows if row.config_index == config_index]
+
+    def format_text(self) -> str:
+        cps = sorted({r.checkpoint for r in self.rows})
+        idxs = sorted({r.config_index for r in self.rows})
+        by_key = {(r.config_index, r.checkpoint): r for r in self.rows}
+        names = {i: by_key[(i, cps[0])].agent for i in idxs}
+        header = "checkpoint" + "".join(f"  {names[i]}[{i}]".rjust(24) for i in idxs)
+        lines = [header]
+        for cp in cps:
+            cells = "".join(
+                f"  {by_key[(i, cp)].cum_mean:.3f} +- {by_key[(i, cp)].cum_se:.3f}".rjust(24)
+                for i in idxs)
+            lines.append(f"{cp:>10}" + cells)
+        return "\n".join(lines)
+
+
+def compare(configs: list[RunConfig]) -> CompareTable:
+    """Cumulative expected regret at {T/8, T/4, T/2, T} for each config.
+
+    All configs must share the environment and the horizon.
+    """
+    if len(configs) < 2:
+        raise ConfigMismatchError("compare needs at least two configs")
+    first = configs[0]
+    for i, cfg in enumerate(configs[1:], start=1):
+        if cfg.env != first.env:
+            raise ConfigMismatchError(f"config {i} has a different env than config 0")
+        if cfg.horizon != first.horizon:
+            raise ConfigMismatchError(f"config {i} has a different horizon than config 0")
+    cps = checkpoints(first.horizon)
+    rows: list[CompareRow] = []
+    for i, cfg in enumerate(configs):
+        summary = run_suite(cfg)
+        for cp in cps:
+            rows.append(CompareRow(cp, i, cfg.agent,
+                                   float(summary.mean_cum_e_regret[cp - 1]),
+                                   float(summary.se_cum_e_regret[cp - 1])))
+    return CompareTable(rows)
+
+
+# ---------------------------------------------------------------------------
+# flat-file artifacts
+# ---------------------------------------------------------------------------
+
+def _g(v: float) -> str:
+    return f"{v:.17g}"
+
+
+def _x_cell(x) -> str:
+    if np.ndim(x) == 0:
+        return _g(float(x))
+    return ";".join(_g(float(v)) for v in np.asarray(x))
+
+
+def write_trace_csv(trace: RegretTrace, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for i in range(len(trace)):
+            fh.write(f"{trace.t[i]},{trace.epoch[i]},{trace.phase[i]},"
+                     f"{_x_cell(trace.x[i])},{trace.action[i]},{_g(trace.reward[i])},"
+                     f"{_g(trace.e_regret[i])},{_g(trace.cum_e_regret[i])}\n")
+
+
+def write_events_csv(events: list[EpochEvent], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(EPOCHS_HEADER + "\n")
+        for ev in events:
+            fh.write(f"{ev.m},{ev.tau_start},{ev.tau_end},{_g(ev.gamma)},"
+                     f"{_g(ev.alpha)},{_g(ev.slack)},{_g(ev.lambda_star)},"
+                     f"{_g(ev.duality_gap)},{_g(ev.mse_to_best_fit)}\n")
+
+
+def write_weights_csv(models: list[LinearModel], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if models:
+            p = models[0].weights.shape[1]
+            fh.write("m,arm," + ",".join(f"w{j}" for j in range(p)) + "\n")
+        else:
+            fh.write("m,arm,w0,w1\n")
+        for m, model in enumerate(models, start=1):
+            for a in range(model.num_arms):
+                cells = ",".join(_g(w) for w in model.weights[a])
+                fh.write(f"{m},{a + 1},{cells}\n")
+
+
+def write_lemmas_csv(report: list[LemmaCheck], path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(LEMMAS_HEADER + "\n")
+        for c in report:
+            epoch = "" if c.epoch is None else str(c.epoch)
+            fh.write(f"{c.name},{epoch},{_g(c.lhs)},{_g(c.rhs)},{_g(c.se)},"
+                     f"{int(c.passed)},{c.note}\n")
+
+
+def write_summary_csv(summary: SuiteSummary, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(SUMMARY_HEADER + "\n")
+        for i in range(len(summary.t)):
+            fh.write(f"{summary.t[i]},{_g(summary.mean_e_regret[i])},"
+                     f"{_g(summary.se_e_regret[i])},{_g(summary.mean_cum_e_regret[i])},"
+                     f"{_g(summary.se_cum_e_regret[i])}\n")
+
+
+def write_compare_csv(table: CompareTable, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(COMPARE_HEADER + "\n")
+        for row in table.rows:
+            fh.write(f"{row.checkpoint},{row.config_index},{row.agent},"
+                     f"{_g(row.cum_mean)},{_g(row.cum_se)}\n")
+
+
+def write_run_dir(result: RunResult, out_dir: str) -> None:
+    """One directory per run: trace, epoch events, model weights, lemma
+    checks, and the resolved config (which `diag` uses to re-analyze)."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(replace(result.config, base_seed=result.seed),
+                os.path.join(out_dir, "config.txt"))
+    write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
+    write_events_csv(result.events, os.path.join(out_dir, "epochs.csv"))
+    write_weights_csv(result.artifacts.models, os.path.join(out_dir, "weights.csv"))
+    if result.lemma_report is not None:
+        write_lemmas_csv(result.lemma_report, os.path.join(out_dir, "lemmas.csv"))
+
+
+def read_weights_csv(path: str) -> list[np.ndarray]:
+    """Inverse of write_weights_csv: per-epoch weight matrices."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    rows = [ln.split(",") for ln in lines[1:]]
+    if not rows:
+        return []
+    by_epoch: dict[int, dict[int, np.ndarray]] = {}
+    for cells in rows:
+        m, arm = int(cells[0]), int(cells[1])
+        by_epoch.setdefault(m, {})[arm] = np.array([float(c) for c in cells[2:]])
+    out = []
+    for m in sorted(by_epoch):
+        arms = by_epoch[m]
+        out.append(np.stack([arms[a] for a in sorted(arms)]))
+    return out
+
+
+def reanalyze_run_dir(run_dir: str, num_mc: int = 20_000, rng=0) -> list[LemmaCheck]:
+    """Re-run the inequality suite from a stored run directory.
+
+    The per-epoch gammas are a pure function of (schedule, rates, epoch), so
+    they are rebuilt from the stored config rather than parsed back out of
+    the events file.
+    """
+    config = load_config(os.path.join(run_dir, "config.txt"))
+    weight_mats = read_weights_csv(os.path.join(run_dir, "weights.csv"))
+    schedule = EpochSchedule(config.tau1)
+    rates = config.rate_params()
+    models = [LinearModel(w) for w in weight_mats]
+    gammas = [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
+              for m in range(1, len(models) + 1)]
+    eps = config.epsilon if config.agent == "epsilon_falcon" else None
+    arts = RunArtifacts(config.env, models, gammas, epsilon=eps, rho=config.rho)
+    return diagmod.lemma_suite(arts, num_mc, rng)

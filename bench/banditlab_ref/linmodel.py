@@ -1,0 +1,324 @@
+"""Per-arm linear reward models and least-squares fitting.
+
+The model class is deliberately narrow: for each arm a, predictions are
+``w_a . phi(x)`` with ``phi(x) = [1, x_1, ..., x_d]`` and nothing fancier.
+On top of ordinary and row-weighted least squares (solved by per-arm normal
+equations) this module provides a constrained regression oracle:
+
+    minimize   normalized SSE on an "active" batch
+    subject to normalized SSE on a "passive" batch <= alpha + slack,
+
+where alpha is the best normalized SSE any model in the class attains on the
+passive batch.  With slack > 0 the constraint is strictly feasible, strong
+duality holds, and the dual is a concave one-dimensional maximization in the
+multiplier lambda.  ``constrained_fit`` solves it by bracketing lambda with a
+doubling pass and then bisecting; every dual evaluation is one call to the
+weighted least-squares routine, and the returned model is exactly the output
+of the final such call.
+
+All sums of squares are NORMALIZED (divided by the row count).  The
+unnormalized convention is recovered by scaling ``slack`` by the passive
+batch size.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+RIDGE = 1e-8
+
+
+class InvalidArmError(ValueError):
+    pass
+
+
+class InfeasibleConstraintError(ValueError):
+    """Raised when a constraint budget has no strictly feasible interior."""
+
+
+class DualNonConvergenceError(RuntimeError):
+    """Raised when the dual bracketing pass exhausts its lambda range."""
+
+
+def featurize(xs, dim: int) -> np.ndarray:
+    """Map raw contexts to design rows [1, x_1, ..., x_dim]."""
+    xs = np.asarray(xs, dtype=float)
+    if dim == 1:
+        xs = xs.reshape(-1, 1)
+    n = xs.shape[0]
+    out = np.empty((n, dim + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = xs
+    return out
+
+
+@dataclass
+class LinearModel:
+    """Weights of shape (K, 1 + context_dim); row a-1 scores arm a."""
+
+    weights: np.ndarray
+    ridge_fallback: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.ndim != 2 or self.weights.shape[1] < 2:
+            raise ValueError("weights must be (num_arms, 1 + context_dim)")
+
+    @property
+    def num_arms(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def context_dim(self) -> int:
+        return self.weights.shape[1] - 1
+
+    @property
+    def param_count(self) -> int:
+        return self.weights.size
+
+    @staticmethod
+    def zeros(num_arms: int, context_dim: int = 1) -> "LinearModel":
+        return LinearModel(np.zeros((num_arms, context_dim + 1)))
+
+    def _phi(self, x) -> np.ndarray:
+        phi = np.empty(self.context_dim + 1)
+        phi[0] = 1.0
+        phi[1:] = x
+        return phi
+
+    def predict(self, x, a: int) -> float:
+        if not 1 <= int(a) <= self.num_arms:
+            raise InvalidArmError(f"arm {a} out of range 1..{self.num_arms}")
+        return float(self.weights[a - 1] @ self._phi(x))
+
+    def predict_all(self, x) -> np.ndarray:
+        """All K predictions at one context."""
+        return self.weights @ self._phi(x)
+
+    def predict_matrix(self, xs) -> np.ndarray:
+        """(n, K) prediction matrix for a batch of contexts."""
+        return featurize(xs, self.context_dim) @ self.weights.T
+
+    def induced_action(self, x) -> int:
+        """argmax arm under this model; ties go to the lowest index."""
+        return int(np.argmax(self.predict_all(x))) + 1
+
+    def induced_actions(self, xs) -> np.ndarray:
+        return np.argmax(self.predict_matrix(xs), axis=1) + 1
+
+    def copy(self) -> "LinearModel":
+        return LinearModel(self.weights.copy(), self.ridge_fallback)
+
+
+class DataBatch:
+    """Append-only store of (context, arm, reward) triples for one phase."""
+
+    def __init__(self, num_arms: int, context_dim: int = 1):
+        self.num_arms = num_arms
+        self.context_dim = context_dim
+        self.xs: list = []
+        self.arms: list[int] = []
+        self.rewards: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.arms)
+
+    def append(self, x, a: int, r: float) -> None:
+        if not 1 <= int(a) <= self.num_arms:
+            raise InvalidArmError(f"arm {a} out of range 1..{self.num_arms}")
+        self.xs.append(x)
+        self.arms.append(int(a))
+        self.rewards.append(float(r))
+
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        Phi = featurize(self.xs, self.context_dim) if self.arms else \
+            np.empty((0, self.context_dim + 1))
+        return Phi, np.asarray(self.arms, dtype=int), np.asarray(self.rewards, dtype=float)
+
+    @staticmethod
+    def from_rows(rows, num_arms: int, context_dim: int = 1) -> "DataBatch":
+        batch = DataBatch(num_arms, context_dim)
+        for x, a, r in rows:
+            batch.append(x, a, r)
+        return batch
+
+
+def _solve_normal_equations(G: np.ndarray, bvec: np.ndarray, nrows: int) -> tuple[np.ndarray, bool]:
+    """Solve G w = b, adding a small ridge when the arm design cannot
+    identify all parameters (too few rows, or a collinear design)."""
+    p = G.shape[0]
+    deficient = nrows < p
+    if not deficient:
+        eigs = np.linalg.eigvalsh(G)
+        deficient = eigs[0] <= 1e-10 * max(eigs[-1], 1.0)
+    if deficient:
+        G = G + RIDGE * np.eye(p)
+    return np.linalg.solve(G, bvec), deficient
+
+
+def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> LinearModel:
+    p = context_dim + 1
+    G = np.zeros((num_arms, p, p))
+    bvec = np.zeros((num_arms, p))
+    counts = np.zeros(num_arms, dtype=int)
+    for batch, w in batches_and_weights:
+        if len(batch) == 0 or w == 0.0:
+            continue
+        Phi, arms, r = batch.as_arrays()
+        for a in range(1, num_arms + 1):
+            mask = arms == a
+            if not mask.any():
+                continue
+            Pa = Phi[mask]
+            G[a - 1] += w * (Pa.T @ Pa)
+            bvec[a - 1] += w * (Pa.T @ r[mask])
+            counts[a - 1] += int(mask.sum())
+    weights = np.zeros((num_arms, p))
+    any_ridge = False
+    for a in range(num_arms):
+        if counts[a] == 0:
+            any_ridge = True  # zero rows: weights stay 0, flagged
+            continue
+        weights[a], used = _solve_normal_equations(G[a], bvec[a], counts[a])
+        any_ridge = any_ridge or used
+    return LinearModel(weights, ridge_fallback=any_ridge)
+
+
+def fit_ols(batch: DataBatch) -> LinearModel:
+    """Per-arm least squares via normal equations.
+
+    Arms with no rows get zero weights; rank-deficient arm designs fall back
+    to a ridge-regularized solve and flag the result.
+    """
+    return _fit_rowweighted([(batch, 1.0)], batch.num_arms, batch.context_dim)
+
+
+def fit_weighted(active: DataBatch, passive: DataBatch, lam: float) -> LinearModel:
+    """Minimizer of  SSE(active)/|active| + lam * SSE(passive)/|passive|."""
+    if len(active) == 0:
+        raise ValueError("active batch is empty")
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    if len(passive) == 0 and lam != 0.0:
+        raise ValueError("passive batch is empty but lam > 0")
+    parts = [(active, 1.0 / len(active))]
+    if len(passive) > 0:
+        parts.append((passive, lam / len(passive)))
+    return _fit_rowweighted(parts, active.num_arms, active.context_dim)
+
+
+def sse(model: LinearModel, batch: DataBatch) -> float:
+    """Sum of squared residuals; 0 on an empty batch."""
+    if len(batch) == 0:
+        return 0.0
+    Phi, arms, r = batch.as_arrays()
+    preds = (Phi @ model.weights.T)[np.arange(len(batch)), arms - 1]
+    return float(np.sum((preds - r) ** 2))
+
+
+def normalized_sse(model: LinearModel, batch: DataBatch) -> float:
+    if len(batch) == 0:
+        return 0.0
+    return sse(model, batch) / len(batch)
+
+
+@dataclass
+class ConstraintSpec:
+    """Budget on the passive-batch fit error: normalized SSE must stay
+    within ``slack`` of the best value ``alpha`` attainable on that batch.
+
+    ``alpha`` is always recomputed from the batch (never cached) so the
+    budget cannot go stale as the batch is appended to.
+    """
+
+    passive_batch: DataBatch
+    slack: float
+
+    def alpha(self) -> float:
+        return normalized_sse(fit_ols(self.passive_batch), self.passive_batch)
+
+
+@dataclass
+class DualReport:
+    """Outcome of one constrained fit: the final multiplier, how tight the
+    constraint ended up, and the primal/dual objective values."""
+
+    lam: float
+    constraint_residual: float  # normalized_sse(passive) - alpha - slack
+    primal_objective: float     # normalized_sse(active)
+    dual_objective: float
+    duality_gap: float
+    alpha: float
+    slack: float
+    n_weighted_fits: int
+    converged: bool
+
+
+def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
+                    lambda_tol: float = 1e-8, lambda_max: float = 1e12,
+                    max_iters: int = 400) -> tuple[LinearModel, DualReport]:
+    """Constrained regression via the one-dimensional concave dual.
+
+    The unconstrained minimizer is tried first; if it already satisfies the
+    passive budget it is returned with lambda = 0.  Otherwise the optimal
+    multiplier is bracketed by doubling and then located by bisection on the
+    sign of the dual's derivative, which at the weighted fit f(lambda)
+    equals the constraint residual normalized_sse(f, passive) - alpha -
+    slack.  Bisection keeps the feasible endpoint, so the returned model
+    always satisfies the budget; it stops once that endpoint is within
+    ``tol`` of tightness and the lambda interval is below ``lambda_tol``.
+
+    The returned model is the exact output of ``fit_weighted(active,
+    passive, report.lam)`` -- re-running that call reproduces it bit for
+    bit.
+    """
+    if cons.slack <= 0:
+        raise InfeasibleConstraintError(
+            f"slack must be > 0 for strict feasibility, got {cons.slack}")
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    passive = cons.passive_batch
+    alpha = cons.alpha()
+    budget = alpha + cons.slack
+    n_fits = 0
+
+    def weighted(lam: float) -> tuple[LinearModel, float]:
+        nonlocal n_fits
+        n_fits += 1
+        model = fit_weighted(active, passive, lam)
+        return model, normalized_sse(model, passive) - budget
+
+    model, resid = weighted(0.0)
+    if resid <= 0:
+        primal = normalized_sse(model, active)
+        return model, DualReport(0.0, resid, primal, primal, 0.0, alpha,
+                                 cons.slack, n_fits, True)
+
+    lam_lo, lam_hi = 0.0, 2.0
+    model, resid = weighted(lam_hi)
+    while resid > 0:
+        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+        if lam_hi > lambda_max:
+            raise DualNonConvergenceError(
+                f"no feasible weighted fit up to lambda={lam_hi:.3g} "
+                f"(alpha={alpha:.6g}, slack={cons.slack:.6g}, "
+                f"residual at cap={resid:.6g})")
+        model, resid = weighted(lam_hi)
+
+    iters = 0
+    while (abs(resid) > tol or (lam_hi - lam_lo) > lambda_tol * max(1.0, lam_hi)) \
+            and iters < max_iters:
+        mid = 0.5 * (lam_lo + lam_hi)
+        mid_model, mid_resid = weighted(mid)
+        if mid_resid > 0:
+            lam_lo = mid
+        else:
+            lam_hi, model, resid = mid, mid_model, mid_resid
+        iters += 1
+
+    primal = normalized_sse(model, active)
+    dual = primal + lam_hi * resid
+    return model, DualReport(lam_hi, resid, primal, dual, primal - dual,
+                             alpha, cons.slack, n_fits, abs(resid) <= tol)
