@@ -8,7 +8,7 @@ Verbs:
     oracle   --env KIND [--theta X]
 
 Exit codes: 0 on success, 1 on configuration/validation errors, 2 on
-numerical non-convergence.
+numerical failure (dual non-convergence, non-finite data).
 """
 
 from __future__ import annotations
@@ -132,11 +132,16 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (harness.ConfigError, harness.ConfigMismatchError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
-    except (DualNonConvergenceError, RuntimeError) as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+    except (DualNonConvergenceError, FloatingPointError, RuntimeError) as exc:
+        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
+
+
+def _describe(exc: BaseException) -> str:
+    """The message plus any notes, such as which replication failed."""
+    return "; ".join([str(exc), *getattr(exc, "__notes__", [])])
 
 
 if __name__ == "__main__":

@@ -394,7 +394,8 @@ def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSumm
         try:
             res = run_one(config, config.base_seed + r, with_lemmas=False)
         except Exception as exc:
-            raise RuntimeError(f"replication {r} failed: {exc}") from exc
+            exc.add_note(f"replication {r}")
+            raise
         per_rep[r] = res.trace.e_regret
     e = np.stack(per_rep)
     cum = np.cumsum(e, axis=1)

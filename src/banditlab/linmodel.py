@@ -16,6 +16,14 @@ doubling pass and then bisecting; every dual evaluation is one call to the
 weighted least-squares routine, and the returned model is exactly the output
 of the final such call.
 
+Fits and oracle residuals come from per-arm moments ``(G_a = Phi_a' Phi_a,
+b_a = Phi_a' r_a, r_a' r_a, n_a)`` that each ``DataBatch`` folds in one
+vectorized pass and caches until its next append, so each dual evaluation
+costs O(K p^3) whatever the row count.  The oracle's normalized SSE is
+``max(0, sum_a w_a' G_a w_a - 2 w_a' b_a + r_a' r_a) / n``: the clamp absorbs
+rounding on exactly interpolated data.  ``sse`` and ``normalized_sse`` keep
+the row-by-row definition.
+
 All sums of squares are NORMALIZED (divided by the row count).  The
 unnormalized convention is recovered by scaling ``slack`` by the passive
 batch size.
@@ -121,6 +129,7 @@ class DataBatch:
         self.xs: list = []
         self.arms: list[int] = []
         self.rewards: list[float] = []
+        self._moments = None  # (row count, G, b, yy, n) at the last fold
 
     def __len__(self) -> int:
         return len(self.arms)
@@ -136,6 +145,27 @@ class DataBatch:
         Phi = featurize(self.xs, self.context_dim) if self.arms else \
             np.empty((0, self.context_dim + 1))
         return Phi, np.asarray(self.arms, dtype=int), np.asarray(self.rewards, dtype=float)
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-arm (G, b, yy, n) of shapes (K, p, p), (K, p), (K,), (K,), folded
+        on first use and cached until the row count changes.  Raises
+        FloatingPointError when a context or reward is NaN or inf."""
+        if self._moments is None or self._moments[0] != len(self):
+            Phi, arms, r = self.as_arrays()
+            bad = int(np.count_nonzero(~(np.isfinite(Phi).all(axis=1) & np.isfinite(r))))
+            if bad:
+                raise FloatingPointError(
+                    f"{bad} of {len(self)} rows have a non-finite context or reward")
+            p = self.context_dim + 1
+            G, b = np.zeros((self.num_arms, p, p)), np.zeros((self.num_arms, p))
+            yy, n = np.zeros(self.num_arms), np.zeros(self.num_arms, dtype=int)
+            # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild reference
+            for a in range(self.num_arms):
+                mask = arms == a + 1
+                Pa, ra = Phi[mask], r[mask]
+                G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
+            self._moments = (len(self), G, b, yy, n)
+        return self._moments[1:]
 
     @staticmethod
     def from_rows(rows, num_arms: int, context_dim: int = 1) -> "DataBatch":
@@ -166,15 +196,10 @@ def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> Li
     for batch, w in batches_and_weights:
         if len(batch) == 0 or w == 0.0:
             continue
-        Phi, arms, r = batch.as_arrays()
-        for a in range(1, num_arms + 1):
-            mask = arms == a
-            if not mask.any():
-                continue
-            Pa = Phi[mask]
-            G[a - 1] += w * (Pa.T @ Pa)
-            bvec[a - 1] += w * (Pa.T @ r[mask])
-            counts[a - 1] += int(mask.sum())
+        Gb, bb, _, nb = batch.moments()
+        G += w * Gb
+        bvec += w * bb
+        counts += nb
     weights = np.zeros((num_arms, p))
     any_ridge = False
     for a in range(num_arms):
@@ -224,20 +249,29 @@ def normalized_sse(model: LinearModel, batch: DataBatch) -> float:
     return sse(model, batch) / len(batch)
 
 
+def _moment_nsse(model: LinearModel, batch: DataBatch) -> float:
+    """``normalized_sse`` from the batch's cached moments, clamped at 0
+    (0 on an empty batch)."""
+    G, b, yy, _ = batch.moments()
+    W = model.weights
+    total = np.einsum("ai,aij,aj->", W, G, W) - 2.0 * np.einsum("ai,ai->", W, b) + yy.sum()
+    return max(0.0, float(total)) / max(len(batch), 1)
+
+
 @dataclass
 class ConstraintSpec:
     """Budget on the passive-batch fit error: normalized SSE must stay
     within ``slack`` of the best value ``alpha`` attainable on that batch.
 
-    ``alpha`` is always recomputed from the batch (never cached) so the
-    budget cannot go stale as the batch is appended to.
+    ``alpha`` is recomputed on every call from the batch's moments, which
+    are refolded after any append, so the budget cannot go stale.
     """
 
     passive_batch: DataBatch
     slack: float
 
     def alpha(self) -> float:
-        return normalized_sse(fit_ols(self.passive_batch), self.passive_batch)
+        return _moment_nsse(fit_ols(self.passive_batch), self.passive_batch)
 
 
 @dataclass
@@ -288,11 +322,11 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
         nonlocal n_fits
         n_fits += 1
         model = fit_weighted(active, passive, lam)
-        return model, normalized_sse(model, passive) - budget
+        return model, _moment_nsse(model, passive) - budget
 
     model, resid = weighted(0.0)
     if resid <= 0:
-        primal = normalized_sse(model, active)
+        primal = _moment_nsse(model, active)
         return model, DualReport(0.0, resid, primal, primal, 0.0, alpha,
                                  cons.slack, n_fits, True)
 
@@ -318,7 +352,7 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
             lam_hi, model, resid = mid, mid_model, mid_resid
         iters += 1
 
-    primal = normalized_sse(model, active)
+    primal = _moment_nsse(model, active)
     dual = primal + lam_hi * resid
     return model, DualReport(lam_hi, resid, primal, dual, primal - dual,
                              alpha, cons.slack, n_fits, abs(resid) <= tol)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's own closed forms: integrals are
 done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
-large samples, and the constrained problem by brute-force grid search.
+large samples, the constrained problem by brute-force grid search, and
+row-weighted fits by rebuilding every arm's design from the raw rows.
 """
 
 import numpy as np
@@ -64,3 +65,53 @@ def grid_search_constrained(active_rows, passive_rows, slack: float,
     active_mse[passive_mse > alpha + slack + 1e-12] = np.inf
     idx = np.unravel_index(np.argmin(active_mse), active_mse.shape)
     return float(w0s[idx[0]]), float(w1s[idx[1]]), float(active_mse[idx])
+
+
+def fit_rowweighted_rows(batches_and_weights, num_arms: int, context_dim: int,
+                         ridge: float = 1e-8) -> tuple[np.ndarray, bool]:
+    """Row-weighted per-arm least squares straight from the rows.
+
+    For every (batch, weight) pair the design [1, x] is rebuilt from the
+    batch's raw ``xs``/``arms``/``rewards`` lists and each arm's masked rows
+    are accumulated as ``G_a += w * Pa.T @ Pa``, active part first, in the
+    order given.  An arm without rows keeps zero weights; an arm with fewer
+    rows than parameters, or a near-singular Gram, is solved with a small
+    ridge.  Returns (weights of shape (K, 1 + context_dim), ridge flag).
+    """
+    p = context_dim + 1
+    G = np.zeros((num_arms, p, p))
+    bvec = np.zeros((num_arms, p))
+    counts = np.zeros(num_arms, dtype=int)
+    for batch, w in batches_and_weights:
+        if len(batch.arms) == 0 or w == 0.0:
+            continue
+        xs = np.asarray(batch.xs, dtype=float).reshape(len(batch.arms), context_dim)
+        Phi = np.empty((len(batch.arms), p))
+        Phi[:, 0] = 1.0
+        Phi[:, 1:] = xs
+        arms = np.asarray(batch.arms, dtype=int)
+        r = np.asarray(batch.rewards, dtype=float)
+        for a in range(1, num_arms + 1):
+            mask = arms == a
+            if not mask.any():
+                continue
+            Pa = Phi[mask]
+            G[a - 1] += w * (Pa.T @ Pa)
+            bvec[a - 1] += w * (Pa.T @ r[mask])
+            counts[a - 1] += int(mask.sum())
+    weights = np.zeros((num_arms, p))
+    any_ridge = False
+    for a in range(num_arms):
+        if counts[a] == 0:
+            any_ridge = True
+            continue
+        Ga = G[a]
+        deficient = counts[a] < p
+        if not deficient:
+            eigs = np.linalg.eigvalsh(Ga)
+            deficient = eigs[0] <= 1e-10 * max(eigs[-1], 1.0)
+        if deficient:
+            Ga = Ga + ridge * np.eye(p)
+        weights[a] = np.linalg.solve(Ga, bvec[a])
+        any_ridge = any_ridge or deficient
+    return weights, any_ridge

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from banditlab import harness
 from banditlab.cli import main
 from banditlab.env import EnvSpec
 from banditlab.harness import RunConfig, load_config, save_config
@@ -49,6 +50,17 @@ class TestSuiteVerb:
         lines = (tmp_path / "suite" / "summary.csv").read_text().splitlines()
         assert lines[0] == "t,mean_e_regret,se_e_regret,mean_cum_e_regret,se_cum_e_regret"
         assert len(lines) == 65
+
+    @pytest.mark.parametrize("error, code", [(ValueError, 1), (FloatingPointError, 2)])
+    def test_replication_error_exit_code(self, step_config, tmp_path, monkeypatch,
+                                         capsys, error, code):
+        def fail(config, seed, with_lemmas=True):
+            raise error("boom")
+
+        monkeypatch.setattr(harness, "run_one", fail)
+        assert main(["suite", "--config", step_config, "--reps", "2",
+                     "--out", str(tmp_path / "suite")]) == code
+        assert "boom; replication 0" in capsys.readouterr().err
 
 
 class TestCompareVerb:

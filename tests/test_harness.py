@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from banditlab import harness
 from banditlab.diag import constant_policy, policy_regret
 from banditlab.env import EnvSpec
 from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
@@ -160,6 +161,15 @@ class TestRunSuite:
         write_summary_csv(s1, str(p1))
         write_summary_csv(s2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_replication_error_keeps_its_class(self, monkeypatch):
+        def fail(config, seed, with_lemmas=True):
+            raise ValueError(f"bad input at seed {seed}")
+
+        monkeypatch.setattr(harness, "run_one", fail)
+        with pytest.raises(ValueError, match="seed 7") as info:
+            run_suite(small_config(replications=3), order=[0, 1, 2])
+        assert info.value.__notes__ == ["replication 0"]
 
     def test_replication_streams_stable_under_R(self):
         cfg3 = small_config(horizon=32, replications=3)

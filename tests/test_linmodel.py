@@ -1,14 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditlab import linmodel
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
                                 InfeasibleConstraintError, InvalidArmError,
-                                LinearModel, constrained_fit, featurize, fit_ols,
-                                fit_weighted, normalized_sse, sse)
+                                LinearModel, _moment_nsse, constrained_fit, featurize,
+                                fit_ols, fit_weighted, normalized_sse, sse)
 
-from oracles import grid_search_constrained
+from oracles import fit_rowweighted_rows, grid_search_constrained
 
 # the worked instance: passive ERM is the line y=x with zero error, while the
 # active ERM is the line 1-x, which misses the passive budget by a mile
@@ -240,6 +243,110 @@ class TestConstrainedFit:
         first = cons.alpha()
         pas.append(0.5, 1, 3.0)  # distort the batch after building the spec
         assert cons.alpha() != pytest.approx(first)
+
+
+def two_arm_rows(rng, pyrng, dim=1, n=12):
+    """Rows for two arms, each arm drawn as empty, a single row, a repeated
+    context (rank-deficient design) or a general design."""
+    rows = []
+    for arm in (1, 2):
+        shape = pyrng.choice(["empty", "single", "repeated", "general"])
+        count = {"empty": 0, "single": 1}.get(shape, n)
+        xs = rng.random((count, dim))
+        if shape == "repeated":
+            xs[:] = xs[0]
+        for x in xs:
+            context = float(x[0]) if dim == 1 else x
+            rows.append((context, arm, float(rng.standard_normal())))
+    pyrng.shuffle(rows)
+    return rows
+
+
+class TestMomentLayer:
+    @given(st.randoms(use_true_random=False), st.integers(0, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_moment_sse_matches_row_sse(self, pyrng, n, noisy):
+        """The oracle's moment-form normalized SSE equals the row-by-row one
+        within 1e-12 relative plus 1e-15 absolute.  The absolute part is in
+        units of s, the summed magnitudes of the terms the moment form
+        cancels: s is O(1) on unit-scale data and grows only when a
+        near-collinear arm design gives large, mutually cancelling weights.
+        Noise-free batches are fitted exactly, where the clamp at 0 acts."""
+        rng = np.random.default_rng(pyrng.randrange(2**32))
+        truth = rng.uniform(-1, 1, (2, 2))
+        xs, arms = rng.random(n), rng.integers(1, 3, n)
+        ys = truth[arms - 1, 0] + truth[arms - 1, 1] * xs
+        if noisy:
+            ys = ys + 0.1 * rng.standard_normal(n)
+        b = batch(list(zip(xs.tolist(), arms.tolist(), ys.tolist())), num_arms=2)
+        G, bvec, yy, _ = b.moments()
+        for model in (fit_ols(b), LinearModel(rng.uniform(-1, 1, (2, 2)))):
+            row, got = normalized_sse(model, b), _moment_nsse(model, b)
+            A = np.abs(model.weights)
+            s = (np.einsum("ai,aij,aj->", A, np.abs(G), A)
+                 + 2 * np.einsum("ai,ai->", A, np.abs(bvec)) + yy.sum()) / max(n, 1)
+            assert got >= 0.0
+            assert abs(got - row) <= 1e-12 * row + 1e-15 * s
+
+    def test_clamp_on_exact_interpolation(self):
+        # noise-free points on one line: the unclamped moment sum of the
+        # exact fit rounds to about -1e-16 here
+        b = batch([(0.0, 1, 0.3), (0.1, 1, 0.37), (0.6, 1, 0.72)])
+        alpha = ConstraintSpec(b, 0.1).alpha()
+        assert 0.0 <= alpha <= 1e-15
+
+    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2]),
+           st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @settings(max_examples=60, deadline=None)
+    def test_fits_bit_equal_row_rebuild_reference(self, pyrng, dim, lam):
+        rng = np.random.default_rng(pyrng.randrange(2**32))
+        act = DataBatch.from_rows(two_arm_rows(rng, pyrng, dim), 2, dim)
+        pas = DataBatch.from_rows(two_arm_rows(rng, pyrng, dim), 2, dim)
+        cases = [(fit_ols(act), [(act, 1.0)]), (fit_ols(pas), [(pas, 1.0)])]
+        if len(act) and len(pas):
+            cases.append((fit_weighted(act, pas, lam),
+                          [(act, 1.0 / len(act)), (pas, lam / len(pas))]))
+        for model, parts in cases:
+            weights, ridge = fit_rowweighted_rows(parts, 2, dim)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.ridge_fallback == ridge
+
+    def test_each_batch_featurized_once_per_constrained_fit(self, monkeypatch):
+        calls = Counter()
+        original = linmodel.featurize
+
+        def spy(xs, dim):
+            calls[id(xs)] += 1
+            return original(xs, dim)
+
+        monkeypatch.setattr(linmodel, "featurize", spy)
+        act, pas = batch(ACTIVE), batch(PASSIVE)
+        _, report = constrained_fit(act, ConstraintSpec(pas, 0.25))
+        assert report.lam > 0 and report.n_weighted_fits >= 10
+        assert calls == Counter({id(act.xs): 1, id(pas.xs): 1})
+
+    def test_append_after_fit_refolds(self):
+        act, pas = batch(ACTIVE), batch(PASSIVE)
+        cons = ConstraintSpec(pas, 0.25)
+        constrained_fit(act, cons)
+        before = cons.alpha()
+        pas.append(0.5, 1, 3.0)
+        act.append(0.5, 1, 0.5)
+        assert cons.alpha() != pytest.approx(before)
+        assert cons.alpha() == ConstraintSpec(batch(PASSIVE + [(0.5, 1, 3.0)]), 0.25).alpha()
+        assert np.array_equal(fit_ols(act).weights,
+                              fit_ols(batch(ACTIVE + [(0.5, 1, 0.5)])).weights)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.1, 1, 1.0), (0.5, 1, float("nan")), (0.9, 1, 0.3)],
+        [(0.1, 1, 1.0), (float("inf"), 1, 0.5), (0.9, 1, 0.3)],
+    ], ids=["nan_reward", "inf_context"])
+    def test_non_finite_rows_rejected(self, rows):
+        b = batch(rows)  # appends stay unchecked; the fold rejects
+        with pytest.raises(FloatingPointError, match="1 of 3 rows"):
+            fit_ols(b)
+        with pytest.raises(FloatingPointError):
+            constrained_fit(batch(ACTIVE), ConstraintSpec(b, 0.25))
 
 
 class TestFeaturize:
