@@ -33,16 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import LinearModel
+from .linmodel import InvalidArmError, LinearModel
 
 STEP_FUNCTION = "step_function"
 SENSITIVITY_FAMILY = "sensitivity_family"
 REALIZABLE_LINEAR = "realizable_linear"
 ENV_KINDS = (STEP_FUNCTION, SENSITIVITY_FAMILY, REALIZABLE_LINEAR)
-
-
-class InvalidArmError(ValueError):
-    """Arm index outside 1..K."""
 
 
 def make_generator(seed) -> np.random.Generator:
@@ -163,13 +159,7 @@ def true_model(spec: EnvSpec) -> Optional[LinearModel]:
 def mean_reward(spec: EnvSpec, x, a: int) -> float:
     """Ground-truth mean reward for context x and arm a (1-based)."""
     _check_arm(spec, a)
-    if spec.kind == STEP_FUNCTION:
-        return (1.0 if x > 0.5 else 0.0) if a == 1 else 0.5
-    if spec.kind == SENSITIVITY_FAMILY:
-        if a == 1:
-            return 0.1 if x <= 1.0 - spec.theta else 1.0
-        return 1.0 + sensitivity_slope_m(spec.theta) * x
-    return true_model(spec).predict(x, a)
+    return float(mean_reward_matrix(spec, np.array([x], dtype=float))[0, a - 1])
 
 
 def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
@@ -191,11 +181,7 @@ def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
 
 def optimal_policy_action(spec: EnvSpec, x) -> int:
     """argmax_a of the true mean reward; ties go to the lowest arm index."""
-    if spec.context_dim > 1:
-        xs = np.asarray(x, dtype=float).reshape(1, -1)
-    else:
-        xs = np.array([x], dtype=float)
-    return int(np.argmax(mean_reward_matrix(spec, xs)[0])) + 1
+    return int(optimal_actions(spec, np.array([x], dtype=float))[0])
 
 
 def optimal_actions(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
@@ -283,8 +269,6 @@ class Environment:
         self.spec = spec
         self.rng = make_generator(spec.seed if seed is None else seed)
         self._truth = true_model(spec)
-        self._slope_m = sensitivity_slope_m(spec.theta) \
-            if spec.kind == SENSITIVITY_FAMILY else None
 
     @property
     def num_arms(self) -> int:
@@ -296,22 +280,19 @@ class Environment:
             return self.rng.random()
         return self.rng.random(self.spec.context_dim)
 
-    def mean_reward(self, x, a: int) -> float:
-        return mean_reward(self.spec, x, a)
-
-    def mean_rewards(self, x) -> np.ndarray:
-        """All K mean rewards at one context."""
-        kind = self.spec.kind
-        if kind == STEP_FUNCTION:
-            return np.array([1.0 if x > 0.5 else 0.0, 0.5])
-        if kind == SENSITIVITY_FAMILY:
-            return np.array([0.1 if x <= 1.0 - self.spec.theta else 1.0,
-                             1.0 + self._slope_m * x])
-        return self._truth.predict_all(x)
+    def _rewards(self, xs: np.ndarray, noise: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        # a linear truth is evaluated row by row, so that a round's means do
+        # not depend on how many rounds are drawn together
+        means = self._truth.predict_rows(xs) if self._truth is not None \
+            else mean_reward_matrix(self.spec, xs)
+        r = means.copy() if noise is None else means + self.spec.noise_sd * noise
+        if self.spec.clip_rewards:
+            np.clip(r, 0.0, 1.0, out=r)
+        return means, r
 
     def sample_reward(self, x, a: int) -> float:
         _check_arm(self.spec, a)
-        r = self.mean_reward(x, a)
+        r = mean_reward(self.spec, x, a)
         if self.spec.noise_sd > 0:
             r += self.spec.noise_sd * self.rng.standard_normal()
         if self.spec.clip_rewards:
@@ -325,18 +306,23 @@ class Environment:
         but drawing all K entries makes the realized regret sum (reward at
         the optimal arm minus reward at the chosen arm) well defined.
         """
-        means = self.mean_rewards(x)
-        r = means.copy()
+        noise = self.rng.standard_normal((1, self.num_arms)) if self.spec.noise_sd > 0 else None
+        means, r = self._rewards(np.array([x], dtype=float), noise)
+        return means[0], r[0]
+
+    def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contexts (n,) or (n, d), mean rewards (n, K) and noisy rewards
+        (n, K) of the next n rounds.  Each round draws its context, then its
+        K noises, as ``sample_context`` then ``observe`` would: any split of
+        the rounds into draws gives the same values."""
+        d = self.spec.context_dim
         if self.spec.noise_sd > 0:
-            r += self.spec.noise_sd * self.rng.standard_normal(self.num_arms)
-        if self.spec.clip_rewards:
-            np.clip(r, 0.0, 1.0, out=r)
-        return means, r
-
-    def sample_reward_vector(self, x) -> np.ndarray:
-        """Draw the full K-vector of noisy rewards at one context."""
-        return self.observe(x)[1]
-
-    def optimal_action(self, x) -> int:
-        row = self.mean_rewards(x)
-        return int(np.argmax(row)) + 1
+            xs, noise = [None] * n, np.empty((n, self.num_arms))
+            uniform, normal, size = self.rng.random, self.rng.standard_normal, (None if d == 1 else d)
+            for i in range(n):
+                xs[i] = uniform(size)
+                normal(out=noise[i])
+            xs = np.reshape(xs, (n, d) if d > 1 else n)
+        else:
+            xs, noise = self.rng.random(n if d == 1 else (n, d)), None
+        return (xs, *self._rewards(xs, noise))

@@ -29,11 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
-                       fit_ols)
+                       featurize, fit_ols, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
-    """A round was played outside the agent's current epoch."""
+    """Rounds were played outside the agent's current epoch or block."""
 
 
 class InvalidConfidenceError(ValueError):
@@ -62,10 +62,7 @@ class EpochSchedule:
         """Smallest m with tau_m >= t, for t >= 1."""
         if t < 1:
             raise ValueError("round index starts at 1")
-        m = 1
-        while self.boundary(m) < t:
-            m += 1
-        return m
+        return 1 + (-(-int(t) // self.tau1) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -128,51 +125,32 @@ def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: i
     return math.sqrt(rates.C3 * num_arms * n_prev ** rates.rho / denom)
 
 
-@dataclass
-class ActionKernel:
-    """Per-context arm distribution; probs[a-1] is the chance of arm a."""
-
-    probs: np.ndarray
-    best_arm: int
-
-    def sample(self, rng) -> int:
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(self.probs):
-            acc += p
-            if u < acc:
-                return i + 1
-        return len(self.probs)  # guard against accumulated rounding
-
-
-def action_kernel(model: LinearModel, x, gamma: float, num_arms: Optional[int] = None) -> ActionKernel:
-    """Inverse-gap-weighted kernel at one context.
-
-    Gaps are nonnegative by construction, so every denominator is >= K and
-    the best arm's remainder is >= 1/K.
-    """
+def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
+    """(n, K) inverse-gap-weighted kernel from (n, K) predictions.  Gaps
+    are nonnegative, so every denominator is >= K and the best arm's
+    remainder is >= 1/K."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    preds = model.predict_all(x)
-    K = len(preds) if num_arms is None else num_arms
-    best = int(np.argmax(preds))
-    gaps = preds[best] - preds
-    probs = 1.0 / (K + gamma * gaps)
-    probs[best] = 0.0
-    probs[best] = 1.0 - probs.sum()
-    return ActionKernel(probs, best + 1)
+    n, K = preds.shape
+    rows, best = np.arange(n), preds.argmax(axis=1)
+    probs = 1.0 / (K + gamma * (preds.max(axis=1, keepdims=True) - preds))
+    probs[rows, best] = 0.0
+    probs[rows, best] = 1.0 - probs.sum(axis=1)
+    return probs
 
 
 def kernel_prob_matrix(model: LinearModel, xs, gamma: float) -> np.ndarray:
-    """(n, K) matrix of kernel probabilities across many contexts."""
-    preds = model.predict_matrix(xs)
-    n, K = preds.shape
-    best = np.argmax(preds, axis=1)
-    gaps = preds[np.arange(n), best][:, None] - preds
-    probs = 1.0 / (K + gamma * gaps)
-    probs[np.arange(n), best] = 0.0
-    probs[np.arange(n), best] = 1.0 - probs.sum(axis=1)
-    return probs
+    """(n, K) kernel probabilities from ``predict_matrix`` (diagnostics)."""
+    return igw_kernel(model.predict_matrix(xs), gamma)
+
+
+def sample_kernel(probs: np.ndarray, rng) -> np.ndarray:
+    """One arm (1-based) per row of ``probs``: the first arm whose cumulative
+    probability exceeds one uniform draw per row, else arm K.  Cumulative
+    sums of nonnegative terms never decrease, so that arm is one plus the
+    count of the first K-1 sums at or below the draw."""
+    u = rng.random(len(probs))
+    return (probs[:, :-1].cumsum(axis=1) <= u[:, None]).sum(axis=1) + 1
 
 
 def tune_epsilon(b_guess: float, num_arms: int, c: float = 1.0) -> float:
@@ -204,13 +182,26 @@ class EpochEvent:
     mse_to_best_fit: float = float("nan")  # filled by the harness
 
 
-class EpsilonFalconAgent:
+class BlockAgent:
+    """A block is a run of rounds under one frozen policy: ``block_end(t,
+    last)`` is the last round (capped at ``last``) of the block round t
+    opens, ``act_block``/``record_block`` play rounds t, t+1, ... of one
+    block, and ``act``/``record`` play a single round."""
+
+    def act(self, t: int, x, rng) -> int:
+        return int(self.act_block(t, [x], rng)[0])
+
+    def record(self, t: int, x, a: int, r: float):
+        return self.record_block(t, [x], [a], [r])
+
+
+class EpsilonFalconAgent(BlockAgent):
     """Epoch state machine: kernel sampling, phase bookkeeping, refits.
 
-    The caller drives it with ``act`` (choose an arm for round t) and
-    ``record`` (store the observed triple); ``record`` fires the
-    end-of-epoch update automatically when t closes the epoch.  Rounds must
-    arrive in order -- playing a round outside the current epoch raises
+    Its blocks are the active prefix and the passive suffix of each epoch.
+    ``record_block`` fires the end-of-epoch update automatically when its
+    rounds close the epoch.  Rounds must arrive in order -- playing a round
+    outside the current epoch, or one block across both phases, raises
     ``SequencingError``.
     """
 
@@ -247,17 +238,31 @@ class EpsilonFalconAgent:
         last_active = self.schedule.boundary(m) - self.passive_rounds(m)
         return "active" if t <= last_active else "passive"
 
-    def act(self, t: int, x, rng) -> int:
-        if self.phase_of(t) == "passive":
-            return int(rng.integers(self.num_arms)) + 1
-        return action_kernel(self.model, x, self.gamma, self.num_arms).sample(rng)
+    def block_end(self, t: int, last: int) -> int:
+        end = self.schedule.boundary(self.m)
+        if self.phase_of(t) == "active":
+            end -= self.passive_rounds()
+        return min(end, last)
 
-    def record(self, t: int, x, a: int, r: float) -> Optional[EpochEvent]:
-        """Store one observed round; returns the epoch event if t closed
-        the current epoch."""
+    def _block_phase(self, t: int, n: int) -> str:
         phase = self.phase_of(t)
-        (self.active_batch if phase == "active" else self.passive_batch).append(x, a, r)
-        if t == self.schedule.boundary(self.m):
+        if n > 1 and self.phase_of(t + n - 1) != phase:
+            raise SequencingError(f"rounds {t}..{t + n - 1} span both phases")
+        return phase
+
+    def act_block(self, t: int, xs, rng) -> np.ndarray:
+        """Kernel draws in the active prefix, uniform draws in the passive
+        suffix."""
+        if self._block_phase(t, len(xs)) == "passive":
+            return rng.integers(self.num_arms, size=len(xs)) + 1
+        return sample_kernel(igw_kernel(self.model.predict_rows(xs), self.gamma), rng)
+
+    def record_block(self, t: int, xs, arms, rewards) -> Optional[EpochEvent]:
+        """Store the block's rounds; returns the epoch event if they close
+        the current epoch."""
+        phase = self._block_phase(t, len(arms))
+        (self.active_batch if phase == "active" else self.passive_batch).extend(xs, arms, rewards)
+        if t + len(arms) - 1 == self.schedule.boundary(self.m):
             return self.end_of_epoch_update()
         return None
 
@@ -303,20 +308,13 @@ class EpsilonFalconAgent:
         return event
 
 
-def plain_falcon(num_arms: int, context_dim: int = 1, schedule: EpochSchedule = EpochSchedule(),
-                 rates: Optional[RateParams] = None) -> EpsilonFalconAgent:
-    """The un-guarded baseline: epsilon = 0, so every update is the plain
-    unconstrained least-squares fit on the epoch's (all-active) data."""
-    return EpsilonFalconAgent(num_arms, context_dim, epsilon=0.0,
-                              schedule=schedule, rates=rates)
-
-
-class LinUCBAgent:
+class LinUCBAgent(BlockAgent):
     """Disjoint per-arm ridge regression with an upper-confidence bonus.
 
     Scores are theta_a . phi(x) + alpha_ucb * sqrt(phi' A_a^{-1} phi).  The
     sufficient statistics accumulate every round, but theta and A^{-1} are
-    refreshed only every ``batch_size`` observations.
+    refreshed only every ``batch_size`` observations; the rounds between two
+    refreshes form one block.
     """
 
     def __init__(self, num_arms: int, context_dim: int = 1, alpha_ucb: float = 0.2,
@@ -334,40 +332,65 @@ class LinUCBAgent:
         self.bvec = np.zeros((num_arms, p))
         self._refresh()
         self._since_refresh = 0
+        self._last_features = (None, None)
 
     def _refresh(self) -> None:
         self.G_inv = np.linalg.inv(self.G)
         self.theta = np.einsum("aij,aj->ai", self.G_inv, self.bvec)
 
-    def act(self, t: int, x, rng) -> int:
-        phi = np.empty(self.context_dim + 1)
-        phi[0] = 1.0
-        phi[1:] = x
-        means = self.theta @ phi
-        widths = np.sqrt(np.einsum("i,aij,j->a", phi, self.G_inv, phi))
-        return int(np.argmax(means + self.alpha_ucb * widths)) + 1
+    def block_end(self, t: int, last: int) -> int:
+        return min(last, t + self.batch_size - self._since_refresh - 1)
 
-    def record(self, t: int, x, a: int, r: float) -> None:
-        phi = np.empty(self.context_dim + 1)
-        phi[0] = 1.0
-        phi[1:] = x
-        self.G[a - 1] += np.outer(phi, phi)
-        self.bvec[a - 1] += r * phi
-        self._since_refresh += 1
+    def _features(self, xs) -> np.ndarray:
+        # act_block and record_block of one block share the design rows;
+        # record_block drops them
+        if self._last_features[0] is not xs:
+            self._last_features = (xs, featurize(xs, self.context_dim))
+        return self._last_features[1]
+
+    def act_block(self, t: int, xs, rng) -> np.ndarray:
+        Phi = self._features(xs)
+        means = rowwise_predict(self.theta, Phi)
+        widths = np.sqrt(np.einsum("ni,aij,nj->na", Phi, self.G_inv, Phi))
+        return (means + self.alpha_ucb * widths).argmax(axis=1) + 1
+
+    def record_block(self, t: int, xs, arms, rewards) -> None:
+        """Accumulate the rank-one updates in round order; refresh when the
+        block completes a batch.  A block may not run past a refresh."""
+        n = len(arms)
+        if n > self.batch_size - self._since_refresh:
+            raise SequencingError(f"{n} rounds run past the next refresh")
+        Phi = self._features(xs)
+        outer, rphi = Phi[:, :, None] * Phi[:, None, :], np.asarray(rewards)[:, None] * Phi
+        # np.add.at adds row after row, like a round-by-round run; a one-row
+        # block does without its overhead
+        if n == 1:
+            a = int(arms[0]) - 1
+            self.G[a] += outer[0]
+            self.bvec[a] += rphi[0]
+        else:
+            idx = np.asarray(arms) - 1
+            np.add.at(self.G, idx, outer)
+            np.add.at(self.bvec, idx, rphi)
+        self._last_features = (None, None)
+        self._since_refresh += n
         if self._since_refresh >= self.batch_size:
             self._refresh()
             self._since_refresh = 0
 
 
-class UniformAgent:
-    """Context-free uniform arm choice."""
+class UniformAgent(BlockAgent):
+    """Context-free uniform arm choice; the whole horizon is one block."""
 
     def __init__(self, num_arms: int, context_dim: int = 1):
         self.num_arms = num_arms
         self.context_dim = context_dim
 
-    def act(self, t: int, x, rng) -> int:
-        return int(rng.integers(self.num_arms)) + 1
+    def block_end(self, t: int, last: int) -> int:
+        return last
 
-    def record(self, t: int, x, a: int, r: float) -> None:
+    def act_block(self, t: int, xs, rng) -> np.ndarray:
+        return rng.integers(self.num_arms, size=len(xs)) + 1
+
+    def record_block(self, t: int, xs, arms, rewards) -> None:
         pass

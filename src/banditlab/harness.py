@@ -44,6 +44,11 @@ SUMMARY_HEADER = "t,mean_e_regret,se_e_regret,mean_cum_e_regret,se_cum_e_regret"
 COMPARE_HEADER = "checkpoint,config,agent,cum_e_regret_mean,cum_e_regret_se"
 LEMMAS_HEADER = "name,epoch,lhs,rhs,se,passed,note"
 
+# rounds drawn and played per step of the run loop, and trace rows formatted
+# per write: they bound the working memory of a run and of its trace file
+ROUNDS_PER_DRAW = 4096
+TRACE_ROWS_PER_WRITE = 1024
+
 
 class ConfigError(ValueError):
     """Invalid configuration; ``errors`` lists offending fields."""
@@ -316,30 +321,33 @@ def run_one(config: RunConfig, seed: Optional[int] = None,
     e_regret = np.empty(T)
     noisy_total = 0.0
 
-    epoch = 1
-    boundary = schedule.boundary(1)
-    for i in range(T):
-        t = i + 1
-        if t > boundary:
-            epoch += 1
-            boundary = schedule.boundary(epoch)
-        x = env.sample_context()
-        phase = agent.phase_of(t) if is_falcon else "active"
-        a = agent.act(t, x, agent_rng)
-        means, rvec = env.observe(x)
-        r = float(rvec[a - 1])
-        agent.record(t, x, a, r)
-        best = int(np.argmax(means))
-        xs[i] = x
-        epochs[i] = epoch
-        phases[i] = phase
-        actions[i] = a
-        rewards[i] = r
-        e_regret[i] = means[best] - means[a - 1]
-        noisy_total += float(rvec[best]) - r
+    # The environment's draws do not depend on the arms: draw up to
+    # ROUNDS_PER_DRAW rounds of one epoch, then play them block by block.
+    t = 1
+    while t <= T:
+        epoch = schedule.epoch_of(t)
+        lo, stop = t - 1, min(T, schedule.boundary(epoch), t + ROUNDS_PER_DRAW - 1)
+        x, means, rvec = env.draw(stop - lo)
+        # round i's reward at arm a is flat[arm_base[i] + a]
+        rows, flat = np.arange(stop - lo), rvec.ravel()
+        arm_base = rows * spec.num_arms - 1
+        while t <= stop:
+            end = agent.block_end(t, stop)
+            i, j = t - 1 - lo, end - lo
+            xb = x[i:j]  # one object, so the agent can reuse its features
+            phases[t - 1:end] = agent.phase_of(t) if is_falcon else "active"
+            actions[t - 1:end] = a = agent.act_block(t, xb, agent_rng)
+            rewards[t - 1:end] = r = flat[arm_base[i:j] + a]
+            agent.record_block(t, xb, a, r)
+            t = end + 1
+        best, chosen = means.argmax(axis=1), actions[lo:stop] - 1
+        xs[lo:stop], epochs[lo:stop] = x, epoch
+        e_regret[lo:stop] = means[rows, best] - means[rows, chosen]
+        # summed round by round, like the cumulative regret
+        noisy_total = np.cumsum(np.append(noisy_total, rvec[rows, best] - rewards[lo:stop]))[-1]
 
     trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs, actions,
-                        rewards, e_regret, np.cumsum(e_regret), noisy_total)
+                        rewards, e_regret, np.cumsum(e_regret), float(noisy_total))
 
     events: list[EpochEvent] = []
     models: list[LinearModel] = []
@@ -477,19 +485,22 @@ def _g(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _x_cell(x) -> str:
-    if np.ndim(x) == 0:
-        return _g(float(x))
-    return ";".join(_g(float(v)) for v in np.asarray(x))
-
-
 def write_trace_csv(trace: RegretTrace, path: str) -> None:
+    """One line per round, formatted and written ``TRACE_ROWS_PER_WRITE``
+    rows at a time, which bounds the memory the text takes."""
+    step = TRACE_ROWS_PER_WRITE
+    cols = (trace.t, trace.epoch, trace.phase, trace.x, trace.action,
+            trace.reward, trace.e_regret, trace.cum_e_regret)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for i in range(len(trace)):
-            fh.write(f"{trace.t[i]},{trace.epoch[i]},{trace.phase[i]},"
-                     f"{_x_cell(trace.x[i])},{trace.action[i]},{_g(trace.reward[i])},"
-                     f"{_g(trace.e_regret[i])},{_g(trace.cum_e_regret[i])}\n")
+        for lo in range(0, len(trace), step):
+            t, m, ph, x, a, r, e, c = (np.asarray(col)[lo:lo + step].tolist() for col in cols)
+            if np.ndim(trace.x) > 1:
+                x = [";".join([f"{v:.17g}" for v in row]) for row in x]
+            else:
+                x = [f"{v:.17g}" for v in x]
+            fh.writelines([f"{t_},{m_},{ph_},{x_},{a_},{r_:.17g},{e_:.17g},{c_:.17g}\n"
+                           for t_, m_, ph_, x_, a_, r_, e_, c_ in zip(t, m, ph, x, a, r, e, c)])
 
 
 def write_events_csv(events: list[EpochEvent], path: str) -> None:

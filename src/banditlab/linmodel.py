@@ -62,6 +62,12 @@ def featurize(xs, dim: int) -> np.ndarray:
     return out
 
 
+def rowwise_predict(weights: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+    """(n, K) rows ``weights @ Phi[i]``, each its own matrix-vector product
+    (a GEMM over all rows can round differently in the last bits)."""
+    return (weights[None] @ Phi[:, :, None])[:, :, 0]
+
+
 @dataclass
 class LinearModel:
     """Weights of shape (K, 1 + context_dim); row a-1 scores arm a."""
@@ -90,23 +96,22 @@ class LinearModel:
     def zeros(num_arms: int, context_dim: int = 1) -> "LinearModel":
         return LinearModel(np.zeros((num_arms, context_dim + 1)))
 
-    def _phi(self, x) -> np.ndarray:
-        phi = np.empty(self.context_dim + 1)
-        phi[0] = 1.0
-        phi[1:] = x
-        return phi
-
     def predict(self, x, a: int) -> float:
         if not 1 <= int(a) <= self.num_arms:
             raise InvalidArmError(f"arm {a} out of range 1..{self.num_arms}")
-        return float(self.weights[a - 1] @ self._phi(x))
+        return float(self.weights[a - 1] @ featurize([x], self.context_dim)[0])
 
     def predict_all(self, x) -> np.ndarray:
         """All K predictions at one context."""
-        return self.weights @ self._phi(x)
+        return self.predict_rows(np.reshape(x, (1, self.context_dim)))[0]
+
+    def predict_rows(self, xs) -> np.ndarray:
+        """(n, K) predictions, row i bit-equal to ``predict_all(xs[i])``."""
+        return rowwise_predict(self.weights, featurize(xs, self.context_dim))
 
     def predict_matrix(self, xs) -> np.ndarray:
-        """(n, K) prediction matrix for a batch of contexts."""
+        """(n, K) prediction matrix for a batch of contexts (one GEMM; may
+        differ from ``predict_rows`` in the last bits)."""
         return featurize(xs, self.context_dim) @ self.weights.T
 
     def induced_action(self, x) -> int:
@@ -141,6 +146,17 @@ class DataBatch:
         self.arms.append(int(a))
         self.rewards.append(float(r))
 
+    def extend(self, xs, arms, rewards) -> None:
+        """Append many rows at once; raises InvalidArmError, appending
+        nothing, when any arm is outside 1..K."""
+        arms = np.asarray(arms, dtype=np.int64)
+        bad = arms[(arms < 1) | (arms > self.num_arms)]
+        if bad.size:
+            raise InvalidArmError(f"arm {bad[0]} out of range 1..{self.num_arms}")
+        self.xs.extend(np.asarray(xs, dtype=float).tolist())
+        self.arms.extend(arms.tolist())
+        self.rewards.extend(np.asarray(rewards, dtype=float).tolist())
+
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         Phi = featurize(self.xs, self.context_dim) if self.arms else \
             np.empty((0, self.context_dim + 1))
@@ -166,13 +182,6 @@ class DataBatch:
                 G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
             self._moments = (len(self), G, b, yy, n)
         return self._moments[1:]
-
-    @staticmethod
-    def from_rows(rows, num_arms: int, context_dim: int = 1) -> "DataBatch":
-        batch = DataBatch(num_arms, context_dim)
-        for x, a, r in rows:
-            batch.append(x, a, r)
-        return batch
 
 
 def _solve_normal_equations(G: np.ndarray, bvec: np.ndarray, nrows: int) -> tuple[np.ndarray, bool]:

@@ -2,9 +2,13 @@
 
 Nothing here shares code with the package's own closed forms: integrals are
 done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
-large samples, the constrained problem by brute-force grid search, and
-row-weighted fits by rebuilding every arm's design from the raw rows.
+large samples, the constrained problem by brute-force grid search,
+row-weighted fits by rebuilding every arm's design from the raw rows, epochs
+by walking the doubling schedule, and whole runs by a round-by-round
+simulator with its own kernel, sampler and phase bookkeeping.
 """
+
+import math
 
 import numpy as np
 
@@ -115,3 +119,126 @@ def fit_rowweighted_rows(batches_and_weights, num_arms: int, context_dim: int,
         weights[a] = np.linalg.solve(Ga, bvec[a])
         any_ridge = any_ridge or deficient
     return weights, any_ridge
+
+
+def epoch_of_walk(tau1: int, t: int) -> int:
+    """Smallest m with tau1 * 2^(m-1) >= t, by walking the boundaries."""
+    m = 1
+    while tau1 * 2 ** (m - 1) < t:
+        m += 1
+    return m
+
+
+def epochs_by_walk(tau1: int, horizon: int) -> np.ndarray:
+    """Epoch index of rounds 1..horizon: one doubling walk over the
+    boundaries, each epoch repeated over its rounds."""
+    out, m, start = [], 1, 0
+    while start < horizon:
+        end = tau1 * 2 ** (m - 1)
+        out.append(np.full(min(end, horizon) - start, m))
+        m, start = m + 1, end
+    return np.concatenate(out)
+
+
+def igw_kernel_one(weights: np.ndarray, x, gamma: float) -> np.ndarray:
+    """Inverse-gap-weighted kernel at one context, from ``weights @ phi``."""
+    phi = np.empty(weights.shape[1])
+    phi[0] = 1.0
+    phi[1:] = x
+    preds = weights @ phi
+    K = len(preds)
+    best = int(np.argmax(preds))
+    probs = 1.0 / (K + gamma * (preds[best] - preds))
+    probs[best] = 0.0
+    probs[best] = 1.0 - probs.sum()
+    return probs
+
+
+def sample_scalar(probs: np.ndarray, rng) -> int:
+    """Inverse CDF on one uniform: first arm with u < cumulative sum,
+    arm K when rounding leaves u above the total."""
+    u = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i + 1
+    return len(probs)
+
+
+def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
+    """Round-by-round reference run of an agent from ``banditlab.falcon``.
+
+    Every round draws its context with ``env.sample_context`` and its reward
+    vector with ``env.observe``.  The decisions are made here: the epoch
+    and phase from the doubling walk and the passive count
+    ceil(epsilon * epoch length), kernel arms by ``igw_kernel_one`` and
+    ``sample_scalar``, passive and uniform arms by ``rng.integers(K)``,
+    LinUCB arms from the agent's current theta and G^-1.  Only the model
+    updates are the agent's: FALCON rows go to its batches by ``append``
+    and ``end_of_epoch_update`` runs at each boundary; LinUCB's rank-one
+    updates are accumulated here into the agent's G and bvec and its
+    ``_refresh`` runs every batch_size rounds.
+    """
+    kind = type(agent).__name__
+    K = agent.num_arms
+    cols = {k: [] for k in ("x", "epoch", "phase", "action", "reward", "e_regret")}
+    noisy_total, since = 0.0, 0
+    for t in range(1, horizon + 1):
+        m = epoch_of_walk(tau1, t)
+        x = env.sample_context()
+        phase = "active"
+        if kind == "EpsilonFalconAgent":
+            length = tau1 * 2 ** (m - 1) - (0 if m == 1 else tau1 * 2 ** (m - 2))
+            if t > tau1 * 2 ** (m - 1) - math.ceil(agent.epsilon * length):
+                phase = "passive"
+            if phase == "passive":
+                a = int(rng.integers(K)) + 1
+            else:
+                a = sample_scalar(igw_kernel_one(agent.model.weights, x, agent.gamma), rng)
+        elif kind == "LinUCBAgent":
+            phi = np.empty(agent.context_dim + 1)
+            phi[0] = 1.0
+            phi[1:] = x
+            widths = np.sqrt(np.einsum("i,aij,j->a", phi, agent.G_inv, phi))
+            a = int(np.argmax(agent.theta @ phi + agent.alpha_ucb * widths)) + 1
+        else:
+            a = int(rng.integers(K)) + 1
+        means, rvec = env.observe(x)
+        r = float(rvec[a - 1])
+        if kind == "EpsilonFalconAgent":
+            batch = agent.active_batch if phase == "active" else agent.passive_batch
+            batch.append(x, a, r)
+            if t == tau1 * 2 ** (m - 1):
+                agent.end_of_epoch_update()
+        elif kind == "LinUCBAgent":
+            agent.G[a - 1] += np.outer(phi, phi)
+            agent.bvec[a - 1] += r * phi
+            since += 1
+            if since == agent.batch_size:
+                agent._refresh()
+                since = 0
+        best = int(np.argmax(means))
+        for key, val in zip(cols, (x, m, phase, a, r, means[best] - means[a - 1])):
+            cols[key].append(val)
+        noisy_total += float(rvec[best]) - r
+    out = {key: np.array(val) for key, val in cols.items()}
+    out["cum_e_regret"] = np.cumsum(out["e_regret"])
+    out["noisy_total"] = noisy_total
+    return out
+
+
+def write_trace_rows(trace, path: str) -> None:
+    """Trace CSV written one round at a time, each cell formatted from the
+    array element itself."""
+    def g(v):
+        return f"{float(v):.17g}"
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,epoch,phase,x,action,reward,e_regret,cum_e_regret\n")
+        for i in range(len(trace.t)):
+            x = trace.x[i]
+            cell = g(x) if np.ndim(x) == 0 else ";".join(g(v) for v in x)
+            fh.write(f"{trace.t[i]},{trace.epoch[i]},{trace.phase[i]},{cell},"
+                     f"{trace.action[i]},{g(trace.reward[i])},{g(trace.e_regret[i])},"
+                     f"{g(trace.cum_e_regret[i])}\n")

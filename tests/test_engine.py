@@ -1,0 +1,146 @@
+"""The block engine in ``harness.run_one`` against the round-by-round
+reference simulator in ``oracles``: every trace column, the noisy regret
+total, every epoch's model and LinUCB's final statistics must be equal bit
+for bit."""
+
+import numpy as np
+import pytest
+
+from banditlab import harness
+from banditlab.diag import RegretTrace
+from banditlab.env import Environment, EnvSpec, make_generator
+from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
+from banditlab.harness import RunConfig, run_one, write_trace_csv
+
+from oracles import simulate_per_round, write_trace_rows
+
+STEP = EnvSpec(kind="step_function")
+SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
+STEP_CLIPPED = EnvSpec(kind="step_function", noise_sd=0.0, clip_rewards=True)
+SENS_CLIPPED = EnvSpec(kind="sensitivity_family", theta=0.02, noise_sd=0.0, clip_rewards=True)
+REAL3 = EnvSpec(kind="realizable_linear", num_arms=3, seed=2)
+REAL_D3 = EnvSpec(kind="realizable_linear", num_arms=4, context_dim=3, seed=5)
+REAL_D2_CLIPPED = EnvSpec(kind="realizable_linear", num_arms=5, context_dim=2, seed=1,
+                          noise_sd=0.3, clip_rewards=True)
+
+# (label, config, seed): all four agents, the three kinds, d > 1, noise-free
+# clipped rewards, tau1 = 7 and 64, horizons ending on a boundary, mid-epoch
+# and mid-window
+GRID = [
+    ("eps_falcon_sens_mid_epoch", RunConfig(env=SENS, horizon=300), 1),
+    ("eps_falcon_sens_wide_eps", RunConfig(env=SENS, epsilon=0.4, horizon=1030), 3),
+    ("falcon_step_on_boundary", RunConfig(env=STEP, agent="falcon", horizon=256), 2),
+    ("eps_falcon_step_clipped_tau7", RunConfig(env=STEP_CLIPPED, tau1=7, horizon=333), 4),
+    ("eps_falcon_real_d3", RunConfig(env=REAL_D3, epsilon=0.25, horizon=200), 5),
+    ("falcon_real_d2_tau7", RunConfig(env=REAL_D2_CLIPPED, agent="falcon", tau1=7,
+                                      horizon=230), 6),
+    ("eps_falcon_tau64_first_epoch", RunConfig(env=REAL3, tau1=64, horizon=10), 7),
+    ("lin_ucb_step_mid_window", RunConfig(env=STEP, agent="lin_ucb", batch_size=7,
+                                          horizon=250), 8),
+    ("lin_ucb_real_d3", RunConfig(env=REAL_D3, agent="lin_ucb", batch_size=10,
+                                  horizon=155), 9),
+    ("lin_ucb_sens_clipped_b1", RunConfig(env=SENS_CLIPPED, agent="lin_ucb", batch_size=1,
+                                          horizon=60), 10),
+    ("lin_ucb_criterion_config", RunConfig(env=STEP, agent="lin_ucb", batch_size=100,
+                                           horizon=1000), 11),
+    ("uniform_real3", RunConfig(env=REAL3, agent="uniform", horizon=100), 12),
+    ("uniform_sens_clipped", RunConfig(env=SENS_CLIPPED, agent="uniform", horizon=50), 13),
+]
+
+
+def reference(config, seed):
+    env_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
+    agent = harness.build_agent(config)
+    out = simulate_per_round(Environment(config.env, seed=env_ss), agent,
+                             make_generator(agent_ss), config.horizon, config.tau1)
+    return out, agent
+
+
+def engine(config, seed, monkeypatch):
+    """run_one's result and the agent it played, in its final state."""
+    built, build = [], harness.build_agent
+    monkeypatch.setattr(harness, "build_agent", lambda cfg: built.append(build(cfg)) or built[-1])
+    return run_one(config, seed, with_lemmas=False), built[0]
+
+
+@pytest.mark.parametrize("label,config,seed", GRID, ids=[g[0] for g in GRID])
+def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monkeypatch,
+                                                      tmp_path):
+    ref, ref_agent = reference(config, seed)
+    res, agent = engine(config, seed, monkeypatch)
+    tr = res.trace
+    for name, got in (("x", tr.x), ("epoch", tr.epoch), ("action", tr.action),
+                      ("reward", tr.reward), ("e_regret", tr.e_regret),
+                      ("cum_e_regret", tr.cum_e_regret)):
+        assert got.tobytes() == ref[name].astype(got.dtype).tobytes(), name
+    assert tr.phase.tolist() == ref["phase"].tolist()
+    assert np.float64(tr.noisy_regret_total).tobytes() == np.float64(ref["noisy_total"]).tobytes()
+    if isinstance(agent, EpsilonFalconAgent):
+        assert len(agent.model_history) == len(ref_agent.model_history)
+        for w, w_ref in zip(agent.model_history, ref_agent.model_history):
+            assert w.tobytes() == w_ref.tobytes()
+        for field in ("alpha", "slack", "lambda_star", "duality_gap"):
+            got = np.array([getattr(ev, field) for ev in agent.events])
+            assert got.tobytes() == np.array([getattr(ev, field)
+                                              for ev in ref_agent.events]).tobytes(), field
+    if isinstance(agent, LinUCBAgent):
+        for name in ("G", "bvec", "theta", "G_inv"):
+            assert getattr(agent, name).tobytes() == getattr(ref_agent, name).tobytes(), name
+    # the written trace is byte-equal to one written round by round
+    ref_trace = RegretTrace(np.arange(1, config.horizon + 1), ref["epoch"], ref["phase"],
+                            ref["x"], ref["action"], ref["reward"], ref["e_regret"],
+                            ref["cum_e_regret"])
+    monkeypatch.setattr(harness, "TRACE_ROWS_PER_WRITE", 64)  # many partial writes
+    write_trace_csv(tr, str(tmp_path / "engine.csv"))
+    write_trace_rows(ref_trace, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "engine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_trace_writer_empty_trace_writes_header(tmp_path):
+    empty = RegretTrace(*(np.empty(0) for _ in range(8)))
+    write_trace_csv(empty, str(tmp_path / "empty.csv"))
+    assert (tmp_path / "empty.csv").read_text() == harness.TRACE_HEADER + "\n"
+
+
+class TestBlocks:
+    def test_falcon_block_ends_at_phase_ends(self):
+        agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=EpochSchedule(8))
+        # epoch 1 is rounds 1..8 with ceil(0.25 * 8) = 2 passive rounds
+        assert agent.block_end(1, 100) == 6
+        assert agent.block_end(5, 100) == 6
+        assert agent.block_end(7, 100) == 8
+        assert agent.block_end(1, 3) == 3
+
+    def test_falcon_block_across_phases_rejected(self):
+        agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=EpochSchedule(8))
+        rng = make_generator(0)
+        with pytest.raises(SequencingError):
+            agent.act_block(5, np.full(3, 0.5), rng)
+        with pytest.raises(SequencingError):
+            agent.record_block(5, np.full(3, 0.5), [1, 1, 2], [0.0, 1.0, 0.5])
+        with pytest.raises(SequencingError):
+            agent.act_block(7, np.full(3, 0.5), rng)  # runs into epoch 2
+
+    def test_linucb_block_ends_at_refresh(self):
+        agent = LinUCBAgent(2, batch_size=5)
+        assert agent.block_end(1, 100) == 5
+        agent.record_block(1, np.full(3, 0.5), [1, 2, 1], [0.1, 0.2, 0.3])
+        assert agent.block_end(4, 100) == 5
+        with pytest.raises(SequencingError):
+            agent.record_block(4, np.full(3, 0.5), [1, 2, 1], [0.1, 0.2, 0.3])
+
+    def test_one_row_calls_equal_block_calls(self):
+        # act/record on single rounds play exactly the block calls' rounds
+        xs, _, rvec = Environment(SENS, seed=3).draw(8)
+        a, b = EpsilonFalconAgent(2, epsilon=0.25), EpsilonFalconAgent(2, epsilon=0.25)
+        ra, rb = make_generator(4), make_generator(4)
+        for lo, hi in ((0, 3), (3, 4), (4, 7), (7, 8)):   # epochs 1 and 2, both phases
+            arms = a.act_block(lo + 1, xs[lo:hi], ra)
+            r = rvec[np.arange(lo, hi), arms - 1]
+            a.record_block(lo + 1, xs[lo:hi], arms, r)
+            for t in range(lo + 1, hi + 1):
+                assert b.act(t, xs[t - 1], rb) == arms[t - 1 - lo]
+                b.record(t, xs[t - 1], arms[t - 1 - lo], r[t - 1 - lo])
+        assert a.m == b.m == 3
+        for wa, wb in zip(a.model_history, b.model_history):
+            assert wa.tobytes() == wb.tobytes()

@@ -118,6 +118,40 @@ class TestSampleReward:
         assert min(draws) >= 0.0 and max(draws) <= 1.0
 
 
+class TestDraw:
+    SPECS = [STEP, SENS, REAL,
+             EnvSpec(kind="realizable_linear", num_arms=4, context_dim=3, seed=3),
+             EnvSpec(kind="step_function", noise_sd=0.0),
+             EnvSpec(kind="sensitivity_family", theta=0.01, noise_sd=0.4, clip_rewards=True)]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_draw_equals_round_by_round_stream(self, spec):
+        n = 50
+        xs, means, rvec = Environment(spec, seed=21).draw(n)
+        env = Environment(spec, seed=21)
+        for i in range(n):
+            x = env.sample_context()
+            m, r = env.observe(x)
+            assert np.asarray(x).tobytes() == np.asarray(xs[i]).tobytes()
+            assert m.tobytes() == means[i].tobytes()
+            assert r.tobytes() == rvec[i].tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_draw_does_not_depend_on_the_split(self, spec):
+        whole = Environment(spec, seed=5).draw(40)
+        env = Environment(spec, seed=5)
+        parts = [env.draw(k) for k in (1, 12, 0, 27)]
+        for got, want in zip(whole, (np.concatenate(c) for c in zip(*parts))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_draw_shapes(self):
+        spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2, seed=0)
+        xs, means, rvec = Environment(spec, seed=0).draw(7)
+        assert xs.shape == (7, 2) and means.shape == (7, 3) and rvec.shape == (7, 3)
+        xs, means, rvec = Environment(STEP, seed=0).draw(7)
+        assert xs.shape == (7,) and means.shape == (7, 2) and rvec.shape == (7, 2)
+
+
 class TestBestLinearFit:
     def test_step_arm1_closed_form(self):
         fit = best_linear_fit_uniform(STEP)
@@ -263,6 +297,6 @@ class TestRealizableDesign:
         env = Environment(spec, seed=0)
         x = env.sample_context()
         assert x.shape == (4,)
-        means = env.mean_rewards(x)
+        means, _ = env.observe(x)
         assert means.shape == (3,)
         assert 0.0 <= means.min() and means.max() <= 1.0

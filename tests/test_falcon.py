@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab.env import Environment, EnvSpec, best_linear_fit_uniform
-from banditlab.falcon import (ActionKernel, EpochSchedule, EpsilonFalconAgent,
+from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
                               InvalidConfidenceError, LinUCBAgent, RateParams,
-                              SequencingError, UniformAgent, action_kernel,
-                              gamma_for_epoch, kernel_prob_matrix, plain_falcon,
-                              tune_epsilon)
+                              SequencingError, UniformAgent, gamma_for_epoch,
+                              igw_kernel, kernel_prob_matrix,
+                              sample_kernel, tune_epsilon)
+from banditlab.harness import RunConfig, build_agent
 from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel,
                                 constrained_fit, fit_ols, normalized_sse)
+
+from oracles import epoch_of_walk, epochs_by_walk, igw_kernel_one, sample_scalar
 
 RATES = RateParams.linear_preset(2, 1, delta=0.1)
 SCHED = EpochSchedule(4)
@@ -21,6 +24,12 @@ SCHED = EpochSchedule(4)
 
 def rng_of(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def kernel_at(model, x, gamma):
+    """(probabilities, predicted-best arm) of the kernel at one context."""
+    preds = model.predict_rows([x])
+    return igw_kernel(preds, gamma)[0], int(np.argmax(preds[0])) + 1
 
 
 class TestEpochSchedule:
@@ -33,6 +42,20 @@ class TestEpochSchedule:
     def test_epoch_of(self):
         s = EpochSchedule(4)
         assert [s.epoch_of(t) for t in (1, 4, 5, 8, 9, 16, 17)] == [1, 1, 2, 2, 3, 3, 4]
+
+    @pytest.mark.parametrize("tau1", [4, 5, 7, 64])
+    def test_epoch_of_matches_doubling_walk(self, tau1):
+        s = EpochSchedule(tau1)
+        T = 2 ** 18
+        got = np.fromiter((s.epoch_of(t) for t in range(1, T + 1)), dtype=np.int64, count=T)
+        np.testing.assert_array_equal(got, epochs_by_walk(tau1, T))
+        for t in (1, tau1, tau1 + 1, 2 * tau1, 2 * tau1 + 1, T - 1, T, T + 1, 2 ** 40 + 3):
+            assert s.epoch_of(t) == epoch_of_walk(tau1, t)
+        assert s.epoch_of(np.int64(tau1 + 1)) == 2
+
+    def test_epoch_of_rejects_round_zero(self):
+        with pytest.raises(ValueError):
+            EpochSchedule(4).epoch_of(0)
 
     def test_tau1_minimum(self):
         with pytest.raises(ValueError):
@@ -84,26 +107,26 @@ class TestGamma:
 class TestActionKernel:
     def test_equal_predictions_uniform(self):
         model = LinearModel(np.array([[0.4, 0.0]] * 3))
-        k = action_kernel(model, 0.3, 5.0)
-        np.testing.assert_allclose(k.probs, [1 / 3] * 3, atol=1e-15)
-        assert k.best_arm == 1
+        probs, best = kernel_at(model, 0.3, 5.0)
+        np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-15)
+        assert best == 1
 
     def test_zero_model_uniform(self):
-        k = action_kernel(LinearModel.zeros(4), 0.9, 1.0)
-        np.testing.assert_allclose(k.probs, [0.25] * 4, atol=1e-15)
+        probs, _ = kernel_at(LinearModel.zeros(4), 0.9, 1.0)
+        np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-15)
 
     def test_two_arm_closed_form(self):
         model = LinearModel(np.array([[0.8, 0.0], [0.5, 0.0]]))
-        k = action_kernel(model, 0.5, 10.0)
-        assert k.probs[1] == pytest.approx(1 / (2 + 10 * 0.3))
-        assert k.probs[0] == pytest.approx(1 - 1 / 5)
-        assert k.best_arm == 1
+        probs, best = kernel_at(model, 0.5, 10.0)
+        assert probs[1] == pytest.approx(1 / (2 + 10 * 0.3))
+        assert probs[0] == pytest.approx(1 - 1 / 5)
+        assert best == 1
 
     def test_large_gamma_concentrates(self):
         model = LinearModel(np.array([[0.8, 0.0], [0.5, 0.0]]))
-        k = action_kernel(model, 0.5, 1e9)
-        assert k.probs[1] < 1e-8
-        assert k.probs[0] > 1 - 1e-8
+        probs, _ = kernel_at(model, 0.5, 1e9)
+        assert probs[1] < 1e-8
+        assert probs[0] > 1 - 1e-8
 
     @given(w=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=6),
            gamma=st.floats(min_value=1e-3, max_value=1e4),
@@ -112,16 +135,16 @@ class TestActionKernel:
     def test_kernel_invariants(self, w, gamma, x):
         K = len(w)
         model = LinearModel(np.column_stack([np.array(w), np.zeros(K)]))
-        k = action_kernel(model, x, gamma)
-        assert abs(k.probs.sum() - 1.0) <= 1e-12
-        best = k.best_arm - 1
+        probs, best_arm = kernel_at(model, x, gamma)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        best = best_arm - 1
         for a in range(K):
             if a != best:
-                assert k.probs[a] <= 1 / K + 1e-15
+                assert probs[a] <= 1 / K + 1e-15
             # model range within [0,1] keeps every prob >= 1/(K + gamma)
-            assert k.probs[a] >= 1 / (K + gamma) - 1e-15
+            assert probs[a] >= 1 / (K + gamma) - 1e-15
         # weakly largest, up to the rounding of the remainder entry
-        assert k.probs[best] >= k.probs.max() - 1e-12
+        assert probs[best] >= probs.max() - 1e-12
 
     def test_prob_matrix_matches_pointwise(self):
         rng = np.random.default_rng(5)
@@ -129,18 +152,46 @@ class TestActionKernel:
         xs = rng.random(50)
         mat = kernel_prob_matrix(model, xs, 7.0)
         for i, x in enumerate(xs):
-            np.testing.assert_allclose(mat[i], action_kernel(model, x, 7.0).probs,
-                                       atol=1e-14)
+            np.testing.assert_allclose(mat[i], kernel_at(model, x, 7.0)[0], atol=1e-14)
 
     def test_sampling_frequencies_match_probs(self):
         model = LinearModel(np.array([[0.9, 0.0], [0.3, 0.0], [0.5, 0.0]]))
-        k = action_kernel(model, 0.2, 8.0)
+        probs, _ = kernel_at(model, 0.2, 8.0)
         rng = rng_of(3)
         n = 100_000
-        counts = np.bincount([k.sample(rng) for _ in range(n)], minlength=4)[1:]
+        counts = np.bincount(sample_kernel(np.tile(probs, (n, 1)), rng), minlength=4)[1:]
         for a in range(3):
-            se = math.sqrt(k.probs[a] * (1 - k.probs[a]) / n)
-            assert abs(counts[a] / n - k.probs[a]) <= 3 * se
+            se = math.sqrt(probs[a] * (1 - probs[a]) / n)
+            assert abs(counts[a] / n - probs[a]) <= 3 * se
+
+    @given(K=st.integers(2, 10), d=st.integers(1, 4), n=st.integers(1, 30),
+           gamma=st.floats(min_value=1e-3, max_value=1e6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_rows_equal_one_context_kernel(self, K, d, n, gamma, seed):
+        rng = np.random.default_rng(seed)
+        model = LinearModel(rng.normal(size=(K, d + 1)))
+        xs = rng.random(n) if d == 1 else rng.random((n, d))
+        # ties between arms are part of the contract too
+        model.weights[K - 1] = model.weights[0]
+        probs = igw_kernel(model.predict_rows(xs), gamma)
+        for i in range(n):
+            assert probs[i].tobytes() == igw_kernel_one(model.weights, xs[i], gamma).tobytes()
+
+    @given(K=st.integers(2, 10), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_block_sampler_equals_scalar_sampler(self, K, n, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.random((n, K)) ** 3
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[: n // 3] = np.eye(K)[rng.integers(K, size=n // 3)]  # point masses
+        probs[n // 3: n // 2, -1] = 0.0  # totals short of 1: the arm-K guard
+        block = sample_kernel(probs, rng_of(seed))
+        one_by_one = rng_of(seed)
+        assert block.tolist() == [sample_scalar(row, one_by_one) for row in probs]
+
+    def test_nonpositive_gamma_rejected(self):
+        with pytest.raises(ValueError):
+            igw_kernel(np.zeros((1, 2)), 0.0)
 
 
 class TestTuneEpsilon:
@@ -180,7 +231,7 @@ class TestEpsilonFalconAgent:
     def test_epoch_one_draws_uniformly(self):
         # zero model => uniform kernel even in the active phase
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
-        probs = action_kernel(agent.model, 0.4, agent.gamma).probs
+        probs, _ = kernel_at(agent.model, 0.4, agent.gamma)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_sequencing_error(self):
@@ -213,15 +264,15 @@ class TestEpsilonFalconAgent:
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
                        agent.schedule.boundary(m))
         x = 0.73
-        k = action_kernel(agent.model, x, agent.gamma)
+        probs, _ = kernel_at(agent.model, x, agent.gamma)
         t_probe = agent.schedule.boundary(agent.m - 1) + 1
         assert agent.phase_of(t_probe) == "active"
         n = 100_000
         draws = np.bincount([agent.act(t_probe, x, rng) for _ in range(n)],
                             minlength=3)[1:]
         for a in range(2):
-            se = math.sqrt(k.probs[a] * (1 - k.probs[a]) / n)
-            assert abs(draws[a] / n - k.probs[a]) <= 3 * se
+            se = math.sqrt(probs[a] * (1 - probs[a]) / n)
+            assert abs(draws[a] / n - probs[a]) <= 3 * se
 
     def test_epsilon_zero_update_is_plain_ols(self):
         agent = EpsilonFalconAgent(2, epsilon=0.0, rates=RATES)
@@ -236,7 +287,9 @@ class TestEpsilonFalconAgent:
             agent.record(t, x, a, r)
         ev = agent.events[0]
         assert ev.unconstrained
-        direct = fit_ols(DataBatch.from_rows(rows, 2))
+        direct = DataBatch(2)
+        direct.extend(*zip(*rows))
+        direct = fit_ols(direct)
         np.testing.assert_allclose(agent.model.weights, direct.weights, atol=1e-12)
 
     def test_huge_budget_update_is_unconstrained_erm(self):
@@ -344,7 +397,7 @@ class TestAdaptiveBiasGuard:
 
 class TestBaselines:
     def test_plain_falcon_equals_epsilon_zero(self):
-        a = plain_falcon(2, rates=RATES)
+        a = build_agent(RunConfig(env=EnvSpec(kind="step_function"), agent="falcon"))
         b = EpsilonFalconAgent(2, epsilon=0.0, rates=RATES)
         env1 = Environment(EnvSpec(kind="step_function"), seed=12)
         env2 = Environment(EnvSpec(kind="step_function"), seed=12)

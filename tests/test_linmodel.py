@@ -20,7 +20,10 @@ PASSIVE = [(0.0, 1, 0.0), (1.0, 1, 1.0)]
 
 
 def batch(rows, num_arms=1, dim=1):
-    return DataBatch.from_rows(rows, num_arms, dim)
+    out = DataBatch(num_arms, dim)
+    for x, a, r in rows:
+        out.append(x, a, r)
+    return out
 
 
 def random_instance(rng, n_active=8, n_passive=8):
@@ -68,6 +71,22 @@ class TestPredict:
     def test_param_count(self):
         assert LinearModel.zeros(2, 1).param_count == 4
         assert LinearModel.zeros(3, 2).param_count == 9
+
+    @given(K=st.integers(1, 10), d=st.integers(1, 5), n=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_predict_rows_row_exact(self, K, d, n, seed):
+        # every row equals the one-context prediction and weights @ phi, bit
+        # for bit, however many rows are predicted together
+        rng = np.random.default_rng(seed)
+        model = LinearModel(rng.normal(size=(K, d + 1)) * 10.0 ** rng.integers(-3, 4))
+        xs = rng.random(n) if d == 1 else rng.random((n, d))
+        rows = model.predict_rows(xs)
+        assert rows.shape == (n, K)
+        for i in range(n):
+            phi = np.concatenate(([1.0], np.atleast_1d(xs[i])))
+            assert rows[i].tobytes() == model.predict_all(xs[i]).tobytes()
+            assert rows[i].tobytes() == (model.weights @ phi).tobytes()
 
 
 class TestFitOls:
@@ -122,6 +141,39 @@ class TestFitOls:
     def test_invalid_arm_on_append(self):
         with pytest.raises(InvalidArmError):
             batch([(0.5, 3, 1.0)], num_arms=2)
+
+
+class TestExtend:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_extend_equals_repeated_append(self, dim):
+        rng = np.random.default_rng(dim)
+        xs = rng.random(40) if dim == 1 else rng.random((40, dim))
+        arms, rewards = rng.integers(1, 4, size=40), rng.normal(size=40)
+        by_rows, by_blocks = DataBatch(3, dim), DataBatch(3, dim)
+        for x, a, r in zip(xs, arms, rewards):
+            by_rows.append(x, a, r)
+        for lo, hi in ((0, 1), (1, 17), (17, 17), (17, 40)):
+            by_blocks.extend(xs[lo:hi], arms[lo:hi], rewards[lo:hi])
+        assert by_blocks.arms == by_rows.arms
+        assert by_blocks.rewards == by_rows.rewards
+        Pb, ab, rb = by_blocks.as_arrays()
+        Pr, ar, rr = by_rows.as_arrays()
+        assert Pb.tobytes() == Pr.tobytes()
+        for mb, mr in zip(by_blocks.moments(), by_rows.moments()):
+            assert mb.tobytes() == mr.tobytes()
+        assert fit_ols(by_blocks).weights.tobytes() == fit_ols(by_rows).weights.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 3, -1])
+    def test_extend_rejects_arm_out_of_range(self, bad):
+        rows = DataBatch(2)
+        with pytest.raises(InvalidArmError):
+            rows.append(0.5, bad, 1.0)
+        block = DataBatch(2)
+        block.extend([0.1], [1], [0.0])
+        with pytest.raises(InvalidArmError, match=str(bad)):
+            block.extend([0.2, 0.5, 0.7], [2, bad, 1], [1.0, 1.0, 1.0])
+        # nothing of a rejected block is stored
+        assert len(block) == 1 and block.arms == [1]
 
 
 class TestSse:
@@ -300,8 +352,8 @@ class TestMomentLayer:
     @settings(max_examples=60, deadline=None)
     def test_fits_bit_equal_row_rebuild_reference(self, pyrng, dim, lam):
         rng = np.random.default_rng(pyrng.randrange(2**32))
-        act = DataBatch.from_rows(two_arm_rows(rng, pyrng, dim), 2, dim)
-        pas = DataBatch.from_rows(two_arm_rows(rng, pyrng, dim), 2, dim)
+        act = batch(two_arm_rows(rng, pyrng, dim), 2, dim)
+        pas = batch(two_arm_rows(rng, pyrng, dim), 2, dim)
         cases = [(fit_ols(act), [(act, 1.0)]), (fit_ols(pas), [(pas, 1.0)])]
         if len(act) and len(pas):
             cases.append((fit_weighted(act, pas, lam),
