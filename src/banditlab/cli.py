@@ -34,6 +34,11 @@ def _cmd_run(args) -> int:
     trace = result.trace
     print(f"rounds={len(trace)} cum_e_regret={trace.cum_e_regret[-1]:.4f} "
           f"noisy_regret={trace.noisy_regret_total:.4f} epochs_completed={len(result.events)}")
+    unconverged = [str(ev.m) for ev in result.events if not ev.converged]
+    if unconverged:
+        print(f"warning: the constrained refit's dual did not converge after epochs "
+              f"{', '.join(unconverged)}; each installed model is feasible but the "
+              f"constraint is not tight to tolerance", file=sys.stderr)
     if result.lemma_report is not None:
         failed = [c for c in result.lemma_report if not c.passed]
         print(f"lemma checks: {len(result.lemma_report) - len(failed)} passed, "

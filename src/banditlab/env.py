@@ -258,16 +258,22 @@ def worst_case_error_B(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorE
 
 
 class Environment:
-    """A live environment: an EnvSpec plus a private RNG stream.
+    """A live environment: an EnvSpec plus two private RNG streams, the
+    children of the given seed's generator: child 0 draws the contexts
+    (``sample_context``, ``draw``) and child 1 the reward noise
+    (``observe``, ``sample_reward``, ``draw``).
 
-    Immutable after construction except for the generator state.  One
+    Immutable after construction except for the generator states.  One
     instance per simulation run; do not share a single instance across
     concurrent runs.
     """
 
     def __init__(self, spec: EnvSpec, seed=None):
         self.spec = spec
-        self.rng = make_generator(spec.seed if seed is None else seed)
+        # contexts and reward noise are independent draws, so each has its
+        # own child stream and a block of rounds takes one call from each
+        self.context_rng, self.noise_rng = make_generator(
+            spec.seed if seed is None else seed).spawn(2)
         self._truth = true_model(spec)
 
     @property
@@ -277,8 +283,8 @@ class Environment:
     def sample_context(self):
         """One context ~ Unif(0,1)^d (a bare float when d == 1)."""
         if self.spec.context_dim == 1:
-            return self.rng.random()
-        return self.rng.random(self.spec.context_dim)
+            return self.context_rng.random()
+        return self.context_rng.random(self.spec.context_dim)
 
     def _rewards(self, xs: np.ndarray, noise: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         # a linear truth is evaluated row by row, so that a round's means do
@@ -294,7 +300,7 @@ class Environment:
         _check_arm(self.spec, a)
         r = mean_reward(self.spec, x, a)
         if self.spec.noise_sd > 0:
-            r += self.spec.noise_sd * self.rng.standard_normal()
+            r += self.spec.noise_sd * self.noise_rng.standard_normal()
         if self.spec.clip_rewards:
             r = min(1.0, max(0.0, r))
         return float(r)
@@ -306,23 +312,18 @@ class Environment:
         but drawing all K entries makes the realized regret sum (reward at
         the optimal arm minus reward at the chosen arm) well defined.
         """
-        noise = self.rng.standard_normal((1, self.num_arms)) if self.spec.noise_sd > 0 else None
+        noise = self.noise_rng.standard_normal((1, self.num_arms)) if self.spec.noise_sd > 0 else None
         means, r = self._rewards(np.array([x], dtype=float), noise)
         return means[0], r[0]
 
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contexts (n,) or (n, d), mean rewards (n, K) and noisy rewards
-        (n, K) of the next n rounds.  Each round draws its context, then its
-        K noises, as ``sample_context`` then ``observe`` would: any split of
-        the rounds into draws gives the same values."""
+        (n, K) of the next n rounds: n contexts from the context stream and
+        n * K noises from the noise stream, the values ``sample_context``
+        and ``observe`` would draw round by round.  Each stream is consumed
+        in order, so any split of the rounds into draws gives the same
+        values."""
         d = self.spec.context_dim
-        if self.spec.noise_sd > 0:
-            xs, noise = [None] * n, np.empty((n, self.num_arms))
-            uniform, normal, size = self.rng.random, self.rng.standard_normal, (None if d == 1 else d)
-            for i in range(n):
-                xs[i] = uniform(size)
-                normal(out=noise[i])
-            xs = np.reshape(xs, (n, d) if d > 1 else n)
-        else:
-            xs, noise = self.rng.random(n if d == 1 else (n, d)), None
+        xs = self.context_rng.random(n if d == 1 else (n, d))
+        noise = self.noise_rng.standard_normal((n, self.num_arms)) if self.spec.noise_sd > 0 else None
         return (xs, *self._rewards(xs, noise))

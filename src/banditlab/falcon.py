@@ -132,10 +132,20 @@ def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     n, K = preds.shape
-    rows, best = np.arange(n), preds.argmax(axis=1)
-    probs = 1.0 / (K + gamma * (preds.max(axis=1, keepdims=True) - preds))
+    # the row max and argmax go column by column with elementwise ufuncs,
+    # which beats numpy's reductions over a short row; ties go to the first
+    # arm, as with argmax
+    top, best = preds[:, 0].copy(), np.zeros(n, dtype=np.intp)
+    for a in range(1, K):
+        np.copyto(best, a, where=preds[:, a] > top)
+        np.maximum(top, preds[:, a], out=top)
+    probs = 1.0 / (K + gamma * (top[:, None] - preds))
+    rows = np.arange(n)
     probs[rows, best] = 0.0
-    probs[rows, best] = 1.0 - probs.sum(axis=1)
+    # numpy adds fewer than 8 terms in order, so the column sum equals
+    # probs.sum(axis=1) bit for bit; from 8 terms on numpy adds pairwise
+    total = sum(probs.T[1:], probs[:, 0]) if K < 8 else probs.sum(axis=1)
+    probs[rows, best] = 1.0 - total
     return probs
 
 
@@ -179,6 +189,8 @@ class EpochEvent:
     constraint_residual: float = float("nan")
     unconstrained: bool = False  # no passive data: plain least-squares update
     ridge_fallback: bool = False
+    converged: bool = True    # the dual bisection met its tolerance
+    n_weighted_fits: int = 0  # weighted fits the constrained refit ran
     mse_to_best_fit: float = float("nan")  # filled by the harness
 
 
@@ -289,7 +301,9 @@ class EpsilonFalconAgent(BlockAgent):
                                slack, report.lam, report.duality_gap,
                                new_model.weights.copy(),
                                constraint_residual=report.constraint_residual,
-                               ridge_fallback=new_model.ridge_fallback)
+                               ridge_fallback=new_model.ridge_fallback,
+                               converged=report.converged,
+                               n_weighted_fits=report.n_weighted_fits)
         else:
             new_model = fit_ols(self.active_batch)
             event = EpochEvent(m, tau_start, tau_end, self.gamma,

@@ -3,9 +3,12 @@ flat-file artifacts.
 
 A run is fully determined by (config, seed).  The seed feeds a
 SeedSequence that is split into three independent Philox streams -- one
-for the environment (contexts and reward noise), one for the agent's arm
-draws, one for Monte Carlo diagnostics -- so adding diagnostics never
-perturbs the simulated trajectory.  Replication r of a suite uses seed
+for the environment, which splits it again into a context and a noise
+child, one for the agent's arm draws, one for Monte Carlo diagnostics -- so
+adding diagnostics never perturbs the simulated trajectory.  A run draws
+the environment for up to ``ROUNDS_PER_DRAW`` rounds of one epoch at a
+time, with one call to each child, and plays those rounds in blocks under
+one frozen policy.  Replication r of a suite uses seed
 base_seed + r, which makes every replication independent of how many
 others are requested.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -487,20 +491,19 @@ def _g(v: float) -> str:
 
 def write_trace_csv(trace: RegretTrace, path: str) -> None:
     """One line per round, formatted and written ``TRACE_ROWS_PER_WRITE``
-    rows at a time, which bounds the memory the text takes."""
+    rows at a time (which bounds the memory the text takes), each chunk by
+    one ``%`` of a row template repeated over its rows."""
     step = TRACE_ROWS_PER_WRITE
-    cols = (trace.t, trace.epoch, trace.phase, trace.x, trace.action,
+    x = np.asarray(trace.x)
+    x_cols = [x] if x.ndim == 1 else list(x.T)
+    cols = (trace.t, trace.epoch, trace.phase, *x_cols, trace.action,
             trace.reward, trace.e_regret, trace.cum_e_regret)
+    row = "%d,%d,%s," + ";".join(["%.17g"] * len(x_cols)) + ",%d,%.17g,%.17g,%.17g\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
         for lo in range(0, len(trace), step):
-            t, m, ph, x, a, r, e, c = (np.asarray(col)[lo:lo + step].tolist() for col in cols)
-            if np.ndim(trace.x) > 1:
-                x = [";".join([f"{v:.17g}" for v in row]) for row in x]
-            else:
-                x = [f"{v:.17g}" for v in x]
-            fh.writelines([f"{t_},{m_},{ph_},{x_},{a_},{r_:.17g},{e_:.17g},{c_:.17g}\n"
-                           for t_, m_, ph_, x_, a_, r_, e_, c_ in zip(t, m, ph, x, a, r, e, c)])
+            chunk = [np.asarray(col)[lo:lo + step].tolist() for col in cols]
+            fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def write_events_csv(events: list[EpochEvent], path: str) -> None:

@@ -5,12 +5,17 @@ done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
 large samples, the constrained problem by brute-force grid search,
 row-weighted fits by rebuilding every arm's design from the raw rows, epochs
 by walking the doubling schedule, and whole runs by a round-by-round
-simulator with its own kernel, sampler and phase bookkeeping.
+simulator with its own kernel, sampler and phase bookkeeping.  An
+environment with the earlier single-stream layout (its truth surface is the
+package's) stands in for the environment when a test compares the two
+layouts in distribution.
 """
 
 import math
 
 import numpy as np
+
+from banditlab.env import mean_reward_matrix
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -164,6 +169,31 @@ def sample_scalar(probs: np.ndarray, rng) -> int:
         if u < acc:
             return i + 1
     return len(probs)
+
+
+class InterleavedEnvironment:
+    """An environment on one Philox stream that every round draws from
+    twice, its context with ``random()`` and then its K noises with
+    ``standard_normal(K)``: the layout ``banditlab.env.Environment`` had
+    before contexts and noise got child streams of their own."""
+
+    def __init__(self, spec, seed):
+        self.spec = spec
+        self.num_arms = spec.num_arms
+        self.rng = np.random.Generator(np.random.Philox(seed))
+
+    def sample_context(self):
+        d = self.spec.context_dim
+        return self.rng.random() if d == 1 else self.rng.random(d)
+
+    def observe(self, x):
+        means = mean_reward_matrix(self.spec, np.array([x], dtype=float))[0]
+        rewards = means.copy()
+        if self.spec.noise_sd > 0:
+            rewards += self.spec.noise_sd * self.rng.standard_normal(self.num_arms)
+        if self.spec.clip_rewards:
+            np.clip(rewards, 0.0, 1.0, out=rewards)
+        return means, rewards
 
 
 def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:

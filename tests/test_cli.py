@@ -1,8 +1,9 @@
+import functools
 import os
 
 import pytest
 
-from banditlab import harness
+from banditlab import falcon, harness, linmodel
 from banditlab.cli import main
 from banditlab.env import EnvSpec
 from banditlab.harness import RunConfig, load_config, save_config
@@ -40,6 +41,33 @@ class TestRunVerb:
 
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1
+
+    def test_unconverged_dual_is_reported(self, tmp_path, monkeypatch, capsys):
+        # a small slack (c1) makes the constraint bind from epoch 6 on
+        cfg = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05),
+                        c1=1e-3, horizon=512, mc_samples=2_000)
+        path = str(tmp_path / "sens.txt")
+        save_config(cfg, path)
+        results, run_one = [], harness.run_one
+        monkeypatch.setattr(harness, "run_one",
+                            lambda *a, **k: results.append(run_one(*a, **k)) or results[-1])
+
+        assert main(["run", "--config", path]) == 0
+        assert all(ev.converged for ev in results[-1].events)
+        assert any(ev.n_weighted_fits > 1 for ev in results[-1].events)  # it binds
+        assert "did not converge" not in capsys.readouterr().err
+
+        # one bisection step cannot tighten a binding constraint
+        monkeypatch.setattr(falcon, "constrained_fit",
+                            functools.partial(linmodel.constrained_fit, max_iters=1))
+        assert main(["run", "--config", path]) == 0
+        events = results[-1].events
+        stuck = [ev.m for ev in events if not ev.converged]
+        assert stuck
+        assert all(ev.n_weighted_fits >= 3 for ev in events if not ev.converged)
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if "did not converge" in ln]
+        assert len(lines) == 1
+        assert f"epochs {', '.join(map(str, stuck))};" in lines[0]
 
 
 class TestSuiteVerb:

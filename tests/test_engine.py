@@ -1,7 +1,9 @@
 """The block engine in ``harness.run_one`` against the round-by-round
 reference simulator in ``oracles``: every trace column, the noisy regret
 total, every epoch's model and LinUCB's final statistics must be equal bit
-for bit."""
+for bit, and the trace files of a few small runs have pinned digests."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from banditlab.env import Environment, EnvSpec, make_generator
 from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
 from banditlab.harness import RunConfig, run_one, write_trace_csv
 
-from oracles import simulate_per_round, write_trace_rows
+from oracles import InterleavedEnvironment, simulate_per_round, write_trace_rows
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -94,6 +96,54 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
     write_trace_csv(tr, str(tmp_path / "engine.csv"))
     write_trace_rows(ref_trace, str(tmp_path / "reference.csv"))
     assert (tmp_path / "engine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# sha256 of the trace file of one small run per agent.  They pin the stream
+# layout (the environment's context and noise children, the agent's draws
+# per block): a change to it must show here, and be recorded in CHANGES.md
+# and the README with a statistical-equivalence test.
+TRACE_SHA256 = {
+    "eps_falcon_sens_mid_epoch": "33e039912913de72cecd8be1720f3ec2ecaaa83d5ef2efa48bd496311505b380",
+    "falcon_step_on_boundary": "8c4def30472791c1b6ab8fb4af16ad0bf05329c02fb446bf44c87d01cfa765f1",
+    "lin_ucb_real_d3": "dff40c80f7f9c71ee0d557a2b3574523410c065a48aa6061783fe8b3667376c2",
+    "uniform_real3": "d818ba3f0ec3518252df272e874457764cd43b937649a8d761553570fe296540",
+}
+
+
+@pytest.mark.parametrize("label", sorted(TRACE_SHA256))
+def test_trace_digest_pinned(label, tmp_path):
+    _, config, seed = next(g for g in GRID if g[0] == label)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run_one(config, seed, with_lemmas=False).trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[label]
+
+
+# Contexts and noise come from two child streams of the environment's seed;
+# until they did, each round drew its context and then its K noises from
+# one stream.  Both layouts draw the same distributions, so the final
+# cumulative regret over R runs of each must agree: Welch's z on the two
+# means stays inside the bound.  Disjoint seeds on the two sides.
+LAYOUT_REPS, LAYOUT_Z_BOUND = 40, 4.0
+LAYOUT_CASES = [
+    ("eps_falcon_sens", RunConfig(env=SENS, horizon=512)),
+    ("lin_ucb_step", RunConfig(env=STEP, agent="lin_ucb", horizon=500)),
+]
+
+
+@pytest.mark.parametrize("label,config", LAYOUT_CASES, ids=[c[0] for c in LAYOUT_CASES])
+def test_child_stream_layout_matches_interleaved_layout_in_distribution(label, config):
+    engine_final = [run_one(config, seed, with_lemmas=False).trace.cum_e_regret[-1]
+                    for seed in range(LAYOUT_REPS)]
+    reference_final = []
+    for seed in range(1000, 1000 + LAYOUT_REPS):
+        env_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
+        out = simulate_per_round(InterleavedEnvironment(config.env, env_ss),
+                                 harness.build_agent(config), make_generator(agent_ss),
+                                 config.horizon, config.tau1)
+        reference_final.append(out["cum_e_regret"][-1])
+    a, b = np.array(engine_final), np.array(reference_final)
+    z = (a.mean() - b.mean()) / np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    assert abs(z) < LAYOUT_Z_BOUND, (z, a.mean(), b.mean())
 
 
 def test_trace_writer_empty_trace_writes_header(tmp_path):
