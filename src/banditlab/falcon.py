@@ -142,10 +142,7 @@ def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
     probs = 1.0 / (K + gamma * (top[:, None] - preds))
     rows = np.arange(n)
     probs[rows, best] = 0.0
-    # numpy adds fewer than 8 terms in order, so the column sum equals
-    # probs.sum(axis=1) bit for bit; from 8 terms on numpy adds pairwise
-    total = sum(probs.T[1:], probs[:, 0]) if K < 8 else probs.sum(axis=1)
-    probs[rows, best] = 1.0 - total
+    probs[rows, best] = 1.0 - probs.sum(axis=1)
     return probs
 
 
@@ -190,7 +187,6 @@ class EpochEvent:
     unconstrained: bool = False  # no passive data: plain least-squares update
     ridge_fallback: bool = False
     converged: bool = True    # the dual bisection met its tolerance
-    n_weighted_fits: int = 0  # weighted fits the constrained refit ran
     mse_to_best_fit: float = float("nan")  # filled by the harness
 
 
@@ -302,8 +298,7 @@ class EpsilonFalconAgent(BlockAgent):
                                new_model.weights.copy(),
                                constraint_residual=report.constraint_residual,
                                ridge_fallback=new_model.ridge_fallback,
-                               converged=report.converged,
-                               n_weighted_fits=report.n_weighted_fits)
+                               converged=report.converged)
         else:
             new_model = fit_ols(self.active_batch)
             event = EpochEvent(m, tau_start, tau_end, self.gamma,

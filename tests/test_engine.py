@@ -1,7 +1,8 @@
 """The block engine in ``harness.run_one`` against the round-by-round
 reference simulator in ``oracles``: every trace column, the noisy regret
 total, every epoch's model and LinUCB's final statistics must be equal bit
-for bit, and the trace files of a few small runs have pinned digests."""
+for bit, and the values each stream draws and the trace files of a few
+small runs have pinned digests."""
 
 import hashlib
 
@@ -98,24 +99,88 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
     assert (tmp_path / "engine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-# sha256 of the trace file of one small run per agent.  They pin the stream
-# layout (the environment's context and noise children, the agent's draws
-# per block): a change to it must show here, and be recorded in CHANGES.md
-# and the README with a statistical-equivalence test.
-TRACE_SHA256 = {
-    "eps_falcon_sens_mid_epoch": "33e039912913de72cecd8be1720f3ec2ecaaa83d5ef2efa48bd496311505b380",
-    "falcon_step_on_boundary": "8c4def30472791c1b6ab8fb4af16ad0bf05329c02fb446bf44c87d01cfa765f1",
-    "lin_ucb_real_d3": "dff40c80f7f9c71ee0d557a2b3574523410c065a48aa6061783fe8b3667376c2",
-    "uniform_real3": "d818ba3f0ec3518252df272e874457764cd43b937649a8d761553570fe296540",
+class RecordingGenerator(np.random.Generator):
+    """A generator on another's bit generator that feeds every value it
+    draws into ``digest``."""
+
+    def __init__(self, bit_generator, digest):
+        super().__init__(bit_generator)
+        self.digest = digest
+
+    def _record(self, out):
+        self.digest.update(np.asarray(out).tobytes())
+        return out
+
+    def random(self, *args, **kwargs):
+        return self._record(super().random(*args, **kwargs))
+
+    def standard_normal(self, *args, **kwargs):
+        return self._record(super().standard_normal(*args, **kwargs))
+
+    def integers(self, *args, **kwargs):
+        return self._record(super().integers(*args, **kwargs))
+
+
+def stream_digests(config, seed, monkeypatch):
+    """sha256 of the values each stream of ``run_one`` draws, in order:
+    the environment's context and noise children, then the agent's and
+    the diagnostics' generators."""
+    digests = {name: hashlib.sha256() for name in ("context", "noise", "agent", "diag")}
+    rest = iter(("agent", "diag"))
+
+    class RecordingEnvironment(Environment):
+        def __init__(self, spec, seed=None):
+            super().__init__(spec, seed)
+            self.context_rng = RecordingGenerator(self.context_rng.bit_generator,
+                                                  digests["context"])
+            self.noise_rng = RecordingGenerator(self.noise_rng.bit_generator, digests["noise"])
+
+    monkeypatch.setattr(harness, "Environment", RecordingEnvironment)
+    monkeypatch.setattr(harness, "make_generator", lambda s: RecordingGenerator(
+        make_generator(s).bit_generator, digests[next(rest)]))
+    trace = run_one(config, seed, with_lemmas=False).trace
+    return trace, {name: h.hexdigest()[:16] for name, h in digests.items()}
+
+
+# One small run per agent.  The stream digests pin the layout itself (the
+# environment's context and noise children, the agent's draws per block):
+# the values drawn involve no linear algebra, so they hold on any build of
+# numpy.  A change to the layout must show here, and be recorded in
+# CHANGES.md and the README with a statistical-equivalence test.  The trace
+# file digests also run OLS, constrained and LinUCB fits, so they are tied
+# to the numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS at 1 and
+# 2 threads); on another build only they may move, by the last bits of a
+# fit.  LinUCB draws nothing, and only FALCON runs draw for diagnostics
+# (the empty stream's digest is e3b0c442...).
+PINNED = {
+    "eps_falcon_sens_mid_epoch": (
+        {"context": "3ed556d68cd19c32", "noise": "704abd04489f44ee",
+         "agent": "e9747503c5755ab8", "diag": "d064f38509715118"},
+        "33e039912913de72cecd8be1720f3ec2ecaaa83d5ef2efa48bd496311505b380"),
+    "falcon_step_on_boundary": (
+        {"context": "21e1607297d7baff", "noise": "0071c46d9909873b",
+         "agent": "383d60f5653e374b", "diag": "05717da82dc3c6e5"},
+        "8c4def30472791c1b6ab8fb4af16ad0bf05329c02fb446bf44c87d01cfa765f1"),
+    "lin_ucb_real_d3": (
+        {"context": "432b1947a3d420c6", "noise": "5d271c4e41f10cd8",
+         "agent": "e3b0c44298fc1c14", "diag": "e3b0c44298fc1c14"},
+        "dff40c80f7f9c71ee0d557a2b3574523410c065a48aa6061783fe8b3667376c2"),
+    "uniform_real3": (
+        {"context": "37b746bb17d15fd4", "noise": "34a10a7eb784907a",
+         "agent": "06ca9daa29c110da", "diag": "e3b0c44298fc1c14"},
+        "d818ba3f0ec3518252df272e874457764cd43b937649a8d761553570fe296540"),
 }
 
 
-@pytest.mark.parametrize("label", sorted(TRACE_SHA256))
-def test_trace_digest_pinned(label, tmp_path):
+@pytest.mark.parametrize("label", sorted(PINNED))
+def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
     _, config, seed = next(g for g in GRID if g[0] == label)
+    streams, trace_sha256 = PINNED[label]
+    trace, drawn = stream_digests(config, seed, monkeypatch)
+    assert drawn == streams
     path = tmp_path / "trace.csv"
-    write_trace_csv(run_one(config, seed, with_lemmas=False).trace, str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_SHA256[label]
+    write_trace_csv(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256
 
 
 # Contexts and noise come from two child streams of the environment's seed;
