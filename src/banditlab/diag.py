@@ -2,9 +2,10 @@
 the inequality checks used as run diagnostics and test oracles.
 
 Every estimator here draws fresh contexts (never reusing run data) and
-reports a standard error alongside the point estimate.  Inequality checks
-compare population statements at a 3-standard-error band, since sampling
-noise sits on both sides.
+reports a standard error alongside the point estimate; its formula lives
+in a matrix helper, which the inequality suite calls on one sample.
+Inequality checks compare population statements at a 3-standard-error
+band, since sampling noise sits on both sides.
 
 A regret trace records EXPECTED instantaneous regret per round,
 f*(x, best-arm) - f*(x, a), which is nonnegative row by row and gives
@@ -21,9 +22,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import env as envmod
-from .env import EnvSpec, make_generator
-from .falcon import kernel_prob_matrix
-from .linmodel import LinearModel
+from .env import EnvSpec, draw_contexts
+from .falcon import igw_kernel, kernel_prob_matrix
+from .linmodel import LinearModel, row_max_argmax
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,6 @@ def _surface_matrix(f: RewardSurface, spec: EnvSpec, xs: np.ndarray) -> np.ndarr
     return envmod.mean_reward_matrix(f, xs)
 
 
-def _contexts(spec: EnvSpec, num_mc: int, rng) -> np.ndarray:
-    rng = make_generator(rng)
-    if spec.context_dim == 1:
-        return rng.random(num_mc)
-    return rng.random((num_mc, spec.context_dim))
-
-
 @dataclass(frozen=True)
 class MCEstimate:
     value: float
@@ -91,23 +85,50 @@ def _estimate(samples: np.ndarray) -> MCEstimate:
                       n)
 
 
+def gaps_from(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) gaps below each row's maximum, and the 0-based argmax (ties first)."""
+    top, best = row_max_argmax(values)
+    return top[:, None] - values, best
+
+
+def mean_at(values: np.ndarray, actions: np.ndarray) -> MCEstimate:
+    """Mean of each row's entry at its action (1-based arms)."""
+    return _estimate(values[np.arange(len(values)), actions - 1])
+
+
+def divergence_from(probs: np.ndarray, actions: np.ndarray) -> MCEstimate:
+    """Mean inverse probability of the actions under a kernel matrix."""
+    picked = probs[np.arange(len(probs)), actions - 1]
+    if np.any(picked <= 0.0):
+        raise ZeroDivisionError("kernel assigned zero probability to a policy action")
+    return _estimate(1.0 / picked)
+
+
+def kernel_regret_from(probs: np.ndarray, gaps: np.ndarray) -> MCEstimate:
+    """Mean over rows of sum_a p(a) * gap(a)."""
+    return _estimate(np.einsum("ij,ij->i", probs, gaps))
+
+
+def mse_from(f_values: np.ndarray, g_values: np.ndarray,
+             probs: Optional[np.ndarray] = None) -> MCEstimate:
+    """Mean squared gap between two reward matrices, over arms or weighted by ``probs``."""
+    sq = (f_values - g_values) ** 2
+    return _estimate(sq.mean(axis=1) if probs is None else (probs * sq).sum(axis=1))
+
+
 def policy_value(spec: EnvSpec, pi: PolicyHandle, f: RewardSurface,
                  num_mc: int = 100_000, rng=0) -> MCEstimate:
     """E_x[f(x, pi(x))] by Monte Carlo over fresh uniform contexts."""
-    xs = _contexts(spec, num_mc, rng)
-    rewards = _surface_matrix(f, spec, xs)
-    picked = rewards[np.arange(num_mc), pi(xs) - 1]
-    return _estimate(picked)
+    xs = draw_contexts(spec, num_mc, rng)
+    return mean_at(_surface_matrix(f, spec, xs), pi(xs))
 
 
 def policy_regret(spec: EnvSpec, pi: PolicyHandle, f: RewardSurface,
                   num_mc: int = 100_000, rng=0) -> MCEstimate:
     """E_x[f(x, best arm under f) - f(x, pi(x))].  With f the environment
     truth this is the policy's true per-round regret."""
-    xs = _contexts(spec, num_mc, rng)
-    rewards = _surface_matrix(f, spec, xs)
-    picked = rewards[np.arange(num_mc), pi(xs) - 1]
-    return _estimate(rewards.max(axis=1) - picked)
+    xs = draw_contexts(spec, num_mc, rng)
+    return mean_at(gaps_from(_surface_matrix(f, spec, xs))[0], pi(xs))
 
 
 def decisional_divergence(spec: EnvSpec, kernel_fn: Callable[[np.ndarray], np.ndarray],
@@ -115,12 +136,8 @@ def decisional_divergence(spec: EnvSpec, kernel_fn: Callable[[np.ndarray], np.nd
     """E_x[1 / p(pi(x) | x)] for a kernel given as xs -> (n, K) probability
     matrix.  The inverse-gap-weighted form keeps every probability strictly
     positive, so the expectation is well defined."""
-    xs = _contexts(spec, num_mc, rng)
-    probs = np.asarray(kernel_fn(xs), dtype=float)
-    picked = probs[np.arange(num_mc), pi(xs) - 1]
-    if np.any(picked <= 0.0):
-        raise ZeroDivisionError("kernel assigned zero probability to a policy action")
-    return _estimate(1.0 / picked)
+    xs = draw_contexts(spec, num_mc, rng)
+    return divergence_from(np.asarray(kernel_fn(xs), dtype=float), pi(xs))
 
 
 def model_mse(f: RewardSurface, g: RewardSurface, spec: EnvSpec,
@@ -131,16 +148,11 @@ def model_mse(f: RewardSurface, g: RewardSurface, spec: EnvSpec,
     ``sampling`` is either "uniform" (average the squared gap over all arms)
     or a kernel function xs -> (n, K) probabilities to weight arms by.
     """
-    xs = _contexts(spec, num_mc, rng)
-    sq = (_surface_matrix(f, spec, xs) - _surface_matrix(g, spec, xs)) ** 2
-    if sampling == "uniform":
-        per_x = sq.mean(axis=1)
-    elif callable(sampling):
-        probs = np.asarray(sampling(xs), dtype=float)
-        per_x = (probs * sq).sum(axis=1)
-    else:
+    if sampling != "uniform" and not callable(sampling):
         raise ValueError("sampling must be 'uniform' or a kernel function")
-    return _estimate(per_x)
+    xs = draw_contexts(spec, num_mc, rng)
+    probs = None if sampling == "uniform" else np.asarray(sampling(xs), dtype=float)
+    return mse_from(_surface_matrix(f, spec, xs), _surface_matrix(g, spec, xs), probs)
 
 
 def kernel_estimated_regret(spec: EnvSpec, model: LinearModel, gamma: float,
@@ -148,31 +160,24 @@ def kernel_estimated_regret(spec: EnvSpec, model: LinearModel, gamma: float,
     """E_x[sum_a p(a|x) * (f(x, best) - f(x, a))] for the inverse-gap
     kernel built from ``model`` -- the kernel's regret as measured by its
     own model.  Bounded by K/gamma pointwise."""
-    xs = _contexts(spec, num_mc, rng)
-    preds = model.predict_matrix(xs)
-    gaps = preds.max(axis=1, keepdims=True) - preds
-    probs = kernel_prob_matrix(model, xs, gamma)
-    return _estimate((probs * gaps).sum(axis=1))
+    preds = model.predict_matrix(draw_contexts(spec, num_mc, rng))
+    return kernel_regret_from(igw_kernel(preds, gamma), gaps_from(preds)[0])
 
 
 def kernel_true_regret(spec: EnvSpec, model: LinearModel, gamma: float,
                        num_mc: int = 10_000, rng=0) -> MCEstimate:
     """Per-round expected regret of the kernel under the TRUTH:
     E_x[sum_a p(a|x) * (f*(x, best true arm) - f*(x, a))]."""
-    xs = _contexts(spec, num_mc, rng)
-    truth = envmod.mean_reward_matrix(spec, xs)
-    gaps = truth.max(axis=1, keepdims=True) - truth
-    probs = kernel_prob_matrix(model, xs, gamma)
-    return _estimate((probs * gaps).sum(axis=1))
+    xs = draw_contexts(spec, num_mc, rng)
+    return kernel_regret_from(kernel_prob_matrix(model, xs, gamma),
+                              gaps_from(envmod.mean_reward_matrix(spec, xs))[0])
 
 
 def mean_model_gap(spec: EnvSpec, model: LinearModel, pi: PolicyHandle,
                    num_mc: int = 10_000, rng=0) -> MCEstimate:
     """E_x[model(x, best under model) - model(x, pi(x))]."""
-    xs = _contexts(spec, num_mc, rng)
-    preds = model.predict_matrix(xs)
-    picked = preds[np.arange(len(xs)), pi(xs) - 1]
-    return _estimate(preds.max(axis=1) - picked)
+    xs = draw_contexts(spec, num_mc, rng)
+    return mean_at(gaps_from(model.predict_matrix(xs))[0], pi(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -241,67 +246,58 @@ def lemma_suite(artifacts: RunArtifacts, num_mc: int = 20_000, rng=0) -> list[Le
       induced policy.
 
     All comparisons allow 3 combined standard errors of Monte Carlo slack.
+    Every check reads one shared sample of ``num_mc`` contexts (common random numbers).
 
     One extra row per epoch is logged but NEVER asserted: the kernel's true
     per-round regret against the trend reference K/gamma + sqrt(K*B /
     sqrt(eps^rho)).  The theoretical version of that bound carries unknown
     constants, so only the measured ratio is reported (in the note field).
     """
-    rng = make_generator(rng)
     spec = artifacts.spec
     K = spec.num_arms
     checks: list[LemmaCheck] = []
 
-    b = envmod.approximation_error_b(spec, num_mc, rng)
-    B = envmod.worst_case_error_B(spec, num_mc, rng)
-    tol_lo = 3.0 * math.hypot(b.se, B.se)
-    checks.append(LemmaCheck("error_ordering_lower", None, b.mc, B.mc + tol_lo,
-                             tol_lo, b.mc <= B.mc + tol_lo, "b <= B"))
-    tol_hi = 3.0 * math.hypot(B.se, K * b.se)
-    checks.append(LemmaCheck("error_ordering_upper", None, B.mc, K * b.mc + tol_hi,
-                             tol_hi, B.mc <= K * b.mc + tol_hi, "B <= K*b"))
+    def check(name, m, lhs, rhs, se, note, ok=None):  # passed: ok, by default lhs <= rhs
+        checks.append(LemmaCheck(name, m, lhs, rhs, se, lhs <= rhs if ok is None else ok, note))
 
-    best_fit = envmod.best_linear_fit_uniform(spec)
-    pi_best = induced_policy(best_fit, "best_fit")
-    reg_best = policy_regret(spec, pi_best, spec, num_mc, rng)
-    bound = 2.0 * math.sqrt(max(B.mc, 0.0))
-    checks.append(LemmaCheck("best_fit_policy_regret", None, reg_best.value,
-                             bound + 3.0 * reg_best.se, reg_best.se,
-                             reg_best.value <= bound + 3.0 * reg_best.se,
-                             "Reg(pi_bestfit) <= 2*sqrt(B)"))
+    xs = draw_contexts(spec, num_mc, rng)
+    truth = envmod.mean_reward_matrix(spec, xs)
+    fit_preds = envmod.best_linear_fit_uniform(spec).predict_matrix(xs)
+    b, B = envmod.error_estimates_from(spec, fit_preds, truth)
+    tol_lo, tol_hi = 3.0 * math.hypot(b.se, B.se), 3.0 * math.hypot(B.se, K * b.se)
+    check("error_ordering_lower", None, b.mc, B.mc + tol_lo, tol_lo, "b <= B")
+    check("error_ordering_upper", None, B.mc, K * b.mc + tol_hi, tol_hi, "B <= K*b")
 
-    for m, (model, gamma) in enumerate(zip(artifacts.models, artifacts.gammas), start=1):
-        if m == 1:
-            continue
-        est = kernel_estimated_regret(spec, model, gamma, num_mc, rng)
-        rhs = K / gamma + 3.0 * est.se
-        checks.append(LemmaCheck("kernel_estimated_regret", m, est.value, rhs,
-                                 est.se, est.value <= rhs, "<= K/gamma"))
+    a_best = row_max_argmax(fit_preds)[1] + 1  # the best-fit policy's arms
+    truth_gaps = gaps_from(truth)[0]
+    del fit_preds, truth
+    reg_best = mean_at(truth_gaps, a_best)
+    check("best_fit_policy_regret", None, reg_best.value,
+          2.0 * math.sqrt(max(B.mc, 0.0)) + 3.0 * reg_best.se, reg_best.se,
+          "Reg(pi_bestfit) <= 2*sqrt(B)")
 
-        def kernel_fn(xs, _model=model, _gamma=gamma):
-            return kernel_prob_matrix(_model, xs, _gamma)
+    for m, (model, gamma) in enumerate(zip(artifacts.models[1:], artifacts.gammas[1:]), start=2):
+        preds = model.predict_matrix(xs)
+        probs = igw_kernel(preds, gamma)
+        gaps, best = gaps_from(preds)
+        est = kernel_regret_from(probs, gaps)
+        check("kernel_estimated_regret", m, est.value, K / gamma + 3 * est.se, est.se, "<= K/gamma")
 
-        V = decisional_divergence(spec, kernel_fn, pi_best, num_mc, rng)
-        gap = mean_model_gap(spec, model, pi_best, num_mc, rng)
+        V = divergence_from(probs, a_best)
+        gap = mean_at(gaps, a_best)
         band = 3.0 * math.hypot(V.se, abs(gamma) * gap.se)
         lo, hi = gamma * gap.value, K + gamma * gap.value
-        ok = (lo - band <= V.value <= hi + band)
-        checks.append(LemmaCheck("divergence_sandwich", m, V.value, hi + band, band, ok,
-                                 f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]"))
+        check("divergence_sandwich", m, V.value, hi + band, band,
+              f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]", lo - band <= V.value <= hi + band)
 
-        pi_self = induced_policy(model, f"induced_m{m}")
-        V_self = decisional_divergence(spec, kernel_fn, pi_self, num_mc, rng)
-        checks.append(LemmaCheck("divergence_self", m, V_self.value,
-                                 K + 3.0 * V_self.se, V_self.se,
-                                 V_self.value <= K + 3.0 * V_self.se, "V(p, pi_p) <= K"))
+        V_self = divergence_from(probs, best + 1)
+        check("divergence_self", m, V_self.value, K + 3 * V_self.se, V_self.se, "V(p, pi_p) <= K")
 
-        true_reg = kernel_true_regret(spec, model, gamma, num_mc, rng)
-        trend = K / gamma + math.sqrt(max(K * B.mc, 0.0))
-        if artifacts.epsilon:
-            trend = K / gamma + math.sqrt(
-                max(K * B.mc, 0.0) / math.sqrt(artifacts.epsilon ** artifacts.rho))
+        true_reg = kernel_regret_from(probs, truth_gaps)
+        del preds, probs, gaps
+        scale = math.sqrt(artifacts.epsilon ** artifacts.rho) if artifacts.epsilon else 1.0
+        trend = K / gamma + math.sqrt(max(K * B.mc, 0.0) / scale)
         ratio = true_reg.value / trend if trend > 0 else float("nan")
-        checks.append(LemmaCheck("true_regret_trend", m, true_reg.value, trend,
-                                 true_reg.se, True,
-                                 f"ratio {ratio:.3f} logged only; constants unknown"))
+        check("true_regret_trend", m, true_reg.value, trend, true_reg.se,
+              f"ratio {ratio:.3f} logged only; constants unknown", True)
     return checks

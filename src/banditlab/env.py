@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import InvalidArmError, LinearModel
+from .linmodel import InvalidArmError, LinearModel, row_max_argmax
 
 STEP_FUNCTION = "step_function"
 SENSITIVITY_FAMILY = "sensitivity_family"
@@ -179,13 +179,9 @@ def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
     return true_model(spec).predict_matrix(xs)
 
 
-def optimal_policy_action(spec: EnvSpec, x) -> int:
-    """argmax_a of the true mean reward; ties go to the lowest arm index."""
-    return int(optimal_actions(spec, np.array([x], dtype=float))[0])
-
-
 def optimal_actions(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
-    return np.argmax(mean_reward_matrix(spec, xs), axis=1) + 1
+    """argmax_a of the true mean reward per context; ties go to the lowest arm."""
+    return row_max_argmax(mean_reward_matrix(spec, xs))[1] + 1
 
 
 def best_linear_fit_uniform(spec: EnvSpec) -> LinearModel:
@@ -213,48 +209,44 @@ class ErrorEstimate:
     closed_form: Optional[float]
 
 
-def _residual_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
-    fit = best_linear_fit_uniform(spec)
-    return (fit.predict_matrix(xs) - mean_reward_matrix(spec, xs)) ** 2
-
-
-def _draw_contexts(spec: EnvSpec, num: int, rng) -> np.ndarray:
+def draw_contexts(spec: EnvSpec, num: int, rng=None) -> np.ndarray:
+    """``num`` contexts ~ Unif(0,1)^d, (num,) or (num, d); rng None: the spec's seed."""
     rng = make_generator(rng if rng is not None else spec.seed)
-    if spec.context_dim == 1:
-        return rng.random(num)
-    return rng.random((num, spec.context_dim))
+    return rng.random(num if spec.context_dim == 1 else (num, spec.context_dim))
+
+
+def error_estimates_from(spec: EnvSpec, fit_preds: np.ndarray,
+                         truth: np.ndarray) -> tuple[ErrorEstimate, ErrorEstimate]:
+    """``approximation_error_b`` and ``worst_case_error_B`` from (n, K)
+    best-fit predictions and truth at the same contexts."""
+    sq = (fit_preds - truth) ** 2
+    # closed forms: arm 1's mean squared residual (arm 2's is 0), halved for b
+    if spec.kind == STEP_FUNCTION:
+        arm1 = _STEP_ARM1_RESIDUAL
+    elif spec.kind == SENSITIVITY_FAMILY:
+        arm1 = _sensitivity_arm1_residual(spec.theta)
+    else:
+        arm1 = 0.0
+    return tuple(ErrorEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v))), cf)
+                 for v, cf in ((sq.mean(axis=1), arm1 / 2.0), (row_max_argmax(sq)[0], arm1)))
+
+
+def _error_estimates(spec: EnvSpec, num: int, rng) -> tuple[ErrorEstimate, ErrorEstimate]:
+    xs = draw_contexts(spec, num, rng)
+    return error_estimates_from(spec, best_linear_fit_uniform(spec).predict_matrix(xs),
+                                mean_reward_matrix(spec, xs))
 
 
 def approximation_error_b(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorEstimate:
     """Mean squared gap between the best uniform-design linear fit and the
     truth, averaged over contexts and uniformly over arms."""
-    xs = _draw_contexts(spec, num_mc, rng)
-    per_x = _residual_matrix(spec, xs).mean(axis=1)
-    mc = float(per_x.mean())
-    se = float(per_x.std(ddof=1) / math.sqrt(num_mc))
-    if spec.kind == STEP_FUNCTION:
-        cf = _STEP_ARM1_RESIDUAL / 2.0
-    elif spec.kind == SENSITIVITY_FAMILY:
-        cf = _sensitivity_arm1_residual(spec.theta) / 2.0
-    else:
-        cf = 0.0
-    return ErrorEstimate(mc, se, cf)
+    return _error_estimates(spec, num_mc, rng)[0]
 
 
 def worst_case_error_B(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorEstimate:
     """Like ``approximation_error_b`` but taking the worst arm at every
     context instead of averaging over arms."""
-    xs = _draw_contexts(spec, num_mc, rng)
-    per_x = _residual_matrix(spec, xs).max(axis=1)
-    mc = float(per_x.mean())
-    se = float(per_x.std(ddof=1) / math.sqrt(num_mc))
-    if spec.kind == STEP_FUNCTION:
-        cf = _STEP_ARM1_RESIDUAL  # arm-2 residual is identically zero
-    elif spec.kind == SENSITIVITY_FAMILY:
-        cf = _sensitivity_arm1_residual(spec.theta)
-    else:
-        cf = 0.0
-    return ErrorEstimate(mc, se, cf)
+    return _error_estimates(spec, num_mc, rng)[1]
 
 
 class Environment:

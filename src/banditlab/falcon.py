@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
-                       featurize, fit_ols, rowwise_predict)
+                       featurize, fit_ols, row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -131,16 +131,9 @@ def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
     remainder is >= 1/K."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    n, K = preds.shape
-    # the row max and argmax go column by column with elementwise ufuncs,
-    # which beats numpy's reductions over a short row; ties go to the first
-    # arm, as with argmax
-    top, best = preds[:, 0].copy(), np.zeros(n, dtype=np.intp)
-    for a in range(1, K):
-        np.copyto(best, a, where=preds[:, a] > top)
-        np.maximum(top, preds[:, a], out=top)
-    probs = 1.0 / (K + gamma * (top[:, None] - preds))
-    rows = np.arange(n)
+    top, best = row_max_argmax(preds)
+    probs = 1.0 / (preds.shape[1] + gamma * (top[:, None] - preds))
+    rows = np.arange(len(preds))
     probs[rows, best] = 0.0
     probs[rows, best] = 1.0 - probs.sum(axis=1)
     return probs
@@ -361,6 +354,7 @@ class LinUCBAgent(BlockAgent):
         Phi = self._features(xs)
         means = rowwise_predict(self.theta, Phi)
         widths = np.sqrt(np.einsum("ni,aij,nj->na", Phi, self.G_inv, Phi))
+        # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
         return (means + self.alpha_ucb * widths).argmax(axis=1) + 1
 
     def record_block(self, t: int, xs, arms, rewards) -> None:

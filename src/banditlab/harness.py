@@ -38,7 +38,7 @@ from .diag import LemmaCheck, RegretTrace, RunArtifacts
 from .env import Environment, EnvSpec, make_generator
 from .falcon import (EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
                      RateParams, UniformAgent, gamma_for_epoch)
-from .linmodel import LinearModel
+from .linmodel import LinearModel, row_max_argmax
 
 AGENT_NAMES = ("epsilon_falcon", "falcon", "lin_ucb", "uniform")
 
@@ -344,7 +344,7 @@ def run_one(config: RunConfig, seed: Optional[int] = None,
             rewards[t - 1:end] = r = flat[arm_base[i:j] + a]
             agent.record_block(t, xb, a, r)
             t = end + 1
-        best, chosen = means.argmax(axis=1), actions[lo:stop] - 1
+        best, chosen = row_max_argmax(means)[1], actions[lo:stop] - 1
         xs[lo:stop], epochs[lo:stop] = x, epoch
         e_regret[lo:stop] = means[rows, best] - means[rows, chosen]
         # summed round by round, like the cumulative regret

@@ -68,6 +68,16 @@ def rowwise_predict(weights: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     return (weights[None] @ Phi[:, :, None])[:, :, 0]
 
 
+def row_max_argmax(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact row maxima and 0-based argmaxes (ties to the first column) of a
+    finite (n, K) matrix, column by column: faster than a short-row reduction."""
+    top, best = values[:, 0].copy(), np.zeros(len(values), dtype=np.intp)
+    for a in range(1, values.shape[1]):
+        np.copyto(best, a, where=values[:, a] > top)
+        np.maximum(top, values[:, a], out=top)
+    return top, best
+
+
 @dataclass
 class LinearModel:
     """Weights of shape (K, 1 + context_dim); row a-1 scores arm a."""
@@ -119,7 +129,7 @@ class LinearModel:
         return int(np.argmax(self.predict_all(x))) + 1
 
     def induced_actions(self, xs) -> np.ndarray:
-        return np.argmax(self.predict_matrix(xs), axis=1) + 1
+        return row_max_argmax(self.predict_matrix(xs))[1] + 1
 
     def copy(self) -> "LinearModel":
         return LinearModel(self.weights.copy(), self.ridge_fallback)
@@ -140,21 +150,22 @@ class DataBatch:
         return len(self.arms)
 
     def append(self, x, a: int, r: float) -> None:
-        if not 1 <= int(a) <= self.num_arms:
-            raise InvalidArmError(f"arm {a} out of range 1..{self.num_arms}")
+        if type(a) is not int or not 1 <= a <= self.num_arms:
+            return self.extend([x], [a], [r])  # checks the arm; plain ints in range skip it
         self.xs.append(x)
-        self.arms.append(int(a))
+        self.arms.append(a)
         self.rewards.append(float(r))
 
     def extend(self, xs, arms, rewards) -> None:
         """Append many rows at once; raises InvalidArmError, appending
-        nothing, when any arm is outside 1..K."""
-        arms = np.asarray(arms, dtype=np.int64)
-        bad = arms[(arms < 1) | (arms > self.num_arms)]
+        nothing, unless every arm is an integer in 1..K (a bool is not)."""
+        arms = np.asarray(arms)
+        bad = arms if arms.dtype.kind not in "iuf" else \
+            arms[(arms < 1) | (arms > self.num_arms) | (arms != np.floor(arms))]
         if bad.size:
-            raise InvalidArmError(f"arm {bad[0]} out of range 1..{self.num_arms}")
+            raise InvalidArmError(f"arm {bad.flat[0]} is not an integer in 1..{self.num_arms}")
         self.xs.extend(np.asarray(xs, dtype=float).tolist())
-        self.arms.extend(arms.tolist())
+        self.arms.extend(arms.astype(np.int64).tolist())
         self.rewards.extend(np.asarray(rewards, dtype=float).tolist())
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,7 +179,9 @@ class DataBatch:
         FloatingPointError when a context or reward is NaN or inf."""
         if self._moments is None or self._moments[0] != len(self):
             Phi, arms, r = self.as_arrays()
-            bad = int(np.count_nonzero(~(np.isfinite(Phi).all(axis=1) & np.isfinite(r))))
+            # column by column (Phi's first is 1): reductions over short rows are slow
+            bad = len(r) - int(np.count_nonzero(
+                np.logical_and.reduce([np.isfinite(col) for col in (r, *Phi.T[1:])])))
             if bad:
                 raise FloatingPointError(
                     f"{bad} of {len(self)} rows have a non-finite context or reward")
@@ -311,7 +324,8 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
     equals the constraint residual normalized_sse(f, passive) - alpha -
     slack.  Bisection keeps the feasible endpoint, so the returned model
     always satisfies the budget; it stops once that endpoint is within
-    ``tol`` of tightness and the lambda interval is below ``lambda_tol``.
+    ``tol`` of tightness and the lambda interval is below ``lambda_tol``,
+    or, unconverged, at adjacent float endpoints or after ``max_iters`` steps.
 
     The returned model is the exact output of ``fit_weighted(active,
     passive, report.lam)`` -- re-running that call reproduces it bit for
@@ -354,6 +368,8 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
     while (abs(resid) > tol or (lam_hi - lam_lo) > lambda_tol * max(1.0, lam_hi)) \
             and iters < max_iters:
         mid = 0.5 * (lam_lo + lam_hi)
+        if mid in (lam_lo, lam_hi):
+            break  # adjacent floats: every later step refits an endpoint
         mid_model, mid_resid = weighted(mid)
         if mid_resid > 0:
             lam_lo = mid

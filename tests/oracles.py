@@ -8,14 +8,21 @@ by walking the doubling schedule, and whole runs by a round-by-round
 simulator with its own kernel, sampler and phase bookkeeping.  An
 environment with the earlier single-stream layout (its truth surface is the
 package's) stands in for the environment when a test compares the two
-layouts in distribution.
+layouts in distribution.  The inequality suite as it ran before it shared
+one context sample (every check on its own draw, through the package's
+public estimators) is the reference for the shared-sample suite.
 """
 
 import math
 
 import numpy as np
 
-from banditlab.env import mean_reward_matrix
+from banditlab import env as envmod
+from banditlab.diag import (LemmaCheck, decisional_divergence, induced_policy,
+                            kernel_estimated_regret, kernel_true_regret, mean_model_gap,
+                            policy_regret)
+from banditlab.env import make_generator, mean_reward_matrix
+from banditlab.falcon import kernel_prob_matrix
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -272,3 +279,65 @@ def write_trace_rows(trace, path: str) -> None:
             fh.write(f"{trace.t[i]},{trace.epoch[i]},{trace.phase[i]},{cell},"
                      f"{trace.action[i]},{g(trace.reward[i])},{g(trace.e_regret[i])},"
                      f"{g(trace.cum_e_regret[i])}\n")
+
+
+def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
+    """The inequality suite with an independent context draw for every
+    estimate, in the order and with the rows and bands of
+    ``banditlab.diag.lemma_suite``."""
+    rng = make_generator(rng)
+    spec = artifacts.spec
+    K = spec.num_arms
+    checks = []
+
+    b = envmod.approximation_error_b(spec, num_mc, rng)
+    B = envmod.worst_case_error_B(spec, num_mc, rng)
+    tol_lo = 3.0 * math.hypot(b.se, B.se)
+    checks.append(LemmaCheck("error_ordering_lower", None, b.mc, B.mc + tol_lo,
+                             tol_lo, b.mc <= B.mc + tol_lo, "b <= B"))
+    tol_hi = 3.0 * math.hypot(B.se, K * b.se)
+    checks.append(LemmaCheck("error_ordering_upper", None, B.mc, K * b.mc + tol_hi,
+                             tol_hi, B.mc <= K * b.mc + tol_hi, "B <= K*b"))
+
+    pi_best = induced_policy(envmod.best_linear_fit_uniform(spec), "best_fit")
+    reg_best = policy_regret(spec, pi_best, spec, num_mc, rng)
+    bound = 2.0 * math.sqrt(max(B.mc, 0.0))
+    checks.append(LemmaCheck("best_fit_policy_regret", None, reg_best.value,
+                             bound + 3.0 * reg_best.se, reg_best.se,
+                             reg_best.value <= bound + 3.0 * reg_best.se,
+                             "Reg(pi_bestfit) <= 2*sqrt(B)"))
+
+    for m, (model, gamma) in enumerate(zip(artifacts.models, artifacts.gammas), start=1):
+        if m == 1:
+            continue
+        est = kernel_estimated_regret(spec, model, gamma, num_mc, rng)
+        rhs = K / gamma + 3.0 * est.se
+        checks.append(LemmaCheck("kernel_estimated_regret", m, est.value, rhs,
+                                 est.se, est.value <= rhs, "<= K/gamma"))
+
+        def kernel_fn(xs, _model=model, _gamma=gamma):
+            return kernel_prob_matrix(_model, xs, _gamma)
+
+        V = decisional_divergence(spec, kernel_fn, pi_best, num_mc, rng)
+        gap = mean_model_gap(spec, model, pi_best, num_mc, rng)
+        band = 3.0 * math.hypot(V.se, abs(gamma) * gap.se)
+        lo, hi = gamma * gap.value, K + gamma * gap.value
+        checks.append(LemmaCheck("divergence_sandwich", m, V.value, hi + band, band,
+                                 lo - band <= V.value <= hi + band,
+                                 f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]"))
+
+        V_self = decisional_divergence(spec, kernel_fn, induced_policy(model), num_mc, rng)
+        checks.append(LemmaCheck("divergence_self", m, V_self.value,
+                                 K + 3.0 * V_self.se, V_self.se,
+                                 V_self.value <= K + 3.0 * V_self.se, "V(p, pi_p) <= K"))
+
+        true_reg = kernel_true_regret(spec, model, gamma, num_mc, rng)
+        trend = K / gamma + math.sqrt(max(K * B.mc, 0.0))
+        if artifacts.epsilon:
+            trend = K / gamma + math.sqrt(
+                max(K * B.mc, 0.0) / math.sqrt(artifacts.epsilon ** artifacts.rho))
+        ratio = true_reg.value / trend if trend > 0 else float("nan")
+        checks.append(LemmaCheck("true_regret_trend", m, true_reg.value, trend,
+                                 true_reg.se, True,
+                                 f"ratio {ratio:.3f} logged only; constants unknown"))
+    return checks

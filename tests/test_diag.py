@@ -5,11 +5,16 @@ import pytest
 
 from banditlab.diag import (MCEstimate, RunArtifacts, constant_policy,
                             decisional_divergence, induced_policy,
-                            kernel_estimated_regret, lemma_suite, mean_model_gap,
-                            model_mse, optimal_policy, policy_regret, policy_value)
-from banditlab.env import EnvSpec, approximation_error_b, best_linear_fit_uniform
+                            kernel_estimated_regret, kernel_true_regret, lemma_suite,
+                            mean_model_gap, model_mse, optimal_policy, policy_regret,
+                            policy_value)
+from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
+                           worst_case_error_B)
 from banditlab.falcon import kernel_prob_matrix
+from banditlab.harness import RunConfig, run_one
 from banditlab.linmodel import LinearModel
+
+from oracles import lemma_suite_independent
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -159,7 +164,6 @@ class TestModelDriftGuard:
         # matched seeds, horizon mid-epoch on purpose: the guarded agent's
         # last fitted model stays nearer the population fit than the
         # unconstrained variant's
-        from banditlab.harness import RunConfig, run_one
         T = 50_000
         guarded = RunConfig(env=SENS, agent="epsilon_falcon", epsilon=0.1,
                             delta=0.1, horizon=T, mc_samples=5_000)
@@ -206,3 +210,69 @@ class TestLemmaSuite:
         assert trend[0].passed
         assert "logged only" in trend[0].note
         assert trend[0].lhs > trend[0].rhs  # regret above the trend reference
+
+
+# Artifacts shaped like the benchmark's ``falcon_run`` (epsilon-FALCON,
+# sensitivity family) at a small horizon, and a run with K = 3, d = 2.
+FALCON_RUN_ARTS = run_one(RunConfig(env=SENS, horizon=512), 0, with_lemmas=False).artifacts
+REAL_ARTS = run_one(RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2,
+                                          seed=4), horizon=300), 1, with_lemmas=False).artifacts
+
+
+class TestSharedSampleSuite:
+    @pytest.mark.parametrize("arts", [FALCON_RUN_ARTS, REAL_ARTS], ids=["sens", "real_k3_d2"])
+    def test_rows_equal_public_estimators_on_the_same_contexts(self, arts):
+        # each public estimator, seeded like the suite, draws the suite's
+        # one sample; its matrix helper must then give the row's value
+        spec, n, seed = arts.spec, 3_000, 31
+        checks = lemma_suite(arts, n, rng=seed)
+        rows = {(c.name, c.epoch): c for c in checks}
+        assert len(rows) == len(checks) == 3 + 4 * (len(arts.models) - 1)
+        assert rows["error_ordering_lower", None].lhs == approximation_error_b(spec, n, seed).mc
+        assert rows["error_ordering_upper", None].lhs == worst_case_error_B(spec, n, seed).mc
+        pi_best = induced_policy(best_linear_fit_uniform(spec))
+        assert rows["best_fit_policy_regret", None].lhs == \
+            policy_regret(spec, pi_best, spec, n, seed).value
+        K = spec.num_arms
+        for m, (model, gamma) in enumerate(zip(arts.models, arts.gammas), start=1):
+            if m == 1:
+                continue
+            kernel_fn = lambda xs, model=model, gamma=gamma: kernel_prob_matrix(model, xs, gamma)
+            est = kernel_estimated_regret(spec, model, gamma, n, seed)
+            assert (rows["kernel_estimated_regret", m].lhs,
+                    rows["kernel_estimated_regret", m].rhs) == (est.value, K / gamma + 3 * est.se)
+            V = decisional_divergence(spec, kernel_fn, pi_best, n, seed)
+            gap = mean_model_gap(spec, model, pi_best, n, seed)
+            band = 3 * math.hypot(V.se, gamma * gap.se)
+            assert (rows["divergence_sandwich", m].lhs, rows["divergence_sandwich", m].rhs) == \
+                (V.value, K + gamma * gap.value + band)
+            assert rows["divergence_self", m].lhs == \
+                decisional_divergence(spec, kernel_fn, induced_policy(model), n, seed).value
+            assert rows["true_regret_trend", m].lhs == \
+                kernel_true_regret(spec, model, gamma, n, seed).value
+
+    # The suite draws one context sample for all its checks; until it did,
+    # each check drew its own.  Each check's lhs has the same distribution
+    # either way, so over R suites a side on disjoint seeds, Welch's z on
+    # each row's mean stays inside the bound.  Rows whose lhs is the same
+    # on every run (zero variance on both sides) must agree exactly.
+    SUITE_REPS, SUITE_Z_BOUND, SUITE_MC = 40, 4.0, 2_000
+
+    def test_matches_independent_draw_suite_in_distribution(self):
+        shared = [lemma_suite(FALCON_RUN_ARTS, self.SUITE_MC, rng=seed)
+                  for seed in range(self.SUITE_REPS)]
+        independent = [lemma_suite_independent(FALCON_RUN_ARTS, self.SUITE_MC, rng=seed)
+                       for seed in range(1000, 1000 + self.SUITE_REPS)]
+        keys = [(c.name, c.epoch) for c in shared[0]]
+        assert all([(c.name, c.epoch) for c in run] == keys for run in shared + independent)
+        assert len(keys) == 3 + 4 * 7
+        for i, key in enumerate(keys):
+            a = np.array([run[i].lhs for run in shared])
+            b = np.array([run[i].lhs for run in independent])
+            var = a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b)
+            if var == 0.0:
+                assert a[0] == b[0], key
+                continue
+            z = (a.mean() - b.mean()) / math.sqrt(var)
+            assert abs(z) < self.SUITE_Z_BOUND, (key, z, a.mean(), b.mean())
+        assert all(c.passed for run in shared for c in run)

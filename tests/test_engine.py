@@ -1,8 +1,8 @@
 """The block engine in ``harness.run_one`` against the round-by-round
 reference simulator in ``oracles``: every trace column, the noisy regret
 total, every epoch's model and LinUCB's final statistics must be equal bit
-for bit, and the values each stream draws and the trace files of a few
-small runs have pinned digests."""
+for bit, and the values each stream draws, the trace files of a few small
+runs and the lemma report of one have pinned digests."""
 
 import hashlib
 
@@ -13,7 +13,7 @@ from banditlab import harness
 from banditlab.diag import RegretTrace
 from banditlab.env import Environment, EnvSpec, make_generator
 from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
-from banditlab.harness import RunConfig, run_one, write_trace_csv
+from banditlab.harness import RunConfig, run_one, write_lemmas_csv, write_trace_csv
 
 from oracles import InterleavedEnvironment, simulate_per_round, write_trace_rows
 
@@ -181,6 +181,22 @@ def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256
+
+
+# The inequality suite draws one context sample from the diagnostics stream
+# for all its checks.  Its report also involves GEMM predictions, so like
+# the trace digests it is tied to the numpy/BLAS build it was taken on
+# (numpy 2.4, OpenBLAS at 1 and 2 threads).
+LEMMAS_PINNED = ("eps_falcon_sens_mid_epoch",
+                 "a5f7bb17613a80fcead41db9aa04e448b3cb2ea52c030c2c7e8d2747cb25b85e")
+
+
+def test_lemma_report_digest_pinned(tmp_path):
+    label, lemmas_sha256 = LEMMAS_PINNED
+    _, config, seed = next(g for g in GRID if g[0] == label)
+    path = tmp_path / "lemmas.csv"
+    write_lemmas_csv(run_one(config, seed).lemma_report, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == lemmas_sha256
 
 
 # Contexts and noise come from two child streams of the environment's seed;

@@ -6,7 +6,7 @@ import pytest
 from banditlab.env import (Environment, EnvSpec, InvalidArmError,
                            approximation_error_b, best_linear_fit_uniform,
                            mean_reward, mean_reward_matrix, optimal_actions,
-                           optimal_policy_action, worst_case_error_B)
+                           worst_case_error_B)
 
 from oracles import lstsq_line, simpson
 
@@ -262,12 +262,10 @@ class TestWorstCaseError:
 
 class TestOptimalPolicy:
     def test_step_threshold(self):
-        assert optimal_policy_action(STEP, 0.7) == 1
-        assert optimal_policy_action(STEP, 0.3) == 2
+        assert optimal_actions(STEP, [0.7, 0.3]).tolist() == [1, 2]
 
     def test_sensitivity_high_segment(self):
-        assert optimal_policy_action(SENS, 0.97) == 1
-        assert optimal_policy_action(SENS, 0.6) == 2
+        assert optimal_actions(SENS, [0.97, 0.6]).tolist() == [1, 2]
 
     def test_best_fit_policy_matches_optimal_policy(self):
         # the misspecified fit still induces the optimal threshold policy

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from banditlab import linmodel
+from banditlab import falcon, linmodel
+from banditlab.env import EnvSpec
+from banditlab.harness import RunConfig, run_one
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
                                 InfeasibleConstraintError, InvalidArmError,
                                 LinearModel, _moment_nsse, constrained_fit, featurize,
-                                fit_ols, fit_weighted, normalized_sse, sse)
+                                fit_ols, fit_weighted, normalized_sse, row_max_argmax, sse)
 
 from oracles import fit_rowweighted_rows, grid_search_constrained
 
@@ -87,6 +90,26 @@ class TestPredict:
             phi = np.concatenate(([1.0], np.atleast_1d(xs[i])))
             assert rows[i].tobytes() == model.predict_all(xs[i]).tobytes()
             assert rows[i].tobytes() == (model.weights @ phi).tobytes()
+
+
+# values from a small pool tie often within a row, signed zeros included;
+# the rest are any finite doubles
+ROW_VALUES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestRowMaxArgmax:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda K: hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 12), st.just(K)), elements=ROW_VALUES)))
+    def test_equals_numpy_max_and_argmax(self, values):
+        top, best = row_max_argmax(values)
+        assert top.tolist() == np.max(values, axis=1).tolist()
+        assert best.tolist() == np.argmax(values, axis=1).tolist()
+
+    def test_ties_go_to_the_first_column(self):
+        top, best = row_max_argmax(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0]]))
+        assert top.tolist() == [1.0, 2.0, 3.0] and best.tolist() == [0, 1, 0]
 
 
 class TestFitOls:
@@ -174,6 +197,28 @@ class TestExtend:
             block.extend([0.2, 0.5, 0.7], [2, bad, 1], [1.0, 1.0, 1.0])
         # nothing of a rejected block is stored
         assert len(block) == 1 and block.arms == [1]
+
+
+    @pytest.mark.parametrize("bad", [1.7, 2.9, float("nan"), float("inf"), True, np.True_],
+                             ids=["float", "float_up", "nan", "inf", "bool", "numpy_bool"])
+    def test_non_integral_or_bool_arm_rejected(self, bad):
+        rows = DataBatch(3)
+        with pytest.raises(InvalidArmError):
+            rows.append(0.5, bad, 1.0)
+        block = DataBatch(3)
+        with pytest.raises(InvalidArmError):
+            block.extend([0.5], [bad], [1.0])
+        with pytest.raises(InvalidArmError):
+            block.extend([0.2, 0.5], np.array([bad, bad]), [1.0, 1.0])
+        assert len(rows) == 0 and len(block) == 0
+
+    def test_integral_arms_of_any_numeric_type_accepted(self):
+        rows = DataBatch(3)
+        for a in (1, 2.0, np.int64(3), np.float32(1.0), np.uint8(2)):
+            rows.append(0.5, a, 1.0)
+        rows.extend([0.1, 0.2], np.array([3.0, 1.0]), [0.0, 0.0])
+        assert rows.arms == [1, 2, 3, 1, 2, 3, 1]
+        assert all(type(a) is int for a in rows.arms)
 
 
 class TestSse:
@@ -314,6 +359,29 @@ def two_arm_rows(rng, pyrng, dim=1, n=12):
     return rows
 
 
+class TestBisectionStop:
+    def test_adjacent_float_endpoints_stop_the_bisection(self, monkeypatch):
+        # epoch 2 of this run has one passive row and a rank-deficient arm:
+        # the residual jumps across zero between two adjacent floats, so no
+        # multiplier meets tol.  Bisection used to run all 400 steps (402
+        # weighted fits), refitting an endpoint after it reached these values.
+        reports, fit = [], linmodel.constrained_fit
+        monkeypatch.setattr(falcon, "constrained_fit",
+                            lambda *a, **k: reports.append(fit(*a, **k)) or reports[-1])
+        config = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05),
+                           horizon=512, c1=1e-4)
+        events = run_one(config, 0, with_lemmas=False).events
+        model, report = reports[1]
+        assert events[1].m == 2 and not events[1].converged and not report.converged
+        assert report.lam == float.fromhex("0x1.30fa6e472428ep-27")  # 8.876e-09
+        assert report.constraint_residual == pytest.approx(-0.0024695144415607623, rel=1e-9)
+        np.testing.assert_allclose(
+            model.weights, [[-0.30675192342010454, 1.2683892213445318],
+                            [1.2368311547978204, -1.2095233289953249]], rtol=1e-12)
+        assert report.n_weighted_fits < 100
+        assert [ev.converged for ev in events] == [True, False] + [True] * 6
+
+
 class TestMomentLayer:
     @given(st.randoms(use_true_random=False), st.integers(0, 40), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -399,6 +467,14 @@ class TestMomentLayer:
             fit_ols(b)
         with pytest.raises(FloatingPointError):
             constrained_fit(batch(ACTIVE), ConstraintSpec(b, 0.25))
+
+
+    def test_non_finite_second_context_column_rejected(self):
+        b = DataBatch(2, 2)
+        b.extend([[0.1, 0.2], [0.3, float("nan")], [float("-inf"), 0.5]], [1, 2, 1],
+                 [0.0, 1.0, 2.0])
+        with pytest.raises(FloatingPointError, match="2 of 3 rows"):
+            b.moments()
 
 
 class TestFeaturize:
