@@ -23,7 +23,7 @@ import numpy as np
 
 from . import env as envmod
 from .env import EnvSpec, draw_contexts
-from .falcon import igw_kernel, kernel_prob_matrix
+from .falcon import igw_kernel
 from .linmodel import LinearModel, row_max_argmax
 
 
@@ -169,7 +169,7 @@ def kernel_true_regret(spec: EnvSpec, model: LinearModel, gamma: float,
     """Per-round expected regret of the kernel under the TRUTH:
     E_x[sum_a p(a|x) * (f*(x, best true arm) - f*(x, a))]."""
     xs = draw_contexts(spec, num_mc, rng)
-    return kernel_regret_from(kernel_prob_matrix(model, xs, gamma),
+    return kernel_regret_from(igw_kernel(model.predict_matrix(xs), gamma),
                               gaps_from(envmod.mean_reward_matrix(spec, xs))[0])
 
 

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import InvalidArmError, LinearModel, row_max_argmax
+from .linmodel import LinearModel, row_max_argmax
 
 STEP_FUNCTION = "step_function"
 SENSITIVITY_FAMILY = "sensitivity_family"
@@ -85,16 +85,11 @@ class EnvSpec:
             errs.append("env.theta: only valid for sensitivity_family")
         if self.num_arms < 2:
             errs.append("env.num_arms: need at least 2 arms")
-        if self.noise_sd < 0:
-            errs.append("env.noise_sd: must be >= 0")
+        if not 0.0 <= self.noise_sd < math.inf:
+            errs.append("env.noise_sd: must be finite and >= 0")
         if self.context_dim < 1:
             errs.append("env.context_dim: must be >= 1")
         return errs
-
-
-def _check_arm(spec: EnvSpec, a: int) -> None:
-    if not 1 <= int(a) <= spec.num_arms:
-        raise InvalidArmError(f"arm {a} out of range 1..{spec.num_arms}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +149,6 @@ def true_model(spec: EnvSpec) -> Optional[LinearModel]:
     if spec.kind == REALIZABLE_LINEAR:
         return LinearModel(_realizable_weights(spec))
     return None
-
-
-def mean_reward(spec: EnvSpec, x, a: int) -> float:
-    """Ground-truth mean reward for context x and arm a (1-based)."""
-    _check_arm(spec, a)
-    return float(mean_reward_matrix(spec, np.array([x], dtype=float))[0, a - 1])
 
 
 def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
@@ -251,9 +240,8 @@ def worst_case_error_B(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorE
 
 class Environment:
     """A live environment: an EnvSpec plus two private RNG streams, the
-    children of the given seed's generator: child 0 draws the contexts
-    (``sample_context``, ``draw``) and child 1 the reward noise
-    (``observe``, ``sample_reward``, ``draw``).
+    children of the given seed's generator: child 0 draws the contexts and
+    child 1 the reward noise, both through ``draw``.
 
     Immutable after construction except for the generator states.  One
     instance per simulation run; do not share a single instance across
@@ -272,12 +260,6 @@ class Environment:
     def num_arms(self) -> int:
         return self.spec.num_arms
 
-    def sample_context(self):
-        """One context ~ Unif(0,1)^d (a bare float when d == 1)."""
-        if self.spec.context_dim == 1:
-            return self.context_rng.random()
-        return self.context_rng.random(self.spec.context_dim)
-
     def _rewards(self, xs: np.ndarray, noise: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         # a linear truth is evaluated row by row, so that a round's means do
         # not depend on how many rounds are drawn together
@@ -288,33 +270,14 @@ class Environment:
             np.clip(r, 0.0, 1.0, out=r)
         return means, r
 
-    def sample_reward(self, x, a: int) -> float:
-        _check_arm(self.spec, a)
-        r = mean_reward(self.spec, x, a)
-        if self.spec.noise_sd > 0:
-            r += self.spec.noise_sd * self.noise_rng.standard_normal()
-        if self.spec.clip_rewards:
-            r = min(1.0, max(0.0, r))
-        return float(r)
-
-    def observe(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(mean rewards, noisy reward vector) at one context.
-
-        The run loop observes only the chosen entry of the noisy vector,
-        but drawing all K entries makes the realized regret sum (reward at
-        the optimal arm minus reward at the chosen arm) well defined.
-        """
-        noise = self.noise_rng.standard_normal((1, self.num_arms)) if self.spec.noise_sd > 0 else None
-        means, r = self._rewards(np.array([x], dtype=float), noise)
-        return means[0], r[0]
-
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contexts (n,) or (n, d), mean rewards (n, K) and noisy rewards
         (n, K) of the next n rounds: n contexts from the context stream and
-        n * K noises from the noise stream, the values ``sample_context``
-        and ``observe`` would draw round by round.  Each stream is consumed
-        in order, so any split of the rounds into draws gives the same
-        values."""
+        n * K noises from the noise stream.  Each stream is consumed in
+        order, so any split of the rounds into draws gives the same values.
+        A run observes only the chosen entry of each noisy row, but drawing
+        all K entries makes the realized regret sum (reward at the optimal
+        arm minus reward at the chosen arm) well defined."""
         d = self.spec.context_dim
         xs = self.context_rng.random(n if d == 1 else (n, d))
         noise = self.noise_rng.standard_normal((n, self.num_arms)) if self.spec.noise_sd > 0 else None

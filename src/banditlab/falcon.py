@@ -18,6 +18,12 @@ un-guarded variant offered as the ``falcon`` baseline.
 
 Baselines: ``LinUCBAgent`` (per-arm ridge regression with an upper
 confidence bonus, refreshed in batches) and ``UniformAgent``.
+
+Every agent is played in blocks, runs of rounds under one frozen policy:
+``block_end(t, last)`` is the last round (capped at ``last``) of the block
+that round t opens, ``act_block(t, xs, rng)`` draws the arms of rounds t,
+t+1, ... of one block, and ``record_block(t, xs, arms, rewards)`` stores
+them.  A single round is a one-row block.
 """
 
 from __future__ import annotations
@@ -139,11 +145,6 @@ def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
     return probs
 
 
-def kernel_prob_matrix(model: LinearModel, xs, gamma: float) -> np.ndarray:
-    """(n, K) kernel probabilities from ``predict_matrix`` (diagnostics)."""
-    return igw_kernel(model.predict_matrix(xs), gamma)
-
-
 def sample_kernel(probs: np.ndarray, rng) -> np.ndarray:
     """One arm (1-based) per row of ``probs``: the first arm whose cumulative
     probability exceeds one uniform draw per row, else arm K.  Cumulative
@@ -183,20 +184,7 @@ class EpochEvent:
     mse_to_best_fit: float = float("nan")  # filled by the harness
 
 
-class BlockAgent:
-    """A block is a run of rounds under one frozen policy: ``block_end(t,
-    last)`` is the last round (capped at ``last``) of the block round t
-    opens, ``act_block``/``record_block`` play rounds t, t+1, ... of one
-    block, and ``act``/``record`` play a single round."""
-
-    def act(self, t: int, x, rng) -> int:
-        return int(self.act_block(t, [x], rng)[0])
-
-    def record(self, t: int, x, a: int, r: float):
-        return self.record_block(t, [x], [a], [r])
-
-
-class EpsilonFalconAgent(BlockAgent):
+class EpsilonFalconAgent:
     """Epoch state machine: kernel sampling, phase bookkeeping, refits.
 
     Its blocks are the active prefix and the passive suffix of each epoch.
@@ -310,7 +298,7 @@ class EpsilonFalconAgent(BlockAgent):
         return event
 
 
-class LinUCBAgent(BlockAgent):
+class LinUCBAgent:
     """Disjoint per-arm ridge regression with an upper-confidence bonus.
 
     Scores are theta_a . phi(x) + alpha_ucb * sqrt(phi' A_a^{-1} phi).  The
@@ -382,7 +370,7 @@ class LinUCBAgent(BlockAgent):
             self._since_refresh = 0
 
 
-class UniformAgent(BlockAgent):
+class UniformAgent:
     """Context-free uniform arm choice; the whole horizon is one block."""
 
     def __init__(self, num_arms: int, context_dim: int = 1):

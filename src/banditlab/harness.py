@@ -97,16 +97,21 @@ class RunConfig:
             errs.append("agent.delta: must be in (0, 0.5]")
         if self.tau1 < 4:
             errs.append("agent.tau1: must be >= 4")
-        if self.c1 <= 0 or self.c3 <= 0:
-            errs.append("agent.c1/agent.c3: must be > 0")
+        # chained comparisons with inf also reject nan, which compares false
+        if not 0.0 < self.c1 < math.inf:
+            errs.append("agent.c1: must be finite and > 0")
+        if not 0.0 < self.c3 < math.inf:
+            errs.append("agent.c3: must be finite and > 0")
         if not 0.0 < self.rho <= 1.0:
             errs.append("agent.rho: must be in (0, 1]")
-        if self.rho_prime < 0:
-            errs.append("agent.rho_prime: must be >= 0")
-        if self.comp is not None and self.comp <= 0:
-            errs.append("agent.comp: must be > 0 (or auto)")
-        if self.ridge <= 0:
-            errs.append("agent.ridge: must be > 0")
+        if not 0.0 <= self.rho_prime < math.inf:
+            errs.append("agent.rho_prime: must be finite and >= 0")
+        if self.comp is not None and not 0.0 < self.comp < math.inf:
+            errs.append("agent.comp: must be finite and > 0 (or auto)")
+        if not math.isfinite(self.alpha_ucb):
+            errs.append("agent.alpha_ucb: must be finite")
+        if not 0.0 < self.ridge < math.inf:
+            errs.append("agent.ridge: must be finite and > 0")
         if self.batch_size < 1:
             errs.append("agent.batch_size: must be >= 1")
         if self.horizon < 1:
@@ -438,9 +443,6 @@ class CompareRow:
 @dataclass
 class CompareTable:
     rows: list[CompareRow]
-
-    def column(self, config_index: int) -> list[float]:
-        return [row.cum_mean for row in self.rows if row.config_index == config_index]
 
     def format_text(self) -> str:
         cps = sorted({r.checkpoint for r in self.rows})

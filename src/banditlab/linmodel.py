@@ -21,8 +21,7 @@ b_a = Phi_a' r_a, r_a' r_a, n_a)`` that each ``DataBatch`` folds in one
 vectorized pass and caches until its next append, so each dual evaluation
 costs O(K p^3) whatever the row count.  The oracle's normalized SSE is
 ``max(0, sum_a w_a' G_a w_a - 2 w_a' b_a + r_a' r_a) / n``: the clamp absorbs
-rounding on exactly interpolated data.  ``sse`` and ``normalized_sse`` keep
-the row-by-row definition.
+rounding on exactly interpolated data.
 
 All sums of squares are NORMALIZED (divided by the row count).  The
 unnormalized convention is recovered by scaling ``slack`` by the passive
@@ -98,25 +97,13 @@ class LinearModel:
     def context_dim(self) -> int:
         return self.weights.shape[1] - 1
 
-    @property
-    def param_count(self) -> int:
-        return self.weights.size
-
     @staticmethod
     def zeros(num_arms: int, context_dim: int = 1) -> "LinearModel":
         return LinearModel(np.zeros((num_arms, context_dim + 1)))
 
-    def predict(self, x, a: int) -> float:
-        if not 1 <= int(a) <= self.num_arms:
-            raise InvalidArmError(f"arm {a} out of range 1..{self.num_arms}")
-        return float(self.weights[a - 1] @ featurize([x], self.context_dim)[0])
-
-    def predict_all(self, x) -> np.ndarray:
-        """All K predictions at one context."""
-        return self.predict_rows(np.reshape(x, (1, self.context_dim)))[0]
-
     def predict_rows(self, xs) -> np.ndarray:
-        """(n, K) predictions, row i bit-equal to ``predict_all(xs[i])``."""
+        """(n, K) predictions, row i bit-equal to ``weights @ phi(xs[i])``,
+        so a row does not depend on how many rows are predicted together."""
         return rowwise_predict(self.weights, featurize(xs, self.context_dim))
 
     def predict_matrix(self, xs) -> np.ndarray:
@@ -124,15 +111,9 @@ class LinearModel:
         differ from ``predict_rows`` in the last bits)."""
         return featurize(xs, self.context_dim) @ self.weights.T
 
-    def induced_action(self, x) -> int:
-        """argmax arm under this model; ties go to the lowest index."""
-        return int(np.argmax(self.predict_all(x))) + 1
-
     def induced_actions(self, xs) -> np.ndarray:
+        """argmax arm (1-based) per context; ties go to the lowest index."""
         return row_max_argmax(self.predict_matrix(xs))[1] + 1
-
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(), self.ridge_fallback)
 
 
 class DataBatch:
@@ -159,11 +140,15 @@ class DataBatch:
     def extend(self, xs, arms, rewards) -> None:
         """Append many rows at once; raises InvalidArmError, appending
         nothing, unless every arm is an integer in 1..K (a bool is not)."""
+        # numpy casts the bools of a sequence that mixes them with ints to ints
+        bools = [] if isinstance(arms, np.ndarray) else \
+            [a for a in arms if isinstance(a, (bool, np.bool_))]
         arms = np.asarray(arms)
         bad = arms if arms.dtype.kind not in "iuf" else \
             arms[(arms < 1) | (arms > self.num_arms) | (arms != np.floor(arms))]
-        if bad.size:
-            raise InvalidArmError(f"arm {bad.flat[0]} is not an integer in 1..{self.num_arms}")
+        if bools or bad.size:
+            raise InvalidArmError(f"arm {(bools or bad.flat)[0]} is not an integer "
+                                  f"in 1..{self.num_arms}")
         self.xs.extend(np.asarray(xs, dtype=float).tolist())
         self.arms.extend(arms.astype(np.int64).tolist())
         self.rewards.extend(np.asarray(rewards, dtype=float).tolist())
@@ -256,24 +241,9 @@ def fit_weighted(active: DataBatch, passive: DataBatch, lam: float) -> LinearMod
     return _fit_rowweighted(parts, active.num_arms, active.context_dim)
 
 
-def sse(model: LinearModel, batch: DataBatch) -> float:
-    """Sum of squared residuals; 0 on an empty batch."""
-    if len(batch) == 0:
-        return 0.0
-    Phi, arms, r = batch.as_arrays()
-    preds = (Phi @ model.weights.T)[np.arange(len(batch)), arms - 1]
-    return float(np.sum((preds - r) ** 2))
-
-
-def normalized_sse(model: LinearModel, batch: DataBatch) -> float:
-    if len(batch) == 0:
-        return 0.0
-    return sse(model, batch) / len(batch)
-
-
 def _moment_nsse(model: LinearModel, batch: DataBatch) -> float:
-    """``normalized_sse`` from the batch's cached moments, clamped at 0
-    (0 on an empty batch)."""
+    """Normalized SSE (squared residuals summed, over the row count) from
+    the batch's cached moments, clamped at 0 (0 on an empty batch)."""
     G, b, yy, _ = batch.moments()
     W = model.weights
     total = np.einsum("ai,aij,aj->", W, G, W) - 2.0 * np.einsum("ai,ai->", W, b) + yy.sum()
@@ -302,8 +272,8 @@ class DualReport:
     constraint ended up, and the primal/dual objective values."""
 
     lam: float
-    constraint_residual: float  # normalized_sse(passive) - alpha - slack
-    primal_objective: float     # normalized_sse(active)
+    constraint_residual: float  # normalized SSE(passive) - alpha - slack
+    primal_objective: float     # normalized SSE(active)
     dual_objective: float
     duality_gap: float
     alpha: float
@@ -321,7 +291,7 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
     passive budget it is returned with lambda = 0.  Otherwise the optimal
     multiplier is bracketed by doubling and then located by bisection on the
     sign of the dual's derivative, which at the weighted fit f(lambda)
-    equals the constraint residual normalized_sse(f, passive) - alpha -
+    equals the constraint residual normalized SSE(f, passive) - alpha -
     slack.  Bisection keeps the feasible endpoint, so the returned model
     always satisfies the budget; it stops once that endpoint is within
     ``tol`` of tightness and the lambda interval is below ``lambda_tol``,

@@ -5,12 +5,12 @@ done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
 large samples, the constrained problem by brute-force grid search,
 row-weighted fits by rebuilding every arm's design from the raw rows, epochs
 by walking the doubling schedule, and whole runs by a round-by-round
-simulator with its own kernel, sampler and phase bookkeeping.  An
-environment with the earlier single-stream layout (its truth surface is the
-package's) stands in for the environment when a test compares the two
-layouts in distribution.  The inequality suite as it ran before it shared
-one context sample (every check on its own draw, through the package's
-public estimators) is the reference for the shared-sample suite.
+simulator with its own kernel, sampler and phase bookkeeping, on an
+environment drawn one round at a time (its truth surface is the
+package's), in the package's stream layout or in the earlier single-stream
+one.  The inequality suite as it ran before it shared one context sample
+(every check on its own draw, through the package's public estimators) is
+the reference for the shared-sample suite.
 """
 
 import math
@@ -21,8 +21,8 @@ from banditlab import env as envmod
 from banditlab.diag import (LemmaCheck, decisional_divergence, induced_policy,
                             kernel_estimated_regret, kernel_true_regret, mean_model_gap,
                             policy_regret)
-from banditlab.env import make_generator, mean_reward_matrix
-from banditlab.falcon import kernel_prob_matrix
+from banditlab.env import Environment, make_generator, mean_reward_matrix, true_model
+from banditlab.falcon import igw_kernel
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -178,40 +178,75 @@ def sample_scalar(probs: np.ndarray, rng) -> int:
     return len(probs)
 
 
-class InterleavedEnvironment:
-    """An environment on one Philox stream that every round draws from
-    twice, its context with ``random()`` and then its K noises with
-    ``standard_normal(K)``: the layout ``banditlab.env.Environment`` had
-    before contexts and noise got child streams of their own."""
+def sse(model, batch) -> float:
+    """Sum of squared residuals, row by row; 0 on an empty batch."""
+    Phi, arms, r = batch.as_arrays()
+    return float(np.sum(((Phi @ model.weights.T)[np.arange(len(r)), arms - 1] - r) ** 2))
 
-    def __init__(self, spec, seed):
-        self.spec = spec
-        self.num_arms = spec.num_arms
-        self.rng = np.random.Generator(np.random.Philox(seed))
+
+def normalized_sse(model, batch) -> float:
+    return sse(model, batch) / max(len(batch), 1)
+
+
+class PerRoundEnvironment:
+    """An environment drawn one round at a time: a context from
+    ``context_rng`` (``random()``, or ``random(d)`` when d > 1), then from
+    ``noise_rng`` all K noises of the round (``observe``, one
+    ``standard_normal(K)``) or the chosen arm's (``sample_reward``, one
+    ``standard_normal()``).  On an ``Environment``'s two children
+    (``per_round``) it draws what ``Environment.draw`` draws; given one
+    generator as both, it is the single-stream layout the package had before
+    contexts and noise got child streams of their own.  A linear truth is
+    evaluated as ``weights @ phi``."""
+
+    def __init__(self, spec, context_rng, noise_rng):
+        self.spec, self.num_arms = spec, spec.num_arms
+        self.context_rng, self.noise_rng = context_rng, noise_rng
+        self.truth = true_model(spec)
 
     def sample_context(self):
         d = self.spec.context_dim
-        return self.rng.random() if d == 1 else self.rng.random(d)
+        return self.context_rng.random() if d == 1 else self.context_rng.random(d)
+
+    def means(self, x) -> np.ndarray:
+        if self.truth is None:
+            return mean_reward_matrix(self.spec, np.array([x], dtype=float))[0]
+        return self.truth.weights @ np.concatenate(([1.0], np.atleast_1d(x)))
 
     def observe(self, x):
-        means = mean_reward_matrix(self.spec, np.array([x], dtype=float))[0]
+        """(mean rewards, noisy reward vector) at one context."""
+        means = self.means(x)
         rewards = means.copy()
         if self.spec.noise_sd > 0:
-            rewards += self.spec.noise_sd * self.rng.standard_normal(self.num_arms)
+            rewards += self.spec.noise_sd * self.noise_rng.standard_normal(self.num_arms)
         if self.spec.clip_rewards:
             np.clip(rewards, 0.0, 1.0, out=rewards)
         return means, rewards
+
+    def sample_reward(self, x, a: int) -> float:
+        """The noisy reward of arm a (1-based) at one context."""
+        r = float(self.means(x)[a - 1])
+        if self.spec.noise_sd > 0:
+            r += self.spec.noise_sd * self.noise_rng.standard_normal()
+        return float(min(1.0, max(0.0, r)) if self.spec.clip_rewards else r)
+
+
+def per_round(spec, seed) -> PerRoundEnvironment:
+    """The per-round view of ``Environment(spec, seed)``'s two streams."""
+    env = Environment(spec, seed=seed)
+    return PerRoundEnvironment(spec, env.context_rng, env.noise_rng)
 
 
 def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
     """Round-by-round reference run of an agent from ``banditlab.falcon``.
 
-    Every round draws its context with ``env.sample_context`` and its reward
-    vector with ``env.observe``.  The decisions are made here: the epoch
-    and phase from the doubling walk and the passive count
-    ceil(epsilon * epoch length), kernel arms by ``igw_kernel_one`` and
-    ``sample_scalar``, passive and uniform arms by ``rng.integers(K)``,
-    LinUCB arms from the agent's current theta and G^-1.  Only the model
+    ``env`` is a ``PerRoundEnvironment``: every round draws its context with
+    ``env.sample_context`` and its reward vector with ``env.observe``.  The
+    decisions are made here: the epoch and phase from the doubling walk and
+    the passive count ceil(epsilon * epoch length), kernel arms by
+    ``igw_kernel_one`` and ``sample_scalar``, passive and uniform arms by
+    ``rng.integers(K)``, LinUCB arms from the agent's current theta and
+    G^-1.  Only the model
     updates are the agent's: FALCON rows go to its batches by ``append``
     and ``end_of_epoch_update`` runs at each boundary; LinUCB's rank-one
     updates are accumulated here into the agent's G and bvec and its
@@ -316,7 +351,7 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
                                  est.se, est.value <= rhs, "<= K/gamma"))
 
         def kernel_fn(xs, _model=model, _gamma=gamma):
-            return kernel_prob_matrix(_model, xs, _gamma)
+            return igw_kernel(_model.predict_matrix(xs), _gamma)
 
         V = decisional_divergence(spec, kernel_fn, pi_best, num_mc, rng)
         gap = mean_model_gap(spec, model, pi_best, num_mc, rng)

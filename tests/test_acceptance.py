@@ -13,14 +13,13 @@ import pytest
 from banditlab.diag import (decisional_divergence, induced_policy,
                             kernel_estimated_regret, mean_model_gap, model_mse,
                             policy_regret)
-from banditlab.env import (Environment, EnvSpec, approximation_error_b,
-                           best_linear_fit_uniform, worst_case_error_B)
-from banditlab.falcon import kernel_prob_matrix, tune_epsilon
+from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
+                           worst_case_error_B)
+from banditlab.falcon import igw_kernel, tune_epsilon
 from banditlab.harness import RunConfig, run_one, run_suite
-from banditlab.linmodel import (ConstraintSpec, DataBatch, constrained_fit,
-                                fit_ols, normalized_sse)
+from banditlab.linmodel import ConstraintSpec, DataBatch, constrained_fit, fit_ols
 
-from oracles import grid_search_constrained
+from oracles import grid_search_constrained, normalized_sse, per_round
 
 SENS05 = EnvSpec(kind="sensitivity_family", theta=0.05)
 B_SENS05 = 0.01649615625  # closed-form approximation error at theta = 0.05
@@ -42,12 +41,12 @@ def test_criterion_1_adaptive_sampling_pathology():
     """Data collected by the best-fit policy makes the unconstrained fit
     collapse to 'arm 1 is always worth 1', whose policy has regret >= 0.42."""
     spec = EnvSpec(kind="sensitivity_family", theta=0.05, noise_sd=0.0)
-    env = Environment(spec, seed=1)
+    env = per_round(spec, 1)
     pi = best_linear_fit_uniform(spec)
     batch = DataBatch(2)
     for _ in range(20_000):
         x = env.sample_context()
-        a = pi.induced_action(x)
+        a = int(pi.induced_actions([x])[0])
         batch.append(x, a, env.sample_reward(x, a))
     erm = fit_ols(batch)
     w = erm.weights[0]
@@ -119,7 +118,7 @@ def test_criterion_4_kernel_invariants_and_estimated_regret(sens_run_eps01):
         if m == 1:
             continue
         xs = rng.random(10_000)
-        probs = kernel_prob_matrix(model, xs, gamma)
+        probs = igw_kernel(model.predict_matrix(xs), gamma)
         sums = probs.sum(axis=1)
         worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
         ok &= np.all(np.abs(sums - 1.0) <= 1e-12)
@@ -204,7 +203,7 @@ def test_criterion_8_divergence_sandwich():
         target = LinearModel(rng.uniform(0, 1, (2, 2)))
         gamma = float(rng.uniform(0.5, 50))
         pi = induced_policy(target)
-        kernel_fn = lambda xs, m=model, g=gamma: kernel_prob_matrix(m, xs, g)
+        kernel_fn = lambda xs, m=model, g=gamma: igw_kernel(m.predict_matrix(xs), g)
         V = decisional_divergence(spec, kernel_fn, pi, 20_000, rng=rng)
         gap = mean_model_gap(spec, model, pi, 20_000, rng=rng)
         band = 3 * math.hypot(V.se, gamma * gap.se)

@@ -34,10 +34,14 @@ class TestRunVerb:
         stored = load_config(os.path.join(out, "config.txt"))
         assert stored.base_seed == 99
 
-    def test_invalid_config_exits_one(self, tmp_path):
+    def test_invalid_config_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("env.kind = step_function\nagent.epsilon = 0.9\n")
-        assert main(["run", "--config", str(bad)]) == 1
+        for text, key in (("env.kind = step_function\nagent.epsilon = 0.9\n", "agent.epsilon"),
+                          ("env.kind = sensitivity_family\nenv.theta = 0.05\nagent.c3 = inf\n",
+                           "agent.c3")):
+            bad.write_text(text)
+            assert main(["run", "--config", str(bad)]) == 1
+            assert key in capsys.readouterr().err
 
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1

@@ -10,7 +10,7 @@ from banditlab.diag import (MCEstimate, RunArtifacts, constant_policy,
                             policy_value)
 from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
                            worst_case_error_B)
-from banditlab.falcon import kernel_prob_matrix
+from banditlab.falcon import igw_kernel
 from banditlab.harness import RunConfig, run_one
 from banditlab.linmodel import LinearModel
 
@@ -89,7 +89,7 @@ class TestDecisionalDivergence:
             model = LinearModel(rng.uniform(0, 1, (3, 2)))
             gamma = float(rng.uniform(0.5, 50))
             est = decisional_divergence(
-                spec, lambda xs, m=model, g=gamma: kernel_prob_matrix(m, xs, g),
+                spec, lambda xs, m=model, g=gamma: igw_kernel(m.predict_matrix(xs), g),
                 induced_policy(model), 20_000, rng=12)
             assert est.value <= 3.0 + 3 * est.se
 
@@ -101,7 +101,7 @@ class TestDecisionalDivergence:
             target = LinearModel(rng.uniform(0, 1, (2, 2)))
             gamma = float(rng.uniform(0.5, 30))
             pi = induced_policy(target)
-            kernel_fn = lambda xs, m=model, g=gamma: kernel_prob_matrix(m, xs, g)
+            kernel_fn = lambda xs, m=model, g=gamma: igw_kernel(m.predict_matrix(xs), g)
             V = decisional_divergence(spec, kernel_fn, pi, 50_000, rng=14)
             gap = mean_model_gap(spec, model, pi, 50_000, rng=15)
             band = 3 * math.hypot(V.se, gamma * gap.se)
@@ -237,7 +237,7 @@ class TestSharedSampleSuite:
         for m, (model, gamma) in enumerate(zip(arts.models, arts.gammas), start=1):
             if m == 1:
                 continue
-            kernel_fn = lambda xs, model=model, gamma=gamma: kernel_prob_matrix(model, xs, gamma)
+            kernel_fn = lambda xs, m=model, g=gamma: igw_kernel(m.predict_matrix(xs), g)
             est = kernel_estimated_regret(spec, model, gamma, n, seed)
             assert (rows["kernel_estimated_regret", m].lhs,
                     rows["kernel_estimated_regret", m].rhs) == (est.value, K / gamma + 3 * est.se)

@@ -15,7 +15,7 @@ from banditlab.env import Environment, EnvSpec, make_generator
 from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
 from banditlab.harness import RunConfig, run_one, write_lemmas_csv, write_trace_csv
 
-from oracles import InterleavedEnvironment, simulate_per_round, write_trace_rows
+from oracles import PerRoundEnvironment, per_round, simulate_per_round, write_trace_rows
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -54,7 +54,7 @@ GRID = [
 def reference(config, seed):
     env_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
     agent = harness.build_agent(config)
-    out = simulate_per_round(Environment(config.env, seed=env_ss), agent,
+    out = simulate_per_round(per_round(config.env, env_ss), agent,
                              make_generator(agent_ss), config.horizon, config.tau1)
     return out, agent
 
@@ -218,7 +218,8 @@ def test_child_stream_layout_matches_interleaved_layout_in_distribution(label, c
     reference_final = []
     for seed in range(1000, 1000 + LAYOUT_REPS):
         env_ss, agent_ss, _ = np.random.SeedSequence(seed).spawn(3)
-        out = simulate_per_round(InterleavedEnvironment(config.env, env_ss),
+        one_stream = make_generator(env_ss)
+        out = simulate_per_round(PerRoundEnvironment(config.env, one_stream, one_stream),
                                  harness.build_agent(config), make_generator(agent_ss),
                                  config.horizon, config.tau1)
         reference_final.append(out["cum_e_regret"][-1])
@@ -261,7 +262,7 @@ class TestBlocks:
             agent.record_block(4, np.full(3, 0.5), [1, 2, 1], [0.1, 0.2, 0.3])
 
     def test_one_row_calls_equal_block_calls(self):
-        # act/record on single rounds play exactly the block calls' rounds
+        # blocks split into one-row blocks play exactly the multi-row blocks' rounds
         xs, _, rvec = Environment(SENS, seed=3).draw(8)
         a, b = EpsilonFalconAgent(2, epsilon=0.25), EpsilonFalconAgent(2, epsilon=0.25)
         ra, rb = make_generator(4), make_generator(4)
@@ -270,8 +271,9 @@ class TestBlocks:
             r = rvec[np.arange(lo, hi), arms - 1]
             a.record_block(lo + 1, xs[lo:hi], arms, r)
             for t in range(lo + 1, hi + 1):
-                assert b.act(t, xs[t - 1], rb) == arms[t - 1 - lo]
-                b.record(t, xs[t - 1], arms[t - 1 - lo], r[t - 1 - lo])
+                one = b.act_block(t, xs[t - 1:t], rb)
+                assert one.tolist() == arms[t - 1 - lo:t - lo].tolist()
+                b.record_block(t, xs[t - 1:t], one, r[t - 1 - lo:t - lo])
         assert a.m == b.m == 3
         for wa, wb in zip(a.model_history, b.model_history):
             assert wa.tobytes() == wb.tobytes()

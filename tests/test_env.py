@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from banditlab.env import (Environment, EnvSpec, InvalidArmError,
-                           approximation_error_b, best_linear_fit_uniform,
-                           mean_reward, mean_reward_matrix, optimal_actions,
+from banditlab.env import (Environment, EnvSpec, approximation_error_b,
+                           best_linear_fit_uniform, mean_reward_matrix, optimal_actions,
                            worst_case_error_B)
 
-from oracles import lstsq_line, simpson
+from oracles import lstsq_line, per_round, simpson
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
 REAL = EnvSpec(kind="realizable_linear", num_arms=2, seed=11)
+
+
+def truth_at(spec, x, a):
+    """Truth at one context and arm (1-based), from the matrix surface."""
+    return mean_reward_matrix(spec, np.array([x]))[0, a - 1]
 
 
 class TestSpecValidation:
@@ -41,40 +45,32 @@ class TestSpecValidation:
 
 class TestContexts:
     def test_first_draw_in_unit_interval(self):
-        x = Environment(STEP, seed=7).sample_context()
+        x = Environment(STEP, seed=7).draw(1)[0][0]
         assert 0.0 < x < 1.0
 
     def test_equal_seeds_identical_streams(self):
         a = Environment(STEP, seed=123)
         b = Environment(STEP, seed=123)
-        assert [a.sample_context() for _ in range(50)] == \
-               [b.sample_context() for _ in range(50)]
+        assert a.draw(50)[0].tolist() == b.draw(50)[0].tolist()
 
     def test_uniform_moments(self):
-        env = Environment(STEP, seed=0)
-        xs = np.array([env.sample_context() for _ in range(100_000)])
+        xs = Environment(STEP, seed=0).draw(100_000)[0]
         assert abs(xs.mean() - 0.5) < 0.01
 
 
 class TestMeanReward:
     def test_step_values(self):
-        assert mean_reward(STEP, 0.6, 1) == 1.0
-        assert mean_reward(STEP, 0.6, 2) == 0.5
-        assert mean_reward(STEP, 0.4, 1) == 0.0
+        assert truth_at(STEP, 0.6, 1) == 1.0
+        assert truth_at(STEP, 0.6, 2) == 0.5
+        assert truth_at(STEP, 0.4, 1) == 0.0
 
     def test_sensitivity_low_segment(self):
-        assert mean_reward(SENS, 0.2, 1) == 0.1
-        assert mean_reward(SENS, 0.96, 1) == 1.0
+        assert truth_at(SENS, 0.2, 1) == 0.1
+        assert truth_at(SENS, 0.96, 1) == 1.0
 
     def test_sensitivity_arm2_intercept(self):
         # f*(x, 2) = 1 + m*x, so the x -> 0 limit is 1
-        assert mean_reward(SENS, 1e-12, 2) == pytest.approx(1.0, abs=1e-9)
-
-    def test_invalid_arm(self):
-        with pytest.raises(InvalidArmError):
-            mean_reward(STEP, 0.5, 3)
-        with pytest.raises(InvalidArmError):
-            mean_reward(STEP, 0.5, 0)
+        assert truth_at(SENS, 1e-12, 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_rewards_bounded_all_kinds(self):
         xs = np.linspace(1e-6, 1 - 1e-6, 4001)
@@ -85,35 +81,36 @@ class TestMeanReward:
             assert m.min() >= 0.0 and m.max() <= 1.0
 
     def test_matrix_matches_scalar(self):
+        # every row of a many-context matrix equals the one-context matrix
         xs = np.array([0.1, 0.5, 0.51, 0.94, 0.96])
         m = mean_reward_matrix(SENS, xs)
         for i, x in enumerate(xs):
             for a in (1, 2):
-                assert m[i, a - 1] == pytest.approx(mean_reward(SENS, x, a))
+                assert m[i, a - 1] == pytest.approx(truth_at(SENS, x, a))
 
 
 class TestSampleReward:
     def test_zero_noise_is_exact(self):
-        env = Environment(EnvSpec(kind="step_function", noise_sd=0.0), seed=1)
+        env = per_round(EnvSpec(kind="step_function", noise_sd=0.0), 1)
         assert env.sample_reward(0.7, 1) == 1.0
         assert env.sample_reward(0.7, 2) == 0.5
 
     def test_clt_bound_on_sample_mean(self):
-        env = Environment(STEP, seed=42)
+        env = per_round(STEP, 42)
         n = 100_000
         draws = np.array([env.sample_reward(0.6, 1) for _ in range(n)])
         assert abs(draws.mean() - 1.0) < 3 * 0.1 / math.sqrt(n)
 
     def test_fixed_seed_identical_stream(self):
-        a = Environment(SENS, seed=9)
-        b = Environment(SENS, seed=9)
+        a = per_round(SENS, 9)
+        b = per_round(SENS, 9)
         ra = [a.sample_reward(0.3, 2) for _ in range(100)]
         rb = [b.sample_reward(0.3, 2) for _ in range(100)]
         assert ra == rb
 
     def test_clipping_opt_in(self):
         spec = EnvSpec(kind="step_function", noise_sd=5.0, clip_rewards=True)
-        env = Environment(spec, seed=2)
+        env = per_round(spec, 2)
         draws = [env.sample_reward(0.7, 1) for _ in range(200)]
         assert min(draws) >= 0.0 and max(draws) <= 1.0
 
@@ -128,7 +125,7 @@ class TestDraw:
     def test_draw_equals_round_by_round_stream(self, spec):
         n = 50
         xs, means, rvec = Environment(spec, seed=21).draw(n)
-        env = Environment(spec, seed=21)
+        env = per_round(spec, 21)
         for i in range(n):
             x = env.sample_context()
             m, r = env.observe(x)
@@ -279,7 +276,8 @@ class TestOptimalPolicy:
             spec = EnvSpec(kind="sensitivity_family", theta=theta)
             fit = best_linear_fit_uniform(spec)
             x = 1.0 - theta
-            assert fit.predict(x, 1) == pytest.approx(mean_reward(spec, x, 2), abs=1e-12)
+            assert fit.predict_rows([x])[0, 0] == pytest.approx(truth_at(spec, x, 2),
+                                                               abs=1e-12)
 
 
 class TestRealizableDesign:
@@ -292,9 +290,7 @@ class TestRealizableDesign:
 
     def test_multidim_contexts(self):
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=4, seed=2)
-        env = Environment(spec, seed=0)
-        x = env.sample_context()
-        assert x.shape == (4,)
-        means, _ = env.observe(x)
-        assert means.shape == (3,)
+        xs, means, _ = Environment(spec, seed=0).draw(1)
+        assert xs[0].shape == (4,)
+        assert means[0].shape == (3,)
         assert 0.0 <= means.min() and means.max() <= 1.0

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditlab.env import Environment, EnvSpec, best_linear_fit_uniform
+from banditlab.env import EnvSpec, best_linear_fit_uniform
 from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
                               InvalidConfidenceError, LinUCBAgent, RateParams,
                               SequencingError, UniformAgent, gamma_for_epoch,
-                              igw_kernel, kernel_prob_matrix,
-                              sample_kernel, tune_epsilon)
+                              igw_kernel, sample_kernel, tune_epsilon)
 from banditlab.harness import RunConfig, build_agent
-from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel,
-                                constrained_fit, fit_ols, normalized_sse)
+from banditlab.linmodel import ConstraintSpec, DataBatch, LinearModel, constrained_fit, fit_ols
 
-from oracles import epoch_of_walk, epochs_by_walk, igw_kernel_one, sample_scalar
+from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, normalized_sse,
+                     per_round, sample_scalar)
 
 RATES = RateParams.linear_preset(2, 1, delta=0.1)
 SCHED = EpochSchedule(4)
@@ -24,6 +23,14 @@ SCHED = EpochSchedule(4)
 
 def rng_of(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def play(agent, t, x, rng, env):
+    """One round as a one-row block: the arm, and the reward recorded for it."""
+    a = int(agent.act_block(t, [x], rng)[0])
+    r = env.sample_reward(x, a)
+    agent.record_block(t, [x], [a], [r])
+    return a, r
 
 
 def kernel_at(model, x, gamma):
@@ -150,7 +157,7 @@ class TestActionKernel:
         rng = np.random.default_rng(5)
         model = LinearModel(rng.uniform(-1, 1, (3, 2)))
         xs = rng.random(50)
-        mat = kernel_prob_matrix(model, xs, 7.0)
+        mat = igw_kernel(model.predict_matrix(xs), 7.0)
         for i, x in enumerate(xs):
             np.testing.assert_allclose(mat[i], kernel_at(model, x, 7.0)[0], atol=1e-14)
 
@@ -208,9 +215,7 @@ class TestTuneEpsilon:
 
 def play_epoch(agent, env, rng, t_start, t_end):
     for t in range(t_start, t_end + 1):
-        x = env.sample_context()
-        a = agent.act(t, x, rng)
-        agent.record(t, x, a, env.sample_reward(x, a))
+        play(agent, t, env.sample_context(), rng, env)
 
 
 class TestEpsilonFalconAgent:
@@ -222,7 +227,7 @@ class TestEpsilonFalconAgent:
 
     def test_phase_split_quarter_epsilon(self):
         agent = EpsilonFalconAgent(2, epsilon=0.25, rates=RATES)
-        env = Environment(EnvSpec(kind="step_function"), seed=0)
+        env = per_round(EnvSpec(kind="step_function"), 0)
         play_epoch(agent, env, rng_of(0), 1, 4)
         assert agent.m == 2
         assert [agent.phase_of(t) for t in (5, 6, 7, 8)] == \
@@ -237,12 +242,12 @@ class TestEpsilonFalconAgent:
     def test_sequencing_error(self):
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
         with pytest.raises(SequencingError):
-            agent.act(100, 0.5, rng_of(0))
+            agent.act_block(100, [0.5], rng_of(0))
 
     def test_passive_round_counts(self):
         for eps in (0.05, 0.1, 0.25, 0.4):
             agent = EpsilonFalconAgent(2, epsilon=eps, rates=RATES)
-            env = Environment(EnvSpec(kind="step_function"), seed=1)
+            env = per_round(EnvSpec(kind="step_function"), 1)
             rng = rng_of(1)
             for m in range(1, 7):
                 start = agent.schedule.boundary(m - 1) + 1
@@ -252,13 +257,12 @@ class TestEpsilonFalconAgent:
                     x = env.sample_context()
                     if agent.phase_of(t) == "passive":
                         n_passive += 1
-                    a = agent.act(t, x, rng)
-                    agent.record(t, x, a, env.sample_reward(x, a))
+                    play(agent, t, x, rng, env)
                 assert n_passive == math.ceil(eps * (end - start + 1))
 
     def test_active_frequencies_match_kernel(self):
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
-        env = Environment(EnvSpec(kind="step_function"), seed=3)
+        env = per_round(EnvSpec(kind="step_function"), 3)
         rng = rng_of(3)
         for m in (1, 2, 3):
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
@@ -268,23 +272,22 @@ class TestEpsilonFalconAgent:
         t_probe = agent.schedule.boundary(agent.m - 1) + 1
         assert agent.phase_of(t_probe) == "active"
         n = 100_000
-        draws = np.bincount([agent.act(t_probe, x, rng) for _ in range(n)],
-                            minlength=3)[1:]
+        # n one-row blocks at t_probe would run past the epoch, so draw what
+        # act_block draws in the active phase, for n rows at once
+        arms = sample_kernel(igw_kernel(agent.model.predict_rows(np.full(n, x)), agent.gamma), rng)
+        draws = np.bincount(arms, minlength=3)[1:]
         for a in range(2):
             se = math.sqrt(probs[a] * (1 - probs[a]) / n)
             assert abs(draws[a] / n - probs[a]) <= 3 * se
 
     def test_epsilon_zero_update_is_plain_ols(self):
         agent = EpsilonFalconAgent(2, epsilon=0.0, rates=RATES)
-        env = Environment(EnvSpec(kind="step_function"), seed=4)
+        env = per_round(EnvSpec(kind="step_function"), 4)
         rng = rng_of(4)
         rows = []
         for t in range(1, 5):
             x = env.sample_context()
-            a = agent.act(t, x, rng)
-            r = env.sample_reward(x, a)
-            rows.append((x, a, r))
-            agent.record(t, x, a, r)
+            rows.append((x, *play(agent, t, x, rng, env)))
         ev = agent.events[0]
         assert ev.unconstrained
         direct = DataBatch(2)
@@ -295,7 +298,7 @@ class TestEpsilonFalconAgent:
     def test_huge_budget_update_is_unconstrained_erm(self):
         rates = RateParams(comp=4.0, delta=0.1, C1=1e9)
         agent = EpsilonFalconAgent(2, epsilon=0.25, rates=rates)
-        env = Environment(EnvSpec(kind="realizable_linear", seed=6), seed=6)
+        env = per_round(EnvSpec(kind="realizable_linear", seed=6), 6)
         rng = rng_of(6)
         for m in (1, 2, 3, 4, 5):
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
@@ -305,7 +308,7 @@ class TestEpsilonFalconAgent:
 
     def test_constraint_tracked_every_epoch(self):
         agent = EpsilonFalconAgent(2, epsilon=0.3, rates=RATES, tol=1e-6)
-        env = Environment(EnvSpec(kind="sensitivity_family", theta=0.05), seed=7)
+        env = per_round(EnvSpec(kind="sensitivity_family", theta=0.05), 7)
         rng = rng_of(7)
         for m in range(1, 9):
             start = agent.schedule.boundary(m - 1) + 1
@@ -317,7 +320,7 @@ class TestEpsilonFalconAgent:
 
     def test_model_history_tracks_epochs(self):
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
-        env = Environment(EnvSpec(kind="step_function"), seed=8)
+        env = per_round(EnvSpec(kind="step_function"), 8)
         rng = rng_of(8)
         for m in (1, 2, 3):
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
@@ -336,14 +339,14 @@ class TestEpsilonFalconAgent:
 @pytest.fixture(scope="module")
 def batches():
     spec = EnvSpec(kind="sensitivity_family", theta=0.05)
-    env = Environment(spec, seed=10)
+    env = per_round(spec, 10)
     fit = best_linear_fit_uniform(spec)
     rng = rng_of(10)
     active = DataBatch(2)   # collected by the best-fit policy
     passive = DataBatch(2)  # collected uniformly
     for _ in range(10_000):
         x = env.sample_context()
-        a = fit.induced_action(x)
+        a = int(fit.induced_actions([x])[0])
         active.append(x, a, env.sample_reward(x, a))
         x2 = env.sample_context()
         a2 = int(rng.integers(2)) + 1
@@ -386,7 +389,7 @@ class TestAdaptiveBiasGuard:
         passive_erm = fit_ols(passive)
         gap_batch = DataBatch(2)
         for x, a in zip(passive.xs, passive.arms):
-            gap_batch.append(x, a, passive_erm.predict(x, a))
+            gap_batch.append(x, a, float(passive_erm.predict_rows([x])[0, a - 1]))
         assert normalized_sse(model, gap_batch) <= slack + 10 * tol
         # and the guarded fit is far closer to the population fit than the ERM
         xs = np.linspace(0.001, 0.999, 2001)
@@ -399,47 +402,41 @@ class TestBaselines:
     def test_plain_falcon_equals_epsilon_zero(self):
         a = build_agent(RunConfig(env=EnvSpec(kind="step_function"), agent="falcon"))
         b = EpsilonFalconAgent(2, epsilon=0.0, rates=RATES)
-        env1 = Environment(EnvSpec(kind="step_function"), seed=12)
-        env2 = Environment(EnvSpec(kind="step_function"), seed=12)
+        env1 = per_round(EnvSpec(kind="step_function"), 12)
+        env2 = per_round(EnvSpec(kind="step_function"), 12)
         r1, r2 = rng_of(12), rng_of(12)
         acts1, acts2 = [], []
         for t in range(1, 65):
-            x1, x2 = env1.sample_context(), env2.sample_context()
-            a1, a2 = a.act(t, x1, r1), b.act(t, x2, r2)
-            acts1.append(a1)
-            acts2.append(a2)
-            a.record(t, x1, a1, env1.sample_reward(x1, a1))
-            b.record(t, x2, a2, env2.sample_reward(x2, a2))
+            acts1.append(play(a, t, env1.sample_context(), r1, env1)[0])
+            acts2.append(play(b, t, env2.sample_context(), r2, env2)[0])
         assert acts1 == acts2
 
     def test_linucb_zero_bonus_is_greedy(self):
         agent = LinUCBAgent(2, alpha_ucb=0.0, ridge=1.0, batch_size=10)
-        env = Environment(EnvSpec(kind="step_function", noise_sd=0.0), seed=13)
+        env = per_round(EnvSpec(kind="step_function", noise_sd=0.0), 13)
         rng = rng_of(13)
         for t in range(1, 201):
-            x = env.sample_context()
-            a = agent.act(t, x, rng)
-            agent.record(t, x, a, env.sample_reward(x, a))
+            play(agent, t, env.sample_context(), rng, env)
         for x in (0.1, 0.45, 0.55, 0.9):
             phi = np.array([1.0, x])
             greedy = int(np.argmax(agent.theta @ phi)) + 1
-            assert agent.act(999, x, rng) == greedy
+            assert agent.act_block(999, [x], rng)[0] == greedy
 
     def test_linucb_batch_refresh_cadence(self):
         agent = LinUCBAgent(2, alpha_ucb=0.5, ridge=1.0, batch_size=50)
         theta0 = agent.theta.copy()
         rng = rng_of(14)
         for t in range(1, 50):
-            agent.record(t, 0.5, 1, 1.0)
+            agent.record_block(t, [0.5], [1], [1.0])
         np.testing.assert_array_equal(agent.theta, theta0)  # not refreshed yet
-        agent.record(50, 0.5, 1, 1.0)
+        agent.record_block(50, [0.5], [1], [1.0])
         assert not np.array_equal(agent.theta, theta0)
 
     def test_uniform_frequencies(self):
         agent = UniformAgent(4)
         rng = rng_of(15)
         n = 100_000
-        counts = np.bincount([agent.act(t, 0.5, rng) for t in range(n)], minlength=5)[1:]
+        counts = np.bincount(agent.act_block(0, np.full(n, 0.5), rng), minlength=5)[1:]
         se = math.sqrt(0.25 * 0.75 / n)
         for a in range(4):
             assert abs(counts[a] / n - 0.25) <= 3 * se

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,10 @@ from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                serialize_config, write_run_dir, write_trace_csv)
 
 STEP = EnvSpec(kind="step_function")
+SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
+FLOAT_KEYS = ("env.noise_sd", "env.theta", "agent.epsilon", "agent.delta", "agent.c1",
+              "agent.c3", "agent.rho", "agent.rho_prime", "agent.comp", "agent.alpha_ucb",
+              "agent.ridge")
 
 
 def small_config(**kw):
@@ -41,6 +47,22 @@ class TestConfigValidation:
 
     def test_valid_config_passes(self):
         small_config().validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_named(self, key, value):
+        # the later line overrides the serialized one
+        text = serialize_config(small_config(env=SENS)) + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(text)
+        # a config built in code is rejected the same way
+        section, name = key.split(".")
+        if section == "env":
+            with pytest.raises(ValueError, match=re.escape(key)):
+                replace(SENS, **{name: float(value)})
+        else:
+            errs = replace(small_config(env=SENS), **{name: float(value)}).validation_errors()
+            assert any(e.startswith(key) for e in errs)
 
 
 class TestConfigRoundTrip:
@@ -182,11 +204,16 @@ class TestRunSuite:
             np.testing.assert_array_equal(a, b)
 
 
+def column(table, config_index):
+    """One config's cumulative-regret means, checkpoint by checkpoint."""
+    return [row.cum_mean for row in table.rows if row.config_index == config_index]
+
+
 class TestCompare:
     def test_self_comparison_identical_columns(self):
         cfg = small_config(horizon=64, replications=2)
         table = compare([cfg, cfg])
-        assert table.column(0) == table.column(1)
+        assert column(table, 0) == column(table, 1)
 
     def test_checkpoints(self):
         assert checkpoints(10_000) == [1250, 2500, 5000, 10_000]
@@ -196,7 +223,7 @@ class TestCompare:
         uni = small_config(agent="uniform", horizon=4096, replications=2)
         fal = small_config(agent="epsilon_falcon", horizon=4096, replications=2)
         table = compare([uni, fal])
-        for cu, cf in zip(table.column(0), table.column(1)):
+        for cu, cf in zip(column(table, 0), column(table, 1)):
             assert cf < cu
 
     def test_env_mismatch_rejected(self):

@@ -12,9 +12,9 @@ from banditlab.harness import RunConfig, run_one
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
                                 InfeasibleConstraintError, InvalidArmError,
                                 LinearModel, _moment_nsse, constrained_fit, featurize,
-                                fit_ols, fit_weighted, normalized_sse, row_max_argmax, sse)
+                                fit_ols, fit_weighted, row_max_argmax)
 
-from oracles import fit_rowweighted_rows, grid_search_constrained
+from oracles import fit_rowweighted_rows, grid_search_constrained, normalized_sse, sse
 
 # the worked instance: passive ERM is the line y=x with zero error, while the
 # active ERM is the line 1-x, which misses the passive budget by a mile
@@ -45,23 +45,18 @@ def random_instance(rng, n_active=8, n_passive=8):
 
 class TestPredict:
     def test_zero_model(self):
-        model = LinearModel.zeros(3)
-        assert model.predict(0.7, 1) == 0.0
-        assert model.predict(0.2, 3) == 0.0
+        rows = LinearModel.zeros(3).predict_rows([0.7, 0.2])
+        assert rows[0, 0] == 0.0
+        assert rows[1, 2] == 0.0
 
     def test_step_fit_at_half(self):
         model = LinearModel(np.array([[-0.25, 1.5], [0.5, 0.0]]))
-        assert model.predict(0.5, 1) == pytest.approx(0.5)
+        assert model.predict_rows([0.5])[0, 0] == pytest.approx(0.5)
 
     def test_intercept_only(self):
         model = LinearModel(np.array([[0.37, 0.0]]))
         for x in (0.0, 0.25, 0.99):
-            assert model.predict(x, 1) == pytest.approx(0.37)
-
-    def test_invalid_arm(self):
-        model = LinearModel.zeros(2)
-        with pytest.raises(InvalidArmError):
-            model.predict(0.5, 3)
+            assert model.predict_rows([x])[0, 0] == pytest.approx(0.37)
 
     def test_predict_matrix_agrees(self):
         rng = np.random.default_rng(0)
@@ -69,11 +64,11 @@ class TestPredict:
         xs = rng.random(17)
         mat = model.predict_matrix(xs)
         for i, x in enumerate(xs):
-            np.testing.assert_allclose(mat[i], model.predict_all(x), atol=1e-14)
+            np.testing.assert_allclose(mat[i], model.predict_rows([x])[0], atol=1e-14)
 
     def test_param_count(self):
-        assert LinearModel.zeros(2, 1).param_count == 4
-        assert LinearModel.zeros(3, 2).param_count == 9
+        assert LinearModel.zeros(2, 1).weights.size == 4
+        assert LinearModel.zeros(3, 2).weights.size == 9
 
     @given(K=st.integers(1, 10), d=st.integers(1, 5), n=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
@@ -88,7 +83,7 @@ class TestPredict:
         assert rows.shape == (n, K)
         for i in range(n):
             phi = np.concatenate(([1.0], np.atleast_1d(xs[i])))
-            assert rows[i].tobytes() == model.predict_all(xs[i]).tobytes()
+            assert rows[i].tobytes() == model.predict_rows(xs[i:i + 1])[0].tobytes()
             assert rows[i].tobytes() == (model.weights @ phi).tobytes()
 
 
@@ -130,7 +125,7 @@ class TestFitOls:
         for _ in range(100):
             x = float(rng.random())
             a = int(rng.integers(2)) + 1
-            rows.append((x, a, true.predict(x, a)))
+            rows.append((x, a, float(true.predict_rows([x])[0, a - 1])))
         fitted = fit_ols(batch(rows, num_arms=2))
         np.testing.assert_allclose(fitted.weights, true.weights, atol=1e-8)
 
@@ -210,6 +205,8 @@ class TestExtend:
             block.extend([0.5], [bad], [1.0])
         with pytest.raises(InvalidArmError):
             block.extend([0.2, 0.5], np.array([bad, bad]), [1.0, 1.0])
+        with pytest.raises(InvalidArmError):
+            block.extend([0.2, 0.5], [1, bad], [1.0, 1.0])  # mixed with a valid int
         assert len(rows) == 0 and len(block) == 0
 
     def test_integral_arms_of_any_numeric_type_accepted(self):
@@ -222,21 +219,29 @@ class TestExtend:
 
 
 class TestSse:
+    """The row-by-row reference and the oracle's moment form on small cases."""
+
     def test_interpolating_model_zero(self):
         model = fit_ols(batch([(0.0, 1, 0.0), (1.0, 1, 1.0)]))
-        assert sse(model, batch([(0.0, 1, 0.0), (1.0, 1, 1.0)])) == pytest.approx(0.0, abs=1e-20)
+        b = batch([(0.0, 1, 0.0), (1.0, 1, 1.0)])
+        assert sse(model, b) == pytest.approx(0.0, abs=1e-20)
+        assert _moment_nsse(model, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_model_unit_residual(self):
-        assert sse(LinearModel.zeros(1), batch([(0.3, 1, 1.0)])) == pytest.approx(1.0)
+        b = batch([(0.3, 1, 1.0)])
+        assert sse(LinearModel.zeros(1), b) == pytest.approx(1.0)
+        assert _moment_nsse(LinearModel.zeros(1), b) == pytest.approx(1.0)
 
     def test_normalization(self):
         b = batch([(0.1, 1, 1.0), (0.9, 1, 1.0), (0.4, 1, 1.0)])
         model = LinearModel.zeros(1)
         assert normalized_sse(model, b) == pytest.approx(sse(model, b) / 3)
+        assert _moment_nsse(model, b) == pytest.approx(sse(model, b) / 3)
 
     def test_empty_batch(self):
         assert sse(LinearModel.zeros(1), batch([])) == 0.0
         assert normalized_sse(LinearModel.zeros(1), batch([])) == 0.0
+        assert _moment_nsse(LinearModel.zeros(1), batch([])) == 0.0
 
 
 class TestFitWeighted:
