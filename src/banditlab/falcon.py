@@ -19,11 +19,18 @@ un-guarded variant offered as the ``falcon`` baseline.
 Baselines: ``LinUCBAgent`` (per-arm ridge regression with an upper
 confidence bonus, refreshed in batches) and ``UniformAgent``.
 
-Every agent is played in blocks, runs of rounds under one frozen policy:
-``block_end(t, last)`` is the last round (capped at ``last``) of the block
-that round t opens, ``act_block(t, xs, rng)`` draws the arms of rounds t,
-t+1, ... of one block, and ``record_block(t, xs, arms, rewards)`` stores
-them.  A single round is a one-row block.
+Every agent plays R replications in lockstep, in blocks: runs of rounds
+under one frozen policy per replication, whose boundaries are the same in
+every replication (FALCON's come from the schedule, LinUCB's from the
+refresh count).  ``block_end(t, last)`` is the last round (capped at
+``last``) of the block that round t opens; ``act_block(t, xs, rngs)`` takes
+the (R, n) or (R, n, d) contexts of rounds t, ..., t+n-1 and one generator
+per replication and returns the (R, n) arms; ``record_block(t, xs, arms,
+rewards)`` stores (R, n) arms and rewards.  Each step of a block is one
+stacked numpy call over all replications, and each result row equals the
+one-replication call's bit for bit; random draws, batch appends and refits
+stay per replication, so a replication's rounds do not depend on which
+others share its agent.  A single round is a one-row block.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
-                       featurize, fit_ols, row_max_argmax, rowwise_predict)
+from .linmodel import (ConstraintSpec, DataBatch, constrained_fit, featurize, fit_ols,
+                       row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -88,12 +95,14 @@ class RateParams:
     delta: float = 0.1
 
     def __post_init__(self):
+        # chained comparisons with inf also reject nan, which compares false
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
-        if self.rho_prime < 0:
-            raise ValueError("rho_prime must be >= 0")
-        if self.comp <= 0 or self.C1 <= 0 or self.C3 <= 0:
-            raise ValueError("comp, C1, C3 must be > 0")
+        if not 0.0 <= self.rho_prime < math.inf:
+            raise ValueError("rho_prime must be finite and >= 0")
+        if not (0.0 < self.comp < math.inf and 0.0 < self.C1 < math.inf
+                and 0.0 < self.C3 < math.inf):
+            raise ValueError("comp, C1, C3 must be finite and > 0")
         if not 0.0 < self.delta <= 0.5:
             raise ValueError("delta must be in (0, 0.5]")
 
@@ -145,13 +154,25 @@ def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
     return probs
 
 
-def sample_kernel(probs: np.ndarray, rng) -> np.ndarray:
-    """One arm (1-based) per row of ``probs``: the first arm whose cumulative
-    probability exceeds one uniform draw per row, else arm K.  Cumulative
-    sums of nonnegative terms never decrease, so that arm is one plus the
-    count of the first K-1 sums at or below the draw."""
-    u = rng.random(len(probs))
-    return (probs[:, :-1].cumsum(axis=1) <= u[:, None]).sum(axis=1) + 1
+def sample_kernel(probs: np.ndarray, rngs) -> np.ndarray:
+    """(R, n) arms (1-based) from (R, n, K) ``probs`` and one generator per
+    replication: the first arm whose cumulative probability exceeds one
+    uniform draw per row, else arm K.  Cumulative sums of nonnegative terms
+    never decrease, so that arm is one plus the count of the first K-1 sums
+    at or below the draw."""
+    u = np.stack([rng.random(probs.shape[1]) for rng in rngs])
+    return (probs[..., :-1].cumsum(axis=-1) <= u[..., None]).sum(axis=-1) + 1
+
+
+def uniform_arms(num_arms: int, n: int, rngs) -> np.ndarray:
+    """(R, n) uniformly random arms (1-based), n from each generator."""
+    return np.stack([rng.integers(num_arms, size=n) for rng in rngs]) + 1
+
+
+def design_rows(xs, dim: int) -> np.ndarray:
+    """(R, n, 1 + dim) design rows of (R, n) or (R, n, dim) contexts."""
+    xs = np.asarray(xs, dtype=float)
+    return featurize(xs.reshape(-1, *xs.shape[2:]), dim).reshape(*xs.shape[:2], dim + 1)
 
 
 def tune_epsilon(b_guess: float, num_arms: int, c: float = 1.0) -> float:
@@ -181,22 +202,26 @@ class EpochEvent:
     unconstrained: bool = False  # no passive data: plain least-squares update
     ridge_fallback: bool = False
     converged: bool = True    # the dual bisection met its tolerance
-    mse_to_best_fit: float = float("nan")  # filled by the harness
+    mse_to_best_fit: float = float("nan")  # filled by harness.run_one
 
 
 class EpsilonFalconAgent:
-    """Epoch state machine: kernel sampling, phase bookkeeping, refits.
+    """Epoch state machine: kernel sampling, phase bookkeeping, refits, for
+    ``replications`` runs in lockstep.
 
-    Its blocks are the active prefix and the passive suffix of each epoch.
-    ``record_block`` fires the end-of-epoch update automatically when its
-    rounds close the epoch.  Rounds must arrive in order -- playing a round
-    outside the current epoch, or one block across both phases, raises
-    ``SequencingError``.
+    ``weights`` (R, K, 1 + d) holds the model in force in each replication;
+    ``events`` and ``model_history`` hold one list per replication, while
+    the epoch, the phase and gamma (a pure function of the epoch) are
+    shared.  Its blocks are the active prefix and the passive suffix of each
+    epoch.  ``record_block`` fires the end-of-epoch update automatically
+    when its rounds close the epoch.  Rounds must arrive in order -- playing
+    a round outside the current epoch, or one block across both phases,
+    raises ``SequencingError``.
     """
 
     def __init__(self, num_arms: int, context_dim: int = 1, epsilon: float = 0.1,
                  schedule: EpochSchedule = EpochSchedule(), rates: Optional[RateParams] = None,
-                 tol: float = 1e-6):
+                 tol: float = 1e-6, replications: int = 1):
         if not 0.0 <= epsilon < 0.5:
             raise ValueError("epsilon must be in [0, 0.5)")
         self.num_arms = num_arms
@@ -206,13 +231,17 @@ class EpsilonFalconAgent:
         self.rates = rates if rates is not None else RateParams.linear_preset(num_arms, context_dim)
         self.tol = tol
         self.m = 1
-        self.model = LinearModel.zeros(num_arms, context_dim)
+        self.weights = np.zeros((replications, num_arms, context_dim + 1))
         self.gamma = gamma_for_epoch(1, schedule, self.rates, num_arms)
-        self.active_batch = DataBatch(num_arms, context_dim)
-        self.passive_batch = DataBatch(num_arms, context_dim)
-        self.events: list[EpochEvent] = []
-        self.model_history: list[np.ndarray] = [self.model.weights.copy()]
+        self._new_batches()
+        self.events: list[list[EpochEvent]] = [[] for _ in range(replications)]
+        self.model_history: list[list[np.ndarray]] = [[w.copy()] for w in self.weights]
         self.gamma_history: list[float] = [self.gamma]
+
+    def _new_batches(self) -> None:
+        R, K, d = len(self.weights), self.num_arms, self.context_dim
+        self.active_batches = [DataBatch(K, d) for _ in range(R)]
+        self.passive_batches = [DataBatch(K, d) for _ in range(R)]
 
     def passive_rounds(self, m: Optional[int] = None) -> int:
         length = self.schedule.epoch_length(self.m if m is None else m)
@@ -239,24 +268,49 @@ class EpsilonFalconAgent:
             raise SequencingError(f"rounds {t}..{t + n - 1} span both phases")
         return phase
 
-    def act_block(self, t: int, xs, rng) -> np.ndarray:
+    def act_block(self, t: int, xs, rngs) -> np.ndarray:
         """Kernel draws in the active prefix, uniform draws in the passive
         suffix."""
-        if self._block_phase(t, len(xs)) == "passive":
-            return rng.integers(self.num_arms, size=len(xs)) + 1
-        return sample_kernel(igw_kernel(self.model.predict_rows(xs), self.gamma), rng)
+        n = np.shape(xs)[1]
+        if self._block_phase(t, n) == "passive":
+            return uniform_arms(self.num_arms, n, rngs)
+        preds = rowwise_predict(self.weights, design_rows(xs, self.context_dim))
+        probs = igw_kernel(preds.reshape(-1, self.num_arms), self.gamma)
+        return sample_kernel(probs.reshape(preds.shape), rngs)
 
-    def record_block(self, t: int, xs, arms, rewards) -> Optional[EpochEvent]:
-        """Store the block's rounds; returns the epoch event if they close
-        the current epoch."""
-        phase = self._block_phase(t, len(arms))
-        (self.active_batch if phase == "active" else self.passive_batch).extend(xs, arms, rewards)
-        if t + len(arms) - 1 == self.schedule.boundary(self.m):
-            return self.end_of_epoch_update()
-        return None
+    def record_block(self, t: int, xs, arms, rewards) -> None:
+        """Store the block's rounds in each replication's batch; refit if
+        they close the current epoch."""
+        n = np.shape(arms)[1]
+        phase = self._block_phase(t, n)
+        batches = self.active_batches if phase == "active" else self.passive_batches
+        for batch, x, a, r in zip(batches, xs, arms, rewards):
+            batch.extend(x, a, r)
+        if t + n - 1 == self.schedule.boundary(self.m):
+            self.end_of_epoch_update()
 
-    def end_of_epoch_update(self) -> EpochEvent:
-        """Refit the model from this epoch's data and advance the epoch.
+    def end_of_epoch_update(self) -> None:
+        """Refit each replication's model from its epoch data and advance
+        the epoch.  An exception from one replication's refit leaves with
+        that replication's index as its ``replication`` attribute."""
+        events = []
+        for r, batches in enumerate(zip(self.active_batches, self.passive_batches)):
+            try:
+                events.append(self._refit(*batches))
+            except Exception as exc:
+                exc.replication = r
+                raise
+        self.m += 1
+        self.gamma = gamma_for_epoch(self.m, self.schedule, self.rates, self.num_arms)
+        self._new_batches()
+        for r, event in enumerate(events):
+            self.weights[r] = event.new_weights
+            self.events[r].append(event)
+            self.model_history[r].append(event.new_weights.copy())
+        self.gamma_history.append(self.gamma)
+
+    def _refit(self, active: DataBatch, passive: DataBatch) -> EpochEvent:
+        """One replication's update at the end of epoch m.
 
         With passive data present the refit is the constrained oracle with
         budget slack = C1 * ln^rho'(n') * ln(12 m^2 / delta) * comp / n'^rho
@@ -267,50 +321,43 @@ class EpsilonFalconAgent:
         m, rates = self.m, self.rates
         tau_start = self.schedule.boundary(m - 1) + 1
         tau_end = self.schedule.boundary(m)
-        if len(self.passive_batch) > 0:
-            n_pass = len(self.passive_batch)
+        if len(passive) > 0:
+            n_pass = len(passive)
             slack = (rates.C1 * _log_pow(n_pass, rates.rho_prime)
                      * math.log(12.0 * m * m / rates.delta) * rates.comp
                      / n_pass ** rates.rho)
-            cons = ConstraintSpec(self.passive_batch, slack)
-            new_model, report = constrained_fit(self.active_batch, cons, self.tol)
-            event = EpochEvent(m, tau_start, tau_end, self.gamma, report.alpha,
-                               slack, report.lam, report.duality_gap,
-                               new_model.weights.copy(),
-                               constraint_residual=report.constraint_residual,
-                               ridge_fallback=new_model.ridge_fallback,
-                               converged=report.converged)
-        else:
-            new_model = fit_ols(self.active_batch)
-            event = EpochEvent(m, tau_start, tau_end, self.gamma,
-                               float("nan"), float("nan"), float("nan"),
-                               float("nan"), new_model.weights.copy(),
-                               unconstrained=True,
-                               ridge_fallback=new_model.ridge_fallback)
-        self.model = new_model
-        self.m = m + 1
-        self.gamma = gamma_for_epoch(self.m, self.schedule, rates, self.num_arms)
-        self.active_batch = DataBatch(self.num_arms, self.context_dim)
-        self.passive_batch = DataBatch(self.num_arms, self.context_dim)
-        self.events.append(event)
-        self.model_history.append(self.model.weights.copy())
-        self.gamma_history.append(self.gamma)
-        return event
+            new_model, report = constrained_fit(active, ConstraintSpec(passive, slack), self.tol)
+            return EpochEvent(m, tau_start, tau_end, self.gamma, report.alpha,
+                              slack, report.lam, report.duality_gap,
+                              new_model.weights.copy(),
+                              constraint_residual=report.constraint_residual,
+                              ridge_fallback=new_model.ridge_fallback,
+                              converged=report.converged)
+        new_model = fit_ols(active)
+        return EpochEvent(m, tau_start, tau_end, self.gamma,
+                          float("nan"), float("nan"), float("nan"),
+                          float("nan"), new_model.weights.copy(),
+                          unconstrained=True,
+                          ridge_fallback=new_model.ridge_fallback)
 
 
 class LinUCBAgent:
-    """Disjoint per-arm ridge regression with an upper-confidence bonus.
+    """Disjoint per-arm ridge regression with an upper-confidence bonus, for
+    ``replications`` runs in lockstep.
 
     Scores are theta_a . phi(x) + alpha_ucb * sqrt(phi' A_a^{-1} phi).  The
-    sufficient statistics accumulate every round, but theta and A^{-1} are
-    refreshed only every ``batch_size`` observations; the rounds between two
-    refreshes form one block.
+    sufficient statistics ``G`` (R, K, p, p) and ``bvec`` (R, K, p)
+    accumulate every round, but ``theta`` and ``G_inv`` are refreshed only
+    every ``batch_size`` observations; the rounds between two refreshes form
+    one block.
     """
 
     def __init__(self, num_arms: int, context_dim: int = 1, alpha_ucb: float = 0.2,
-                 ridge: float = 1.0, batch_size: int = 100):
-        if ridge <= 0:
-            raise ValueError("ridge must be > 0")
+                 ridge: float = 1.0, batch_size: int = 100, replications: int = 1):
+        if not 0.0 < ridge < math.inf:
+            raise ValueError("ridge must be finite and > 0")
+        if not math.isfinite(alpha_ucb):
+            raise ValueError("alpha_ucb must be finite")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         p = context_dim + 1
@@ -318,15 +365,15 @@ class LinUCBAgent:
         self.context_dim = context_dim
         self.alpha_ucb = alpha_ucb
         self.batch_size = batch_size
-        self.G = np.stack([ridge * np.eye(p) for _ in range(num_arms)])
-        self.bvec = np.zeros((num_arms, p))
+        self.G = np.tile(ridge * np.eye(p), (replications, num_arms, 1, 1))
+        self.bvec = np.zeros((replications, num_arms, p))
         self._refresh()
         self._since_refresh = 0
         self._last_features = (None, None)
 
     def _refresh(self) -> None:
         self.G_inv = np.linalg.inv(self.G)
-        self.theta = np.einsum("aij,aj->ai", self.G_inv, self.bvec)
+        self.theta = np.einsum("raij,raj->rai", self.G_inv, self.bvec)
 
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
@@ -335,34 +382,33 @@ class LinUCBAgent:
         # act_block and record_block of one block share the design rows;
         # record_block drops them
         if self._last_features[0] is not xs:
-            self._last_features = (xs, featurize(xs, self.context_dim))
+            self._last_features = (xs, design_rows(xs, self.context_dim))
         return self._last_features[1]
 
-    def act_block(self, t: int, xs, rng) -> np.ndarray:
+    def act_block(self, t: int, xs, rngs) -> np.ndarray:
         Phi = self._features(xs)
         means = rowwise_predict(self.theta, Phi)
-        widths = np.sqrt(np.einsum("ni,aij,nj->na", Phi, self.G_inv, Phi))
+        widths = np.sqrt(np.einsum("rni,raij,rnj->rna", Phi, self.G_inv, Phi))
         # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
-        return (means + self.alpha_ucb * widths).argmax(axis=1) + 1
+        return (means + self.alpha_ucb * widths).argmax(axis=-1) + 1
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
         """Accumulate the rank-one updates in round order; refresh when the
         block completes a batch.  A block may not run past a refresh."""
-        n = len(arms)
+        R, n = np.shape(arms)
         if n > self.batch_size - self._since_refresh:
             raise SequencingError(f"{n} rounds run past the next refresh")
-        Phi = self._features(xs)
-        outer, rphi = Phi[:, :, None] * Phi[:, None, :], np.asarray(rewards)[:, None] * Phi
-        # np.add.at adds row after row, like a round-by-round run; a one-row
-        # block does without its overhead
-        if n == 1:
-            a = int(arms[0]) - 1
-            self.G[a] += outer[0]
-            self.bvec[a] += rphi[0]
-        else:
-            idx = np.asarray(arms) - 1
-            np.add.at(self.G, idx, outer)
-            np.add.at(self.bvec, idx, rphi)
+        p = self.context_dim + 1
+        # design columns (p, R * n): every product below has a long inner loop
+        cols = np.ascontiguousarray(self._features(xs).reshape(-1, p).T)
+        outer, rphi = cols[:, None] * cols[None, :], np.ravel(rewards) * cols
+        # np.add.at on the flat index of each entry of G and bvec adds row
+        # after row, like a round-by-round run of each replication; flat
+        # indices take its fast path
+        cell = (np.arange(R)[:, None] * self.num_arms + np.asarray(arms) - 1).ravel()
+        np.add.at(self.G.reshape(-1), (cell * p * p + np.arange(p * p)[:, None]).ravel(),
+                  outer.ravel())
+        np.add.at(self.bvec.reshape(-1), (cell * p + np.arange(p)[:, None]).ravel(), rphi.ravel())
         self._last_features = (None, None)
         self._since_refresh += n
         if self._since_refresh >= self.batch_size:
@@ -371,7 +417,8 @@ class LinUCBAgent:
 
 
 class UniformAgent:
-    """Context-free uniform arm choice; the whole horizon is one block."""
+    """Context-free uniform arm choice; the whole horizon is one block.  It
+    holds no per-replication state."""
 
     def __init__(self, num_arms: int, context_dim: int = 1):
         self.num_arms = num_arms
@@ -380,8 +427,8 @@ class UniformAgent:
     def block_end(self, t: int, last: int) -> int:
         return last
 
-    def act_block(self, t: int, xs, rng) -> np.ndarray:
-        return rng.integers(self.num_arms, size=len(xs)) + 1
+    def act_block(self, t: int, xs, rngs) -> np.ndarray:
+        return uniform_arms(self.num_arms, np.shape(xs)[1], rngs)
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
         pass

@@ -5,12 +5,19 @@ A run is fully determined by (config, seed).  The seed feeds a
 SeedSequence that is split into three independent Philox streams -- one
 for the environment, which splits it again into a context and a noise
 child, one for the agent's arm draws, one for Monte Carlo diagnostics -- so
-adding diagnostics never perturbs the simulated trajectory.  A run draws
-the environment for up to ``ROUNDS_PER_DRAW`` rounds of one epoch at a
-time, with one call to each child, and plays those rounds in blocks under
-one frozen policy.  Replication r of a suite uses seed
-base_seed + r, which makes every replication independent of how many
-others are requested.
+adding diagnostics never perturbs the simulated trajectory.
+
+``run_many`` plays R seeds in lockstep through one agent that holds R
+replications.  It draws each replication's environment for up to
+``ROUNDS_PER_DRAW // R`` rounds of one epoch at a time, with one call to
+each child, and plays those rounds in blocks under one frozen policy per
+replication: the agent takes (R, n) or (R, n, d) contexts and returns
+(R, n) arms, and the rewards and regrets of all R come from the stacked
+(R, n, K) draws.  ``run_one`` is its one-seed case plus the diagnostics.
+Replication r of a suite uses seed base_seed + r, which makes every
+replication independent of how many others are requested, and
+``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
+replication's trace does not depend on which others share its chunk.
 
 Artifacts are plain CSV.  Schemas:
 
@@ -48,9 +55,12 @@ SUMMARY_HEADER = "t,mean_e_regret,se_e_regret,mean_cum_e_regret,se_cum_e_regret"
 COMPARE_HEADER = "checkpoint,config,agent,cum_e_regret_mean,cum_e_regret_se"
 LEMMAS_HEADER = "name,epoch,lhs,rhs,se,passed,note"
 
-# rounds drawn and played per step of the run loop, and trace rows formatted
-# per write: they bound the working memory of a run and of its trace file
+# rounds drawn and played per step of the run loop (over all replications
+# played in lockstep), replications played in lockstep by a suite, and trace
+# rows formatted per write: they bound the working memory of a run, of a
+# suite and of a trace file
 ROUNDS_PER_DRAW = 4096
+REPLICATIONS_PER_CHUNK = 16
 TRACE_ROWS_PER_WRITE = 1024
 
 
@@ -282,15 +292,17 @@ def save_config(config: RunConfig, path: str) -> None:
 # running
 # ---------------------------------------------------------------------------
 
-def build_agent(config: RunConfig):
+def build_agent(config: RunConfig, replications: int = 1):
+    """The config's agent, holding ``replications`` runs in lockstep."""
     spec = config.env
     K, dim = spec.num_arms, spec.context_dim
     if config.agent in ("epsilon_falcon", "falcon"):
         epsilon = 0.0 if config.agent == "falcon" else config.epsilon
         return EpsilonFalconAgent(K, dim, epsilon, EpochSchedule(config.tau1),
-                                  config.rate_params())
+                                  config.rate_params(), replications=replications)
     if config.agent == "lin_ucb":
-        return LinUCBAgent(K, dim, config.alpha_ucb, config.ridge, config.batch_size)
+        return LinUCBAgent(K, dim, config.alpha_ucb, config.ridge, config.batch_size,
+                           replications=replications)
     if config.agent == "uniform":
         return UniformAgent(K, dim)
     raise ConfigError([f"agent.name: unknown agent {config.agent!r}"])
@@ -306,82 +318,108 @@ class RunResult:
     lemma_report: Optional[list[LemmaCheck]]
 
 
-def run_one(config: RunConfig, seed: Optional[int] = None,
-            with_lemmas: bool = True) -> RunResult:
-    """Play ``horizon`` rounds of agent vs. environment under one seed."""
+def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
+    """Play ``horizon`` rounds under each seed, all replications in
+    lockstep through one agent; one result per seed, in order, without
+    diagnostics (``mse_to_best_fit`` stays nan, ``lemma_report`` None).
+
+    Each replication draws from its own environment and agent streams
+    exactly as a single run does, so its result does not depend on the
+    other seeds.  An exception from one replication's draw or refit leaves
+    with its position in ``seeds`` as its ``replication`` attribute.
+    """
     config.validate()
-    if seed is None:
-        seed = config.base_seed
-    env_ss, agent_ss, diag_ss = np.random.SeedSequence(seed).spawn(3)
-    spec = config.env
-    env = Environment(spec, seed=env_ss)
-    agent = build_agent(config)
-    agent_rng = make_generator(agent_ss)
+    R, spec, T = len(seeds), config.env, config.horizon
+    streams = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
+    envs = [Environment(spec, seed=env_ss) for env_ss, _, _ in streams]
+    agent_rngs = [make_generator(agent_ss) for _, agent_ss, _ in streams]
+    agent = build_agent(config, R)
     schedule = EpochSchedule(config.tau1)
     is_falcon = isinstance(agent, EpsilonFalconAgent)
 
-    T = config.horizon
-    dim = spec.context_dim
-    xs = np.empty(T) if dim == 1 else np.empty((T, dim))
+    K, dim = spec.num_arms, spec.context_dim
+    xs = np.empty((R, T) if dim == 1 else (R, T, dim))
     epochs = np.empty(T, dtype=np.int64)
     phases = np.empty(T, dtype="<U7")
-    actions = np.empty(T, dtype=np.int64)
-    rewards = np.empty(T)
-    e_regret = np.empty(T)
-    noisy_total = 0.0
+    actions = np.empty((R, T), dtype=np.int64)
+    rewards = np.empty((R, T))
+    e_regret = np.empty((R, T))
+    noisy_total = np.zeros(R)
 
     # The environment's draws do not depend on the arms: draw up to
-    # ROUNDS_PER_DRAW rounds of one epoch, then play them block by block.
-    t = 1
+    # ROUNDS_PER_DRAW rounds of one epoch over all replications, then play
+    # them block by block.
+    t, step = 1, max(1, ROUNDS_PER_DRAW // R)
     while t <= T:
         epoch = schedule.epoch_of(t)
-        lo, stop = t - 1, min(T, schedule.boundary(epoch), t + ROUNDS_PER_DRAW - 1)
-        x, means, rvec = env.draw(stop - lo)
-        # round i's reward at arm a is flat[arm_base[i] + a]
-        rows, flat = np.arange(stop - lo), rvec.ravel()
-        arm_base = rows * spec.num_arms - 1
+        lo, stop = t - 1, min(T, schedule.boundary(epoch), t + step - 1)
+        n = stop - lo
+        means, rvec = np.empty((R, n, K)), np.empty((R, n, K))
+        for r, env in enumerate(envs):
+            try:
+                xs[r, lo:stop], means[r], rvec[r] = env.draw(n)
+            except Exception as exc:
+                exc.replication = r
+                raise
+        # replication r's reward at arm a in round i is flat[arm_base[r, i] + a]
+        rmeans, flat = means.reshape(-1), rvec.reshape(-1)
+        arm_base = (np.arange(R)[:, None] * n + np.arange(n)) * K - 1
         while t <= stop:
             end = agent.block_end(t, stop)
             i, j = t - 1 - lo, end - lo
-            xb = x[i:j]  # one object, so the agent can reuse its features
+            xb = xs[:, t - 1:end]  # one object, so the agent can reuse its features
             phases[t - 1:end] = agent.phase_of(t) if is_falcon else "active"
-            actions[t - 1:end] = a = agent.act_block(t, xb, agent_rng)
-            rewards[t - 1:end] = r = flat[arm_base[i:j] + a]
+            actions[:, t - 1:end] = a = agent.act_block(t, xb, agent_rngs)
+            rewards[:, t - 1:end] = r = flat[arm_base[:, i:j] + a]
             agent.record_block(t, xb, a, r)
             t = end + 1
-        best, chosen = row_max_argmax(means)[1], actions[lo:stop] - 1
-        xs[lo:stop], epochs[lo:stop] = x, epoch
-        e_regret[lo:stop] = means[rows, best] - means[rows, chosen]
+        best = arm_base + 1 + row_max_argmax(means.reshape(R * n, K))[1].reshape(R, n)
+        chosen = arm_base + actions[:, lo:stop]
+        epochs[lo:stop] = epoch
+        e_regret[:, lo:stop] = rmeans[best] - rmeans[chosen]
         # summed round by round, like the cumulative regret
-        noisy_total = np.cumsum(np.append(noisy_total, rvec[rows, best] - rewards[lo:stop]))[-1]
+        noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - rewards[:, lo:stop]]),
+                                axis=1)[:, -1]
 
-    trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs, actions,
-                        rewards, e_regret, np.cumsum(e_regret), float(noisy_total))
+    started = schedule.epoch_of(T)
+    results = []
+    for r, seed in enumerate(seeds):
+        trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs[r], actions[r], rewards[r],
+                            e_regret[r], np.cumsum(e_regret[r]), float(noisy_total[r]))
+        if is_falcon:
+            events = agent.events[r]
+            models = [LinearModel(w) for w in agent.model_history[r][:started]]
+            artifacts = RunArtifacts(spec, models, agent.gamma_history[:started],
+                                     epsilon=agent.epsilon, rho=config.rho)
+        else:
+            events, artifacts = [], RunArtifacts(spec, [], [], epsilon=None, rho=config.rho)
+        results.append(RunResult(config, seed, trace, events, artifacts, None))
+    return results
 
-    events: list[EpochEvent] = []
-    models: list[LinearModel] = []
-    gammas: list[float] = []
-    if is_falcon:
-        events = agent.events
-        started = schedule.epoch_of(T)
-        models = [LinearModel(w) for w in agent.model_history[:started]]
-        gammas = agent.gamma_history[:started]
-        best_fit = envmod.best_linear_fit_uniform(spec)
+
+def run_one(config: RunConfig, seed: Optional[int] = None,
+            with_lemmas: bool = True) -> RunResult:
+    """Play ``horizon`` rounds of agent vs. environment under one seed: the
+    one replication of ``run_many``, plus the diagnostics, drawn from the
+    seed's third stream: each epoch event's ``mse_to_best_fit`` and, on
+    request, the inequality suite."""
+    if seed is None:
+        seed = config.base_seed
+    result = run_many(config, [seed])[0]
+    diag_ss = np.random.SeedSequence(seed).spawn(3)[2]
+    if result.events:
+        best_fit = envmod.best_linear_fit_uniform(config.env)
         diag_rng = make_generator(diag_ss)
         n_mse = min(config.mc_samples, 20_000)
-        for ev in events:
+        for ev in result.events:
             ev.mse_to_best_fit = diagmod.model_mse(
-                LinearModel(ev.new_weights), best_fit, spec,
+                LinearModel(ev.new_weights), best_fit, config.env,
                 "uniform", n_mse, diag_rng).value
-
-    artifacts = RunArtifacts(spec, models, gammas,
-                             epsilon=agent.epsilon if is_falcon else None,
-                             rho=config.rho)
-    report = None
     if with_lemmas:
-        report = diagmod.lemma_suite(artifacts, num_mc=min(config.mc_samples, 20_000),
-                                     rng=make_generator(diag_ss.spawn(1)[0]))
-    return RunResult(config, seed, trace, events, artifacts, report)
+        result.lemma_report = diagmod.lemma_suite(
+            result.artifacts, num_mc=min(config.mc_samples, 20_000),
+            rng=make_generator(diag_ss.spawn(1)[0]))
+    return result
 
 
 @dataclass
@@ -395,10 +433,11 @@ class SuiteSummary:
 
 
 def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSummary:
-    """Run all replications and aggregate per-round regret by replication
-    index.  ``order`` only changes execution order (a stand-in for
-    concurrent scheduling); the aggregation is index-keyed, so any order
-    produces the same summary.
+    """Run all replications, ``REPLICATIONS_PER_CHUNK`` at a time in
+    lockstep, and aggregate per-round regret by replication index.
+    ``order`` only changes which replications share a chunk and which
+    chunk runs first; a replication's trace does not depend on either, and
+    the aggregation is index-keyed, so any order produces the same summary.
     """
     config.validate()
     R = config.replications
@@ -407,13 +446,16 @@ def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSumm
     if sorted(order) != list(range(R)):
         raise ValueError("order must be a permutation of range(replications)")
     per_rep: list[Optional[np.ndarray]] = [None] * R
-    for r in order:
+    for lo in range(0, R, REPLICATIONS_PER_CHUNK):
+        chunk = order[lo:lo + REPLICATIONS_PER_CHUNK]
         try:
-            res = run_one(config, config.base_seed + r, with_lemmas=False)
+            results = run_many(config, [config.base_seed + r for r in chunk])
         except Exception as exc:
-            exc.add_note(f"replication {r}")
+            # a failure shared by the whole chunk is charged to its first replication
+            exc.add_note(f"replication {chunk[getattr(exc, 'replication', 0)]}")
             raise
-        per_rep[r] = res.trace.e_regret
+        for r, res in zip(chunk, results):
+            per_rep[r] = res.trace.e_regret
     e = np.stack(per_rep)
     cum = np.cumsum(e, axis=1)
     if R > 1:

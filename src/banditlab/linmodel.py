@@ -63,8 +63,9 @@ def featurize(xs, dim: int) -> np.ndarray:
 
 def rowwise_predict(weights: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     """(n, K) rows ``weights @ Phi[i]``, each its own matrix-vector product
-    (a GEMM over all rows can round differently in the last bits)."""
-    return (weights[None] @ Phi[:, :, None])[:, :, 0]
+    (a GEMM over all rows can round differently in the last bits); with
+    stacked (R, K, p) weights and (R, n, p) rows, (R, n, K)."""
+    return (weights[..., None, :, :] @ Phi[..., None])[..., 0]
 
 
 def row_max_argmax(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -246,9 +246,9 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
     the passive count ceil(epsilon * epoch length), kernel arms by
     ``igw_kernel_one`` and ``sample_scalar``, passive and uniform arms by
     ``rng.integers(K)``, LinUCB arms from the agent's current theta and
-    G^-1.  Only the model
-    updates are the agent's: FALCON rows go to its batches by ``append``
-    and ``end_of_epoch_update`` runs at each boundary; LinUCB's rank-one
+    G^-1.  The agent holds one replication.  Only the model updates are the
+    agent's: FALCON rows go to its batches by ``append`` and
+    ``end_of_epoch_update`` runs at each boundary; LinUCB's rank-one
     updates are accumulated here into the agent's G and bvec and its
     ``_refresh`` runs every batch_size rounds.
     """
@@ -267,25 +267,25 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
             if phase == "passive":
                 a = int(rng.integers(K)) + 1
             else:
-                a = sample_scalar(igw_kernel_one(agent.model.weights, x, agent.gamma), rng)
+                a = sample_scalar(igw_kernel_one(agent.weights[0], x, agent.gamma), rng)
         elif kind == "LinUCBAgent":
             phi = np.empty(agent.context_dim + 1)
             phi[0] = 1.0
             phi[1:] = x
-            widths = np.sqrt(np.einsum("i,aij,j->a", phi, agent.G_inv, phi))
-            a = int(np.argmax(agent.theta @ phi + agent.alpha_ucb * widths)) + 1
+            widths = np.sqrt(np.einsum("i,aij,j->a", phi, agent.G_inv[0], phi))
+            a = int(np.argmax(agent.theta[0] @ phi + agent.alpha_ucb * widths)) + 1
         else:
             a = int(rng.integers(K)) + 1
         means, rvec = env.observe(x)
         r = float(rvec[a - 1])
         if kind == "EpsilonFalconAgent":
-            batch = agent.active_batch if phase == "active" else agent.passive_batch
+            batch = (agent.active_batches if phase == "active" else agent.passive_batches)[0]
             batch.append(x, a, r)
             if t == tau1 * 2 ** (m - 1):
                 agent.end_of_epoch_update()
         elif kind == "LinUCBAgent":
-            agent.G[a - 1] += np.outer(phi, phi)
-            agent.bvec[a - 1] += r * phi
+            agent.G[0, a - 1] += np.outer(phi, phi)
+            agent.bvec[0, a - 1] += r * phi
             since += 1
             if since == agent.batch_size:
                 agent._refresh()

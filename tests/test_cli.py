@@ -88,10 +88,11 @@ class TestSuiteVerb:
     @pytest.mark.parametrize("error, code", [(ValueError, 1), (FloatingPointError, 2)])
     def test_replication_error_exit_code(self, step_config, tmp_path, monkeypatch,
                                          capsys, error, code):
-        def fail(config, seed, with_lemmas=True):
-            raise error("boom")
+        class FailingEnvironment(harness.Environment):
+            def draw(self, n):
+                raise error("boom")
 
-        monkeypatch.setattr(harness, "run_one", fail)
+        monkeypatch.setattr(harness, "Environment", FailingEnvironment)
         assert main(["suite", "--config", step_config, "--reps", "2",
                      "--out", str(tmp_path / "suite")]) == code
         assert "boom; replication 0" in capsys.readouterr().err

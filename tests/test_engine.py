@@ -1,8 +1,9 @@
-"""The block engine in ``harness.run_one`` against the round-by-round
-reference simulator in ``oracles``: every trace column, the noisy regret
-total, every epoch's model and LinUCB's final statistics must be equal bit
-for bit, and the values each stream draws, the trace files of a few small
-runs and the lemma report of one have pinned digests."""
+"""The block engine in ``harness.run_one`` and ``harness.run_many`` against
+the round-by-round reference simulator in ``oracles``: every trace column,
+the noisy regret total, every epoch's model and LinUCB's final statistics
+must be equal bit for bit, for a replication played alone or in lockstep
+with others, and the values each stream draws, the trace files of a few
+small runs and the lemma report of one have pinned digests."""
 
 import hashlib
 
@@ -59,19 +60,17 @@ def reference(config, seed):
     return out, agent
 
 
-def engine(config, seed, monkeypatch):
-    """run_one's result and the agent it played, in its final state."""
+def engine(run, monkeypatch):
+    """``run()``'s result and the agent it played, in its final state."""
     built, build = [], harness.build_agent
-    monkeypatch.setattr(harness, "build_agent", lambda cfg: built.append(build(cfg)) or built[-1])
-    return run_one(config, seed, with_lemmas=False), built[0]
+    monkeypatch.setattr(harness, "build_agent",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    return run(), built[0]
 
 
-@pytest.mark.parametrize("label,config,seed", GRID, ids=[g[0] for g in GRID])
-def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monkeypatch,
-                                                      tmp_path):
-    ref, ref_agent = reference(config, seed)
-    res, agent = engine(config, seed, monkeypatch)
-    tr = res.trace
+def assert_equals_reference(tr, agent, r, ref, ref_agent):
+    """Every trace column and the noisy total of ``tr``, and replication r
+    of ``agent``'s final state, bit-equal to the reference run's."""
     for name, got in (("x", tr.x), ("epoch", tr.epoch), ("action", tr.action),
                       ("reward", tr.reward), ("e_regret", tr.e_regret),
                       ("cum_e_regret", tr.cum_e_regret)):
@@ -79,16 +78,26 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
     assert tr.phase.tolist() == ref["phase"].tolist()
     assert np.float64(tr.noisy_regret_total).tobytes() == np.float64(ref["noisy_total"]).tobytes()
     if isinstance(agent, EpsilonFalconAgent):
-        assert len(agent.model_history) == len(ref_agent.model_history)
-        for w, w_ref in zip(agent.model_history, ref_agent.model_history):
+        history, ref_history = agent.model_history[r], ref_agent.model_history[0]
+        assert len(history) == len(ref_history)
+        for w, w_ref in zip(history, ref_history):
             assert w.tobytes() == w_ref.tobytes()
         for field in ("alpha", "slack", "lambda_star", "duality_gap"):
-            got = np.array([getattr(ev, field) for ev in agent.events])
+            got = np.array([getattr(ev, field) for ev in agent.events[r]])
             assert got.tobytes() == np.array([getattr(ev, field)
-                                              for ev in ref_agent.events]).tobytes(), field
+                                              for ev in ref_agent.events[0]]).tobytes(), field
     if isinstance(agent, LinUCBAgent):
         for name in ("G", "bvec", "theta", "G_inv"):
-            assert getattr(agent, name).tobytes() == getattr(ref_agent, name).tobytes(), name
+            assert getattr(agent, name)[r].tobytes() == getattr(ref_agent, name)[0].tobytes(), name
+
+
+@pytest.mark.parametrize("label,config,seed", GRID, ids=[g[0] for g in GRID])
+def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monkeypatch,
+                                                      tmp_path):
+    ref, ref_agent = reference(config, seed)
+    res, agent = engine(lambda: run_one(config, seed, with_lemmas=False), monkeypatch)
+    tr = res.trace
+    assert_equals_reference(tr, agent, 0, ref, ref_agent)
     # the written trace is byte-equal to one written round by round
     ref_trace = RegretTrace(np.arange(1, config.horizon + 1), ref["epoch"], ref["phase"],
                             ref["x"], ref["action"], ref["reward"], ref["e_regret"],
@@ -97,6 +106,24 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
     write_trace_csv(tr, str(tmp_path / "engine.csv"))
     write_trace_rows(ref_trace, str(tmp_path / "reference.csv"))
     assert (tmp_path / "engine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("label,config,seed", GRID, ids=[g[0] for g in GRID])
+def test_lockstep_replication_independent_of_its_chunk(label, config, seed, monkeypatch):
+    # the seed first, in the middle and last among four other seeds; a draw
+    # step of 100 rounds over seven replications splits blocks mid-window
+    seeds = [seed, seed + 100, seed + 200, seed, seed + 300, seed + 400, seed]
+    ref, ref_agent = reference(config, seed)
+    single = run_one(config, seed, with_lemmas=False).trace
+    monkeypatch.setattr(harness, "ROUNDS_PER_DRAW", 700)
+    results, agent = engine(lambda: harness.run_many(config, seeds), monkeypatch)
+    assert [res.seed for res in results] == seeds
+    for r in (0, 3, 6):
+        tr = results[r].trace
+        assert_equals_reference(tr, agent, r, ref, ref_agent)
+        for name in ("x", "action", "reward", "e_regret", "cum_e_regret"):
+            assert getattr(tr, name).tobytes() == getattr(single, name).tobytes(), name
+    assert not np.array_equal(results[1].trace.x, results[0].trace.x)
 
 
 class RecordingGenerator(np.random.Generator):
@@ -245,35 +272,35 @@ class TestBlocks:
 
     def test_falcon_block_across_phases_rejected(self):
         agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=EpochSchedule(8))
-        rng = make_generator(0)
+        rngs = [make_generator(0)]
         with pytest.raises(SequencingError):
-            agent.act_block(5, np.full(3, 0.5), rng)
+            agent.act_block(5, np.full((1, 3), 0.5), rngs)
         with pytest.raises(SequencingError):
-            agent.record_block(5, np.full(3, 0.5), [1, 1, 2], [0.0, 1.0, 0.5])
+            agent.record_block(5, np.full((1, 3), 0.5), [[1, 1, 2]], [[0.0, 1.0, 0.5]])
         with pytest.raises(SequencingError):
-            agent.act_block(7, np.full(3, 0.5), rng)  # runs into epoch 2
+            agent.act_block(7, np.full((1, 3), 0.5), rngs)  # runs into epoch 2
 
     def test_linucb_block_ends_at_refresh(self):
         agent = LinUCBAgent(2, batch_size=5)
         assert agent.block_end(1, 100) == 5
-        agent.record_block(1, np.full(3, 0.5), [1, 2, 1], [0.1, 0.2, 0.3])
+        agent.record_block(1, np.full((1, 3), 0.5), [[1, 2, 1]], [[0.1, 0.2, 0.3]])
         assert agent.block_end(4, 100) == 5
         with pytest.raises(SequencingError):
-            agent.record_block(4, np.full(3, 0.5), [1, 2, 1], [0.1, 0.2, 0.3])
+            agent.record_block(4, np.full((1, 3), 0.5), [[1, 2, 1]], [[0.1, 0.2, 0.3]])
 
     def test_one_row_calls_equal_block_calls(self):
         # blocks split into one-row blocks play exactly the multi-row blocks' rounds
         xs, _, rvec = Environment(SENS, seed=3).draw(8)
         a, b = EpsilonFalconAgent(2, epsilon=0.25), EpsilonFalconAgent(2, epsilon=0.25)
-        ra, rb = make_generator(4), make_generator(4)
+        ra, rb = [make_generator(4)], [make_generator(4)]
         for lo, hi in ((0, 3), (3, 4), (4, 7), (7, 8)):   # epochs 1 and 2, both phases
-            arms = a.act_block(lo + 1, xs[lo:hi], ra)
+            arms = a.act_block(lo + 1, xs[None, lo:hi], ra)
             r = rvec[np.arange(lo, hi), arms - 1]
-            a.record_block(lo + 1, xs[lo:hi], arms, r)
+            a.record_block(lo + 1, xs[None, lo:hi], arms, r)
             for t in range(lo + 1, hi + 1):
-                one = b.act_block(t, xs[t - 1:t], rb)
-                assert one.tolist() == arms[t - 1 - lo:t - lo].tolist()
-                b.record_block(t, xs[t - 1:t], one, r[t - 1 - lo:t - lo])
+                one = b.act_block(t, xs[None, t - 1:t], rb)
+                assert one.tolist() == arms[:, t - 1 - lo:t - lo].tolist()
+                b.record_block(t, xs[None, t - 1:t], one, r[:, t - 1 - lo:t - lo])
         assert a.m == b.m == 3
-        for wa, wb in zip(a.model_history, b.model_history):
+        for wa, wb in zip(a.model_history[0], b.model_history[0]):
             assert wa.tobytes() == wb.tobytes()

@@ -26,10 +26,11 @@ def rng_of(seed):
 
 
 def play(agent, t, x, rng, env):
-    """One round as a one-row block: the arm, and the reward recorded for it."""
-    a = int(agent.act_block(t, [x], rng)[0])
+    """One round as a one-row block of one replication: the arm, and the
+    reward recorded for it."""
+    a = int(agent.act_block(t, [[x]], [rng])[0, 0])
     r = env.sample_reward(x, a)
-    agent.record_block(t, [x], [a], [r])
+    agent.record_block(t, [[x]], [[a]], [[r]])
     return a, r
 
 
@@ -166,7 +167,7 @@ class TestActionKernel:
         probs, _ = kernel_at(model, 0.2, 8.0)
         rng = rng_of(3)
         n = 100_000
-        counts = np.bincount(sample_kernel(np.tile(probs, (n, 1)), rng), minlength=4)[1:]
+        counts = np.bincount(sample_kernel(np.tile(probs, (1, n, 1)), [rng])[0], minlength=4)[1:]
         for a in range(3):
             se = math.sqrt(probs[a] * (1 - probs[a]) / n)
             assert abs(counts[a] / n - probs[a]) <= 3 * se
@@ -192,7 +193,7 @@ class TestActionKernel:
         probs /= probs.sum(axis=1, keepdims=True)
         probs[: n // 3] = np.eye(K)[rng.integers(K, size=n // 3)]  # point masses
         probs[n // 3: n // 2, -1] = 0.0  # totals short of 1: the arm-K guard
-        block = sample_kernel(probs, rng_of(seed))
+        block = sample_kernel(probs[None], [rng_of(seed)])[0]
         one_by_one = rng_of(seed)
         assert block.tolist() == [sample_scalar(row, one_by_one) for row in probs]
 
@@ -223,7 +224,7 @@ class TestEpsilonFalconAgent:
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
         assert agent.m == 1
         assert agent.gamma == 1.0
-        np.testing.assert_array_equal(agent.model.weights, np.zeros((2, 2)))
+        np.testing.assert_array_equal(agent.weights, np.zeros((1, 2, 2)))
 
     def test_phase_split_quarter_epsilon(self):
         agent = EpsilonFalconAgent(2, epsilon=0.25, rates=RATES)
@@ -236,13 +237,13 @@ class TestEpsilonFalconAgent:
     def test_epoch_one_draws_uniformly(self):
         # zero model => uniform kernel even in the active phase
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
-        probs, _ = kernel_at(agent.model, 0.4, agent.gamma)
+        probs, _ = kernel_at(LinearModel(agent.weights[0]), 0.4, agent.gamma)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_sequencing_error(self):
         agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
         with pytest.raises(SequencingError):
-            agent.act_block(100, [0.5], rng_of(0))
+            agent.act_block(100, [[0.5]], [rng_of(0)])
 
     def test_passive_round_counts(self):
         for eps in (0.05, 0.1, 0.25, 0.4):
@@ -268,13 +269,15 @@ class TestEpsilonFalconAgent:
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
                        agent.schedule.boundary(m))
         x = 0.73
-        probs, _ = kernel_at(agent.model, x, agent.gamma)
+        model = LinearModel(agent.weights[0])
+        probs, _ = kernel_at(model, x, agent.gamma)
         t_probe = agent.schedule.boundary(agent.m - 1) + 1
         assert agent.phase_of(t_probe) == "active"
         n = 100_000
         # n one-row blocks at t_probe would run past the epoch, so draw what
         # act_block draws in the active phase, for n rows at once
-        arms = sample_kernel(igw_kernel(agent.model.predict_rows(np.full(n, x)), agent.gamma), rng)
+        probs_n = igw_kernel(model.predict_rows(np.full(n, x)), agent.gamma)
+        arms = sample_kernel(probs_n[None], [rng])[0]
         draws = np.bincount(arms, minlength=3)[1:]
         for a in range(2):
             se = math.sqrt(probs[a] * (1 - probs[a]) / n)
@@ -288,12 +291,12 @@ class TestEpsilonFalconAgent:
         for t in range(1, 5):
             x = env.sample_context()
             rows.append((x, *play(agent, t, x, rng, env)))
-        ev = agent.events[0]
+        ev = agent.events[0][0]
         assert ev.unconstrained
         direct = DataBatch(2)
         direct.extend(*zip(*rows))
         direct = fit_ols(direct)
-        np.testing.assert_allclose(agent.model.weights, direct.weights, atol=1e-12)
+        np.testing.assert_allclose(agent.weights[0], direct.weights, atol=1e-12)
 
     def test_huge_budget_update_is_unconstrained_erm(self):
         rates = RateParams(comp=4.0, delta=0.1, C1=1e9)
@@ -303,7 +306,7 @@ class TestEpsilonFalconAgent:
         for m in (1, 2, 3, 4, 5):
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
                        agent.schedule.boundary(m))
-        for ev in agent.events:
+        for ev in agent.events[0]:
             assert ev.lambda_star == 0.0
 
     def test_constraint_tracked_every_epoch(self):
@@ -315,7 +318,7 @@ class TestEpsilonFalconAgent:
             end = agent.schedule.boundary(m)
             # keep a copy of this epoch's passive rows to recheck the budget
             play_epoch(agent, env, rng, start, end)
-            ev = agent.events[-1]
+            ev = agent.events[0][-1]
             assert ev.constraint_residual <= 1e-6
 
     def test_model_history_tracks_epochs(self):
@@ -325,9 +328,9 @@ class TestEpsilonFalconAgent:
         for m in (1, 2, 3):
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
                        agent.schedule.boundary(m))
-        assert len(agent.model_history) == 4  # zero model + one per completed epoch
+        assert len(agent.model_history[0]) == 4  # zero model + one per completed epoch
         assert len(agent.gamma_history) == 4
-        np.testing.assert_array_equal(agent.model_history[0], np.zeros((2, 2)))
+        np.testing.assert_array_equal(agent.model_history[0][0], np.zeros((2, 2)))
 
     def test_epsilon_range_checked(self):
         with pytest.raises(ValueError):
@@ -419,24 +422,24 @@ class TestBaselines:
             play(agent, t, env.sample_context(), rng, env)
         for x in (0.1, 0.45, 0.55, 0.9):
             phi = np.array([1.0, x])
-            greedy = int(np.argmax(agent.theta @ phi)) + 1
-            assert agent.act_block(999, [x], rng)[0] == greedy
+            greedy = int(np.argmax(agent.theta[0] @ phi)) + 1
+            assert agent.act_block(999, [[x]], [rng])[0, 0] == greedy
 
     def test_linucb_batch_refresh_cadence(self):
         agent = LinUCBAgent(2, alpha_ucb=0.5, ridge=1.0, batch_size=50)
         theta0 = agent.theta.copy()
         rng = rng_of(14)
         for t in range(1, 50):
-            agent.record_block(t, [0.5], [1], [1.0])
+            agent.record_block(t, [[0.5]], [[1]], [[1.0]])
         np.testing.assert_array_equal(agent.theta, theta0)  # not refreshed yet
-        agent.record_block(50, [0.5], [1], [1.0])
+        agent.record_block(50, [[0.5]], [[1]], [[1.0]])
         assert not np.array_equal(agent.theta, theta0)
 
     def test_uniform_frequencies(self):
         agent = UniformAgent(4)
         rng = rng_of(15)
         n = 100_000
-        counts = np.bincount(agent.act_block(0, np.full(n, 0.5), rng), minlength=5)[1:]
+        counts = np.bincount(agent.act_block(0, np.full((1, n), 0.5), [rng])[0], minlength=5)[1:]
         se = math.sqrt(0.25 * 0.75 / n)
         for a in range(4):
             assert abs(counts[a] / n - 0.25) <= 3 * se
@@ -452,3 +455,19 @@ class TestBaselines:
             RateParams(rho=0.0)
         with pytest.raises(ValueError):
             RateParams(rho=1.0, comp=-1.0)
+
+
+NON_FINITE_BUILDS = [
+    *((f"RateParams.{name}", lambda v, name=name: RateParams(**{name: v}))
+      for name in ("rho", "rho_prime", "comp", "C1", "C3", "delta")),
+    ("LinUCBAgent.ridge", lambda v: LinUCBAgent(2, ridge=v)),
+    ("LinUCBAgent.alpha_ucb", lambda v: LinUCBAgent(2, alpha_ucb=v)),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("label,build", NON_FINITE_BUILDS, ids=[b[0] for b in NON_FINITE_BUILDS])
+def test_non_finite_parameter_rejected(label, build, value):
+    with pytest.raises(ValueError):
+        build(value)
+

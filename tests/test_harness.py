@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -184,14 +185,33 @@ class TestRunSuite:
         write_summary_csv(s2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_replication_error_keeps_its_class(self, monkeypatch):
-        def fail(config, seed, with_lemmas=True):
-            raise ValueError(f"bad input at seed {seed}")
+    def test_chunk_size_does_not_change_the_summary(self, tmp_path, monkeypatch):
+        from banditlab.harness import write_summary_csv
+        cfg = small_config(horizon=32, replications=5)
+        write_summary_csv(run_suite(cfg), str(tmp_path / "default.csv"))
+        monkeypatch.setattr(harness, "REPLICATIONS_PER_CHUNK", 2)
+        write_summary_csv(run_suite(cfg, order=[4, 2, 0, 3, 1]), str(tmp_path / "pairs.csv"))
+        assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
-        monkeypatch.setattr(harness, "run_one", fail)
-        with pytest.raises(ValueError, match="seed 7") as info:
-            run_suite(small_config(replications=3), order=[0, 1, 2])
-        assert info.value.__notes__ == ["replication 0"]
+    def test_replication_error_keeps_its_class(self, monkeypatch):
+        cfg = small_config(replications=3)
+        failing_seed = cfg.base_seed + 2
+
+        class FailingEnvironment(harness.Environment):
+            def __init__(self, spec, seed=None):
+                super().__init__(spec, seed)
+                self.root_seed = seed.entropy  # seed is the run seed's first child
+
+            def draw(self, n):
+                if self.root_seed == failing_seed:
+                    raise ValueError(f"bad input at seed {self.root_seed}")
+                return super().draw(n)
+
+        monkeypatch.setattr(harness, "Environment", FailingEnvironment)
+        assert harness.REPLICATIONS_PER_CHUNK >= 3  # one chunk of three
+        with pytest.raises(ValueError, match=f"seed {failing_seed}") as info:
+            run_suite(cfg, order=[0, 1, 2])
+        assert info.value.__notes__ == ["replication 2"]
 
     def test_replication_streams_stable_under_R(self):
         cfg3 = small_config(horizon=32, replications=3)
@@ -202,6 +222,35 @@ class TestRunSuite:
               for r in range(3)]
         for a, b in zip(r3, r5):
             np.testing.assert_array_equal(a, b)
+
+
+def summary_sha256(summary) -> str:
+    digest = hashlib.sha256()
+    for a in (summary.mean_e_regret, summary.se_e_regret, summary.mean_cum_e_regret,
+              summary.se_cum_e_regret):
+        digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+# The four summary arrays of two suites, pinned when every replication still
+# ran alone: the criterion-5 LinUCB suite and a small epsilon-FALCON suite
+# whose constrained refits bind.  Like the trace digests in test_engine.py,
+# they involve LinUCB and oracle fits, so they are tied to the numpy/BLAS
+# build they were taken on (numpy 2.4, OpenBLAS).
+SUITES_PINNED = [
+    ("lin_ucb_criterion_5",
+     RunConfig(env=STEP, agent="lin_ucb", batch_size=100, alpha_ucb=0.2, ridge=1.0,
+               horizon=10_000, replications=50, base_seed=100),
+     "06df1e2970f80bb09668b59a14a848f83eca4ac3b8ce5ddd0191b38f8076dafd"),
+    ("eps_falcon_sens_5",
+     RunConfig(env=SENS, epsilon=0.1, horizon=2048, replications=5, base_seed=3),
+     "dea71d119cbb6d2e04dd9cbf039f822ffb8a6001a09b9be569b60b3ff731986f"),
+]
+
+
+@pytest.mark.parametrize("label,config,sha256", SUITES_PINNED, ids=[c[0] for c in SUITES_PINNED])
+def test_suite_summary_digest_pinned(label, config, sha256):
+    assert summary_sha256(run_suite(config)) == sha256
 
 
 def column(table, config_index):
