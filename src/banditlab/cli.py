@@ -25,8 +25,9 @@ from .linmodel import DualNonConvergenceError
 
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
-    seed = config.base_seed if args.seed is None else args.seed
-    result = harness.run_one(config, seed)
+    if args.seed is not None:
+        config = replace(config, base_seed=args.seed)
+    result = harness.run_one(config)
     out = args.out or config.out_dir
     if out:
         harness.write_run_dir(result, out)
@@ -83,10 +84,7 @@ def _cmd_diag(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    kwargs = dict(kind=args.env)
-    if args.theta is not None:
-        kwargs["theta"] = args.theta
-    spec = envmod.EnvSpec(**kwargs)
+    spec = envmod.EnvSpec(kind=args.env, theta=args.theta)
     fit = envmod.best_linear_fit_uniform(spec)
     b = envmod.approximation_error_b(spec, num_mc=10_000)
     B = envmod.worst_case_error_B(spec, num_mc=10_000)

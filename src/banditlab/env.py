@@ -48,6 +48,36 @@ def make_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _parse_bool(text: str) -> bool:
+    return {"true": True, "false": False}[text.lower()]
+
+
+def interval_errors(key: str, value, allowed: Optional[str]) -> list[str]:
+    """Why ``value`` lies outside ``allowed``, an interval such as
+    ``"[0, 0.5)"``; nothing when either is None (no bound, or unset)."""
+    if allowed is None or value is None:
+        return []
+    lo, hi = (float(end) for end in allowed[1:-1].split(", "))
+    # every comparison with nan is false, so nan lies in no interval
+    inside = ((lo <= value if allowed[0] == "[" else lo < value)
+              and (value <= hi if allowed[-1] == "]" else value < hi))
+    return [] if inside else [f"{key}: must be in {allowed}"]
+
+
+# The env.* rows of the config key table (harness.CONFIG_KEYS), in file
+# order: (key, EnvSpec field, parser, allowed interval).  EnvSpec checks its
+# fields against them, so a spec built in code meets the same intervals.
+ENV_KEYS = (
+    ("env.kind", "kind", str, None),
+    ("env.num_arms", "num_arms", int, "[2, inf)"),
+    ("env.noise_sd", "noise_sd", float, "[0, inf)"),
+    ("env.theta", "theta", float, "(0, 0.05]"),
+    ("env.seed", "seed", int, "[0, inf)"),
+    ("env.clip_rewards", "clip_rewards", _parse_bool, None),
+    ("env.context_dim", "context_dim", int, "[1, inf)"),
+)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Declarative description of an environment instance.
@@ -78,17 +108,12 @@ class EnvSpec:
                 errs.append("env.num_arms: must be 2 for this kind")
             if self.context_dim != 1:
                 errs.append("env.context_dim: must be 1 for this kind")
-        if self.kind == SENSITIVITY_FAMILY:
-            if self.theta is None or not (0.0 < self.theta <= 0.05):
-                errs.append("env.theta: required in (0, 0.05] for sensitivity_family")
-        elif self.theta is not None:
+        if self.kind == SENSITIVITY_FAMILY and self.theta is None:
+            errs.append("env.theta: required for sensitivity_family")
+        elif self.kind != SENSITIVITY_FAMILY and self.theta is not None:
             errs.append("env.theta: only valid for sensitivity_family")
-        if self.num_arms < 2:
-            errs.append("env.num_arms: need at least 2 arms")
-        if not 0.0 <= self.noise_sd < math.inf:
-            errs.append("env.noise_sd: must be finite and >= 0")
-        if self.context_dim < 1:
-            errs.append("env.context_dim: must be >= 1")
+        for key, name, _, allowed in ENV_KEYS:
+            errs += interval_errors(key, getattr(self, name), allowed)
         return errs
 
 

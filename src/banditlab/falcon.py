@@ -221,7 +221,7 @@ class EpsilonFalconAgent:
 
     def __init__(self, num_arms: int, context_dim: int = 1, epsilon: float = 0.1,
                  schedule: EpochSchedule = EpochSchedule(), rates: Optional[RateParams] = None,
-                 tol: float = 1e-6, replications: int = 1):
+                 replications: int = 1):
         if not 0.0 <= epsilon < 0.5:
             raise ValueError("epsilon must be in [0, 0.5)")
         self.num_arms = num_arms
@@ -229,7 +229,6 @@ class EpsilonFalconAgent:
         self.epsilon = epsilon
         self.schedule = schedule
         self.rates = rates if rates is not None else RateParams.linear_preset(num_arms, context_dim)
-        self.tol = tol
         self.m = 1
         self.weights = np.zeros((replications, num_arms, context_dim + 1))
         self.gamma = gamma_for_epoch(1, schedule, self.rates, num_arms)
@@ -326,7 +325,7 @@ class EpsilonFalconAgent:
             slack = (rates.C1 * _log_pow(n_pass, rates.rho_prime)
                      * math.log(12.0 * m * m / rates.delta) * rates.comp
                      / n_pass ** rates.rho)
-            new_model, report = constrained_fit(active, ConstraintSpec(passive, slack), self.tol)
+            new_model, report = constrained_fit(active, ConstraintSpec(passive, slack))
             return EpochEvent(m, tau_start, tau_end, self.gamma, report.alpha,
                               slack, report.lam, report.duality_gap,
                               new_model.weights.copy(),

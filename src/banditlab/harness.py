@@ -25,8 +25,10 @@ Artifacts are plain CSV.  Schemas:
 * epochs:  m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar
 * weights: m,arm,w0,w1,...   (model in force during epoch m)
 
-Config files are flat ``key = value`` lines with dotted section prefixes
-(env.kind, agent.epsilon, run.horizon, ...); ``#`` starts a comment.
+Config files are flat ``key = value`` lines; ``#`` starts a comment.  Each
+row of ``CONFIG_KEYS`` is one key, in file order, with the field it sets,
+its parser and its allowed interval: parsing, serialisation, validation and
+README's table of keys all follow it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from . import diag as diagmod
 from . import env as envmod
 from .diag import LemmaCheck, RegretTrace, RunArtifacts
-from .env import Environment, EnvSpec, make_generator
+from .env import Environment, EnvSpec, interval_errors, make_generator
 from .falcon import (EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
                      RateParams, UniformAgent, gamma_for_epoch)
 from .linmodel import LinearModel, row_max_argmax
@@ -76,6 +78,34 @@ class ConfigMismatchError(ValueError):
     """compare() was given configs with different environments/horizons."""
 
 
+def _auto_or_float(text: str) -> Optional[float]:
+    return None if text == "auto" else float(text)
+
+
+# one row per config-file key, in file order: (key, EnvSpec or RunConfig
+# field, parser, allowed interval or None)
+CONFIG_KEYS = envmod.ENV_KEYS + (
+    ("agent.name", "agent", str, None),
+    ("agent.epsilon", "epsilon", float, "[0, 0.5)"),
+    ("agent.delta", "delta", float, "(0, 0.5]"),
+    ("agent.tau1", "tau1", int, "[4, inf)"),
+    ("agent.c1", "c1", float, "(0, inf)"),
+    ("agent.c3", "c3", float, "(0, inf)"),
+    ("agent.rho", "rho", float, "(0, 1]"),
+    ("agent.rho_prime", "rho_prime", float, "[0, inf)"),
+    ("agent.comp", "comp", _auto_or_float, "(0, inf)"),
+    ("agent.alpha_ucb", "alpha_ucb", float, "(-inf, inf)"),
+    ("agent.ridge", "ridge", float, "(0, inf)"),
+    ("agent.batch_size", "batch_size", int, "[1, inf)"),
+    ("run.horizon", "horizon", int, "[1, inf)"),
+    ("run.replications", "replications", int, "[1, inf)"),
+    ("run.base_seed", "base_seed", int, "[0, inf)"),
+    # the diagnostics' standard errors need two samples
+    ("run.mc_samples", "mc_samples", int, "[2, inf)"),
+    ("run.out_dir", "out_dir", str, None),
+)
+
+
 @dataclass
 class RunConfig:
     env: EnvSpec = field(default_factory=EnvSpec)
@@ -98,38 +128,12 @@ class RunConfig:
     out_dir: Optional[str] = None
 
     def validation_errors(self) -> list[str]:
-        errs = [e for e in self.env.validation_errors()]
+        errs = self.env.validation_errors()
         if self.agent not in AGENT_NAMES:
             errs.append(f"agent.name: unknown agent {self.agent!r}")
-        if not 0.0 <= self.epsilon < 0.5:
-            errs.append("agent.epsilon: must be in [0, 0.5)")
-        if not 0.0 < self.delta <= 0.5:
-            errs.append("agent.delta: must be in (0, 0.5]")
-        if self.tau1 < 4:
-            errs.append("agent.tau1: must be >= 4")
-        # chained comparisons with inf also reject nan, which compares false
-        if not 0.0 < self.c1 < math.inf:
-            errs.append("agent.c1: must be finite and > 0")
-        if not 0.0 < self.c3 < math.inf:
-            errs.append("agent.c3: must be finite and > 0")
-        if not 0.0 < self.rho <= 1.0:
-            errs.append("agent.rho: must be in (0, 1]")
-        if not 0.0 <= self.rho_prime < math.inf:
-            errs.append("agent.rho_prime: must be finite and >= 0")
-        if self.comp is not None and not 0.0 < self.comp < math.inf:
-            errs.append("agent.comp: must be finite and > 0 (or auto)")
-        if not math.isfinite(self.alpha_ucb):
-            errs.append("agent.alpha_ucb: must be finite")
-        if not 0.0 < self.ridge < math.inf:
-            errs.append("agent.ridge: must be finite and > 0")
-        if self.batch_size < 1:
-            errs.append("agent.batch_size: must be >= 1")
-        if self.horizon < 1:
-            errs.append("run.horizon: must be >= 1")
-        if self.replications < 1:
-            errs.append("run.replications: must be >= 1")
-        if self.mc_samples < 1:
-            errs.append("run.mc_samples: must be >= 1")
+        for key, name, _, allowed in CONFIG_KEYS:
+            if not key.startswith("env."):  # EnvSpec checks its own rows
+                errs += interval_errors(key, getattr(self, name), allowed)
         return errs
 
     def validate(self) -> None:
@@ -158,46 +162,20 @@ def _fmt(v) -> str:
 
 
 def serialize_config(config: RunConfig) -> str:
-    e = config.env
-    lines = [
-        f"env.kind = {e.kind}",
-        f"env.num_arms = {e.num_arms}",
-        f"env.noise_sd = {_fmt(e.noise_sd)}",
-    ]
-    if e.theta is not None:
-        lines.append(f"env.theta = {_fmt(e.theta)}")
-    lines += [
-        f"env.seed = {e.seed}",
-        f"env.clip_rewards = {_fmt(e.clip_rewards)}",
-        f"env.context_dim = {e.context_dim}",
-        f"agent.name = {config.agent}",
-        f"agent.epsilon = {_fmt(config.epsilon)}",
-        f"agent.delta = {_fmt(config.delta)}",
-        f"agent.tau1 = {config.tau1}",
-        f"agent.c1 = {_fmt(config.c1)}",
-        f"agent.c3 = {_fmt(config.c3)}",
-        f"agent.rho = {_fmt(config.rho)}",
-        f"agent.rho_prime = {_fmt(config.rho_prime)}",
-        f"agent.comp = {'auto' if config.comp is None else _fmt(config.comp)}",
-        f"agent.alpha_ucb = {_fmt(config.alpha_ucb)}",
-        f"agent.ridge = {_fmt(config.ridge)}",
-        f"agent.batch_size = {config.batch_size}",
-        f"run.horizon = {config.horizon}",
-        f"run.replications = {config.replications}",
-        f"run.base_seed = {config.base_seed}",
-        f"run.mc_samples = {config.mc_samples}",
-    ]
-    if config.out_dir is not None:
-        lines.append(f"run.out_dir = {config.out_dir}")
+    lines = []
+    for key, name, parse, _ in CONFIG_KEYS:
+        value = getattr(config.env if key.startswith("env.") else config, name)
+        if value is not None:
+            lines.append(f"{key} = {_fmt(value)}")
+        elif parse is _auto_or_float:
+            lines.append(f"{key} = auto")
     return "\n".join(lines) + "\n"
-
-
-_BOOL = {"true": True, "false": False}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key=value format; raises ConfigError with field names
-    on anything unreadable or invalid."""
+    on anything unreadable or invalid.  A key left out keeps its field's
+    default."""
     raw: dict[str, str] = {}
     errs: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -212,59 +190,14 @@ def parse_config(text: str) -> RunConfig:
     if errs:
         raise ConfigError(errs)
 
-    def take(key, conv, default):
-        if key not in raw:
-            return default
-        val = raw.pop(key)
-        try:
-            if conv is bool:
-                return _BOOL[val.lower()]
-            return conv(val)
-        except (ValueError, KeyError):
-            errs.append(f"{key}: cannot parse {val!r}")
-            return default
-
-    kind = take("env.kind", str, envmod.STEP_FUNCTION)
-    env_kwargs = dict(
-        kind=kind,
-        num_arms=take("env.num_arms", int, 2),
-        noise_sd=take("env.noise_sd", float, 0.1),
-        seed=take("env.seed", int, 0),
-        clip_rewards=take("env.clip_rewards", bool, False),
-        context_dim=take("env.context_dim", int, 1),
-    )
-    if "env.theta" in raw:
-        env_kwargs["theta"] = take("env.theta", float, None)
-
-    comp_raw = raw.pop("agent.comp", "auto")
-    if comp_raw == "auto":
-        comp = None
-    else:
-        try:
-            comp = float(comp_raw)
-        except ValueError:
-            errs.append(f"agent.comp: cannot parse {comp_raw!r}")
-            comp = None
-
-    kwargs = dict(
-        agent=take("agent.name", str, "epsilon_falcon"),
-        epsilon=take("agent.epsilon", float, 0.1),
-        delta=take("agent.delta", float, 0.1),
-        tau1=take("agent.tau1", int, 4),
-        c1=take("agent.c1", float, 1.0),
-        c3=take("agent.c3", float, 1.0),
-        rho=take("agent.rho", float, 1.0),
-        rho_prime=take("agent.rho_prime", float, 0.0),
-        comp=comp,
-        alpha_ucb=take("agent.alpha_ucb", float, 0.2),
-        ridge=take("agent.ridge", float, 1.0),
-        batch_size=take("agent.batch_size", int, 100),
-        horizon=take("run.horizon", int, 1000),
-        replications=take("run.replications", int, 1),
-        base_seed=take("run.base_seed", int, 0),
-        mc_samples=take("run.mc_samples", int, 100_000),
-        out_dir=raw.pop("run.out_dir", None),
-    )
+    env_kwargs, kwargs = {}, {}
+    for key, name, parse, _ in CONFIG_KEYS:
+        if key in raw:
+            val = raw.pop(key)
+            try:
+                (env_kwargs if key.startswith("env.") else kwargs)[name] = parse(val)
+            except (ValueError, KeyError):
+                errs.append(f"{key}: cannot parse {val!r}")
     for key in raw:
         errs.append(f"{key}: unknown key")
     if errs:

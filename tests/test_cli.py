@@ -43,6 +43,17 @@ class TestRunVerb:
             assert main(["run", "--config", str(bad)]) == 1
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, args, key", [
+        ("run.base_seed = -1\n", [], "run.base_seed"),
+        ("", ["--seed", "-1"], "run.base_seed"),
+        ("env.kind = realizable_linear\nenv.seed = -1\n", [], "env.seed"),
+    ], ids=["base_seed", "seed_flag", "env_seed"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, lines, args, key):
+        path = tmp_path / "neg.txt"
+        path.write_text("run.horizon = 64\n" + lines)
+        assert main(["run", "--config", str(path), *args]) == 1
+        assert f"error: {key}: must be in [0, inf)" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1
 

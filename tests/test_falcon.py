@@ -310,7 +310,7 @@ class TestEpsilonFalconAgent:
             assert ev.lambda_star == 0.0
 
     def test_constraint_tracked_every_epoch(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.3, rates=RATES, tol=1e-6)
+        agent = EpsilonFalconAgent(2, epsilon=0.3, rates=RATES)
         env = per_round(EnvSpec(kind="sensitivity_family", theta=0.05), 7)
         rng = rng_of(7)
         for m in range(1, 9):

@@ -2,10 +2,12 @@ import hashlib
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditlab import harness
 from banditlab.diag import constant_policy, policy_regret
@@ -16,6 +18,7 @@ from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                read_weights_csv, run_one, run_suite, save_config,
                                serialize_config, write_run_dir, write_trace_csv)
 
+ALLOWED = {key: allowed for key, _, _, allowed in harness.CONFIG_KEYS}
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
 FLOAT_KEYS = ("env.noise_sd", "env.theta", "agent.epsilon", "agent.delta", "agent.c1",
@@ -48,6 +51,23 @@ class TestConfigValidation:
 
     def test_valid_config_passes(self):
         small_config().validate()
+
+    @pytest.mark.parametrize("key, value", [("run.mc_samples", "1"), ("run.base_seed", "-1"),
+                                            ("env.seed", "-1"), ("agent.tau1", "3")])
+    def test_out_of_interval_named(self, key, value):
+        text = serialize_config(small_config()) + f"{key} = {value}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == [f"{key}: must be in {ALLOWED[key]}"]
+
+    def test_table_covers_every_field_once(self):
+        keys = [key for key, *_ in harness.CONFIG_KEYS]
+        assert len(set(keys)) == len(keys) == 24
+        env_names = [name for key, name, *_ in harness.CONFIG_KEYS if key.startswith("env.")]
+        run_names = [name for key, name, *_ in harness.CONFIG_KEYS
+                     if not key.startswith("env.")]
+        assert env_names == [f.name for f in fields(EnvSpec)]
+        assert ["env"] + run_names == [f.name for f in fields(RunConfig)]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -106,6 +126,162 @@ class TestConfigRoundTrip:
             "run.horizon = 64", "run.horizon = om")
         with pytest.raises(ConfigError, match="run.horizon"):
             parse_config(text)
+
+
+PINNED_CONFIG_TEXT = [
+    (RunConfig(), """\
+env.kind = step_function
+env.num_arms = 2
+env.noise_sd = 0.1
+env.seed = 0
+env.clip_rewards = false
+env.context_dim = 1
+agent.name = epsilon_falcon
+agent.epsilon = 0.1
+agent.delta = 0.1
+agent.tau1 = 4
+agent.c1 = 1.0
+agent.c3 = 1.0
+agent.rho = 1.0
+agent.rho_prime = 0.0
+agent.comp = auto
+agent.alpha_ucb = 0.2
+agent.ridge = 1.0
+agent.batch_size = 100
+run.horizon = 1000
+run.replications = 1
+run.base_seed = 0
+run.mc_samples = 100000
+"""),
+    (RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.03, noise_sd=0.05, seed=5),
+               epsilon=0.25, c1=2.5, rho=0.5, rho_prime=0.25, comp=12.5, horizon=4096,
+               replications=8, base_seed=17, mc_samples=5000, out_dir="runs/sens"), """\
+env.kind = sensitivity_family
+env.num_arms = 2
+env.noise_sd = 0.05
+env.theta = 0.03
+env.seed = 5
+env.clip_rewards = false
+env.context_dim = 1
+agent.name = epsilon_falcon
+agent.epsilon = 0.25
+agent.delta = 0.1
+agent.tau1 = 4
+agent.c1 = 2.5
+agent.c3 = 1.0
+agent.rho = 0.5
+agent.rho_prime = 0.25
+agent.comp = 12.5
+agent.alpha_ucb = 0.2
+agent.ridge = 1.0
+agent.batch_size = 100
+run.horizon = 4096
+run.replications = 8
+run.base_seed = 17
+run.mc_samples = 5000
+run.out_dir = runs/sens
+"""),
+    (RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2, noise_sd=0.2,
+                           seed=11, clip_rewards=True),
+               agent="lin_ucb", alpha_ucb=1.5, ridge=2.0, batch_size=25, horizon=500), """\
+env.kind = realizable_linear
+env.num_arms = 3
+env.noise_sd = 0.2
+env.seed = 11
+env.clip_rewards = true
+env.context_dim = 2
+agent.name = lin_ucb
+agent.epsilon = 0.1
+agent.delta = 0.1
+agent.tau1 = 4
+agent.c1 = 1.0
+agent.c3 = 1.0
+agent.rho = 1.0
+agent.rho_prime = 0.0
+agent.comp = auto
+agent.alpha_ucb = 1.5
+agent.ridge = 2.0
+agent.batch_size = 25
+run.horizon = 500
+run.replications = 1
+run.base_seed = 0
+run.mc_samples = 100000
+"""),
+]
+
+
+def floats(lo=None, hi=None, exclude_lo=False, exclude_hi=False):
+    return st.floats(lo, hi, exclude_min=exclude_lo, exclude_max=exclude_hi,
+                     allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config with every key set: each value inside its allowed
+    interval, ``comp`` auto or a float, ``theta`` and ``out_dir`` absent or set."""
+    kind = draw(st.sampled_from(["step_function", "sensitivity_family", "realizable_linear"]))
+    realizable = kind == "realizable_linear"
+    spec = EnvSpec(
+        kind=kind,
+        num_arms=draw(st.integers(2, 6)) if realizable else 2,
+        noise_sd=draw(floats(0.0)),
+        theta=draw(floats(0.0, 0.05, exclude_lo=True)) if kind == "sensitivity_family" else None,
+        seed=draw(st.integers(0, 2**63)),
+        clip_rewards=draw(st.booleans()),
+        context_dim=draw(st.integers(1, 4)) if realizable else 1)
+    positive = floats(0.0, exclude_lo=True)
+    return RunConfig(
+        env=spec,
+        agent=draw(st.sampled_from(harness.AGENT_NAMES)),
+        epsilon=draw(floats(0.0, 0.5, exclude_hi=True)),
+        delta=draw(floats(0.0, 0.5, exclude_lo=True)),
+        tau1=draw(st.integers(4, 10**6)),
+        c1=draw(positive),
+        c3=draw(positive),
+        rho=draw(floats(0.0, 1.0, exclude_lo=True)),
+        rho_prime=draw(floats(0.0)),
+        comp=draw(st.none() | positive),
+        alpha_ucb=draw(floats()),
+        ridge=draw(positive),
+        batch_size=draw(st.integers(1, 10**6)),
+        horizon=draw(st.integers(1, 10**9)),
+        replications=draw(st.integers(1, 10**4)),
+        base_seed=draw(st.integers(0, 2**63)),
+        mc_samples=draw(st.integers(2, 10**9)),
+        out_dir=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)))
+
+
+class TestConfigFormat:
+    @pytest.mark.parametrize("config, text", PINNED_CONFIG_TEXT,
+                             ids=["default", "sensitivity", "realizable"])
+    def test_serialized_text_pinned(self, config, text):
+        assert serialize_config(config) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_round_trip_any_valid_config(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+def readme_key_rows():
+    """The rows of README's "Configuration keys" table, as lists of cells."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    lines = [ln for ln in section.splitlines() if ln.startswith("| `")]
+    return [[cell.strip() for cell in ln.strip("|").split("|")] for ln in lines]
+
+
+def test_readme_documents_every_key():
+    """README has one row per key, in table order, with the default and the
+    allowed interval the code uses: a key added without docs fails here."""
+    rows = readme_key_rows()
+    assert [row[0].strip("`") for row in rows] == [key for key, *_ in harness.CONFIG_KEYS]
+    defaults = RunConfig()
+    for row, (key, name, parse, allowed) in zip(rows, harness.CONFIG_KEYS):
+        default = getattr(defaults.env if key.startswith("env.") else defaults, name)
+        assert (None if row[1] == "–" else parse(row[1].strip("`"))) == default, key
+        assert row[2] == (allowed or "–"), key
 
 
 class TestRunOne:
