@@ -27,34 +27,23 @@ from .falcon import igw_kernel
 from .linmodel import LinearModel, row_max_argmax
 
 
-@dataclass(frozen=True)
-class PolicyHandle:
-    """A deterministic context -> arm map, tagged with where it came from.
-
-    ``fn`` must be vectorized: it takes an array of contexts (shape (n,) or
-    (n, d)) and returns an int array of 1-based arms.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    tag: str
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(xs), dtype=int)
+# A deterministic context -> arm map, vectorized: it takes an array of
+# contexts, (n,) or (n, d), and returns an int array of 1-based arms.
+Policy = Callable[[np.ndarray], np.ndarray]
 
 
-def constant_policy(arm: int, num_arms: int) -> PolicyHandle:
+def constant_policy(arm: int, num_arms: int) -> Policy:
     if not 1 <= arm <= num_arms:
         raise ValueError(f"arm {arm} out of range 1..{num_arms}")
-    return PolicyHandle(lambda xs: np.full(np.shape(xs)[0], arm, dtype=int),
-                        tag=f"constant({arm})")
+    return lambda xs: np.full(np.shape(xs)[0], arm, dtype=int)
 
 
-def induced_policy(model: LinearModel, tag: Optional[str] = None) -> PolicyHandle:
-    return PolicyHandle(model.induced_actions, tag=tag or "induced")
+def induced_policy(model: LinearModel) -> Policy:
+    return model.induced_actions
 
 
-def optimal_policy(spec: EnvSpec) -> PolicyHandle:
-    return PolicyHandle(lambda xs: envmod.optimal_actions(spec, xs), tag="optimal")
+def optimal_policy(spec: EnvSpec) -> Policy:
+    return lambda xs: envmod.optimal_actions(spec, xs)
 
 
 RewardSurface = Union[LinearModel, EnvSpec]
@@ -116,14 +105,14 @@ def mse_from(f_values: np.ndarray, g_values: np.ndarray,
     return _estimate(sq.mean(axis=1) if probs is None else (probs * sq).sum(axis=1))
 
 
-def policy_value(spec: EnvSpec, pi: PolicyHandle, f: RewardSurface,
+def policy_value(spec: EnvSpec, pi: Policy, f: RewardSurface,
                  num_mc: int = 100_000, rng=0) -> MCEstimate:
     """E_x[f(x, pi(x))] by Monte Carlo over fresh uniform contexts."""
     xs = draw_contexts(spec, num_mc, rng)
     return mean_at(_surface_matrix(f, spec, xs), pi(xs))
 
 
-def policy_regret(spec: EnvSpec, pi: PolicyHandle, f: RewardSurface,
+def policy_regret(spec: EnvSpec, pi: Policy, f: RewardSurface,
                   num_mc: int = 100_000, rng=0) -> MCEstimate:
     """E_x[f(x, best arm under f) - f(x, pi(x))].  With f the environment
     truth this is the policy's true per-round regret."""
@@ -132,7 +121,7 @@ def policy_regret(spec: EnvSpec, pi: PolicyHandle, f: RewardSurface,
 
 
 def decisional_divergence(spec: EnvSpec, kernel_fn: Callable[[np.ndarray], np.ndarray],
-                          pi: PolicyHandle, num_mc: int = 100_000, rng=0) -> MCEstimate:
+                          pi: Policy, num_mc: int = 100_000, rng=0) -> MCEstimate:
     """E_x[1 / p(pi(x) | x)] for a kernel given as xs -> (n, K) probability
     matrix.  The inverse-gap-weighted form keeps every probability strictly
     positive, so the expectation is well defined."""
@@ -173,7 +162,7 @@ def kernel_true_regret(spec: EnvSpec, model: LinearModel, gamma: float,
                               gaps_from(envmod.mean_reward_matrix(spec, xs))[0])
 
 
-def mean_model_gap(spec: EnvSpec, model: LinearModel, pi: PolicyHandle,
+def mean_model_gap(spec: EnvSpec, model: LinearModel, pi: Policy,
                    num_mc: int = 10_000, rng=0) -> MCEstimate:
     """E_x[model(x, best under model) - model(x, pi(x))]."""
     xs = draw_contexts(spec, num_mc, rng)

@@ -169,12 +169,6 @@ def uniform_arms(num_arms: int, n: int, rngs) -> np.ndarray:
     return np.stack([rng.integers(num_arms, size=n) for rng in rngs]) + 1
 
 
-def design_rows(xs, dim: int) -> np.ndarray:
-    """(R, n, 1 + dim) design rows of (R, n) or (R, n, dim) contexts."""
-    xs = np.asarray(xs, dtype=float)
-    return featurize(xs.reshape(-1, *xs.shape[2:]), dim).reshape(*xs.shape[:2], dim + 1)
-
-
 def tune_epsilon(b_guess: float, num_arms: int, c: float = 1.0) -> float:
     """Passive-exploration fraction from a guess of the approximation error:
     c * K^(4/5) * b^(2/5), capped at 0.49 (the analysis needs eps < 0.5)."""
@@ -209,10 +203,10 @@ class EpsilonFalconAgent:
     """Epoch state machine: kernel sampling, phase bookkeeping, refits, for
     ``replications`` runs in lockstep.
 
-    ``weights`` (R, K, 1 + d) holds the model in force in each replication;
-    ``events`` and ``model_history`` hold one list per replication, while
-    the epoch, the phase and gamma (a pure function of the epoch) are
-    shared.  Its blocks are the active prefix and the passive suffix of each
+    ``weights`` (R, K, 1 + d) holds the model in force in each replication
+    and ``events`` one list per replication, each event with the weights
+    its refit installed, while the epoch, the phase and gamma (a pure
+    function of the epoch) are shared.  Its blocks are the active prefix and the passive suffix of each
     epoch.  ``record_block`` fires the end-of-epoch update automatically
     when its rounds close the epoch.  Rounds must arrive in order -- playing
     a round outside the current epoch, or one block across both phases,
@@ -234,8 +228,6 @@ class EpsilonFalconAgent:
         self.gamma = gamma_for_epoch(1, schedule, self.rates, num_arms)
         self._new_batches()
         self.events: list[list[EpochEvent]] = [[] for _ in range(replications)]
-        self.model_history: list[list[np.ndarray]] = [[w.copy()] for w in self.weights]
-        self.gamma_history: list[float] = [self.gamma]
 
     def _new_batches(self) -> None:
         R, K, d = len(self.weights), self.num_arms, self.context_dim
@@ -273,7 +265,7 @@ class EpsilonFalconAgent:
         n = np.shape(xs)[1]
         if self._block_phase(t, n) == "passive":
             return uniform_arms(self.num_arms, n, rngs)
-        preds = rowwise_predict(self.weights, design_rows(xs, self.context_dim))
+        preds = rowwise_predict(self.weights, featurize(xs, self.context_dim))
         probs = igw_kernel(preds.reshape(-1, self.num_arms), self.gamma)
         return sample_kernel(probs.reshape(preds.shape), rngs)
 
@@ -305,8 +297,6 @@ class EpsilonFalconAgent:
         for r, event in enumerate(events):
             self.weights[r] = event.new_weights
             self.events[r].append(event)
-            self.model_history[r].append(event.new_weights.copy())
-        self.gamma_history.append(self.gamma)
 
     def _refit(self, active: DataBatch, passive: DataBatch) -> EpochEvent:
         """One replication's update at the end of epoch m.
@@ -381,7 +371,7 @@ class LinUCBAgent:
         # act_block and record_block of one block share the design rows;
         # record_block drops them
         if self._last_features[0] is not xs:
-            self._last_features = (xs, design_rows(xs, self.context_dim))
+            self._last_features = (xs, featurize(xs, self.context_dim))
         return self._last_features[1]
 
     def act_block(self, t: int, xs, rngs) -> np.ndarray:

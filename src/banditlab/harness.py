@@ -19,7 +19,13 @@ replication independent of how many others are requested, and
 ``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
 replication's trace does not depend on which others share its chunk.
 
-Artifacts are plain CSV.  Schemas:
+Artifacts are plain CSV, every file written by ``write_csv``.  A run's
+record takes one path: ``run_artifacts`` turns the config and the weights
+in force in each epoch into what the inequality suite reads, and
+``run_lemmas`` runs the suite on the seed's diagnostics stream.  ``run_one``
+feeds them the agent's refits, ``reanalyze_run_dir`` (``banditlab diag``)
+the stored ``weights.csv`` and ``config.txt``, so ``diag`` reproduces the
+run's ``lemmas.csv`` byte for byte.  Schemas:
 
 * trace:   t,epoch,phase,x,action,reward,e_regret,cum_e_regret
 * epochs:  m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar
@@ -37,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -202,13 +209,14 @@ def parse_config(text: str) -> RunConfig:
         errs.append(f"{key}: unknown key")
     if errs:
         raise ConfigError(errs)
-    try:
-        spec = EnvSpec(**env_kwargs)
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
-    config = RunConfig(env=spec, **kwargs)
-    config.validate()
-    return config
+    # EnvSpec raises only its first error: check every env rule on the plain
+    # fields, and the other sections on a config with the default spec
+    env_fields = SimpleNamespace(**{**vars(EnvSpec()), **env_kwargs})
+    config = RunConfig(**kwargs)
+    errs = EnvSpec.validation_errors(env_fields) + config.validation_errors()
+    if errs:
+        raise ConfigError(errs)
+    return replace(config, env=EnvSpec(**env_kwargs))
 
 
 def load_config(path: str) -> RunConfig:
@@ -314,19 +322,16 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
         noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - rewards[:, lo:stop]]),
                                 axis=1)[:, -1]
 
-    started = schedule.epoch_of(T)
-    results = []
+    started, results = schedule.epoch_of(T), []
     for r, seed in enumerate(seeds):
         trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs[r], actions[r], rewards[r],
                             e_regret[r], np.cumsum(e_regret[r]), float(noisy_total[r]))
-        if is_falcon:
-            events = agent.events[r]
-            models = [LinearModel(w) for w in agent.model_history[r][:started]]
-            artifacts = RunArtifacts(spec, models, agent.gamma_history[:started],
-                                     epsilon=agent.epsilon, rho=config.rho)
-        else:
-            events, artifacts = [], RunArtifacts(spec, [], [], epsilon=None, rho=config.rho)
-        results.append(RunResult(config, seed, trace, events, artifacts, None))
+        events = agent.events[r] if is_falcon else []
+        # in force during each epoch that started: the zero model, then each refit's
+        weights = [np.zeros((K, dim + 1)), *(ev.new_weights for ev in events)][:started] \
+            if is_falcon else []
+        results.append(RunResult(config, seed, trace, events, run_artifacts(config, weights),
+                                 None))
     return results
 
 
@@ -339,20 +344,37 @@ def run_one(config: RunConfig, seed: Optional[int] = None,
     if seed is None:
         seed = config.base_seed
     result = run_many(config, [seed])[0]
-    diag_ss = np.random.SeedSequence(seed).spawn(3)[2]
     if result.events:
         best_fit = envmod.best_linear_fit_uniform(config.env)
-        diag_rng = make_generator(diag_ss)
-        n_mse = min(config.mc_samples, 20_000)
+        diag_rng = make_generator(np.random.SeedSequence(seed).spawn(3)[2])
         for ev in result.events:
             ev.mse_to_best_fit = diagmod.model_mse(
                 LinearModel(ev.new_weights), best_fit, config.env,
-                "uniform", n_mse, diag_rng).value
+                "uniform", min(config.mc_samples, 20_000), diag_rng).value
     if with_lemmas:
-        result.lemma_report = diagmod.lemma_suite(
-            result.artifacts, num_mc=min(config.mc_samples, 20_000),
-            rng=make_generator(diag_ss.spawn(1)[0]))
+        result.lemma_report = run_lemmas(config, seed, result.artifacts)
     return result
+
+
+def run_artifacts(config: RunConfig, weights: list[np.ndarray]) -> RunArtifacts:
+    """What the inequality suite reads of a run: the weights in force
+    during each epoch that started, from the zero model on (none for the
+    agents without epochs), with the gammas the schedule gives them."""
+    schedule, rates = EpochSchedule(config.tau1), config.rate_params()
+    gammas = [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
+              for m in range(1, len(weights) + 1)]
+    epsilon = config.epsilon if config.agent == "epsilon_falcon" else None
+    return RunArtifacts(config.env, [LinearModel(w) for w in weights], gammas,
+                        epsilon=epsilon, rho=config.rho)
+
+
+def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts) -> list[LemmaCheck]:
+    """The inequality suite on ``min(mc_samples, 20_000)`` contexts drawn
+    from the first child of the seed's diagnostics stream: the report of a
+    run and, from its directory, of ``reanalyze_run_dir``."""
+    diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
+    return diagmod.lemma_suite(artifacts, num_mc=min(config.mc_samples, 20_000),
+                               rng=make_generator(diag_ss))
 
 
 @dataclass
@@ -462,73 +484,63 @@ def compare(configs: list[RunConfig]) -> CompareTable:
 # flat-file artifacts
 # ---------------------------------------------------------------------------
 
-def _g(v: float) -> str:
-    return f"{v:.17g}"
+def write_csv(path: str, header: str, row: str, columns) -> None:
+    """``header``, then one line per row of the equal-length ``columns``,
+    formatted by ``row``, a template of one ``%`` cell format per column.
+    Rows are formatted and written ``TRACE_ROWS_PER_WRITE`` at a time (which
+    bounds the memory the text takes), each chunk by one ``%`` of the
+    template repeated over its rows."""
+    step = TRACE_ROWS_PER_WRITE
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), step):
+            chunk = [np.asarray(col)[lo:lo + step].tolist() for col in columns]
+            fh.write((row + "\n") * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def write_trace_csv(trace: RegretTrace, path: str) -> None:
-    """One line per round, formatted and written ``TRACE_ROWS_PER_WRITE``
-    rows at a time (which bounds the memory the text takes), each chunk by
-    one ``%`` of a row template repeated over its rows."""
-    step = TRACE_ROWS_PER_WRITE
+    """One line per round; a d-dimensional context is one cell of d
+    ``;``-separated values."""
     x = np.asarray(trace.x)
     x_cols = [x] if x.ndim == 1 else list(x.T)
-    cols = (trace.t, trace.epoch, trace.phase, *x_cols, trace.action,
-            trace.reward, trace.e_regret, trace.cum_e_regret)
-    row = "%d,%d,%s," + ";".join(["%.17g"] * len(x_cols)) + ",%d,%.17g,%.17g,%.17g\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for lo in range(0, len(trace), step):
-            chunk = [np.asarray(col)[lo:lo + step].tolist() for col in cols]
-            fh.write(row * len(chunk[0]) % tuple(chain.from_iterable(zip(*chunk))))
+    write_csv(path, TRACE_HEADER,
+              "%d,%d,%s," + ";".join(["%.17g"] * len(x_cols)) + ",%d,%.17g,%.17g,%.17g",
+              (trace.t, trace.epoch, trace.phase, *x_cols, trace.action, trace.reward,
+               trace.e_regret, trace.cum_e_regret))
 
 
 def write_events_csv(events: list[EpochEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EPOCHS_HEADER + "\n")
-        for ev in events:
-            fh.write(f"{ev.m},{ev.tau_start},{ev.tau_end},{_g(ev.gamma)},"
-                     f"{_g(ev.alpha)},{_g(ev.slack)},{_g(ev.lambda_star)},"
-                     f"{_g(ev.duality_gap)},{_g(ev.mse_to_best_fit)}\n")
+    names = ("m", "tau_start", "tau_end", "gamma", "alpha", "slack", "lambda_star",
+             "duality_gap", "mse_to_best_fit")
+    write_csv(path, EPOCHS_HEADER, "%d,%d,%d" + ",%.17g" * 6,
+              [[getattr(ev, name) for ev in events] for name in names])
 
 
 def write_weights_csv(models: list[LinearModel], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if models:
-            p = models[0].weights.shape[1]
-            fh.write("m,arm," + ",".join(f"w{j}" for j in range(p)) + "\n")
-        else:
-            fh.write("m,arm,w0,w1\n")
-        for m, model in enumerate(models, start=1):
-            for a in range(model.num_arms):
-                cells = ",".join(_g(w) for w in model.weights[a])
-                fh.write(f"{m},{a + 1},{cells}\n")
+    """One line per (epoch, arm); with no models, the header of d = 1."""
+    M, (K, p) = len(models), (models[0].weights.shape if models else (0, 2))
+    W = np.array([model.weights for model in models]).reshape(M * K, p)
+    write_csv(path, "m,arm," + ",".join(f"w{j}" for j in range(p)), "%d,%d" + ",%.17g" * p,
+              [np.repeat(np.arange(1, M + 1), K), np.tile(np.arange(1, K + 1), M), *W.T])
 
 
 def write_lemmas_csv(report: list[LemmaCheck], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(LEMMAS_HEADER + "\n")
-        for c in report:
-            epoch = "" if c.epoch is None else str(c.epoch)
-            fh.write(f"{c.name},{epoch},{_g(c.lhs)},{_g(c.rhs)},{_g(c.se)},"
-                     f"{int(c.passed)},{c.note}\n")
+    write_csv(path, LEMMAS_HEADER, "%s,%s,%.17g,%.17g,%.17g,%d,%s",
+              [[c.name for c in report], ["" if c.epoch is None else c.epoch for c in report],
+               [c.lhs for c in report], [c.rhs for c in report], [c.se for c in report],
+               [c.passed for c in report], [c.note for c in report]])
 
 
 def write_summary_csv(summary: SuiteSummary, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for i in range(len(summary.t)):
-            fh.write(f"{summary.t[i]},{_g(summary.mean_e_regret[i])},"
-                     f"{_g(summary.se_e_regret[i])},{_g(summary.mean_cum_e_regret[i])},"
-                     f"{_g(summary.se_cum_e_regret[i])}\n")
+    write_csv(path, SUMMARY_HEADER, "%d" + ",%.17g" * 4,
+              (summary.t, summary.mean_e_regret, summary.se_e_regret,
+               summary.mean_cum_e_regret, summary.se_cum_e_regret))
 
 
 def write_compare_csv(table: CompareTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COMPARE_HEADER + "\n")
-        for row in table.rows:
-            fh.write(f"{row.checkpoint},{row.config_index},{row.agent},"
-                     f"{_g(row.cum_mean)},{_g(row.cum_se)}\n")
+    names = ("checkpoint", "config_index", "agent", "cum_mean", "cum_se")
+    write_csv(path, COMPARE_HEADER, "%d,%d,%s,%.17g,%.17g",
+              [[getattr(row, name) for row in table.rows] for name in names])
 
 
 def write_run_dir(result: RunResult, out_dir: str) -> None:
@@ -547,35 +559,18 @@ def write_run_dir(result: RunResult, out_dir: str) -> None:
 def read_weights_csv(path: str) -> list[np.ndarray]:
     """Inverse of write_weights_csv: per-epoch weight matrices."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    rows = [ln.split(",") for ln in lines[1:]]
-    if not rows:
-        return []
-    by_epoch: dict[int, dict[int, np.ndarray]] = {}
-    for cells in rows:
-        m, arm = int(cells[0]), int(cells[1])
-        by_epoch.setdefault(m, {})[arm] = np.array([float(c) for c in cells[2:]])
-    out = []
-    for m in sorted(by_epoch):
-        arms = by_epoch[m]
-        out.append(np.stack([arms[a] for a in sorted(arms)]))
-    return out
+        rows = [[float(c) for c in ln.split(",")] for ln in fh.read().splitlines()[1:] if ln]
+    by_epoch: dict[float, list[list[float]]] = {}
+    for m, _, *w in rows:  # written epoch by epoch, arm by arm
+        by_epoch.setdefault(m, []).append(w)
+    return [np.array(ws) for ws in by_epoch.values()]
 
 
-def reanalyze_run_dir(run_dir: str, num_mc: int = 20_000, rng=0) -> list[LemmaCheck]:
-    """Re-run the inequality suite from a stored run directory.
-
-    The per-epoch gammas are a pure function of (schedule, rates, epoch), so
-    they are rebuilt from the stored config rather than parsed back out of
-    the events file.
-    """
+def reanalyze_run_dir(run_dir: str) -> list[LemmaCheck]:
+    """Re-run the inequality suite from a stored run directory: the stored
+    weights and config (whose ``base_seed`` is the run's seed) rebuild the
+    run's artifacts and its diagnostics stream, so the report equals the
+    run's own."""
     config = load_config(os.path.join(run_dir, "config.txt"))
-    weight_mats = read_weights_csv(os.path.join(run_dir, "weights.csv"))
-    schedule = EpochSchedule(config.tau1)
-    rates = config.rate_params()
-    models = [LinearModel(w) for w in weight_mats]
-    gammas = [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
-              for m in range(1, len(models) + 1)]
-    eps = config.epsilon if config.agent == "epsilon_falcon" else None
-    arts = RunArtifacts(config.env, models, gammas, epsilon=eps, rho=config.rho)
-    return diagmod.lemma_suite(arts, num_mc, rng)
+    weights = read_weights_csv(os.path.join(run_dir, "weights.csv"))
+    return run_lemmas(config, config.base_seed, run_artifacts(config, weights))

@@ -50,14 +50,14 @@ class DualNonConvergenceError(RuntimeError):
 
 
 def featurize(xs, dim: int) -> np.ndarray:
-    """Map raw contexts to design rows [1, x_1, ..., x_dim]."""
+    """Map raw contexts, of shape (...) when dim is 1 and (..., dim)
+    otherwise, to design rows [1, x_1, ..., x_dim] of shape (..., 1 + dim)."""
     xs = np.asarray(xs, dtype=float)
     if dim == 1:
-        xs = xs.reshape(-1, 1)
-    n = xs.shape[0]
-    out = np.empty((n, dim + 1))
-    out[:, 0] = 1.0
-    out[:, 1:] = xs
+        xs = xs[..., None]
+    out = np.empty((*xs.shape[:-1], dim + 1))
+    out[..., 0] = 1.0
+    out[..., 1:] = xs
     return out
 
 

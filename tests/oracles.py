@@ -334,7 +334,7 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
     checks.append(LemmaCheck("error_ordering_upper", None, B.mc, K * b.mc + tol_hi,
                              tol_hi, B.mc <= K * b.mc + tol_hi, "B <= K*b"))
 
-    pi_best = induced_policy(envmod.best_linear_fit_uniform(spec), "best_fit")
+    pi_best = induced_policy(envmod.best_linear_fit_uniform(spec))
     reg_best = policy_regret(spec, pi_best, spec, num_mc, rng)
     bound = 2.0 * math.sqrt(max(B.mc, 0.0))
     checks.append(LemmaCheck("best_fit_policy_regret", None, reg_best.value,

@@ -140,6 +140,19 @@ class TestDiagVerb:
         assert "kernel_estimated_regret" in text
         assert "FAIL" not in text
 
+    # mc_samples below, at and above the suite's 20,000-context cap
+    @pytest.mark.parametrize("agent, mc_samples", [("epsilon_falcon", 2_000),
+                                                   ("falcon", 20_000), ("lin_ucb", 100_000)])
+    def test_diag_reproduces_the_runs_lemmas(self, tmp_path, agent, mc_samples):
+        path = str(tmp_path / "sens.txt")
+        save_config(RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05), agent=agent,
+                              horizon=300, mc_samples=mc_samples), path)
+        out = tmp_path / "run"
+        assert main(["run", "--config", path, "--seed", "3", "--out", str(out)]) == 0
+        written = (out / "lemmas.csv").read_bytes()
+        assert main(["diag", "--run", str(out)]) == 0
+        assert (out / "lemmas.csv").read_bytes() == written
+
 
 class TestOracleVerb:
     def test_step_oracle(self, capsys):

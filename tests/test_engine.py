@@ -14,7 +14,8 @@ from banditlab import harness
 from banditlab.diag import RegretTrace
 from banditlab.env import Environment, EnvSpec, make_generator
 from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
-from banditlab.harness import RunConfig, run_one, write_lemmas_csv, write_trace_csv
+from banditlab.harness import (RunConfig, run_one, write_events_csv, write_lemmas_csv,
+                               write_trace_csv, write_weights_csv)
 
 from oracles import PerRoundEnvironment, per_round, simulate_per_round, write_trace_rows
 
@@ -78,10 +79,10 @@ def assert_equals_reference(tr, agent, r, ref, ref_agent):
     assert tr.phase.tolist() == ref["phase"].tolist()
     assert np.float64(tr.noisy_regret_total).tobytes() == np.float64(ref["noisy_total"]).tobytes()
     if isinstance(agent, EpsilonFalconAgent):
-        history, ref_history = agent.model_history[r], ref_agent.model_history[0]
-        assert len(history) == len(ref_history)
-        for w, w_ref in zip(history, ref_history):
-            assert w.tobytes() == w_ref.tobytes()
+        events, ref_events = agent.events[r], ref_agent.events[0]
+        assert len(events) == len(ref_events)
+        for ev, ev_ref in zip(events, ref_events):
+            assert ev.new_weights.tobytes() == ev_ref.new_weights.tobytes()
         for field in ("alpha", "slack", "lambda_star", "duality_gap"):
             got = np.array([getattr(ev, field) for ev in agent.events[r]])
             assert got.tobytes() == np.array([getattr(ev, field)
@@ -226,6 +227,35 @@ def test_lemma_report_digest_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == lemmas_sha256
 
 
+# The epoch events and per-epoch weights files of an epsilon-FALCON run, of
+# a FALCON run (whose unconstrained refits leave nan alpha/slack cells) and
+# of a LinUCB run (header only).  They hold fits and the diagnostics
+# stream's model MSEs, so like the trace digests they are tied to the
+# numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS at 1 and 2
+# threads).
+RUN_FILES_PINNED = {
+    "eps_falcon_sens_mid_epoch": (
+        "37a88485c23e4eb91991fee36dbed0e56c462c0b9a8e7325b83965e7e34f7779",
+        "0b6c4b92d94dbfc13d6cac13f7f10a12b8eb0ac029e97a56286a8057206fb686"),
+    "falcon_step_on_boundary": (
+        "72ab4b26379a3774f4b10136d20e28a6a16eb7dd409cbd528288b4d0d7ad4f59",
+        "c579694274ddd502c425a59a1293298423129f934ca5739846651555d8aec5b3"),
+    "lin_ucb_real_d3": (
+        "8f5e989637777aa6c1e59d70bf6dc274e7f079dfad3f8d1a833bcfac8baa369f",
+        "02b1d20e250f13dd3ba77f762e9cfaf7cdd2f364377f46d3641a2b279a6a7eb3"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(RUN_FILES_PINNED))
+def test_epochs_and_weights_digests_pinned(label, tmp_path):
+    _, config, seed = next(g for g in GRID if g[0] == label)
+    res = run_one(config, seed, with_lemmas=False)
+    write_events_csv(res.events, str(tmp_path / "epochs.csv"))
+    write_weights_csv(res.artifacts.models, str(tmp_path / "weights.csv"))
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("epochs.csv", "weights.csv")) == RUN_FILES_PINNED[label]
+
+
 # Contexts and noise come from two child streams of the environment's seed;
 # until they did, each round drew its context and then its K noises from
 # one stream.  Both layouts draw the same distributions, so the final
@@ -302,5 +332,5 @@ class TestBlocks:
                 assert one.tolist() == arms[:, t - 1 - lo:t - lo].tolist()
                 b.record_block(t, xs[None, t - 1:t], one, r[:, t - 1 - lo:t - lo])
         assert a.m == b.m == 3
-        for wa, wb in zip(a.model_history[0], b.model_history[0]):
-            assert wa.tobytes() == wb.tobytes()
+        for ea, eb in zip(a.events[0], b.events[0], strict=True):
+            assert ea.new_weights.tobytes() == eb.new_weights.tobytes()

@@ -328,9 +328,11 @@ class TestEpsilonFalconAgent:
         for m in (1, 2, 3):
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
                        agent.schedule.boundary(m))
-        assert len(agent.model_history[0]) == 4  # zero model + one per completed epoch
-        assert len(agent.gamma_history) == 4
-        np.testing.assert_array_equal(agent.model_history[0][0], np.zeros((2, 2)))
+        events = agent.events[0]
+        assert [ev.m for ev in events] == [1, 2, 3]  # one per completed epoch
+        assert [ev.gamma for ev in events] == [
+            gamma_for_epoch(m, agent.schedule, RATES, 2) for m in (1, 2, 3)]
+        assert all(ev.new_weights.shape == (2, 2) for ev in events)
 
     def test_epsilon_range_checked(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config,
                                read_weights_csv, run_one, run_suite, save_config,
-                               serialize_config, write_run_dir, write_trace_csv)
+                               serialize_config, write_compare_csv, write_run_dir,
+                               write_summary_csv, write_trace_csv)
 
 ALLOWED = {key: allowed for key, _, _, allowed in harness.CONFIG_KEYS}
 STEP = EnvSpec(kind="step_function")
@@ -59,6 +60,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert info.value.errors == [f"{key}: must be in {ALLOWED[key]}"]
+
+    def test_every_sections_errors_reported(self):
+        text = ("env.kind = realizable_linear\nenv.num_arms = 1\nenv.noise_sd = nan\n"
+                "agent.epsilon = 0.9\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == ["env.num_arms: must be in [2, inf)",
+                                     "env.noise_sd: must be in [0, inf)",
+                                     "agent.epsilon: must be in [0, 0.5)"]
 
     def test_table_covers_every_field_once(self):
         keys = [key for key, *_ in harness.CONFIG_KEYS]
@@ -427,6 +437,24 @@ SUITES_PINNED = [
 @pytest.mark.parametrize("label,config,sha256", SUITES_PINNED, ids=[c[0] for c in SUITES_PINNED])
 def test_suite_summary_digest_pinned(label, config, sha256):
     assert summary_sha256(run_suite(config)) == sha256
+
+
+# The bytes of one summary.csv and one compare.csv; they hold fits, so like
+# the digests above they are tied to the numpy/BLAS build they were taken on
+# (numpy 2.4, OpenBLAS).
+SUMMARY_CSV_SHA256 = "dc3b60c24737810d3e745fa9640e3ee1053b27b792a6dd75156d4554cb59bb86"
+COMPARE_CSV_SHA256 = "4255302f5254bce126698d9980dd8b957f2fac077d0bbd5851eafabb665a44f4"
+
+
+def test_summary_and_compare_csv_digests_pinned(tmp_path):
+    cfg = small_config(horizon=32, replications=5)
+    write_summary_csv(run_suite(cfg), str(tmp_path / "summary.csv"))
+    write_compare_csv(compare([cfg, replace(cfg, agent="uniform")]),
+                      str(tmp_path / "compare.csv"))
+    assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() \
+        == SUMMARY_CSV_SHA256
+    assert hashlib.sha256((tmp_path / "compare.csv").read_bytes()).hexdigest() \
+        == COMPARE_CSV_SHA256
 
 
 def column(table, config_index):

@@ -490,3 +490,12 @@ class TestFeaturize:
     def test_vector_contexts(self):
         Phi = featurize(np.array([[0.2, 0.3]]), 2)
         np.testing.assert_allclose(Phi, [[1.0, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_leading_axes_equal_flat_rows(self, dim):
+        # (R, n) or (R, n, d) contexts give the rows of their flattened (R * n) batch
+        xs = np.random.default_rng(0).random((2, 5) if dim == 1 else (2, 5, dim))
+        Phi = featurize(xs, dim)
+        assert Phi.shape == (2, 5, dim + 1)
+        flat = featurize(xs.reshape(10, *xs.shape[2:]), dim)
+        assert Phi.reshape(10, dim + 1).tobytes() == flat.tobytes()
