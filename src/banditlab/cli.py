@@ -40,10 +40,9 @@ def _cmd_run(args) -> int:
         print(f"warning: the constrained refit's dual did not converge after epochs "
               f"{', '.join(unconverged)}; each installed model is feasible but the "
               f"constraint is not tight to tolerance", file=sys.stderr)
-    if result.lemma_report is not None:
-        failed = [c for c in result.lemma_report if not c.passed]
-        print(f"lemma checks: {len(result.lemma_report) - len(failed)} passed, "
-              f"{len(failed)} failed")
+    failed = [c for c in result.lemma_report if not c.passed]
+    print(f"lemma checks: {len(result.lemma_report) - len(failed)} passed, "
+          f"{len(failed)} failed")
     return 0
 
 

@@ -242,6 +242,15 @@ def lemma_suite(artifacts: RunArtifacts, num_mc: int = 20_000, rng=0) -> list[Le
     sqrt(eps^rho)).  The theoretical version of that bound carries unknown
     constants, so only the measured ratio is reported (in the note field).
     """
+    xs = draw_contexts(artifacts.spec, num_mc, rng)
+    return lemma_suite_from(artifacts, xs,
+                            envmod.best_linear_fit_uniform(artifacts.spec).predict_matrix(xs))
+
+
+def lemma_suite_from(artifacts: RunArtifacts, xs: np.ndarray,
+                     fit_preds: np.ndarray) -> list[LemmaCheck]:
+    """``lemma_suite`` on the contexts ``xs``, given the best uniform-design
+    fit's (n, K) predictions ``fit_preds`` at them."""
     spec = artifacts.spec
     K = spec.num_arms
     checks: list[LemmaCheck] = []
@@ -249,9 +258,7 @@ def lemma_suite(artifacts: RunArtifacts, num_mc: int = 20_000, rng=0) -> list[Le
     def check(name, m, lhs, rhs, se, note, ok=None):  # passed: ok, by default lhs <= rhs
         checks.append(LemmaCheck(name, m, lhs, rhs, se, lhs <= rhs if ok is None else ok, note))
 
-    xs = draw_contexts(spec, num_mc, rng)
     truth = envmod.mean_reward_matrix(spec, xs)
-    fit_preds = envmod.best_linear_fit_uniform(spec).predict_matrix(xs)
     b, B = envmod.error_estimates_from(spec, fit_preds, truth)
     tol_lo, tol_hi = 3.0 * math.hypot(b.se, B.se), 3.0 * math.hypot(B.se, K * b.se)
     check("error_ordering_lower", None, b.mc, B.mc + tol_lo, tol_lo, "b <= B")

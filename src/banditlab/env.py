@@ -27,6 +27,7 @@ platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -96,8 +97,9 @@ class EnvSpec:
     context_dim: int = 1
 
     def __post_init__(self):
-        for msg in self.validation_errors():
-            raise ValueError(msg)
+        errs = self.validation_errors()
+        if errs:
+            raise ValueError("; ".join(errs))
 
     def validation_errors(self) -> list[str]:
         errs = []
@@ -151,8 +153,11 @@ _STEP_ARM1_FIT = (-0.25, 1.5)
 _STEP_ARM1_RESIDUAL = 1.0 / 16.0
 
 
+@functools.lru_cache(maxsize=16)
 def _realizable_weights(spec: EnvSpec) -> np.ndarray:
-    """True weights for a realizable instance, drawn once from the spec seed.
+    """True weights for a realizable instance, drawn from the spec seed.  The
+    16 most recent specs' weights are cached and shared read-only, so the
+    draws of a run and its diagnostics build them once.
 
     Intercepts are spread so arms stay separated (no reward crossings in the
     context box); slope mass is kept small enough that every mean reward
@@ -166,6 +171,7 @@ def _realizable_weights(spec: EnvSpec) -> np.ndarray:
     w = np.zeros((K, dx + 1))
     w[:, 0] = intercepts[order]
     w[:, 1:] = slopes
+    w.flags.writeable = False
     return w
 
 
@@ -177,7 +183,8 @@ def true_model(spec: EnvSpec) -> Optional[LinearModel]:
 
 
 def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorized truth surface: (n, K) matrix of mean rewards."""
+    """The truth surface, one formula for runs and diagnostics: (n, K) mean
+    rewards, a linear truth row by row (a row never depends on the others)."""
     xs = np.asarray(xs, dtype=float)
     n = xs.shape[0]
     if spec.kind == STEP_FUNCTION:
@@ -190,7 +197,7 @@ def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
         out[:, 0] = np.where(xs <= 1.0 - spec.theta, 0.1, 1.0)
         out[:, 1] = 1.0 + sensitivity_slope_m(spec.theta) * xs
         return out
-    return true_model(spec).predict_matrix(xs)
+    return true_model(spec).predict_rows(xs)
 
 
 def optimal_actions(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
@@ -279,21 +286,6 @@ class Environment:
         # own child stream and a block of rounds takes one call from each
         self.context_rng, self.noise_rng = make_generator(
             spec.seed if seed is None else seed).spawn(2)
-        self._truth = true_model(spec)
-
-    @property
-    def num_arms(self) -> int:
-        return self.spec.num_arms
-
-    def _rewards(self, xs: np.ndarray, noise: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        # a linear truth is evaluated row by row, so that a round's means do
-        # not depend on how many rounds are drawn together
-        means = self._truth.predict_rows(xs) if self._truth is not None \
-            else mean_reward_matrix(self.spec, xs)
-        r = means.copy() if noise is None else means + self.spec.noise_sd * noise
-        if self.spec.clip_rewards:
-            np.clip(r, 0.0, 1.0, out=r)
-        return means, r
 
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contexts (n,) or (n, d), mean rewards (n, K) and noisy rewards
@@ -303,7 +295,11 @@ class Environment:
         A run observes only the chosen entry of each noisy row, but drawing
         all K entries makes the realized regret sum (reward at the optimal
         arm minus reward at the chosen arm) well defined."""
-        d = self.spec.context_dim
-        xs = self.context_rng.random(n if d == 1 else (n, d))
-        noise = self.noise_rng.standard_normal((n, self.num_arms)) if self.spec.noise_sd > 0 else None
-        return (xs, *self._rewards(xs, noise))
+        spec = self.spec
+        xs = self.context_rng.random(n if spec.context_dim == 1 else (n, spec.context_dim))
+        means = mean_reward_matrix(spec, xs)
+        r = means + spec.noise_sd * self.noise_rng.standard_normal((n, spec.num_arms)) \
+            if spec.noise_sd > 0 else means.copy()
+        if spec.clip_rewards:
+            np.clip(r, 0.0, 1.0, out=r)
+        return xs, means, r

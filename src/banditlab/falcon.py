@@ -196,7 +196,7 @@ class EpochEvent:
     unconstrained: bool = False  # no passive data: plain least-squares update
     ridge_fallback: bool = False
     converged: bool = True    # the dual bisection met its tolerance
-    mse_to_best_fit: float = float("nan")  # filled by harness.run_one
+    mse_to_best_fit: float = float("nan")  # to f-hat*, on the diagnostics sample: run_lemmas
 
 
 class EpsilonFalconAgent:

@@ -4,8 +4,8 @@ flat-file artifacts.
 A run is fully determined by (config, seed).  The seed feeds a
 SeedSequence that is split into three independent Philox streams -- one
 for the environment, which splits it again into a context and a noise
-child, one for the agent's arm draws, one for Monte Carlo diagnostics -- so
-adding diagnostics never perturbs the simulated trajectory.
+child, one for the agent's arm draws, one for the run's one Monte Carlo
+diagnostics sample -- so adding diagnostics never perturbs the trajectory.
 
 ``run_many`` plays R seeds in lockstep through one agent that holds R
 replications.  It draws each replication's environment for up to
@@ -13,7 +13,7 @@ replications.  It draws each replication's environment for up to
 each child, and plays those rounds in blocks under one frozen policy per
 replication: the agent takes (R, n) or (R, n, d) contexts and returns
 (R, n) arms, and the rewards and regrets of all R come from the stacked
-(R, n, K) draws.  ``run_one`` is its one-seed case plus the diagnostics.
+(R, n, K) draws.  ``run_one`` is its one-seed case plus diagnostics.
 Replication r of a suite uses seed base_seed + r, which makes every
 replication independent of how many others are requested, and
 ``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
@@ -22,10 +22,11 @@ replication's trace does not depend on which others share its chunk.
 Artifacts are plain CSV, every file written by ``write_csv``.  A run's
 record takes one path: ``run_artifacts`` turns the config and the weights
 in force in each epoch into what the inequality suite reads, and
-``run_lemmas`` runs the suite on the seed's diagnostics stream.  ``run_one``
-feeds them the agent's refits, ``reanalyze_run_dir`` (``banditlab diag``)
-the stored ``weights.csv`` and ``config.txt``, so ``diag`` reproduces the
-run's ``lemmas.csv`` byte for byte.  Schemas:
+``run_lemmas``, the diagnostics pass, sets every ``mse_to_fhatstar`` and
+runs the suite on one sample from the seed's diagnostics stream.
+``run_one`` feeds them the agent's refits, ``reanalyze_run_dir``
+(``banditlab diag``) the stored ``weights.csv`` and ``config.txt``, so
+``diag`` reproduces the run's ``lemmas.csv`` byte for byte.  Schemas:
 
 * trace:   t,epoch,phase,x,action,reward,e_regret,cum_e_regret
 * epochs:  m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar
@@ -51,7 +52,7 @@ import numpy as np
 from . import diag as diagmod
 from . import env as envmod
 from .diag import LemmaCheck, RegretTrace, RunArtifacts
-from .env import Environment, EnvSpec, interval_errors, make_generator
+from .env import Environment, EnvSpec, draw_contexts, interval_errors, make_generator
 from .falcon import (EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
                      RateParams, UniformAgent, gamma_for_epoch)
 from .linmodel import LinearModel, row_max_argmax
@@ -209,8 +210,9 @@ def parse_config(text: str) -> RunConfig:
         errs.append(f"{key}: unknown key")
     if errs:
         raise ConfigError(errs)
-    # EnvSpec raises only its first error: check every env rule on the plain
-    # fields, and the other sections on a config with the default spec
+    # EnvSpec raises once built: check every env rule on the plain fields,
+    # and the other sections on a config with the default spec, so that one
+    # ConfigError lists the errors of every section
     env_fields = SimpleNamespace(**{**vars(EnvSpec()), **env_kwargs})
     config = RunConfig(**kwargs)
     errs = EnvSpec.validation_errors(env_fields) + config.validation_errors()
@@ -335,24 +337,13 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     return results
 
 
-def run_one(config: RunConfig, seed: Optional[int] = None,
-            with_lemmas: bool = True) -> RunResult:
+def run_one(config: RunConfig, seed: Optional[int] = None) -> RunResult:
     """Play ``horizon`` rounds of agent vs. environment under one seed: the
-    one replication of ``run_many``, plus the diagnostics, drawn from the
-    seed's third stream: each epoch event's ``mse_to_best_fit`` and, on
-    request, the inequality suite."""
+    one replication of ``run_many``, plus the diagnostics pass."""
     if seed is None:
         seed = config.base_seed
     result = run_many(config, [seed])[0]
-    if result.events:
-        best_fit = envmod.best_linear_fit_uniform(config.env)
-        diag_rng = make_generator(np.random.SeedSequence(seed).spawn(3)[2])
-        for ev in result.events:
-            ev.mse_to_best_fit = diagmod.model_mse(
-                LinearModel(ev.new_weights), best_fit, config.env,
-                "uniform", min(config.mc_samples, 20_000), diag_rng).value
-    if with_lemmas:
-        result.lemma_report = run_lemmas(config, seed, result.artifacts)
+    result.lemma_report = run_lemmas(config, seed, result.artifacts, result.events)
     return result
 
 
@@ -368,13 +359,20 @@ def run_artifacts(config: RunConfig, weights: list[np.ndarray]) -> RunArtifacts:
                         epsilon=epsilon, rho=config.rho)
 
 
-def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts) -> list[LemmaCheck]:
-    """The inequality suite on ``min(mc_samples, 20_000)`` contexts drawn
-    from the first child of the seed's diagnostics stream: the report of a
-    run and, from its directory, of ``reanalyze_run_dir``."""
+def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts,
+               events: list[EpochEvent]) -> list[LemmaCheck]:
+    """The diagnostics pass on ``min(mc_samples, 20_000)`` contexts from the
+    first child of the seed's diagnostics stream: each event's
+    ``mse_to_best_fit`` against the best-fit matrix, then the inequality
+    suite, all on that one sample.  The report of a run and, from its
+    directory, of ``reanalyze_run_dir``."""
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
-    return diagmod.lemma_suite(artifacts, num_mc=min(config.mc_samples, 20_000),
-                               rng=make_generator(diag_ss))
+    xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
+    fit_preds = envmod.best_linear_fit_uniform(config.env).predict_matrix(xs)
+    for ev in events:
+        ev.mse_to_best_fit = diagmod.mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
+                                              fit_preds).value
+    return diagmod.lemma_suite_from(artifacts, xs, fit_preds)
 
 
 @dataclass
@@ -516,10 +514,10 @@ def write_events_csv(events: list[EpochEvent], path: str) -> None:
               [[getattr(ev, name) for ev in events] for name in names])
 
 
-def write_weights_csv(models: list[LinearModel], path: str) -> None:
-    """One line per (epoch, arm); with no models, the header of d = 1."""
-    M, (K, p) = len(models), (models[0].weights.shape if models else (0, 2))
-    W = np.array([model.weights for model in models]).reshape(M * K, p)
+def write_weights_csv(artifacts: RunArtifacts, path: str) -> None:
+    """One line per (epoch, arm); with no models, the header of the run's d."""
+    M, K, p = len(artifacts.models), artifacts.spec.num_arms, artifacts.spec.context_dim + 1
+    W = np.array([model.weights for model in artifacts.models]).reshape(M * K, p)
     write_csv(path, "m,arm," + ",".join(f"w{j}" for j in range(p)), "%d,%d" + ",%.17g" * p,
               [np.repeat(np.arange(1, M + 1), K), np.tile(np.arange(1, K + 1), M), *W.T])
 
@@ -544,16 +542,16 @@ def write_compare_csv(table: CompareTable, path: str) -> None:
 
 
 def write_run_dir(result: RunResult, out_dir: str) -> None:
-    """One directory per run: trace, epoch events, model weights, lemma
-    checks, and the resolved config (which `diag` uses to re-analyze)."""
+    """One directory per ``run_one`` result: trace, epoch events, model
+    weights, lemma checks, and the resolved config (which `diag` uses to
+    re-analyze)."""
     os.makedirs(out_dir, exist_ok=True)
     save_config(replace(result.config, base_seed=result.seed),
                 os.path.join(out_dir, "config.txt"))
     write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
     write_events_csv(result.events, os.path.join(out_dir, "epochs.csv"))
-    write_weights_csv(result.artifacts.models, os.path.join(out_dir, "weights.csv"))
-    if result.lemma_report is not None:
-        write_lemmas_csv(result.lemma_report, os.path.join(out_dir, "lemmas.csv"))
+    write_weights_csv(result.artifacts, os.path.join(out_dir, "weights.csv"))
+    write_lemmas_csv(result.lemma_report, os.path.join(out_dir, "lemmas.csv"))
 
 
 def read_weights_csv(path: str) -> list[np.ndarray]:
@@ -573,4 +571,4 @@ def reanalyze_run_dir(run_dir: str) -> list[LemmaCheck]:
     run's own."""
     config = load_config(os.path.join(run_dir, "config.txt"))
     weights = read_weights_csv(os.path.join(run_dir, "weights.csv"))
-    return run_lemmas(config, config.base_seed, run_artifacts(config, weights))
+    return run_lemmas(config, config.base_seed, run_artifacts(config, weights), [])

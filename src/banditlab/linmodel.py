@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RIDGE = 1e-8
+LAMBDA_TOL = 1e-8  # constrained_fit's bisection width, relative to max(1, lambda)
 
 
 class InvalidArmError(ValueError):
@@ -270,12 +271,10 @@ class ConstraintSpec:
 @dataclass
 class DualReport:
     """Outcome of one constrained fit: the final multiplier, how tight the
-    constraint ended up, and the primal/dual objective values."""
+    constraint ended up, and the gap between the primal and dual objectives."""
 
     lam: float
     constraint_residual: float  # normalized SSE(passive) - alpha - slack
-    primal_objective: float     # normalized SSE(active)
-    dual_objective: float
     duality_gap: float
     alpha: float
     slack: float
@@ -284,7 +283,7 @@ class DualReport:
 
 
 def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
-                    lambda_tol: float = 1e-8, lambda_max: float = 1e12,
+                    lambda_max: float = 1e12,
                     max_iters: int = 400) -> tuple[LinearModel, DualReport]:
     """Constrained regression via the one-dimensional concave dual.
 
@@ -295,7 +294,7 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
     equals the constraint residual normalized SSE(f, passive) - alpha -
     slack.  Bisection keeps the feasible endpoint, so the returned model
     always satisfies the budget; it stops once that endpoint is within
-    ``tol`` of tightness and the lambda interval is below ``lambda_tol``,
+    ``tol`` of tightness and the lambda interval is below ``LAMBDA_TOL``,
     or, unconverged, at adjacent float endpoints or after ``max_iters`` steps.
 
     The returned model is the exact output of ``fit_weighted(active,
@@ -320,9 +319,7 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
 
     model, resid = weighted(0.0)
     if resid <= 0:
-        primal = _moment_nsse(model, active)
-        return model, DualReport(0.0, resid, primal, primal, 0.0, alpha,
-                                 cons.slack, n_fits, True)
+        return model, DualReport(0.0, resid, 0.0, alpha, cons.slack, n_fits, True)
 
     lam_lo, lam_hi = 0.0, 2.0
     model, resid = weighted(lam_hi)
@@ -336,7 +333,7 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
         model, resid = weighted(lam_hi)
 
     iters = 0
-    while (abs(resid) > tol or (lam_hi - lam_lo) > lambda_tol * max(1.0, lam_hi)) \
+    while (abs(resid) > tol or (lam_hi - lam_lo) > LAMBDA_TOL * max(1.0, lam_hi)) \
             and iters < max_iters:
         mid = 0.5 * (lam_lo + lam_hi)
         if mid in (lam_lo, lam_hi):
@@ -348,7 +345,6 @@ def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
             lam_hi, model, resid = mid, mid_model, mid_resid
         iters += 1
 
-    primal = _moment_nsse(model, active)
-    dual = primal + lam_hi * resid
-    return model, DualReport(lam_hi, resid, primal, dual, primal - dual,
-                             alpha, cons.slack, n_fits, abs(resid) <= tol)
+    primal = _moment_nsse(model, active)  # normalized SSE(active)
+    gap = primal - (primal + lam_hi * resid)  # primal minus dual objective
+    return model, DualReport(lam_hi, resid, gap, alpha, cons.slack, n_fits, abs(resid) <= tol)

@@ -10,7 +10,9 @@ environment drawn one round at a time (its truth surface is the
 package's), in the package's stream layout or in the earlier single-stream
 one.  The inequality suite as it ran before it shared one context sample
 (every check on its own draw, through the package's public estimators) is
-the reference for the shared-sample suite.
+the reference for the shared-sample suite, and each epoch's model MSE as
+the harness computed it before it joined that sample (a fresh draw per
+epoch) is the reference for ``mse_to_fhatstar``.
 """
 
 import math
@@ -20,9 +22,10 @@ import numpy as np
 from banditlab import env as envmod
 from banditlab.diag import (LemmaCheck, decisional_divergence, induced_policy,
                             kernel_estimated_regret, kernel_true_regret, mean_model_gap,
-                            policy_regret)
+                            model_mse, policy_regret)
 from banditlab.env import Environment, make_generator, mean_reward_matrix, true_model
 from banditlab.falcon import igw_kernel
+from banditlab.linmodel import LinearModel
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -376,3 +379,15 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
                                  true_reg.se, True,
                                  f"ratio {ratio:.3f} logged only; constants unknown"))
     return checks
+
+
+def mse_to_best_fit_per_event(spec, events, num_mc: int, seed: int) -> list[float]:
+    """Each epoch event's uniform-design MSE between its refit and the best
+    linear fit, as the harness computed ``mse_to_fhatstar`` before the
+    diagnostics pass shared one sample: ``model_mse`` on a fresh draw of
+    ``num_mc`` contexts per event, all from one generator on the seed's
+    diagnostics stream itself (``SeedSequence(seed).spawn(3)[2]``)."""
+    best_fit = envmod.best_linear_fit_uniform(spec)
+    rng = make_generator(np.random.SeedSequence(seed).spawn(3)[2])
+    return [model_mse(LinearModel(ev.new_weights), best_fit, spec, "uniform", num_mc, rng).value
+            for ev in events]

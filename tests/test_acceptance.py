@@ -16,7 +16,7 @@ from banditlab.diag import (decisional_divergence, induced_policy,
 from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
                            worst_case_error_B)
 from banditlab.falcon import igw_kernel, tune_epsilon
-from banditlab.harness import RunConfig, run_one, run_suite
+from banditlab.harness import RunConfig, run_many, run_suite
 from banditlab.linmodel import ConstraintSpec, DataBatch, constrained_fit, fit_ols
 
 from oracles import grid_search_constrained, normalized_sse, per_round
@@ -34,7 +34,7 @@ def report(num, ok, text):
 def sens_run_eps01():
     cfg = RunConfig(env=SENS05, agent="epsilon_falcon", epsilon=0.1, delta=0.1,
                     horizon=2**14 * 4, mc_samples=10_000)
-    return run_one(cfg, seed=20, with_lemmas=False)
+    return run_many(cfg, [20])[0]
 
 
 def test_criterion_1_adaptive_sampling_pathology():
@@ -158,8 +158,8 @@ def test_criterion_6_constraint_keeps_model_near_best_fit():
                         delta=0.1, horizon=T, mc_samples=10_000)
     plain = RunConfig(env=SENS05, agent="falcon", delta=0.1, horizon=T,
                       mc_samples=10_000)
-    res_g = run_one(guarded, seed=30, with_lemmas=False)
-    res_p = run_one(plain, seed=30, with_lemmas=False)
+    res_g = run_many(guarded, [30])[0]
+    res_p = run_many(plain, [30])[0]
     best_fit = best_linear_fit_uniform(SENS05)
     final_g = res_g.artifacts.models[-1]
     final_p = res_p.artifacts.models[-1]
@@ -180,7 +180,7 @@ def test_criterion_7_realizable_sublinear_growth():
     cfg = RunConfig(env=EnvSpec(kind="realizable_linear", seed=5),
                     agent="epsilon_falcon", epsilon=0.05, delta=0.1,
                     horizon=4 * T0, mc_samples=10_000)
-    res = run_one(cfg, seed=40, with_lemmas=False)
+    res = run_many(cfg, [40])[0]
     e = res.trace.e_regret
     cum = res.trace.cum_e_regret
     half1 = float(e[: 2 * T0].mean())

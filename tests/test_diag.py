@@ -11,7 +11,7 @@ from banditlab.diag import (MCEstimate, RunArtifacts, constant_policy,
 from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
                            worst_case_error_B)
 from banditlab.falcon import igw_kernel
-from banditlab.harness import RunConfig, run_one
+from banditlab.harness import RunConfig, run_many
 from banditlab.linmodel import LinearModel
 
 from oracles import lemma_suite_independent
@@ -169,8 +169,8 @@ class TestModelDriftGuard:
                             delta=0.1, horizon=T, mc_samples=5_000)
         plain = RunConfig(env=SENS, agent="falcon", delta=0.1, horizon=T,
                           mc_samples=5_000)
-        res_g = run_one(guarded, seed=60, with_lemmas=False)
-        res_p = run_one(plain, seed=60, with_lemmas=False)
+        res_g = run_many(guarded, [60])[0]
+        res_p = run_many(plain, [60])[0]
         best = best_linear_fit_uniform(SENS)
         mse_g = model_mse(res_g.artifacts.models[-1], best, SENS, "uniform",
                           50_000, rng=26)
@@ -214,9 +214,9 @@ class TestLemmaSuite:
 
 # Artifacts shaped like the benchmark's ``falcon_run`` (epsilon-FALCON,
 # sensitivity family) at a small horizon, and a run with K = 3, d = 2.
-FALCON_RUN_ARTS = run_one(RunConfig(env=SENS, horizon=512), 0, with_lemmas=False).artifacts
-REAL_ARTS = run_one(RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2,
-                                          seed=4), horizon=300), 1, with_lemmas=False).artifacts
+FALCON_RUN_ARTS = run_many(RunConfig(env=SENS, horizon=512), [0])[0].artifacts
+REAL_ARTS = run_many(RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2,
+                                           seed=4), horizon=300), [1])[0].artifacts
 
 
 class TestSharedSampleSuite:

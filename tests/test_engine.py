@@ -14,10 +14,11 @@ from banditlab import harness
 from banditlab.diag import RegretTrace
 from banditlab.env import Environment, EnvSpec, make_generator
 from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
-from banditlab.harness import (RunConfig, run_one, write_events_csv, write_lemmas_csv,
-                               write_trace_csv, write_weights_csv)
+from banditlab.harness import (RunConfig, run_many, run_one, write_events_csv,
+                               write_lemmas_csv, write_trace_csv, write_weights_csv)
 
-from oracles import PerRoundEnvironment, per_round, simulate_per_round, write_trace_rows
+from oracles import (PerRoundEnvironment, mse_to_best_fit_per_event, per_round,
+                     simulate_per_round, write_trace_rows)
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -96,7 +97,7 @@ def assert_equals_reference(tr, agent, r, ref, ref_agent):
 def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monkeypatch,
                                                       tmp_path):
     ref, ref_agent = reference(config, seed)
-    res, agent = engine(lambda: run_one(config, seed, with_lemmas=False), monkeypatch)
+    res, agent = engine(lambda: run_many(config, [seed])[0], monkeypatch)
     tr = res.trace
     assert_equals_reference(tr, agent, 0, ref, ref_agent)
     # the written trace is byte-equal to one written round by round
@@ -115,7 +116,7 @@ def test_lockstep_replication_independent_of_its_chunk(label, config, seed, monk
     # step of 100 rounds over seven replications splits blocks mid-window
     seeds = [seed, seed + 100, seed + 200, seed, seed + 300, seed + 400, seed]
     ref, ref_agent = reference(config, seed)
-    single = run_one(config, seed, with_lemmas=False).trace
+    single = run_many(config, [seed])[0].trace
     monkeypatch.setattr(harness, "ROUNDS_PER_DRAW", 700)
     results, agent = engine(lambda: harness.run_many(config, seeds), monkeypatch)
     assert [res.seed for res in results] == seeds
@@ -151,10 +152,13 @@ class RecordingGenerator(np.random.Generator):
 
 def stream_digests(config, seed, monkeypatch):
     """sha256 of the values each stream of ``run_one`` draws, in order:
-    the environment's context and noise children, then the agent's and
-    the diagnostics' generators."""
+    the environment's context and noise children, the agent's generator and
+    the diagnostics generator.  The harness's generators are told apart by
+    the spawn key of the SeedSequence they are built from, not by the order
+    they are built in: (1,) is the agent's stream, (2, 0) the first child of
+    the diagnostics stream."""
     digests = {name: hashlib.sha256() for name in ("context", "noise", "agent", "diag")}
-    rest = iter(("agent", "diag"))
+    by_stream = {(1,): "agent", (2, 0): "diag"}
 
     class RecordingEnvironment(Environment):
         def __init__(self, spec, seed=None):
@@ -165,8 +169,8 @@ def stream_digests(config, seed, monkeypatch):
 
     monkeypatch.setattr(harness, "Environment", RecordingEnvironment)
     monkeypatch.setattr(harness, "make_generator", lambda s: RecordingGenerator(
-        make_generator(s).bit_generator, digests[next(rest)]))
-    trace = run_one(config, seed, with_lemmas=False).trace
+        make_generator(s).bit_generator, digests[by_stream[s.spawn_key]]))
+    trace = run_one(config, seed).trace
     return trace, {name: h.hexdigest()[:16] for name, h in digests.items()}
 
 
@@ -178,24 +182,25 @@ def stream_digests(config, seed, monkeypatch):
 # file digests also run OLS, constrained and LinUCB fits, so they are tied
 # to the numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS at 1 and
 # 2 threads); on another build only they may move, by the last bits of a
-# fit.  LinUCB draws nothing, and only FALCON runs draw for diagnostics
-# (the empty stream's digest is e3b0c442...).
+# fit.  LinUCB's agent draws nothing (the empty stream's digest is
+# e3b0c442...); every run draws one diagnostics sample, for its epochs'
+# mse_to_fhatstar and its inequality suite.
 PINNED = {
     "eps_falcon_sens_mid_epoch": (
         {"context": "3ed556d68cd19c32", "noise": "704abd04489f44ee",
-         "agent": "e9747503c5755ab8", "diag": "d064f38509715118"},
+         "agent": "e9747503c5755ab8", "diag": "852ba13118563d17"},
         "33e039912913de72cecd8be1720f3ec2ecaaa83d5ef2efa48bd496311505b380"),
     "falcon_step_on_boundary": (
         {"context": "21e1607297d7baff", "noise": "0071c46d9909873b",
-         "agent": "383d60f5653e374b", "diag": "05717da82dc3c6e5"},
+         "agent": "383d60f5653e374b", "diag": "1868294b13002c6a"},
         "8c4def30472791c1b6ab8fb4af16ad0bf05329c02fb446bf44c87d01cfa765f1"),
     "lin_ucb_real_d3": (
         {"context": "432b1947a3d420c6", "noise": "5d271c4e41f10cd8",
-         "agent": "e3b0c44298fc1c14", "diag": "e3b0c44298fc1c14"},
+         "agent": "e3b0c44298fc1c14", "diag": "fd72517e5057fa21"},
         "dff40c80f7f9c71ee0d557a2b3574523410c065a48aa6061783fe8b3667376c2"),
     "uniform_real3": (
         {"context": "37b746bb17d15fd4", "noise": "34a10a7eb784907a",
-         "agent": "06ca9daa29c110da", "diag": "e3b0c44298fc1c14"},
+         "agent": "06ca9daa29c110da", "diag": "19710dece9623ab2"},
         "d818ba3f0ec3518252df272e874457764cd43b937649a8d761553570fe296540"),
 }
 
@@ -229,29 +234,30 @@ def test_lemma_report_digest_pinned(tmp_path):
 
 # The epoch events and per-epoch weights files of an epsilon-FALCON run, of
 # a FALCON run (whose unconstrained refits leave nan alpha/slack cells) and
-# of a LinUCB run (header only).  They hold fits and the diagnostics
-# stream's model MSEs, so like the trace digests they are tied to the
+# of a LinUCB run (no epochs: the header, with one weight column per
+# context dimension and the intercept).  They hold fits and the model MSEs
+# on the diagnostics sample, so like the trace digests they are tied to the
 # numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS at 1 and 2
 # threads).
 RUN_FILES_PINNED = {
     "eps_falcon_sens_mid_epoch": (
-        "37a88485c23e4eb91991fee36dbed0e56c462c0b9a8e7325b83965e7e34f7779",
+        "016d39005092f67796eb98341e68330c00dcc62fdce4a2e34c347cfe770f580f",
         "0b6c4b92d94dbfc13d6cac13f7f10a12b8eb0ac029e97a56286a8057206fb686"),
     "falcon_step_on_boundary": (
-        "72ab4b26379a3774f4b10136d20e28a6a16eb7dd409cbd528288b4d0d7ad4f59",
+        "cb11d2c01e4268f2963f1e6b25206338a817b035aa721eb1e63b1b75601123c9",
         "c579694274ddd502c425a59a1293298423129f934ca5739846651555d8aec5b3"),
     "lin_ucb_real_d3": (
         "8f5e989637777aa6c1e59d70bf6dc274e7f079dfad3f8d1a833bcfac8baa369f",
-        "02b1d20e250f13dd3ba77f762e9cfaf7cdd2f364377f46d3641a2b279a6a7eb3"),
+        "d4dae2b0eaa50a41bb3f6970b0af49d1d497170aa2e623e8999ba70d7dc9e0f3"),
 }
 
 
 @pytest.mark.parametrize("label", sorted(RUN_FILES_PINNED))
 def test_epochs_and_weights_digests_pinned(label, tmp_path):
     _, config, seed = next(g for g in GRID if g[0] == label)
-    res = run_one(config, seed, with_lemmas=False)
+    res = run_one(config, seed)
     write_events_csv(res.events, str(tmp_path / "epochs.csv"))
-    write_weights_csv(res.artifacts.models, str(tmp_path / "weights.csv"))
+    write_weights_csv(res.artifacts, str(tmp_path / "weights.csv"))
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("epochs.csv", "weights.csv")) == RUN_FILES_PINNED[label]
 
@@ -270,7 +276,7 @@ LAYOUT_CASES = [
 
 @pytest.mark.parametrize("label,config", LAYOUT_CASES, ids=[c[0] for c in LAYOUT_CASES])
 def test_child_stream_layout_matches_interleaved_layout_in_distribution(label, config):
-    engine_final = [run_one(config, seed, with_lemmas=False).trace.cum_e_regret[-1]
+    engine_final = [run_many(config, [seed])[0].trace.cum_e_regret[-1]
                     for seed in range(LAYOUT_REPS)]
     reference_final = []
     for seed in range(1000, 1000 + LAYOUT_REPS):
@@ -283,6 +289,33 @@ def test_child_stream_layout_matches_interleaved_layout_in_distribution(label, c
     a, b = np.array(engine_final), np.array(reference_final)
     z = (a.mean() - b.mean()) / np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
     assert abs(z) < LAYOUT_Z_BOUND, (z, a.mean(), b.mean())
+
+
+# Each epoch's mse_to_fhatstar is measured on the run's one diagnostics
+# sample, the inequality suite's; until it was, each epoch drew fresh
+# contexts from the diagnostics stream itself.  Both estimate the same
+# population MSE of the same refits, so over R runs a side, on disjoint
+# seeds, Welch's z on each epoch's mean stays inside the bound.
+MSE_REPS, MSE_Z_BOUND = 40, 4.0
+MSE_CASES = [
+    ("eps_falcon_sens", RunConfig(env=SENS, horizon=512, mc_samples=2_000)),
+    ("falcon_real_d2", RunConfig(env=REAL_D2_CLIPPED, agent="falcon", horizon=230,
+                                 mc_samples=2_000)),
+]
+
+
+@pytest.mark.parametrize("label,config", MSE_CASES, ids=[c[0] for c in MSE_CASES])
+def test_one_pass_mse_to_fhatstar_matches_per_event_draws_in_distribution(label, config):
+    one_pass = np.array([[ev.mse_to_best_fit for ev in run_one(config, seed).events]
+                         for seed in range(MSE_REPS)])
+    reference = np.array([mse_to_best_fit_per_event(config.env,
+                                                    run_many(config, [seed])[0].events,
+                                                    config.mc_samples, seed)
+                          for seed in range(1000, 1000 + MSE_REPS)])
+    assert one_pass.shape == reference.shape and one_pass.shape[1] >= 5
+    for m, (a, b) in enumerate(zip(one_pass.T, reference.T), start=1):
+        z = (a.mean() - b.mean()) / np.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+        assert abs(z) < MSE_Z_BOUND, (m, z, a.mean(), b.mean())
 
 
 def test_trace_writer_empty_trace_writes_header(tmp_path):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from banditlab import env as envmod
 from banditlab.env import (Environment, EnvSpec, approximation_error_b,
-                           best_linear_fit_uniform, mean_reward_matrix, optimal_actions,
-                           worst_case_error_B)
+                           best_linear_fit_uniform, make_generator, mean_reward_matrix,
+                           optimal_actions, true_model, worst_case_error_B)
 
 from oracles import lstsq_line, per_round, simpson
 
@@ -41,6 +42,11 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             EnvSpec(kind="bandit_of_mystery")
+
+    def test_every_error_raised(self):
+        with pytest.raises(ValueError) as info:
+            EnvSpec(kind="realizable_linear", num_arms=1, noise_sd=math.nan)
+        assert "env.num_arms" in str(info.value) and "env.noise_sd" in str(info.value)
 
 
 class TestContexts:
@@ -140,6 +146,13 @@ class TestDraw:
         parts = [env.draw(k) for k in (1, 12, 0, 27)]
         for got, want in zip(whole, (np.concatenate(c) for c in zip(*parts))):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_draw_means_are_the_truth_formula(self, spec):
+        # one formula per truth surface: a linear truth's GEMM can round a
+        # row differently from its row-by-row product
+        xs, means, _ = Environment(spec, seed=8).draw(20_000)
+        assert means.tobytes() == mean_reward_matrix(spec, xs).tobytes()
 
     def test_draw_shapes(self):
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2, seed=0)
@@ -287,6 +300,18 @@ class TestRealizableDesign:
         c = best_linear_fit_uniform(EnvSpec(kind="realizable_linear", seed=5))
         np.testing.assert_array_equal(a.weights, b.weights)
         assert not np.array_equal(a.weights, c.weights)
+
+    def test_weights_built_once(self, monkeypatch):
+        spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2, seed=123)
+        env = Environment(spec, seed=0)
+        env.draw(1)
+        built = []
+        monkeypatch.setattr(envmod, "make_generator",
+                            lambda seed: built.append(seed) or make_generator(seed))
+        for n in (1, 10, 100):
+            env.draw(n)
+        assert built == []
+        assert not true_model(spec).weights.flags.writeable
 
     def test_multidim_contexts(self):
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=4, seed=2)

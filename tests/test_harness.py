@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab import harness
-from banditlab.diag import constant_policy, policy_regret
-from banditlab.env import EnvSpec
+from banditlab.diag import constant_policy, lemma_suite, model_mse, policy_regret
+from banditlab.env import EnvSpec, best_linear_fit_uniform, make_generator
 from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config,
-                               read_weights_csv, run_one, run_suite, save_config,
+                               read_weights_csv, run_many, run_one, run_suite, save_config,
                                serialize_config, write_compare_csv, write_run_dir,
                                write_summary_csv, write_trace_csv)
+from banditlab.linmodel import LinearModel
 
 ALLOWED = {key: allowed for key, _, _, allowed in harness.CONFIG_KEYS}
 STEP = EnvSpec(kind="step_function")
@@ -296,7 +297,7 @@ def test_readme_documents_every_key():
 
 class TestRunOne:
     def test_one_epoch_at_horizon_four(self):
-        res = run_one(small_config(horizon=4), seed=0, with_lemmas=False)
+        res = run_many(small_config(horizon=4), [0])[0]
         assert len(res.events) == 1
         assert res.events[0].m == 1
         assert res.events[0].tau_end == 4
@@ -304,7 +305,7 @@ class TestRunOne:
         assert len(res.artifacts.models) == 1  # only epoch 1 actually ran
 
     def test_trace_shape_and_epochs(self):
-        res = run_one(small_config(horizon=20), seed=1, with_lemmas=False)
+        res = run_many(small_config(horizon=20), [1])[0]
         tr = res.trace
         assert len(tr) == 20
         assert tr.t[0] == 1 and tr.t[-1] == 20
@@ -312,7 +313,7 @@ class TestRunOne:
         assert set(np.unique(tr.phase)) <= {"active", "passive"}
 
     def test_expected_regret_nonnegative(self):
-        res = run_one(small_config(horizon=256), seed=2, with_lemmas=False)
+        res = run_many(small_config(horizon=256), [2])[0]
         assert res.trace.e_regret.min() >= 0.0
         diffs = np.diff(res.trace.cum_e_regret)
         assert diffs.min() >= -1e-15
@@ -320,18 +321,18 @@ class TestRunOne:
     def test_deterministic_trace_files(self, tmp_path):
         cfg = small_config(horizon=128)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(run_one(cfg, seed=5, with_lemmas=False).trace, str(p1))
-        write_trace_csv(run_one(cfg, seed=5, with_lemmas=False).trace, str(p2))
+        write_trace_csv(run_many(cfg, [5])[0].trace, str(p1))
+        write_trace_csv(run_many(cfg, [5])[0].trace, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_different_seeds_differ(self):
-        a = run_one(small_config(horizon=64), seed=1, with_lemmas=False)
-        b = run_one(small_config(horizon=64), seed=2, with_lemmas=False)
+        a = run_many(small_config(horizon=64), [1])[0]
+        b = run_many(small_config(horizon=64), [2])[0]
         assert not np.array_equal(a.trace.action, b.trace.action)
 
     def test_uniform_agent_matches_diag_estimate(self):
         cfg = small_config(agent="uniform", horizon=10_000)
-        res = run_one(cfg, seed=3, with_lemmas=False)
+        res = run_many(cfg, [3])[0]
         per_round = res.trace.e_regret.mean()
         # uniform randomized policy regret = mean of the constant policies'
         reg1 = policy_regret(STEP, constant_policy(1, 2), STEP, 50_000, rng=0)
@@ -341,12 +342,25 @@ class TestRunOne:
         assert abs(per_round - expected) <= 3 * math.hypot(se, reg1.se, reg2.se)
 
     def test_lemma_report_on_request(self):
-        res = run_one(small_config(horizon=32), seed=4, with_lemmas=True)
+        res = run_one(small_config(horizon=32), seed=4)
         assert res.lemma_report is not None
         assert all(c.passed for c in res.lemma_report)
 
+    def test_diagnostics_pass_reads_one_sample(self):
+        # every epoch's MSE and the whole suite come from the one sample the
+        # public estimators draw when seeded with the diagnostics child
+        cfg = small_config(env=EnvSpec(kind="sensitivity_family", theta=0.05), horizon=128)
+        res = run_one(cfg, seed=3)
+        diag_ss = np.random.SeedSequence(3).spawn(3)[2].spawn(1)[0]
+        best_fit = best_linear_fit_uniform(cfg.env)
+        assert [ev.mse_to_best_fit for ev in res.events] == \
+            [model_mse(LinearModel(ev.new_weights), best_fit, cfg.env, "uniform",
+                       cfg.mc_samples, make_generator(diag_ss)).value for ev in res.events]
+        assert res.lemma_report == lemma_suite(res.artifacts, cfg.mc_samples,
+                                               make_generator(diag_ss))
+
     def test_falcon_agent_epoch_events_filled(self):
-        res = run_one(small_config(horizon=64), seed=6, with_lemmas=False)
+        res = run_one(small_config(horizon=64), seed=6)
         assert len(res.events) == 5  # epochs ending at 4, 8, 16, 32, 64
         for ev in res.events:
             assert math.isfinite(ev.mse_to_best_fit)
@@ -357,7 +371,7 @@ class TestRunSuite:
     def test_single_replication_equals_run_one(self):
         cfg = small_config(horizon=64, replications=1)
         summary = run_suite(cfg)
-        res = run_one(cfg, seed=cfg.base_seed, with_lemmas=False)
+        res = run_many(cfg, [cfg.base_seed])[0]
         np.testing.assert_allclose(summary.mean_e_regret, res.trace.e_regret)
         np.testing.assert_array_equal(summary.se_e_regret, np.zeros(64))
 
@@ -402,9 +416,9 @@ class TestRunSuite:
     def test_replication_streams_stable_under_R(self):
         cfg3 = small_config(horizon=32, replications=3)
         cfg5 = small_config(horizon=32, replications=5)
-        r3 = [run_one(cfg3, cfg3.base_seed + r, with_lemmas=False).trace.action
+        r3 = [run_many(cfg3, [cfg3.base_seed + r])[0].trace.action
               for r in range(3)]
-        r5 = [run_one(cfg5, cfg5.base_seed + r, with_lemmas=False).trace.action
+        r5 = [run_many(cfg5, [cfg5.base_seed + r])[0].trace.action
               for r in range(3)]
         for a, b in zip(r3, r5):
             np.testing.assert_array_equal(a, b)
@@ -515,21 +529,29 @@ class TestArtifacts:
 
     def test_weights_round_trip(self, tmp_path):
         cfg = small_config(horizon=64)
-        res = run_one(cfg, seed=10, with_lemmas=False)
+        res = run_many(cfg, [10])[0]
         path = tmp_path / "weights.csv"
         from banditlab.harness import write_weights_csv
-        write_weights_csv(res.artifacts.models, str(path))
+        write_weights_csv(res.artifacts, str(path))
         mats = read_weights_csv(str(path))
         assert len(mats) == len(res.artifacts.models)
         for got, model in zip(mats, res.artifacts.models):
             np.testing.assert_array_equal(got, model.weights)
 
-    def test_weights_row_shape_matches_schema(self, tmp_path):
-        cfg = small_config(horizon=8)
-        res = run_one(cfg, seed=11, with_lemmas=False)
+    def test_weights_header_without_epochs_follows_context_dim(self, tmp_path):
+        cfg = small_config(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=3),
+                           agent="lin_ucb", horizon=8)
         path = tmp_path / "w.csv"
         from banditlab.harness import write_weights_csv
-        write_weights_csv(res.artifacts.models, str(path))
+        write_weights_csv(run_many(cfg, [0])[0].artifacts, str(path))
+        assert path.read_text() == "m,arm,w0,w1,w2,w3\n"
+
+    def test_weights_row_shape_matches_schema(self, tmp_path):
+        cfg = small_config(horizon=8)
+        res = run_many(cfg, [11])[0]
+        path = tmp_path / "w.csv"
+        from banditlab.harness import write_weights_csv
+        write_weights_csv(res.artifacts, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "m,arm,w0,w1"
         assert lines[1].startswith("1,1,")

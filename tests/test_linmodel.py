@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from banditlab import falcon, linmodel
 from banditlab.env import EnvSpec
-from banditlab.harness import RunConfig, run_one
+from banditlab.harness import RunConfig, run_many
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
                                 InfeasibleConstraintError, InvalidArmError,
                                 LinearModel, _moment_nsse, constrained_fit, featurize,
@@ -375,7 +375,7 @@ class TestBisectionStop:
                             lambda *a, **k: reports.append(fit(*a, **k)) or reports[-1])
         config = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05),
                            horizon=512, c1=1e-4)
-        events = run_one(config, 0, with_lemmas=False).events
+        events = run_many(config, [0])[0].events
         model, report = reports[1]
         assert events[1].m == 2 and not events[1].converged and not report.converged
         assert report.lam == float.fromhex("0x1.30fa6e472428ep-27")  # 8.876e-09
