@@ -18,7 +18,9 @@ Three built-in families, all with contexts drawn uniformly from (0,1):
 Mean rewards are deterministic functions of (x, arm); observation noise is
 Gaussian with standard deviation ``noise_sd`` and is NOT clipped to [0,1]
 unless ``clip_rewards`` is set (clipping would bias the closed-form
-least-squares oracles below).
+least-squares oracles below).  A live ``Environment`` holds R replications,
+each with its own context and noise streams, and draws the next rounds of
+all R with one call; a non-finite reward is a ``FloatingPointError``.
 
 Everything random flows through ``numpy.random.Generator`` seeded with the
 Philox counter-based bit generator, so streams are reproducible across
@@ -271,35 +273,44 @@ def worst_case_error_B(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorE
 
 
 class Environment:
-    """A live environment: an EnvSpec plus two private RNG streams, the
-    children of the given seed's generator: child 0 draws the contexts and
-    child 1 the reward noise, both through ``draw``.
-
-    Immutable after construction except for the generator states.  One
-    instance per simulation run; do not share a single instance across
+    """A live environment for R replications (a single run is R = 1): an
+    EnvSpec plus two private RNG streams per seed, the children of its
+    generator: child 0 draws the replication's contexts and child 1 its
+    reward noise.  One instance per simulation run; do not share it across
     concurrent runs.
     """
 
-    def __init__(self, spec: EnvSpec, seed=None):
-        self.spec = spec
+    def __init__(self, spec: EnvSpec, seeds):
+        self.spec, self.rounds = spec, 0
         # contexts and reward noise are independent draws, so each has its
         # own child stream and a block of rounds takes one call from each
-        self.context_rng, self.noise_rng = make_generator(
-            spec.seed if seed is None else seed).spawn(2)
+        self.context_rngs, self.noise_rngs = map(list, zip(*(make_generator(seed).spawn(2)
+                                                             for seed in seeds)))
 
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Contexts (n,) or (n, d), mean rewards (n, K) and noisy rewards
-        (n, K) of the next n rounds: n contexts from the context stream and
-        n * K noises from the noise stream.  Each stream is consumed in
-        order, so any split of the rounds into draws gives the same values.
-        A run observes only the chosen entry of each noisy row, but drawing
-        all K entries makes the realized regret sum (reward at the optimal
-        arm minus reward at the chosen arm) well defined."""
-        spec = self.spec
-        xs = self.context_rng.random(n if spec.context_dim == 1 else (n, spec.context_dim))
-        means = mean_reward_matrix(spec, xs)
-        r = means + spec.noise_sd * self.noise_rng.standard_normal((n, spec.num_arms)) \
+        """Contexts (R, n) or (R, n, d), mean rewards (R, n, K) and noisy
+        rewards (R, n, K) of the next n rounds: each replication takes n
+        contexts from its context stream and n * K noises from its noise
+        stream, in order, so any split of the rounds into draws gives the
+        same values.  The truth, the noise scaling and the clip act on all
+        R * n rows at once, row by row, so replication r draws what an
+        environment on its seed alone would.  Drawing all K noisy entries
+        makes the realized regret sum (reward at the optimal arm minus
+        reward at the chosen arm) well defined.  A non-finite reward raises
+        FloatingPointError naming its round, with ``replication`` set to the
+        first replication that drew one."""
+        spec, R, K = self.spec, len(self.context_rngs), self.spec.num_arms
+        xs = np.stack([draw_contexts(spec, n, rng) for rng in self.context_rngs])
+        means = mean_reward_matrix(spec, xs.reshape(R * n, *xs.shape[2:])).reshape(R, n, K)
+        r = means + spec.noise_sd * np.stack([rng.standard_normal((n, K))
+                                              for rng in self.noise_rngs]) \
             if spec.noise_sd > 0 else means.copy()
         if spec.clip_rewards:
             np.clip(r, 0.0, 1.0, out=r)
+        if not np.isfinite(r).all():
+            rep, i, _ = np.argwhere(~np.isfinite(r))[0]
+            exc = FloatingPointError(f"non-finite reward in round {self.rounds + i + 1}")
+            exc.replication = int(rep)
+            raise exc
+        self.rounds += n
         return xs, means, r

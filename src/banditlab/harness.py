@@ -7,13 +7,13 @@ for the environment, which splits it again into a context and a noise
 child, one for the agent's arm draws, one for the run's one Monte Carlo
 diagnostics sample -- so adding diagnostics never perturbs the trajectory.
 
-``run_many`` plays R seeds in lockstep through one agent that holds R
-replications.  It draws each replication's environment for up to
-``ROUNDS_PER_DRAW // R`` rounds of one epoch at a time, with one call to
-each child, and plays those rounds in blocks under one frozen policy per
-replication: the agent takes (R, n) or (R, n, d) contexts and returns
-(R, n) arms, and the rewards and regrets of all R come from the stacked
-(R, n, K) draws.  ``run_one`` is its one-seed case plus diagnostics.
+``run_many`` plays R seeds in lockstep through one agent and one
+``Environment`` that each hold R replications.  Each step draws up to
+``ROUNDS_PER_DRAW // R`` rounds of one epoch for all R at once (one call to
+each replication's context and noise child) and plays those rounds in
+blocks under one frozen policy per replication: the agent takes (R, n) or
+(R, n, d) contexts and returns (R, n) arms, and the rewards and regrets of
+all R come from the stacked (R, n, K) draws.  ``run_one`` is its one-seed case plus diagnostics.
 Replication r of a suite uses seed base_seed + r, which makes every
 replication independent of how many others are requested, and
 ``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
@@ -268,13 +268,14 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
 
     Each replication draws from its own environment and agent streams
     exactly as a single run does, so its result does not depend on the
-    other seeds.  An exception from one replication's draw or refit leaves
-    with its position in ``seeds`` as its ``replication`` attribute.
+    other seeds.  A non-finite reward leaves with the position in ``seeds``
+    of the first replication that drew one as its ``replication``
+    attribute (``Environment.draw``).
     """
     config.validate()
     R, spec, T = len(seeds), config.env, config.horizon
     streams = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
-    envs = [Environment(spec, seed=env_ss) for env_ss, _, _ in streams]
+    env = Environment(spec, [env_ss for env_ss, _, _ in streams])
     agent_rngs = [make_generator(agent_ss) for _, agent_ss, _ in streams]
     agent = build_agent(config, R)
     schedule = EpochSchedule(config.tau1)
@@ -297,13 +298,7 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
         epoch = schedule.epoch_of(t)
         lo, stop = t - 1, min(T, schedule.boundary(epoch), t + step - 1)
         n = stop - lo
-        means, rvec = np.empty((R, n, K)), np.empty((R, n, K))
-        for r, env in enumerate(envs):
-            try:
-                xs[r, lo:stop], means[r], rvec[r] = env.draw(n)
-            except Exception as exc:
-                exc.replication = r
-                raise
+        xs[:, lo:stop], means, rvec = env.draw(n)
         # replication r's reward at arm a in round i is flat[arm_base[r, i] + a]
         rmeans, flat = means.reshape(-1), rvec.reshape(-1)
         arm_base = (np.arange(R)[:, None] * n + np.arange(n)) * K - 1

@@ -235,9 +235,9 @@ class PerRoundEnvironment:
 
 
 def per_round(spec, seed) -> PerRoundEnvironment:
-    """The per-round view of ``Environment(spec, seed)``'s two streams."""
-    env = Environment(spec, seed=seed)
-    return PerRoundEnvironment(spec, env.context_rng, env.noise_rng)
+    """The per-round view of ``Environment(spec, [seed])``'s two streams."""
+    env = Environment(spec, [seed])
+    return PerRoundEnvironment(spec, env.context_rngs[0], env.noise_rngs[0])
 
 
 def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:

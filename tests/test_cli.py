@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 
 import pytest
 
@@ -54,6 +55,17 @@ class TestRunVerb:
         assert main(["run", "--config", str(path), *args]) == 1
         assert f"error: {key}: must be in [0, inf)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agent", harness.AGENT_NAMES)
+    def test_non_finite_rewards_exit_two(self, tmp_path, capsys, agent):
+        # noise this large overflows to inf within the first rounds
+        path = tmp_path / "huge_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e308), agent=agent,
+                              horizon=300, mc_samples=2_000), str(path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "numerical failure: non-finite reward in round" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1
 
@@ -107,6 +119,17 @@ class TestSuiteVerb:
         assert main(["suite", "--config", step_config, "--reps", "2",
                      "--out", str(tmp_path / "suite")]) == code
         assert "boom; replication 0" in capsys.readouterr().err
+
+
+    def test_non_finite_rewards_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "huge_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e308), agent="uniform",
+                              horizon=300, mc_samples=2_000), str(path))
+        assert main(["suite", "--config", str(path), "--reps", "3",
+                     "--out", str(tmp_path / "suite")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"numerical failure: non-finite reward in round \d+; replication \d$",
+                         err.strip()), err
 
 
 class TestCompareVerb:

@@ -161,11 +161,12 @@ def stream_digests(config, seed, monkeypatch):
     by_stream = {(1,): "agent", (2, 0): "diag"}
 
     class RecordingEnvironment(Environment):
-        def __init__(self, spec, seed=None):
-            super().__init__(spec, seed)
-            self.context_rng = RecordingGenerator(self.context_rng.bit_generator,
-                                                  digests["context"])
-            self.noise_rng = RecordingGenerator(self.noise_rng.bit_generator, digests["noise"])
+        def __init__(self, spec, seeds):
+            super().__init__(spec, seeds)
+            self.context_rngs = [RecordingGenerator(rng.bit_generator, digests["context"])
+                                 for rng in self.context_rngs]
+            self.noise_rngs = [RecordingGenerator(rng.bit_generator, digests["noise"])
+                               for rng in self.noise_rngs]
 
     monkeypatch.setattr(harness, "Environment", RecordingEnvironment)
     monkeypatch.setattr(harness, "make_generator", lambda s: RecordingGenerator(
@@ -353,7 +354,7 @@ class TestBlocks:
 
     def test_one_row_calls_equal_block_calls(self):
         # blocks split into one-row blocks play exactly the multi-row blocks' rounds
-        xs, _, rvec = Environment(SENS, seed=3).draw(8)
+        xs, _, rvec = (a[0] for a in Environment(SENS, [3]).draw(8))
         a, b = EpsilonFalconAgent(2, epsilon=0.25), EpsilonFalconAgent(2, epsilon=0.25)
         ra, rb = [make_generator(4)], [make_generator(4)]
         for lo, hi in ((0, 3), (3, 4), (4, 7), (7, 8)):   # epochs 1 and 2, both phases

@@ -51,16 +51,16 @@ class TestSpecValidation:
 
 class TestContexts:
     def test_first_draw_in_unit_interval(self):
-        x = Environment(STEP, seed=7).draw(1)[0][0]
+        x = Environment(STEP, [7]).draw(1)[0][0, 0]
         assert 0.0 < x < 1.0
 
     def test_equal_seeds_identical_streams(self):
-        a = Environment(STEP, seed=123)
-        b = Environment(STEP, seed=123)
+        a = Environment(STEP, [123])
+        b = Environment(STEP, [123])
         assert a.draw(50)[0].tolist() == b.draw(50)[0].tolist()
 
     def test_uniform_moments(self):
-        xs = Environment(STEP, seed=0).draw(100_000)[0]
+        xs = Environment(STEP, [0]).draw(100_000)[0]
         assert abs(xs.mean() - 0.5) < 0.01
 
 
@@ -130,7 +130,7 @@ class TestDraw:
     @pytest.mark.parametrize("spec", SPECS)
     def test_draw_equals_round_by_round_stream(self, spec):
         n = 50
-        xs, means, rvec = Environment(spec, seed=21).draw(n)
+        xs, means, rvec = (a[0] for a in Environment(spec, [21]).draw(n))
         env = per_round(spec, 21)
         for i in range(n):
             x = env.sample_context()
@@ -141,25 +141,68 @@ class TestDraw:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_draw_does_not_depend_on_the_split(self, spec):
-        whole = Environment(spec, seed=5).draw(40)
-        env = Environment(spec, seed=5)
+        whole = Environment(spec, [5, 6]).draw(40)
+        env = Environment(spec, [5, 6])
         parts = [env.draw(k) for k in (1, 12, 0, 27)]
-        for got, want in zip(whole, (np.concatenate(c) for c in zip(*parts))):
+        for got, want in zip(whole, (np.concatenate(c, axis=1) for c in zip(*parts))):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("R", [1, 3, 16])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_replication_equals_its_seed_alone(self, spec, R):
+        # replication r of a stacked draw is the draw of an environment on
+        # seeds[r] alone, bit for bit, over any split of the rounds
+        seeds = [40 + 3 * r for r in range(R)]
+        env = Environment(spec, seeds)
+        alone = [Environment(spec, [seed]) for seed in seeds]
+        for n in (9, 0, 1, 30):
+            got = env.draw(n)
+            assert got[0].shape[:2] == got[1].shape[:2] == got[2].shape[:2] == (R, n)
+            for r, one in enumerate(alone):
+                for g, want in zip(got, one.draw(n)):
+                    assert g[r].tobytes() == want[0].tobytes()
+
+    def test_non_finite_reward_names_its_round(self):
+        spec = EnvSpec(kind="step_function", noise_sd=1e308)
+        ref = per_round(spec, 4)
+        first = next(t for t in range(1, 100)
+                     if not np.isfinite(ref.observe(ref.sample_context())[1]).all())
+        env = Environment(spec, [4])
+        with pytest.raises(FloatingPointError, match=f"in round {first}$") as info:
+            for n in (2, 0, 1, 3, 5, 100):
+                env.draw(n)
+        assert info.value.replication == 0
+
+    def test_non_finite_reward_tags_the_first_failing_replication(self):
+        spec = EnvSpec(kind="sensitivity_family", theta=0.05, noise_sd=1e308)
+        seeds = list(range(12))
+
+        def fails(seed):
+            try:
+                Environment(spec, [seed]).draw(1)
+            except FloatingPointError:
+                return True
+            return False
+
+        failing = [r for r, seed in enumerate(seeds) if fails(seed)]
+        assert 0 < failing[0] < failing[-1]  # replication 0 draws finite rewards
+        with pytest.raises(FloatingPointError, match="in round 1$") as info:
+            Environment(spec, seeds).draw(1)
+        assert info.value.replication == failing[0]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_draw_means_are_the_truth_formula(self, spec):
         # one formula per truth surface: a linear truth's GEMM can round a
         # row differently from its row-by-row product
-        xs, means, _ = Environment(spec, seed=8).draw(20_000)
-        assert means.tobytes() == mean_reward_matrix(spec, xs).tobytes()
+        xs, means, _ = Environment(spec, [8]).draw(20_000)
+        assert means[0].tobytes() == mean_reward_matrix(spec, xs[0]).tobytes()
 
     def test_draw_shapes(self):
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2, seed=0)
-        xs, means, rvec = Environment(spec, seed=0).draw(7)
-        assert xs.shape == (7, 2) and means.shape == (7, 3) and rvec.shape == (7, 3)
-        xs, means, rvec = Environment(STEP, seed=0).draw(7)
-        assert xs.shape == (7,) and means.shape == (7, 2) and rvec.shape == (7, 2)
+        xs, means, rvec = Environment(spec, [0, 1, 2, 3]).draw(7)
+        assert xs.shape == (4, 7, 2) and means.shape == (4, 7, 3) and rvec.shape == (4, 7, 3)
+        xs, means, rvec = Environment(STEP, [0]).draw(7)
+        assert xs.shape == (1, 7) and means.shape == (1, 7, 2) and rvec.shape == (1, 7, 2)
 
 
 class TestBestLinearFit:
@@ -303,11 +346,16 @@ class TestRealizableDesign:
 
     def test_weights_built_once(self, monkeypatch):
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2, seed=123)
-        env = Environment(spec, seed=0)
+        env = Environment(spec, [0, 1])
         env.draw(1)
-        built = []
-        monkeypatch.setattr(envmod, "make_generator",
-                            lambda seed: built.append(seed) or make_generator(seed))
+        built = []  # seeds a generator is built from; a context draw passes its own
+
+        def spy(seed):
+            if not isinstance(seed, np.random.Generator):
+                built.append(seed)
+            return make_generator(seed)
+
+        monkeypatch.setattr(envmod, "make_generator", spy)
         for n in (1, 10, 100):
             env.draw(n)
         assert built == []
@@ -315,7 +363,7 @@ class TestRealizableDesign:
 
     def test_multidim_contexts(self):
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=4, seed=2)
-        xs, means, _ = Environment(spec, seed=0).draw(1)
-        assert xs[0].shape == (4,)
-        assert means[0].shape == (3,)
+        xs, means, _ = Environment(spec, [0]).draw(1)
+        assert xs[0, 0].shape == (4,)
+        assert means[0, 0].shape == (3,)
         assert 0.0 <= means.min() and means.max() <= 1.0

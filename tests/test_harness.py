@@ -397,19 +397,22 @@ class TestRunSuite:
         cfg = small_config(replications=3)
         failing_seed = cfg.base_seed + 2
 
-        class FailingEnvironment(harness.Environment):
-            def __init__(self, spec, seed=None):
-                super().__init__(spec, seed)
-                self.root_seed = seed.entropy  # seed is the run seed's first child
+        class InfiniteNoise:
+            def standard_normal(self, size):
+                return np.full(size, np.inf)
 
-            def draw(self, n):
-                if self.root_seed == failing_seed:
-                    raise ValueError(f"bad input at seed {self.root_seed}")
-                return super().draw(n)
+        class FailingEnvironment(harness.Environment):
+            # the failing seed's noise child draws inf, so its rewards are
+            # the environment's one failure: a non-finite reward
+            def __init__(self, spec, seeds):
+                super().__init__(spec, seeds)
+                for r, seed in enumerate(seeds):  # each seed is a run seed's first child
+                    if seed.entropy == failing_seed:
+                        self.noise_rngs[r] = InfiniteNoise()
 
         monkeypatch.setattr(harness, "Environment", FailingEnvironment)
         assert harness.REPLICATIONS_PER_CHUNK >= 3  # one chunk of three
-        with pytest.raises(ValueError, match=f"seed {failing_seed}") as info:
+        with pytest.raises(FloatingPointError, match="non-finite reward in round 1") as info:
             run_suite(cfg, order=[0, 1, 2])
         assert info.value.__notes__ == ["replication 2"]
 
