@@ -182,9 +182,9 @@ def serialize_config(config: RunConfig) -> str:
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key=value format; raises ConfigError with field names
-    on anything unreadable or invalid.  A key left out keeps its field's
-    default."""
-    raw: dict[str, str] = {}
+    on anything unreadable, repeated or invalid.  A key left out keeps its
+    field's default."""
+    raw: dict[str, tuple[int, str]] = {}  # key: (line number, value)
     errs: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -194,14 +194,16 @@ def parse_config(text: str) -> RunConfig:
             errs.append(f"line {lineno}: expected key = value")
             continue
         key, val = (part.strip() for part in stripped.split("=", 1))
-        raw[key] = val
+        if key in raw:
+            errs.append(f"{key}: repeated on lines {raw[key][0]} and {lineno}")
+        raw[key] = raw.get(key, (lineno, val))
     if errs:
         raise ConfigError(errs)
 
     env_kwargs, kwargs = {}, {}
     for key, name, parse, _ in CONFIG_KEYS:
         if key in raw:
-            val = raw.pop(key)
+            val = raw.pop(key)[1]
             try:
                 (env_kwargs if key.startswith("env.") else kwargs)[name] = parse(val)
             except (ValueError, KeyError):

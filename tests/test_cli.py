@@ -39,7 +39,9 @@ class TestRunVerb:
         bad = tmp_path / "bad.txt"
         for text, key in (("env.kind = step_function\nagent.epsilon = 0.9\n", "agent.epsilon"),
                           ("env.kind = sensitivity_family\nenv.theta = 0.05\nagent.c3 = inf\n",
-                           "agent.c3")):
+                           "agent.c3"),
+                          ("agent.epsilon = 0.1\nagent.epsilon = 0.3\n",
+                           "agent.epsilon: repeated on lines 1 and 2")):
             bad.write_text(text)
             assert main(["run", "--config", str(bad)]) == 1
             assert key in capsys.readouterr().err

@@ -57,7 +57,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [("run.mc_samples", "1"), ("run.base_seed", "-1"),
                                             ("env.seed", "-1"), ("agent.tau1", "3")])
     def test_out_of_interval_named(self, key, value):
-        text = serialize_config(small_config()) + f"{key} = {value}\n"
+        lines = serialize_config(small_config()).splitlines()  # a key may appear once
+        text = "".join(f"{ln}\n" for ln in lines if not ln.startswith(f"{key} =")) \
+            + f"{key} = {value}\n"
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert info.value.errors == [f"{key}: must be in {ALLOWED[key]}"]
@@ -131,6 +133,12 @@ class TestConfigRoundTrip:
         text = serialize_config(small_config()) + "agent.warp_factor = 9\n"
         with pytest.raises(ConfigError, match="warp_factor"):
             parse_config(text)
+
+    def test_repeated_key_rejected(self):
+        text = "agent.epsilon = 0.1\n# again\nagent.epsilon = 0.3\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == ["agent.epsilon: repeated on lines 1 and 3"]
 
     def test_unparsable_value_rejected(self):
         text = serialize_config(small_config()).replace(
