@@ -358,7 +358,6 @@ class LinUCBAgent:
         self.bvec = np.zeros((replications, num_arms, p))
         self._refresh()
         self._since_refresh = 0
-        self._last_features = (None, None)
 
     def _refresh(self) -> None:
         self.G_inv = np.linalg.inv(self.G)
@@ -367,15 +366,8 @@ class LinUCBAgent:
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
 
-    def _features(self, xs) -> np.ndarray:
-        # act_block and record_block of one block share the design rows;
-        # record_block drops them
-        if self._last_features[0] is not xs:
-            self._last_features = (xs, featurize(xs, self.context_dim))
-        return self._last_features[1]
-
     def act_block(self, t: int, xs, rngs) -> np.ndarray:
-        Phi = self._features(xs)
+        Phi = featurize(xs, self.context_dim)
         means = rowwise_predict(self.theta, Phi)
         widths = np.sqrt(np.einsum("rni,raij,rnj->rna", Phi, self.G_inv, Phi))
         # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
@@ -389,7 +381,7 @@ class LinUCBAgent:
             raise SequencingError(f"{n} rounds run past the next refresh")
         p = self.context_dim + 1
         # design columns (p, R * n): every product below has a long inner loop
-        cols = np.ascontiguousarray(self._features(xs).reshape(-1, p).T)
+        cols = np.ascontiguousarray(featurize(xs, self.context_dim).reshape(-1, p).T)
         outer, rphi = cols[:, None] * cols[None, :], np.ravel(rewards) * cols
         # np.add.at on the flat index of each entry of G and bvec adds row
         # after row, like a round-by-round run of each replication; flat
@@ -398,7 +390,6 @@ class LinUCBAgent:
         np.add.at(self.G.reshape(-1), (cell * p * p + np.arange(p * p)[:, None]).ravel(),
                   outer.ravel())
         np.add.at(self.bvec.reshape(-1), (cell * p + np.arange(p)[:, None]).ravel(), rphi.ravel())
-        self._last_features = (None, None)
         self._since_refresh += n
         if self._since_refresh >= self.batch_size:
             self._refresh()

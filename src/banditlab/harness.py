@@ -307,7 +307,7 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
         while t <= stop:
             end = agent.block_end(t, stop)
             i, j = t - 1 - lo, end - lo
-            xb = xs[:, t - 1:end]  # one object, so the agent can reuse its features
+            xb = xs[:, t - 1:end]
             phases[t - 1:end] = agent.phase_of(t) if is_falcon else "active"
             actions[:, t - 1:end] = a = agent.act_block(t, xb, agent_rngs)
             rewards[:, t - 1:end] = r = flat[arm_base[:, i:j] + a]
