@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's own closed forms: integrals are
 done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
-large samples, the constrained problem by brute-force grid search,
+large samples, the constrained problem by grid search (column by column,
+and checked against the brute-force grid on coarse grids),
 row-weighted fits by rebuilding every arm's design from the raw rows, epochs
 by walking the doubling schedule, and whole runs by a round-by-round
 simulator with its own kernel, sampler and phase bookkeeping, on an
@@ -45,9 +46,9 @@ def lstsq_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(w[0]), float(w[1])
 
 
-def grid_search_constrained(active_rows, passive_rows, slack: float,
-                            lo: float = -2.0, hi: float = 2.0,
-                            step: float = 1e-3) -> tuple[float, float, float]:
+def grid_search_constrained_dense(active_rows, passive_rows, slack: float,
+                                  lo: float = -2.0, hi: float = 2.0,
+                                  step: float = 1e-3) -> tuple[float, float, float]:
     """Brute-force minimizer of the single-arm 2-parameter constrained
     problem over an (intercept, slope) grid.
 
@@ -62,17 +63,11 @@ def grid_search_constrained(active_rows, passive_rows, slack: float,
     so each grid surface is evaluated from six data moments (this only
     rearranges the brute-force objective; no solver is involved).
     """
-    w0s = np.arange(lo, hi + step / 2, step)
-    w1s = np.arange(lo, hi + step / 2, step)
+    w0s, w1s = _grid_axes(lo, hi, step)
 
     def mse_grid(rows):
-        xs = np.array([r[0] for r in rows])
-        ys = np.array([r[1] for r in rows])
-        mx, mxx = xs.mean(), (xs * xs).mean()
-        my, mxy, myy = ys.mean(), (xs * ys).mean(), (ys * ys).mean()
+        my, mx, q = _grid_moments(rows, w1s)
         # complete the square in w0: the grid is (w0 + mx w1 - my)^2 + q(w1)
-        q = ((mxx - mx * mx) * w1s * w1s
-             - 2 * (mxy - mx * my) * w1s + (myy - my * my))
         surface = (w0s - my)[:, None] + mx * w1s[None, :]
         np.square(surface, out=surface)
         surface += q[None, :]
@@ -84,6 +79,79 @@ def grid_search_constrained(active_rows, passive_rows, slack: float,
     active_mse[passive_mse > alpha + slack + 1e-12] = np.inf
     idx = np.unravel_index(np.argmin(active_mse), active_mse.shape)
     return float(w0s[idx[0]]), float(w1s[idx[1]]), float(active_mse[idx])
+
+
+def _grid_axes(lo: float, hi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(lo, hi + step / 2, step), np.arange(lo, hi + step / 2, step)
+
+
+def _grid_moments(rows, w1s) -> tuple[float, float, np.ndarray]:
+    """E[y], E[x] and, per slope, q(w1) = Var(x) w1^2 - 2 Cov(x, y) w1 + Var(y)."""
+    xs = np.array([r[0] for r in rows])
+    ys = np.array([r[1] for r in rows])
+    mx, mxx = xs.mean(), (xs * xs).mean()
+    my, mxy, myy = ys.mean(), (xs * ys).mean(), (ys * ys).mean()
+    return my, mx, ((mxx - mx * mx) * w1s * w1s - 2 * (mxy - mx * my) * w1s + (myy - my * my))
+
+
+def grid_search_constrained(active_rows, passive_rows, slack: float,
+                            lo: float = -2.0, hi: float = 2.0,
+                            step: float = 1e-3) -> tuple[float, float, float]:
+    """``grid_search_constrained_dense``'s result, bit for bit and ties
+    included, from O(log grid) grid points per slope column.
+
+    Down a slope column, each surface evaluates the dense grid's float
+    expression (fl(w0 - E[y]) + E[x] w1)^2 + q(w1).  The base of the square
+    is nondecreasing in w0 (rounding is monotone), so the column falls up to
+    its vertex, the first row where the base is >= 0, and rises from there:
+    its minimum is at the vertex or the row before it, the passive-feasible
+    rows form one interval around the passive minimum, and the active
+    minimum over that interval is at the active vertex clipped into it.
+    Binary searches down these monotone runs find each vertex, the interval
+    ends and the first row attaining each column minimum, which is the row
+    the dense grid's first-in-row-major-order ``argmin`` picks."""
+    w0s, w1s = _grid_axes(lo, hi, step)
+    n, m = len(w0s), len(w1s)
+
+    def first(pred, start, stop):
+        """Per column, the first row in [start, stop) where ``pred``, false
+        and then true down the column, holds (stop where it never does)."""
+        a, b = (np.broadcast_to(v, (m,)).copy() for v in (start, stop))
+        while (a < b).any():
+            live, mid = a < b, (a + b) // 2
+            ok = pred(np.minimum(mid, n - 1))
+            a, b = np.where(live & ~ok, mid + 1, a), np.where(live & ok, mid, b)
+        return a
+
+    def surface(rows):
+        """The surface at one row per column, and each column's vertex."""
+        my, mx, q = _grid_moments(rows, w1s)
+
+        def base(i):
+            return (w0s[i] - my) + mx * w1s
+
+        return (lambda i: np.square(base(i)) + q), first(lambda i: base(i) >= 0, 0, n)
+
+    def column_min(value, vertex, a, b):
+        """Per column, the minimum over rows a..b and the first row with it:
+        the rows attaining it are contiguous."""
+        below, at = np.clip(vertex - 1, a, b), np.clip(vertex, a, b)
+        low = np.minimum(value(below), value(at))
+        row = np.where(value(below) <= value(at), below, at)
+        return low, first(lambda i: value(i) <= low, a, row + 1)
+
+    passive, p_vertex = surface(passive_rows)
+    p_low, p_row = column_min(passive, p_vertex, 0, n - 1)
+    threshold = float(p_low.min()) + slack + 1e-12
+    feasible = p_low <= threshold
+    # the feasible rows of a column: a..b around its passive minimum
+    a = np.where(feasible, first(lambda i: passive(i) <= threshold, 0, p_row + 1), p_row)
+    b = np.where(feasible, first(lambda i: passive(i) > threshold, p_row, n) - 1, p_row)
+    active, a_vertex = surface(active_rows)
+    low, row = column_min(active, a_vertex, a, b)
+    low = np.where(feasible, low, np.inf)
+    i, j = divmod(int((row * m + np.arange(m))[low == low.min()].min()), m)
+    return float(w0s[i]), float(w1s[j]), float(low.min())
 
 
 def fit_rowweighted_rows(batches_and_weights, num_arms: int, context_dim: int,

@@ -14,7 +14,8 @@ from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceErr
                                 LinearModel, _moment_nsse, constrained_fit, featurize,
                                 fit_ols, fit_weighted, row_max_argmax)
 
-from oracles import fit_rowweighted_rows, grid_search_constrained, normalized_sse, sse
+from oracles import (fit_rowweighted_rows, grid_search_constrained,
+                     grid_search_constrained_dense, normalized_sse, sse)
 
 # the worked instance: passive ERM is the line y=x with zero error, while the
 # active ERM is the line 1-x, which misses the passive budget by a mile
@@ -345,6 +346,52 @@ class TestConstrainedFit:
         first = cons.alpha()
         pas.append(0.5, 1, 3.0)  # distort the batch after building the spec
         assert cons.alpha() != pytest.approx(first)
+
+
+class TestGridOracle:
+    """The column-wise grid oracle against the dense grid it replaces, on
+    coarse grids: the same (w0, w1, objective) bits, ties included."""
+
+    @staticmethod
+    def assert_same(active_rows, passive_rows, slack, step):
+        fast = grid_search_constrained(active_rows, passive_rows, slack, step=step)
+        dense = grid_search_constrained_dense(active_rows, passive_rows, slack, step=step)
+        assert np.array(fast).tobytes() == np.array(dense).tobytes(), (fast, dense)
+
+    def test_criterion_3_instances(self):
+        # the 50 instances of acceptance criterion 3, drawn the same way
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            wa, wp = rng.uniform(-0.75, 0.75, 2), rng.uniform(-0.75, 0.75, 2)
+            act, pas = [], []
+            for _ in range(10):
+                xa, xp = rng.random(), rng.random()
+                act.append((xa, float(wa[0] + wa[1] * xa + 0.05 * rng.standard_normal())))
+                pas.append((xp, float(wp[0] + wp[1] * xp + 0.05 * rng.standard_normal())))
+            self.assert_same(act, pas, float(rng.uniform(0.02, 0.3)), step=1e-2)
+
+    @pytest.mark.parametrize("step", [0.5, 0.25, 0.125])
+    def test_dyadic_instances_with_ties(self, step):
+        # dyadic data on a dyadic grid: many surfaces have tied minima and
+        # columns with no feasible row
+        rng = np.random.default_rng(int(8 * step))
+        for _ in range(150):
+            act, pas = ([(int(rng.integers(0, 5)) / 4, int(rng.integers(-8, 9)) / 8)
+                         for _ in range(int(rng.integers(1, 6)))] for _ in range(2))
+            self.assert_same(act, pas, int(rng.integers(0, 9)) / 16, step)
+
+    def test_wide_ties_down_a_column(self):
+        # rewards of mean 0 and variance ~1e16: the variance term absorbs
+        # most of the square, so many rows of a column tie at its minimum
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            rows = [[(int(rng.integers(0, 5)) / 4, y) for y in (v, -v)]
+                    for v in 1e8 * rng.integers(1, 9, size=2)]
+            self.assert_same(rows[0], rows[1], 0.5, step=0.125)
+
+    def test_worked_example(self):
+        self.assert_same([(x, r) for x, _, r in ACTIVE], [(x, r) for x, _, r in PASSIVE],
+                         0.25, step=1e-2)
 
 
 def two_arm_rows(rng, pyrng, dim=1, n=12):
