@@ -244,7 +244,7 @@ def lemma_suite(artifacts: RunArtifacts, num_mc: int = 20_000, rng=0) -> list[Le
     """
     xs = draw_contexts(artifacts.spec, num_mc, rng)
     return lemma_suite_from(artifacts, xs,
-                            envmod.best_linear_fit_uniform(artifacts.spec).predict_matrix(xs))
+                            envmod.best_linear_fit_uniform(artifacts.spec).predict_rows(xs))
 
 
 def lemma_suite_from(artifacts: RunArtifacts, xs: np.ndarray,

@@ -256,7 +256,7 @@ def error_estimates_from(spec: EnvSpec, fit_preds: np.ndarray,
 
 def _error_estimates(spec: EnvSpec, num: int, rng) -> tuple[ErrorEstimate, ErrorEstimate]:
     xs = draw_contexts(spec, num, rng)
-    return error_estimates_from(spec, best_linear_fit_uniform(spec).predict_matrix(xs),
+    return error_estimates_from(spec, best_linear_fit_uniform(spec).predict_rows(xs),
                                 mean_reward_matrix(spec, xs))
 
 

@@ -365,7 +365,7 @@ def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts,
     directory, of ``reanalyze_run_dir``."""
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
     xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
-    fit_preds = envmod.best_linear_fit_uniform(config.env).predict_matrix(xs)
+    fit_preds = envmod.best_linear_fit_uniform(config.env).predict_rows(xs)
     for ev in events:
         ev.mse_to_best_fit = diagmod.mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
                                               fit_preds).value

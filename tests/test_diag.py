@@ -11,7 +11,7 @@ from banditlab.diag import (MCEstimate, RunArtifacts, constant_policy,
 from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
                            worst_case_error_B)
 from banditlab.falcon import igw_kernel
-from banditlab.harness import RunConfig, run_many
+from banditlab.harness import RunConfig, run_many, run_one
 from banditlab.linmodel import LinearModel
 
 from oracles import lemma_suite_independent
@@ -185,6 +185,17 @@ class TestLemmaSuite:
         arts = RunArtifacts(spec, [LinearModel.zeros(2)], [1.0])
         checks = lemma_suite(arts, num_mc=5_000, rng=24)
         assert all(c.passed for c in checks)
+
+    def test_realizable_monte_carlo_errors_exactly_zero(self):
+        # the best fit is the truth, and both are predicted row by row, in the
+        # suite and in a run's diagnostics pass
+        spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=3, seed=3)
+        reports = [lemma_suite(RunArtifacts(spec, [LinearModel.zeros(3, 3)], [1.0]), rng=24),
+                   run_one(RunConfig(env=spec, horizon=40, mc_samples=20_000), 2).lemma_report]
+        for report in reports:
+            b, B = (next(c.lhs for c in report if c.name == name)
+                    for name in ("error_ordering_lower", "error_ordering_upper"))
+            assert b == B == 0.0
 
     def test_sensitivity_run_snapshot(self):
         fit = best_linear_fit_uniform(SENS)

@@ -245,7 +245,7 @@ RUN_FILES_PINNED = {
         "016d39005092f67796eb98341e68330c00dcc62fdce4a2e34c347cfe770f580f",
         "0b6c4b92d94dbfc13d6cac13f7f10a12b8eb0ac029e97a56286a8057206fb686"),
     "falcon_step_on_boundary": (
-        "cb11d2c01e4268f2963f1e6b25206338a817b035aa721eb1e63b1b75601123c9",
+        "93fdc08a3b57dc0372f8c36e9ca64edb9e7f5261b62d1e1ea8cf1394a61a9ec4",
         "c579694274ddd502c425a59a1293298423129f934ca5739846651555d8aec5b3"),
     "lin_ucb_real_d3": (
         "8f5e989637777aa6c1e59d70bf6dc274e7f079dfad3f8d1a833bcfac8baa369f",

@@ -256,7 +256,7 @@ class TestApproximationError:
     def test_realizable_is_zero(self):
         est = approximation_error_b(REAL, 10_000, rng=0)
         assert est.closed_form == 0.0
-        assert est.mc == pytest.approx(0.0, abs=1e-12)
+        assert est.mc == 0.0
 
     def test_step_closed_form_vs_quadrature(self):
         # arm-1 squared residual integrated over (0,1), then averaged over 2 arms
@@ -294,7 +294,7 @@ class TestApproximationError:
 
 class TestWorstCaseError:
     def test_realizable_is_zero(self):
-        assert worst_case_error_B(REAL, 10_000, rng=0).mc == pytest.approx(0.0, abs=1e-12)
+        assert worst_case_error_B(REAL, 10_000, rng=0).mc == 0.0
 
     def test_ordering_b_le_B_le_Kb(self):
         for spec in (STEP, SENS):
