@@ -289,16 +289,15 @@ class Environment:
 
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contexts (R, n) or (R, n, d), mean rewards (R, n, K) and noisy
-        rewards (R, n, K) of the next n rounds: each replication takes n
-        contexts from its context stream and n * K noises from its noise
-        stream, in order, so any split of the rounds into draws gives the
-        same values.  The truth, the noise scaling and the clip act on all
-        R * n rows at once, row by row, so replication r draws what an
-        environment on its seed alone would.  Drawing all K noisy entries
-        makes the realized regret sum (reward at the optimal arm minus
-        reward at the chosen arm) well defined.  A non-finite reward raises
-        FloatingPointError naming its round, with ``replication`` set to the
-        first replication that drew one."""
+        rewards (R, n, K) of the next n rounds.  Each replication takes n
+        contexts and n * K noises from its own streams, in order, so any
+        split of the rounds into draws gives the same values; the truth, the
+        noise scaling and the clip act row by row on all R * n rows at once,
+        so replication r draws what an environment on its seed alone would.
+        All K noisy entries make the realized regret sum (optimal arm minus
+        chosen arm) well defined.  A non-finite reward raises
+        FloatingPointError naming its round, with ``replication`` the first
+        replication that drew one."""
         spec, R, K = self.spec, len(self.context_rngs), self.spec.num_arms
         xs = np.stack([draw_contexts(spec, n, rng) for rng in self.context_rngs])
         means = mean_reward_matrix(spec, xs.reshape(R * n, *xs.shape[2:])).reshape(R, n, K)

@@ -13,7 +13,8 @@ diagnostics sample -- so adding diagnostics never perturbs the trajectory.
 each replication's context and noise child) and plays those rounds in
 blocks under one frozen policy per replication: the agent takes (R, n) or
 (R, n, d) contexts and returns (R, n) arms, and the rewards and regrets of
-all R come from the stacked (R, n, K) draws.  ``run_one`` is its one-seed case plus diagnostics.
+all R come from the stacked (R, n, K) draws.  ``run_one`` is its one-seed
+case plus diagnostics.
 Replication r of a suite uses seed base_seed + r, which makes every
 replication independent of how many others are requested, and
 ``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
@@ -196,7 +197,7 @@ def parse_config(text: str) -> RunConfig:
         key, val = (part.strip() for part in stripped.split("=", 1))
         if key in raw:
             errs.append(f"{key}: repeated on lines {raw[key][0]} and {lineno}")
-        raw[key] = raw.get(key, (lineno, val))
+        raw.setdefault(key, (lineno, val))
     if errs:
         raise ConfigError(errs)
 
@@ -268,7 +269,7 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     lockstep through one agent; one result per seed, in order, without
     diagnostics (``mse_to_best_fit`` stays nan, ``lemma_report`` None).
 
-    Each replication draws from its own environment and agent streams
+    Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
     other seeds.  A non-finite reward leaves with the position in ``seeds``
     of the first replication that drew one as its ``replication``

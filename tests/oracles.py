@@ -63,7 +63,7 @@ def grid_search_constrained_dense(active_rows, passive_rows, slack: float,
     so each grid surface is evaluated from six data moments (this only
     rearranges the brute-force objective; no solver is involved).
     """
-    w0s, w1s = _grid_axes(lo, hi, step)
+    w0s = w1s = np.arange(lo, hi + step / 2, step)
 
     def mse_grid(rows):
         my, mx, q = _grid_moments(rows, w1s)
@@ -79,10 +79,6 @@ def grid_search_constrained_dense(active_rows, passive_rows, slack: float,
     active_mse[passive_mse > alpha + slack + 1e-12] = np.inf
     idx = np.unravel_index(np.argmin(active_mse), active_mse.shape)
     return float(w0s[idx[0]]), float(w1s[idx[1]]), float(active_mse[idx])
-
-
-def _grid_axes(lo: float, hi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.arange(lo, hi + step / 2, step), np.arange(lo, hi + step / 2, step)
 
 
 def _grid_moments(rows, w1s) -> tuple[float, float, np.ndarray]:
@@ -110,7 +106,7 @@ def grid_search_constrained(active_rows, passive_rows, slack: float,
     Binary searches down these monotone runs find each vertex, the interval
     ends and the first row attaining each column minimum, which is the row
     the dense grid's first-in-row-major-order ``argmin`` picks."""
-    w0s, w1s = _grid_axes(lo, hi, step)
+    w0s = w1s = np.arange(lo, hi + step / 2, step)
     n, m = len(w0s), len(w1s)
 
     def first(pred, start, stop):
@@ -136,8 +132,8 @@ def grid_search_constrained(active_rows, passive_rows, slack: float,
         """Per column, the minimum over rows a..b and the first row with it:
         the rows attaining it are contiguous."""
         below, at = np.clip(vertex - 1, a, b), np.clip(vertex, a, b)
-        low = np.minimum(value(below), value(at))
-        row = np.where(value(below) <= value(at), below, at)
+        v_below, v_at = value(below), value(at)
+        low, row = np.minimum(v_below, v_at), np.where(v_below <= v_at, below, at)
         return low, first(lambda i: value(i) <= low, a, row + 1)
 
     passive, p_vertex = surface(passive_rows)
