@@ -180,17 +180,33 @@ class TestDiagVerb:
 
 
 class TestOracleVerb:
+    # the verb's whole stdout: the closed-form fit and errors of each family
     def test_step_oracle(self, capsys):
         assert main(["oracle", "--env", "step_function"]) == 0
-        text = capsys.readouterr().out
-        assert "arm 1: -0.25 1.5" in text
-        assert "b = 0.03125" in text
-        assert "B = 0.0625" in text
+        assert capsys.readouterr().out == (
+            "best linear fit under uniform sampling (step_function):\n"
+            "  arm 1: -0.25 1.5\n"
+            "  arm 2: 0.5 0\n"
+            "approximation error b = 0.03125\n"
+            "worst-case error    B = 0.0625\n")
 
     def test_sensitivity_oracle(self, capsys):
         assert main(["oracle", "--env", "sensitivity_family", "--theta", "0.05"]) == 0
-        text = capsys.readouterr().out
-        assert "0.2565" in text
+        assert capsys.readouterr().out == (
+            "best linear fit under uniform sampling (sensitivity_family):\n"
+            "  arm 1: 0.01675 0.2565\n"
+            "  arm 2: 1 -0.7785\n"
+            "approximation error b = 0.01649615625\n"
+            "worst-case error    B = 0.0329923125\n")
+
+    def test_realizable_oracle(self, capsys):
+        assert main(["oracle", "--env", "realizable_linear"]) == 0
+        assert capsys.readouterr().out == (
+            "best linear fit under uniform sampling (realizable_linear):\n"
+            "  arm 1: 0.2897821037 -0.06079216236\n"
+            "  arm 2: 0.609450113 -0.01309329051\n"
+            "approximation error b = 0\n"
+            "worst-case error    B = 0\n")
 
     def test_sensitivity_without_theta_exits_one(self):
         assert main(["oracle", "--env", "sensitivity_family"]) == 1
