@@ -2,12 +2,13 @@
 
 Submodules:
 
-* ``env``      -- environments with known ground truth and closed-form
-                  best linear approximations
+* ``env``      -- environments with known ground truth, closed-form best
+                  linear approximations and their approximation errors
 * ``linmodel`` -- per-arm linear models, (weighted) least squares, and the
                   constrained regression oracle
 * ``falcon``   -- inverse-gap-weighted epoch agents and baselines
-* ``diag``     -- Monte Carlo estimators and inequality checks
+* ``diag``     -- Monte Carlo estimates on a sample of contexts the caller
+                  drew, and the inequality checks
 * ``harness``  -- configs, runs, suites, comparisons, CSV artifacts
 """
 

@@ -8,7 +8,8 @@ Verbs:
     oracle   --env KIND [--theta X]
 
 Exit codes: 0 on success, 1 on configuration/validation errors, 2 on
-numerical failure (dual non-convergence, non-finite data).
+numerical failure (dual non-convergence, non-finite data, any other
+ArithmeticError such as a zero kernel probability).
 """
 
 from __future__ import annotations
@@ -85,14 +86,13 @@ def _cmd_diag(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = envmod.EnvSpec(kind=args.env, theta=args.theta)
     fit = envmod.best_linear_fit_uniform(spec)
-    b = envmod.approximation_error_b(spec, num_mc=10_000)
-    B = envmod.worst_case_error_B(spec, num_mc=10_000)
+    b, B = envmod.closed_form_errors(spec)
     print(f"best linear fit under uniform sampling ({spec.kind}):")
     for a in range(fit.num_arms):
         cells = " ".join(f"{w:.10g}" for w in fit.weights[a])
         print(f"  arm {a + 1}: {cells}")
-    print(f"approximation error b = {b.closed_form:.10g}")
-    print(f"worst-case error    B = {B.closed_form:.10g}")
+    print(f"approximation error b = {b:.10g}")
+    print(f"worst-case error    B = {B:.10g}")
     return 0
 
 
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     except (harness.ConfigError, harness.ConfigMismatchError, ValueError, OSError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
-    except (DualNonConvergenceError, FloatingPointError, RuntimeError) as exc:
+    except (DualNonConvergenceError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
 

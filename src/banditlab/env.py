@@ -18,7 +18,9 @@ Three built-in families, all with contexts drawn uniformly from (0,1):
 Mean rewards are deterministic functions of (x, arm); observation noise is
 Gaussian with standard deviation ``noise_sd`` and is NOT clipped to [0,1]
 unless ``clip_rewards`` is set (clipping would bias the closed-form
-least-squares oracles below).  A live ``Environment`` holds R replications,
+least-squares oracles below).  ``closed_form_errors`` gives the best
+uniform-design fit's exact approximation errors b and B; ``diag``
+estimates them on a sample.  A live ``Environment`` holds R replications,
 each with its own context and noise streams, and draws the next rounds of
 all R with one call; a non-finite reward is a ``FloatingPointError``.
 
@@ -29,14 +31,14 @@ platforms.
 
 from __future__ import annotations
 
+import copy
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linmodel import LinearModel, row_max_argmax
+from .linmodel import LinearModel
 
 STEP_FUNCTION = "step_function"
 SENSITIVITY_FAMILY = "sensitivity_family"
@@ -202,11 +204,6 @@ def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
     return true_model(spec).predict_rows(xs)
 
 
-def optimal_actions(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
-    """argmax_a of the true mean reward per context; ties go to the lowest arm."""
-    return row_max_argmax(mean_reward_matrix(spec, xs))[1] + 1
-
-
 def best_linear_fit_uniform(spec: EnvSpec) -> LinearModel:
     """Population least-squares fit per arm under Unif(0,1) contexts and
     uniformly sampled arms (the objective separates across arms, so each
@@ -222,54 +219,24 @@ def best_linear_fit_uniform(spec: EnvSpec) -> LinearModel:
     raise ValueError(f"unsupported kind {spec.kind!r}")
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """Monte Carlo estimate with its standard error, plus the exact value
-    (piecewise polynomial integral) when one is available."""
-
-    mc: float
-    se: float
-    closed_form: Optional[float]
-
-
-def draw_contexts(spec: EnvSpec, num: int, rng=None) -> np.ndarray:
-    """``num`` contexts ~ Unif(0,1)^d, (num,) or (num, d); rng None: the spec's seed."""
-    rng = make_generator(rng if rng is not None else spec.seed)
-    return rng.random(num if spec.context_dim == 1 else (num, spec.context_dim))
-
-
-def error_estimates_from(spec: EnvSpec, fit_preds: np.ndarray,
-                         truth: np.ndarray) -> tuple[ErrorEstimate, ErrorEstimate]:
-    """``approximation_error_b`` and ``worst_case_error_B`` from (n, K)
-    best-fit predictions and truth at the same contexts."""
-    sq = (fit_preds - truth) ** 2
-    # closed forms: arm 1's mean squared residual (arm 2's is 0), halved for b
+def closed_form_errors(spec: EnvSpec) -> tuple[float, float]:
+    """(b, B) exactly: the best uniform-design fit's mean squared error
+    against the truth, averaged over arms (b) or at the worst arm per
+    context (B).  Only arm 1 of a misspecified family is misfit, so B is
+    its mean squared residual and b half of it."""
     if spec.kind == STEP_FUNCTION:
         arm1 = _STEP_ARM1_RESIDUAL
     elif spec.kind == SENSITIVITY_FAMILY:
         arm1 = _sensitivity_arm1_residual(spec.theta)
     else:
         arm1 = 0.0
-    return tuple(ErrorEstimate(float(v.mean()), float(v.std(ddof=1) / math.sqrt(len(v))), cf)
-                 for v, cf in ((sq.mean(axis=1), arm1 / 2.0), (row_max_argmax(sq)[0], arm1)))
+    return arm1 / 2.0, arm1
 
 
-def _error_estimates(spec: EnvSpec, num: int, rng) -> tuple[ErrorEstimate, ErrorEstimate]:
-    xs = draw_contexts(spec, num, rng)
-    return error_estimates_from(spec, best_linear_fit_uniform(spec).predict_rows(xs),
-                                mean_reward_matrix(spec, xs))
-
-
-def approximation_error_b(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorEstimate:
-    """Mean squared gap between the best uniform-design linear fit and the
-    truth, averaged over contexts and uniformly over arms."""
-    return _error_estimates(spec, num_mc, rng)[0]
-
-
-def worst_case_error_B(spec: EnvSpec, num_mc: int = 100_000, rng=None) -> ErrorEstimate:
-    """Like ``approximation_error_b`` but taking the worst arm at every
-    context instead of averaging over arms."""
-    return _error_estimates(spec, num_mc, rng)[1]
+def draw_contexts(spec: EnvSpec, num: int, rng) -> np.ndarray:
+    """``num`` contexts ~ Unif(0,1)^d, (num,) or (num, d), from a generator or a seed."""
+    rng = make_generator(rng)
+    return rng.random(num if spec.context_dim == 1 else (num, spec.context_dim))
 
 
 class Environment:
@@ -283,9 +250,10 @@ class Environment:
     def __init__(self, spec: EnvSpec, seeds):
         self.spec, self.rounds = spec, 0
         # contexts and reward noise are independent draws, so each has its
-        # own child stream and a block of rounds takes one call from each
-        self.context_rngs, self.noise_rngs = map(list, zip(*(make_generator(seed).spawn(2)
-                                                             for seed in seeds)))
+        # own child stream and a block of rounds takes one call from each;
+        # spawning from a copy leaves a caller's SeedSequence where it was
+        self.context_rngs, self.noise_rngs = map(list, zip(*(
+            make_generator(copy.deepcopy(seed)).spawn(2) for seed in seeds)))
 
     def draw(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Contexts (R, n) or (R, n, d), mean rewards (R, n, K) and noisy

@@ -271,9 +271,10 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
 
     Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
-    other seeds.  A non-finite reward leaves with the position in ``seeds``
-    of the first replication that drew one as its ``replication``
-    attribute (``Environment.draw``).
+    other seeds.  A non-finite reward (``Environment.draw``), and after the
+    last round a non-finite noisy-regret total or refit weight, is a
+    FloatingPointError with the position in ``seeds`` of the first
+    replication at fault as its ``replication`` attribute.
     """
     config.validate()
     R, spec, T = len(seeds), config.env, config.horizon
@@ -324,9 +325,17 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
 
     started, results = schedule.epoch_of(T), []
     for r, seed in enumerate(seeds):
+        events = agent.events[r] if is_falcon else []
+        # finite rewards can still overflow a sum or a refit; checked after
+        # the loop, so a non-finite reward is reported first, with its round
+        bad = [ev.m for ev in events if not np.isfinite(ev.new_weights).all()]
+        if bad or not math.isfinite(noisy_total[r]):
+            exc = FloatingPointError(f"non-finite weights from the refit after epoch {bad[0]}"
+                                     if bad else "non-finite noisy regret total")
+            exc.replication = r
+            raise exc
         trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs[r], actions[r], rewards[r],
                             e_regret[r], np.cumsum(e_regret[r]), float(noisy_total[r]))
-        events = agent.events[r] if is_falcon else []
         # in force during each epoch that started: the zero model, then each refit's
         weights = [np.zeros((K, dim + 1)), *(ev.new_weights for ev in events)][:started] \
             if is_falcon else []
@@ -370,7 +379,7 @@ def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts,
     for ev in events:
         ev.mse_to_best_fit = diagmod.mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
                                               fit_preds).value
-    return diagmod.lemma_suite_from(artifacts, xs, fit_preds)
+    return diagmod.lemma_suite(artifacts, xs, fit_preds)
 
 
 @dataclass

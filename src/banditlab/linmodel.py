@@ -113,10 +113,6 @@ class LinearModel:
         differ from ``predict_rows`` in the last bits)."""
         return featurize(xs, self.context_dim) @ self.weights.T
 
-    def induced_actions(self, xs) -> np.ndarray:
-        """argmax arm (1-based) per context; ties go to the lowest index."""
-        return row_max_argmax(self.predict_matrix(xs))[1] + 1
-
 
 class DataBatch:
     """Append-only store of (context, arm, reward) triples for one phase."""

@@ -10,8 +10,8 @@ simulator with its own kernel, sampler and phase bookkeeping, on an
 environment drawn one round at a time (its truth surface is the
 package's), in the package's stream layout or in the earlier single-stream
 one.  The inequality suite as it ran before it shared one context sample
-(every check on its own draw, through the package's public estimators) is
-the reference for the shared-sample suite, and each epoch's model MSE as
+(every check on its own draw, then the package's matrix helper) is the
+reference for the shared-sample suite, and each epoch's model MSE as
 the harness computed it before it joined that sample (a fresh draw per
 epoch) is the reference for ``mse_to_fhatstar``.
 """
@@ -21,10 +21,10 @@ import math
 import numpy as np
 
 from banditlab import env as envmod
-from banditlab.diag import (LemmaCheck, decisional_divergence, induced_policy,
-                            kernel_estimated_regret, kernel_true_regret, mean_model_gap,
-                            model_mse, policy_regret)
-from banditlab.env import Environment, make_generator, mean_reward_matrix, true_model
+from banditlab.diag import (LemmaCheck, divergence_from, error_estimates_from, gaps_from,
+                            kernel_regret_from, mean_at, mse_from)
+from banditlab.env import (Environment, draw_contexts, make_generator, mean_reward_matrix,
+                           true_model)
 from banditlab.falcon import igw_kernel
 from banditlab.linmodel import LinearModel
 
@@ -390,20 +390,29 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
     rng = make_generator(rng)
     spec = artifacts.spec
     K = spec.num_arms
+    best_fit = envmod.best_linear_fit_uniform(spec)
     checks = []
 
-    b = envmod.approximation_error_b(spec, num_mc, rng)
-    B = envmod.worst_case_error_B(spec, num_mc, rng)
-    tol_lo = 3.0 * math.hypot(b.se, B.se)
-    checks.append(LemmaCheck("error_ordering_lower", None, b.mc, B.mc + tol_lo,
-                             tol_lo, b.mc <= B.mc + tol_lo, "b <= B"))
-    tol_hi = 3.0 * math.hypot(B.se, K * b.se)
-    checks.append(LemmaCheck("error_ordering_upper", None, B.mc, K * b.mc + tol_hi,
-                             tol_hi, B.mc <= K * b.mc + tol_hi, "B <= K*b"))
+    def draw():
+        return draw_contexts(spec, num_mc, rng)
 
-    pi_best = induced_policy(envmod.best_linear_fit_uniform(spec))
-    reg_best = policy_regret(spec, pi_best, spec, num_mc, rng)
-    bound = 2.0 * math.sqrt(max(B.mc, 0.0))
+    def arms(model, xs):  # the arms of the model's induced policy
+        return gaps_from(model.predict_matrix(xs))[1] + 1
+
+    xs = draw()
+    b = error_estimates_from(best_fit.predict_rows(xs), mean_reward_matrix(spec, xs))[0]
+    xs = draw()
+    B = error_estimates_from(best_fit.predict_rows(xs), mean_reward_matrix(spec, xs))[1]
+    tol_lo = 3.0 * math.hypot(b.se, B.se)
+    checks.append(LemmaCheck("error_ordering_lower", None, b.value, B.value + tol_lo,
+                             tol_lo, b.value <= B.value + tol_lo, "b <= B"))
+    tol_hi = 3.0 * math.hypot(B.se, K * b.se)
+    checks.append(LemmaCheck("error_ordering_upper", None, B.value, K * b.value + tol_hi,
+                             tol_hi, B.value <= K * b.value + tol_hi, "B <= K*b"))
+
+    xs = draw()
+    reg_best = mean_at(gaps_from(mean_reward_matrix(spec, xs))[0], arms(best_fit, xs))
+    bound = 2.0 * math.sqrt(max(B.value, 0.0))
     checks.append(LemmaCheck("best_fit_policy_regret", None, reg_best.value,
                              bound + 3.0 * reg_best.se, reg_best.se,
                              reg_best.value <= bound + 3.0 * reg_best.se,
@@ -412,32 +421,35 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
     for m, (model, gamma) in enumerate(zip(artifacts.models, artifacts.gammas), start=1):
         if m == 1:
             continue
-        est = kernel_estimated_regret(spec, model, gamma, num_mc, rng)
+        preds = model.predict_matrix(draw())
+        est = kernel_regret_from(igw_kernel(preds, gamma), gaps_from(preds)[0])
         rhs = K / gamma + 3.0 * est.se
         checks.append(LemmaCheck("kernel_estimated_regret", m, est.value, rhs,
                                  est.se, est.value <= rhs, "<= K/gamma"))
 
-        def kernel_fn(xs, _model=model, _gamma=gamma):
-            return igw_kernel(_model.predict_matrix(xs), _gamma)
-
-        V = decisional_divergence(spec, kernel_fn, pi_best, num_mc, rng)
-        gap = mean_model_gap(spec, model, pi_best, num_mc, rng)
+        xs = draw()
+        V = divergence_from(igw_kernel(model.predict_matrix(xs), gamma), arms(best_fit, xs))
+        xs = draw()
+        gap = mean_at(gaps_from(model.predict_matrix(xs))[0], arms(best_fit, xs))
         band = 3.0 * math.hypot(V.se, abs(gamma) * gap.se)
         lo, hi = gamma * gap.value, K + gamma * gap.value
         checks.append(LemmaCheck("divergence_sandwich", m, V.value, hi + band, band,
                                  lo - band <= V.value <= hi + band,
                                  f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]"))
 
-        V_self = decisional_divergence(spec, kernel_fn, induced_policy(model), num_mc, rng)
+        xs = draw()
+        V_self = divergence_from(igw_kernel(model.predict_matrix(xs), gamma), arms(model, xs))
         checks.append(LemmaCheck("divergence_self", m, V_self.value,
                                  K + 3.0 * V_self.se, V_self.se,
                                  V_self.value <= K + 3.0 * V_self.se, "V(p, pi_p) <= K"))
 
-        true_reg = kernel_true_regret(spec, model, gamma, num_mc, rng)
-        trend = K / gamma + math.sqrt(max(K * B.mc, 0.0))
+        xs = draw()
+        true_reg = kernel_regret_from(igw_kernel(model.predict_matrix(xs), gamma),
+                                      gaps_from(mean_reward_matrix(spec, xs))[0])
+        trend = K / gamma + math.sqrt(max(K * B.value, 0.0))
         if artifacts.epsilon:
             trend = K / gamma + math.sqrt(
-                max(K * B.mc, 0.0) / math.sqrt(artifacts.epsilon ** artifacts.rho))
+                max(K * B.value, 0.0) / math.sqrt(artifacts.epsilon ** artifacts.rho))
         ratio = true_reg.value / trend if trend > 0 else float("nan")
         checks.append(LemmaCheck("true_regret_trend", m, true_reg.value, trend,
                                  true_reg.se, True,
@@ -448,10 +460,15 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
 def mse_to_best_fit_per_event(spec, events, num_mc: int, seed: int) -> list[float]:
     """Each epoch event's uniform-design MSE between its refit and the best
     linear fit, as the harness computed ``mse_to_fhatstar`` before the
-    diagnostics pass shared one sample: ``model_mse`` on a fresh draw of
-    ``num_mc`` contexts per event, all from one generator on the seed's
-    diagnostics stream itself (``SeedSequence(seed).spawn(3)[2]``)."""
+    diagnostics pass shared one sample: a fresh draw of ``num_mc`` contexts
+    per event, all from one generator on the seed's diagnostics stream
+    itself (``SeedSequence(seed).spawn(3)[2]``), and both models' GEMM
+    predictions there."""
     best_fit = envmod.best_linear_fit_uniform(spec)
     rng = make_generator(np.random.SeedSequence(seed).spawn(3)[2])
-    return [model_mse(LinearModel(ev.new_weights), best_fit, spec, "uniform", num_mc, rng).value
-            for ev in events]
+    mses = []
+    for ev in events:
+        xs = draw_contexts(spec, num_mc, rng)
+        mses.append(mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
+                             best_fit.predict_matrix(xs)).value)
+    return mses

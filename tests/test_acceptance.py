@@ -10,14 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from banditlab.diag import (decisional_divergence, induced_policy,
-                            kernel_estimated_regret, mean_model_gap, model_mse,
-                            policy_regret)
-from banditlab.env import (EnvSpec, approximation_error_b, best_linear_fit_uniform,
-                           worst_case_error_B)
+from banditlab.diag import (divergence_from, error_estimates_from, gaps_from,
+                            kernel_regret_from, mean_at, mse_from)
+from banditlab.env import EnvSpec, best_linear_fit_uniform, draw_contexts, mean_reward_matrix
 from banditlab.falcon import igw_kernel, tune_epsilon
 from banditlab.harness import RunConfig, run_many, run_suite
-from banditlab.linmodel import ConstraintSpec, DataBatch, constrained_fit, fit_ols
+from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
+                                fit_ols, row_max_argmax)
 
 from oracles import grid_search_constrained, normalized_sse, per_round
 
@@ -46,12 +45,14 @@ def test_criterion_1_adaptive_sampling_pathology():
     batch = DataBatch(2)
     for _ in range(20_000):
         x = env.sample_context()
-        a = int(pi.induced_actions([x])[0])
+        a = int(row_max_argmax(pi.predict_matrix([x]))[1][0]) + 1
         batch.append(x, a, env.sample_reward(x, a))
     erm = fit_ols(batch)
     w = erm.weights[0]
     weights_ok = abs(w[0] - 1.0) <= 0.05 and abs(w[1]) <= 0.05
-    reg = policy_regret(SENS05, induced_policy(erm), SENS05, 100_000, rng=2)
+    xs = draw_contexts(SENS05, 100_000, 2)
+    reg = mean_at(gaps_from(mean_reward_matrix(SENS05, xs))[0],
+                  gaps_from(erm.predict_matrix(xs))[1] + 1)
     regret_ok = reg.value >= 0.42 - 0.01 and reg.se < 0.01
     report(1, weights_ok and regret_ok,
            f"collapsed arm-1 weights ({w[0]:.4f}, {w[1]:.4f}) vs (1, 0); "
@@ -64,14 +65,17 @@ def test_criterion_2_small_approximation_error():
     detail = []
     for theta in (0.01, 0.05):
         spec = EnvSpec(kind="sensitivity_family", theta=theta)
-        b = approximation_error_b(spec, 100_000, rng=3)
-        B = worst_case_error_B(spec, 100_000, rng=4)
+        fit = best_linear_fit_uniform(spec)
+        xs = draw_contexts(spec, 100_000, 3)
+        b = error_estimates_from(fit.predict_rows(xs), mean_reward_matrix(spec, xs))[0]
+        xs = draw_contexts(spec, 100_000, 4)
+        B = error_estimates_from(fit.predict_rows(xs), mean_reward_matrix(spec, xs))[1]
         half = theta / 2
-        ok &= b.mc <= half + 1e-3
-        ok &= b.mc <= B.mc + 3 * math.hypot(b.se, B.se)
-        ok &= B.mc <= 2 * b.mc + 3 * math.hypot(B.se, 2 * b.se)
-        detail.append(f"theta={theta}: b={b.mc:.5f} (<= {half + 1e-3:.5f}), "
-                      f"B={B.mc:.5f} in [b, 2b]")
+        ok &= b.value <= half + 1e-3
+        ok &= b.value <= B.value + 3 * math.hypot(b.se, B.se)
+        ok &= B.value <= 2 * b.value + 3 * math.hypot(B.se, 2 * b.se)
+        detail.append(f"theta={theta}: b={b.value:.5f} (<= {half + 1e-3:.5f}), "
+                      f"B={B.value:.5f} in [b, 2b]")
     report(2, ok, "; ".join(detail))
 
 
@@ -126,7 +130,8 @@ def test_criterion_4_kernel_invariants_and_estimated_regret(sens_run_eps01):
         nonbest = probs.copy()
         nonbest[np.arange(len(xs)), best] = 0.0
         ok &= np.all(nonbest <= 1.0 / K + 1e-15)
-        est = kernel_estimated_regret(arts.spec, model, gamma, 10_000, rng=rng)
+        preds = model.predict_matrix(draw_contexts(arts.spec, 10_000, rng))
+        est = kernel_regret_from(igw_kernel(preds, gamma), gaps_from(preds)[0])
         ok &= est.value <= K / gamma + 3 * est.se
         margins.append(K / gamma - est.value)
     report(4, ok, f"15 epochs: max |sum p - 1| = {worst_sum:.1e} <= 1e-12, "
@@ -163,8 +168,10 @@ def test_criterion_6_constraint_keeps_model_near_best_fit():
     best_fit = best_linear_fit_uniform(SENS05)
     final_g = res_g.artifacts.models[-1]
     final_p = res_p.artifacts.models[-1]
-    mse_g = model_mse(final_g, best_fit, SENS05, "uniform", 100_000, rng=7)
-    mse_p = model_mse(final_p, best_fit, SENS05, "uniform", 100_000, rng=8)
+    xs = draw_contexts(SENS05, 100_000, 7)
+    mse_g = mse_from(final_g.predict_matrix(xs), best_fit.predict_matrix(xs))
+    xs = draw_contexts(SENS05, 100_000, 8)
+    mse_p = mse_from(final_p.predict_matrix(xs), best_fit.predict_matrix(xs))
     drift_ok = mse_g.value < mse_p.value
     budget_ok = all(ev.constraint_residual <= 1e-6 for ev in res_g.events)
     report(6, drift_ok and budget_ok,
@@ -196,20 +203,23 @@ def test_criterion_8_divergence_sandwich():
     policies; V(p, pi_p) <= K for the kernel's own induced policy."""
     rng = np.random.default_rng(9)
     spec = EnvSpec(kind="realizable_linear", num_arms=2, seed=6)
-    from banditlab.linmodel import LinearModel
     ok = True
     for _ in range(10):
         model = LinearModel(rng.uniform(0, 1, (2, 2)))
         target = LinearModel(rng.uniform(0, 1, (2, 2)))
         gamma = float(rng.uniform(0.5, 50))
-        pi = induced_policy(target)
-        kernel_fn = lambda xs, m=model, g=gamma: igw_kernel(m.predict_matrix(xs), g)
-        V = decisional_divergence(spec, kernel_fn, pi, 20_000, rng=rng)
-        gap = mean_model_gap(spec, model, pi, 20_000, rng=rng)
+        # kernel, gap and both policies' arms on a fresh sample per estimate
+        xs = draw_contexts(spec, 20_000, rng)
+        V = divergence_from(igw_kernel(model.predict_matrix(xs), gamma),
+                            gaps_from(target.predict_matrix(xs))[1] + 1)
+        xs = draw_contexts(spec, 20_000, rng)
+        gap = mean_at(gaps_from(model.predict_matrix(xs))[0],
+                      gaps_from(target.predict_matrix(xs))[1] + 1)
         band = 3 * math.hypot(V.se, gamma * gap.se)
         ok &= gamma * gap.value - band <= V.value <= 2 + gamma * gap.value + band
-        V_self = decisional_divergence(spec, kernel_fn, induced_policy(model),
-                                       20_000, rng=rng)
+        xs = draw_contexts(spec, 20_000, rng)
+        preds = model.predict_matrix(xs)
+        V_self = divergence_from(igw_kernel(preds, gamma), gaps_from(preds)[1] + 1)
         ok &= V_self.value <= 2 + 3 * V_self.se
     report(8, ok, "10 random (model, policy, gamma) triples satisfy the "
                   "inverse-probability sandwich and V(p, pi_p) <= K")

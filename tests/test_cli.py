@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import re
 
@@ -67,6 +68,26 @@ class TestRunVerb:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert "numerical failure: non-finite reward in round" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("agent", harness.AGENT_NAMES)
+    def test_overflowing_finite_rewards_exit_two_or_stay_finite(self, tmp_path, capsys,
+                                                               agent, seed):
+        # every reward is finite, but sums and refits of them can overflow
+        path = tmp_path / "big_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e307), agent=agent,
+                              horizon=300, mc_samples=2_000), str(path))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(path), "--seed", str(seed), "--out", str(out)])
+        captured = capsys.readouterr()
+        if code == 2:
+            assert "numerical failure: " in captured.err
+            return
+        assert code == 0
+        assert math.isfinite(float(re.search(r"noisy_regret=(\S+)", captured.out).group(1)))
+        rows = (out / "weights.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1

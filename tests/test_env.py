@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from banditlab import env as envmod
-from banditlab.env import (Environment, EnvSpec, approximation_error_b,
-                           best_linear_fit_uniform, make_generator, mean_reward_matrix,
-                           optimal_actions, true_model, worst_case_error_B)
+from banditlab.diag import error_estimates_from
+from banditlab.env import (Environment, EnvSpec, best_linear_fit_uniform, closed_form_errors,
+                           draw_contexts, make_generator, mean_reward_matrix, true_model)
+from banditlab.linmodel import row_max_argmax
 
 from oracles import lstsq_line, per_round, simpson
 
@@ -58,6 +59,16 @@ class TestContexts:
         a = Environment(STEP, [123])
         b = Environment(STEP, [123])
         assert a.draw(50)[0].tolist() == b.draw(50)[0].tolist()
+
+    def test_seed_sequence_argument_is_not_advanced(self):
+        # two environments on one SeedSequence draw what its int seed draws
+        ss = np.random.SeedSequence(40)
+        envs = [Environment(EnvSpec(), [seed]) for seed in (ss, ss, 40)]
+        draws = [env.draw(20) for env in envs]
+        for draw in draws[1:]:
+            for got, want in zip(draw, draws[0]):
+                np.testing.assert_array_equal(got, want)
+        assert ss.n_children_spawned == 0
 
     def test_uniform_moments(self):
         xs = Environment(STEP, [0]).draw(100_000)[0]
@@ -254,16 +265,17 @@ class TestBestLinearFit:
 
 class TestApproximationError:
     def test_realizable_is_zero(self):
-        est = approximation_error_b(REAL, 10_000, rng=0)
-        assert est.closed_form == 0.0
-        assert est.mc == 0.0
+        xs = draw_contexts(REAL, 10_000, 0)
+        est = error_estimates_from(best_linear_fit_uniform(REAL).predict_rows(xs),
+                                   mean_reward_matrix(REAL, xs))
+        assert closed_form_errors(REAL) == (0.0, 0.0)
+        assert est[0].value == 0.0
 
     def test_step_closed_form_vs_quadrature(self):
         # arm-1 squared residual integrated over (0,1), then averaged over 2 arms
         integral = simpson(lambda x: (1.5 * x - 0.25 - (x > 0.5)) ** 2, 0.0, 1.0)
-        est = approximation_error_b(STEP, 10_000, rng=0)
         assert integral / 2 == pytest.approx(0.03125, abs=1e-6)
-        assert est.closed_form == pytest.approx(integral / 2, abs=1e-6)
+        assert closed_form_errors(STEP)[0] == pytest.approx(integral / 2, abs=1e-6)
 
     def test_sensitivity_closed_form_vs_quadrature(self):
         for theta in (0.01, 0.03, 0.05):
@@ -272,59 +284,64 @@ class TestApproximationError:
             w0, w1 = fit.weights[0]
             integral = simpson(
                 lambda x: (w0 + w1 * x - (0.1 + 0.9 * (x > 1 - theta))) ** 2, 0.0, 1.0)
-            est = approximation_error_b(spec, 10_000, rng=0)
-            assert est.closed_form == pytest.approx(integral / 2, abs=1e-6)
+            assert closed_form_errors(spec)[0] == pytest.approx(integral / 2, abs=1e-6)
 
     def test_mc_converges_to_closed_form(self):
-        n = 200_000
-        est = approximation_error_b(SENS, n, rng=123)
-        assert abs(est.mc - est.closed_form) <= 4 * est.se
+        xs = draw_contexts(SENS, 200_000, 123)
+        est = error_estimates_from(best_linear_fit_uniform(SENS).predict_rows(xs),
+                                   mean_reward_matrix(SENS, xs))[0]
+        assert abs(est.value - closed_form_errors(SENS)[0]) <= 4 * est.se
 
     def test_sensitivity_bounded_by_half_theta(self):
         for theta in (0.01, 0.05):
             spec = EnvSpec(kind="sensitivity_family", theta=theta)
-            assert approximation_error_b(spec, 10_000, rng=0).closed_form <= theta / 2
+            assert closed_form_errors(spec)[0] <= theta / 2
 
     def test_monotone_in_theta(self):
-        values = [approximation_error_b(EnvSpec(kind="sensitivity_family", theta=t),
-                                        10_000, rng=0).closed_form
+        values = [closed_form_errors(EnvSpec(kind="sensitivity_family", theta=t))[0]
                   for t in (0.01, 0.02, 0.03, 0.04, 0.05)]
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
 
 class TestWorstCaseError:
     def test_realizable_is_zero(self):
-        assert worst_case_error_B(REAL, 10_000, rng=0).mc == 0.0
+        xs = draw_contexts(REAL, 10_000, 0)
+        est = error_estimates_from(best_linear_fit_uniform(REAL).predict_rows(xs),
+                                   mean_reward_matrix(REAL, xs))
+        assert est[1].value == 0.0
 
     def test_ordering_b_le_B_le_Kb(self):
         for spec in (STEP, SENS):
-            b = approximation_error_b(spec, 100_000, rng=1)
-            B = worst_case_error_B(spec, 100_000, rng=2)
+            fit = best_linear_fit_uniform(spec)
+            xs = draw_contexts(spec, 100_000, 1)
+            b = error_estimates_from(fit.predict_rows(xs), mean_reward_matrix(spec, xs))[0]
+            xs = draw_contexts(spec, 100_000, 2)
+            B = error_estimates_from(fit.predict_rows(xs), mean_reward_matrix(spec, xs))[1]
             slack = 3 * math.hypot(b.se, B.se)
-            assert b.mc <= B.mc + slack
-            assert B.mc <= 2 * b.mc + 3 * math.hypot(B.se, 2 * b.se)
+            assert b.value <= B.value + slack
+            assert B.value <= 2 * b.value + 3 * math.hypot(B.se, 2 * b.se)
 
     def test_sensitivity_B_is_arm1_residual(self):
         fit = best_linear_fit_uniform(SENS)
         w0, w1 = fit.weights[0]
         integral = simpson(
             lambda x: (w0 + w1 * x - (0.1 + 0.9 * (x > 0.95))) ** 2, 0.0, 1.0)
-        assert worst_case_error_B(SENS, 10_000, rng=0).closed_form == \
-            pytest.approx(integral, abs=1e-6)
+        assert closed_form_errors(SENS)[1] == pytest.approx(integral, abs=1e-6)
 
 
 class TestOptimalPolicy:
     def test_step_threshold(self):
-        assert optimal_actions(STEP, [0.7, 0.3]).tolist() == [1, 2]
+        assert row_max_argmax(mean_reward_matrix(STEP, [0.7, 0.3]))[1].tolist() == [0, 1]
 
     def test_sensitivity_high_segment(self):
-        assert optimal_actions(SENS, [0.97, 0.6]).tolist() == [1, 2]
+        assert row_max_argmax(mean_reward_matrix(SENS, [0.97, 0.6]))[1].tolist() == [0, 1]
 
     def test_best_fit_policy_matches_optimal_policy(self):
         # the misspecified fit still induces the optimal threshold policy
         xs = np.linspace(1e-4, 1 - 1e-4, 20_001)
         fit = best_linear_fit_uniform(SENS)
-        np.testing.assert_array_equal(fit.induced_actions(xs), optimal_actions(SENS, xs))
+        np.testing.assert_array_equal(row_max_argmax(fit.predict_matrix(xs))[1],
+                                      row_max_argmax(mean_reward_matrix(SENS, xs))[1])
 
     def test_meeting_point_construction(self):
         # arm 2's line passes through the arm-1 fit exactly at x = 1 - theta

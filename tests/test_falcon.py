@@ -12,7 +12,8 @@ from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
                               SequencingError, UniformAgent, gamma_for_epoch,
                               igw_kernel, sample_kernel, tune_epsilon)
 from banditlab.harness import RunConfig, build_agent
-from banditlab.linmodel import ConstraintSpec, DataBatch, LinearModel, constrained_fit, fit_ols
+from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit, fit_ols,
+                                row_max_argmax)
 
 from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, normalized_sse,
                      per_round, sample_scalar)
@@ -351,7 +352,7 @@ def batches():
     passive = DataBatch(2)  # collected uniformly
     for _ in range(10_000):
         x = env.sample_context()
-        a = int(fit.induced_actions([x])[0])
+        a = int(row_max_argmax(fit.predict_matrix([x]))[1][0]) + 1
         active.append(x, a, env.sample_reward(x, a))
         x2 = env.sample_context()
         a2 = int(rng.integers(2)) + 1

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab import harness
-from banditlab.diag import constant_policy, lemma_suite, model_mse, policy_regret
-from banditlab.env import EnvSpec, best_linear_fit_uniform, make_generator
+from banditlab.diag import gaps_from, lemma_suite, mean_at, mse_from
+from banditlab.env import (EnvSpec, best_linear_fit_uniform, draw_contexts, make_generator,
+                           mean_reward_matrix)
 from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config,
@@ -343,8 +344,9 @@ class TestRunOne:
         res = run_many(cfg, [3])[0]
         per_round = res.trace.e_regret.mean()
         # uniform randomized policy regret = mean of the constant policies'
-        reg1 = policy_regret(STEP, constant_policy(1, 2), STEP, 50_000, rng=0)
-        reg2 = policy_regret(STEP, constant_policy(2, 2), STEP, 50_000, rng=1)
+        gaps1 = gaps_from(mean_reward_matrix(STEP, draw_contexts(STEP, 50_000, 0)))[0]
+        gaps2 = gaps_from(mean_reward_matrix(STEP, draw_contexts(STEP, 50_000, 1)))[0]
+        reg1, reg2 = mean_at(gaps1, np.full(50_000, 1)), mean_at(gaps2, np.full(50_000, 2))
         expected = 0.5 * (reg1.value + reg2.value)
         se = res.trace.e_regret.std(ddof=1) / math.sqrt(len(res.trace))
         assert abs(per_round - expected) <= 3 * math.hypot(se, reg1.se, reg2.se)
@@ -355,17 +357,17 @@ class TestRunOne:
         assert all(c.passed for c in res.lemma_report)
 
     def test_diagnostics_pass_reads_one_sample(self):
-        # every epoch's MSE and the whole suite come from the one sample the
-        # public estimators draw when seeded with the diagnostics child
+        # every epoch's MSE and the whole suite come from the one sample
+        # drawn from the diagnostics child
         cfg = small_config(env=EnvSpec(kind="sensitivity_family", theta=0.05), horizon=128)
         res = run_one(cfg, seed=3)
         diag_ss = np.random.SeedSequence(3).spawn(3)[2].spawn(1)[0]
+        xs = draw_contexts(cfg.env, cfg.mc_samples, make_generator(diag_ss))
         best_fit = best_linear_fit_uniform(cfg.env)
         assert [ev.mse_to_best_fit for ev in res.events] == \
-            [model_mse(LinearModel(ev.new_weights), best_fit, cfg.env, "uniform",
-                       cfg.mc_samples, make_generator(diag_ss)).value for ev in res.events]
-        assert res.lemma_report == lemma_suite(res.artifacts, cfg.mc_samples,
-                                               make_generator(diag_ss))
+            [mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
+                      best_fit.predict_matrix(xs)).value for ev in res.events]
+        assert res.lemma_report == lemma_suite(res.artifacts, xs, best_fit.predict_rows(xs))
 
     def test_falcon_agent_epoch_events_filled(self):
         res = run_one(small_config(horizon=64), seed=6)
