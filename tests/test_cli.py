@@ -154,6 +154,17 @@ class TestSuiteVerb:
         assert re.search(r"numerical failure: non-finite reward in round \d+; replication \d$",
                          err.strip()), err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_regret_total_names_its_replication(self, tmp_path, capsys):
+        # seeds 2, 3, 4: every reward finite, seed 3's noisy-regret sum overflows
+        path = tmp_path / "big_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e307), agent="uniform",
+                              horizon=300, base_seed=2), str(path))
+        assert main(["suite", "--config", str(path), "--reps", "3",
+                     "--out", str(tmp_path / "suite")]) == 2
+        assert capsys.readouterr().err == \
+            "numerical failure: non-finite noisy regret total; replication 1\n"
+
 
 class TestCompareVerb:
     def test_compare_two_configs(self, step_config, tmp_path, capsys):
