@@ -169,16 +169,6 @@ def uniform_arms(num_arms: int, n: int, rngs) -> np.ndarray:
     return np.stack([rng.integers(num_arms, size=n) for rng in rngs]) + 1
 
 
-def tune_epsilon(b_guess: float, num_arms: int, c: float = 1.0) -> float:
-    """Passive-exploration fraction from a guess of the approximation error:
-    c * K^(4/5) * b^(2/5), capped at 0.49 (the analysis needs eps < 0.5)."""
-    if b_guess < 0:
-        raise ValueError("b_guess must be >= 0")
-    if c <= 0:
-        raise ValueError("c must be > 0")
-    return min(c * num_arms ** 0.8 * b_guess ** 0.4, 0.49)
-
-
 @dataclass
 class EpochEvent:
     """What happened at one epoch boundary (the refit of the model)."""

@@ -323,15 +323,26 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
         noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - rewards[:, lo:stop]]),
                                 axis=1)[:, -1]
 
+    # finite rewards can still overflow a sum, a refit or LinUCB's state;
+    # checked after the loop, so a non-finite reward is reported first, with
+    # its round
+    state_ok = np.ones(R, dtype=bool)
+    if isinstance(agent, LinUCBAgent):
+        state = np.concatenate([agent.bvec.reshape(R, -1), agent.theta.reshape(R, -1)], axis=1)
+        state_ok = np.isfinite(state).all(axis=1)
     started, results = schedule.epoch_of(T), []
     for r, seed in enumerate(seeds):
         events = agent.events[r] if is_falcon else []
-        # finite rewards can still overflow a sum or a refit; checked after
-        # the loop, so a non-finite reward is reported first, with its round
         bad = [ev.m for ev in events if not np.isfinite(ev.new_weights).all()]
-        if bad or not math.isfinite(noisy_total[r]):
-            exc = FloatingPointError(f"non-finite weights from the refit after epoch {bad[0]}"
-                                     if bad else "non-finite noisy regret total")
+        problem = None
+        if bad:
+            problem = f"non-finite weights from the refit after epoch {bad[0]}"
+        elif not math.isfinite(noisy_total[r]):
+            problem = "non-finite noisy regret total"
+        elif not state_ok[r]:
+            problem = "non-finite LinUCB state (bvec or theta)"
+        if problem:
+            exc = FloatingPointError(problem)
             exc.replication = r
             raise exc
         trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs[r], actions[r], rewards[r],

@@ -16,12 +16,14 @@ doubling pass and then bisecting; every dual evaluation is one call to the
 weighted least-squares routine, and the returned model is exactly the output
 of the final such call.
 
-Fits and oracle residuals come from per-arm moments ``(G_a = Phi_a' Phi_a,
-b_a = Phi_a' r_a, r_a' r_a, n_a)`` that each ``DataBatch`` folds in one
-vectorized pass and caches until its next append, so each dual evaluation
-costs O(K p^3) whatever the row count.  The oracle's normalized SSE is
-``max(0, sum_a w_a' G_a w_a - 2 w_a' b_a + r_a' r_a) / n``: the clamp absorbs
-rounding on exactly interpolated data.
+A ``DataBatch`` keeps its rows arm by arm (``arm_rows(a)`` gives arm a's
+design rows and rewards), with no arm column.  Fits and oracle residuals
+come from per-arm moments ``(G_a = Phi_a' Phi_a, b_a = Phi_a' r_a, r_a' r_a,
+n_a)`` that the batch folds from each arm's own rows and caches until its
+next append, so each dual evaluation costs O(K p^3) whatever the row count;
+the K normal-equation systems are solved as one stack.  The oracle's
+normalized SSE is ``max(0, sum_a w_a' G_a w_a - 2 w_a' b_a + r_a' r_a) / n``:
+the clamp absorbs rounding on exactly interpolated data.
 
 All sums of squares are NORMALIZED (divided by the row count).  The
 unnormalized convention is recovered by scaling ``slack`` by the passive
@@ -99,10 +101,6 @@ class LinearModel:
     def context_dim(self) -> int:
         return self.weights.shape[1] - 1
 
-    @staticmethod
-    def zeros(num_arms: int, context_dim: int = 1) -> "LinearModel":
-        return LinearModel(np.zeros((num_arms, context_dim + 1)))
-
     def predict_rows(self, xs) -> np.ndarray:
         """(n, K) predictions, row i bit-equal to ``weights @ phi(xs[i])``,
         so a row does not depend on how many rows are predicted together."""
@@ -115,25 +113,24 @@ class LinearModel:
 
 
 class DataBatch:
-    """Append-only store of (context, arm, reward) triples for one phase."""
+    """Append-only store of (context, arm, reward) rows for one phase, kept
+    arm by arm: per arm, its contexts and its rewards in arrival order."""
 
     def __init__(self, num_arms: int, context_dim: int = 1):
         self.num_arms = num_arms
         self.context_dim = context_dim
-        self.xs: list = []
-        self.arms: list[int] = []
-        self.rewards: list[float] = []
+        self._xs: list[list] = [[] for _ in range(num_arms)]
+        self._rewards: list[list[float]] = [[] for _ in range(num_arms)]
         self._moments = None  # (row count, G, b, yy, n) at the last fold
 
     def __len__(self) -> int:
-        return len(self.arms)
+        return sum(map(len, self._rewards))
 
     def append(self, x, a: int, r: float) -> None:
         if type(a) is not int or not 1 <= a <= self.num_arms:
             return self.extend([x], [a], [r])  # checks the arm; plain ints in range skip it
-        self.xs.append(x)
-        self.arms.append(a)
-        self.rewards.append(float(r))
+        self._xs[a - 1].append(x)
+        self._rewards[a - 1].append(float(r))
 
     def extend(self, xs, arms, rewards) -> None:
         """Append many rows at once; raises InvalidArmError, appending
@@ -147,53 +144,55 @@ class DataBatch:
         if bools or bad.size:
             raise InvalidArmError(f"arm {(bools or bad.flat)[0]} is not an integer "
                                   f"in 1..{self.num_arms}")
-        self.xs.extend(np.asarray(xs, dtype=float).tolist())
-        self.arms.extend(arms.astype(np.int64).tolist())
-        self.rewards.extend(np.asarray(rewards, dtype=float).tolist())
+        # one stable sort files the block's rows arm by arm, in arrival order;
+        # in the smallest unsigned type that holds K it is a radix sort
+        arms = arms.astype(np.min_scalar_type(self.num_arms))
+        order = np.argsort(arms, kind="stable")
+        ends = arms[order].searchsorted(np.arange(1, self.num_arms + 1, dtype=arms.dtype),
+                                        side="right")
+        xs = np.asarray(xs, dtype=float)[order]
+        rewards = np.asarray(rewards, dtype=float)[order]
+        lo = 0
+        for arm_xs, arm_rewards, hi in zip(self._xs, self._rewards, ends.tolist()):
+            arm_xs.extend(xs[lo:hi].tolist())
+            arm_rewards.extend(rewards[lo:hi].tolist())
+            lo = hi
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        Phi = featurize(self.xs, self.context_dim) if self.arms else \
-            np.empty((0, self.context_dim + 1))
-        return Phi, np.asarray(self.arms, dtype=int), np.asarray(self.rewards, dtype=float)
+    def arm_rows(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """Arm a's design rows [1, x] of shape (n_a, p) and rewards (n_a,),
+        in arrival order."""
+        xs = self._xs[a - 1]
+        Phi = featurize(xs, self.context_dim) if xs else np.empty((0, self.context_dim + 1))
+        return Phi, np.asarray(self._rewards[a - 1], dtype=float)
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-arm (G, b, yy, n) of shapes (K, p, p), (K, p), (K,), (K,), folded
-        on first use and cached until the row count changes.  Raises
-        FloatingPointError when a context or reward is NaN or inf."""
+        arm by arm on first use and cached until the row count changes.
+        Raises FloatingPointError when a context or reward is NaN or inf."""
         if self._moments is None or self._moments[0] != len(self):
-            Phi, arms, r = self.as_arrays()
-            # column by column (Phi's first is 1): reductions over short rows are slow
-            bad = len(r) - int(np.count_nonzero(
-                np.logical_and.reduce([np.isfinite(col) for col in (r, *Phi.T[1:])])))
-            if bad:
-                raise FloatingPointError(
-                    f"{bad} of {len(self)} rows have a non-finite context or reward")
             p = self.context_dim + 1
             G, b = np.zeros((self.num_arms, p, p)), np.zeros((self.num_arms, p))
             yy, n = np.zeros(self.num_arms), np.zeros(self.num_arms, dtype=int)
-            # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild reference
+            bad = 0
             for a in range(self.num_arms):
-                mask = arms == a + 1
-                Pa, ra = Phi[mask], r[mask]
-                G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
+                Pa, ra = self.arm_rows(a + 1)
+                # column by column (Pa's first is 1): reductions over short rows are slow
+                arm_bad = len(ra) - int(np.count_nonzero(
+                    np.logical_and.reduce([np.isfinite(col) for col in (ra, *Pa.T[1:])])))
+                bad += arm_bad
+                if not arm_bad:
+                    # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild reference
+                    G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
+            if bad:
+                raise FloatingPointError(
+                    f"{bad} of {len(self)} rows have a non-finite context or reward")
             self._moments = (len(self), G, b, yy, n)
         return self._moments[1:]
 
 
-def _solve_normal_equations(G: np.ndarray, bvec: np.ndarray, nrows: int) -> tuple[np.ndarray, bool]:
-    """Solve G w = b, adding a small ridge when the arm design cannot
-    identify all parameters (too few rows, or a collinear design)."""
-    p = G.shape[0]
-    deficient = nrows < p
-    if not deficient:
-        eigs = np.linalg.eigvalsh(G)
-        deficient = eigs[0] <= 1e-10 * max(eigs[-1], 1.0)
-    if deficient:
-        G = G + RIDGE * np.eye(p)
-    return np.linalg.solve(G, bvec), deficient
-
-
 def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> LinearModel:
+    """Per-arm normal equations G_a w_a = b_a (see ``fit_ols``), solved as
+    one (K, p, p) stack: the same bits as one solve per arm."""
     p = context_dim + 1
     G = np.zeros((num_arms, p, p))
     bvec = np.zeros((num_arms, p))
@@ -205,15 +204,14 @@ def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> Li
         G += w * Gb
         bvec += w * bb
         counts += nb
+    # too few rows or a collinear design cannot identify all parameters
+    deficient, full, rows = counts < p, counts >= p, counts > 0
+    eigs = np.linalg.eigvalsh(G[full])
+    deficient[full] = eigs[:, 0] <= 1e-10 * np.maximum(eigs[:, -1], 1.0)
+    G[deficient] += RIDGE * np.eye(p)
     weights = np.zeros((num_arms, p))
-    any_ridge = False
-    for a in range(num_arms):
-        if counts[a] == 0:
-            any_ridge = True  # zero rows: weights stay 0, flagged
-            continue
-        weights[a], used = _solve_normal_equations(G[a], bvec[a], counts[a])
-        any_ridge = any_ridge or used
-    return LinearModel(weights, ridge_fallback=any_ridge)
+    weights[rows] = np.linalg.solve(G[rows], bvec[rows][..., None])[..., 0]
+    return LinearModel(weights, ridge_fallback=bool(deficient.any()))
 
 
 def fit_ols(batch: DataBatch) -> LinearModel:

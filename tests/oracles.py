@@ -150,30 +150,31 @@ def grid_search_constrained(active_rows, passive_rows, slack: float,
     return float(w0s[i]), float(w1s[j]), float(low.min())
 
 
-def fit_rowweighted_rows(batches_and_weights, num_arms: int, context_dim: int,
+def fit_rowweighted_rows(rows_and_weights, num_arms: int, context_dim: int,
                          ridge: float = 1e-8) -> tuple[np.ndarray, bool]:
     """Row-weighted per-arm least squares straight from the rows.
 
-    For every (batch, weight) pair the design [1, x] is rebuilt from the
-    batch's raw ``xs``/``arms``/``rewards`` lists and each arm's masked rows
-    are accumulated as ``G_a += w * Pa.T @ Pa``, active part first, in the
-    order given.  An arm without rows keeps zero weights; an arm with fewer
-    rows than parameters, or a near-singular Gram, is solved with a small
-    ridge.  Returns (weights of shape (K, 1 + context_dim), ridge flag).
+    For every (rows, weight) pair, ``rows`` being the raw (x, arm, reward)
+    triples in the order they were appended, the design [1, x] is rebuilt
+    and each arm's masked rows are accumulated as ``G_a += w * Pa.T @ Pa``,
+    active part first, in the order given.  Each arm is then solved on its
+    own: an arm without rows keeps zero weights; an arm with fewer rows than
+    parameters, or a near-singular Gram, is solved with a small ridge.
+    Returns (weights of shape (K, 1 + context_dim), ridge flag).
     """
     p = context_dim + 1
     G = np.zeros((num_arms, p, p))
     bvec = np.zeros((num_arms, p))
     counts = np.zeros(num_arms, dtype=int)
-    for batch, w in batches_and_weights:
-        if len(batch.arms) == 0 or w == 0.0:
+    for rows, w in rows_and_weights:
+        if len(rows) == 0 or w == 0.0:
             continue
-        xs = np.asarray(batch.xs, dtype=float).reshape(len(batch.arms), context_dim)
-        Phi = np.empty((len(batch.arms), p))
+        xs, arms, r = zip(*rows)
+        Phi = np.empty((len(rows), p))
         Phi[:, 0] = 1.0
-        Phi[:, 1:] = xs
-        arms = np.asarray(batch.arms, dtype=int)
-        r = np.asarray(batch.rewards, dtype=float)
+        Phi[:, 1:] = np.asarray(xs, dtype=float).reshape(len(rows), context_dim)
+        arms = np.asarray(arms, dtype=int)
+        r = np.asarray(r, dtype=float)
         for a in range(1, num_arms + 1):
             mask = arms == a
             if not mask.any():
@@ -198,6 +199,21 @@ def fit_rowweighted_rows(batches_and_weights, num_arms: int, context_dim: int,
         weights[a] = np.linalg.solve(Ga, bvec[a])
         any_ridge = any_ridge or deficient
     return weights, any_ridge
+
+
+def zero_model(num_arms: int, context_dim: int = 1) -> LinearModel:
+    """The all-zero model: every arm predicts 0 everywhere."""
+    return LinearModel(np.zeros((num_arms, context_dim + 1)))
+
+
+def tune_epsilon(b_guess: float, num_arms: int, c: float = 1.0) -> float:
+    """Passive-exploration fraction from a guess of the approximation error:
+    c * K^(4/5) * b^(2/5), capped at 0.49 (the analysis needs eps < 0.5)."""
+    if b_guess < 0:
+        raise ValueError("b_guess must be >= 0")
+    if c <= 0:
+        raise ValueError("c must be > 0")
+    return min(c * num_arms ** 0.8 * b_guess ** 0.4, 0.49)
 
 
 def epoch_of_walk(tau1: int, t: int) -> int:
@@ -247,8 +263,11 @@ def sample_scalar(probs: np.ndarray, rng) -> int:
 
 def sse(model, batch) -> float:
     """Sum of squared residuals, row by row; 0 on an empty batch."""
-    Phi, arms, r = batch.as_arrays()
-    return float(np.sum(((Phi @ model.weights.T)[np.arange(len(r)), arms - 1] - r) ** 2))
+    residuals = []
+    for a in range(1, batch.num_arms + 1):
+        Phi, r = batch.arm_rows(a)
+        residuals.append(Phi @ model.weights[a - 1] - r)
+    return float(np.sum(np.concatenate(residuals) ** 2))
 
 
 def normalized_sse(model, batch) -> float:

@@ -13,12 +13,12 @@ import pytest
 from banditlab.diag import (divergence_from, error_estimates_from, gaps_from,
                             kernel_regret_from, mean_at, mse_from)
 from banditlab.env import EnvSpec, best_linear_fit_uniform, draw_contexts, mean_reward_matrix
-from banditlab.falcon import igw_kernel, tune_epsilon
+from banditlab.falcon import igw_kernel
 from banditlab.harness import RunConfig, run_many, run_suite
 from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
                                 fit_ols, row_max_argmax)
 
-from oracles import grid_search_constrained, normalized_sse, per_round
+from oracles import grid_search_constrained, normalized_sse, per_round, tune_epsilon
 
 SENS05 = EnvSpec(kind="sensitivity_family", theta=0.05)
 B_SENS05 = 0.01649615625  # closed-form approximation error at theta = 0.05
@@ -89,18 +89,20 @@ def test_criterion_3_constrained_oracle_correctness():
     for _ in range(50):
         wa = rng.uniform(-0.75, 0.75, 2)
         wp = rng.uniform(-0.75, 0.75, 2)
-        act = DataBatch(1)
-        pas = DataBatch(1)
+        act_rows, pas_rows = [], []
         for _ in range(10):
             xa, xp = rng.random(), rng.random()
-            act.append(xa, 1, float(wa[0] + wa[1] * xa + 0.05 * rng.standard_normal()))
-            pas.append(xp, 1, float(wp[0] + wp[1] * xp + 0.05 * rng.standard_normal()))
+            act_rows.append((xa, float(wa[0] + wa[1] * xa + 0.05 * rng.standard_normal())))
+            pas_rows.append((xp, float(wp[0] + wp[1] * xp + 0.05 * rng.standard_normal())))
+        act, pas = DataBatch(1), DataBatch(1)
+        for rows, b in ((act_rows, act), (pas_rows, pas)):
+            for x, r in rows:
+                b.append(x, 1, r)
         slack = float(rng.uniform(0.02, 0.3))
         model, rep = constrained_fit(act, ConstraintSpec(pas, slack), tol=tol)
         ok &= normalized_sse(model, pas) <= rep.alpha + slack + tol
         ok &= rep.lam <= tol or abs(rep.constraint_residual) <= tol
-        w0, w1, grid_obj = grid_search_constrained(
-            list(zip(act.xs, act.rewards)), list(zip(pas.xs, pas.rewards)), slack)
+        w0, w1, grid_obj = grid_search_constrained(act_rows, pas_rows, slack)
         gap = abs(normalized_sse(model, act) - grid_obj)
         worst_gap = max(worst_gap, gap)
         ok &= gap <= 1e-2

@@ -89,6 +89,19 @@ class TestRunVerb:
         rows = (out / "weights.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_linucb_state_exits_two(self, tmp_path, capsys):
+        # every reward is finite, but LinUCB's bvec and theta overflow to inf
+        # while the noisy-regret total stays finite
+        path = tmp_path / "big_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e307),
+                              agent="lin_ucb", horizon=300, mc_samples=2_000), str(path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--seed", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "numerical failure: non-finite LinUCB state (bvec or theta)\n"
+        assert not out.exists()
+
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1
 

@@ -11,7 +11,7 @@ from banditlab.falcon import igw_kernel
 from banditlab.harness import RunConfig, run_many, run_one
 from banditlab.linmodel import LinearModel
 
-from oracles import lemma_suite_independent
+from oracles import lemma_suite_independent, zero_model
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -35,7 +35,7 @@ class TestPolicyValue:
     def test_zero_model_gives_zero(self):
         xs = draw_contexts(STEP, 10_000, 2)
         optimal = gaps_from(mean_reward_matrix(STEP, xs))[1] + 1
-        est = mean_at(LinearModel.zeros(2).predict_matrix(xs), optimal)
+        est = mean_at(zero_model(2).predict_matrix(xs), optimal)
         assert est.value == 0.0
 
     def test_reports_standard_error(self):
@@ -132,7 +132,7 @@ class TestModelMse:
     def test_constant_offset(self):
         xs = draw_contexts(STEP, 1_000, 20)
         c = LinearModel(np.array([[0.3, 0.0], [0.3, 0.0]]))
-        est = mse_from(LinearModel.zeros(2).predict_matrix(xs), c.predict_matrix(xs))
+        est = mse_from(zero_model(2).predict_matrix(xs), c.predict_matrix(xs))
         assert est.value == pytest.approx(0.09, abs=1e-12)
 
     def test_kernel_weighting(self):
@@ -141,7 +141,7 @@ class TestModelMse:
         # kernel that always plays arm 1: mse should be arm-1's squared gap
         probs = np.zeros((len(xs), 2))
         probs[:, 0] = 1.0
-        est = mse_from(LinearModel.zeros(2).predict_matrix(xs), unequal.predict_matrix(xs), probs)
+        est = mse_from(zero_model(2).predict_matrix(xs), unequal.predict_matrix(xs), probs)
         assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -178,7 +178,7 @@ class TestModelDriftGuard:
 class TestLemmaSuite:
     def test_realizable_trivial_bounds(self):
         spec = EnvSpec(kind="realizable_linear", seed=3)
-        arts = RunArtifacts(spec, [LinearModel.zeros(2)], [1.0])
+        arts = RunArtifacts(spec, [zero_model(2)], [1.0])
         xs = draw_contexts(spec, 5_000, 24)
         checks = lemma_suite(arts, xs, best_linear_fit_uniform(spec).predict_rows(xs))
         assert all(c.passed for c in checks)
@@ -188,7 +188,7 @@ class TestLemmaSuite:
         # suite and in a run's diagnostics pass
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=3, seed=3)
         xs = draw_contexts(spec, 20_000, 24)
-        reports = [lemma_suite(RunArtifacts(spec, [LinearModel.zeros(3, 3)], [1.0]), xs,
+        reports = [lemma_suite(RunArtifacts(spec, [zero_model(3, 3)], [1.0]), xs,
                                best_linear_fit_uniform(spec).predict_rows(xs)),
                    run_one(RunConfig(env=spec, horizon=40, mc_samples=20_000), 2).lemma_report]
         for report in reports:
@@ -198,7 +198,7 @@ class TestLemmaSuite:
 
     def test_sensitivity_run_snapshot(self):
         fit = best_linear_fit_uniform(SENS)
-        models = [LinearModel.zeros(2), fit, fit]
+        models = [zero_model(2), fit, fit]
         arts = RunArtifacts(SENS, models, [1.0, 0.932, 1.2], epsilon=0.1)
         xs = draw_contexts(SENS, 20_000, 25)
         checks = lemma_suite(arts, xs, fit.predict_rows(xs))
@@ -213,7 +213,7 @@ class TestLemmaSuite:
         # unknown constants: the trend row reports a ratio but always passes,
         # even when the measured regret exceeds the reference value
         bad = LinearModel(np.array([[1.0, 0.0], [0.0, 0.0]]))  # backwards model
-        arts = RunArtifacts(SENS, [LinearModel.zeros(2), bad], [1.0, 1e6],
+        arts = RunArtifacts(SENS, [zero_model(2), bad], [1.0, 1e6],
                             epsilon=0.1)
         xs = draw_contexts(SENS, 5_000, 27)
         checks = lemma_suite(arts, xs, best_linear_fit_uniform(SENS).predict_rows(xs))

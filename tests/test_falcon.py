@@ -10,13 +10,13 @@ from banditlab.env import EnvSpec, best_linear_fit_uniform
 from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
                               InvalidConfidenceError, LinUCBAgent, RateParams,
                               SequencingError, UniformAgent, gamma_for_epoch,
-                              igw_kernel, sample_kernel, tune_epsilon)
+                              igw_kernel, sample_kernel)
 from banditlab.harness import RunConfig, build_agent
 from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit, fit_ols,
                                 row_max_argmax)
 
 from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, normalized_sse,
-                     per_round, sample_scalar)
+                     per_round, sample_scalar, tune_epsilon, zero_model)
 
 RATES = RateParams.linear_preset(2, 1, delta=0.1)
 SCHED = EpochSchedule(4)
@@ -121,7 +121,7 @@ class TestActionKernel:
         assert best == 1
 
     def test_zero_model_uniform(self):
-        probs, _ = kernel_at(LinearModel.zeros(4), 0.9, 1.0)
+        probs, _ = kernel_at(zero_model(4), 0.9, 1.0)
         np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-15)
 
     def test_two_arm_closed_form(self):
@@ -394,8 +394,9 @@ class TestAdaptiveBiasGuard:
         # empirical distance to the passive ERM is within the budget
         passive_erm = fit_ols(passive)
         gap_batch = DataBatch(2)
-        for x, a in zip(passive.xs, passive.arms):
-            gap_batch.append(x, a, float(passive_erm.predict_rows([x])[0, a - 1]))
+        for a in (1, 2):
+            xs = passive.arm_rows(a)[0][:, 1]
+            gap_batch.extend(xs, [a] * len(xs), passive_erm.predict_rows(xs)[:, a - 1])
         assert normalized_sse(model, gap_batch) <= slack + 10 * tol
         # and the guarded fit is far closer to the population fit than the ERM
         xs = np.linspace(0.001, 0.999, 2001)

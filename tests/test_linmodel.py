@@ -15,7 +15,7 @@ from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceErr
                                 fit_ols, fit_weighted, row_max_argmax)
 
 from oracles import (fit_rowweighted_rows, grid_search_constrained,
-                     grid_search_constrained_dense, normalized_sse, sse)
+                     grid_search_constrained_dense, normalized_sse, sse, zero_model)
 
 # the worked instance: passive ERM is the line y=x with zero error, while the
 # active ERM is the line 1-x, which misses the passive budget by a mile
@@ -46,7 +46,7 @@ def random_instance(rng, n_active=8, n_passive=8):
 
 class TestPredict:
     def test_zero_model(self):
-        rows = LinearModel.zeros(3).predict_rows([0.7, 0.2])
+        rows = zero_model(3).predict_rows([0.7, 0.2])
         assert rows[0, 0] == 0.0
         assert rows[1, 2] == 0.0
 
@@ -68,8 +68,8 @@ class TestPredict:
             np.testing.assert_allclose(mat[i], model.predict_rows([x])[0], atol=1e-14)
 
     def test_param_count(self):
-        assert LinearModel.zeros(2, 1).weights.size == 4
-        assert LinearModel.zeros(3, 2).weights.size == 9
+        assert zero_model(2, 1).weights.size == 4
+        assert zero_model(3, 2).weights.size == 9
 
     @given(K=st.integers(1, 10), d=st.integers(1, 5), n=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
@@ -134,9 +134,7 @@ class TestFitOls:
         rng = np.random.default_rng(11)
         xs = rng.random(1_000_000)
         rows_batch = DataBatch(1, 1)
-        rows_batch.xs = list(xs)
-        rows_batch.arms = [1] * len(xs)
-        rows_batch.rewards = list((xs > 0.5).astype(float))
+        rows_batch.extend(xs, np.ones(len(xs), dtype=int), (xs > 0.5).astype(float))
         fitted = fit_ols(rows_batch)
         np.testing.assert_allclose(fitted.weights[0], [-0.25, 1.5], atol=0.01)
 
@@ -173,11 +171,14 @@ class TestExtend:
             by_rows.append(x, a, r)
         for lo, hi in ((0, 1), (1, 17), (17, 17), (17, 40)):
             by_blocks.extend(xs[lo:hi], arms[lo:hi], rewards[lo:hi])
-        assert by_blocks.arms == by_rows.arms
-        assert by_blocks.rewards == by_rows.rewards
-        Pb, ab, rb = by_blocks.as_arrays()
-        Pr, ar, rr = by_rows.as_arrays()
-        assert Pb.tobytes() == Pr.tobytes()
+        assert len(by_blocks) == len(by_rows) == 40
+        for a in (1, 2, 3):
+            (Pb, rb), (Pr, rr) = by_blocks.arm_rows(a), by_rows.arm_rows(a)
+            assert Pb.tobytes() == Pr.tobytes() and rb.tobytes() == rr.tobytes()
+            # each arm keeps its rows in arrival order
+            mask = arms == a
+            assert Pb.tobytes() == featurize(xs[mask], dim).tobytes()
+            assert rb.tobytes() == rewards[mask].tobytes()
         for mb, mr in zip(by_blocks.moments(), by_rows.moments()):
             assert mb.tobytes() == mr.tobytes()
         assert fit_ols(by_blocks).weights.tobytes() == fit_ols(by_rows).weights.tobytes()
@@ -192,7 +193,8 @@ class TestExtend:
         with pytest.raises(InvalidArmError, match=str(bad)):
             block.extend([0.2, 0.5, 0.7], [2, bad, 1], [1.0, 1.0, 1.0])
         # nothing of a rejected block is stored
-        assert len(block) == 1 and block.arms == [1]
+        assert len(block) == 1
+        assert block.arm_rows(1)[1].tolist() == [0.0] and len(block.arm_rows(2)[1]) == 0
 
 
     @pytest.mark.parametrize("bad", [1.7, 2.9, float("nan"), float("inf"), True, np.True_],
@@ -215,8 +217,10 @@ class TestExtend:
         for a in (1, 2.0, np.int64(3), np.float32(1.0), np.uint8(2)):
             rows.append(0.5, a, 1.0)
         rows.extend([0.1, 0.2], np.array([3.0, 1.0]), [0.0, 0.0])
-        assert rows.arms == [1, 2, 3, 1, 2, 3, 1]
-        assert all(type(a) is int for a in rows.arms)
+        # rows 1..7 go to arms 1, 2, 3, 1, 2, 3, 1
+        assert [len(rows.arm_rows(a)[1]) for a in (1, 2, 3)] == [3, 2, 2]
+        assert rows.arm_rows(1)[0][:, 1].tolist() == [0.5, 0.5, 0.2]
+        assert rows.arm_rows(3)[0][:, 1].tolist() == [0.5, 0.1]
 
 
 class TestSse:
@@ -230,19 +234,19 @@ class TestSse:
 
     def test_zero_model_unit_residual(self):
         b = batch([(0.3, 1, 1.0)])
-        assert sse(LinearModel.zeros(1), b) == pytest.approx(1.0)
-        assert _moment_nsse(LinearModel.zeros(1), b) == pytest.approx(1.0)
+        assert sse(zero_model(1), b) == pytest.approx(1.0)
+        assert _moment_nsse(zero_model(1), b) == pytest.approx(1.0)
 
     def test_normalization(self):
         b = batch([(0.1, 1, 1.0), (0.9, 1, 1.0), (0.4, 1, 1.0)])
-        model = LinearModel.zeros(1)
+        model = zero_model(1)
         assert normalized_sse(model, b) == pytest.approx(sse(model, b) / 3)
         assert _moment_nsse(model, b) == pytest.approx(sse(model, b) / 3)
 
     def test_empty_batch(self):
-        assert sse(LinearModel.zeros(1), batch([])) == 0.0
-        assert normalized_sse(LinearModel.zeros(1), batch([])) == 0.0
-        assert _moment_nsse(LinearModel.zeros(1), batch([])) == 0.0
+        assert sse(zero_model(1), batch([])) == 0.0
+        assert normalized_sse(zero_model(1), batch([])) == 0.0
+        assert _moment_nsse(zero_model(1), batch([])) == 0.0
 
 
 class TestFitWeighted:
@@ -335,9 +339,10 @@ class TestConstrainedFit:
         for _ in range(5):
             act, pas, slack = random_instance(rng, n_active=6, n_passive=6)
             model, report = constrained_fit(act, ConstraintSpec(pas, slack), tol=1e-6)
+            (Pa, ra), (Pp, rp) = act.arm_rows(1), pas.arm_rows(1)
             w0, w1, obj = grid_search_constrained(
-                list(zip([x for x in act.xs], act.rewards)),
-                list(zip([x for x in pas.xs], pas.rewards)), slack)
+                list(zip(Pa[:, 1].tolist(), ra.tolist())),
+                list(zip(Pp[:, 1].tolist(), rp.tolist())), slack)
             assert normalized_sse(model, act) <= obj + 1e-2
 
     def test_alpha_recomputed_not_stale(self):
@@ -394,11 +399,12 @@ class TestGridOracle:
                          0.25, step=1e-2)
 
 
-def two_arm_rows(rng, pyrng, dim=1, n=12):
-    """Rows for two arms, each arm drawn as empty, a single row, a repeated
-    context (rank-deficient design) or a general design."""
+def shaped_rows(rng, pyrng, num_arms, dim=1, n=12):
+    """Rows for each arm, each arm drawn as empty, a single row (fewer rows
+    than parameters), a repeated context (a collinear, rank-deficient
+    design) or a general design."""
     rows = []
-    for arm in (1, 2):
+    for arm in range(1, num_arms + 1):
         shape = pyrng.choice(["empty", "single", "repeated", "general"])
         count = {"empty": 0, "single": 1}.get(shape, n)
         xs = rng.random((count, dim))
@@ -467,35 +473,38 @@ class TestMomentLayer:
         alpha = ConstraintSpec(b, 0.1).alpha()
         assert 0.0 <= alpha <= 1e-15
 
-    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2]),
+    @given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(1, 3),
            st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_fits_bit_equal_row_rebuild_reference(self, pyrng, dim, lam):
+    @settings(max_examples=200, deadline=None)
+    def test_fits_bit_equal_row_rebuild_reference(self, pyrng, K, dim, lam):
+        """The fits solve all arms as one stack; the reference solves arm by
+        arm.  Same bits and ridge flag for every mix of arm shapes."""
         rng = np.random.default_rng(pyrng.randrange(2**32))
-        act = batch(two_arm_rows(rng, pyrng, dim), 2, dim)
-        pas = batch(two_arm_rows(rng, pyrng, dim), 2, dim)
-        cases = [(fit_ols(act), [(act, 1.0)]), (fit_ols(pas), [(pas, 1.0)])]
+        act_rows, pas_rows = (shaped_rows(rng, pyrng, K, dim) for _ in range(2))
+        act, pas = batch(act_rows, K, dim), batch(pas_rows, K, dim)
+        cases = [(fit_ols(act), [(act_rows, 1.0)]), (fit_ols(pas), [(pas_rows, 1.0)])]
         if len(act) and len(pas):
             cases.append((fit_weighted(act, pas, lam),
-                          [(act, 1.0 / len(act)), (pas, lam / len(pas))]))
+                          [(act_rows, 1.0 / len(act)), (pas_rows, lam / len(pas))]))
         for model, parts in cases:
-            weights, ridge = fit_rowweighted_rows(parts, 2, dim)
+            weights, ridge = fit_rowweighted_rows(parts, K, dim)
             assert model.weights.tobytes() == weights.tobytes()
             assert model.ridge_fallback == ridge
 
-    def test_each_batch_featurized_once_per_constrained_fit(self, monkeypatch):
+    def test_each_batch_folded_once_per_constrained_fit(self, monkeypatch):
         calls = Counter()
-        original = linmodel.featurize
+        original = DataBatch.arm_rows
 
-        def spy(xs, dim):
-            calls[id(xs)] += 1
-            return original(xs, dim)
+        def spy(self, a):
+            calls[id(self), a] += 1
+            return original(self, a)
 
-        monkeypatch.setattr(linmodel, "featurize", spy)
-        act, pas = batch(ACTIVE), batch(PASSIVE)
+        monkeypatch.setattr(DataBatch, "arm_rows", spy)
+        act = batch(ACTIVE + [(0.5, 2, 0.3), (0.7, 2, 0.1)], num_arms=2)
+        pas = batch(PASSIVE + [(0.2, 2, 0.4), (0.9, 2, 0.8)], num_arms=2)
         _, report = constrained_fit(act, ConstraintSpec(pas, 0.25))
         assert report.lam > 0 and report.n_weighted_fits >= 10
-        assert calls == Counter({id(act.xs): 1, id(pas.xs): 1})
+        assert calls == Counter({(id(b), a): 1 for b in (act, pas) for a in (1, 2)})
 
     def test_append_after_fit_refolds(self):
         act, pas = batch(ACTIVE), batch(PASSIVE)
@@ -520,6 +529,17 @@ class TestMomentLayer:
         with pytest.raises(FloatingPointError):
             constrained_fit(batch(ACTIVE), ConstraintSpec(b, 0.25))
 
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_arm_without_rows_folds_to_zero(self, dim):
+        b = DataBatch(3, dim)
+        b.extend(np.random.default_rng(dim).random((4, dim)).squeeze(), [1, 3, 3, 1], [1, 2, 3, 4])
+        Phi, r = b.arm_rows(2)
+        assert Phi.shape == (0, dim + 1) and r.shape == (0,)
+        G, bvec, yy, n = b.moments()
+        assert not G[1].any() and not bvec[1].any() and yy[1] == 0.0 and n[1] == 0
+        assert n.tolist() == [2, 0, 2] and yy[[0, 2]].tolist() == [17.0, 13.0]
+        assert DataBatch(2, dim).arm_rows(1)[0].shape == (0, dim + 1)
 
     def test_non_finite_second_context_column_rejected(self):
         b = DataBatch(2, 2)
