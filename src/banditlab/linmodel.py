@@ -133,8 +133,10 @@ class DataBatch:
         self._rewards[a - 1].append(float(r))
 
     def extend(self, xs, arms, rewards) -> None:
-        """Append many rows at once; raises InvalidArmError, appending
-        nothing, unless every arm is an integer in 1..K (a bool is not)."""
+        """Append n rows at once; appending nothing, raises InvalidArmError
+        unless every arm is an integer in 1..K (a bool is not), and
+        ValueError unless the n arms come with rewards of shape (n,) and
+        contexts of shape (n,) at d = 1, (n, d) otherwise."""
         # numpy casts the bools of a sequence that mixes them with ints to ints
         bools = [] if isinstance(arms, np.ndarray) else \
             [a for a in arms if isinstance(a, (bool, np.bool_))]
@@ -144,14 +146,19 @@ class DataBatch:
         if bools or bad.size:
             raise InvalidArmError(f"arm {(bools or bad.flat)[0]} is not an integer "
                                   f"in 1..{self.num_arms}")
+        xs, rewards = np.asarray(xs, dtype=float), np.asarray(rewards, dtype=float)
+        n = len(arms)
+        contexts = (n,) if self.context_dim == 1 else (n, self.context_dim)
+        if arms.shape != (n,) or rewards.shape != (n,) or xs.shape != contexts:
+            raise ValueError(f"{n} arms need rewards of shape {(n,)} and contexts of shape "
+                             f"{contexts}; got {rewards.shape} and {xs.shape}")
         # one stable sort files the block's rows arm by arm, in arrival order;
         # in the smallest unsigned type that holds K it is a radix sort
         arms = arms.astype(np.min_scalar_type(self.num_arms))
         order = np.argsort(arms, kind="stable")
         ends = arms[order].searchsorted(np.arange(1, self.num_arms + 1, dtype=arms.dtype),
                                         side="right")
-        xs = np.asarray(xs, dtype=float)[order]
-        rewards = np.asarray(rewards, dtype=float)[order]
+        xs, rewards = xs[order], rewards[order]
         lo = 0
         for arm_xs, arm_rewards, hi in zip(self._xs, self._rewards, ends.tolist()):
             arm_xs.extend(xs[lo:hi].tolist())

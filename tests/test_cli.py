@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import re
@@ -18,6 +19,14 @@ def step_config(tmp_path):
     path = tmp_path / "step.txt"
     save_config(cfg, str(path))
     return str(path)
+
+
+HEADLINE_FILES_PINNED = {
+    "trace.csv": "cc6d09be775e576149242d41088df70538ea2c137510c499631fa56f037c38b4",
+    "epochs.csv": "25fbcf315855ed4e9ff7b4a9e4591a7c1f730de188bf64c927703549434fca8a",
+    "weights.csv": "3b7be9bca153c7cb507feec6b1de81fd3e4fe5597a7c5c8730ad69c490c09465",
+    "lemmas.csv": "6022a9aaabbfae38afd8c4b1054d54cc5db78140924c21bfb0e9afc0100e942d",
+}
 
 
 class TestRunVerb:
@@ -101,6 +110,21 @@ class TestRunVerb:
         assert capsys.readouterr().err == \
             "numerical failure: non-finite LinUCB state (bvec or theta)\n"
         assert not out.exists()
+
+    def test_headline_run_files_pinned(self, tmp_path):
+        # The paper's headline instance at full length: 2^16 trace rows
+        # (53,475 exactly zero e_regret cells, decimal exponents -7 to 3,
+        # negative rewards) through every CSV writer.  Like the digests in
+        # test_engine.py they hold fits, so they are tied to the numpy/BLAS
+        # build they were taken on (numpy 2.4, OpenBLAS at 1 and 2 threads).
+        path = tmp_path / "falcon.cfg"
+        path.write_text("env.kind = sensitivity_family\nenv.theta = 0.05\n"
+                        "agent.name = epsilon_falcon\nagent.epsilon = 0.1\n"
+                        "run.horizon = 65536\nrun.mc_samples = 20000\nrun.base_seed = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in HEADLINE_FILES_PINNED} == HEADLINE_FILES_PINNED
 
     def test_missing_file_exits_one(self):
         assert main(["run", "--config", "/nonexistent/nope.txt"]) == 1

@@ -197,6 +197,28 @@ class TestExtend:
         assert block.arm_rows(1)[1].tolist() == [0.0] and len(block.arm_rows(2)[1]) == 0
 
 
+    @pytest.mark.parametrize("dim, xs, arms, rewards", [
+        (1, [0.1, 0.2, 0.3, 0.4, 0.5], [1, 2, 1], [1.0, 2.0, 3.0]),  # extra contexts
+        (1, [0.1, 0.2, 0.3], [1, 2, 1], [1.0, 2.0, 3.0, 4.0]),       # extra rewards
+        (1, [0.1, 0.2], [1, 2, 1], [1.0, 2.0, 3.0]),                 # too few contexts
+        (1, [0.1, 0.2, 0.3], [1, 2, 1], [1.0, 2.0]),                 # too few rewards
+        (1, [[0.1], [0.2]], [1, 2], [1.0, 2.0]),                     # (n, 1) at d = 1
+        (3, [[0.1, 0.2]], [1], [1.0]),                               # d - 1 values at d = 3
+        (3, [0.1, 0.2, 0.3], [1, 2, 1], [1.0, 2.0, 3.0]),            # (n,) at d = 3
+        (1, [0.1, 0.2], [[1, 2]], [1.0, 2.0]),                       # arms not 1-D
+        (1, [0.1, 0.2], [1, 2], [[1.0, 2.0]]),                       # rewards not 1-D
+    ], ids=["extra_contexts", "extra_rewards", "short_contexts", "short_rewards",
+            "column_contexts_d1", "short_context_d3", "flat_contexts_d3", "arms_2d",
+            "rewards_2d"])
+    def test_extend_rejects_mismatched_shapes(self, dim, xs, arms, rewards):
+        block = DataBatch(2, dim)
+        block.extend([0.5] if dim == 1 else [[0.5] * dim], [1], [0.0])
+        with pytest.raises(ValueError, match="arms need rewards of shape"):
+            block.extend(xs, arms, rewards)
+        # nothing of a rejected block is stored, and the batch still folds
+        assert len(block) == 1
+        assert block.moments()[3].tolist() == [1, 0]
+
     @pytest.mark.parametrize("bad", [1.7, 2.9, float("nan"), float("inf"), True, np.True_],
                              ids=["float", "float_up", "nan", "inf", "bool", "numpy_bool"])
     def test_non_integral_or_bool_arm_rejected(self, bad):
