@@ -637,8 +637,8 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     """``'%d' % x`` of each integer (a bool is 0 or 1), one NUL-padded row
     per value; those of 16 digits or more, and a column of any other type,
     go through Python's ``'%d'``."""
-    if v.dtype.kind == "b":
-        v = v.astype(np.int64)
+    if v.dtype.kind == "b" or v.dtype.kind in "iu" and v.itemsize < 8:
+        v = v.astype(np.int64)  # a narrower int's minimum has no absolute value
     if v.dtype.kind != "i":
         return _text_rows([b"%d" % x for x in v.tolist()])
     fast = (v > -10 ** 16) & (v < 10 ** 16)

@@ -89,6 +89,13 @@ class TestIntCells:
         assert spelled(harness._int_cells(np.array(values))) == ["%d" % v for v in values]
         assert spelled(harness._int_cells(np.array([True, False]))) == ["1", "0"]
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16,
+                                       np.uint32, np.uint64])
+    def test_every_integer_dtype_to_its_limits(self, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([0, 1, info.max, info.min, info.max - 1, info.min + 1], dtype=dtype)
+        assert spelled(harness._int_cells(values)) == ["%d" % v for v in values.tolist()]
+
     def test_integers_past_int64_go_through_python(self):
         values = [10 ** 20, -(10 ** 30), 7]
         assert spelled(harness._int_cells(np.asarray(values))) == ["%d" % v for v in values]
