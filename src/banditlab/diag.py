@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .env import EnvSpec, mean_reward_matrix
-from .falcon import igw_kernel
+from .falcon import igw_kernel, schedule_position
 from .linmodel import LinearModel, row_max_argmax
 
 
@@ -83,25 +83,63 @@ def error_estimates_from(fit_preds: np.ndarray,
 # regret traces
 # ---------------------------------------------------------------------------
 
+def cumsum_after(values: np.ndarray, before=None) -> np.ndarray:
+    """``np.cumsum(values, axis=-1)`` continued from ``before``, the running
+    totals just ahead of the first column (None: nothing ahead): with the
+    bits of one cumsum over the whole rows, since the totals are summed one
+    value after another and ``before`` is added to the first value first."""
+    out = np.array(values, dtype=float)
+    if before is not None and out.shape[-1]:
+        out[..., 0] += before
+    return np.cumsum(out, axis=-1, out=out)
+
+
 @dataclass
 class RegretTrace:
     """Per-round record of a run.  ``e_regret`` is the expected
     instantaneous regret under the truth; ``noisy_regret_total`` is the
     realized sum of (reward at optimal arm - reward at chosen arm) over the
-    drawn reward vectors."""
+    drawn reward vectors.
 
-    t: np.ndarray
-    epoch: np.ndarray
-    phase: np.ndarray          # 'active' | 'passive' (dtype <U7)
-    x: np.ndarray
-    action: np.ndarray
-    reward: np.ndarray
+    Only the data columns are stored (a suite's traces keep ``e_regret``
+    alone, the others None).  The round ``t``, its ``epoch`` and ``phase``
+    (the schedule of ``tau1`` with a passive share ``epsilon``, 0 for the
+    agents without phases) and ``cum_e_regret`` are made on demand, whole by
+    the attributes; the trace writer makes them chunk by chunk, with
+    ``schedule_rows`` and ``cumsum_after``, in the same bits."""
+
+    x: Optional[np.ndarray]
+    action: Optional[np.ndarray]
+    reward: Optional[np.ndarray]
     e_regret: np.ndarray
-    cum_e_regret: np.ndarray
+    tau1: int
+    epsilon: float = 0.0
     noisy_regret_total: float = 0.0
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.e_regret)
+
+    def schedule_rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``t``, ``epoch`` and ``phase`` ('active' | 'passive', <U7) of rows lo..hi-1."""
+        t = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        epoch, passive = schedule_position(t, self.tau1, self.epsilon)
+        return t, epoch, np.where(passive, "passive", "active")
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.schedule_rows(0, len(self))[0]
+
+    @property
+    def epoch(self) -> np.ndarray:
+        return self.schedule_rows(0, len(self))[1]
+
+    @property
+    def phase(self) -> np.ndarray:
+        return self.schedule_rows(0, len(self))[2]
+
+    @property
+    def cum_e_regret(self) -> np.ndarray:
+        return np.cumsum(self.e_regret)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +229,7 @@ def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray,
               f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]", lo - band <= V.value <= hi + band)
 
         V_self = divergence_from(probs, best + 1)
-        check("divergence_self", m, V_self.value, K + 3 * V_self.se, V_self.se, "V(p, pi_p) <= K")
+        check("divergence_self", m, V_self.value, K + 3 * V_self.se, V_self.se, "V(p; pi_p) <= K")
 
         true_reg = kernel_regret_from(probs, truth_gaps)
         del preds, probs, gaps

@@ -75,7 +75,28 @@ class EpochSchedule:
         """Smallest m with tau_m >= t, for t >= 1."""
         if t < 1:
             raise ValueError("round index starts at 1")
-        return 1 + (-(-int(t) // self.tau1) - 1).bit_length()
+        return int(schedule_position(t, self.tau1, 0.0)[0])
+
+
+def epoch_rounds(m, tau1: int, epsilon: float):
+    """(last active round, last round tau_m) of epoch m >= 1, an int or an
+    int64 array: the last ceil(epsilon * len_m) of the epoch's len_m =
+    tau_m - tau_{m-1} rounds are passive.  The last active round is a
+    float, exact below 2^53."""
+    end = tau1 << (m - 1)
+    length = end - (end >> 1) * (m > 1)  # tau_0 = 0
+    return end - np.ceil(epsilon * length), end
+
+
+def schedule_position(t, tau1: int, epsilon: float):
+    """Epoch m (the smallest with tau_m >= t) and whether the round is
+    passive, of a round t >= 1 or of an int64 array of rounds below 2^53:
+    the one epoch/phase formula, which ``EpochSchedule.epoch_of`` and
+    ``EpsilonFalconAgent.phase_of`` apply to one round and
+    ``diag.RegretTrace`` to a chunk of a trace's rounds."""
+    q = (t - 1) // tau1  # m - 1 is the bit length of ceil(t / tau1) - 1
+    m = 1 + (q.bit_length() if isinstance(q, int) else np.frexp(q)[1].astype(np.int64))
+    return m, t > epoch_rounds(m, tau1, epsilon)[0]
 
 
 @dataclass(frozen=True)
@@ -224,23 +245,18 @@ class EpsilonFalconAgent:
         self.active_batches = [DataBatch(K, d) for _ in range(R)]
         self.passive_batches = [DataBatch(K, d) for _ in range(R)]
 
-    def passive_rounds(self, m: Optional[int] = None) -> int:
-        length = self.schedule.epoch_length(self.m if m is None else m)
-        return math.ceil(self.epsilon * length)
-
     def phase_of(self, t: int) -> str:
         """'active' or 'passive' for round t of the current epoch."""
-        m = self.schedule.epoch_of(t)
+        m, passive = schedule_position(t, self.schedule.tau1, self.epsilon)
         if m != self.m:
             raise SequencingError(
                 f"round {t} belongs to epoch {m}, agent is in epoch {self.m}")
-        last_active = self.schedule.boundary(m) - self.passive_rounds(m)
-        return "active" if t <= last_active else "passive"
+        return "passive" if passive else "active"
 
     def block_end(self, t: int, last: int) -> int:
-        end = self.schedule.boundary(self.m)
+        last_active, end = epoch_rounds(self.m, self.schedule.tau1, self.epsilon)
         if self.phase_of(t) == "active":
-            end -= self.passive_rounds()
+            end = int(last_active)
         return min(end, last)
 
     def _block_phase(self, t: int, n: int) -> str:
@@ -273,13 +289,15 @@ class EpsilonFalconAgent:
     def end_of_epoch_update(self) -> None:
         """Refit each replication's model from its epoch data and advance
         the epoch.  An exception from one replication's refit leaves with
-        that replication's index as its ``replication`` attribute."""
+        that replication's index as its ``replication`` attribute and a note
+        naming the epoch."""
         events = []
         for r, batches in enumerate(zip(self.active_batches, self.passive_batches)):
             try:
                 events.append(self._refit(*batches))
             except Exception as exc:
                 exc.replication = r
+                exc.add_note(f"the refit after epoch {self.m}")
                 raise
         self.m += 1
         self.gamma = gamma_for_epoch(self.m, self.schedule, self.rates, self.num_arms)

@@ -34,6 +34,8 @@ runs the suite on one sample from the seed's diagnostics stream.
 ``diag`` reproduces the run's ``lemmas.csv`` byte for byte.  Schemas:
 
 * trace:   t,epoch,phase,x,action,reward,e_regret,cum_e_regret
+  (a run stores x, action, reward and e_regret, a suite e_regret alone;
+  ``write_trace_csv`` makes t, epoch, phase and cum_e_regret chunk by chunk)
 * epochs:  m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar
 * weights: m,arm,w0,w1,...   (model in force during epoch m)
 
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import diag as diagmod
 from . import env as envmod
-from .diag import LemmaCheck, RegretTrace, RunArtifacts
+from .diag import LemmaCheck, RegretTrace, RunArtifacts, cumsum_after
 from .env import Environment, EnvSpec, draw_contexts, interval_errors, make_generator
 from .falcon import (EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
                      RateParams, UniformAgent, gamma_for_epoch)
@@ -76,6 +78,9 @@ LEMMAS_HEADER = "name,epoch,lhs,rhs,se,passed,note"
 ROUNDS_PER_DRAW = 4096
 REPLICATIONS_PER_CHUNK = 16
 TRACE_ROWS_PER_WRITE = 1024
+# rounds of a suite's summary aggregated per block: it bounds the summary's
+# working memory
+ROUNDS_PER_SUMMARY_BLOCK = 4096
 
 
 class ConfigError(ValueError):
@@ -274,11 +279,18 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
 
     Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
-    other seeds.  A non-finite reward (``Environment.draw``), and after the
-    last round a non-finite noisy-regret total or refit weight, is a
+    other seeds.  A non-finite reward (``Environment.draw``), a refit on
+    moments that overflow (``DataBatch.moments``), and after the last round
+    a non-finite noisy-regret total, refit weight or LinUCB state, is a
     FloatingPointError with the position in ``seeds`` of the first
     replication at fault as its ``replication`` attribute.
     """
+    return _run_many(config, seeds, keep_data=True)
+
+
+def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunResult]:
+    """``run_many``; without ``keep_data`` each trace keeps ``e_regret``
+    alone (x, action and reward are None), which is all a suite reads."""
     config.validate()
     R, spec, T = len(seeds), config.env, config.horizon
     streams = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
@@ -289,11 +301,10 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     is_falcon = isinstance(agent, EpsilonFalconAgent)
 
     K, dim = spec.num_arms, spec.context_dim
-    xs = np.empty((R, T) if dim == 1 else (R, T, dim))
-    epochs = np.empty(T, dtype=np.int64)
-    phases = np.empty(T, dtype="<U7")
-    actions = np.empty((R, T), dtype=np.int64)
-    rewards = np.empty((R, T))
+    if keep_data:
+        xs = np.empty((R, T) if dim == 1 else (R, T, dim))
+        actions = np.empty((R, T), dtype=np.int64)
+        rewards = np.empty((R, T))
     e_regret = np.empty((R, T))
     noisy_total = np.zeros(R)
 
@@ -302,38 +313,35 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     # them block by block.
     t, step = 1, max(1, ROUNDS_PER_DRAW // R)
     while t <= T:
-        epoch = schedule.epoch_of(t)
-        lo, stop = t - 1, min(T, schedule.boundary(epoch), t + step - 1)
+        lo, stop = t - 1, min(T, schedule.boundary(schedule.epoch_of(t)), t + step - 1)
         n = stop - lo
-        xs[:, lo:stop], means, rvec = env.draw(n)
+        x_n, means, rvec = env.draw(n)
+        a_n, r_n = np.empty((R, n), dtype=np.int64), np.empty((R, n))
         # replication r's reward at arm a in round i is flat[arm_base[r, i] + a]
         rmeans, flat = means.reshape(-1), rvec.reshape(-1)
         arm_base = (np.arange(R)[:, None] * n + np.arange(n)) * K - 1
         while t <= stop:
             end = agent.block_end(t, stop)
             i, j = t - 1 - lo, end - lo
-            xb = xs[:, t - 1:end]
-            phases[t - 1:end] = agent.phase_of(t) if is_falcon else "active"
-            actions[:, t - 1:end] = a = agent.act_block(t, xb, agent_rngs)
-            rewards[:, t - 1:end] = r = flat[arm_base[:, i:j] + a]
-            agent.record_block(t, xb, a, r)
+            a_n[:, i:j] = a = agent.act_block(t, x_n[:, i:j], agent_rngs)
+            r_n[:, i:j] = r = flat[arm_base[:, i:j] + a]
+            agent.record_block(t, x_n[:, i:j], a, r)
             t = end + 1
         best = arm_base + 1 + row_max_argmax(means.reshape(R * n, K))[1].reshape(R, n)
-        chosen = arm_base + actions[:, lo:stop]
-        epochs[lo:stop] = epoch
-        e_regret[:, lo:stop] = rmeans[best] - rmeans[chosen]
+        e_regret[:, lo:stop] = rmeans[best] - rmeans[arm_base + a_n]
         # summed round by round, like the cumulative regret
-        noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - rewards[:, lo:stop]]),
-                                axis=1)[:, -1]
+        noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - r_n]), axis=1)[:, -1]
+        if keep_data:
+            xs[:, lo:stop], actions[:, lo:stop], rewards[:, lo:stop] = x_n, a_n, r_n
 
-    # finite rewards can still overflow a sum, a refit or LinUCB's state;
-    # checked after the loop, so a non-finite reward is reported first, with
-    # its round
+    # finite rewards can still overflow a sum or LinUCB's state; checked
+    # after the loop, so a non-finite reward is reported first, with its round
     state_ok = np.ones(R, dtype=bool)
     if isinstance(agent, LinUCBAgent):
         state = np.concatenate([agent.bvec.reshape(R, -1), agent.theta.reshape(R, -1)], axis=1)
         state_ok = np.isfinite(state).all(axis=1)
     started, results = schedule.epoch_of(T), []
+    epsilon = agent.epsilon if is_falcon else 0.0
     for r, seed in enumerate(seeds):
         events = agent.events[r] if is_falcon else []
         bad = [ev.m for ev in events if not np.isfinite(ev.new_weights).all()]
@@ -348,8 +356,8 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
             exc = FloatingPointError(problem)
             exc.replication = r
             raise exc
-        trace = RegretTrace(np.arange(1, T + 1), epochs, phases, xs[r], actions[r], rewards[r],
-                            e_regret[r], np.cumsum(e_regret[r]), float(noisy_total[r]))
+        data = (xs[r], actions[r], rewards[r]) if keep_data else (None, None, None)
+        trace = RegretTrace(*data, e_regret[r], config.tau1, epsilon, float(noisy_total[r]))
         # in force during each epoch that started: the zero model, then each refit's
         weights = [np.zeros((K, dim + 1)), *(ev.new_weights for ev in events)][:started] \
             if is_falcon else []
@@ -412,34 +420,43 @@ def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSumm
     ``order`` only changes which replications share a chunk and which
     chunk runs first; a replication's trace does not depend on either, and
     the aggregation is index-keyed, so any order produces the same summary.
+
+    Each replication keeps only its ``e_regret``.  The summary is built in
+    blocks of rounds, each block's cumulative regret continued from the
+    last column of the block before, in the bits of the whole-array
+    ``mean``, ``std(ddof=1)`` and ``cumsum``.
     """
     config.validate()
-    R = config.replications
+    R, T = config.replications, config.horizon
     if order is None:
         order = list(range(R))
     if sorted(order) != list(range(R)):
         raise ValueError("order must be a permutation of range(replications)")
-    per_rep: list[Optional[np.ndarray]] = [None] * R
+    e_rows: list[Optional[np.ndarray]] = [None] * R
     for lo in range(0, R, REPLICATIONS_PER_CHUNK):
         chunk = order[lo:lo + REPLICATIONS_PER_CHUNK]
         try:
-            results = run_many(config, [config.base_seed + r for r in chunk])
+            results = _run_many(config, [config.base_seed + r for r in chunk], keep_data=False)
         except Exception as exc:
             # a failure shared by the whole chunk is charged to its first replication
             exc.add_note(f"replication {chunk[getattr(exc, 'replication', 0)]}")
             raise
         for r, res in zip(chunk, results):
-            per_rep[r] = res.trace.e_regret
-    e = np.stack(per_rep)
-    cum = np.cumsum(e, axis=1)
-    if R > 1:
-        se = e.std(axis=0, ddof=1) / math.sqrt(R)
-        cum_se = cum.std(axis=0, ddof=1) / math.sqrt(R)
-    else:
-        se = np.zeros(config.horizon)
-        cum_se = np.zeros(config.horizon)
-    return SuiteSummary(np.arange(1, config.horizon + 1), e.mean(axis=0), se,
-                        cum.mean(axis=0), cum_se, R)
+            e_rows[r] = res.trace.e_regret
+    mean, se, cum_mean, cum_se = (np.zeros(T) for _ in range(4))
+    # blocks of 2 to ROUNDS_PER_SUMMARY_BLOCK + 1 rounds (T = 1 aside):
+    # numpy reduces a block of one column in another order
+    edges = [*range(0, max(T - 1, 1), max(2, ROUNDS_PER_SUMMARY_BLOCK)), T]
+    cum_end = None
+    for lo, hi in zip(edges, edges[1:]):
+        e = np.stack([row[lo:hi] for row in e_rows])
+        cum = cumsum_after(e, cum_end)
+        cum_end = cum[:, -1]
+        for block, block_mean, block_se in ((e, mean, se), (cum, cum_mean, cum_se)):
+            block_mean[lo:hi] = block.mean(axis=0)
+            if R > 1:
+                block_se[lo:hi] = block.std(axis=0, ddof=1) / math.sqrt(R)
+    return SuiteSummary(np.arange(1, T + 1), mean, se, cum_mean, cum_se, R)
 
 
 def checkpoints(horizon: int) -> list[int]:
@@ -681,28 +698,38 @@ def write_csv(path: str, header: str, columns) -> None:
     (n, d) make a cell of d ``;``-separated values.
 
     Rows are written ``TRACE_ROWS_PER_WRITE`` at a time (which bounds the
-    memory the text takes).  Each chunk's cells of one kind are made in one
+    memory the text takes), each chunk by ``_write_chunks``.  A text cell
+    holding a NUL is a ValueError."""
+    columns = [(kind, _COLUMNS[kind](values)) for kind, values in columns]
+    n, step = len(columns[0][1]), TRACE_ROWS_PER_WRITE
+    _write_chunks(path, header, ([(kind, values[lo:lo + step]) for kind, values in columns]
+                                 for lo in range(0, n, step)))
+
+
+def _write_chunks(path: str, header: str, chunks) -> None:
+    """``header``, then the rows of each chunk: a list of (kind, values) as
+    ``write_csv`` makes them, arrays of one length with the same kinds and
+    widths in every chunk.  A chunk's cells of one kind are made in one
     call (``_float_cells``, ``_int_cells``, ``_text_cells``) as NUL-padded
     uint8 rows; they are laid side by side with ``,``, ``;`` and newline
     columns, and the chunk is written as that matrix with its NUL bytes
-    dropped: the same bytes as Python's ``%`` formatting of every cell.  A
-    text cell holding a NUL is a ValueError."""
-    columns = [(kind, _COLUMNS[kind](values)) for kind, values in columns]
-    columns = [(kind, values[:, None] if values.ndim == 1 else values) for kind, values in columns]
-    by_kind = {kind: [values for k, values in columns if k == kind] for kind, _ in columns}
-    # a line: (kind, index among the kind's cell columns, separator after)
-    layout, count = [], dict.fromkeys(by_kind, 0)
-    for kind, values in columns:
-        for j in range(values.shape[1]):
-            layout.append((kind, count[kind], ";" if j + 1 < values.shape[1] else ","))
-            count[kind] += 1
-    layout[-1] = (*layout[-1][:2], "\n")
-    n, step = len(columns[0][1]), TRACE_ROWS_PER_WRITE
+    dropped: the same bytes as Python's ``%`` formatting of every cell."""
+    layout = None
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, n, step):
-            rows = min(step, n - lo)
-            cells = {kind: _CELLS[kind](np.concatenate([v[lo:lo + rows].T for v in vals]).ravel())
+        for columns in chunks:
+            columns = [(kind, v[:, None] if v.ndim == 1 else v) for kind, v in columns]
+            by_kind = {kind: [v for k, v in columns if k == kind] for kind, _ in columns}
+            if layout is None:
+                # a line: (kind, index among the kind's cell columns, separator after)
+                layout, count = [], dict.fromkeys(by_kind, 0)
+                for kind, values in columns:
+                    for j in range(values.shape[1]):
+                        layout.append((kind, count[kind], ";" if j + 1 < values.shape[1] else ","))
+                        count[kind] += 1
+                layout[-1] = (*layout[-1][:2], "\n")
+            rows = len(columns[0][1])
+            cells = {kind: _CELLS[kind](np.concatenate([v.T for v in vals]).ravel())
                      .reshape(count[kind], rows, -1) for kind, vals in by_kind.items()}
             sep = {c: np.full((rows, 1), ord(c), np.uint8) for c in ",;\n"}
             text = np.concatenate([part for kind, i, after in layout
@@ -712,11 +739,22 @@ def write_csv(path: str, header: str, columns) -> None:
 
 def write_trace_csv(trace: RegretTrace, path: str) -> None:
     """One line per round; a d-dimensional context is one cell of d
-    ``;``-separated values."""
-    write_csv(path, TRACE_HEADER,
-              [("d", trace.t), ("d", trace.epoch), ("s", trace.phase), ("g", trace.x),
-               ("d", trace.action), ("g", trace.reward), ("g", trace.e_regret),
-               ("g", trace.cum_e_regret)])
+    ``;``-separated values.  Only x, action, reward and e_regret are
+    stored: each chunk's t, epoch, phase and cum_e_regret are made as it is
+    written, the running total continued from the chunk before."""
+    data = [(kind, _COLUMNS[kind](values)) for kind, values in
+            (("g", trace.x), ("d", trace.action), ("g", trace.reward), ("g", trace.e_regret))]
+
+    def chunks():
+        cum = None
+        for lo in range(0, len(trace), TRACE_ROWS_PER_WRITE):
+            hi = min(len(trace), lo + TRACE_ROWS_PER_WRITE)
+            t, epoch, phase = trace.schedule_rows(lo, hi)
+            cum = cumsum_after(data[3][1][lo:hi], None if cum is None else cum[-1])
+            yield [("d", t), ("d", epoch), ("s", phase),
+                   *((kind, values[lo:hi]) for kind, values in data), ("g", cum)]
+
+    _write_chunks(path, TRACE_HEADER, chunks())
 
 
 def write_events_csv(events: list[EpochEvent], path: str) -> None:

@@ -114,23 +114,41 @@ class LinearModel:
 
 class DataBatch:
     """Append-only store of (context, arm, reward) rows for one phase, kept
-    arm by arm: per arm, its contexts and its rewards in arrival order."""
+    arm by arm, in arrival order.  ``extend`` files each arm's part of a
+    block as float64 array pieces, ``append`` fills one Python list of
+    contexts and one of rewards per arm; an arm's pieces and lists are
+    joined, in the order they arrived, when its rows are read."""
 
     def __init__(self, num_arms: int, context_dim: int = 1):
         self.num_arms = num_arms
         self.context_dim = context_dim
+        # arms whose rows ``append`` files unchecked: at d > 1 every
+        # context's length is checked first
+        self._unchecked_arms = num_arms if context_dim == 1 else 0
+        # per arm: the rows appended since its last piece
         self._xs: list[list] = [[] for _ in range(num_arms)]
         self._rewards: list[list[float]] = [[] for _ in range(num_arms)]
+        # per arm: (contexts, rewards) pieces, arrays or earlier lists; rows in all pieces
+        self._pieces: list[list[tuple]] = [[] for _ in range(num_arms)]
+        self._piece_rows = 0
         self._moments = None  # (row count, G, b, yy, n) at the last fold
 
     def __len__(self) -> int:
-        return sum(map(len, self._rewards))
+        return self._piece_rows + sum(map(len, self._rewards))
 
     def append(self, x, a: int, r: float) -> None:
-        if type(a) is not int or not 1 <= a <= self.num_arms:
-            return self.extend([x], [a], [r])  # checks the arm; plain ints in range skip it
+        """Append one row; a reward that is no number, or at d > 1 a context
+        of another length, raises with nothing stored, and so does an arm
+        (checked as by ``extend``) that is not an integer in 1..K."""
+        r = float(r)
+        if type(a) is not int or not 1 <= a <= self._unchecked_arms:
+            if type(a) is not int or not 1 <= a <= self.num_arms:
+                return self.extend([x], [a], [r])
+            x = np.asarray(x, dtype=float)
+            if x.shape != (self.context_dim,):
+                raise ValueError(f"a context has {self.context_dim} values; got shape {x.shape}")
         self._xs[a - 1].append(x)
-        self._rewards[a - 1].append(float(r))
+        self._rewards[a - 1].append(r)
 
     def extend(self, xs, arms, rewards) -> None:
         """Append n rows at once; appending nothing, raises InvalidArmError
@@ -160,22 +178,33 @@ class DataBatch:
                                         side="right")
         xs, rewards = xs[order], rewards[order]
         lo = 0
-        for arm_xs, arm_rewards, hi in zip(self._xs, self._rewards, ends.tolist()):
-            arm_xs.extend(xs[lo:hi].tolist())
-            arm_rewards.extend(rewards[lo:hi].tolist())
+        for a, hi in enumerate(ends.tolist()):
+            if hi > lo:
+                if self._rewards[a]:  # the rows appended before come first
+                    self._pieces[a].append((self._xs[a], self._rewards[a]))
+                    self._piece_rows += len(self._rewards[a])
+                    self._xs[a], self._rewards[a] = [], []
+                self._pieces[a].append((xs[lo:hi], rewards[lo:hi]))
             lo = hi
+        self._piece_rows += n
 
     def arm_rows(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Arm a's design rows [1, x] of shape (n_a, p) and rewards (n_a,),
         in arrival order."""
-        xs = self._xs[a - 1]
-        Phi = featurize(xs, self.context_dim) if xs else np.empty((0, self.context_dim + 1))
-        return Phi, np.asarray(self._rewards[a - 1], dtype=float)
+        xs, rewards = self._xs[a - 1], self._rewards[a - 1]
+        if self._pieces[a - 1]:
+            parts = [*self._pieces[a - 1], *([(xs, rewards)] if rewards else [])]
+            shape = (-1,) if self.context_dim == 1 else (-1, self.context_dim)
+            xs = np.concatenate([np.asarray(x, dtype=float).reshape(shape) for x, _ in parts])
+            rewards = np.concatenate([np.asarray(r, dtype=float) for _, r in parts])
+        Phi = featurize(xs, self.context_dim) if len(xs) else np.empty((0, self.context_dim + 1))
+        return Phi, np.asarray(rewards, dtype=float)
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-arm (G, b, yy, n) of shapes (K, p, p), (K, p), (K,), (K,), folded
         arm by arm on first use and cached until the row count changes.
-        Raises FloatingPointError when a context or reward is NaN or inf."""
+        Raises FloatingPointError when a context or reward is NaN or inf,
+        or when finite rows fold to a G, b or yy that is not finite."""
         if self._moments is None or self._moments[0] != len(self):
             p = self.context_dim + 1
             G, b = np.zeros((self.num_arms, p, p)), np.zeros((self.num_arms, p))
@@ -193,6 +222,13 @@ class DataBatch:
             if bad:
                 raise FloatingPointError(
                     f"{bad} of {len(self)} rows have a non-finite context or reward")
+            if not (np.isfinite(G).all() and np.isfinite(b).all() and np.isfinite(yy).all()):
+                finite = (np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+                          & np.isfinite(yy))
+                a = int(np.flatnonzero(~finite)[0])
+                raise FloatingPointError(
+                    f"arm {a + 1}'s moments (G, b or yy) overflow: {n[a]} finite rows fold to "
+                    f"non-finite sums of products")
             self._moments = (len(self), G, b, yy, n)
         return self._moments[1:]
 

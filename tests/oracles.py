@@ -235,6 +235,17 @@ def epochs_by_walk(tau1: int, horizon: int) -> np.ndarray:
     return np.concatenate(out)
 
 
+def phases_by_walk(tau1: int, epsilon: float, horizon: int) -> list[str]:
+    """Phase of rounds 1..horizon: the last ceil(epsilon * length) rounds of
+    each epoch of the doubling walk are passive."""
+    phases = []
+    for t in range(1, horizon + 1):
+        m = epoch_of_walk(tau1, t)
+        end, start = tau1 * 2 ** (m - 1), (0 if m == 1 else tau1 * 2 ** (m - 2))
+        phases.append("passive" if t > end - math.ceil(epsilon * (end - start)) else "active")
+    return phases
+
+
 def igw_kernel_one(weights: np.ndarray, x, gamma: float) -> np.ndarray:
     """Inverse-gap-weighted kernel at one context, from ``weights @ phi``."""
     phi = np.empty(weights.shape[1])
@@ -460,7 +471,7 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
         V_self = divergence_from(igw_kernel(model.predict_matrix(xs), gamma), arms(model, xs))
         checks.append(LemmaCheck("divergence_self", m, V_self.value,
                                  K + 3.0 * V_self.se, V_self.se,
-                                 V_self.value <= K + 3.0 * V_self.se, "V(p, pi_p) <= K"))
+                                 V_self.value <= K + 3.0 * V_self.se, "V(p; pi_p) <= K"))
 
         xs = draw()
         true_reg = kernel_regret_from(igw_kernel(model.predict_matrix(xs), gamma),

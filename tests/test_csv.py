@@ -215,9 +215,6 @@ def test_every_file_has_as_many_cells_per_line_as_its_header(label, config, tmp_
     assert {cell.count(";") for cell in x_cells} == {config.env.context_dim - 1}
 
 
-@pytest.mark.xfail(strict=True, reason="the divergence_self note 'V(p, pi_p) <= K' holds a "
-                   "comma, one cell more than the header; rewording it moves the pinned "
-                   "lemmas.csv digests")
 def test_lemma_notes_hold_no_comma(tmp_path):
     path = run_files(SMALL_RUNS[0][1], tmp_path)["lemmas.csv"]
     assert cells_per_line(path) == {header_cells(path)}

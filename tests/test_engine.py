@@ -6,6 +6,7 @@ with others, and the values each stream draws, the trace files of a few
 small runs and the lemma report of one have pinned digests."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, Seq
 from banditlab.harness import (RunConfig, run_many, run_one, write_events_csv,
                                write_lemmas_csv, write_trace_csv, write_weights_csv)
 
-from oracles import (PerRoundEnvironment, mse_to_best_fit_per_event, per_round,
-                     simulate_per_round, write_trace_rows)
+from oracles import (PerRoundEnvironment, epochs_by_walk, mse_to_best_fit_per_event,
+                     per_round, phases_by_walk, simulate_per_round, write_trace_rows)
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -101,9 +102,7 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
     tr = res.trace
     assert_equals_reference(tr, agent, 0, ref, ref_agent)
     # the written trace is byte-equal to one written round by round
-    ref_trace = RegretTrace(np.arange(1, config.horizon + 1), ref["epoch"], ref["phase"],
-                            ref["x"], ref["action"], ref["reward"], ref["e_regret"],
-                            ref["cum_e_regret"])
+    ref_trace = SimpleNamespace(t=np.arange(1, config.horizon + 1), **ref)
     monkeypatch.setattr(harness, "TRACE_ROWS_PER_WRITE", 64)  # many partial writes
     write_trace_csv(tr, str(tmp_path / "engine.csv"))
     write_trace_rows(ref_trace, str(tmp_path / "reference.csv"))
@@ -222,7 +221,7 @@ def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
 # the trace digests it is tied to the numpy/BLAS build it was taken on
 # (numpy 2.4, OpenBLAS at 1 and 2 threads).
 LEMMAS_PINNED = ("eps_falcon_sens_mid_epoch",
-                 "a5f7bb17613a80fcead41db9aa04e448b3cb2ea52c030c2c7e8d2747cb25b85e")
+                 "f4a80355a40bbb28aac0ad5b746c0e4ba10aa8d1af33dcb9ad36a1c8293f5016")
 
 
 def test_lemma_report_digest_pinned(tmp_path):
@@ -319,8 +318,63 @@ def test_one_pass_mse_to_fhatstar_matches_per_event_draws_in_distribution(label,
         assert abs(z) < MSE_Z_BOUND, (m, z, a.mean(), b.mean())
 
 
+# A trace stores x, action, reward and e_regret; its t, epoch, phase and
+# cum_e_regret are made when they are read or written.  The epoch and phase
+# must be those the agent looked up while it played each round.
+@pytest.mark.parametrize("on_boundary", [True, False], ids=["on_boundary", "mid_epoch"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("tau1", [4, 7])
+@pytest.mark.parametrize("agent", harness.AGENT_NAMES)
+def test_derived_schedule_columns_equal_the_agents_lookups(agent, tau1, epsilon, on_boundary,
+                                                           monkeypatch, tmp_path):
+    horizon = tau1 * 2 ** 5 + (0 if on_boundary else 3)
+    config = RunConfig(env=SENS, agent=agent, epsilon=epsilon, tau1=tau1, horizon=horizon)
+    schedule = EpochSchedule(tau1)
+    # rounds of the agents without phases are active, in the schedule's epochs
+    looked_up = {t: (schedule.epoch_of(t), "active") for t in range(1, horizon + 1)}
+    act_block = EpsilonFalconAgent.act_block
+
+    def spy(self, t, xs, rngs):
+        for s in range(t, t + np.shape(xs)[1]):
+            looked_up[s] = (self.schedule.epoch_of(s), self.phase_of(s))
+        return act_block(self, t, xs, rngs)
+
+    monkeypatch.setattr(EpsilonFalconAgent, "act_block", spy)
+    trace = run_many(config, [1])[0].trace
+    epochs, phases = (list(col) for col in zip(*(looked_up[t] for t in range(1, horizon + 1))))
+    assert trace.t.tolist() == list(range(1, horizon + 1))
+    assert trace.epoch.tolist() == epochs and trace.phase.tolist() == phases
+    # and those of the doubling walk
+    assert epochs == epochs_by_walk(tau1, horizon).tolist()
+    assert phases == phases_by_walk(tau1, epsilon if agent == "epsilon_falcon" else 0.0, horizon)
+    if agent == "epsilon_falcon" and epsilon > 0:
+        assert "passive" in phases
+    # written in chunks of 5 rows, which cross the ends of epochs and phases
+    monkeypatch.setattr(harness, "TRACE_ROWS_PER_WRITE", 5)
+    write_trace_csv(trace, str(tmp_path / "trace.csv"))
+    lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:3] for line in lines] == \
+        [[str(t), str(m), phase] for t, m, phase in zip(range(1, horizon + 1), epochs, phases)]
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 3 * 1024 + 1])
+def test_written_cum_e_regret_equals_one_cumsum(n, tmp_path):
+    # each chunk's running total is continued from the last of the chunk
+    # before; values of many magnitudes make every sum's rounding count
+    assert harness.TRACE_ROWS_PER_WRITE == 1024
+    rng = np.random.default_rng(n)
+    e = rng.random(n) * 10.0 ** rng.integers(-6, 3, n)
+    e[rng.random(n) < 0.3] = 0.0
+    trace = RegretTrace(rng.random(n), rng.integers(1, 3, n), rng.normal(size=n), e, tau1=4)
+    write_trace_csv(trace, str(tmp_path / "trace.csv"))
+    lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    written = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
+    assert written.tobytes() == np.cumsum(e).tobytes()
+    assert trace.cum_e_regret.tobytes() == np.cumsum(e).tobytes()
+
+
 def test_trace_writer_empty_trace_writes_header(tmp_path):
-    empty = RegretTrace(*(np.empty(0) for _ in range(8)))
+    empty = RegretTrace(*(np.empty(0) for _ in range(4)), tau1=4)
     write_trace_csv(empty, str(tmp_path / "empty.csv"))
     assert (tmp_path / "empty.csv").read_text() == harness.TRACE_HEADER + "\n"
 

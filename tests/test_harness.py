@@ -2,7 +2,9 @@ import hashlib
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -321,6 +323,25 @@ class TestRunOne:
         np.testing.assert_array_equal(np.unique(tr.epoch), [1, 2, 3, 4])
         assert set(np.unique(tr.phase)) <= {"active", "passive"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_moments_stop_the_refit(self, monkeypatch):
+        # finite rewards of about 1e308 overflow r^2 in the first refit's
+        # moments; no refit may install weights solved from them
+        installed = []
+        update = harness.EpsilonFalconAgent.end_of_epoch_update
+
+        def spy(self):
+            update(self)
+            installed.append(self.weights.copy())
+
+        monkeypatch.setattr(harness.EpsilonFalconAgent, "end_of_epoch_update", spy)
+        cfg = RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e308), horizon=300)
+        with pytest.raises(FloatingPointError, match=r"arm 1's moments \(G, b or yy\) "
+                                                     r"overflow") as info:
+            run_many(cfg, [0])
+        assert info.value.__notes__ == ["the refit after epoch 1"]
+        assert all(np.isfinite(w).all() for w in installed)
+
     def test_expected_regret_nonnegative(self):
         res = run_many(small_config(horizon=256), [2])[0]
         assert res.trace.e_regret.min() >= 0.0
@@ -435,6 +456,77 @@ class TestRunSuite:
               for r in range(3)]
         for a, b in zip(r3, r5):
             np.testing.assert_array_equal(a, b)
+
+
+class TestSuiteBlocks:
+    """``run_suite`` builds its summary in blocks of rounds, each block's
+    cumulative regret continued from the block before."""
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("R", [1, 2, 5, 16, 50])
+    def test_block_summary_equals_the_whole_array(self, monkeypatch, R, block):
+        T = 8193  # a last block of 1 round at block sizes 1, 2, 4096 or 8192
+        rng = np.random.default_rng(R * block)
+        e = rng.random((R, T)) * (rng.random((R, T)) < 0.4) * rng.uniform(0.1, 10.0, (R, 1))
+        cfg = small_config(horizon=T, replications=R, base_seed=100)
+        kept = set()
+
+        def played(config, seeds, keep_data):
+            kept.add(keep_data)
+            return [SimpleNamespace(trace=SimpleNamespace(e_regret=e[seed - 100]))
+                    for seed in seeds]
+
+        monkeypatch.setattr(harness, "_run_many", played)
+        monkeypatch.setattr(harness, "ROUNDS_PER_SUMMARY_BLOCK", block)
+        summary = run_suite(cfg, order=list(range(R))[::-1])
+        assert kept == {False}  # the suite keeps only e_regret
+        cum = np.cumsum(e, axis=1)
+        zeros = np.zeros(T)
+        for got, want in ((summary.mean_e_regret, e.mean(axis=0)),
+                          (summary.se_e_regret,
+                           e.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else zeros),
+                          (summary.mean_cum_e_regret, cum.mean(axis=0)),
+                          (summary.se_cum_e_regret,
+                           cum.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else zeros)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_pinned_suite_in_small_blocks(self, monkeypatch, block):
+        label, config, sha256 = SUITES_PINNED[1]
+        monkeypatch.setattr(harness, "ROUNDS_PER_SUMMARY_BLOCK", block)
+        assert summary_sha256(run_suite(config)) == sha256
+
+
+class TestMemory:
+    """Peak traced memory (``tracemalloc``, numpy's buffers included) per
+    replication-round, after a warm-up run.  Each bound is twice what the
+    run or suite took (65.3 and 26.5 bytes) with only the data columns
+    stored, the schedule columns made at write time, batch rows kept as
+    float64 pieces and a suite keeping e_regret alone.  Before that, the
+    suite took 87.7 bytes."""
+
+    RUN_BYTES_BOUND = 131
+    SUITE_BYTES_BOUND = 53
+
+    @staticmethod
+    def peak_per_round(play, rounds: int) -> float:
+        run_many(RunConfig(env=SENS, horizon=256), [0])  # warm-up: one-time caches
+        tracemalloc.start()
+        try:
+            play()
+            return tracemalloc.get_traced_memory()[1] / rounds
+        finally:
+            tracemalloc.stop()
+
+    def test_run_memory_per_round(self):
+        T = 2 ** 15
+        peak = self.peak_per_round(lambda: run_many(RunConfig(env=SENS, horizon=T), [1]), T)
+        assert peak <= self.RUN_BYTES_BOUND
+
+    def test_suite_memory_per_replication_round(self):
+        cfg = RunConfig(env=SENS, horizon=2 ** 14, replications=4, base_seed=100)
+        peak = self.peak_per_round(lambda: run_suite(cfg), 4 * 2 ** 14)
+        assert peak <= self.SUITE_BYTES_BOUND
 
 
 def summary_sha256(summary) -> str:

@@ -245,6 +245,86 @@ class TestExtend:
         assert rows.arm_rows(3)[0][:, 1].tolist() == [0.5, 0.1]
 
 
+class TestMixedFiling:
+    """``extend`` files array pieces, ``append`` Python lists; mixed, each
+    arm's rows still fold in the order they arrived."""
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from([1, 3]),
+           st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_append_and_extend_fold_like_the_row_rebuild(self, pyrng, K, dim,
+                                                                     lam):
+        rng = np.random.default_rng(pyrng.randrange(2**32))
+        act_rows, pas_rows = (shaped_rows(rng, pyrng, K, dim, n=pyrng.randrange(1, 30))
+                              for _ in range(2))
+        act, pas = DataBatch(K, dim), DataBatch(K, dim)
+        for rows, mixed in ((act_rows, act), (pas_rows, pas)):
+            lo = 0
+            while lo < len(rows):  # runs of rows, each appended or extended
+                hi = lo + pyrng.randrange(1, 8)
+                part = rows[lo:hi]
+                if pyrng.random() < 0.5:
+                    for x, a, r in part:
+                        mixed.append(x, a, r)
+                else:
+                    xs, arms, rewards = zip(*part)
+                    mixed.extend(np.array(xs), np.array(arms), np.array(rewards))
+                lo = hi
+            # the moments and rows of the same rows, each appended
+            alone = batch(rows, K, dim)
+            assert len(mixed) == len(alone) == len(rows)
+            for got, want in zip(mixed.moments(), alone.moments()):
+                assert got.tobytes() == want.tobytes()
+            for a in range(1, K + 1):
+                for got, want in zip(mixed.arm_rows(a), alone.arm_rows(a)):
+                    assert got.tobytes() == want.tobytes()
+        cases = [(fit_ols(act), [(act_rows, 1.0)]), (fit_ols(pas), [(pas_rows, 1.0)])]
+        if len(act) and len(pas):
+            cases.append((fit_weighted(act, pas, lam),
+                          [(act_rows, 1.0 / len(act)), (pas_rows, lam / len(pas))]))
+        for model, parts in cases:
+            weights, ridge = fit_rowweighted_rows(parts, K, dim)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.ridge_fallback == ridge
+
+    @pytest.mark.parametrize("dim, x, a, r, error", [
+        (1, 0.7, 1, "abc", ValueError),                 # a reward that is no number
+        (3, [0.1, 0.2, 0.3], 2, "abc", ValueError),
+        (3, [0.1, 0.2], 1, 1.0, ValueError),            # d - 1 values at d = 3
+        (3, [0.1, 0.2, 0.3, 0.4], 2, 1.0, ValueError),  # d + 1 values
+        (3, [[0.1, 0.2, 0.3]], 1, 1.0, ValueError),     # (1, d) for (d,)
+        (1, 0.7, 3, 1.0, InvalidArmError),
+    ], ids=["reward_d1", "reward_d3", "short_context_d3", "long_context_d3",
+            "column_context_d3", "arm_out_of_range"])
+    def test_failed_append_stores_nothing(self, dim, x, a, r, error):
+        b = DataBatch(2, dim)
+        b.append(0.5 if dim == 1 else [0.5] * dim, 1, 1.0)
+        b.extend(np.full((3, dim), 0.25).squeeze(axis=1 if dim == 1 else None), [2, 1, 2],
+                 [0.0, 1.0, 2.0])
+        before = [b.arm_rows(arm) for arm in (1, 2)]
+        with pytest.raises(error):
+            b.append(x, a, r)
+        assert len(b) == 4
+        for (Pb, rb), (Pa, ra) in zip(before, [b.arm_rows(arm) for arm in (1, 2)]):
+            assert Pb.tobytes() == Pa.tobytes() and rb.tobytes() == ra.tobytes()
+        assert b.moments()[3].tolist() == [2, 2]
+        b.append(0.5 if dim == 1 else [0.5] * dim, 2, 3.0)  # the batch takes rows again
+        assert len(b) == 5 and b.arm_rows(2)[1].tolist() == [0.0, 2.0, 3.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows, arm", [
+        ([(0.5, 1, 1.0), (1e200, 2, 1.0)], 2),             # x^2 in G
+        ([(0.5, 1, 1e200), (0.25, 2, 1.0)], 1),            # r^2 in yy
+        ([(0.5, 2, 1e154), (0.25, 2, 1e154)], 2),          # finite squares, their sum not
+    ], ids=["context", "reward", "sum"])
+    def test_overflowing_moments_raise(self, rows, arm):
+        b = batch(rows, num_arms=2)
+        with pytest.raises(FloatingPointError, match=f"arm {arm}'s moments .* overflow"):
+            b.moments()
+        with pytest.raises(FloatingPointError):
+            fit_ols(b)
+
+
 class TestSse:
     """The row-by-row reference and the oracle's moment form on small cases."""
 
