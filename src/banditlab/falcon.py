@@ -247,6 +247,8 @@ class EpsilonFalconAgent:
 
     def phase_of(self, t: int) -> str:
         """'active' or 'passive' for round t of the current epoch."""
+        if t < 1:
+            raise ValueError("round index starts at 1")
         m, passive = schedule_position(t, self.schedule.tau1, self.epsilon)
         if m != self.m:
             raise SequencingError(

@@ -65,6 +65,10 @@ class TestEpochSchedule:
     def test_epoch_of_rejects_round_zero(self):
         with pytest.raises(ValueError):
             EpochSchedule(4).epoch_of(0)
+        agent = EpsilonFalconAgent(2)
+        agent.m = 2  # round 0 would fall in epoch 2 by the formula
+        with pytest.raises(ValueError):
+            agent.phase_of(0)
 
     def test_tau1_minimum(self):
         with pytest.raises(ValueError):
