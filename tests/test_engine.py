@@ -29,10 +29,13 @@ REAL3 = EnvSpec(kind="realizable_linear", num_arms=3, seed=2)
 REAL_D3 = EnvSpec(kind="realizable_linear", num_arms=4, context_dim=3, seed=5)
 REAL_D2_CLIPPED = EnvSpec(kind="realizable_linear", num_arms=5, context_dim=2, seed=1,
                           noise_sd=0.3, clip_rewards=True)
+REAL9 = EnvSpec(kind="realizable_linear", num_arms=9, seed=3)
+REAL130 = EnvSpec(kind="realizable_linear", num_arms=130, seed=4)
 
 # (label, config, seed): all four agents, the three kinds, d > 1, noise-free
 # clipped rewards, tau1 = 7 and 64, horizons ending on a boundary, mid-epoch
-# and mid-window
+# and mid-window, and kernels over K = 9 and 130 arms, whose sums over arms
+# take numpy's eight-lane and halving orders
 GRID = [
     ("eps_falcon_sens_mid_epoch", RunConfig(env=SENS, horizon=300), 1),
     ("eps_falcon_sens_wide_eps", RunConfig(env=SENS, epsilon=0.4, horizon=1030), 3),
@@ -42,6 +45,8 @@ GRID = [
     ("falcon_real_d2_tau7", RunConfig(env=REAL_D2_CLIPPED, agent="falcon", tau1=7,
                                       horizon=230), 6),
     ("eps_falcon_tau64_first_epoch", RunConfig(env=REAL3, tau1=64, horizon=10), 7),
+    ("eps_falcon_real_k9", RunConfig(env=REAL9, horizon=150), 14),
+    ("eps_falcon_real_k130", RunConfig(env=REAL130, horizon=120), 15),
     ("lin_ucb_step_mid_window", RunConfig(env=STEP, agent="lin_ucb", batch_size=7,
                                           horizon=250), 8),
     ("lin_ucb_real_d3", RunConfig(env=REAL_D3, agent="lin_ucb", batch_size=10,
