@@ -1,12 +1,15 @@
 """Monte Carlo estimates of regrets, divergences and model errors, plus
 the inequality checks used as run diagnostics.
 
-Every function here is pure: it reads (n, K) matrices evaluated on one
-sample of contexts that the caller drew (a run's sample comes from its
-seed's diagnostics stream, in ``harness.run_lemmas``) and reports a
-standard error alongside the point estimate.  Inequality checks compare
-population statements at a 3-standard-error band, since sampling noise
-sits on both sides.
+The checks read matrices evaluated on one sample of contexts that the
+caller drew (a run's sample comes from its seed's diagnostics stream, in
+``harness.run_lemmas``) and report a standard error alongside each point
+estimate.  Every matrix over arms is arm-major, (K, n) with one context
+per column, so each operation runs along the n contexts and none along
+the K arms; every sum over arms goes through ``linmodel.arm_sum``, which
+has the bits of numpy's sum over the arms of the row-major (n, K) layout.
+Inequality checks compare population statements at a 3-standard-error
+band, since sampling noise sits on both sides.
 
 A regret trace records EXPECTED instantaneous regret per round,
 f*(x, best-arm) - f*(x, a), which is nonnegative row by row and gives
@@ -22,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .env import EnvSpec, mean_reward_matrix
-from .falcon import igw_kernel, schedule_position
-from .linmodel import LinearModel, row_max_argmax
+from .env import EnvSpec, best_linear_fit_uniform, mean_reward_matrix
+from .falcon import arm_gaps, igw_kernel, schedule_position
+from .linmodel import LinearModel, arm_sum, featurize, row_max_argmax
 
 
 @dataclass(frozen=True)
@@ -39,44 +42,11 @@ def _estimate(samples: np.ndarray) -> MCEstimate:
                       float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf"))
 
 
-def gaps_from(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, K) gaps below each row's maximum, and the 0-based argmax (ties first)."""
-    top, best = row_max_argmax(values)
-    return top[:, None] - values, best
-
-
-def mean_at(values: np.ndarray, actions: np.ndarray) -> MCEstimate:
-    """Mean of each row's entry at its action (1-based arms)."""
-    return _estimate(values[np.arange(len(values)), actions - 1])
-
-
-def divergence_from(probs: np.ndarray, actions: np.ndarray) -> MCEstimate:
-    """Mean inverse probability of the actions under a kernel matrix."""
-    picked = probs[np.arange(len(probs)), actions - 1]
+def _divergence(picked: np.ndarray) -> MCEstimate:
+    """Mean inverse probability of the arms a kernel gives ``picked``."""
     if np.any(picked <= 0.0):
         raise ZeroDivisionError("kernel assigned zero probability to a policy action")
     return _estimate(1.0 / picked)
-
-
-def kernel_regret_from(probs: np.ndarray, gaps: np.ndarray) -> MCEstimate:
-    """Mean over rows of sum_a p(a) * gap(a)."""
-    return _estimate(np.einsum("ij,ij->i", probs, gaps))
-
-
-def mse_from(f_values: np.ndarray, g_values: np.ndarray,
-             probs: Optional[np.ndarray] = None) -> MCEstimate:
-    """Mean squared gap between two reward matrices, over arms or weighted by ``probs``."""
-    sq = (f_values - g_values) ** 2
-    return _estimate(sq.mean(axis=1) if probs is None else (probs * sq).sum(axis=1))
-
-
-def error_estimates_from(fit_preds: np.ndarray,
-                         truth: np.ndarray) -> tuple[MCEstimate, MCEstimate]:
-    """b and B from (n, K) best-fit predictions and truth at the same
-    contexts: the fit's squared error averaged over arms (b), or at the
-    worst arm (B), in mean over the contexts."""
-    sq = (fit_preds - truth) ** 2
-    return _estimate(sq.mean(axis=1)), _estimate(row_max_argmax(sq)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +66,16 @@ def cumsum_after(values: np.ndarray, before=None) -> np.ndarray:
 
 @dataclass
 class RegretTrace:
-    """Per-round record of a run.  ``e_regret`` is the expected
-    instantaneous regret under the truth; ``noisy_regret_total`` is the
-    realized sum of (reward at optimal arm - reward at chosen arm) over the
-    drawn reward vectors.
+    """Per-round record of a run: ``e_regret`` is the expected regret under
+    the truth, ``noisy_regret_total`` the realized sum of (reward at the
+    optimal arm - reward at the chosen arm) over the drawn reward vectors.
 
     Only the data columns are stored (a suite's traces keep ``e_regret``
     alone, the others None).  The round ``t``, its ``epoch`` and ``phase``
     (the schedule of ``tau1`` with a passive share ``epsilon``, 0 for the
-    agents without phases) and ``cum_e_regret`` are made on demand, whole by
-    the attributes; the trace writer makes them chunk by chunk, with
-    ``schedule_rows`` and ``cumsum_after``, in the same bits."""
+    agents without phases) and ``cum_e_regret`` are made on demand by the
+    attributes, and chunk by chunk by the trace writer with ``schedule_rows``
+    and ``cumsum_after``, in the same bits."""
 
     x: Optional[np.ndarray]
     action: Optional[np.ndarray]
@@ -125,21 +94,10 @@ class RegretTrace:
         epoch, passive = schedule_position(t, self.tau1, self.epsilon)
         return t, epoch, np.where(passive, "passive", "active")
 
-    @property
-    def t(self) -> np.ndarray:
-        return self.schedule_rows(0, len(self))[0]
-
-    @property
-    def epoch(self) -> np.ndarray:
-        return self.schedule_rows(0, len(self))[1]
-
-    @property
-    def phase(self) -> np.ndarray:
-        return self.schedule_rows(0, len(self))[2]
-
-    @property
-    def cum_e_regret(self) -> np.ndarray:
-        return np.cumsum(self.e_regret)
+    t = property(lambda self: self.schedule_rows(0, len(self))[0])
+    epoch = property(lambda self: self.schedule_rows(0, len(self))[1])
+    phase = property(lambda self: self.schedule_rows(0, len(self))[2])
+    cum_e_regret = property(lambda self: np.cumsum(self.e_regret))
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +129,27 @@ class RunArtifacts:
     rho: float = 1.0
 
 
-def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray,
-                fit_preds: np.ndarray) -> list[LemmaCheck]:
-    """Check the testable population inequalities on a finished run, at the
-    contexts ``xs``, given the best uniform-design fit's (n, K) predictions
-    ``fit_preds`` at them:
+def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray, events=()) -> list[LemmaCheck]:
+    """Check the testable population inequalities of a finished run at the
+    contexts ``xs`` against the best uniform-design fit (predicted row by
+    row), each with 3 combined standard errors of Monte Carlo slack, all on
+    the one sample (common random numbers):
 
     * error ordering: b <= B <= K*b;
-    * the policy induced by the best uniform-design fit has true regret
-      at most 2*sqrt(B);
-    * per epoch m >= 2: the kernel's estimated regret is at most K/gamma_m;
-    * per epoch m >= 2: gamma*E[gap] <= V(p_m, pi) <= K + gamma*E[gap] for
-      the best-fit policy, and V(p_m, pi_{f_m}) <= K for the kernel's own
-      induced policy.
+    * the best-fit policy's true regret is at most 2*sqrt(B);
+    * per epoch m >= 2: the kernel's estimated regret is at most K/gamma_m,
+      gamma*E[gap] <= V(p_m, pi) <= K + gamma*E[gap] for the best-fit
+      policy, and V(p_m, pi_{f_m}) <= K for the kernel's own policy;
+    * per epoch, logged but NEVER asserted (its constants are unknown; the
+      note holds the ratio): the kernel's true regret against the trend
+      reference K/gamma + sqrt(K*B / sqrt(eps^rho)).
 
-    All comparisons allow 3 combined standard errors of Monte Carlo slack.
-    Every check reads the one sample (common random numbers).
-
-    One extra row per epoch is logged but NEVER asserted: the kernel's true
-    per-round regret against the trend reference K/gamma + sqrt(K*B /
-    sqrt(eps^rho)).  The theoretical version of that bound carries unknown
-    constants, so only the measured ratio is reported (in the note field).
+    Each epoch model is predicted once, by ``Phi @ W.T`` transposed
+    (OpenBLAS's ``W @ Phi.T`` rounds differently at some K and n), and
+    dropped after its checks and its refit's ``mse_to_best_fit`` (the k-th
+    of ``events`` installed epoch k+1's model; one at the last round is
+    predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
+    order: at K >= 3 their last bits may differ from a row-major ``einsum``'s.
     """
     spec = artifacts.spec
     K = spec.num_arms
@@ -200,39 +158,53 @@ def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray,
     def check(name, m, lhs, rhs, se, note, ok=None):  # passed: ok, by default lhs <= rhs
         checks.append(LemmaCheck(name, m, lhs, rhs, se, lhs <= rhs if ok is None else ok, note))
 
-    truth = mean_reward_matrix(spec, xs)
-    b, B = error_estimates_from(fit_preds, truth)
+    fit_preds = np.ascontiguousarray(best_linear_fit_uniform(spec).predict_rows(xs).T)
+    truth = np.ascontiguousarray(mean_reward_matrix(spec, xs).T)
+    sq = (fit_preds - truth) ** 2
+    # b: the squared errors averaged over the arms; B: at the worst arm
+    b, B = _estimate(arm_sum(sq) / K), _estimate(row_max_argmax(sq.T)[0])
     tol_lo, tol_hi = 3.0 * math.hypot(b.se, B.se), 3.0 * math.hypot(B.se, K * b.se)
     check("error_ordering_lower", None, b.value, B.value + tol_lo, tol_lo, "b <= B")
     check("error_ordering_upper", None, B.value, K * b.value + tol_hi, tol_hi, "B <= K*b")
 
-    a_best = row_max_argmax(fit_preds)[1] + 1  # the best-fit policy's arms
-    truth_gaps = gaps_from(truth)[0]
-    del fit_preds, truth
-    reg_best = mean_at(truth_gaps, a_best)
+    # flat indices of each context's best-fit policy arm in a (K, n) matrix
+    cols = np.arange(xs.shape[0])
+    at_best_fit = row_max_argmax(fit_preds.T)[1] * len(cols) + cols
+    truth_gaps = arm_gaps(truth)[0]
+    del sq, truth
+    reg_best = _estimate(truth_gaps.take(at_best_fit))
     check("best_fit_policy_regret", None, reg_best.value,
           2.0 * math.sqrt(max(B.value, 0.0)) + 3.0 * reg_best.se, reg_best.se,
           "Reg(pi_bestfit) <= 2*sqrt(B)")
 
-    for m, (model, gamma) in enumerate(zip(artifacts.models[1:], artifacts.gammas[1:]), start=2):
-        preds = model.predict_matrix(xs)
-        probs = igw_kernel(preds, gamma)
-        gaps, best = gaps_from(preds)
-        est = kernel_regret_from(probs, gaps)
+    Phi = featurize(xs, spec.context_dim)
+    weights = [model.weights for model in artifacts.models[1:]]
+    weights += [ev.new_weights for ev in events[len(weights):]]
+    for m, w in enumerate(weights, start=2):
+        preds = (Phi @ w.T).T.copy()
+        if m - 2 < len(events):
+            sq = preds - fit_preds
+            sq *= sq
+            events[m - 2].mse_to_best_fit = float((arm_sum(sq) / K).mean())
+            del sq
+        if m > len(artifacts.models):
+            break
+        gamma = artifacts.gammas[m - 1]
+        gaps, best = arm_gaps(preds)
+        del preds
+        probs = igw_kernel(gaps, best, gamma)
+        V, V_self = (_divergence(probs.take(at)) for at in (at_best_fit, best * len(cols) + cols))
+        gap = _estimate(gaps.take(at_best_fit))
+        gaps *= probs  # then the products p(a) * gap(a) and p(a) * true gap(a)
+        probs *= truth_gaps
+        est, true_reg = _estimate(arm_sum(gaps)), _estimate(arm_sum(probs))
+        del probs, gaps
         check("kernel_estimated_regret", m, est.value, K / gamma + 3 * est.se, est.se, "<= K/gamma")
-
-        V = divergence_from(probs, a_best)
-        gap = mean_at(gaps, a_best)
         band = 3.0 * math.hypot(V.se, abs(gamma) * gap.se)
         lo, hi = gamma * gap.value, K + gamma * gap.value
         check("divergence_sandwich", m, V.value, hi + band, band,
               f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]", lo - band <= V.value <= hi + band)
-
-        V_self = divergence_from(probs, best + 1)
         check("divergence_self", m, V_self.value, K + 3 * V_self.se, V_self.se, "V(p; pi_p) <= K")
-
-        true_reg = kernel_regret_from(probs, truth_gaps)
-        del preds, probs, gaps
         scale = math.sqrt(artifacts.epsilon ** artifacts.rho) if artifacts.epsilon else 1.0
         trend = K / gamma + math.sqrt(max(K * B.value, 0.0) / scale)
         ratio = true_reg.value / trend if trend > 0 else float("nan")

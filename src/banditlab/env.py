@@ -244,8 +244,7 @@ class Environment:
     EnvSpec plus two private RNG streams per seed, the children of its
     generator: child 0 draws the replication's contexts and child 1 its
     reward noise.  One instance per simulation run; do not share it across
-    concurrent runs.
-    """
+    concurrent runs."""
 
     def __init__(self, spec: EnvSpec, seeds):
         self.spec, self.rounds = spec, 0
@@ -269,9 +268,10 @@ class Environment:
         spec, R, K = self.spec, len(self.context_rngs), self.spec.num_arms
         xs = np.stack([draw_contexts(spec, n, rng) for rng in self.context_rngs])
         means = mean_reward_matrix(spec, xs.reshape(R * n, *xs.shape[2:])).reshape(R, n, K)
-        r = means + spec.noise_sd * np.stack([rng.standard_normal((n, K))
-                                              for rng in self.noise_rngs]) \
-            if spec.noise_sd > 0 else means.copy()
+        with np.errstate(over="ignore"):  # a non-finite reward is reported below
+            r = means + spec.noise_sd * np.stack([rng.standard_normal((n, K))
+                                                  for rng in self.noise_rngs]) \
+                if spec.noise_sd > 0 else means.copy()
         if spec.clip_rewards:
             np.clip(r, 0.0, 1.0, out=r)
         if not np.isfinite(r).all():

@@ -20,17 +20,16 @@ Baselines: ``LinUCBAgent`` (per-arm ridge regression with an upper
 confidence bonus, refreshed in batches) and ``UniformAgent``.
 
 Every agent plays R replications in lockstep, in blocks: runs of rounds
-under one frozen policy per replication, whose boundaries are the same in
-every replication (FALCON's come from the schedule, LinUCB's from the
-refresh count).  ``block_end(t, last)`` is the last round (capped at
-``last``) of the block that round t opens; ``act_block(t, xs, rngs)`` takes
-the (R, n) or (R, n, d) contexts of rounds t, ..., t+n-1 and one generator
-per replication and returns the (R, n) arms; ``record_block(t, xs, arms,
-rewards)`` stores (R, n) arms and rewards.  Each step of a block is one
-stacked numpy call over all replications, and each result row equals the
-one-replication call's bit for bit; random draws, batch appends and refits
-stay per replication, so a replication's rounds do not depend on which
-others share its agent.  A single round is a one-row block.
+under one frozen policy per replication, with the same boundaries in every
+replication (FALCON's from the schedule, LinUCB's from the refresh count).
+``block_end(t, last)`` is the last round (capped at ``last``) of the block
+that round t opens; ``act_block(t, xs, rngs)`` maps the (R, n) or (R, n, d)
+contexts of rounds t..t+n-1 and one generator per replication to (R, n)
+arms; ``record_block(t, xs, arms, rewards)`` stores them.  Each step is one
+stacked numpy call whose result rows equal the one-replication call's bit
+for bit; draws, batch appends and refits stay per replication.  The kernel
+is arm-major, (K, n) with one context per column, so no operation runs
+along the K arms; its sums over arms take ``linmodel.arm_sum``'s order.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import (ConstraintSpec, DataBatch, constrained_fit, featurize, fit_ols,
-                       row_max_argmax, rowwise_predict)
+from .linmodel import (ConstraintSpec, DataBatch, arm_sum, constrained_fit, featurize,
+                       fit_ols, row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -161,28 +160,42 @@ def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: i
     return math.sqrt(rates.C3 * num_arms * n_prev ** rates.rho / denom)
 
 
-def igw_kernel(preds: np.ndarray, gamma: float) -> np.ndarray:
-    """(n, K) inverse-gap-weighted kernel from (n, K) predictions.  Gaps
-    are nonnegative, so every denominator is >= K and the best arm's
-    remainder is >= 1/K."""
+def arm_gaps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps below each context's maximum in an arm-major (K, n) matrix, one
+    context per column, laid out C-contiguous whatever the layout of
+    ``values``, and each context's 0-based argmax (ties to the first arm)."""
+    top, best = row_max_argmax(values.T)
+    return np.subtract(top, values, order="C"), best
+
+
+def igw_kernel(gaps: np.ndarray, best: np.ndarray, gamma: float) -> np.ndarray:
+    """Arm-major (K, n) inverse-gap-weighted kernel from the ``arm_gaps`` of
+    (K, n) predictions.  Gaps are nonnegative, so every denominator is >= K;
+    the best arm takes 1 minus the others' ``arm_sum``, which is >= 1/K."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    top, best = row_max_argmax(preds)
-    probs = 1.0 / (preds.shape[1] + gamma * (top[:, None] - preds))
-    rows = np.arange(len(preds))
-    probs[rows, best] = 0.0
-    probs[rows, best] = 1.0 - probs.sum(axis=1)
+    probs = gaps * gamma
+    probs += len(gaps)
+    np.divide(1.0, probs, out=probs)
+    # the best arm's entry to 0, then to the remainder; the other entries
+    # are positive, so multiplying by 1 and adding 0 keeps them
+    is_best = best == np.arange(len(gaps))[:, None]
+    probs *= ~is_best
+    probs += is_best * (1.0 - arm_sum(probs))
     return probs
 
 
 def sample_kernel(probs: np.ndarray, rngs) -> np.ndarray:
-    """(R, n) arms (1-based) from (R, n, K) ``probs`` and one generator per
-    replication: the first arm whose cumulative probability exceeds one
-    uniform draw per row, else arm K.  Cumulative sums of nonnegative terms
-    never decrease, so that arm is one plus the count of the first K-1 sums
-    at or below the draw."""
-    u = np.stack([rng.random(probs.shape[1]) for rng in rngs])
-    return (probs[..., :-1].cumsum(axis=-1) <= u[..., None]).sum(axis=-1) + 1
+    """(R, n) arms (1-based) from arm-major (K, R, n) ``probs`` and one
+    generator per replication: the first arm whose cumulative probability
+    exceeds one uniform draw per context, else arm K, which is one plus the
+    count of the first K-1 cumulative sums (they never decrease) at or below it."""
+    u = np.stack([rng.random(probs.shape[-1]) for rng in rngs])
+    total, arms = probs[0], (probs[0] <= u) + 1
+    for p in probs[1:-1]:
+        total = total + p
+        arms += total <= u
+    return arms
 
 
 def uniform_arms(num_arms: int, n: int, rngs) -> np.ndarray:
@@ -216,12 +229,11 @@ class EpsilonFalconAgent:
 
     ``weights`` (R, K, 1 + d) holds the model in force in each replication
     and ``events`` one list per replication, each event with the weights
-    its refit installed, while the epoch, the phase and gamma (a pure
-    function of the epoch) are shared.  Its blocks are the active prefix and the passive suffix of each
-    epoch.  ``record_block`` fires the end-of-epoch update automatically
-    when its rounds close the epoch.  Rounds must arrive in order -- playing
-    a round outside the current epoch, or one block across both phases,
-    raises ``SequencingError``.
+    its refit installed; the epoch, the phase and gamma are shared.  Its
+    blocks are each epoch's active prefix and passive suffix, and
+    ``record_block`` refits when its rounds close the epoch.  Rounds must
+    arrive in order: a round outside the current epoch, or a block across
+    both phases, raises ``SequencingError``.
     """
 
     def __init__(self, num_arms: int, context_dim: int = 1, epsilon: float = 0.1,
@@ -274,8 +286,8 @@ class EpsilonFalconAgent:
         if self._block_phase(t, n) == "passive":
             return uniform_arms(self.num_arms, n, rngs)
         preds = rowwise_predict(self.weights, featurize(xs, self.context_dim))
-        probs = igw_kernel(preds.reshape(-1, self.num_arms), self.gamma)
-        return sample_kernel(probs.reshape(preds.shape), rngs)
+        probs = igw_kernel(*arm_gaps(preds.reshape(-1, self.num_arms).T), self.gamma)
+        return sample_kernel(probs.reshape(-1, *preds.shape[:2]), rngs)
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
         """Store the block's rounds in each replication's batch; refit if

@@ -20,15 +20,12 @@ replication independent of how many others are requested, and
 ``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
 replication's trace does not depend on which others share its chunk.
 
-Artifacts are plain CSV, every file written by ``write_csv``: it builds
-each chunk of rows as one numpy byte matrix of NUL-padded cells and
-separator columns, spelled by exact ``%.17g``/``%d``/``%s`` kernels (Python
-formats the rare values outside their range), and writes it with the NULs
-dropped, so the bytes are those of Python's ``%`` formatting.  A run's
-record takes one path: ``run_artifacts`` turns the config and the weights
-in force in each epoch into what the inequality suite reads, and
-``run_lemmas``, the diagnostics pass, sets every ``mse_to_fhatstar`` and
-runs the suite on one sample from the seed's diagnostics stream.
+Artifacts are plain CSV, every file written by ``write_csv`` in the bytes
+of Python's ``%`` formatting.  A run's record takes one path:
+``run_artifacts`` turns the config and the weights in force in each epoch
+into what the inequality suite reads, and ``run_lemmas``, the diagnostics
+pass, runs the suite and sets every ``mse_to_fhatstar`` on one sample from
+the seed's diagnostics stream.
 ``run_one`` feeds them the agent's refits, ``reanalyze_run_dir``
 (``banditlab diag``) the stored ``weights.csv`` and ``config.txt``, so
 ``diag`` reproduces the run's ``lemmas.csv`` byte for byte.  Schemas:
@@ -391,17 +388,13 @@ def run_artifacts(config: RunConfig, weights: list[np.ndarray]) -> RunArtifacts:
 def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts,
                events: list[EpochEvent]) -> list[LemmaCheck]:
     """The diagnostics pass on ``min(mc_samples, 20_000)`` contexts from the
-    first child of the seed's diagnostics stream: each event's
-    ``mse_to_best_fit`` against the best-fit matrix, then the inequality
-    suite, all on that one sample.  The report of a run and, from its
-    directory, of ``reanalyze_run_dir``."""
+    first child of the seed's diagnostics stream: the inequality suite and
+    each event's ``mse_to_best_fit`` against the best fit, all on that one
+    sample.  The report of a run and, from its directory, of
+    ``reanalyze_run_dir``."""
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
     xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
-    fit_preds = envmod.best_linear_fit_uniform(config.env).predict_rows(xs)
-    for ev in events:
-        ev.mse_to_best_fit = diagmod.mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
-                                              fit_preds).value
-    return diagmod.lemma_suite(artifacts, xs, fit_preds)
+    return diagmod.lemma_suite(artifacts, xs, events)
 
 
 @dataclass

@@ -73,12 +73,38 @@ def rowwise_predict(weights: np.ndarray, Phi: np.ndarray) -> np.ndarray:
 
 def row_max_argmax(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact row maxima and 0-based argmaxes (ties to the first column) of a
-    finite (n, K) matrix, column by column: faster than a short-row reduction."""
+    finite (n, K) matrix (an arm-major ``P`` as ``P.T``), column by column:
+    faster than a short-row reduction."""
     top, best = values[:, 0].copy(), np.zeros(len(values), dtype=np.intp)
     for a in range(1, values.shape[1]):
-        np.copyto(best, a, where=values[:, a] > top)
+        # best < a so far: arithmetic, where a masked copy branches per row
+        np.maximum(best, (values[:, a] > top) * a, out=best)
         np.maximum(top, values[:, a], out=top)
     return top, best
+
+
+def arm_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the arms of an arm-major (K, ...) array with the bits of
+    numpy's row sums of its (..., K) transpose: one arm after another below
+    K = 8, eight interleaved lanes up to K = 128, split in two above (the
+    first part a multiple of 8), and a zero sum is +0."""
+    K = len(values)
+    if K < 8:
+        total = values[0] + 0.0
+        for v in values[1:]:
+            total += v
+        return total
+    if K > 128:
+        half = K // 2 - K // 2 % 8
+        return arm_sum(values[:half]) + arm_sum(values[half:])
+    lanes, stop = values[:8].copy(), K - K % 8
+    for i in range(8, stop, 8):
+        lanes += values[i:i + 8]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + \
+        ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for v in values[stop:]:
+        total += v
+    return total + 0.0
 
 
 @dataclass
@@ -105,11 +131,6 @@ class LinearModel:
         """(n, K) predictions, row i bit-equal to ``weights @ phi(xs[i])``,
         so a row does not depend on how many rows are predicted together."""
         return rowwise_predict(self.weights, featurize(xs, self.context_dim))
-
-    def predict_matrix(self, xs) -> np.ndarray:
-        """(n, K) prediction matrix for a batch of contexts (one GEMM; may
-        differ from ``predict_rows`` in the last bits)."""
-        return featurize(xs, self.context_dim) @ self.weights.T
 
 
 class DataBatch:
@@ -217,8 +238,10 @@ class DataBatch:
                     np.logical_and.reduce([np.isfinite(col) for col in (ra, *Pa.T[1:])])))
                 bad += arm_bad
                 if not arm_bad:
-                    # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild reference
-                    G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
+                    # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild
+                    # reference; an overflow is reported below, with its arm
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
             if bad:
                 raise FloatingPointError(
                     f"{bad} of {len(self)} rows have a non-finite context or reward")

@@ -9,11 +9,14 @@ by walking the doubling schedule, and whole runs by a round-by-round
 simulator with its own kernel, sampler and phase bookkeeping, on an
 environment drawn one round at a time (its truth surface is the
 package's), in the package's stream layout or in the earlier single-stream
-one.  The inequality suite as it ran before it shared one context sample
-(every check on its own draw, then the package's matrix helper) is the
-reference for the shared-sample suite, and each epoch's model MSE as
-the harness computed it before it joined that sample (a fresh draw per
-epoch) is the reference for ``mse_to_fhatstar``.
+one.  The estimators, the kernel, the sampler and the diagnostics pass
+in the row-major (n, K) formulas the package used before it held these
+matrices arm-major are the references for its arm-major code; the
+inequality suite as it ran before it shared one context sample (every
+check on its own draw, in those formulas) is the reference for the
+shared-sample suite, and each epoch's model MSE as the harness computed it
+before it joined that sample (a fresh draw per epoch) is the reference for
+``mse_to_fhatstar``.
 """
 
 import math
@@ -21,12 +24,11 @@ import math
 import numpy as np
 
 from banditlab import env as envmod
-from banditlab.diag import (LemmaCheck, divergence_from, error_estimates_from, gaps_from,
-                            kernel_regret_from, mean_at, mse_from)
+from banditlab.diag import LemmaCheck, MCEstimate
 from banditlab.env import (Environment, draw_contexts, make_generator, mean_reward_matrix,
                            true_model)
-from banditlab.falcon import igw_kernel
-from banditlab.linmodel import LinearModel
+from banditlab.falcon import arm_gaps, igw_kernel
+from banditlab.linmodel import LinearModel, featurize
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -260,6 +262,141 @@ def igw_kernel_one(weights: np.ndarray, x, gamma: float) -> np.ndarray:
     return probs
 
 
+# ---------------------------------------------------------------------------
+# The row-major formulas: (n, K) matrices, one context per row, reduced along
+# the rows by numpy.  The package holds these matrices arm-major, (K, n);
+# these are the references its kernel, sampler and diagnostics are checked
+# against.
+# ---------------------------------------------------------------------------
+
+def predict_matrix(model, xs) -> np.ndarray:
+    """(n, K) predictions of a ``LinearModel`` as one GEMM, ``Phi @ W.T``."""
+    return featurize(xs, model.context_dim) @ model.weights.T
+
+
+def estimate(samples: np.ndarray) -> MCEstimate:
+    n = len(samples)
+    return MCEstimate(float(samples.mean()),
+                      float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf"))
+
+
+def gaps_from(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) gaps below each row's maximum, and the 0-based argmax (ties first)."""
+    return values.max(axis=1)[:, None] - values, values.argmax(axis=1)
+
+
+def mean_at(values: np.ndarray, actions: np.ndarray) -> MCEstimate:
+    """Mean of each row's entry at its action (1-based arms)."""
+    return estimate(values[np.arange(len(values)), actions - 1])
+
+
+def divergence_from(probs: np.ndarray, actions: np.ndarray) -> MCEstimate:
+    """Mean inverse probability of the actions under a kernel matrix."""
+    picked = probs[np.arange(len(probs)), actions - 1]
+    if np.any(picked <= 0.0):
+        raise ZeroDivisionError("kernel assigned zero probability to a policy action")
+    return estimate(1.0 / picked)
+
+
+def kernel_regret_from(probs: np.ndarray, gaps: np.ndarray) -> MCEstimate:
+    """Mean over rows of sum_a p(a) * gap(a)."""
+    return estimate(np.einsum("ij,ij->i", probs, gaps))
+
+
+def mse_from(f_values: np.ndarray, g_values: np.ndarray,
+             probs=None) -> MCEstimate:
+    """Mean squared gap between two reward matrices, over arms or weighted by ``probs``."""
+    sq = (f_values - g_values) ** 2
+    return estimate(sq.mean(axis=1) if probs is None else (probs * sq).sum(axis=1))
+
+
+def error_estimates_from(fit_preds: np.ndarray, truth: np.ndarray):
+    """b and B: the fit's squared error averaged over arms, or at the worst arm."""
+    sq = (fit_preds - truth) ** 2
+    return estimate(sq.mean(axis=1)), estimate(sq.max(axis=1))
+
+
+def igw_kernel_rows(preds: np.ndarray, gamma: float) -> np.ndarray:
+    """(n, K) inverse-gap-weighted kernel from (n, K) predictions, the best
+    arm's remainder from each row's ``sum``."""
+    gaps, best = gaps_from(preds)
+    probs = 1.0 / (preds.shape[1] + gamma * gaps)
+    rows = np.arange(len(preds))
+    probs[rows, best] = 0.0
+    probs[rows, best] = 1.0 - probs.sum(axis=1)
+    return probs
+
+
+def sample_kernel_rows(probs: np.ndarray, rngs) -> np.ndarray:
+    """(R, n) arms (1-based) from (R, n, K) ``probs``: one plus the count of
+    each row's first K-1 cumulative sums at or below its uniform draw."""
+    u = np.stack([rng.random(probs.shape[1]) for rng in rngs])
+    return (probs[..., :-1].cumsum(axis=-1) <= u[..., None]).sum(axis=-1) + 1
+
+
+def package_kernel_rows(preds: np.ndarray, gamma: float) -> np.ndarray:
+    """The package's arm-major kernel (``falcon.igw_kernel``) on (n, K)
+    predictions, viewed as (n, K)."""
+    return igw_kernel(*arm_gaps(preds.T), gamma).T
+
+
+def lemma_suite_rows(artifacts, xs, fit_preds: np.ndarray) -> list:
+    """The inequality suite on one sample with (n, K) matrices: each
+    epoch's model predicted by ``predict_matrix``, the row-major helpers
+    above, ``einsum`` for the kernel regrets; ``fit_preds`` is (n, K)."""
+    spec = artifacts.spec
+    K = spec.num_arms
+    checks = []
+
+    def check(name, m, lhs, rhs, se, note, ok=None):
+        checks.append(LemmaCheck(name, m, lhs, rhs, se, lhs <= rhs if ok is None else ok, note))
+
+    truth = mean_reward_matrix(spec, xs)
+    b, B = error_estimates_from(fit_preds, truth)
+    tol_lo, tol_hi = 3.0 * math.hypot(b.se, B.se), 3.0 * math.hypot(B.se, K * b.se)
+    check("error_ordering_lower", None, b.value, B.value + tol_lo, tol_lo, "b <= B")
+    check("error_ordering_upper", None, B.value, K * b.value + tol_hi, tol_hi, "B <= K*b")
+    a_best = gaps_from(fit_preds)[1] + 1
+    truth_gaps = gaps_from(truth)[0]
+    reg_best = mean_at(truth_gaps, a_best)
+    check("best_fit_policy_regret", None, reg_best.value,
+          2.0 * math.sqrt(max(B.value, 0.0)) + 3.0 * reg_best.se, reg_best.se,
+          "Reg(pi_bestfit) <= 2*sqrt(B)")
+    for m, (model, gamma) in enumerate(zip(artifacts.models[1:], artifacts.gammas[1:]), start=2):
+        preds = predict_matrix(model, xs)
+        probs = igw_kernel_rows(preds, gamma)
+        gaps, best = gaps_from(preds)
+        est = kernel_regret_from(probs, gaps)
+        check("kernel_estimated_regret", m, est.value, K / gamma + 3 * est.se, est.se, "<= K/gamma")
+        V = divergence_from(probs, a_best)
+        gap = mean_at(gaps, a_best)
+        band = 3.0 * math.hypot(V.se, abs(gamma) * gap.se)
+        lo, hi = gamma * gap.value, K + gamma * gap.value
+        check("divergence_sandwich", m, V.value, hi + band, band,
+              f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]", lo - band <= V.value <= hi + band)
+        V_self = divergence_from(probs, best + 1)
+        check("divergence_self", m, V_self.value, K + 3 * V_self.se, V_self.se, "V(p; pi_p) <= K")
+        true_reg = kernel_regret_from(probs, truth_gaps)
+        scale = math.sqrt(artifacts.epsilon ** artifacts.rho) if artifacts.epsilon else 1.0
+        trend = K / gamma + math.sqrt(max(K * B.value, 0.0) / scale)
+        ratio = true_reg.value / trend if trend > 0 else float("nan")
+        check("true_regret_trend", m, true_reg.value, trend, true_reg.se,
+              f"ratio {ratio:.3f} logged only; constants unknown", True)
+    return checks
+
+
+def run_lemmas_rows(config, seed: int, artifacts, events) -> tuple[list, list[float]]:
+    """A run's diagnostics pass in the row-major formulas: (the report, each
+    event's MSE to the best fit), on the sample ``harness.run_lemmas`` draws,
+    every event's model predicted by its own ``predict_matrix``."""
+    diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
+    xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
+    fit_preds = envmod.best_linear_fit_uniform(config.env).predict_rows(xs)
+    mses = [mse_from(predict_matrix(LinearModel(ev.new_weights), xs), fit_preds).value
+            for ev in events]
+    return lemma_suite_rows(artifacts, xs, fit_preds), mses
+
+
 def sample_scalar(probs: np.ndarray, rng) -> int:
     """Inverse CDF on one uniform: first arm with u < cumulative sum,
     arm K when rounding leaves u above the total."""
@@ -315,7 +452,8 @@ class PerRoundEnvironment:
         means = self.means(x)
         rewards = means.copy()
         if self.spec.noise_sd > 0:
-            rewards += self.spec.noise_sd * self.noise_rng.standard_normal(self.num_arms)
+            with np.errstate(over="ignore"):  # as in Environment.draw
+                rewards += self.spec.noise_sd * self.noise_rng.standard_normal(self.num_arms)
         if self.spec.clip_rewards:
             np.clip(rewards, 0.0, 1.0, out=rewards)
         return means, rewards
@@ -427,7 +565,7 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
         return draw_contexts(spec, num_mc, rng)
 
     def arms(model, xs):  # the arms of the model's induced policy
-        return gaps_from(model.predict_matrix(xs))[1] + 1
+        return gaps_from(predict_matrix(model, xs))[1] + 1
 
     xs = draw()
     b = error_estimates_from(best_fit.predict_rows(xs), mean_reward_matrix(spec, xs))[0]
@@ -451,16 +589,17 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
     for m, (model, gamma) in enumerate(zip(artifacts.models, artifacts.gammas), start=1):
         if m == 1:
             continue
-        preds = model.predict_matrix(draw())
-        est = kernel_regret_from(igw_kernel(preds, gamma), gaps_from(preds)[0])
+        preds = predict_matrix(model, draw())
+        est = kernel_regret_from(igw_kernel_rows(preds, gamma), gaps_from(preds)[0])
         rhs = K / gamma + 3.0 * est.se
         checks.append(LemmaCheck("kernel_estimated_regret", m, est.value, rhs,
                                  est.se, est.value <= rhs, "<= K/gamma"))
 
         xs = draw()
-        V = divergence_from(igw_kernel(model.predict_matrix(xs), gamma), arms(best_fit, xs))
+        V = divergence_from(igw_kernel_rows(predict_matrix(model, xs), gamma),
+                            arms(best_fit, xs))
         xs = draw()
-        gap = mean_at(gaps_from(model.predict_matrix(xs))[0], arms(best_fit, xs))
+        gap = mean_at(gaps_from(predict_matrix(model, xs))[0], arms(best_fit, xs))
         band = 3.0 * math.hypot(V.se, abs(gamma) * gap.se)
         lo, hi = gamma * gap.value, K + gamma * gap.value
         checks.append(LemmaCheck("divergence_sandwich", m, V.value, hi + band, band,
@@ -468,13 +607,14 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
                                  f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]"))
 
         xs = draw()
-        V_self = divergence_from(igw_kernel(model.predict_matrix(xs), gamma), arms(model, xs))
+        V_self = divergence_from(igw_kernel_rows(predict_matrix(model, xs), gamma),
+                                 arms(model, xs))
         checks.append(LemmaCheck("divergence_self", m, V_self.value,
                                  K + 3.0 * V_self.se, V_self.se,
                                  V_self.value <= K + 3.0 * V_self.se, "V(p; pi_p) <= K"))
 
         xs = draw()
-        true_reg = kernel_regret_from(igw_kernel(model.predict_matrix(xs), gamma),
+        true_reg = kernel_regret_from(igw_kernel_rows(predict_matrix(model, xs), gamma),
                                       gaps_from(mean_reward_matrix(spec, xs))[0])
         trend = K / gamma + math.sqrt(max(K * B.value, 0.0))
         if artifacts.epsilon:
@@ -499,6 +639,6 @@ def mse_to_best_fit_per_event(spec, events, num_mc: int, seed: int) -> list[floa
     mses = []
     for ev in events:
         xs = draw_contexts(spec, num_mc, rng)
-        mses.append(mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
-                             best_fit.predict_matrix(xs)).value)
+        mses.append(mse_from(predict_matrix(LinearModel(ev.new_weights), xs),
+                             predict_matrix(best_fit, xs)).value)
     return mses

@@ -10,15 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from banditlab.diag import (divergence_from, error_estimates_from, gaps_from,
-                            kernel_regret_from, mean_at, mse_from)
 from banditlab.env import EnvSpec, best_linear_fit_uniform, draw_contexts, mean_reward_matrix
-from banditlab.falcon import igw_kernel
 from banditlab.harness import RunConfig, run_many, run_suite
 from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit,
                                 fit_ols, row_max_argmax)
 
-from oracles import grid_search_constrained, normalized_sse, per_round, tune_epsilon
+from oracles import (divergence_from, error_estimates_from, gaps_from, grid_search_constrained,
+                     kernel_regret_from, mean_at, mse_from, normalized_sse,
+                     package_kernel_rows, per_round, predict_matrix, tune_epsilon)
 
 SENS05 = EnvSpec(kind="sensitivity_family", theta=0.05)
 B_SENS05 = 0.01649615625  # closed-form approximation error at theta = 0.05
@@ -45,14 +44,14 @@ def test_criterion_1_adaptive_sampling_pathology():
     batch = DataBatch(2)
     for _ in range(20_000):
         x = env.sample_context()
-        a = int(row_max_argmax(pi.predict_matrix([x]))[1][0]) + 1
+        a = int(row_max_argmax(predict_matrix(pi, [x]))[1][0]) + 1
         batch.append(x, a, env.sample_reward(x, a))
     erm = fit_ols(batch)
     w = erm.weights[0]
     weights_ok = abs(w[0] - 1.0) <= 0.05 and abs(w[1]) <= 0.05
     xs = draw_contexts(SENS05, 100_000, 2)
     reg = mean_at(gaps_from(mean_reward_matrix(SENS05, xs))[0],
-                  gaps_from(erm.predict_matrix(xs))[1] + 1)
+                  gaps_from(predict_matrix(erm, xs))[1] + 1)
     regret_ok = reg.value >= 0.42 - 0.01 and reg.se < 0.01
     report(1, weights_ok and regret_ok,
            f"collapsed arm-1 weights ({w[0]:.4f}, {w[1]:.4f}) vs (1, 0); "
@@ -124,16 +123,16 @@ def test_criterion_4_kernel_invariants_and_estimated_regret(sens_run_eps01):
         if m == 1:
             continue
         xs = rng.random(10_000)
-        probs = igw_kernel(model.predict_matrix(xs), gamma)
+        probs = package_kernel_rows(predict_matrix(model, xs), gamma)
         sums = probs.sum(axis=1)
         worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
         ok &= np.all(np.abs(sums - 1.0) <= 1e-12)
-        best = np.argmax(model.predict_matrix(xs), axis=1)
+        best = np.argmax(predict_matrix(model, xs), axis=1)
         nonbest = probs.copy()
         nonbest[np.arange(len(xs)), best] = 0.0
         ok &= np.all(nonbest <= 1.0 / K + 1e-15)
-        preds = model.predict_matrix(draw_contexts(arts.spec, 10_000, rng))
-        est = kernel_regret_from(igw_kernel(preds, gamma), gaps_from(preds)[0])
+        preds = predict_matrix(model, draw_contexts(arts.spec, 10_000, rng))
+        est = kernel_regret_from(package_kernel_rows(preds, gamma), gaps_from(preds)[0])
         ok &= est.value <= K / gamma + 3 * est.se
         margins.append(K / gamma - est.value)
     report(4, ok, f"15 epochs: max |sum p - 1| = {worst_sum:.1e} <= 1e-12, "
@@ -171,9 +170,9 @@ def test_criterion_6_constraint_keeps_model_near_best_fit():
     final_g = res_g.artifacts.models[-1]
     final_p = res_p.artifacts.models[-1]
     xs = draw_contexts(SENS05, 100_000, 7)
-    mse_g = mse_from(final_g.predict_matrix(xs), best_fit.predict_matrix(xs))
+    mse_g = mse_from(predict_matrix(final_g, xs), predict_matrix(best_fit, xs))
     xs = draw_contexts(SENS05, 100_000, 8)
-    mse_p = mse_from(final_p.predict_matrix(xs), best_fit.predict_matrix(xs))
+    mse_p = mse_from(predict_matrix(final_p, xs), predict_matrix(best_fit, xs))
     drift_ok = mse_g.value < mse_p.value
     budget_ok = all(ev.constraint_residual <= 1e-6 for ev in res_g.events)
     report(6, drift_ok and budget_ok,
@@ -212,16 +211,16 @@ def test_criterion_8_divergence_sandwich():
         gamma = float(rng.uniform(0.5, 50))
         # kernel, gap and both policies' arms on a fresh sample per estimate
         xs = draw_contexts(spec, 20_000, rng)
-        V = divergence_from(igw_kernel(model.predict_matrix(xs), gamma),
-                            gaps_from(target.predict_matrix(xs))[1] + 1)
+        V = divergence_from(package_kernel_rows(predict_matrix(model, xs), gamma),
+                            gaps_from(predict_matrix(target, xs))[1] + 1)
         xs = draw_contexts(spec, 20_000, rng)
-        gap = mean_at(gaps_from(model.predict_matrix(xs))[0],
-                      gaps_from(target.predict_matrix(xs))[1] + 1)
+        gap = mean_at(gaps_from(predict_matrix(model, xs))[0],
+                      gaps_from(predict_matrix(target, xs))[1] + 1)
         band = 3 * math.hypot(V.se, gamma * gap.se)
         ok &= gamma * gap.value - band <= V.value <= 2 + gamma * gap.value + band
         xs = draw_contexts(spec, 20_000, rng)
-        preds = model.predict_matrix(xs)
-        V_self = divergence_from(igw_kernel(preds, gamma), gaps_from(preds)[1] + 1)
+        preds = predict_matrix(model, xs)
+        V_self = divergence_from(package_kernel_rows(preds, gamma), gaps_from(preds)[1] + 1)
         ok &= V_self.value <= 2 + 3 * V_self.se
     report(8, ok, "10 random (model, policy, gamma) triples satisfy the "
                   "inverse-probability sandwich and V(p, pi_p) <= K")

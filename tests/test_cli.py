@@ -3,9 +3,12 @@ import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import banditlab
 from banditlab import falcon, harness, linmodel
 from banditlab.cli import main
 from banditlab.env import EnvSpec
@@ -84,6 +87,27 @@ class TestRunVerb:
             f"numerical failure: arm 1's moments (G, b or yy) overflow: {rows} finite rows "
             f"fold to non-finite sums of products; the refit after epoch 1\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("agent, rows", [("epsilon_falcon", 1), ("falcon", 3)])
+    def test_overflow_reported_without_numpy_warnings(self, tmp_path, agent, rows):
+        # in a fresh interpreter, whose warnings reach stderr as a user's
+        # would: the environment's noise scaling and the refit's moment fold
+        # overflow, and only the package's own message is printed
+        path = tmp_path / "huge_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e308), agent=agent,
+                              horizon=300, mc_samples=2_000), str(path))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(banditlab.__file__)))
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from banditlab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", "--config", str(path), "--seed", "0",
+             "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == (
+            f"numerical failure: arm 1's moments (G, b or yy) overflow: {rows} finite rows "
+            f"fold to non-finite sums of products; the refit after epoch 1\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(3))

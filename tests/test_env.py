@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from banditlab import env as envmod
-from banditlab.diag import error_estimates_from
 from banditlab.env import (Environment, EnvSpec, best_linear_fit_uniform, closed_form_errors,
                            draw_contexts, make_generator, mean_reward_matrix, true_model)
 from banditlab.linmodel import row_max_argmax
 
-from oracles import lstsq_line, per_round, simpson
+from oracles import error_estimates_from, lstsq_line, per_round, predict_matrix, simpson
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -253,13 +252,13 @@ class TestBestLinearFit:
         # arm 2's truth is linear already, so the best fit reproduces it
         fit = best_linear_fit_uniform(SENS)
         xs = np.linspace(0.01, 0.99, 101)
-        np.testing.assert_allclose(fit.predict_matrix(xs)[:, 1],
+        np.testing.assert_allclose(predict_matrix(fit, xs)[:, 1],
                                    mean_reward_matrix(SENS, xs)[:, 1], atol=1e-12)
 
     def test_realizable_fit_is_truth(self):
         fit = best_linear_fit_uniform(REAL)
         xs = np.linspace(0.01, 0.99, 101)
-        np.testing.assert_allclose(fit.predict_matrix(xs),
+        np.testing.assert_allclose(predict_matrix(fit, xs),
                                    mean_reward_matrix(REAL, xs), atol=1e-12)
 
 
@@ -340,7 +339,7 @@ class TestOptimalPolicy:
         # the misspecified fit still induces the optimal threshold policy
         xs = np.linspace(1e-4, 1 - 1e-4, 20_001)
         fit = best_linear_fit_uniform(SENS)
-        np.testing.assert_array_equal(row_max_argmax(fit.predict_matrix(xs))[1],
+        np.testing.assert_array_equal(row_max_argmax(predict_matrix(fit, xs))[1],
                                       row_max_argmax(mean_reward_matrix(SENS, xs))[1])
 
     def test_meeting_point_construction(self):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from banditlab.env import EnvSpec, best_linear_fit_uniform
 from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
                               InvalidConfidenceError, LinUCBAgent, RateParams,
-                              SequencingError, UniformAgent, gamma_for_epoch,
+                              SequencingError, UniformAgent, arm_gaps, gamma_for_epoch,
                               igw_kernel, sample_kernel)
 from banditlab.harness import RunConfig, build_agent
 from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit, fit_ols,
                                 row_max_argmax)
 
-from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, normalized_sse,
-                     per_round, sample_scalar, tune_epsilon, zero_model)
+from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, igw_kernel_rows,
+                     normalized_sse, per_round, predict_matrix, sample_kernel_rows,
+                     sample_scalar, tune_epsilon, zero_model)
 
 RATES = RateParams.linear_preset(2, 1, delta=0.1)
 SCHED = EpochSchedule(4)
@@ -38,7 +39,7 @@ def play(agent, t, x, rng, env):
 def kernel_at(model, x, gamma):
     """(probabilities, predicted-best arm) of the kernel at one context."""
     preds = model.predict_rows([x])
-    return igw_kernel(preds, gamma)[0], int(np.argmax(preds[0])) + 1
+    return igw_kernel(*arm_gaps(preds.T), gamma)[:, 0], int(np.argmax(preds[0])) + 1
 
 
 class TestEpochSchedule:
@@ -163,7 +164,7 @@ class TestActionKernel:
         rng = np.random.default_rng(5)
         model = LinearModel(rng.uniform(-1, 1, (3, 2)))
         xs = rng.random(50)
-        mat = igw_kernel(model.predict_matrix(xs), 7.0)
+        mat = igw_kernel(*arm_gaps(predict_matrix(model, xs).T), 7.0).T
         for i, x in enumerate(xs):
             np.testing.assert_allclose(mat[i], kernel_at(model, x, 7.0)[0], atol=1e-14)
 
@@ -172,7 +173,8 @@ class TestActionKernel:
         probs, _ = kernel_at(model, 0.2, 8.0)
         rng = rng_of(3)
         n = 100_000
-        counts = np.bincount(sample_kernel(np.tile(probs, (1, n, 1)), [rng])[0], minlength=4)[1:]
+        counts = np.bincount(sample_kernel(np.tile(probs[:, None, None], (1, 1, n)), [rng])[0],
+                             minlength=4)[1:]
         for a in range(3):
             se = math.sqrt(probs[a] * (1 - probs[a]) / n)
             assert abs(counts[a] / n - probs[a]) <= 3 * se
@@ -186,9 +188,9 @@ class TestActionKernel:
         xs = rng.random(n) if d == 1 else rng.random((n, d))
         # ties between arms are part of the contract too
         model.weights[K - 1] = model.weights[0]
-        probs = igw_kernel(model.predict_rows(xs), gamma)
+        probs = igw_kernel(*arm_gaps(model.predict_rows(xs).T), gamma)
         for i in range(n):
-            assert probs[i].tobytes() == igw_kernel_one(model.weights, xs[i], gamma).tobytes()
+            assert probs[:, i].tobytes() == igw_kernel_one(model.weights, xs[i], gamma).tobytes()
 
     @given(K=st.integers(2, 10), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -198,13 +200,37 @@ class TestActionKernel:
         probs /= probs.sum(axis=1, keepdims=True)
         probs[: n // 3] = np.eye(K)[rng.integers(K, size=n // 3)]  # point masses
         probs[n // 3: n // 2, -1] = 0.0  # totals short of 1: the arm-K guard
-        block = sample_kernel(probs[None], [rng_of(seed)])[0]
+        block = sample_kernel(probs.T[:, None], [rng_of(seed)])[0]
         one_by_one = rng_of(seed)
         assert block.tolist() == [sample_scalar(row, one_by_one) for row in probs]
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
-            igw_kernel(np.zeros((1, 2)), 0.0)
+            igw_kernel(np.zeros((2, 1)), np.zeros(1, dtype=np.intp), 0.0)
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 9, 130])
+    def test_arm_major_kernel_equals_row_major_reference(self, K):
+        # random predictions with ties (arm K copies arm 1 in some rows),
+        # from contiguous arm-major rows and from the agent's transposed view
+        rng = np.random.default_rng(K)
+        for gamma in (1e-3, 1.0, 37.5, 1e6):
+            preds = rng.normal(size=(500, K)) * 10.0 ** rng.integers(-3, 3)
+            preds[::7, -1] = preds[::7, 0]
+            want = igw_kernel_rows(preds, gamma)
+            for arm_major in (np.ascontiguousarray(preds.T), preds.T):
+                probs = igw_kernel(*arm_gaps(arm_major), gamma)
+                assert np.ascontiguousarray(probs.T).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("K", [2, 3, 8, 9, 130])
+    def test_arm_major_sampler_equals_row_major_reference(self, K):
+        R, n = 3, 400
+        rng = np.random.default_rng(100 + K)
+        probs = rng.random((R, n, K)) ** 3
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[:, ::5] = np.eye(K)[rng.integers(K, size=(R, n))[:, ::5]]  # point masses
+        want = sample_kernel_rows(probs, [rng_of(s) for s in range(R)])
+        got = sample_kernel(np.moveaxis(probs, -1, 0), [rng_of(s) for s in range(R)])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestTuneEpsilon:
@@ -281,8 +307,8 @@ class TestEpsilonFalconAgent:
         n = 100_000
         # n one-row blocks at t_probe would run past the epoch, so draw what
         # act_block draws in the active phase, for n rows at once
-        probs_n = igw_kernel(model.predict_rows(np.full(n, x)), agent.gamma)
-        arms = sample_kernel(probs_n[None], [rng])[0]
+        probs_n = igw_kernel(*arm_gaps(model.predict_rows(np.full(n, x)).T), agent.gamma)
+        arms = sample_kernel(probs_n[:, None], [rng])[0]
         draws = np.bincount(arms, minlength=3)[1:]
         for a in range(2):
             se = math.sqrt(probs[a] * (1 - probs[a]) / n)
@@ -356,7 +382,7 @@ def batches():
     passive = DataBatch(2)  # collected uniformly
     for _ in range(10_000):
         x = env.sample_context()
-        a = int(row_max_argmax(fit.predict_matrix([x]))[1][0]) + 1
+        a = int(row_max_argmax(predict_matrix(fit, [x]))[1][0]) + 1
         active.append(x, a, env.sample_reward(x, a))
         x2 = env.sample_context()
         a2 = int(rng.integers(2)) + 1
@@ -374,7 +400,7 @@ class TestAdaptiveBiasGuard:
         # arm 1 is only ever sampled where its reward is the constant 1, so
         # the fitted line averages to ~1 over the sampled region
         xs_high = np.linspace(0.9501, 0.9999, 200)
-        assert abs(erm.predict_matrix(xs_high)[:, 0].mean() - 1.0) < 0.02
+        assert abs(predict_matrix(erm, xs_high)[:, 0].mean() - 1.0) < 0.02
         alpha = ConstraintSpec(passive, 1.0).alpha()
         # the collapsed limit (arm 1 constant at 1) misses the passive
         # budget by about 0.9^2 * (1-theta) / 2 = 0.385
@@ -405,7 +431,7 @@ class TestAdaptiveBiasGuard:
         # and the guarded fit is far closer to the population fit than the ERM
         xs = np.linspace(0.001, 0.999, 2001)
         def mse_to_fit(m):
-            return float(((m.predict_matrix(xs) - fit.predict_matrix(xs)) ** 2).mean())
+            return float(((predict_matrix(m, xs) - predict_matrix(fit, xs)) ** 2).mean())
         assert mse_to_fit(model) < 0.25 * mse_to_fit(fit_ols(active))
 
 

@@ -12,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab import harness
-from banditlab.diag import gaps_from, lemma_suite, mean_at, mse_from
+from banditlab.diag import lemma_suite
 from banditlab.env import (EnvSpec, best_linear_fit_uniform, draw_contexts, make_generator,
                            mean_reward_matrix)
 from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config,
-                               read_weights_csv, run_many, run_one, run_suite, save_config,
-                               serialize_config, write_compare_csv, write_run_dir,
+                               read_weights_csv, run_lemmas, run_many, run_one, run_suite,
+                               save_config, serialize_config, write_compare_csv, write_run_dir,
                                write_summary_csv, write_trace_csv)
 from banditlab.linmodel import LinearModel
+
+from oracles import gaps_from, mean_at, mse_from, predict_matrix
 
 ALLOWED = {key: allowed for key, _, _, allowed in harness.CONFIG_KEYS}
 STEP = EnvSpec(kind="step_function")
@@ -386,9 +388,9 @@ class TestRunOne:
         xs = draw_contexts(cfg.env, cfg.mc_samples, make_generator(diag_ss))
         best_fit = best_linear_fit_uniform(cfg.env)
         assert [ev.mse_to_best_fit for ev in res.events] == \
-            [mse_from(LinearModel(ev.new_weights).predict_matrix(xs),
-                      best_fit.predict_matrix(xs)).value for ev in res.events]
-        assert res.lemma_report == lemma_suite(res.artifacts, xs, best_fit.predict_rows(xs))
+            [mse_from(predict_matrix(LinearModel(ev.new_weights), xs),
+                      predict_matrix(best_fit, xs)).value for ev in res.events]
+        assert res.lemma_report == lemma_suite(res.artifacts, xs)
 
     def test_falcon_agent_epoch_events_filled(self):
         res = run_one(small_config(horizon=64), seed=6)
@@ -503,10 +505,16 @@ class TestMemory:
     run or suite took (65.3 and 26.5 bytes) with only the data columns
     stored, the schedule columns made at write time, batch rows kept as
     float64 pieces and a suite keeping e_regret alone.  Before that, the
-    suite took 87.7 bytes."""
+    suite took 87.7 bytes.
+
+    The diagnostics pass of the benchmark's ``falcon_run`` (sensitivity
+    family, T = 2^16, 20,000 contexts, 14 epoch models) peaks at 2.84 MB
+    with one epoch's predictions alive at a time; its bound is twice that.
+    Keeping every epoch's predictions would add about 4.8 MB."""
 
     RUN_BYTES_BOUND = 131
     SUITE_BYTES_BOUND = 53
+    LEMMAS_BYTES_BOUND = 5_683_000
 
     @staticmethod
     def peak_per_round(play, rounds: int) -> float:
@@ -527,6 +535,18 @@ class TestMemory:
         cfg = RunConfig(env=SENS, horizon=2 ** 14, replications=4, base_seed=100)
         peak = self.peak_per_round(lambda: run_suite(cfg), 4 * 2 ** 14)
         assert peak <= self.SUITE_BYTES_BOUND
+
+    def test_diagnostics_pass_memory(self):
+        cfg = RunConfig(env=SENS, horizon=2 ** 16, mc_samples=20_000)
+        res = run_many(cfg, [1])[0]
+        run_lemmas(cfg, 1, res.artifacts, res.events)  # warm-up
+        tracemalloc.start()
+        try:
+            run_lemmas(cfg, 1, res.artifacts, res.events)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.LEMMAS_BYTES_BOUND
 
 
 def summary_sha256(summary) -> str:

@@ -11,11 +11,12 @@ from banditlab.env import EnvSpec
 from banditlab.harness import RunConfig, run_many
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
                                 InfeasibleConstraintError, InvalidArmError,
-                                LinearModel, _moment_nsse, constrained_fit, featurize,
+                                LinearModel, _moment_nsse, arm_sum, constrained_fit, featurize,
                                 fit_ols, fit_weighted, row_max_argmax)
 
 from oracles import (fit_rowweighted_rows, grid_search_constrained,
-                     grid_search_constrained_dense, normalized_sse, sse, zero_model)
+                     grid_search_constrained_dense, normalized_sse, predict_matrix, sse,
+                     zero_model)
 
 # the worked instance: passive ERM is the line y=x with zero error, while the
 # active ERM is the line 1-x, which misses the passive budget by a mile
@@ -63,7 +64,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         model = LinearModel(rng.uniform(-1, 1, (3, 2)))
         xs = rng.random(17)
-        mat = model.predict_matrix(xs)
+        mat = predict_matrix(model, xs)
         for i, x in enumerate(xs):
             np.testing.assert_allclose(mat[i], model.predict_rows([x])[0], atol=1e-14)
 
@@ -106,6 +107,47 @@ class TestRowMaxArgmax:
     def test_ties_go_to_the_first_column(self):
         top, best = row_max_argmax(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0]]))
         assert top.tolist() == [1.0, 2.0, 3.0] and best.tolist() == [0, 1, 0]
+
+
+class TestArmSum:
+    """``arm_sum`` of an arm-major (K, n) matrix against numpy's row sums of
+    its (n, K) transpose: numpy adds one arm after another below K = 8, in
+    eight lanes up to K = 128, and halves longer rows."""
+
+    @staticmethod
+    def mixed(rng, n, K):
+        # magnitudes from subnormal to 1e300, both signs, and zeros of both signs
+        values = rng.standard_normal((n, K)) * 10.0 ** rng.integers(-300, 300, (n, K))
+        values[rng.random((n, K)) < 0.1] = 5e-324 * rng.integers(-3, 4)
+        values[rng.random((n, K)) < 0.1] = 0.0
+        values[rng.random((n, K)) < 0.1] = -0.0
+        values[0] = -0.0  # a row of negative zeros sums to +0
+        return values
+
+    def test_equals_numpy_row_sums_for_every_K_to_300(self):
+        rng = np.random.default_rng(7)
+        for K in range(2, 301):
+            rows = self.mixed(rng, 12, K)
+            want = rows.sum(axis=1)
+            for arm_major in (np.ascontiguousarray(rows.T), rows.T):
+                assert arm_sum(arm_major).tobytes() == want.tobytes(), K
+
+    def test_stacked_replications(self):
+        rng = np.random.default_rng(8)
+        for K in (2, 9, 130):
+            rows = self.mixed(rng, 3 * 5, K).reshape(3, 5, K)
+            assert arm_sum(np.moveaxis(rows, -1, 0)).tobytes() == rows.sum(axis=-1).tobytes()
+
+    def test_a_different_order_would_show(self):
+        # rows on which a plain left-to-right sum differs from numpy's order
+        rng = np.random.default_rng(9)
+        for K in (9, 130):
+            rows = rng.random((200, K))
+            sequential = np.zeros(200)
+            for a in range(K):
+                sequential += rows[:, a]
+            assert sequential.tobytes() != rows.sum(axis=1).tobytes()
+            assert arm_sum(rows.T).tobytes() == rows.sum(axis=1).tobytes()
 
 
 class TestFitOls:
