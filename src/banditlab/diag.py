@@ -147,8 +147,8 @@ def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray, events=()) -> list[Lemm
     Each epoch model is predicted once, by ``Phi @ W.T`` transposed
     (OpenBLAS's ``W @ Phi.T`` rounds differently at some K and n), and
     dropped after its checks and its refit's ``mse_to_best_fit`` (the k-th
-    of ``events`` installed epoch k+1's model; one at the last round is
-    predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
+    of ``events`` installed epoch k+1's model; one whose model no epoch
+    ran is predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
     order: at K >= 3 their last bits may differ from a row-major ``einsum``'s.
     """
     spec = artifacts.spec
@@ -188,7 +188,7 @@ def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray, events=()) -> list[Lemm
             events[m - 2].mse_to_best_fit = float((arm_sum(sq) / K).mean())
             del sq
         if m > len(artifacts.models):
-            break
+            continue
         gamma = artifacts.gammas[m - 1]
         gaps, best = arm_gaps(preds)
         del preds

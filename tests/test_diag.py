@@ -149,10 +149,10 @@ class TestModelMse:
         # a refit that installs the best fit is as far from it whether its
         # model ran an epoch (the suite's checks predict it) or not: 0 up to
         # the last bits in which its GEMM and the fit's row-by-row products differ
-        events = [refit(fit.weights), refit(fit.weights)]
+        events = [refit(fit.weights) for _ in range(3)]
         suite(STEP, [zero_model(2), fit], [1.0, 3.0], xs, events)
-        assert events[0].mse_to_best_fit == events[1].mse_to_best_fit
-        assert events[0].mse_to_best_fit == pytest.approx(0.0, abs=1e-30)
+        assert events[0].mse_to_best_fit == events[1].mse_to_best_fit == \
+            events[2].mse_to_best_fit == pytest.approx(0.0, abs=1e-30)
 
     def test_matches_approximation_error(self):
         xs = draw_contexts(SENS, 200_000, 18)
