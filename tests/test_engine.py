@@ -34,8 +34,8 @@ REAL130 = EnvSpec(kind="realizable_linear", num_arms=130, seed=4)
 
 # (label, config, seed): all four agents, the three kinds, d > 1, noise-free
 # clipped rewards, tau1 = 7 and 64, horizons ending on a boundary, mid-epoch
-# and mid-window, and kernels over K = 9 and 130 arms, whose sums over arms
-# take numpy's eight-lane and halving orders
+# and mid-window, and kernels and LinUCB scores over K = 9 and 130 arms
+# (the kernel's sums over arms take numpy's eight-lane and halving orders)
 GRID = [
     ("eps_falcon_sens_mid_epoch", RunConfig(env=SENS, horizon=300), 1),
     ("eps_falcon_sens_wide_eps", RunConfig(env=SENS, epsilon=0.4, horizon=1030), 3),
@@ -55,6 +55,10 @@ GRID = [
                                           horizon=60), 10),
     ("lin_ucb_criterion_config", RunConfig(env=STEP, agent="lin_ucb", batch_size=100,
                                            horizon=1000), 11),
+    ("lin_ucb_real_k9", RunConfig(env=REAL9, agent="lin_ucb", alpha_ucb=1.0, batch_size=13,
+                                  horizon=200), 16),
+    ("lin_ucb_real_k130", RunConfig(env=REAL130, agent="lin_ucb", alpha_ucb=1.0, batch_size=7,
+                                    horizon=700), 17),
     ("uniform_real3", RunConfig(env=REAL3, agent="uniform", horizon=100), 12),
     ("uniform_sens_clipped", RunConfig(env=SENS_CLIPPED, agent="uniform", horizon=50), 13),
 ]
@@ -203,6 +207,14 @@ PINNED = {
         {"context": "432b1947a3d420c6", "noise": "5d271c4e41f10cd8",
          "agent": "e3b0c44298fc1c14", "diag": "fd72517e5057fa21"},
         "dff40c80f7f9c71ee0d557a2b3574523410c065a48aa6061783fe8b3667376c2"),
+    "lin_ucb_real_k9": (
+        {"context": "8cf63547f82a7058", "noise": "255ceddc7b2d65cb",
+         "agent": "e3b0c44298fc1c14", "diag": "e4f644c25db94433"},
+        "eda0aab41f2a2114ee01660462024068876e6cc958d86d22c40d8583051d0542"),
+    "lin_ucb_real_k130": (
+        {"context": "5cf18e026c94cb75", "noise": "fa9de6f5bddc8c3f",
+         "agent": "e3b0c44298fc1c14", "diag": "db27f4007e133647"},
+        "a499ee20437b1372b4dcad5f8c2882450fdb0c4d1e45a3efbd9ba6cb17cdfe21"),
     "uniform_real3": (
         {"context": "37b746bb17d15fd4", "noise": "34a10a7eb784907a",
          "agent": "06ca9daa29c110da", "diag": "19710dece9623ab2"},
