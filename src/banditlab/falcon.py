@@ -30,6 +30,11 @@ stacked numpy call whose result rows equal the one-replication call's bit
 for bit; draws, batch appends and refits stay per replication.  The kernel
 is arm-major, (K, n) with one context per column, so no operation runs
 along the K arms; its sums over arms take ``linmodel.arm_sum``'s order.
+LinUCB's widths take the design rows feature-major, (R, p, n), so their
+einsum's inner loop runs along the n rows, not the p features; each width
+still adds its p * p terms in the (i, j) order of the row-major
+"rni,raij,rnj->rna" on (R, n, p) rows, so it keeps that formula's bits
+at every p, K and n.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import (ConstraintSpec, DataBatch, arm_sum, constrained_fit, featurize,
-                       fit_ols, row_max_argmax, rowwise_predict)
+from .linmodel import (ConstraintSpec, DataBatch, InvalidArmError, arm_sum, constrained_fit,
+                       featurize, fit_ols, row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -380,6 +385,10 @@ class LinUCBAgent:
         self.bvec = np.zeros((replications, num_arms, p))
         self._refresh()
         self._since_refresh = 0
+        # record_block's flat indices: each replication's row of (R, K)
+        # cells, and each entry's offset within a cell of G and of bvec
+        self._replication = np.arange(replications)[:, None]
+        self._G_entries, self._b_entries = np.arange(p * p)[:, None], np.arange(p)[:, None]
 
     def _refresh(self) -> None:
         self.G_inv = np.linalg.inv(self.G)
@@ -388,30 +397,49 @@ class LinUCBAgent:
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
 
+    def widths(self, Phi: np.ndarray) -> np.ndarray:
+        """(R, n, K) confidence widths sqrt(phi' G_inv_a phi) of (R, n, p)
+        design rows, summed over the rows held feature-major (see the module
+        docstring) and copied back to (R, n, K), where scoring runs."""
+        cols = np.ascontiguousarray(Phi.transpose(0, 2, 1))
+        sums = np.einsum("rin,raij,rjn->ran", cols, self.G_inv, cols)
+        return np.sqrt(np.ascontiguousarray(sums.transpose(0, 2, 1)))
+
     def act_block(self, t: int, xs, rngs) -> np.ndarray:
         Phi = featurize(xs, self.context_dim)
-        means = rowwise_predict(self.theta, Phi)
-        widths = np.sqrt(np.einsum("rni,raij,rnj->rna", Phi, self.G_inv, Phi))
+        scores = rowwise_predict(self.theta, Phi) + self.alpha_ucb * self.widths(Phi)
         # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
-        return (means + self.alpha_ucb * widths).argmax(axis=-1) + 1
+        return scores.argmax(axis=-1) + 1
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
         """Accumulate the rank-one updates in round order; refresh when the
-        block completes a batch.  A block may not run past a refresh."""
-        R, n = np.shape(arms)
+        block completes a batch.  A block may not run past a refresh, and
+        its arms must be an (R, n) integer array with every arm in 1..K;
+        else it raises with ``G`` and ``bvec`` untouched."""
+        arms, (R, K) = np.asarray(arms), self.G.shape[:2]
+        if arms.ndim != 2 or len(arms) != R or arms.dtype.kind not in "iu":
+            raise InvalidArmError(f"{R} replications need an (R, n) integer array of arms; "
+                                  f"got shape {arms.shape} of type {arms.dtype}")
+        n = arms.shape[1]
         if n > self.batch_size - self._since_refresh:
             raise SequencingError(f"{n} rounds run past the next refresh")
+        try:  # the flat (replication, arm) cell of each round; raises on an arm outside 1..K
+            cell = np.ravel_multi_index((self._replication, arms - 1), (R, K)).ravel()
+        except ValueError:
+            bad = arms[(arms < 1) | (arms > K)].flat[0]
+            raise InvalidArmError(f"arm {bad} is not an integer in 1..{K}") from None
         p = self.context_dim + 1
         # design columns (p, R * n): every product below has a long inner loop
         cols = np.ascontiguousarray(featurize(xs, self.context_dim).reshape(-1, p).T)
         outer, rphi = cols[:, None] * cols[None, :], np.ravel(rewards) * cols
         # np.add.at on the flat index of each entry of G and bvec adds row
         # after row, like a round-by-round run of each replication; flat
-        # indices take its fast path
-        cell = (np.arange(R)[:, None] * self.num_arms + np.asarray(arms) - 1).ravel()
-        np.add.at(self.G.reshape(-1), (cell * p * p + np.arange(p * p)[:, None]).ravel(),
-                  outer.ravel())
-        np.add.at(self.bvec.reshape(-1), (cell * p + np.arange(p)[:, None]).ravel(), rphi.ravel())
+        # indices take its fast path.  Sums that overflow are left to the
+        # harness's finiteness check of the state after the run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(self.G.reshape(-1), (cell * (p * p) + self._G_entries).ravel(),
+                      outer.ravel())
+            np.add.at(self.bvec.reshape(-1), (cell * p + self._b_entries).ravel(), rphi.ravel())
         self._since_refresh += n
         if self._since_refresh >= self.batch_size:
             self._refresh()

@@ -326,8 +326,11 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
             t = end + 1
         best = arm_base + 1 + row_max_argmax(means.reshape(R * n, K))[1].reshape(R, n)
         e_regret[:, lo:stop] = rmeans[best] - rmeans[arm_base + a_n]
-        # summed round by round, like the cumulative regret
-        noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - r_n]), axis=1)[:, -1]
+        # summed round by round, like the cumulative regret; a total that
+        # overflows is reported by the finiteness check after the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - r_n]),
+                                    axis=1)[:, -1]
         if keep_data:
             xs[:, lo:stop], actions[:, lo:stop], rewards[:, lo:stop] = x_n, a_n, r_n
 

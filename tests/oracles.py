@@ -11,7 +11,8 @@ environment drawn one round at a time (its truth surface is the
 package's), in the package's stream layout or in the earlier single-stream
 one.  The estimators, the kernel, the sampler and the diagnostics pass
 in the row-major (n, K) formulas the package used before it held these
-matrices arm-major are the references for its arm-major code; the
+matrices arm-major are the references for its arm-major code, and
+LinUCB's widths from row-major design rows for its feature-major ones; the
 inequality suite as it ran before it shared one context sample (every
 check on its own draw, in those formulas) is the reference for the
 shared-sample suite, and each epoch's model MSE as the harness computed it
@@ -28,7 +29,7 @@ from banditlab.diag import LemmaCheck, MCEstimate
 from banditlab.env import (Environment, draw_contexts, make_generator, mean_reward_matrix,
                            true_model)
 from banditlab.falcon import arm_gaps, igw_kernel
-from banditlab.linmodel import LinearModel, featurize
+from banditlab.linmodel import LinearModel, featurize, rowwise_predict
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -338,6 +339,16 @@ def package_kernel_rows(preds: np.ndarray, gamma: float) -> np.ndarray:
     """The package's arm-major kernel (``falcon.igw_kernel``) on (n, K)
     predictions, viewed as (n, K)."""
     return igw_kernel(*arm_gaps(preds.T), gamma).T
+
+
+def linucb_scores_rows(agent, xs) -> tuple[np.ndarray, np.ndarray]:
+    """A LinUCB agent's (R, n, K) widths and (R, n) arms (1-based) for
+    contexts ``xs``, from (R, n, p) design rows in the row-major einsum
+    "rni,raij,rnj->rna", whose inner loop runs over the p features."""
+    Phi = featurize(xs, agent.context_dim)
+    widths = np.sqrt(np.einsum("rni,raij,rnj->rna", Phi, agent.G_inv, Phi))
+    scores = rowwise_predict(agent.theta, Phi) + agent.alpha_ucb * widths
+    return widths, scores.argmax(axis=-1) + 1
 
 
 def lemma_suite_rows(artifacts, xs, fit_preds: np.ndarray) -> list:

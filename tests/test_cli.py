@@ -70,7 +70,6 @@ class TestRunVerb:
         assert main(["run", "--config", str(path), *args]) == 1
         assert f"error: {key}: must be in [0, inf)" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("agent", harness.AGENT_NAMES)
     def test_non_finite_rewards_exit_two(self, tmp_path, capsys, agent):
         # noise this large overflows to inf in round 37; before that, the
@@ -88,11 +87,13 @@ class TestRunVerb:
             f"fold to non-finite sums of products; the refit after epoch 1\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("agent, rows", [("epsilon_falcon", 1), ("falcon", 3)])
+    @pytest.mark.parametrize("agent, rows", [("epsilon_falcon", 1), ("falcon", 3),
+                                             ("lin_ucb", None), ("uniform", None)])
     def test_overflow_reported_without_numpy_warnings(self, tmp_path, agent, rows):
         # in a fresh interpreter, whose warnings reach stderr as a user's
-        # would: the environment's noise scaling and the refit's moment fold
-        # overflow, and only the package's own message is printed
+        # would: the environment's noise scaling, the refit's moment fold,
+        # the noisy-regret sum and LinUCB's statistics overflow, and only the
+        # package's own message is printed
         path = tmp_path / "huge_noise.txt"
         save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e308), agent=agent,
                               horizon=300, mc_samples=2_000), str(path))
@@ -106,9 +107,11 @@ class TestRunVerb:
         assert proc.returncode == 2
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr == (
+            "numerical failure: non-finite reward in round 37\n" if rows is None else
             f"numerical failure: arm 1's moments (G, b or yy) overflow: {rows} finite rows "
             f"fold to non-finite sums of products; the refit after epoch 1\n")
 
+    # LinUCB scores from a theta that overflowed still warn in rowwise_predict
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("agent", harness.AGENT_NAMES)
@@ -129,6 +132,7 @@ class TestRunVerb:
         rows = (out / "weights.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
+    # as above: the scores from the overflowed theta warn
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_linucb_state_exits_two(self, tmp_path, capsys):
         # every reward is finite, but LinUCB's bvec and theta overflow to inf
@@ -222,7 +226,6 @@ class TestSuiteVerb:
         assert re.search(r"numerical failure: non-finite reward in round \d+; replication \d$",
                          err.strip()), err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_regret_total_names_its_replication(self, tmp_path, capsys):
         # seeds 2, 3, 4: every reward finite, seed 3's noisy-regret sum overflows
         path = tmp_path / "big_noise.txt"

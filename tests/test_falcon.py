@@ -12,12 +12,12 @@ from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
                               SequencingError, UniformAgent, arm_gaps, gamma_for_epoch,
                               igw_kernel, sample_kernel)
 from banditlab.harness import RunConfig, build_agent
-from banditlab.linmodel import (ConstraintSpec, DataBatch, LinearModel, constrained_fit, fit_ols,
-                                row_max_argmax)
+from banditlab.linmodel import (ConstraintSpec, DataBatch, InvalidArmError, LinearModel,
+                                constrained_fit, featurize, fit_ols, row_max_argmax)
 
 from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, igw_kernel_rows,
-                     normalized_sse, per_round, predict_matrix, sample_kernel_rows,
-                     sample_scalar, tune_epsilon, zero_model)
+                     linucb_scores_rows, normalized_sse, per_round, predict_matrix,
+                     sample_kernel_rows, sample_scalar, tune_epsilon, zero_model)
 
 RATES = RateParams.linear_preset(2, 1, delta=0.1)
 SCHED = EpochSchedule(4)
@@ -469,6 +469,34 @@ class TestBaselines:
         agent.record_block(50, [[0.5]], [[1]], [[1.0]])
         assert not np.array_equal(agent.theta, theta0)
 
+    @pytest.mark.parametrize("arms", [
+        [[0, 1], [1, 1]],             # arm 0 of replication 0 would wrap to the last one's arm K
+        [[1, 1], [0, 1]],             # ... of replication 1 would land on replication 0's arm K
+        [[1, 3], [1, 1]],             # arm K + 1 would land on the next replication's arm 1
+        [[1, 2], [2, 3]],             # ... of the last replication would index past G
+        [[-1, 1], [1, 1]],
+        [[1.0, 2.0], [2.0, 1.0]],     # integral, but not integers
+        [[1.5, 2.0], [2.0, 1.0]],
+        [[True, True], [True, False]],
+        [1, 2],                       # not (R, n)
+        [[1, 2]],                     # one replication's arms for two
+        [[1, 2], [2, 1], [1, 1]],     # three replications' arms for two
+        [[[1], [2]], [[2], [1]]],
+    ], ids=["zero_first", "zero_second", "above_k", "above_k_last", "negative",
+            "integral_float", "float", "bool", "flat", "one_row", "three_rows", "three_d"])
+    def test_linucb_record_rejects_bad_arms(self, arms):
+        agent = LinUCBAgent(2, batch_size=10, replications=2)
+        agent.record_block(1, [[0.2, 0.4], [0.6, 0.8]], [[1, 2], [2, 1]], [[1.0, 2.0], [3.0, 4.0]])
+        G, bvec = agent.G.copy(), agent.bvec.copy()
+        with pytest.raises(InvalidArmError):
+            agent.record_block(3, [[0.3, 0.5], [0.7, 0.9]], np.array(arms),
+                               [[1.0, 1.0], [1.0, 1.0]])
+        assert agent.G.tobytes() == G.tobytes() and agent.bvec.tobytes() == bvec.tobytes()
+        # the block's rounds were not counted: eight more fill the batch
+        agent.record_block(3, np.full((2, 8), 0.5), np.ones((2, 8), dtype=np.int64),
+                           np.ones((2, 8)))
+        assert agent.G_inv.tobytes() == np.linalg.inv(agent.G).tobytes()
+
     def test_uniform_frequencies(self):
         agent = UniformAgent(4)
         rng = rng_of(15)
@@ -505,3 +533,29 @@ def test_non_finite_parameter_rejected(label, build, value):
     with pytest.raises(ValueError):
         build(value)
 
+
+# Every block length up to 16 and some around 32, 64, 100 and 128 rows, up to
+# 257: the widths' einsum runs its inner loop along them
+LINUCB_BLOCK_ROWS = [*range(1, 17), 31, 64, 99, 100, 101, 128, 257]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("K", [2, 3, 8, 9, 130])
+@pytest.mark.parametrize("R", [1, 5, 16, 50])
+def test_linucb_widths_bit_equal_to_row_major_einsum(R, K, p):
+    # each arm's G_inv is the inverse of a ridge plus outer products whose
+    # scales span twelve orders of magnitude, and contexts span four, so a
+    # width summed in another order would round differently
+    rng = np.random.default_rng([R, K, p])
+    agent = LinUCBAgent(K, p - 1, alpha_ucb=0.7, replications=R)
+    B = rng.standard_normal((R, K, p, 2 * p)) * 10.0 ** rng.uniform(-6, 6, (R, K, p, 1))
+    agent.G_inv = np.linalg.inv(10.0 ** rng.uniform(-3, 3, (R, K, 1, 1)) * np.eye(p)
+                                + B @ B.transpose(0, 1, 3, 2))
+    agent.theta = rng.standard_normal((R, K, p)) * 10.0 ** rng.uniform(-3, 3, (R, K, 1))
+    for n in LINUCB_BLOCK_ROWS:
+        shape = (R, n) if p == 2 else (R, n, p - 1)
+        xs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape)
+        widths, arms = linucb_scores_rows(agent, xs)
+        assert np.isfinite(widths).all()
+        assert agent.widths(featurize(xs, p - 1)).tobytes() == widths.tobytes(), n
+        assert agent.act_block(1, xs, None).tobytes() == arms.tobytes(), n

@@ -325,7 +325,6 @@ class TestRunOne:
         np.testing.assert_array_equal(np.unique(tr.epoch), [1, 2, 3, 4])
         assert set(np.unique(tr.phase)) <= {"active", "passive"}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_moments_stop_the_refit(self, monkeypatch):
         # finite rewards of about 1e308 overflow r^2 in the first refit's
         # moments; no refit may install weights solved from them

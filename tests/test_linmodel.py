@@ -353,7 +353,6 @@ class TestMixedFiling:
         b.append(0.5 if dim == 1 else [0.5] * dim, 2, 3.0)  # the batch takes rows again
         assert len(b) == 5 and b.arm_rows(2)[1].tolist() == [0.0, 2.0, 3.0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rows, arm", [
         ([(0.5, 1, 1.0), (1e200, 2, 1.0)], 2),             # x^2 in G
         ([(0.5, 1, 1e200), (0.25, 2, 1.0)], 1),            # r^2 in yy
