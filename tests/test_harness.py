@@ -569,6 +569,21 @@ SUITES_PINNED = [
     ("eps_falcon_sens_5",
      RunConfig(env=SENS, epsilon=0.1, horizon=2048, replications=5, base_seed=3),
      "dea71d119cbb6d2e04dd9cbf039f822ffb8a6001a09b9be569b60b3ff731986f"),
+    # pinned before draws stopped at epoch ends only for epoch agents: the
+    # linucb_suite benchmark's configuration at seed 1, a uniform suite, and
+    # LinUCB with a refresh batch (30) that does not divide the draw step
+    # (4096 // 7 = 585 rounds)
+    ("lin_ucb_bench_seed_1",
+     RunConfig(env=STEP, agent="lin_ucb", batch_size=100, alpha_ucb=0.2, ridge=1.0,
+               horizon=10_000, replications=5, base_seed=1),
+     "0efaf4eb0a9ca7115faa19d0925208407e5fe7ca8e01ebed3c14b86bf131a101"),
+    ("uniform_step_5",
+     RunConfig(env=STEP, agent="uniform", horizon=10_000, replications=5, base_seed=1),
+     "2e0807c3222f2c300319a7ea091953856b2d4ec3cc327b9da72fe76bc3f36e55"),
+    ("lin_ucb_batch_30_of_585",
+     RunConfig(env=STEP, agent="lin_ucb", batch_size=30, horizon=3000, replications=7,
+               base_seed=2),
+     "9928dc87ea71170f3c4e2e2a129c9cf8763a8b7da486f63f1f83dbee4bb0215d"),
 ]
 
 
