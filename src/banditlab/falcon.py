@@ -22,14 +22,18 @@ confidence bonus, refreshed in batches) and ``UniformAgent``.
 Every agent plays R replications in lockstep, in blocks: runs of rounds
 under one frozen policy per replication, with the same boundaries in every
 replication (FALCON's from the schedule, LinUCB's from the refresh count).
-``block_end(t, last)`` is the last round (capped at ``last``) of the block
-that round t opens; ``act_block(t, xs, rngs)`` maps the (R, n) or (R, n, d)
-contexts of rounds t..t+n-1 and one generator per replication to (R, n)
-arms; ``record_block(t, xs, arms, rewards)`` stores them.  Each step is one
-stacked numpy call whose result rows equal the one-replication call's bit
-for bit; draws, batch appends and refits stay per replication.  The kernel
-is arm-major, (K, n) with one context per column, so no operation runs
-along the K arms; its sums over arms take ``linmodel.arm_sum``'s order.
+``block_end(t, last)`` is the last round (capped at ``last``, the end of
+the environment draw being played) of the block that round t opens; the
+harness ends an epoch agent's draws at its epoch ends and a LinUCB draw
+after whole refresh batches, so a LinUCB block is cut at a draw's end only
+where its batch is longer than a draw.  ``act_block(t, xs, rngs)`` maps the
+(R, n) or (R, n, d) contexts of rounds t..t+n-1 and one generator per
+replication to (R, n) arms; ``record_block(t, xs, arms, rewards)`` stores
+them.  Each step is one stacked numpy call whose result rows equal the
+one-replication call's bit for bit; draws, batch appends and refits stay
+per replication.  The kernel is arm-major, (K, n) with one context per
+column, so no operation runs along the K arms; its sums over arms take
+``linmodel.arm_sum``'s order.
 LinUCB's widths take the design rows feature-major, (R, p, n), so their
 einsum's inner loop runs along the n rows, not the p features; each width
 still adds its p * p terms in the (i, j) order of the row-major
@@ -391,8 +395,17 @@ class LinUCBAgent:
         self._G_entries, self._b_entries = np.arange(p * p)[:, None], np.arange(p)[:, None]
 
     def _refresh(self) -> None:
+        """Invert ``G`` and solve for ``theta``.  A ``theta`` that is not
+        finite (its ``bvec`` overflowed) is a FloatingPointError with the
+        first replication at fault as its ``replication`` attribute, raised
+        before any score is taken from it."""
         self.G_inv = np.linalg.inv(self.G)
         self.theta = np.einsum("raij,raj->rai", self.G_inv, self.bvec)
+        finite = np.isfinite(self.theta)
+        if not finite.all():
+            exc = FloatingPointError("non-finite LinUCB state (bvec or theta)")
+            exc.replication = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
+            raise exc
 
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
@@ -434,8 +447,9 @@ class LinUCBAgent:
         outer, rphi = cols[:, None] * cols[None, :], np.ravel(rewards) * cols
         # np.add.at on the flat index of each entry of G and bvec adds row
         # after row, like a round-by-round run of each replication; flat
-        # indices take its fast path.  Sums that overflow are left to the
-        # harness's finiteness check of the state after the run.
+        # indices take its fast path.  Sums that overflow are reported by
+        # the next refresh, or after the run by the harness's finiteness
+        # check of the state.
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(self.G.reshape(-1), (cell * (p * p) + self._G_entries).ravel(),
                       outer.ravel())

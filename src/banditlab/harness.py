@@ -9,12 +9,13 @@ diagnostics sample -- so adding diagnostics never perturbs the trajectory.
 
 ``run_many`` plays R seeds in lockstep through one agent and one
 ``Environment`` that each hold R replications.  Each step draws up to
-``ROUNDS_PER_DRAW // R`` rounds of one epoch for all R at once (one call to
-each replication's context and noise child) and plays those rounds in
-blocks under one frozen policy per replication: the agent takes (R, n) or
-(R, n, d) contexts and returns (R, n) arms, and the rewards and regrets of
-all R come from the stacked (R, n, K) draws.  ``run_one`` is its one-seed
-case plus diagnostics.
+``ROUNDS_PER_DRAW // R`` rounds for all R at once (one call to each
+replication's context and noise child), within one epoch for an epoch
+agent and in whole refresh batches for LinUCB when a batch fits, and plays
+those rounds in blocks under one frozen policy per replication: the agent
+takes (R, n) or (R, n, d) contexts and returns (R, n) arms, and the
+rewards and regrets of all R come from the stacked (R, n, K) draws.
+``run_one`` is its one-seed case plus diagnostics.
 Replication r of a suite uses seed base_seed + r, which makes every
 replication independent of how many others are requested, and
 ``run_suite`` plays ``REPLICATIONS_PER_CHUNK`` of them at a time: a
@@ -277,10 +278,12 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
     other seeds.  A non-finite reward (``Environment.draw``), a refit on
-    moments that overflow (``DataBatch.moments``), and after the last round
-    a non-finite noisy-regret total, refit weight or LinUCB state, is a
-    FloatingPointError with the position in ``seeds`` of the first
-    replication at fault as its ``replication`` attribute.
+    moments that overflow (``DataBatch.moments``), a LinUCB refresh to a
+    non-finite ``theta``, and after the last round a non-finite
+    noisy-regret total, refit weight or LinUCB state (``bvec`` can overflow
+    after the last refresh), is a FloatingPointError with the position in
+    ``seeds`` of the first replication at fault as its ``replication``
+    attribute.
     """
     return _run_many(config, seeds, keep_data=True)
 
@@ -306,11 +309,17 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
     noisy_total = np.zeros(R)
 
     # The environment's draws do not depend on the arms: draw up to
-    # ROUNDS_PER_DRAW rounds of one epoch over all replications, then play
-    # them block by block.
+    # ROUNDS_PER_DRAW rounds over all replications, then play them block by
+    # block.  An epoch agent's draw stops at its epoch's end, so a refit
+    # that fails is reported before the next epoch's rewards; LinUCB's
+    # draw holds whole refresh batches when a batch fits in one.
     t, step = 1, max(1, ROUNDS_PER_DRAW // R)
+    if isinstance(agent, LinUCBAgent) and step >= agent.batch_size:
+        step -= step % agent.batch_size
     while t <= T:
-        lo, stop = t - 1, min(T, schedule.boundary(schedule.epoch_of(t)), t + step - 1)
+        lo, stop = t - 1, min(T, t + step - 1)
+        if is_falcon:
+            stop = min(stop, schedule.boundary(schedule.epoch_of(t)))
         n = stop - lo
         x_n, means, rvec = env.draw(n)
         a_n, r_n = np.empty((R, n), dtype=np.int64), np.empty((R, n))
@@ -334,12 +343,12 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
         if keep_data:
             xs[:, lo:stop], actions[:, lo:stop], rewards[:, lo:stop] = x_n, a_n, r_n
 
-    # finite rewards can still overflow a sum or LinUCB's state; checked
-    # after the loop, so a non-finite reward is reported first, with its round
+    # finite rewards can still overflow a sum, or LinUCB's bvec after its
+    # last refresh (each refresh checks theta); checked after the loop, so a
+    # non-finite reward is reported first, with its round
     state_ok = np.ones(R, dtype=bool)
     if isinstance(agent, LinUCBAgent):
-        state = np.concatenate([agent.bvec.reshape(R, -1), agent.theta.reshape(R, -1)], axis=1)
-        state_ok = np.isfinite(state).all(axis=1)
+        state_ok = np.isfinite(agent.bvec.reshape(R, -1)).all(axis=1)
     started, results = schedule.epoch_of(T), []
     epsilon = agent.epsilon if is_falcon else 0.0
     for r, seed in enumerate(seeds):

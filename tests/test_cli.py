@@ -111,8 +111,6 @@ class TestRunVerb:
             f"numerical failure: arm 1's moments (G, b or yy) overflow: {rows} finite rows "
             f"fold to non-finite sums of products; the refit after epoch 1\n")
 
-    # LinUCB scores from a theta that overflowed still warn in rowwise_predict
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("agent", harness.AGENT_NAMES)
     def test_overflowing_finite_rewards_exit_two_or_stay_finite(self, tmp_path, capsys,
@@ -132,8 +130,6 @@ class TestRunVerb:
         rows = (out / "weights.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
-    # as above: the scores from the overflowed theta warn
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_linucb_state_exits_two(self, tmp_path, capsys):
         # every reward is finite, but LinUCB's bvec and theta overflow to inf
         # while the noisy-regret total stays finite

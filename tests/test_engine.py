@@ -34,8 +34,9 @@ REAL130 = EnvSpec(kind="realizable_linear", num_arms=130, seed=4)
 
 # (label, config, seed): all four agents, the three kinds, d > 1, noise-free
 # clipped rewards, tau1 = 7 and 64, horizons ending on a boundary, mid-epoch
-# and mid-window, and kernels and LinUCB scores over K = 9 and 130 arms
-# (the kernel's sums over arms take numpy's eight-lane and halving orders)
+# and mid-window, kernels and LinUCB scores over K = 9 and 130 arms (the
+# kernel's sums over arms take numpy's eight-lane and halving orders), and a
+# LinUCB refresh batch longer than a lockstep draw
 GRID = [
     ("eps_falcon_sens_mid_epoch", RunConfig(env=SENS, horizon=300), 1),
     ("eps_falcon_sens_wide_eps", RunConfig(env=SENS, epsilon=0.4, horizon=1030), 3),
@@ -59,6 +60,8 @@ GRID = [
                                   horizon=200), 16),
     ("lin_ucb_real_k130", RunConfig(env=REAL130, agent="lin_ucb", alpha_ucb=1.0, batch_size=7,
                                     horizon=700), 17),
+    ("lin_ucb_batch_above_step", RunConfig(env=STEP, agent="lin_ucb", batch_size=150,
+                                           horizon=520), 18),
     ("uniform_real3", RunConfig(env=REAL3, agent="uniform", horizon=100), 12),
     ("uniform_sens_clipped", RunConfig(env=SENS_CLIPPED, agent="uniform", horizon=50), 13),
 ]
@@ -121,7 +124,8 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
 @pytest.mark.parametrize("label,config,seed", GRID, ids=[g[0] for g in GRID])
 def test_lockstep_replication_independent_of_its_chunk(label, config, seed, monkeypatch):
     # the seed first, in the middle and last among four other seeds; a draw
-    # step of 100 rounds over seven replications splits blocks mid-window
+    # step of 100 rounds over seven replications splits epoch agents' blocks
+    # and LinUCB refresh batches longer than 100 rounds mid-window
     seeds = [seed, seed + 100, seed + 200, seed, seed + 300, seed + 400, seed]
     ref, ref_agent = reference(config, seed)
     single = run_many(config, [seed])[0].trace

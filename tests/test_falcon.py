@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,21 @@ class TestBaselines:
         np.testing.assert_array_equal(agent.theta, theta0)  # not refreshed yet
         agent.record_block(50, [[0.5]], [[1]], [[1.0]])
         assert not np.array_equal(agent.theta, theta0)
+
+    def test_linucb_refresh_reports_overflowed_state(self):
+        # replication 2's two rewards of 1e308 overflow its bvec to inf; the
+        # refresh that completes the batch reports it, warning-free
+        agent = LinUCBAgent(2, batch_size=2, replications=3)
+        rewards = [[1.0, 1.0], [1.0, 1.0], [1e308, 1e308]]
+        agent.record_block(1, np.full((3, 1), 0.5), np.ones((3, 1), dtype=np.int64),
+                           [row[:1] for row in rewards])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError,
+                               match=r"non-finite LinUCB state \(bvec or theta\)") as info:
+                agent.record_block(2, np.full((3, 1), 0.5), np.ones((3, 1), dtype=np.int64),
+                                   [row[1:] for row in rewards])
+        assert info.value.replication == 2
 
     @pytest.mark.parametrize("arms", [
         [[0, 1], [1, 1]],             # arm 0 of replication 0 would wrap to the last one's arm K

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -343,6 +344,21 @@ class TestRunOne:
         assert info.value.__notes__ == ["the refit after epoch 1"]
         assert all(np.isfinite(w).all() for w in installed)
 
+    @pytest.mark.parametrize("horizon, seed", [(300, 6), (150, 1)],
+                             ids=["at_a_refresh", "after_the_last_refresh"])
+    def test_overflowed_linucb_state_names_its_replication(self, horizon, seed):
+        # finite rewards of about 1e307 overflow the seed's bvec: a refresh
+        # reports it before any score is taken from its theta, the check
+        # after the loop when no refresh follows the overflow
+        cfg = RunConfig(env=EnvSpec(kind="step_function", noise_sd=1e307), agent="lin_ucb",
+                        horizon=horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError,
+                               match=r"non-finite LinUCB state \(bvec or theta\)") as info:
+                run_many(cfg, [0, seed])
+        assert info.value.replication == 1
+
     def test_expected_regret_nonnegative(self):
         res = run_many(small_config(horizon=256), [2])[0]
         assert res.trace.e_regret.min() >= 0.0
@@ -457,6 +473,46 @@ class TestRunSuite:
               for r in range(3)]
         for a, b in zip(r3, r5):
             np.testing.assert_array_equal(a, b)
+
+
+class TestDrawPlan:
+    """Environment draws and agent blocks per suite: a draw holds up to
+    ROUNDS_PER_DRAW rounds over the replications of a chunk, stops at an
+    epoch's end for an epoch agent only, and holds whole LinUCB refresh
+    batches."""
+
+    @pytest.mark.parametrize("config, draws, blocks", [
+        (RunConfig(env=STEP, agent="lin_ucb", batch_size=100, horizon=10_000, replications=5,
+                   base_seed=1), 13, 100),
+        (RunConfig(env=STEP, agent="lin_ucb", batch_size=100, horizon=10_000, replications=50,
+                   base_seed=100), 155, 400),
+        (RunConfig(env=STEP, agent="uniform", horizon=10_000, replications=5, base_seed=1),
+         13, 13),
+        (RunConfig(env=SENS, horizon=2 ** 16, base_seed=1), 26, 41),
+    ], ids=["lin_ucb_bench", "lin_ucb_criterion_5", "uniform", "eps_falcon_headline"])
+    def test_draw_and_block_counts(self, monkeypatch, config, draws, blocks):
+        counts = {"draws": 0, "blocks": 0}
+        draw, build = harness.Environment.draw, harness.build_agent
+
+        def counted_draw(env, n):
+            counts["draws"] += 1
+            return draw(env, n)
+
+        def counted_agent(*args):
+            agent = build(*args)
+            record = agent.record_block
+
+            def counted_record(*record_args):
+                counts["blocks"] += 1
+                return record(*record_args)
+
+            agent.record_block = counted_record
+            return agent
+
+        monkeypatch.setattr(harness.Environment, "draw", counted_draw)
+        monkeypatch.setattr(harness, "build_agent", counted_agent)
+        run_suite(config)
+        assert counts == {"draws": draws, "blocks": blocks}
 
 
 class TestSuiteBlocks:
