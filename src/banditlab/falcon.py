@@ -30,10 +30,11 @@ where its batch is longer than a draw.  ``act_block(t, xs, rngs)`` maps the
 (R, n) or (R, n, d) contexts of rounds t..t+n-1 and one generator per
 replication to (R, n) arms; ``record_block(t, xs, arms, rewards)`` stores
 them.  Each step is one stacked numpy call whose result rows equal the
-one-replication call's bit for bit; draws, batch appends and refits stay
-per replication.  The kernel is arm-major, (K, n) with one context per
-column, so no operation runs along the K arms; its sums over arms take
-``linmodel.arm_sum``'s order.
+one-replication call's bit for bit; draws and refits stay per
+replication.  LinUCB and the epoch agents record into a
+``linmodel.MomentStore``, one call per block for all R replications.  The
+kernel is arm-major, (K, n) with one context per column, so no operation
+runs along the K arms; its sums over arms take ``linmodel.arm_sum``'s order.
 LinUCB's widths take the design rows feature-major, (R, p, n), so their
 einsum's inner loop runs along the n rows, not the p features; each width
 still adds its p * p terms in the (i, j) order of the row-major
@@ -49,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linmodel import (ConstraintSpec, DataBatch, InvalidArmError, arm_sum, constrained_fit,
+from .linmodel import (ConstraintSpec, MomentStore, MomentView, arm_sum, constrained_fit,
                        featurize, fit_ols, row_max_argmax, rowwise_predict)
 
 
@@ -238,7 +239,8 @@ class EpsilonFalconAgent:
 
     ``weights`` (R, K, 1 + d) holds the model in force in each replication
     and ``events`` one list per replication, each event with the weights
-    its refit installed; the epoch, the phase and gamma are shared.  Its
+    its refit installed; the epoch, the phase and gamma are shared.
+    ``stores`` holds the current epoch's "active" and "passive" moments.  Its
     blocks are each epoch's active prefix and passive suffix, and
     ``record_block`` refits when its rounds close the epoch.  Rounds must
     arrive in order: a round outside the current epoch, or a block across
@@ -250,21 +252,19 @@ class EpsilonFalconAgent:
                  replications: int = 1):
         if not 0.0 <= epsilon < 0.5:
             raise ValueError("epsilon must be in [0, 0.5)")
-        self.num_arms = num_arms
-        self.context_dim = context_dim
+        self.num_arms, self.context_dim = num_arms, context_dim
         self.epsilon = epsilon
         self.schedule = schedule
         self.rates = rates if rates is not None else RateParams.linear_preset(num_arms, context_dim)
         self.m = 1
         self.weights = np.zeros((replications, num_arms, context_dim + 1))
         self.gamma = gamma_for_epoch(1, schedule, self.rates, num_arms)
-        self._new_batches()
+        self._new_stores()
         self.events: list[list[EpochEvent]] = [[] for _ in range(replications)]
 
-    def _new_batches(self) -> None:
+    def _new_stores(self) -> None:
         R, K, d = len(self.weights), self.num_arms, self.context_dim
-        self.active_batches = [DataBatch(K, d) for _ in range(R)]
-        self.passive_batches = [DataBatch(K, d) for _ in range(R)]
+        self.stores = {phase: MomentStore(R, K, d) for phase in ("active", "passive")}
 
     def phase_of(self, t: int) -> str:
         """'active' or 'passive' for round t of the current epoch."""
@@ -299,13 +299,10 @@ class EpsilonFalconAgent:
         return sample_kernel(probs.reshape(-1, *preds.shape[:2]), rngs)
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
-        """Store the block's rounds in each replication's batch; refit if
+        """Add the block's rounds to the moments of its phase; refit if
         they close the current epoch."""
         n = np.shape(arms)[1]
-        phase = self._block_phase(t, n)
-        batches = self.active_batches if phase == "active" else self.passive_batches
-        for batch, x, a, r in zip(batches, xs, arms, rewards):
-            batch.extend(x, a, r)
+        self.stores[self._block_phase(t, n)].add_block(xs, arms, rewards)
         if t + n - 1 == self.schedule.boundary(self.m):
             self.end_of_epoch_update()
 
@@ -315,21 +312,22 @@ class EpsilonFalconAgent:
         that replication's index as its ``replication`` attribute and a note
         naming the epoch."""
         events = []
-        for r, batches in enumerate(zip(self.active_batches, self.passive_batches)):
-            try:
-                events.append(self._refit(*batches))
+        for r in range(len(self.weights)):
+            try:  # the passive moments first, which the refit reads first
+                passive, active = (self.stores[p].replication(r) for p in ("passive", "active"))
+                events.append(self._refit(active, passive))
             except Exception as exc:
                 exc.replication = r
                 exc.add_note(f"the refit after epoch {self.m}")
                 raise
         self.m += 1
         self.gamma = gamma_for_epoch(self.m, self.schedule, self.rates, self.num_arms)
-        self._new_batches()
+        self._new_stores()
         for r, event in enumerate(events):
             self.weights[r] = event.new_weights
             self.events[r].append(event)
 
-    def _refit(self, active: DataBatch, passive: DataBatch) -> EpochEvent:
+    def _refit(self, active: MomentView, passive: MomentView) -> EpochEvent:
         """One replication's update at the end of epoch m.
 
         With passive data present the refit is the constrained oracle with
@@ -366,8 +364,9 @@ class LinUCBAgent:
     ``replications`` runs in lockstep.
 
     Scores are theta_a . phi(x) + alpha_ucb * sqrt(phi' A_a^{-1} phi).  The
-    sufficient statistics ``G`` (R, K, p, p) and ``bvec`` (R, K, p)
-    accumulate every round, but ``theta`` and ``G_inv`` are refreshed only
+    sufficient statistics ``G`` (R, K, p, p, from ridge * I) and ``bvec``
+    (R, K, p), the store ``stats``' ``G`` and ``b``, accumulate every
+    round, but ``theta`` and ``G_inv`` are refreshed only
     every ``batch_size`` observations; the rounds between two refreshes form
     one block.
     """
@@ -380,19 +379,13 @@ class LinUCBAgent:
             raise ValueError("alpha_ucb must be finite")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        p = context_dim + 1
-        self.num_arms = num_arms
-        self.context_dim = context_dim
-        self.alpha_ucb = alpha_ucb
-        self.batch_size = batch_size
-        self.G = np.tile(ridge * np.eye(p), (replications, num_arms, 1, 1))
-        self.bvec = np.zeros((replications, num_arms, p))
+        self.num_arms, self.context_dim = num_arms, context_dim
+        self.alpha_ucb, self.batch_size = alpha_ucb, batch_size
+        self.stats = MomentStore(replications, num_arms, context_dim)
+        self.stats.G[:] = ridge * np.eye(context_dim + 1)
+        self.G, self.bvec = self.stats.G, self.stats.b
         self._refresh()
         self._since_refresh = 0
-        # record_block's flat indices: each replication's row of (R, K)
-        # cells, and each entry's offset within a cell of G and of bvec
-        self._replication = np.arange(replications)[:, None]
-        self._G_entries, self._b_entries = np.arange(p * p)[:, None], np.arange(p)[:, None]
 
     def _refresh(self) -> None:
         """Invert ``G`` and solve for ``theta``.  A ``theta`` that is not
@@ -425,35 +418,14 @@ class LinUCBAgent:
         return scores.argmax(axis=-1) + 1
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
-        """Accumulate the rank-one updates in round order; refresh when the
-        block completes a batch.  A block may not run past a refresh, and
-        its arms must be an (R, n) integer array with every arm in 1..K;
-        else it raises with ``G`` and ``bvec`` untouched."""
-        arms, (R, K) = np.asarray(arms), self.G.shape[:2]
-        if arms.ndim != 2 or len(arms) != R or arms.dtype.kind not in "iu":
-            raise InvalidArmError(f"{R} replications need an (R, n) integer array of arms; "
-                                  f"got shape {arms.shape} of type {arms.dtype}")
-        n = arms.shape[1]
+        """Add the block's rounds to ``stats`` (``MomentStore.add_block``,
+        which checks the arms); refresh when the block completes a batch.
+        A block that runs past a refresh raises with ``stats`` untouched."""
+        n = np.shape(arms)[-1] if np.ndim(arms) else 0
         if n > self.batch_size - self._since_refresh:
             raise SequencingError(f"{n} rounds run past the next refresh")
-        try:  # the flat (replication, arm) cell of each round; raises on an arm outside 1..K
-            cell = np.ravel_multi_index((self._replication, arms - 1), (R, K)).ravel()
-        except ValueError:
-            bad = arms[(arms < 1) | (arms > K)].flat[0]
-            raise InvalidArmError(f"arm {bad} is not an integer in 1..{K}") from None
-        p = self.context_dim + 1
-        # design columns (p, R * n): every product below has a long inner loop
-        cols = np.ascontiguousarray(featurize(xs, self.context_dim).reshape(-1, p).T)
-        outer, rphi = cols[:, None] * cols[None, :], np.ravel(rewards) * cols
-        # np.add.at on the flat index of each entry of G and bvec adds row
-        # after row, like a round-by-round run of each replication; flat
-        # indices take its fast path.  Sums that overflow are reported by
-        # the next refresh, or after the run by the harness's finiteness
-        # check of the state.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(self.G.reshape(-1), (cell * (p * p) + self._G_entries).ravel(),
-                      outer.ravel())
-            np.add.at(self.bvec.reshape(-1), (cell * p + self._b_entries).ravel(), rphi.ravel())
+        # overflowed sums are reported by the next refresh or the harness's check
+        self.stats.add_block(xs, arms, rewards)
         self._since_refresh += n
         if self._since_refresh >= self.batch_size:
             self._refresh()

@@ -278,8 +278,8 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
     other seeds.  A non-finite reward (``Environment.draw``), a refit on
-    moments that overflow (``DataBatch.moments``), a LinUCB refresh to a
-    non-finite ``theta``, and after the last round a non-finite
+    moments that overflow (``linmodel.checked_moments``), a LinUCB refresh
+    to a non-finite ``theta``, and after the last round a non-finite
     noisy-regret total, refit weight or LinUCB state (``bvec`` can overflow
     after the last refresh), is a FloatingPointError with the position in
     ``seeds`` of the first replication at fault as its ``replication``

@@ -16,12 +16,12 @@ doubling pass and then bisecting; every dual evaluation is one call to the
 weighted least-squares routine, and the returned model is exactly the output
 of the final such call.
 
-A ``DataBatch`` keeps its rows arm by arm (``arm_rows(a)`` gives arm a's
-design rows and rewards), with no arm column.  Fits and oracle residuals
-come from per-arm moments ``(G_a = Phi_a' Phi_a, b_a = Phi_a' r_a, r_a' r_a,
-n_a)`` that the batch folds from each arm's own rows and caches until its
-next append, so each dual evaluation costs O(K p^3) whatever the row count;
-the K normal-equation systems are solved as one stack.  The oracle's
+Fits and oracle residuals read only per-arm moments ``(G_a = Phi_a' Phi_a,
+b_a = Phi_a' r_a, r_a' r_a, n_a)``, so each dual evaluation costs O(K p^3)
+whatever the row count; the K normal-equation systems are solved as one
+stack.  The engine's agents keep them as running sums in round order
+(``MomentStore``, R replications at once); a ``DataBatch`` keeps appended
+rows arm by arm and folds each arm's with one GEMM.  The oracle's
 normalized SSE is ``max(0, sum_a w_a' G_a w_a - 2 w_a' b_a + r_a' r_a) / n``:
 the clamp absorbs rounding on exactly interpolated data.
 
@@ -133,93 +133,57 @@ class LinearModel:
         return rowwise_predict(self.weights, featurize(xs, self.context_dim))
 
 
+def checked_moments(G, b, yy, n):
+    """Per-arm moments (G, b, yy, n), or a FloatingPointError naming the
+    first arm whose G, b or yy is not finite."""
+    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(yy)
+    if not finite.all():
+        a = int(np.argmin(finite))
+        raise FloatingPointError(
+            f"arm {a + 1}'s moments (G, b or yy) overflow: {n[a]} finite rows fold to "
+            f"non-finite sums of products")
+    return G, b, yy, n
+
+
 class DataBatch:
-    """Append-only store of (context, arm, reward) rows for one phase, kept
-    arm by arm, in arrival order.  ``extend`` files each arm's part of a
-    block as float64 array pieces, ``append`` fills one Python list of
-    contexts and one of rewards per arm; an arm's pieces and lists are
-    joined, in the order they arrived, when its rows are read."""
+    """Append-only (context, arm, reward) rows, kept arm by arm in arrival
+    order in Python lists; its moments fold each arm's rows with one GEMM."""
 
     def __init__(self, num_arms: int, context_dim: int = 1):
-        self.num_arms = num_arms
-        self.context_dim = context_dim
-        # arms whose rows ``append`` files unchecked: at d > 1 every
-        # context's length is checked first
+        self.num_arms, self.context_dim = num_arms, context_dim
+        # ``append`` files rows of these arms unchecked; at d > 1 none
         self._unchecked_arms = num_arms if context_dim == 1 else 0
-        # per arm: the rows appended since its last piece
         self._xs: list[list] = [[] for _ in range(num_arms)]
         self._rewards: list[list[float]] = [[] for _ in range(num_arms)]
-        # per arm: (contexts, rewards) pieces, arrays or earlier lists; rows in all pieces
-        self._pieces: list[list[tuple]] = [[] for _ in range(num_arms)]
-        self._piece_rows = 0
         self._moments = None  # (row count, G, b, yy, n) at the last fold
 
     def __len__(self) -> int:
-        return self._piece_rows + sum(map(len, self._rewards))
+        return sum(map(len, self._rewards))
 
     def append(self, x, a: int, r: float) -> None:
-        """Append one row; a reward that is no number, or at d > 1 a context
-        of another length, raises with nothing stored, and so does an arm
-        (checked as by ``extend``) that is not an integer in 1..K."""
+        """Append one row; a reward that is no number, a context of another
+        shape than (d,) at d > 1 (or than () at d = 1, checked when the arm
+        is no int), or an arm that is not an integer in 1..K (a bool is not;
+        an integral float or numpy integer is) raises with nothing stored."""
         r = float(r)
         if type(a) is not int or not 1 <= a <= self._unchecked_arms:
-            if type(a) is not int or not 1 <= a <= self.num_arms:
-                return self.extend([x], [a], [r])
-            x = np.asarray(x, dtype=float)
-            if x.shape != (self.context_dim,):
-                raise ValueError(f"a context has {self.context_dim} values; got shape {x.shape}")
+            v = np.asarray(a)
+            if (isinstance(a, (bool, np.bool_)) or v.shape or v.dtype.kind not in "iuf"
+                    or not (1 <= v <= self.num_arms and v == np.floor(v))):
+                raise InvalidArmError(f"arm {a} is not an integer in 1..{self.num_arms}")
+            a, x = int(a), np.asarray(x, dtype=float)
+            shape = () if self.context_dim == 1 else (self.context_dim,)
+            if x.shape != shape:
+                raise ValueError(f"a context has shape {shape}; got shape {x.shape}")
         self._xs[a - 1].append(x)
         self._rewards[a - 1].append(r)
-
-    def extend(self, xs, arms, rewards) -> None:
-        """Append n rows at once; appending nothing, raises InvalidArmError
-        unless every arm is an integer in 1..K (a bool is not), and
-        ValueError unless the n arms come with rewards of shape (n,) and
-        contexts of shape (n,) at d = 1, (n, d) otherwise."""
-        # numpy casts the bools of a sequence that mixes them with ints to ints
-        bools = [] if isinstance(arms, np.ndarray) else \
-            [a for a in arms if isinstance(a, (bool, np.bool_))]
-        arms = np.asarray(arms)
-        bad = arms if arms.dtype.kind not in "iuf" else \
-            arms[(arms < 1) | (arms > self.num_arms) | (arms != np.floor(arms))]
-        if bools or bad.size:
-            raise InvalidArmError(f"arm {(bools or bad.flat)[0]} is not an integer "
-                                  f"in 1..{self.num_arms}")
-        xs, rewards = np.asarray(xs, dtype=float), np.asarray(rewards, dtype=float)
-        n = len(arms)
-        contexts = (n,) if self.context_dim == 1 else (n, self.context_dim)
-        if arms.shape != (n,) or rewards.shape != (n,) or xs.shape != contexts:
-            raise ValueError(f"{n} arms need rewards of shape {(n,)} and contexts of shape "
-                             f"{contexts}; got {rewards.shape} and {xs.shape}")
-        # one stable sort files the block's rows arm by arm, in arrival order;
-        # in the smallest unsigned type that holds K it is a radix sort
-        arms = arms.astype(np.min_scalar_type(self.num_arms))
-        order = np.argsort(arms, kind="stable")
-        ends = arms[order].searchsorted(np.arange(1, self.num_arms + 1, dtype=arms.dtype),
-                                        side="right")
-        xs, rewards = xs[order], rewards[order]
-        lo = 0
-        for a, hi in enumerate(ends.tolist()):
-            if hi > lo:
-                if self._rewards[a]:  # the rows appended before come first
-                    self._pieces[a].append((self._xs[a], self._rewards[a]))
-                    self._piece_rows += len(self._rewards[a])
-                    self._xs[a], self._rewards[a] = [], []
-                self._pieces[a].append((xs[lo:hi], rewards[lo:hi]))
-            lo = hi
-        self._piece_rows += n
 
     def arm_rows(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Arm a's design rows [1, x] of shape (n_a, p) and rewards (n_a,),
         in arrival order."""
-        xs, rewards = self._xs[a - 1], self._rewards[a - 1]
-        if self._pieces[a - 1]:
-            parts = [*self._pieces[a - 1], *([(xs, rewards)] if rewards else [])]
-            shape = (-1,) if self.context_dim == 1 else (-1, self.context_dim)
-            xs = np.concatenate([np.asarray(x, dtype=float).reshape(shape) for x, _ in parts])
-            rewards = np.concatenate([np.asarray(r, dtype=float) for _, r in parts])
-        Phi = featurize(xs, self.context_dim) if len(xs) else np.empty((0, self.context_dim + 1))
-        return Phi, np.asarray(rewards, dtype=float)
+        xs = self._xs[a - 1]
+        Phi = featurize(xs, self.context_dim) if xs else np.empty((0, self.context_dim + 1))
+        return Phi, np.asarray(self._rewards[a - 1], dtype=float)
 
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-arm (G, b, yy, n) of shapes (K, p, p), (K, p), (K,), (K,), folded
@@ -230,30 +194,91 @@ class DataBatch:
             p = self.context_dim + 1
             G, b = np.zeros((self.num_arms, p, p)), np.zeros((self.num_arms, p))
             yy, n = np.zeros(self.num_arms), np.zeros(self.num_arms, dtype=int)
-            bad = 0
-            for a in range(self.num_arms):
-                Pa, ra = self.arm_rows(a + 1)
-                # column by column (Pa's first is 1): reductions over short rows are slow
-                arm_bad = len(ra) - int(np.count_nonzero(
-                    np.logical_and.reduce([np.isfinite(col) for col in (ra, *Pa.T[1:])])))
-                bad += arm_bad
-                if not arm_bad:
-                    # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild
-                    # reference; an overflow is reported below, with its arm
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
-            if bad:
-                raise FloatingPointError(
-                    f"{bad} of {len(self)} rows have a non-finite context or reward")
-            if not (np.isfinite(G).all() and np.isfinite(b).all() and np.isfinite(yy).all()):
-                finite = (np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-                          & np.isfinite(yy))
-                a = int(np.flatnonzero(~finite)[0])
-                raise FloatingPointError(
-                    f"arm {a + 1}'s moments (G, b or yy) overflow: {n[a]} finite rows fold to "
-                    f"non-finite sums of products")
-            self._moments = (len(self), G, b, yy, n)
+            # Pa.T @ Pa per arm keeps fits bit-equal to the row-rebuild
+            # reference; a non-finite row makes its arm's sums non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in range(self.num_arms):
+                    Pa, ra = self.arm_rows(a + 1)
+                    G[a], b[a], yy[a], n[a] = Pa.T @ Pa, Pa.T @ ra, ra @ ra, len(ra)
+            try:
+                self._moments = (len(self), *checked_moments(G, b, yy, n))
+            except FloatingPointError:
+                bad = sum(int((~np.isfinite(np.column_stack(self.arm_rows(a)))).any(axis=1).sum())
+                          for a in range(1, self.num_arms + 1))
+                if bad:
+                    raise FloatingPointError(
+                        f"{bad} of {len(self)} rows have a non-finite context or reward") from None
+                raise
         return self._moments[1:]
+
+
+class MomentStore:
+    """Per-arm moments of R replications' rows, zero at the start: (R, K, p, p)
+    ``G = Phi'Phi``, (R, K, p) ``b = Phi'r``, (R, K) ``yy = r'r`` and ``n``.
+    ``add_block`` adds each row's products one row after another, so a sum
+    does not depend on how the rows are split into blocks."""
+
+    def __init__(self, replications: int, num_arms: int, context_dim: int = 1):
+        R, K, p = replications, num_arms, context_dim + 1
+        self.num_arms, self.context_dim = num_arms, context_dim
+        self.G, self.b = np.zeros((R, K, p, p)), np.zeros((R, K, p))
+        self.yy, self.n = np.zeros((R, K)), np.zeros((R, K), dtype=np.int64)
+        # add_block's flat indices: replication rows, entry offsets in a cell
+        self._replication = np.arange(R)[:, None]
+        self._G_entries, self._b_entries = np.arange(p * p)[:, None], np.arange(p)[:, None]
+
+    def add_block(self, xs, arms, rewards) -> None:
+        """Add n finite rows of each replication: (R, n) or (R, n, d) contexts,
+        an (R, n) integer array of arms in 1..K and (R, n) rewards; else raise
+        InvalidArmError (arms) or ValueError (shapes) with nothing added."""
+        arms_in, arms, (R, K) = arms, np.asarray(arms), self.n.shape
+        # numpy casts the bools of a list that mixes them with ints to ints
+        bools = not isinstance(arms_in, np.ndarray) and any(
+            isinstance(a, (bool, np.bool_)) for a in np.asarray(arms_in, dtype=object).flat)
+        if arms.ndim != 2 or len(arms) != R or arms.dtype.kind not in "iu" or bools:
+            raise InvalidArmError(f"{R} replications need an (R, n) integer array of arms; "
+                                  f"got shape {arms.shape} of type {arms.dtype}")
+        try:  # the flat (replication, arm) cell of each row; raises on an arm outside 1..K
+            cell = np.ravel_multi_index((self._replication, arms - 1), (R, K)).ravel()
+        except ValueError:
+            bad = arms[(arms < 1) | (arms > K)].flat[0]
+            raise InvalidArmError(f"arm {bad} is not an integer in 1..{K}") from None
+        xs, rewards = np.asarray(xs, dtype=float), np.asarray(rewards, dtype=float)
+        d, p = self.context_dim, self.context_dim + 1
+        contexts = arms.shape if d == 1 else (*arms.shape, d)
+        if rewards.shape != arms.shape or xs.shape != contexts:
+            raise ValueError(f"{arms.shape} arms need rewards of shape {arms.shape} and contexts "
+                             f"of shape {contexts}; got {rewards.shape} and {xs.shape}")
+        # design columns (p, R * n): every product has a long inner loop
+        cols, r = np.empty((p, cell.size)), rewards.ravel()
+        cols[0], cols[1:] = 1.0, xs.reshape(cell.size, d).T
+        # np.add.at adds row after row; overflowed sums are reported when read
+        with np.errstate(over="ignore", invalid="ignore"):
+            outer, rphi, rr = cols[:, None] * cols[None, :], r * cols, r * r
+            np.add.at(self.G.reshape(-1), (cell * (p * p) + self._G_entries).ravel(),
+                      outer.ravel())
+            np.add.at(self.b.reshape(-1), (cell * p + self._b_entries).ravel(), rphi.ravel())
+            np.add.at(self.yy.reshape(-1), cell, rr)
+        self.n += np.bincount(cell, minlength=R * K).reshape(R, K)
+
+    def replication(self, r: int) -> "MomentView":
+        """A copy of replication r's moments; raises if they overflowed."""
+        return MomentView(*(a[r].copy() for a in (self.G, self.b, self.yy, self.n)))
+
+
+class MomentView:
+    """One replication's per-arm moments, checked when made
+    (``checked_moments``), with what the fits read of a ``DataBatch``."""
+
+    def __init__(self, G, b, yy, n):
+        self._moments = checked_moments(G, b, yy, n)
+        self.num_arms, self.context_dim, self._rows = G.shape[0], G.shape[-1] - 1, int(n.sum())
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self._moments
 
 
 def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> LinearModel:
@@ -280,7 +305,7 @@ def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> Li
     return LinearModel(weights, ridge_fallback=bool(deficient.any()))
 
 
-def fit_ols(batch: DataBatch) -> LinearModel:
+def fit_ols(batch: DataBatch | MomentView) -> LinearModel:
     """Per-arm least squares via normal equations.
 
     Arms with no rows get zero weights; rank-deficient arm designs fall back
@@ -289,7 +314,8 @@ def fit_ols(batch: DataBatch) -> LinearModel:
     return _fit_rowweighted([(batch, 1.0)], batch.num_arms, batch.context_dim)
 
 
-def fit_weighted(active: DataBatch, passive: DataBatch, lam: float) -> LinearModel:
+def fit_weighted(active: DataBatch | MomentView, passive: DataBatch | MomentView,
+                 lam: float) -> LinearModel:
     """Minimizer of  SSE(active)/|active| + lam * SSE(passive)/|passive|."""
     if len(active) == 0:
         raise ValueError("active batch is empty")
@@ -303,7 +329,7 @@ def fit_weighted(active: DataBatch, passive: DataBatch, lam: float) -> LinearMod
     return _fit_rowweighted(parts, active.num_arms, active.context_dim)
 
 
-def _moment_nsse(model: LinearModel, batch: DataBatch) -> float:
+def _moment_nsse(model: LinearModel, batch: DataBatch | MomentView) -> float:
     """Normalized SSE (squared residuals summed, over the row count) from
     the batch's cached moments, clamped at 0 (0 on an empty batch)."""
     G, b, yy, _ = batch.moments()
@@ -321,7 +347,7 @@ class ConstraintSpec:
     are refolded after any append, so the budget cannot go stale.
     """
 
-    passive_batch: DataBatch
+    passive_batch: DataBatch | MomentView
     slack: float
 
     def alpha(self) -> float:
@@ -342,7 +368,7 @@ class DualReport:
     converged: bool
 
 
-def constrained_fit(active: DataBatch, cons: ConstraintSpec, tol: float = 1e-6,
+def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec, tol: float = 1e-6,
                     lambda_max: float = 1e12,
                     max_iters: int = 400) -> tuple[LinearModel, DualReport]:
     """Constrained regression via the one-dimensional concave dual.

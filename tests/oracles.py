@@ -4,7 +4,8 @@ Nothing here shares code with the package's own closed forms: integrals are
 done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
 large samples, the constrained problem by grid search (column by column,
 and checked against the brute-force grid on coarse grids),
-row-weighted fits by rebuilding every arm's design from the raw rows, epochs
+row-weighted fits by rebuilding every arm's design from the raw rows, running
+moments by summing each row's products in Python floats, epochs
 by walking the doubling schedule, and whole runs by a round-by-round
 simulator with its own kernel, sampler and phase bookkeeping, on an
 environment drawn one round at a time (its truth surface is the
@@ -202,6 +203,26 @@ def fit_rowweighted_rows(rows_and_weights, num_arms: int, context_dim: int,
         weights[a] = np.linalg.solve(Ga, bvec[a])
         any_ridge = any_ridge or deficient
     return weights, any_ridge
+
+
+def fold_rows(rows, num_arms: int, context_dim: int, ridge: float = 0.0):
+    """Per-arm moments (G, b, yy, n) of one replication's (x, arm, reward)
+    rows, each entry summed in Python floats one row after another, in the
+    order given, from 0 (G's diagonal from ``ridge``): the round-order
+    reference of ``MomentStore``."""
+    p = context_dim + 1
+    G = [[[ridge if i == j else 0.0 for j in range(p)] for i in range(p)]
+         for _ in range(num_arms)]
+    b, yy, n = [[0.0] * p for _ in range(num_arms)], [0.0] * num_arms, [0] * num_arms
+    for x, a, r in rows:
+        phi, r = [1.0, *np.ravel(x).tolist()], float(r)
+        for i in range(p):
+            for j in range(p):
+                G[a - 1][i][j] += phi[i] * phi[j]
+            b[a - 1][i] += r * phi[i]
+        yy[a - 1] += r * r
+        n[a - 1] += 1
+    return np.array(G), np.array(b), np.array(yy), np.array(n)
 
 
 def zero_model(num_arms: int, context_dim: int = 1) -> LinearModel:
@@ -493,10 +514,10 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
     ``igw_kernel_one`` and ``sample_scalar``, passive and uniform arms by
     ``rng.integers(K)``, LinUCB arms from the agent's current theta and
     G^-1.  The agent holds one replication.  Only the model updates are the
-    agent's: FALCON rows go to its batches by ``append`` and
-    ``end_of_epoch_update`` runs at each boundary; LinUCB's rank-one
-    updates are accumulated here into the agent's G and bvec and its
-    ``_refresh`` runs every batch_size rounds.
+    agent's: each round's rank-one update is accumulated here into the
+    agent's moments, an epoch agent's ``stores`` of the round's phase (G,
+    b, yy and n) or LinUCB's G and bvec; ``end_of_epoch_update`` runs at
+    each boundary, and LinUCB's ``_refresh`` every batch_size rounds.
     """
     kind = type(agent).__name__
     K = agent.num_arms
@@ -505,6 +526,9 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
     for t in range(1, horizon + 1):
         m = epoch_of_walk(tau1, t)
         x = env.sample_context()
+        phi = np.empty(agent.context_dim + 1)
+        phi[0] = 1.0
+        phi[1:] = x
         phase = "active"
         if kind == "EpsilonFalconAgent":
             length = tau1 * 2 ** (m - 1) - (0 if m == 1 else tau1 * 2 ** (m - 2))
@@ -515,9 +539,6 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
             else:
                 a = sample_scalar(igw_kernel_one(agent.weights[0], x, agent.gamma), rng)
         elif kind == "LinUCBAgent":
-            phi = np.empty(agent.context_dim + 1)
-            phi[0] = 1.0
-            phi[1:] = x
             widths = np.sqrt(np.einsum("i,aij,j->a", phi, agent.G_inv[0], phi))
             a = int(np.argmax(agent.theta[0] @ phi + agent.alpha_ucb * widths)) + 1
         else:
@@ -525,8 +546,11 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
         means, rvec = env.observe(x)
         r = float(rvec[a - 1])
         if kind == "EpsilonFalconAgent":
-            batch = (agent.active_batches if phase == "active" else agent.passive_batches)[0]
-            batch.append(x, a, r)
+            store = agent.stores[phase]
+            store.G[0, a - 1] += np.outer(phi, phi)
+            store.b[0, a - 1] += r * phi
+            store.yy[0, a - 1] += r * r
+            store.n[0, a - 1] += 1
             if t == tau1 * 2 ** (m - 1):
                 agent.end_of_epoch_update()
         elif kind == "LinUCBAgent":

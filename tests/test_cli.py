@@ -26,9 +26,9 @@ def step_config(tmp_path):
 
 HEADLINE_FILES_PINNED = {
     "trace.csv": "cc6d09be775e576149242d41088df70538ea2c137510c499631fa56f037c38b4",
-    "epochs.csv": "25fbcf315855ed4e9ff7b4a9e4591a7c1f730de188bf64c927703549434fca8a",
-    "weights.csv": "3b7be9bca153c7cb507feec6b1de81fd3e4fe5597a7c5c8730ad69c490c09465",
-    "lemmas.csv": "467278488b3285bd71254beab7516f9af4df4666e9e8f90abe02562e3fba46f3",
+    "epochs.csv": "2b43ef361c020f38ae1f10d0db1a2d3db438d51341d73d621843443e2fbdd1fc",
+    "weights.csv": "b19668ef8f6b05b8a1f96811f5a3df9934459238ce2675ce296fb2dcc2685f10",
+    "lemmas.csv": "5331e8777843178873fe0a55638462dc129526fd5bb4bbc1b70c2af16c3b4e18",
 }
 
 

@@ -242,7 +242,7 @@ def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
 # the trace digests it is tied to the numpy/BLAS build it was taken on
 # (numpy 2.4, OpenBLAS at 1 and 2 threads).
 LEMMAS_PINNED = ("eps_falcon_sens_mid_epoch",
-                 "f4a80355a40bbb28aac0ad5b746c0e4ba10aa8d1af33dcb9ad36a1c8293f5016")
+                 "c69efc30be2f808b8e46d3a829274e13e4cbc085b63a16151626f4b4982b917f")
 
 
 def test_lemma_report_digest_pinned(tmp_path):
@@ -262,11 +262,11 @@ def test_lemma_report_digest_pinned(tmp_path):
 # threads).
 RUN_FILES_PINNED = {
     "eps_falcon_sens_mid_epoch": (
-        "016d39005092f67796eb98341e68330c00dcc62fdce4a2e34c347cfe770f580f",
-        "0b6c4b92d94dbfc13d6cac13f7f10a12b8eb0ac029e97a56286a8057206fb686"),
+        "a93915916290a95bdefbec37ed7d3ed2abe8f81e1119d4a5ea100962eff1e5aa",
+        "f58da43da07b061e2ff1d9a1c7fe35697bfa8ad9e458d1392ac2a6138fa4edf5"),
     "falcon_step_on_boundary": (
-        "93fdc08a3b57dc0372f8c36e9ca64edb9e7f5261b62d1e1ea8cf1394a61a9ec4",
-        "c579694274ddd502c425a59a1293298423129f934ca5739846651555d8aec5b3"),
+        "50f24966d1d068ac79ed82b622f03b7d54fcef37f2b246df0e6a8a1ddea937c3",
+        "9a8da33a1a6048a96db2603db5e43b41e9fdcecea6b06f21a6f8d9de37743a60"),
     "lin_ucb_real_d3": (
         "8f5e989637777aa6c1e59d70bf6dc274e7f079dfad3f8d1a833bcfac8baa369f",
         "d4dae2b0eaa50a41bb3f6970b0af49d1d497170aa2e623e8999ba70d7dc9e0f3"),

@@ -326,7 +326,8 @@ class TestEpsilonFalconAgent:
         ev = agent.events[0][0]
         assert ev.unconstrained
         direct = DataBatch(2)
-        direct.extend(*zip(*rows))
+        for x, a, r in rows:
+            direct.append(x, a, r)
         direct = fit_ols(direct)
         np.testing.assert_allclose(agent.weights[0], direct.weights, atol=1e-12)
 
@@ -427,7 +428,8 @@ class TestAdaptiveBiasGuard:
         gap_batch = DataBatch(2)
         for a in (1, 2):
             xs = passive.arm_rows(a)[0][:, 1]
-            gap_batch.extend(xs, [a] * len(xs), passive_erm.predict_rows(xs)[:, a - 1])
+            for x, y in zip(xs, passive_erm.predict_rows(xs)[:, a - 1]):
+                gap_batch.append(x, a, y)
         assert normalized_sse(model, gap_batch) <= slack + 10 * tol
         # and the guarded fit is far closer to the population fit than the ERM
         xs = np.linspace(0.001, 0.999, 2001)

@@ -22,7 +22,7 @@ from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
                                read_weights_csv, run_lemmas, run_many, run_one, run_suite,
                                save_config, serialize_config, write_compare_csv, write_run_dir,
                                write_summary_csv, write_trace_csv)
-from banditlab.linmodel import LinearModel
+from banditlab.linmodel import DataBatch, LinearModel
 
 from oracles import gaps_from, mean_at, mse_from, predict_matrix
 
@@ -555,6 +555,18 @@ class TestSuiteBlocks:
         assert summary_sha256(run_suite(config)) == sha256
 
 
+@pytest.mark.parametrize("agent", harness.AGENT_NAMES)
+def test_engine_builds_no_data_batch(agent, monkeypatch):
+    # every agent keeps running moments (MomentStore), never the rows
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the engine built a DataBatch")
+
+    monkeypatch.setattr(DataBatch, "__init__", refuse)
+    cfg = RunConfig(env=SENS, agent=agent, epsilon=0.25, horizon=300, replications=3)
+    run_many(cfg, [0, 1])
+    run_suite(cfg)
+
+
 class TestMemory:
     """Peak traced memory (``tracemalloc``, numpy's buffers included) per
     replication-round, after a warm-up run.  Each bound is twice what the
@@ -571,6 +583,10 @@ class TestMemory:
     RUN_BYTES_BOUND = 131
     SUITE_BYTES_BOUND = 53
     LEMMAS_BYTES_BOUND = 5_794_000
+    # a full 16-replication chunk keeps no rows, only running moments: 8
+    # bytes of e_regret per replication-round and the draws in flight (11.8
+    # bytes measured); one more full-length float64 column would pass 16
+    LONG_SUITE_BYTES_BOUND = 16
 
     @staticmethod
     def peak_per_round(play, rounds: int) -> float:
@@ -591,6 +607,11 @@ class TestMemory:
         cfg = RunConfig(env=SENS, horizon=2 ** 14, replications=4, base_seed=100)
         peak = self.peak_per_round(lambda: run_suite(cfg), 4 * 2 ** 14)
         assert peak <= self.SUITE_BYTES_BOUND
+
+    def test_long_suite_memory_per_replication_round(self):
+        cfg = RunConfig(env=SENS, horizon=2 ** 16, replications=16, base_seed=100)
+        peak = self.peak_per_round(lambda: run_suite(cfg), 16 * 2 ** 16)
+        assert peak <= self.LONG_SUITE_BYTES_BOUND
 
     def test_diagnostics_pass_memory(self):
         cfg = RunConfig(env=SENS, horizon=2 ** 16, mc_samples=20_000)

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,11 +11,11 @@ from banditlab import falcon, linmodel
 from banditlab.env import EnvSpec
 from banditlab.harness import RunConfig, run_many
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
-                                InfeasibleConstraintError, InvalidArmError,
-                                LinearModel, _moment_nsse, arm_sum, constrained_fit, featurize,
+                                InfeasibleConstraintError, InvalidArmError, LinearModel,
+                                MomentStore, _moment_nsse, arm_sum, constrained_fit, featurize,
                                 fit_ols, fit_weighted, row_max_argmax)
 
-from oracles import (fit_rowweighted_rows, grid_search_constrained,
+from oracles import (fit_rowweighted_rows, fold_rows, grid_search_constrained,
                      grid_search_constrained_dense, normalized_sse, predict_matrix, sse,
                      zero_model)
 
@@ -175,9 +176,11 @@ class TestFitOls:
     def test_step_labels_match_population_fit(self):
         rng = np.random.default_rng(11)
         xs = rng.random(1_000_000)
-        rows_batch = DataBatch(1, 1)
-        rows_batch.extend(xs, np.ones(len(xs), dtype=int), (xs > 0.5).astype(float))
-        fitted = fit_ols(rows_batch)
+        store = MomentStore(1, 1, 1)
+        for block in np.split(xs, 16):
+            store.add_block(block[None], np.ones((1, len(block)), dtype=int),
+                            (block[None] > 0.5).astype(float))
+        fitted = fit_ols(store.replication(0))
         np.testing.assert_allclose(fitted.weights[0], [-0.25, 1.5], atol=0.01)
 
     def test_zero_row_arm_gets_zero_weights(self):
@@ -202,132 +205,106 @@ class TestFitOls:
             batch([(0.5, 3, 1.0)], num_arms=2)
 
 
+def store_bytes(store) -> bytes:
+    return b"".join(a.tobytes() for a in (store.G, store.b, store.yy, store.n))
+
+
 class TestExtend:
+    """Rows filed a block at a time, for R replications at once
+    (``MomentStore.add_block``), against rows filed one at a time."""
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_extend_equals_repeated_append(self, dim):
         rng = np.random.default_rng(dim)
-        xs = rng.random(40) if dim == 1 else rng.random((40, dim))
-        arms, rewards = rng.integers(1, 4, size=40), rng.normal(size=40)
-        by_rows, by_blocks = DataBatch(3, dim), DataBatch(3, dim)
-        for x, a, r in zip(xs, arms, rewards):
-            by_rows.append(x, a, r)
+        xs = rng.random((2, 40)) if dim == 1 else rng.random((2, 40, dim))
+        arms, rewards = rng.integers(1, 4, size=(2, 40)), rng.normal(size=(2, 40))
+        by_rows, by_blocks = MomentStore(2, 3, dim), MomentStore(2, 3, dim)
+        for i in range(40):
+            by_rows.add_block(xs[:, i:i + 1], arms[:, i:i + 1], rewards[:, i:i + 1])
         for lo, hi in ((0, 1), (1, 17), (17, 17), (17, 40)):
-            by_blocks.extend(xs[lo:hi], arms[lo:hi], rewards[lo:hi])
-        assert len(by_blocks) == len(by_rows) == 40
-        for a in (1, 2, 3):
-            (Pb, rb), (Pr, rr) = by_blocks.arm_rows(a), by_rows.arm_rows(a)
-            assert Pb.tobytes() == Pr.tobytes() and rb.tobytes() == rr.tobytes()
-            # each arm keeps its rows in arrival order
-            mask = arms == a
-            assert Pb.tobytes() == featurize(xs[mask], dim).tobytes()
-            assert rb.tobytes() == rewards[mask].tobytes()
-        for mb, mr in zip(by_blocks.moments(), by_rows.moments()):
-            assert mb.tobytes() == mr.tobytes()
-        assert fit_ols(by_blocks).weights.tobytes() == fit_ols(by_rows).weights.tobytes()
+            by_blocks.add_block(xs[:, lo:hi], arms[:, lo:hi], rewards[:, lo:hi])
+        assert store_bytes(by_blocks) == store_bytes(by_rows)
+        for r in range(2):
+            view = by_blocks.replication(r)
+            assert len(view) == 40 and view.num_arms == 3 and view.context_dim == dim
+            want = fold_rows(zip(xs[r], arms[r], rewards[r]), 3, dim)
+            for got, ref in zip(view.moments(), want):
+                assert got.tobytes() == ref.tobytes()
+            assert fit_ols(view).weights.tobytes() == \
+                fit_ols(by_rows.replication(r)).weights.tobytes()
 
     @pytest.mark.parametrize("bad", [0, 3, -1])
     def test_extend_rejects_arm_out_of_range(self, bad):
         rows = DataBatch(2)
-        with pytest.raises(InvalidArmError):
+        with pytest.raises(InvalidArmError, match=f"arm {bad} is not an integer in 1..2"):
             rows.append(0.5, bad, 1.0)
-        block = DataBatch(2)
-        block.extend([0.1], [1], [0.0])
-        with pytest.raises(InvalidArmError, match=str(bad)):
-            block.extend([0.2, 0.5, 0.7], [2, bad, 1], [1.0, 1.0, 1.0])
+        assert len(rows) == 0
+        block = MomentStore(2, 2)
+        block.add_block([[0.1], [0.3]], [[1], [2]], [[0.0], [1.0]])
+        before = store_bytes(block)
+        for arms in ([[2, bad, 1], [1, 1, 1]], [[1, 1, 1], [2, 1, bad]]):
+            with pytest.raises(InvalidArmError, match=f"arm {bad} is not an integer in 1..2"):
+                block.add_block([[0.2, 0.5, 0.7]] * 2, np.array(arms), [[1.0, 1.0, 1.0]] * 2)
         # nothing of a rejected block is stored
-        assert len(block) == 1
-        assert block.arm_rows(1)[1].tolist() == [0.0] and len(block.arm_rows(2)[1]) == 0
-
+        assert store_bytes(block) == before and block.n.tolist() == [[1, 0], [0, 1]]
 
     @pytest.mark.parametrize("dim, xs, arms, rewards", [
-        (1, [0.1, 0.2, 0.3, 0.4, 0.5], [1, 2, 1], [1.0, 2.0, 3.0]),  # extra contexts
-        (1, [0.1, 0.2, 0.3], [1, 2, 1], [1.0, 2.0, 3.0, 4.0]),       # extra rewards
-        (1, [0.1, 0.2], [1, 2, 1], [1.0, 2.0, 3.0]),                 # too few contexts
-        (1, [0.1, 0.2, 0.3], [1, 2, 1], [1.0, 2.0]),                 # too few rewards
-        (1, [[0.1], [0.2]], [1, 2], [1.0, 2.0]),                     # (n, 1) at d = 1
-        (3, [[0.1, 0.2]], [1], [1.0]),                               # d - 1 values at d = 3
-        (3, [0.1, 0.2, 0.3], [1, 2, 1], [1.0, 2.0, 3.0]),            # (n,) at d = 3
-        (1, [0.1, 0.2], [[1, 2]], [1.0, 2.0]),                       # arms not 1-D
-        (1, [0.1, 0.2], [1, 2], [[1.0, 2.0]]),                       # rewards not 1-D
+        (1, [[0.1, 0.2, 0.3, 0.4, 0.5]], [[1, 2, 1]], [[1.0, 2.0, 3.0]]),  # extra contexts
+        (1, [[0.1, 0.2, 0.3]], [[1, 2, 1]], [[1.0, 2.0, 3.0, 4.0]]),       # extra rewards
+        (1, [[0.1, 0.2]], [[1, 2, 1]], [[1.0, 2.0, 3.0]]),                 # too few contexts
+        (1, [[0.1, 0.2, 0.3]], [[1, 2, 1]], [[1.0, 2.0]]),                 # too few rewards
+        (1, [[[0.1], [0.2]]], [[1, 2]], [[1.0, 2.0]]),                     # (R, n, 1) at d = 1
+        (3, [[[0.1, 0.2]]], [[1]], [[1.0]]),                               # d - 1 values at d = 3
+        (3, [[0.1, 0.2, 0.3]], [[1, 2, 1]], [[1.0, 2.0, 3.0]]),            # (R, n) at d = 3
+        (1, [[0.1, 0.2]], [[[1, 2]]], [[1.0, 2.0]]),                       # arms not (R, n)
+        (1, [[0.1, 0.2]], [[1, 2]], [[[1.0, 2.0]]]),                       # rewards not (R, n)
     ], ids=["extra_contexts", "extra_rewards", "short_contexts", "short_rewards",
             "column_contexts_d1", "short_context_d3", "flat_contexts_d3", "arms_2d",
             "rewards_2d"])
     def test_extend_rejects_mismatched_shapes(self, dim, xs, arms, rewards):
-        block = DataBatch(2, dim)
-        block.extend([0.5] if dim == 1 else [[0.5] * dim], [1], [0.0])
-        with pytest.raises(ValueError, match="arms need rewards of shape"):
-            block.extend(xs, arms, rewards)
-        # nothing of a rejected block is stored, and the batch still folds
-        assert len(block) == 1
-        assert block.moments()[3].tolist() == [1, 0]
+        block = MomentStore(1, 2, dim)
+        block.add_block([[0.5]] if dim == 1 else [[[0.5] * dim]], [[1]], [[0.0]])
+        before = store_bytes(block)
+        with pytest.raises(ValueError, match=r"arms need rewards of shape|\(R, n\) integer"):
+            block.add_block(xs, arms, rewards)
+        # nothing of a rejected block is stored, and the store still reads
+        assert store_bytes(block) == before
+        assert block.replication(0).moments()[3].tolist() == [1, 0]
 
     @pytest.mark.parametrize("bad", [1.7, 2.9, float("nan"), float("inf"), True, np.True_],
                              ids=["float", "float_up", "nan", "inf", "bool", "numpy_bool"])
     def test_non_integral_or_bool_arm_rejected(self, bad):
         rows = DataBatch(3)
-        with pytest.raises(InvalidArmError):
+        with pytest.raises(InvalidArmError, match=f"arm {bad} is not an integer in 1..3"):
             rows.append(0.5, bad, 1.0)
-        block = DataBatch(3)
+        block = MomentStore(1, 3)
         with pytest.raises(InvalidArmError):
-            block.extend([0.5], [bad], [1.0])
+            block.add_block([[0.5]], [[bad]], [[1.0]])
         with pytest.raises(InvalidArmError):
-            block.extend([0.2, 0.5], np.array([bad, bad]), [1.0, 1.0])
+            block.add_block([[0.2, 0.5]], np.array([[bad, bad]]), [[1.0, 1.0]])
         with pytest.raises(InvalidArmError):
-            block.extend([0.2, 0.5], [1, bad], [1.0, 1.0])  # mixed with a valid int
-        assert len(rows) == 0 and len(block) == 0
+            block.add_block([[0.2, 0.5]], [[1, bad]], [[1.0, 1.0]])  # mixed with a valid int
+        assert len(rows) == 0 and not block.n.any() and not block.G.any()
 
     def test_integral_arms_of_any_numeric_type_accepted(self):
+        # append takes numpy integers and integral floats as the int arm
         rows = DataBatch(3)
-        for a in (1, 2.0, np.int64(3), np.float32(1.0), np.uint8(2)):
-            rows.append(0.5, a, 1.0)
-        rows.extend([0.1, 0.2], np.array([3.0, 1.0]), [0.0, 0.0])
+        arms = (1, 2.0, np.int64(3), np.float32(1.0), np.uint8(2), np.float64(3.0), np.int32(1))
+        for x, a in zip([0.5] * 5 + [0.1, 0.2], arms):
+            rows.append(x, a, 1.0)
         # rows 1..7 go to arms 1, 2, 3, 1, 2, 3, 1
         assert [len(rows.arm_rows(a)[1]) for a in (1, 2, 3)] == [3, 2, 2]
         assert rows.arm_rows(1)[0][:, 1].tolist() == [0.5, 0.5, 0.2]
         assert rows.arm_rows(3)[0][:, 1].tolist() == [0.5, 0.1]
+        wide = DataBatch(2, 3)
+        wide.append([0.1, 0.2, 0.3], np.int16(2), 1.0)
+        wide.append(np.array([0.4, 0.5, 0.6]), 1.0, 2.0)
+        assert wide.moments()[3].tolist() == [1, 1]
+        assert wide.arm_rows(2)[0].tolist() == [[1.0, 0.1, 0.2, 0.3]]
 
 
 class TestMixedFiling:
-    """``extend`` files array pieces, ``append`` Python lists; mixed, each
-    arm's rows still fold in the order they arrived."""
-
-    @given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from([1, 3]),
-           st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_interleaved_append_and_extend_fold_like_the_row_rebuild(self, pyrng, K, dim,
-                                                                     lam):
-        rng = np.random.default_rng(pyrng.randrange(2**32))
-        act_rows, pas_rows = (shaped_rows(rng, pyrng, K, dim, n=pyrng.randrange(1, 30))
-                              for _ in range(2))
-        act, pas = DataBatch(K, dim), DataBatch(K, dim)
-        for rows, mixed in ((act_rows, act), (pas_rows, pas)):
-            lo = 0
-            while lo < len(rows):  # runs of rows, each appended or extended
-                hi = lo + pyrng.randrange(1, 8)
-                part = rows[lo:hi]
-                if pyrng.random() < 0.5:
-                    for x, a, r in part:
-                        mixed.append(x, a, r)
-                else:
-                    xs, arms, rewards = zip(*part)
-                    mixed.extend(np.array(xs), np.array(arms), np.array(rewards))
-                lo = hi
-            # the moments and rows of the same rows, each appended
-            alone = batch(rows, K, dim)
-            assert len(mixed) == len(alone) == len(rows)
-            for got, want in zip(mixed.moments(), alone.moments()):
-                assert got.tobytes() == want.tobytes()
-            for a in range(1, K + 1):
-                for got, want in zip(mixed.arm_rows(a), alone.arm_rows(a)):
-                    assert got.tobytes() == want.tobytes()
-        cases = [(fit_ols(act), [(act_rows, 1.0)]), (fit_ols(pas), [(pas_rows, 1.0)])]
-        if len(act) and len(pas):
-            cases.append((fit_weighted(act, pas, lam),
-                          [(act_rows, 1.0 / len(act)), (pas_rows, lam / len(pas))]))
-        for model, parts in cases:
-            weights, ridge = fit_rowweighted_rows(parts, K, dim)
-            assert model.weights.tobytes() == weights.tobytes()
-            assert model.ridge_fallback == ridge
+    """Rows appended one at a time, in any order of arms."""
 
     @pytest.mark.parametrize("dim, x, a, r, error", [
         (1, 0.7, 1, "abc", ValueError),                 # a reward that is no number
@@ -341,8 +318,8 @@ class TestMixedFiling:
     def test_failed_append_stores_nothing(self, dim, x, a, r, error):
         b = DataBatch(2, dim)
         b.append(0.5 if dim == 1 else [0.5] * dim, 1, 1.0)
-        b.extend(np.full((3, dim), 0.25).squeeze(axis=1 if dim == 1 else None), [2, 1, 2],
-                 [0.0, 1.0, 2.0])
+        for arm, reward in zip([2, 1, 2], [0.0, 1.0, 2.0]):
+            b.append(0.25 if dim == 1 else [0.25] * dim, arm, reward)
         before = [b.arm_rows(arm) for arm in (1, 2)]
         with pytest.raises(error):
             b.append(x, a, r)
@@ -560,6 +537,65 @@ def shaped_rows(rng, pyrng, num_arms, dim=1, n=12):
     return rows
 
 
+class TestMomentStore:
+    """Running moments summed in round order: whatever the split of the
+    same rows into blocks, each replication's sums have the bits of the
+    per-row Python fold."""
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.3], ids=["zero", "ridge"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("K", [2, 9, 130])
+    @pytest.mark.parametrize("R", [1, 3, 16])
+    def test_any_split_folds_like_the_round_order_reference(self, R, K, dim, ridge):
+        rng = np.random.default_rng([R, K, dim, int(10 * ridge)])
+        n = 3 * K
+        shape = (R, n) if dim == 1 else (R, n, dim)
+        # values over six decades, so that the order of each sum shows in its bits
+        xs = rng.random(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        arms = rng.integers(1, K + 1, (R, n))
+        rewards = rng.normal(size=(R, n)) * 10.0 ** rng.integers(-3, 4, (R, n))
+        want = [fold_rows(zip(xs[r], arms[r], rewards[r]), K, dim, ridge) for r in range(R)]
+        splits = [[], np.arange(1, n), *(np.sort(rng.integers(0, n + 1, k)) for k in (3, 9))]
+        for cuts in splits:  # one block, one-row blocks, and random ones, some empty
+            store = MomentStore(R, K, dim)
+            store.G[:] = ridge * np.eye(dim + 1)
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                store.add_block(xs[:, lo:hi], arms[:, lo:hi], rewards[:, lo:hi])
+            for r in range(R):
+                for got, ref in zip((store.G[r], store.b[r], store.yy[r], store.n[r]), want[r]):
+                    assert got.tobytes() == ref.tobytes()
+
+    def test_replications_read_as_batches(self):
+        # a replication's view is a copy, fitted like the batch of its rows
+        act, pas = MomentStore(2, 1), MomentStore(2, 1)
+        for store, rows in ((act, ACTIVE), (pas, PASSIVE)):
+            xs, arms, rewards = (np.array([col, col]) for col in zip(*rows))
+            store.add_block(xs, arms, rewards)
+        views = act.replication(1), pas.replication(1)
+        act.add_block([[0.5], [0.5]], [[1], [1]], [[9.0], [9.0]])
+        assert len(views[0]) == 2 and views[0].num_arms == 1 and views[0].context_dim == 1
+        assert views[0].moments()[3].tolist() == [2] and act.n.tolist() == [[3], [3]]
+        model, report = constrained_fit(views[0], ConstraintSpec(views[1], 0.25))
+        want, want_report = constrained_fit(batch(ACTIVE), ConstraintSpec(batch(PASSIVE), 0.25))
+        assert report.lam > 0 and report.lam == pytest.approx(want_report.lam, rel=1e-9)
+        np.testing.assert_allclose(model.weights, want.weights, rtol=1e-9)
+        assert fit_weighted(*views, report.lam).weights.tobytes() == model.weights.tobytes()
+
+    @pytest.mark.parametrize("rows, arm", [
+        ([(0.5, 1, 1.0), (1e200, 2, 1.0)], 2),             # x^2 in G
+        ([(0.5, 1, 1e200), (0.25, 2, 1.0)], 1),            # r^2 in yy
+        ([(0.5, 2, 1e154), (0.25, 2, 1e154)], 2),          # finite squares, their sum not
+    ], ids=["context", "reward", "sum"])
+    def test_overflowing_moments_raise_when_a_replication_is_read(self, rows, arm):
+        store = MomentStore(1, 2)
+        xs, arms, rewards = (np.array([col]) for col in zip(*rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            store.add_block(xs, arms, rewards)
+            with pytest.raises(FloatingPointError, match=f"arm {arm}'s moments .* overflow"):
+                store.replication(0)
+
+
 class TestBisectionStop:
     def test_adjacent_float_endpoints_stop_the_bisection(self, monkeypatch):
         # epoch 2 of this run has one passive row and a rank-deficient arm:
@@ -676,7 +712,9 @@ class TestMomentLayer:
     @pytest.mark.parametrize("dim", [1, 3])
     def test_arm_without_rows_folds_to_zero(self, dim):
         b = DataBatch(3, dim)
-        b.extend(np.random.default_rng(dim).random((4, dim)).squeeze(), [1, 3, 3, 1], [1, 2, 3, 4])
+        for x, a, r in zip(np.random.default_rng(dim).random((4, dim)), [1, 3, 3, 1],
+                           [1, 2, 3, 4]):
+            b.append(x[0] if dim == 1 else x, a, r)
         Phi, r = b.arm_rows(2)
         assert Phi.shape == (0, dim + 1) and r.shape == (0,)
         G, bvec, yy, n = b.moments()
@@ -686,8 +724,9 @@ class TestMomentLayer:
 
     def test_non_finite_second_context_column_rejected(self):
         b = DataBatch(2, 2)
-        b.extend([[0.1, 0.2], [0.3, float("nan")], [float("-inf"), 0.5]], [1, 2, 1],
-                 [0.0, 1.0, 2.0])
+        for x, a, r in zip([[0.1, 0.2], [0.3, float("nan")], [float("-inf"), 0.5]], [1, 2, 1],
+                           [0.0, 1.0, 2.0]):
+            b.append(x, a, r)
         with pytest.raises(FloatingPointError, match="2 of 3 rows"):
             b.moments()
 
