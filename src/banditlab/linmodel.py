@@ -161,10 +161,9 @@ class DataBatch:
         return sum(map(len, self._rewards))
 
     def append(self, x, a: int, r: float) -> None:
-        """Append one row; a reward that is no number, a context of another
-        shape than (d,) at d > 1 (or than () at d = 1, checked when the arm
-        is no int), or an arm that is not an integer in 1..K (a bool is not;
-        an integral float or numpy integer is) raises with nothing stored."""
+        """Append one row; raise with nothing stored on a reward that is no
+        number, a context not of shape (d,) at d > 1 ((), at d = 1, with an
+        arm that is no int), or an arm that is a bool or no integer in 1..K."""
         r = float(r)
         if type(a) is not int or not 1 <= a <= self._unchecked_arms:
             v = np.asarray(a)
@@ -221,11 +220,12 @@ class MomentStore:
     def __init__(self, replications: int, num_arms: int, context_dim: int = 1):
         R, K, p = replications, num_arms, context_dim + 1
         self.num_arms, self.context_dim = num_arms, context_dim
-        self.G, self.b = np.zeros((R, K, p, p)), np.zeros((R, K, p))
-        self.yy, self.n = np.zeros((R, K)), np.zeros((R, K), dtype=np.int64)
-        # add_block's flat indices: replication rows, entry offsets in a cell
-        self._replication = np.arange(R)[:, None]
-        self._G_entries, self._b_entries = np.arange(p * p)[:, None], np.arange(p)[:, None]
+        # one cell of sums per (replication, arm): G's p * p entries, b's p, yy
+        self._sums = np.zeros((R, K, p * p + p + 1))
+        self.G = self._sums[..., :p * p].reshape(R, K, p, p)
+        self.b, self.yy = self._sums[..., p * p:-1], self._sums[..., -1]
+        self.n = np.zeros((R, K), dtype=np.int64)
+        self._replication, self._entries = np.arange(R)[:, None], np.arange(p * p + p + 1)[:, None]
 
     def add_block(self, xs, arms, rewards) -> None:
         """Add n finite rows of each replication: (R, n) or (R, n, d) contexts,
@@ -249,16 +249,17 @@ class MomentStore:
         if rewards.shape != arms.shape or xs.shape != contexts:
             raise ValueError(f"{arms.shape} arms need rewards of shape {arms.shape} and contexts "
                              f"of shape {contexts}; got {rewards.shape} and {xs.shape}")
-        # design columns (p, R * n): every product has a long inner loop
-        cols, r = np.empty((p, cell.size)), rewards.ravel()
-        cols[0], cols[1:] = 1.0, xs.reshape(cell.size, d).T
+        # (p, N) design columns, (cell, N) products: long inner loops
+        N, r = cell.size, rewards.ravel()
+        cols, products = np.empty((p, N)), np.empty((len(self._entries), N))
+        cols[0], cols[1:] = 1.0, xs.reshape(N, d).T
         # np.add.at adds row after row; overflowed sums are reported when read
         with np.errstate(over="ignore", invalid="ignore"):
-            outer, rphi, rr = cols[:, None] * cols[None, :], r * cols, r * r
-            np.add.at(self.G.reshape(-1), (cell * (p * p) + self._G_entries).ravel(),
-                      outer.ravel())
-            np.add.at(self.b.reshape(-1), (cell * p + self._b_entries).ravel(), rphi.ravel())
-            np.add.at(self.yy.reshape(-1), cell, rr)
+            np.multiply(cols[:, None], cols[None, :], out=products[:p * p].reshape(p, p, N))
+            np.multiply(r, cols, out=products[p * p:-1])
+            np.multiply(r, r, out=products[-1])
+            np.add.at(self._sums.reshape(-1), (cell * len(self._entries) + self._entries).ravel(),
+                      products.ravel())
         self.n += np.bincount(cell, minlength=R * K).reshape(R, K)
 
     def replication(self, r: int) -> "MomentView":
