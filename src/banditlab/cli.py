@@ -19,8 +19,8 @@ import os
 import sys
 from dataclasses import replace
 
+from . import csvio, harness
 from . import env as envmod
-from . import harness
 from .linmodel import DualNonConvergenceError
 
 
@@ -31,7 +31,7 @@ def _cmd_run(args) -> int:
     result = harness.run_one(config)
     out = args.out or config.out_dir
     if out:
-        harness.write_run_dir(result, out)
+        csvio.write_run_dir(result, out)
         print(f"wrote run artifacts to {out}")
     trace = result.trace
     print(f"rounds={len(trace)} cum_e_regret={trace.cum_e_regret[-1]:.4f} "
@@ -54,7 +54,7 @@ def _cmd_suite(args) -> int:
     summary = harness.run_suite(config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "summary.csv")
-    harness.write_summary_csv(summary, path)
+    csvio.write_summary_csv(summary, path)
     print(f"wrote {path} ({summary.replications} replications, "
           f"mean final cum regret {summary.mean_cum_e_regret[-1]:.4f})")
     return 0
@@ -65,16 +65,16 @@ def _cmd_compare(args) -> int:
     table = harness.compare(configs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare.csv")
-    harness.write_compare_csv(table, path)
+    csvio.write_compare_csv(table, path)
     print(table.format_text())
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_diag(args) -> int:
-    report = harness.reanalyze_run_dir(args.run)
+    report = csvio.reanalyze_run_dir(args.run)
     path = os.path.join(args.run, "lemmas.csv")
-    harness.write_lemmas_csv(report, path)
+    csvio.write_lemmas_csv(report, path)
     for c in report:
         where = "" if c.epoch is None else f" m={c.epoch}"
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}{where}: "

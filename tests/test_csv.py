@@ -1,5 +1,5 @@
 """The CSV writer against Python's own ``%`` formatting: each cell kernel of
-``harness.write_csv`` (``%.17g``, ``%d``, ``%s``) cell by cell, the writer's
+``csvio.write_csv`` (``%.17g``, ``%d``, ``%s``) cell by cell, the writer's
 chunks and ``;`` cells, and the six artifact files' rows against their
 headers."""
 
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banditlab import harness
+from banditlab import csvio
+from banditlab.csvio import write_compare_csv, write_csv, write_run_dir, write_summary_csv
 from banditlab.env import EnvSpec
-from banditlab.harness import (RunConfig, compare, run_one, run_suite, write_compare_csv,
-                               write_csv, write_run_dir, write_summary_csv)
+from banditlab.harness import RunConfig, compare, run_one, run_suite
 
 
 def spelled(cells: np.ndarray) -> list[str]:
@@ -24,7 +24,7 @@ def spelled(cells: np.ndarray) -> list[str]:
 
 
 def float_texts(values) -> list[str]:
-    return spelled(harness._float_cells(np.array(values, dtype=float)))
+    return spelled(csvio._float_cells(np.array(values, dtype=float)))
 
 
 def around(x: float, ulps: int = 3) -> list[float]:
@@ -86,19 +86,19 @@ class TestIntCells:
         values = [0, 9, 10, -1, -10]
         values += [10 ** k + e for k in range(1, 19) for e in (-1, 0, 1)]
         values += [-v for v in values] + [2 ** 63 - 1, -2 ** 63]
-        assert spelled(harness._int_cells(np.array(values))) == ["%d" % v for v in values]
-        assert spelled(harness._int_cells(np.array([True, False]))) == ["1", "0"]
+        assert spelled(csvio._int_cells(np.array(values))) == ["%d" % v for v in values]
+        assert spelled(csvio._int_cells(np.array([True, False]))) == ["1", "0"]
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16,
                                        np.uint32, np.uint64])
     def test_every_integer_dtype_to_its_limits(self, dtype):
         info = np.iinfo(dtype)
         values = np.array([0, 1, info.max, info.min, info.max - 1, info.min + 1], dtype=dtype)
-        assert spelled(harness._int_cells(values)) == ["%d" % v for v in values.tolist()]
+        assert spelled(csvio._int_cells(values)) == ["%d" % v for v in values.tolist()]
 
     def test_integers_past_int64_go_through_python(self):
         values = [10 ** 20, -(10 ** 30), 7]
-        assert spelled(harness._int_cells(np.asarray(values))) == ["%d" % v for v in values]
+        assert spelled(csvio._int_cells(np.asarray(values))) == ["%d" % v for v in values]
 
 
 class TestTextCells:
@@ -106,11 +106,11 @@ class TestTextCells:
     @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")),
                     min_size=1, max_size=20))
     def test_utf8_of_any_text(self, texts):
-        assert spelled(harness._text_cells(harness._text_column(texts))) == texts
+        assert spelled(csvio._text_cells(csvio._text_column(texts))) == texts
 
     def test_non_ascii_and_empty(self):
         texts = ["explore", "", "ε-FALCON", "θ ≤ 0.05", "exploit", "ε-FALCON"]
-        assert spelled(harness._text_cells(harness._text_column(texts))) == texts
+        assert spelled(csvio._text_cells(csvio._text_column(texts))) == texts
 
     @pytest.mark.parametrize("text", ["a\0b", "ab\0", "\0"])
     def test_nul_is_rejected(self, text, tmp_path):
@@ -141,7 +141,7 @@ class TestWriter:
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_a_chunk_boundary_and_a_three_value_context(self, extra, tmp_path):
         rng = np.random.default_rng(extra + 5)
-        n = harness.TRACE_ROWS_PER_WRITE + extra
+        n = csvio.TRACE_ROWS_PER_WRITE + extra
         columns = [("d", np.arange(1, n + 1)), ("s", rng.choice(["explore", "exploit"], n)),
                    ("g", rng.normal(size=(n, 3))), ("d", rng.integers(-3, 3, n)),
                    ("g", np.where(rng.random(n) < 0.1, np.nan, rng.normal(0, 1e-3, n)))]

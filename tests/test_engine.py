@@ -11,12 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from banditlab import harness
+from banditlab import csvio, harness
+from banditlab.csvio import (write_events_csv, write_lemmas_csv, write_trace_csv,
+                             write_weights_csv)
 from banditlab.diag import RegretTrace
 from banditlab.env import Environment, EnvSpec, make_generator
 from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, SequencingError
-from banditlab.harness import (RunConfig, run_many, run_one, write_events_csv,
-                               write_lemmas_csv, write_trace_csv, write_weights_csv)
+from banditlab.harness import RunConfig, run_many, run_one
 
 from oracles import (PerRoundEnvironment, epochs_by_walk, mse_to_best_fit_per_event,
                      per_round, phases_by_walk, simulate_per_round, write_trace_rows)
@@ -115,7 +116,7 @@ def test_engine_bit_equal_to_round_by_round_reference(label, config, seed, monke
     assert_equals_reference(tr, agent, 0, ref, ref_agent)
     # the written trace is byte-equal to one written round by round
     ref_trace = SimpleNamespace(t=np.arange(1, config.horizon + 1), **ref)
-    monkeypatch.setattr(harness, "TRACE_ROWS_PER_WRITE", 64)  # many partial writes
+    monkeypatch.setattr(csvio, "TRACE_ROWS_PER_WRITE", 64)  # many partial writes
     write_trace_csv(tr, str(tmp_path / "engine.csv"))
     write_trace_rows(ref_trace, str(tmp_path / "reference.csv"))
     assert (tmp_path / "engine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -371,7 +372,7 @@ def test_derived_schedule_columns_equal_the_agents_lookups(agent, tau1, epsilon,
     if agent == "epsilon_falcon" and epsilon > 0:
         assert "passive" in phases
     # written in chunks of 5 rows, which cross the ends of epochs and phases
-    monkeypatch.setattr(harness, "TRACE_ROWS_PER_WRITE", 5)
+    monkeypatch.setattr(csvio, "TRACE_ROWS_PER_WRITE", 5)
     write_trace_csv(trace, str(tmp_path / "trace.csv"))
     lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
     assert [line.split(",")[:3] for line in lines] == \
@@ -382,7 +383,7 @@ def test_derived_schedule_columns_equal_the_agents_lookups(agent, tau1, epsilon,
 def test_written_cum_e_regret_equals_one_cumsum(n, tmp_path):
     # each chunk's running total is continued from the last of the chunk
     # before; values of many magnitudes make every sum's rounding count
-    assert harness.TRACE_ROWS_PER_WRITE == 1024
+    assert csvio.TRACE_ROWS_PER_WRITE == 1024
     rng = np.random.default_rng(n)
     e = rng.random(n) * 10.0 ** rng.integers(-6, 3, n)
     e[rng.random(n) < 0.3] = 0.0
@@ -397,7 +398,7 @@ def test_written_cum_e_regret_equals_one_cumsum(n, tmp_path):
 def test_trace_writer_empty_trace_writes_header(tmp_path):
     empty = RegretTrace(*(np.empty(0) for _ in range(4)), tau1=4)
     write_trace_csv(empty, str(tmp_path / "empty.csv"))
-    assert (tmp_path / "empty.csv").read_text() == harness.TRACE_HEADER + "\n"
+    assert (tmp_path / "empty.csv").read_text() == csvio.TRACE_HEADER + "\n"
 
 
 class TestBlocks:

@@ -13,15 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab import harness
+from banditlab.csvio import (EPOCHS_HEADER, TRACE_HEADER, read_weights_csv, write_compare_csv,
+                             write_run_dir, write_summary_csv, write_trace_csv)
 from banditlab.diag import lemma_suite
 from banditlab.env import (EnvSpec, best_linear_fit_uniform, draw_contexts, make_generator,
                            mean_reward_matrix)
-from banditlab.harness import (EPOCHS_HEADER, TRACE_HEADER, ConfigError,
-                               ConfigMismatchError, RunConfig, checkpoints,
-                               compare, load_config, parse_config,
-                               read_weights_csv, run_lemmas, run_many, run_one, run_suite,
-                               save_config, serialize_config, write_compare_csv, write_run_dir,
-                               write_summary_csv, write_trace_csv)
+from banditlab.harness import (ConfigError, ConfigMismatchError, RunConfig, checkpoints,
+                               compare, load_config, parse_config, run_lemmas, run_many,
+                               run_one, run_suite, save_config, serialize_config)
 from banditlab.linmodel import DataBatch, LinearModel
 
 from oracles import gaps_from, mean_at, mse_from, predict_matrix
@@ -425,7 +424,7 @@ class TestRunSuite:
         np.testing.assert_array_equal(summary.se_e_regret, np.zeros(64))
 
     def test_execution_order_does_not_matter(self, tmp_path):
-        from banditlab.harness import write_summary_csv
+        from banditlab.csvio import write_summary_csv
         cfg = small_config(horizon=32, replications=5)
         s1 = run_suite(cfg)
         s2 = run_suite(cfg, order=[4, 2, 0, 3, 1])
@@ -435,7 +434,7 @@ class TestRunSuite:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_chunk_size_does_not_change_the_summary(self, tmp_path, monkeypatch):
-        from banditlab.harness import write_summary_csv
+        from banditlab.csvio import write_summary_csv
         cfg = small_config(horizon=32, replications=5)
         write_summary_csv(run_suite(cfg), str(tmp_path / "default.csv"))
         monkeypatch.setattr(harness, "REPLICATIONS_PER_CHUNK", 2)
@@ -748,7 +747,7 @@ class TestArtifacts:
         cfg = small_config(horizon=64)
         res = run_many(cfg, [10])[0]
         path = tmp_path / "weights.csv"
-        from banditlab.harness import write_weights_csv
+        from banditlab.csvio import write_weights_csv
         write_weights_csv(res.artifacts, str(path))
         mats = read_weights_csv(str(path))
         assert len(mats) == len(res.artifacts.models)
@@ -759,7 +758,7 @@ class TestArtifacts:
         cfg = small_config(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=3),
                            agent="lin_ucb", horizon=8)
         path = tmp_path / "w.csv"
-        from banditlab.harness import write_weights_csv
+        from banditlab.csvio import write_weights_csv
         write_weights_csv(run_many(cfg, [0])[0].artifacts, str(path))
         assert path.read_text() == "m,arm,w0,w1,w2,w3\n"
 
@@ -767,7 +766,7 @@ class TestArtifacts:
         cfg = small_config(horizon=8)
         res = run_many(cfg, [11])[0]
         path = tmp_path / "w.csv"
-        from banditlab.harness import write_weights_csv
+        from banditlab.csvio import write_weights_csv
         write_weights_csv(res.artifacts, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "m,arm,w0,w1"
