@@ -57,16 +57,23 @@ def _parse_bool(text: str) -> bool:
     return {"true": True, "false": False}[text.lower()]
 
 
-def interval_errors(key: str, value, allowed: Optional[str]) -> list[str]:
-    """Why ``value`` lies outside ``allowed``, an interval such as
-    ``"[0, 0.5)"``; nothing when either is None (no bound, or unset)."""
-    if allowed is None or value is None:
-        return []
-    lo, hi = (float(end) for end in allowed[1:-1].split(", "))
-    # every comparison with nan is false, so nan lies in no interval
-    inside = ((lo <= value if allowed[0] == "[" else lo < value)
-              and (value <= hi if allowed[-1] == "]" else value < hi))
-    return [] if inside else [f"{key}: must be in {allowed}"]
+def interval_errors(rows, values: dict) -> list[str]:
+    """Why each of ``values`` (by field) breaks its row of ``rows``: no integer
+    (a bool is none) for an ``int`` row, or out of the interval; None passes."""
+    errs = []
+    for key, name, parse, allowed in rows:
+        value = values.get(name)
+        if value is None:
+            continue
+        if parse is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            errs.append(f"{key}: must be an integer")
+        elif allowed is not None:
+            lo, hi = (float(end) for end in allowed[1:-1].split(", "))
+            # every comparison with nan is false, so nan lies in no interval
+            if not ((lo <= value if allowed[0] == "[" else lo < value)
+                    and (value <= hi if allowed[-1] == "]" else value < hi)):
+                errs.append(f"{key}: must be in {allowed}")
+    return errs
 
 
 # The env.* rows of the config key table (harness.CONFIG_KEYS), in file
@@ -118,9 +125,7 @@ class EnvSpec:
             errs.append("env.theta: required for sensitivity_family")
         elif self.kind != SENSITIVITY_FAMILY and self.theta is not None:
             errs.append("env.theta: only valid for sensitivity_family")
-        for key, name, _, allowed in ENV_KEYS:
-            errs += interval_errors(key, getattr(self, name), allowed)
-        return errs
+        return errs + interval_errors(ENV_KEYS, vars(self))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from .env import interval_errors
 from .linmodel import (ConstraintSpec, MomentStore, MomentView, arm_sum, constrained_fit,
                        featurize, fit_ols, row_max_argmax, rowwise_predict)
 
@@ -62,6 +63,34 @@ class InvalidConfidenceError(ValueError):
     """gamma schedule hit a nonpositive log term."""
 
 
+def _auto_or_float(text: str) -> Optional[float]:
+    return None if text == "auto" else float(text)
+
+
+# The agent.* rows of harness.CONFIG_KEYS after agent.name, laid out as
+# env.ENV_KEYS; the agents, RateParams and EpochSchedule check against them.
+AGENT_KEYS = (
+    ("agent.epsilon", "epsilon", float, "[0, 0.5)"),
+    ("agent.delta", "delta", float, "(0, 0.5]"),
+    ("agent.tau1", "tau1", int, "[4, inf)"),
+    ("agent.c1", "c1", float, "(0, inf)"),
+    ("agent.c3", "c3", float, "(0, inf)"),
+    ("agent.rho", "rho", float, "(0, 1]"),
+    ("agent.rho_prime", "rho_prime", float, "[0, inf)"),
+    ("agent.comp", "comp", _auto_or_float, "(0, inf)"),
+    ("agent.alpha_ucb", "alpha_ucb", float, "(-inf, inf)"),
+    ("agent.ridge", "ridge", float, "(0, inf)"),
+    ("agent.batch_size", "batch_size", int, "[1, inf)"),
+)
+
+
+def _check_agent_values(**values) -> None:
+    """A ValueError naming each of ``values`` (by field) its row rejects, None included."""
+    errs = interval_errors(AGENT_KEYS, {k: math.nan if v is None else v for k, v in values.items()})
+    if errs:
+        raise ValueError("; ".join(errs))
+
+
 @dataclass(frozen=True)
 class EpochSchedule:
     """Doubling boundaries: tau_0 = 0, tau_m = tau1 * 2^(m-1)."""
@@ -69,8 +98,7 @@ class EpochSchedule:
     tau1: int = 4
 
     def __post_init__(self):
-        if self.tau1 < 4:
-            raise ValueError("tau1 must be >= 4")
+        _check_agent_values(tau1=self.tau1)
 
     def boundary(self, m: int) -> int:
         if m < 0:
@@ -112,9 +140,9 @@ def schedule_position(t, tau1: int, epsilon: float):
 class RateParams:
     """Rate knobs for the gamma schedule and the constraint budget.
 
-    The linear preset is rho = 1, rho_prime = 0, comp = total parameter
-    count.  The constants C1 and C3 are not pinned by theory; both default
-    to 1.
+    The defaults are ``linear_preset(2, 1)``: rho = 1, rho_prime = 0 and
+    comp = K * (d + 1), the total parameter count, also for a comp of None
+    there.  C1 and C3 are not pinned by theory.
     """
 
     rho: float = 1.0
@@ -125,21 +153,14 @@ class RateParams:
     delta: float = 0.1
 
     def __post_init__(self):
-        # chained comparisons with inf also reject nan, which compares false
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must be in (0, 1]")
-        if not 0.0 <= self.rho_prime < math.inf:
-            raise ValueError("rho_prime must be finite and >= 0")
-        if not (0.0 < self.comp < math.inf and 0.0 < self.C1 < math.inf
-                and 0.0 < self.C3 < math.inf):
-            raise ValueError("comp, C1, C3 must be finite and > 0")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValueError("delta must be in (0, 0.5]")
+        _check_agent_values(delta=self.delta, c1=self.C1, c3=self.C3, rho=self.rho,
+                           rho_prime=self.rho_prime, comp=self.comp)
 
     @staticmethod
     def linear_preset(num_arms: int, context_dim: int = 1, **overrides) -> "RateParams":
-        d = num_arms * (context_dim + 1)
-        return RateParams(rho=1.0, rho_prime=0.0, comp=float(d), **overrides)
+        if overrides.get("comp") is None:
+            overrides["comp"] = float(num_arms * (context_dim + 1))
+        return RateParams(**overrides)
 
 
 def _log_pow(n: float, rho_prime: float) -> float:
@@ -250,8 +271,7 @@ class EpsilonFalconAgent:
     def __init__(self, num_arms: int, context_dim: int = 1, epsilon: float = 0.1,
                  schedule: EpochSchedule = EpochSchedule(), rates: Optional[RateParams] = None,
                  replications: int = 1):
-        if not 0.0 <= epsilon < 0.5:
-            raise ValueError("epsilon must be in [0, 0.5)")
+        _check_agent_values(epsilon=epsilon)
         self.num_arms, self.context_dim = num_arms, context_dim
         self.epsilon = epsilon
         self.schedule = schedule
@@ -373,12 +393,7 @@ class LinUCBAgent:
 
     def __init__(self, num_arms: int, context_dim: int = 1, alpha_ucb: float = 0.2,
                  ridge: float = 1.0, batch_size: int = 100, replications: int = 1):
-        if not 0.0 < ridge < math.inf:
-            raise ValueError("ridge must be finite and > 0")
-        if not math.isfinite(alpha_ucb):
-            raise ValueError("alpha_ucb must be finite")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _check_agent_values(alpha_ucb=alpha_ucb, ridge=ridge, batch_size=batch_size)
         self.num_arms, self.context_dim = num_arms, context_dim
         self.alpha_ucb, self.batch_size = alpha_ucb, batch_size
         self.stats = MomentStore(replications, num_arms, context_dim)

@@ -37,11 +37,11 @@ from typing import Optional
 import numpy as np
 
 from . import diag as diagmod
-from . import env as envmod
 from .diag import LemmaCheck, RegretTrace, RunArtifacts, cumsum_after
-from .env import Environment, EnvSpec, draw_contexts, interval_errors, make_generator
-from .falcon import (EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
-                     RateParams, UniformAgent, gamma_for_epoch)
+from .env import (ENV_KEYS, Environment, EnvSpec, draw_contexts, interval_errors,
+                  make_generator)
+from .falcon import (AGENT_KEYS, EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
+                     RateParams, UniformAgent, _auto_or_float, gamma_for_epoch)
 from .linmodel import LinearModel, row_max_argmax
 
 AGENT_NAMES = ("epsilon_falcon", "falcon", "lin_ucb", "uniform")
@@ -68,25 +68,9 @@ class ConfigMismatchError(ValueError):
     """compare() was given configs with different environments/horizons."""
 
 
-def _auto_or_float(text: str) -> Optional[float]:
-    return None if text == "auto" else float(text)
-
-
 # one row per config-file key, in file order: (key, EnvSpec or RunConfig
 # field, parser, allowed interval or None)
-CONFIG_KEYS = envmod.ENV_KEYS + (
-    ("agent.name", "agent", str, None),
-    ("agent.epsilon", "epsilon", float, "[0, 0.5)"),
-    ("agent.delta", "delta", float, "(0, 0.5]"),
-    ("agent.tau1", "tau1", int, "[4, inf)"),
-    ("agent.c1", "c1", float, "(0, inf)"),
-    ("agent.c3", "c3", float, "(0, inf)"),
-    ("agent.rho", "rho", float, "(0, 1]"),
-    ("agent.rho_prime", "rho_prime", float, "[0, inf)"),
-    ("agent.comp", "comp", _auto_or_float, "(0, inf)"),
-    ("agent.alpha_ucb", "alpha_ucb", float, "(-inf, inf)"),
-    ("agent.ridge", "ridge", float, "(0, inf)"),
-    ("agent.batch_size", "batch_size", int, "[1, inf)"),
+CONFIG_KEYS = ENV_KEYS + (("agent.name", "agent", str, None),) + AGENT_KEYS + (
     ("run.horizon", "horizon", int, "[1, inf)"),
     ("run.replications", "replications", int, "[1, inf)"),
     ("run.base_seed", "base_seed", int, "[0, inf)"),
@@ -121,10 +105,8 @@ class RunConfig:
         errs = self.env.validation_errors()
         if self.agent not in AGENT_NAMES:
             errs.append(f"agent.name: unknown agent {self.agent!r}")
-        for key, name, _, allowed in CONFIG_KEYS:
-            if not key.startswith("env."):  # EnvSpec checks its own rows
-                errs += interval_errors(key, getattr(self, name), allowed)
-        return errs
+        # EnvSpec checks its own rows
+        return errs + interval_errors(CONFIG_KEYS[len(ENV_KEYS):], vars(self))
 
     def validate(self) -> None:
         errs = self.validation_errors()
@@ -132,11 +114,9 @@ class RunConfig:
             raise ConfigError(errs)
 
     def rate_params(self) -> RateParams:
-        comp = self.comp
-        if comp is None:
-            comp = float(self.env.num_arms * (self.env.context_dim + 1))
-        return RateParams(rho=self.rho, rho_prime=self.rho_prime, comp=comp,
-                          C1=self.c1, C3=self.c3, delta=self.delta)
+        return RateParams.linear_preset(self.env.num_arms, self.env.context_dim, rho=self.rho,
+                                        rho_prime=self.rho_prime, comp=self.comp, C1=self.c1,
+                                        C3=self.c3, delta=self.delta)
 
 
 # ---------------------------------------------------------------------------

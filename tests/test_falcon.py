@@ -1,6 +1,7 @@
 import math
 import types
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab.env import EnvSpec, best_linear_fit_uniform
-from banditlab.falcon import (EpochSchedule, EpsilonFalconAgent,
+from banditlab.falcon import (AGENT_KEYS, EpochSchedule, EpsilonFalconAgent,
                               InvalidConfidenceError, LinUCBAgent, RateParams,
                               SequencingError, UniformAgent, arm_gaps, gamma_for_epoch,
                               igw_kernel, sample_kernel)
-from banditlab.harness import RunConfig, build_agent
+from banditlab.harness import ConfigError, RunConfig, build_agent, parse_config
 from banditlab.linmodel import (ConstraintSpec, DataBatch, InvalidArmError, LinearModel,
                                 constrained_fit, featurize, fit_ols, row_max_argmax)
 
@@ -111,6 +112,15 @@ class TestGamma:
         a = gamma_for_epoch(5, SCHED, RATES, 2)
         b = gamma_for_epoch(5, EpochSchedule(4), RateParams(rho_prime=0.0, comp=4.0), 2)
         assert a == b
+
+    def test_linear_preset_overrides_win(self):
+        assert RateParams.linear_preset(2, 1, comp=8.0, rho=0.5) == RateParams(rho=0.5, comp=8.0)
+        # a comp of None is the total parameter count K * (d + 1)
+        assert RateParams.linear_preset(3, 2, comp=None, C1=2.0) == RateParams(comp=9.0, C1=2.0)
+        cfg = RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2),
+                        rho=0.5, c3=3.0)
+        assert cfg.rate_params() == RateParams.linear_preset(3, 2, rho=0.5, C3=3.0)
+        assert replace(cfg, comp=5.0).rate_params() == RateParams(rho=0.5, comp=5.0, C3=3.0)
 
     def test_invalid_confidence_guard(self):
         # reachable only with a delta outside RateParams' validated range
@@ -525,31 +535,64 @@ class TestBaselines:
             assert abs(counts[a] / n - 0.25) <= 3 * se
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            LinUCBAgent(2, ridge=0.0)
-        with pytest.raises(ValueError):
-            LinUCBAgent(2, batch_size=0)
-        with pytest.raises(ValueError):
-            RateParams(delta=0.6)
-        with pytest.raises(ValueError):
-            RateParams(rho=0.0)
-        with pytest.raises(ValueError):
-            RateParams(rho=1.0, comp=-1.0)
+        # just outside each end of every agent.* row's interval, and the cases
+        # this test held before the rows were shared
+        for key, _, parse, allowed in AGENT_KEYS:
+            for value in outside_ends(parse, allowed):
+                assert_rejected_alike(key, value)
+        for key, value in [("agent.delta", 0.6), ("agent.comp", -1.0)]:
+            assert_rejected_alike(key, value)
+        # a rate object has no "auto" comp
+        with pytest.raises(ValueError, match=r"^agent\.comp: must be in \(0, inf\)$"):
+            RateParams(comp=None)
 
 
-NON_FINITE_BUILDS = [
-    *((f"RateParams.{name}", lambda v, name=name: RateParams(**{name: v}))
-      for name in ("rho", "rho_prime", "comp", "C1", "C3", "delta")),
-    ("LinUCBAgent.ridge", lambda v: LinUCBAgent(2, ridge=v)),
-    ("LinUCBAgent.alpha_ucb", lambda v: LinUCBAgent(2, alpha_ucb=v)),
-]
+# each agent.* row's owner in code: (label, build from one value)
+AGENT_BUILDS = {
+    "agent.epsilon": ("EpsilonFalconAgent.epsilon", lambda v: EpsilonFalconAgent(2, epsilon=v)),
+    "agent.delta": ("RateParams.delta", lambda v: RateParams(delta=v)),
+    "agent.tau1": ("EpochSchedule.tau1", EpochSchedule),
+    "agent.c1": ("RateParams.C1", lambda v: RateParams(C1=v)),
+    "agent.c3": ("RateParams.C3", lambda v: RateParams(C3=v)),
+    "agent.rho": ("RateParams.rho", lambda v: RateParams(rho=v)),
+    "agent.rho_prime": ("RateParams.rho_prime", lambda v: RateParams(rho_prime=v)),
+    "agent.comp": ("RateParams.comp", lambda v: RateParams(comp=v)),
+    "agent.alpha_ucb": ("LinUCBAgent.alpha_ucb", lambda v: LinUCBAgent(2, alpha_ucb=v)),
+    "agent.ridge": ("LinUCBAgent.ridge", lambda v: LinUCBAgent(2, ridge=v)),
+    "agent.batch_size": ("LinUCBAgent.batch_size", lambda v: LinUCBAgent(2, batch_size=v)),
+}
+FLOAT_AGENT_KEYS = [key for key, _, parse, _ in AGENT_KEYS if parse is not int]
+AGENT_ALLOWED = {key: allowed for key, _, _, allowed in AGENT_KEYS}
+
+
+def outside_ends(parse, allowed):
+    """The value just outside each end of ``allowed``: an open end itself, the
+    next float (or integer) past a closed one.  An int row's infinite end is
+    no integer: ``test_harness``'s integer test takes it."""
+    lo, hi = (float(end) for end in allowed[1:-1].split(", "))
+    if parse is int:
+        return [int(lo) - 1]
+    return [lo if allowed[0] == "(" else math.nextafter(lo, -math.inf),
+            hi if allowed[-1] == ")" else math.nextafter(hi, math.inf)]
+
+
+def assert_rejected_alike(key, value):
+    """A config file and the row's owner in code both reject ``value`` for
+    ``key``, with the one message of its row."""
+    message = f"{key}: must be in {AGENT_ALLOWED[key]}"
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"{key} = {value!r}\n")
+    assert info.value.errors == [message]
+    with pytest.raises(ValueError) as info:
+        AGENT_BUILDS[key][1](value)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("label,build", NON_FINITE_BUILDS, ids=[b[0] for b in NON_FINITE_BUILDS])
-def test_non_finite_parameter_rejected(label, build, value):
-    with pytest.raises(ValueError):
-        build(value)
+@pytest.mark.parametrize("key", FLOAT_AGENT_KEYS,
+                         ids=[AGENT_BUILDS[key][0] for key in FLOAT_AGENT_KEYS])
+def test_non_finite_parameter_rejected(key, value):
+    assert_rejected_alike(key, value)
 
 
 # Every block length up to 16 and some around 32, 64, 100 and 128 rows, up to

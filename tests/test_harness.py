@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import os
 import re
@@ -18,6 +19,7 @@ from banditlab.csvio import (EPOCHS_HEADER, TRACE_HEADER, read_weights_csv, writ
 from banditlab.diag import lemma_suite
 from banditlab.env import (EnvSpec, best_linear_fit_uniform, draw_contexts, make_generator,
                            mean_reward_matrix)
+from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, RateParams
 from banditlab.harness import (ConfigError, ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config, run_lemmas, run_many,
                                run_one, run_suite, save_config, serialize_config)
@@ -31,6 +33,18 @@ SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
 FLOAT_KEYS = ("env.noise_sd", "env.theta", "agent.epsilon", "agent.delta", "agent.c1",
               "agent.c3", "agent.rho", "agent.rho_prime", "agent.comp", "agent.alpha_ucb",
               "agent.ridge")
+
+INT_KEYS = [key for key, _, parse, _ in harness.CONFIG_KEYS if parse is int]
+# each int row's owner in code: a build from one value
+INT_BUILDS = {
+    "env.num_arms": lambda v: EnvSpec(kind="realizable_linear", num_arms=v),
+    "env.seed": lambda v: EnvSpec(seed=v),
+    "env.context_dim": lambda v: EnvSpec(kind="realizable_linear", context_dim=v),
+    "agent.tau1": EpochSchedule,
+    "agent.batch_size": lambda v: LinUCBAgent(2, batch_size=v),
+    **{key: lambda v, name=name: RunConfig(**{name: v}).validate()
+       for key, name, parse, _ in harness.CONFIG_KEYS if key.startswith("run.") and parse is int},
+}
 
 
 def small_config(**kw):
@@ -90,10 +104,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_named(self, key, value):
-        # the later line overrides the serialized one
-        text = serialize_config(small_config(env=SENS)) + f"{key} = {value}\n"
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        lines = serialize_config(small_config(env=SENS)).splitlines()  # a key may appear once
+        text = "".join(f"{ln}\n" for ln in lines if not ln.startswith(f"{key} =")) \
+            + f"{key} = {value}\n"
+        with pytest.raises(ConfigError) as info:
             parse_config(text)
+        assert info.value.errors == [f"{key}: must be in {ALLOWED[key]}"]
         # a config built in code is rejected the same way
         section, name = key.split(".")
         if section == "env":
@@ -102,6 +118,36 @@ class TestConfigValidation:
         else:
             errs = replace(small_config(env=SENS), **{name: float(value)}).validation_errors()
             assert any(e.startswith(key) for e in errs)
+
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_int_row_takes_only_integers(self, key):
+        build = INT_BUILDS[key]
+        for value in (4, np.int64(4)):
+            build(value)
+        for value in (True, 4.0, np.float64(4.0), 4.5, math.nan, math.inf):
+            with pytest.raises(ValueError) as info:
+                build(value)
+            assert str(info.value) == f"{key}: must be an integer"
+            # a config file cannot hold such a value: it does not parse as an int
+            with pytest.raises(ConfigError) as info:
+                parse_config(f"{key} = {value}\n")
+            assert info.value.errors == [f"{key}: cannot parse {str(value)!r}"]
+
+    def test_agent_defaults_agree_with_constructors(self):
+        """RunConfig's agent defaults are those of the objects it builds, the
+        one place where a default is still written twice."""
+        cfg = RunConfig()
+        assert cfg.rate_params() == RateParams() == RateParams(
+            rho=1.0, rho_prime=0.0, comp=4.0, C1=1.0, C3=1.0, delta=0.1)
+        assert EpochSchedule() == EpochSchedule(cfg.tau1) == EpochSchedule(4)
+        for cls, names in ((EpsilonFalconAgent, ("epsilon",)),
+                           (LinUCBAgent, ("alpha_ucb", "ridge", "batch_size"))):
+            params = inspect.signature(cls).parameters
+            assert {n: params[n].default for n in names} == {n: getattr(cfg, n) for n in names}
+        assert inspect.signature(EpsilonFalconAgent).parameters["schedule"].default \
+            == EpochSchedule(cfg.tau1)
+        assert (cfg.epsilon, cfg.alpha_ucb, cfg.ridge, cfg.batch_size) == (0.1, 0.2, 1.0, 100)
 
 
 class TestConfigRoundTrip:
