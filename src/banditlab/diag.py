@@ -120,12 +120,12 @@ class RunArtifacts:
     """What the inequality suite needs from a completed run: the per-epoch
     model snapshots (the model in force DURING each epoch, starting with
     the zero model of epoch 1) and the matching gamma values.  ``epsilon``
-    and ``rho``, when known, feed the logged-only regret trend."""
+    (the passive share, or 0) and ``rho`` feed the logged-only regret trend."""
 
     spec: EnvSpec
     models: list[LinearModel]
     gammas: list[float]
-    epsilon: Optional[float] = None
+    epsilon: float = 0.0
     rho: float = 1.0
 
 

@@ -1,16 +1,16 @@
 """Stochastic contextual-bandit environments with known ground truth.
 
-Three built-in families, all with contexts drawn uniformly from (0,1):
+Three built-in families, all with contexts drawn uniformly from (0,1).  The
+two misspecified ones have one two-arm shape (lo, hi, w, a0): arm 1 pays lo
+on x <= 1-w and hi above; arm 2 is the line through (0, a0) that meets the
+best linear fit of arm 1 exactly at the knee x = 1-w.
 
-* ``step_function`` -- two arms; arm 1 pays 1 when x > 0.5 and 0 otherwise,
-  arm 2 pays a constant 0.5.  The best linear approximation to arm 1 is the
-  line 1.5x - 0.25, which induces the same threshold policy as the truth.
-* ``sensitivity_family`` -- two arms, parameterized by theta in (0, 0.05].
-  Arm 1 pays 0.1 on x <= 1-theta and 1 above; arm 2 is linear,
-  1 + m_theta * x, with the slope chosen so that arm 2 meets the best linear
-  fit of arm 1 exactly at x = 1-theta.  The best-in-class policy is optimal
-  here, yet data collected under it makes the unconstrained least-squares
-  fit of arm 1 collapse to the constant 1.
+* ``step_function`` -- (0, 1, 0.5, 0.5): arm 2 pays a constant 0.5.  The
+  best linear approximation to arm 1 is the line 1.5x - 0.25, which induces
+  the same threshold policy as the truth.
+* ``sensitivity_family`` -- (0.1, 1, theta, 1), theta in (0, 0.05].  The
+  best-in-class policy is optimal here, yet data collected under it makes
+  the unconstrained least-squares fit of arm 1 collapse to the constant 1.
 * ``realizable_linear`` -- K arms with truly linear mean rewards whose
   weights are drawn once from the spec seed; arms are kept well separated
   so the instance has a clear optimal arm at every context.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,20 +60,22 @@ def _parse_bool(text: str) -> bool:
 
 def interval_errors(rows, values: dict) -> list[str]:
     """Why each of ``values`` (by field) breaks its row of ``rows``: no integer
-    (a bool is none) for an ``int`` row, or out of the interval; None passes."""
+    for an ``int`` row or no real number for another row with an interval (a
+    bool is neither), or out of the interval; None passes."""
     errs = []
     for key, name, parse, allowed in rows:
         value = values.get(name)
-        if value is None:
+        if value is None or allowed is None:
             continue
-        if parse is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-            errs.append(f"{key}: must be an integer")
-        elif allowed is not None:
-            lo, hi = (float(end) for end in allowed[1:-1].split(", "))
-            # every comparison with nan is false, so nan lies in no interval
-            if not ((lo <= value if allowed[0] == "[" else lo < value)
-                    and (value <= hi if allowed[-1] == "]" else value < hi)):
-                errs.append(f"{key}: must be in {allowed}")
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if parse is int else numbers.Real):
+            errs.append(f"{key}: must be {'an integer' if parse is int else 'a number'}")
+            continue
+        lo, hi = (float(end) for end in allowed[1:-1].split(", "))
+        # every comparison with nan is false, so nan lies in no interval
+        if not ((lo <= value if allowed[0] == "[" else lo < value)
+                and (value <= hi if allowed[-1] == "]" else value < hi)):
+            errs.append(f"{key}: must be in {allowed}")
     return errs
 
 
@@ -132,34 +135,26 @@ class EnvSpec:
 # closed forms for the misspecified families
 #
 # For a scalar target g on Unif(0,1) the least-squares line has
-# slope = Cov(x, g)/Var(x) = 12 Cov(x, g) and intercept = E[g] - slope/2.
+# slope = Cov(x, g)/Var(x) = 12 Cov(x, g) and intercept = E[g] - slope/2,
+# and its mean squared residual is Var(g) - slope^2 Var(x).
 # ---------------------------------------------------------------------------
 
-def sensitivity_arm1_fit(theta: float) -> tuple[float, float]:
-    """(intercept, slope) of the least-squares line for arm 1 of the
-    sensitivity family: target 0.1 + 0.9 * 1{x > 1-theta} on Unif(0,1)."""
-    slope = 5.4 * theta * (1.0 - theta)
-    intercept = 0.1 + 0.9 * theta - 2.7 * theta * (1.0 - theta)
-    return intercept, slope
+def _two_level(spec: EnvSpec) -> Optional[tuple[float, float, float, float]]:
+    """(lo, hi, w, a0) of a misspecified kind, None for a linear truth: arm 1
+    pays lo up to the knee x = 1 - w and hi above it; arm 2 is the line
+    through (0, a0) that meets arm 1's best fit at the knee."""
+    return {STEP_FUNCTION: (0.0, 1.0, 0.5, 0.5),
+            SENSITIVITY_FAMILY: (0.1, 1.0, spec.theta, 1.0)}.get(spec.kind)
 
 
-def sensitivity_slope_m(theta: float) -> float:
-    """Slope of arm 2's (linear) mean reward: the line through (0, 1) that
-    meets arm 1's best linear fit at x = 1 - theta."""
-    intercept, slope = sensitivity_arm1_fit(theta)
-    fhat_at_knee = intercept + slope * (1.0 - theta)
-    return (fhat_at_knee - 1.0) / (1.0 - theta)
-
-
-def _sensitivity_arm1_residual(theta: float) -> float:
-    # E[(fit - target)^2] = Var(g) - slope^2 Var(x), both in closed form.
-    return 0.81 * theta * (1.0 - theta) - 2.43 * theta**2 * (1.0 - theta) ** 2
-
-
-# step function: arm-1 fit is 1.5x - 0.25 with mean squared residual
-# Var(g) - slope^2/12 = 1/4 - 3/16 = 1/16.
-_STEP_ARM1_FIT = (-0.25, 1.5)
-_STEP_ARM1_RESIDUAL = 1.0 / 16.0
+def _two_level_fit(lo: float, hi: float, w: float, a0: float) -> tuple[tuple, tuple]:
+    """((intercept, slope) of arm 1's best fit, (a0, slope) of arm 2): with
+    d = hi - lo, g has Cov(x, g) = d w (1-w) / 2 and E[g] = lo + d w."""
+    d = hi - lo
+    slope = 6 * d * w * (1 - w)
+    intercept = lo + d * w - 3 * d * w * (1 - w)
+    knee = 1 - w
+    return (intercept, slope), (a0, (intercept + slope * knee - a0) / knee)
 
 
 @functools.lru_cache(maxsize=16)
@@ -195,33 +190,22 @@ def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
     """The truth surface, one formula for runs and diagnostics: (n, K) mean
     rewards, a linear truth row by row (a row never depends on the others)."""
     xs = np.asarray(xs, dtype=float)
-    n = xs.shape[0]
-    if spec.kind == STEP_FUNCTION:
-        out = np.empty((n, 2))
-        out[:, 0] = (xs > 0.5).astype(float)
-        out[:, 1] = 0.5
-        return out
-    if spec.kind == SENSITIVITY_FAMILY:
-        out = np.empty((n, 2))
-        out[:, 0] = np.where(xs <= 1.0 - spec.theta, 0.1, 1.0)
-        out[:, 1] = 1.0 + sensitivity_slope_m(spec.theta) * xs
-        return out
-    return true_model(spec).predict_rows(xs)
+    shape = _two_level(spec)
+    if shape is None:
+        return true_model(spec).predict_rows(xs)
+    lo, hi, w, a0 = shape
+    out = np.empty((xs.shape[0], 2))
+    out[:, 0] = np.where(xs <= 1 - w, lo, hi)
+    out[:, 1] = a0 + _two_level_fit(*shape)[1][1] * xs
+    return out
 
 
 def best_linear_fit_uniform(spec: EnvSpec) -> LinearModel:
     """Population least-squares fit per arm under Unif(0,1) contexts and
     uniformly sampled arms (the objective separates across arms, so each
-    arm is fit independently)."""
-    if spec.kind == STEP_FUNCTION:
-        return LinearModel(np.array([[_STEP_ARM1_FIT[0], _STEP_ARM1_FIT[1]], [0.5, 0.0]]))
-    if spec.kind == SENSITIVITY_FAMILY:
-        intercept, slope = sensitivity_arm1_fit(spec.theta)
-        return LinearModel(np.array([[intercept, slope],
-                                     [1.0, sensitivity_slope_m(spec.theta)]]))
-    if spec.kind == REALIZABLE_LINEAR:
-        return true_model(spec)
-    raise ValueError(f"unsupported kind {spec.kind!r}")
+    arm is fit independently): the truth itself for a linear kind."""
+    shape = _two_level(spec)
+    return true_model(spec) if shape is None else LinearModel(np.array(_two_level_fit(*shape)))
 
 
 def closed_form_errors(spec: EnvSpec) -> tuple[float, float]:
@@ -229,12 +213,11 @@ def closed_form_errors(spec: EnvSpec) -> tuple[float, float]:
     against the truth, averaged over arms (b) or at the worst arm per
     context (B).  Only arm 1 of a misspecified family is misfit, so B is
     its mean squared residual and b half of it."""
-    if spec.kind == STEP_FUNCTION:
-        arm1 = _STEP_ARM1_RESIDUAL
-    elif spec.kind == SENSITIVITY_FAMILY:
-        arm1 = _sensitivity_arm1_residual(spec.theta)
-    else:
-        arm1 = 0.0
+    shape, arm1 = _two_level(spec), 0.0
+    if shape is not None:
+        lo, hi, w, _ = shape
+        d2 = (hi - lo) ** 2  # Var(g) = d2 w (1-w), slope^2 Var(x) = 3 d2 w^2 (1-w)^2
+        arm1 = d2 * w * (1 - w) - 3 * d2 * w**2 * (1 - w) ** 2
     return arm1 / 2.0, arm1
 
 

@@ -8,7 +8,7 @@ drawn from the inverse-gap-weighted kernel
     p(a | x) = 1 / (K + gamma * (f_m(x, best) - f_m(x, a)))   for a != best,
 
 with the predicted-best arm taking the remainder, and a PASSIVE suffix of
-ceil(epsilon * epoch_length) uniformly-random rounds.  At the epoch boundary
+ceil(epsilon * epoch length) uniformly-random rounds.  At the epoch boundary
 the model is refit: the passive rounds define a budget (best attainable
 normalized SSE on them plus a shrinking slack) and the next model minimizes
 the active-round error subject to that budget, via the constrained
@@ -59,10 +59,6 @@ class SequencingError(RuntimeError):
     """Rounds were played outside the agent's current epoch or block."""
 
 
-class InvalidConfidenceError(ValueError):
-    """gamma schedule hit a nonpositive log term."""
-
-
 def _auto_or_float(text: str) -> Optional[float]:
     return None if text == "auto" else float(text)
 
@@ -72,7 +68,8 @@ def _auto_or_float(text: str) -> Optional[float]:
 AGENT_KEYS = (
     ("agent.epsilon", "epsilon", float, "[0, 0.5)"),
     ("agent.delta", "delta", float, "(0, 0.5]"),
-    ("agent.tau1", "tau1", int, "[4, inf)"),
+    # at most 2^62, so that the first epoch's rounds fit schedule_position's int64 arrays
+    ("agent.tau1", "tau1", int, "[4, 4611686018427387904]"),
     ("agent.c1", "c1", float, "(0, inf)"),
     ("agent.c3", "c3", float, "(0, inf)"),
     ("agent.rho", "rho", float, "(0, 1]"),
@@ -103,10 +100,7 @@ class EpochSchedule:
     def boundary(self, m: int) -> int:
         if m < 0:
             raise ValueError("epoch index must be >= 0")
-        return 0 if m == 0 else self.tau1 * 2 ** (m - 1)
-
-    def epoch_length(self, m: int) -> int:
-        return self.boundary(m) - self.boundary(m - 1)
+        return 0 if m == 0 else epoch_rounds(m, self.tau1, 0.0)[1]
 
     def epoch_of(self, t: int) -> int:
         """Smallest m with tau_m >= t, for t >= 1."""
@@ -183,10 +177,8 @@ def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: i
         raise ValueError("epoch index starts at 1")
     if m == 1:
         return 1.0
-    if (m - 1) / rates.delta <= 1.0:
-        raise InvalidConfidenceError(
-            f"ln((m-1)/delta) nonpositive for m={m}, delta={rates.delta}")
-    n_prev = sched.epoch_length(m - 1)
+    # delta <= 0.5 (RateParams), so ln((m-1)/delta) >= ln 2
+    n_prev = sched.boundary(m - 1) - sched.boundary(m - 2)
     denom = _log_pow(n_prev, rates.rho_prime) * math.log((m - 1) / rates.delta) * rates.comp
     return math.sqrt(rates.C3 * num_arms * n_prev ** rates.rho / denom)
 

@@ -199,13 +199,18 @@ def save_config(config: RunConfig, path: str) -> None:
 # running
 # ---------------------------------------------------------------------------
 
+def passive_share(config: RunConfig) -> float:
+    """The share of each epoch played passively: ``epsilon`` for
+    ``epsilon_falcon``, 0 for every other agent (``falcon`` included)."""
+    return config.epsilon if config.agent == "epsilon_falcon" else 0.0
+
+
 def build_agent(config: RunConfig, replications: int = 1):
     """The config's agent, holding ``replications`` runs in lockstep."""
     spec = config.env
     K, dim = spec.num_arms, spec.context_dim
     if config.agent in ("epsilon_falcon", "falcon"):
-        epsilon = 0.0 if config.agent == "falcon" else config.epsilon
-        return EpsilonFalconAgent(K, dim, epsilon, EpochSchedule(config.tau1),
+        return EpsilonFalconAgent(K, dim, passive_share(config), EpochSchedule(config.tau1),
                                   config.rate_params(), replications=replications)
     if config.agent == "lin_ucb":
         return LinUCBAgent(K, dim, config.alpha_ucb, config.ridge, config.batch_size,
@@ -293,8 +298,7 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
         # summed round by round, like the cumulative regret; a total that
         # overflows is reported by the finiteness check after the loop
         with np.errstate(over="ignore", invalid="ignore"):
-            noisy_total = np.cumsum(np.column_stack([noisy_total, flat[best] - r_n]),
-                                    axis=1)[:, -1]
+            noisy_total = cumsum_after(flat[best] - r_n, noisy_total)[:, -1]
         if keep_data:
             xs[:, lo:stop], actions[:, lo:stop], rewards[:, lo:stop] = x_n, a_n, r_n
 
@@ -305,7 +309,6 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
     if isinstance(agent, LinUCBAgent):
         state_ok = np.isfinite(agent.bvec.reshape(R, -1)).all(axis=1)
     started, results = schedule.epoch_of(T), []
-    epsilon = agent.epsilon if is_falcon else 0.0
     for r, seed in enumerate(seeds):
         events = agent.events[r] if is_falcon else []
         bad = [ev.m for ev in events if not np.isfinite(ev.new_weights).all()]
@@ -321,7 +324,8 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
             exc.replication = r
             raise exc
         data = (xs[r], actions[r], rewards[r]) if keep_data else (None, None, None)
-        trace = RegretTrace(*data, e_regret[r], config.tau1, epsilon, float(noisy_total[r]))
+        trace = RegretTrace(*data, e_regret[r], config.tau1, passive_share(config),
+                            float(noisy_total[r]))
         # in force during each epoch that started: the zero model, then each refit's
         weights = [np.zeros((K, dim + 1)), *(ev.new_weights for ev in events)][:started] \
             if is_falcon else []
@@ -347,9 +351,8 @@ def run_artifacts(config: RunConfig, weights: list[np.ndarray]) -> RunArtifacts:
     schedule, rates = EpochSchedule(config.tau1), config.rate_params()
     gammas = [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
               for m in range(1, len(weights) + 1)]
-    epsilon = config.epsilon if config.agent == "epsilon_falcon" else None
     return RunArtifacts(config.env, [LinearModel(w) for w in weights], gammas,
-                        epsilon=epsilon, rho=config.rho)
+                        epsilon=passive_share(config), rho=config.rho)
 
 
 def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts,
@@ -374,12 +377,10 @@ class SuiteSummary:
     replications: int
 
 
-def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSummary:
+def run_suite(config: RunConfig) -> SuiteSummary:
     """Run all replications, ``REPLICATIONS_PER_CHUNK`` at a time in
-    lockstep, and aggregate per-round regret by replication index.
-    ``order`` only changes which replications share a chunk and which
-    chunk runs first; a replication's trace does not depend on either, and
-    the aggregation is index-keyed, so any order produces the same summary.
+    lockstep, and aggregate per-round regret by replication index; a
+    replication's trace does not depend on which others share its chunk.
 
     Each replication keeps only its ``e_regret``.  The summary is built in
     blocks of rounds, each block's cumulative regret continued from the
@@ -388,21 +389,16 @@ def run_suite(config: RunConfig, order: Optional[list[int]] = None) -> SuiteSumm
     """
     config.validate()
     R, T = config.replications, config.horizon
-    if order is None:
-        order = list(range(R))
-    if sorted(order) != list(range(R)):
-        raise ValueError("order must be a permutation of range(replications)")
-    e_rows: list[Optional[np.ndarray]] = [None] * R
+    e_rows: list[np.ndarray] = []
     for lo in range(0, R, REPLICATIONS_PER_CHUNK):
-        chunk = order[lo:lo + REPLICATIONS_PER_CHUNK]
+        chunk = range(lo, min(R, lo + REPLICATIONS_PER_CHUNK))
         try:
             results = _run_many(config, [config.base_seed + r for r in chunk], keep_data=False)
         except Exception as exc:
             # a failure shared by the whole chunk is charged to its first replication
             exc.add_note(f"replication {chunk[getattr(exc, 'replication', 0)]}")
             raise
-        for r, res in zip(chunk, results):
-            e_rows[r] = res.trace.e_regret
+        e_rows += [res.trace.e_regret for res in results]
     mean, se, cum_mean, cum_se = (np.zeros(T) for _ in range(4))
     # blocks of 2 to ROUNDS_PER_SUMMARY_BLOCK + 1 rounds (T = 1 aside):
     # numpy reduces a block of one column in another order

@@ -38,6 +38,8 @@ import numpy as np
 
 RIDGE = 1e-8
 LAMBDA_TOL = 1e-8  # constrained_fit's bisection width, relative to max(1, lambda)
+LAMBDA_MAX = 1e12  # constrained_fit raises once its doubling bracket passes it
+MAX_BISECTIONS = 400  # constrained_fit's bisection steps before it stops unconverged
 
 
 class InvalidArmError(ValueError):
@@ -369,9 +371,8 @@ class DualReport:
     converged: bool
 
 
-def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec, tol: float = 1e-6,
-                    lambda_max: float = 1e12,
-                    max_iters: int = 400) -> tuple[LinearModel, DualReport]:
+def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec,
+                    tol: float = 1e-6) -> tuple[LinearModel, DualReport]:
     """Constrained regression via the one-dimensional concave dual.
 
     The unconstrained minimizer is tried first; if it already satisfies the
@@ -382,7 +383,7 @@ def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec, tol: f
     slack.  Bisection keeps the feasible endpoint, so the returned model
     always satisfies the budget; it stops once that endpoint is within
     ``tol`` of tightness and the lambda interval is below ``LAMBDA_TOL``,
-    or, unconverged, at adjacent float endpoints or after ``max_iters`` steps.
+    or, unconverged, at adjacent float endpoints or after ``MAX_BISECTIONS`` steps.
 
     The returned model is the exact output of ``fit_weighted(active,
     passive, report.lam)`` -- re-running that call reproduces it bit for
@@ -412,7 +413,7 @@ def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec, tol: f
     model, resid = weighted(lam_hi)
     while resid > 0:
         lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
-        if lam_hi > lambda_max:
+        if lam_hi > LAMBDA_MAX:
             raise DualNonConvergenceError(
                 f"no feasible weighted fit up to lambda={lam_hi:.3g} "
                 f"(alpha={alpha:.6g}, slack={cons.slack:.6g}, "
@@ -421,7 +422,7 @@ def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec, tol: f
 
     iters = 0
     while (abs(resid) > tol or (lam_hi - lam_lo) > LAMBDA_TOL * max(1.0, lam_hi)) \
-            and iters < max_iters:
+            and iters < MAX_BISECTIONS:
         mid = 0.5 * (lam_lo + lam_hi)
         if mid in (lam_lo, lam_hi):
             break  # adjacent floats: every later step refits an endpoint

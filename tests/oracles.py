@@ -18,7 +18,10 @@ inequality suite as it ran before it shared one context sample (every
 check on its own draw, in those formulas) is the reference for the
 shared-sample suite, and each epoch's model MSE as the harness computed it
 before it joined that sample (a fresh draw per epoch) is the reference for
-``mse_to_fhatstar``.
+``mse_to_fhatstar``.  The truth, best fit and (b, B) of the two
+misspecified families, expanded by hand once per family as ``env`` wrote
+them before it shared one (lo, hi, w, a0) formula, are the reference for
+that formula.
 """
 
 import math
@@ -677,3 +680,51 @@ def mse_to_best_fit_per_event(spec, events, num_mc: int, seed: int) -> list[floa
         mses.append(mse_from(predict_matrix(LinearModel(ev.new_weights), xs),
                              predict_matrix(best_fit, xs)).value)
     return mses
+
+
+def sensitivity_arm1_fit(theta: float) -> tuple[float, float]:
+    """(intercept, slope) of the least-squares line for arm 1 of the
+    sensitivity family: target 0.1 + 0.9 * 1{x > 1-theta} on Unif(0,1)."""
+    slope = 5.4 * theta * (1.0 - theta)
+    intercept = 0.1 + 0.9 * theta - 2.7 * theta * (1.0 - theta)
+    return intercept, slope
+
+
+def sensitivity_slope_m(theta: float) -> float:
+    """Slope of arm 2: the line through (0, 1) that meets arm 1's best
+    linear fit at x = 1 - theta."""
+    intercept, slope = sensitivity_arm1_fit(theta)
+    fhat_at_knee = intercept + slope * (1.0 - theta)
+    return (fhat_at_knee - 1.0) / (1.0 - theta)
+
+
+def best_fit_per_family(spec) -> np.ndarray:
+    """(2, 2) weights of a misspecified family's best uniform-design fit."""
+    if spec.kind == "step_function":
+        return np.array([[-0.25, 1.5], [0.5, 0.0]])
+    intercept, slope = sensitivity_arm1_fit(spec.theta)
+    return np.array([[intercept, slope], [1.0, sensitivity_slope_m(spec.theta)]])
+
+
+def closed_form_errors_per_family(spec) -> tuple[float, float]:
+    """(b, B) of a misspecified family: arm 1's mean squared residual
+    Var(g) - slope^2/12 is B, and b half of it."""
+    if spec.kind == "step_function":
+        arm1 = 1.0 / 16.0  # 1/4 - 3/16
+    else:
+        theta = spec.theta
+        arm1 = 0.81 * theta * (1.0 - theta) - 2.43 * theta**2 * (1.0 - theta) ** 2
+    return arm1 / 2.0, arm1
+
+
+def mean_reward_matrix_per_family(spec, xs) -> np.ndarray:
+    """(n, 2) mean rewards of a misspecified family."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((xs.shape[0], 2))
+    if spec.kind == "step_function":
+        out[:, 0] = (xs > 0.5).astype(float)
+        out[:, 1] = 0.5
+    else:
+        out[:, 0] = np.where(xs <= 1.0 - spec.theta, 0.1, 1.0)
+        out[:, 1] = 1.0 + sensitivity_slope_m(spec.theta) * xs
+    return out

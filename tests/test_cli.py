@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import os
@@ -9,7 +8,7 @@ import sys
 import pytest
 
 import banditlab
-from banditlab import falcon, harness, linmodel
+from banditlab import harness, linmodel
 from banditlab.cli import main
 from banditlab.env import EnvSpec
 from banditlab.harness import RunConfig, load_config, save_config
@@ -58,6 +57,15 @@ class TestRunVerb:
             bad.write_text(text)
             assert main(["run", "--config", str(bad)]) == 1
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau1, code", [(2 ** 62, 0), (2 ** 62 + 1, 1), (2 ** 63, 1)])
+    def test_tau1_past_int64_rounds_exits_one(self, tmp_path, capsys, tau1, code):
+        # past 2^62 the rounds would overflow int64: a config error, not a numerical one
+        path = tmp_path / "tau1.txt"
+        path.write_text(f"run.horizon = 16\nrun.mc_samples = 2000\nagent.tau1 = {tau1}\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == code
+        message = "error: agent.tau1: must be in [4, 4611686018427387904]"
+        assert (message in capsys.readouterr().err) == (code == 1)
 
     @pytest.mark.parametrize("lines, args, key", [
         ("run.base_seed = -1\n", [], "run.base_seed"),
@@ -176,8 +184,7 @@ class TestRunVerb:
         assert "did not converge" not in capsys.readouterr().err
 
         # one bisection step cannot tighten a binding constraint
-        monkeypatch.setattr(falcon, "constrained_fit",
-                            functools.partial(linmodel.constrained_fit, max_iters=1))
+        monkeypatch.setattr(linmodel, "MAX_BISECTIONS", 1)
         assert main(["run", "--config", path]) == 0
         events = results[-1].events
         stuck = [ev.m for ev in events if not ev.converged]

@@ -8,7 +8,9 @@ from banditlab.env import (Environment, EnvSpec, best_linear_fit_uniform, closed
                            draw_contexts, make_generator, mean_reward_matrix, true_model)
 from banditlab.linmodel import row_max_argmax
 
-from oracles import error_estimates_from, lstsq_line, per_round, predict_matrix, simpson
+from oracles import (best_fit_per_family, closed_form_errors_per_family, error_estimates_from,
+                     lstsq_line, mean_reward_matrix_per_family, per_round, predict_matrix,
+                     simpson)
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -260,6 +262,45 @@ class TestBestLinearFit:
         xs = np.linspace(0.01, 0.99, 101)
         np.testing.assert_allclose(predict_matrix(fit, xs),
                                    mean_reward_matrix(REAL, xs), atol=1e-12)
+
+
+def theta_sweep() -> list[float]:
+    """theta in (0, 0.05]: both ends of the float range (0.05 and the
+    smallest subnormal), more subnormals, and seeded draws spread evenly
+    and over every decade down to 1e-320."""
+    rng = np.random.default_rng(25)
+    return [0.05, math.nextafter(0.05, 0.0), 5e-324, 1e-320, 2.5e-310, 2.0 ** -1022,
+            *(0.05 - rng.uniform(0.0, 0.05, 1000)).tolist(),
+            *(0.05 * 10.0 ** -rng.uniform(0.0, 318.0, 1000)).tolist()]
+
+
+class TestOneClosedForm:
+    """The one (lo, hi, w, a0) formula keeps the bits of the per-family
+    closed forms in ``tests/oracles.py``."""
+
+    @staticmethod
+    def assert_bit_equal(spec, xs):
+        assert best_linear_fit_uniform(spec).weights.tobytes() == \
+            best_fit_per_family(spec).tobytes()
+        assert [v.hex() for v in closed_form_errors(spec)] == \
+            [v.hex() for v in closed_form_errors_per_family(spec)]
+        assert mean_reward_matrix(spec, xs).tobytes() == \
+            mean_reward_matrix_per_family(spec, xs).tobytes()
+
+    def test_step_function(self):
+        xs = np.array([0.0, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 1.0,
+                       *np.random.default_rng(24).random(1000)])
+        self.assert_bit_equal(STEP, xs)
+
+    def test_sensitivity_theta_sweep(self):
+        thetas = theta_sweep()
+        assert 0.0 < min(thetas) and max(thetas) == 0.05
+        xs = np.random.default_rng(26).random(100)
+        for theta in thetas:
+            knee = 1.0 - theta
+            edges = [knee, math.nextafter(knee, 0.0), math.nextafter(knee, 1.0), 0.0, 1.0]
+            spec = EnvSpec(kind="sensitivity_family", theta=theta)
+            self.assert_bit_equal(spec, np.concatenate([edges, xs]))
 
 
 class TestApproximationError:

@@ -1,5 +1,4 @@
 import math
-import types
 import warnings
 from dataclasses import replace
 
@@ -9,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab.env import EnvSpec, best_linear_fit_uniform
-from banditlab.falcon import (AGENT_KEYS, EpochSchedule, EpsilonFalconAgent,
-                              InvalidConfidenceError, LinUCBAgent, RateParams,
-                              SequencingError, UniformAgent, arm_gaps, gamma_for_epoch,
-                              igw_kernel, sample_kernel)
+from banditlab.falcon import (AGENT_KEYS, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
+                              RateParams, SequencingError, UniformAgent, arm_gaps,
+                              gamma_for_epoch, igw_kernel, sample_kernel, schedule_position)
 from banditlab.harness import ConfigError, RunConfig, build_agent, parse_config
 from banditlab.linmodel import (ConstraintSpec, DataBatch, InvalidArmError, LinearModel,
                                 constrained_fit, featurize, fit_ols, row_max_argmax)
@@ -77,9 +75,21 @@ class TestEpochSchedule:
         with pytest.raises(ValueError):
             EpochSchedule(3)
 
+    def test_tau1_maximum_keeps_rounds_in_int64(self):
+        # up to 2^62 the first epoch's rounds are int64 array entries
+        tau1 = 2 ** 62
+        s = EpochSchedule(tau1)
+        assert [s.epoch_of(t) for t in (1, tau1, tau1 + 1)] == [1, 1, 2]
+        m, passive = schedule_position(np.array([1, tau1 // 2, tau1], dtype=np.int64), tau1, 0.25)
+        assert m.tolist() == [1, 1, 1] and passive.tolist() == [False, False, True]
+        for value in (tau1 + 1, 2 ** 63):
+            with pytest.raises(ValueError) as info:
+                EpochSchedule(value)
+            assert str(info.value) == "agent.tau1: must be in [4, 4611686018427387904]"
+
     def test_lengths(self):
         s = EpochSchedule(8)
-        assert [s.epoch_length(m) for m in (1, 2, 3, 4)] == [8, 8, 16, 32]
+        assert [s.boundary(m) - s.boundary(m - 1) for m in (1, 2, 3, 4)] == [8, 8, 16, 32]
 
 
 class TestGamma:
@@ -121,12 +131,6 @@ class TestGamma:
                         rho=0.5, c3=3.0)
         assert cfg.rate_params() == RateParams.linear_preset(3, 2, rho=0.5, C3=3.0)
         assert replace(cfg, comp=5.0).rate_params() == RateParams(rho=0.5, comp=5.0, C3=3.0)
-
-    def test_invalid_confidence_guard(self):
-        # reachable only with a delta outside RateParams' validated range
-        bad = types.SimpleNamespace(rho=1.0, rho_prime=0.0, comp=4.0, C3=1.0, delta=2.0)
-        with pytest.raises(InvalidConfidenceError):
-            gamma_for_epoch(2, SCHED, bad, 2)
 
 
 class TestActionKernel:
@@ -571,7 +575,7 @@ def outside_ends(parse, allowed):
     no integer: ``test_harness``'s integer test takes it."""
     lo, hi = (float(end) for end in allowed[1:-1].split(", "))
     if parse is int:
-        return [int(lo) - 1]
+        return [int(lo) - 1, *([int(hi) + 1] if math.isfinite(hi) else [])]
     return [lo if allowed[0] == "(" else math.nextafter(lo, -math.inf),
             hi if allowed[-1] == ")" else math.nextafter(hi, math.inf)]
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import inspect
 import math
@@ -44,6 +45,21 @@ INT_BUILDS = {
     "agent.batch_size": lambda v: LinUCBAgent(2, batch_size=v),
     **{key: lambda v, name=name: RunConfig(**{name: v}).validate()
        for key, name, parse, _ in harness.CONFIG_KEYS if key.startswith("run.") and parse is int},
+}
+
+# each float row's owner in code: a build from one value
+FLOAT_BUILDS = {
+    "env.noise_sd": lambda v: EnvSpec(noise_sd=v),
+    "env.theta": lambda v: EnvSpec(kind="sensitivity_family", theta=v),
+    "agent.epsilon": lambda v: EpsilonFalconAgent(2, epsilon=v),
+    "agent.delta": lambda v: RateParams(delta=v),
+    "agent.c1": lambda v: RateParams(C1=v),
+    "agent.c3": lambda v: RateParams(C3=v),
+    "agent.rho": lambda v: RateParams(rho=v),
+    "agent.rho_prime": lambda v: RateParams(rho_prime=v),
+    "agent.comp": lambda v: RateParams(comp=v),
+    "agent.alpha_ucb": lambda v: LinUCBAgent(2, alpha_ucb=v),
+    "agent.ridge": lambda v: LinUCBAgent(2, ridge=v),
 }
 
 
@@ -133,6 +149,32 @@ class TestConfigValidation:
             with pytest.raises(ConfigError) as info:
                 parse_config(f"{key} = {value}\n")
             assert info.value.errors == [f"{key}: cannot parse {str(value)!r}"]
+
+    def test_float_rows_are_every_other_row_with_an_interval(self):
+        assert sorted(FLOAT_BUILDS) == sorted(FLOAT_KEYS) == sorted(
+            key for key, _, parse, allowed in harness.CONFIG_KEYS
+            if allowed is not None and parse is not int)
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_float_row_takes_only_real_numbers(self, key):
+        build, name = FLOAT_BUILDS[key], key.split(".")[1]
+        for value in (0.01, np.float64(0.01), np.float32(0.01)):
+            build(value)
+        for value in (True, False, np.bool_(True), "0.01", 0.01j):
+            message = f"{key}: must be a number"
+            with pytest.raises(ValueError) as info:
+                build(value)
+            assert str(info.value) == message
+            if key.startswith("env."):
+                # a spec built with the value bypassing its own check
+                spec = copy.copy(SENS)
+                object.__setattr__(spec, name, value)
+                config = small_config(env=spec)
+            else:
+                config = replace(small_config(env=SENS), **{name: value})
+            with pytest.raises(ConfigError) as info:
+                config.validate()
+            assert info.value.errors == [message]
 
     def test_agent_defaults_agree_with_constructors(self):
         """RunConfig's agent defaults are those of the objects it builds, the
@@ -469,22 +511,12 @@ class TestRunSuite:
         np.testing.assert_allclose(summary.mean_e_regret, res.trace.e_regret)
         np.testing.assert_array_equal(summary.se_e_regret, np.zeros(64))
 
-    def test_execution_order_does_not_matter(self, tmp_path):
-        from banditlab.csvio import write_summary_csv
-        cfg = small_config(horizon=32, replications=5)
-        s1 = run_suite(cfg)
-        s2 = run_suite(cfg, order=[4, 2, 0, 3, 1])
-        p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        write_summary_csv(s1, str(p1))
-        write_summary_csv(s2, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_chunk_size_does_not_change_the_summary(self, tmp_path, monkeypatch):
         from banditlab.csvio import write_summary_csv
         cfg = small_config(horizon=32, replications=5)
         write_summary_csv(run_suite(cfg), str(tmp_path / "default.csv"))
         monkeypatch.setattr(harness, "REPLICATIONS_PER_CHUNK", 2)
-        write_summary_csv(run_suite(cfg, order=[4, 2, 0, 3, 1]), str(tmp_path / "pairs.csv"))
+        write_summary_csv(run_suite(cfg), str(tmp_path / "pairs.csv"))
         assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
     def test_replication_error_keeps_its_class(self, monkeypatch):
@@ -507,7 +539,7 @@ class TestRunSuite:
         monkeypatch.setattr(harness, "Environment", FailingEnvironment)
         assert harness.REPLICATIONS_PER_CHUNK >= 3  # one chunk of three
         with pytest.raises(FloatingPointError, match="non-finite reward in round 1") as info:
-            run_suite(cfg, order=[0, 1, 2])
+            run_suite(cfg)
         assert info.value.__notes__ == ["replication 2"]
 
     def test_replication_streams_stable_under_R(self):
@@ -581,7 +613,7 @@ class TestSuiteBlocks:
 
         monkeypatch.setattr(harness, "_run_many", played)
         monkeypatch.setattr(harness, "ROUNDS_PER_SUMMARY_BLOCK", block)
-        summary = run_suite(cfg, order=list(range(R))[::-1])
+        summary = run_suite(cfg)
         assert kept == {False}  # the suite keeps only e_regret
         cum = np.cumsum(e, axis=1)
         zeros = np.zeros(T)

@@ -423,10 +423,11 @@ class TestConstrainedFit:
         with pytest.raises(InfeasibleConstraintError):
             constrained_fit(batch(ACTIVE), ConstraintSpec(batch(PASSIVE), 0.0))
 
-    def test_lambda_cap_raises_nonconvergence(self):
+    def test_lambda_cap_raises_nonconvergence(self, monkeypatch):
         act, pas = batch(ACTIVE), batch(PASSIVE)
+        monkeypatch.setattr(linmodel, "LAMBDA_MAX", 4.0)
         with pytest.raises(DualNonConvergenceError):
-            constrained_fit(act, ConstraintSpec(pas, 1e-9), lambda_max=4.0)
+            constrained_fit(act, ConstraintSpec(pas, 1e-9))
 
     def test_random_instances_feasible_and_optimal(self):
         rng = np.random.default_rng(21)
