@@ -8,8 +8,8 @@ Verbs:
     oracle   --env KIND [--theta X]
 
 Exit codes: 0 on success, 1 on configuration/validation errors, 2 on
-numerical failure (dual non-convergence, non-finite data, any other
-ArithmeticError such as a zero kernel probability).
+numerical failure (dual non-convergence, non-finite data, a singular matrix,
+any other ArithmeticError such as a zero kernel probability).
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import os
 import sys
 from dataclasses import replace
 
+from numpy.linalg import LinAlgError
+
 from . import csvio, harness
 from . import env as envmod
-from .linmodel import DualNonConvergenceError
 
 
 def _cmd_run(args) -> int:
@@ -133,12 +134,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (harness.ConfigError, harness.ConfigMismatchError, ValueError, OSError) as exc:
-        print(f"error: {_describe(exc)}", file=sys.stderr)
-        return 1
-    except (DualNonConvergenceError, ArithmeticError, RuntimeError) as exc:
+    except (LinAlgError, ArithmeticError, RuntimeError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {_describe(exc)}", file=sys.stderr)
+        return 1
 
 
 def _describe(exc: BaseException) -> str:

@@ -125,8 +125,8 @@ class RunArtifacts:
     spec: EnvSpec
     models: list[LinearModel]
     gammas: list[float]
+    rho: float
     epsilon: float = 0.0
-    rho: float = 1.0
 
 
 def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray, events=()) -> list[LemmaCheck]:

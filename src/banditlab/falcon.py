@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from .env import interval_errors
-from .linmodel import (ConstraintSpec, MomentStore, MomentView, arm_sum, constrained_fit,
-                       featurize, fit_ols, row_max_argmax, rowwise_predict)
+from .linmodel import (ConstraintSpec, MomentStore, arm_sum, constrained_fit, featurize, fit_ols,
+                       row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -92,7 +92,7 @@ def _check_agent_values(**values) -> None:
 class EpochSchedule:
     """Doubling boundaries: tau_0 = 0, tau_m = tau1 * 2^(m-1)."""
 
-    tau1: int = 4
+    tau1: int
 
     def __post_init__(self):
         _check_agent_values(tau1=self.tau1)
@@ -132,36 +132,30 @@ def schedule_position(t, tau1: int, epsilon: float):
 
 @dataclass(frozen=True)
 class RateParams:
-    """Rate knobs for the gamma schedule and the constraint budget.
+    """Rate knobs for the gamma schedule and the constraint budget; defaults
+    in ``harness.RunConfig``.  C1 and C3 are not pinned by theory."""
 
-    The defaults are ``linear_preset(2, 1)``: rho = 1, rho_prime = 0 and
-    comp = K * (d + 1), the total parameter count, also for a comp of None
-    there.  C1 and C3 are not pinned by theory.
-    """
-
-    rho: float = 1.0
-    rho_prime: float = 0.0
-    comp: float = 4.0
-    C1: float = 1.0
-    C3: float = 1.0
-    delta: float = 0.1
+    rho: float
+    rho_prime: float
+    comp: float
+    C1: float
+    C3: float
+    delta: float
 
     def __post_init__(self):
         _check_agent_values(delta=self.delta, c1=self.C1, c3=self.C3, rho=self.rho,
                            rho_prime=self.rho_prime, comp=self.comp)
 
-    @staticmethod
-    def linear_preset(num_arms: int, context_dim: int = 1, **overrides) -> "RateParams":
-        if overrides.get("comp") is None:
-            overrides["comp"] = float(num_arms * (context_dim + 1))
-        return RateParams(**overrides)
 
-
-def _log_pow(n: float, rho_prime: float) -> float:
-    # ln^rho'(n); exactly 1 when rho' == 0 regardless of n
-    if rho_prime == 0.0:
-        return 1.0
-    return math.log(n) ** rho_prime
+def _usable_rate(name: str, m: int, formula) -> float:
+    """``formula()``, epoch m's gamma or budget slack, if it is finite and > 0
+    (a power past the float range is inf); else a FloatingPointError naming m."""
+    try:
+        if 0.0 < (value := formula()) < math.inf:
+            return value
+    except OverflowError:
+        value = math.inf
+    raise FloatingPointError(f"{name} of epoch {m} is {value!r}; it must be finite and > 0")
 
 
 def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: int) -> float:
@@ -173,14 +167,13 @@ def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: i
     with len_{m-1} = tau_{m-1} - tau_{m-2}.  Larger gamma means less
     exploration.
     """
-    if m < 1:
-        raise ValueError("epoch index starts at 1")
     if m == 1:
         return 1.0
-    # delta <= 0.5 (RateParams), so ln((m-1)/delta) >= ln 2
+    # an m < 1 is refused by sched.boundary; delta <= 0.5 (RateParams), so
+    # ln((m-1)/delta) >= ln 2; x ** 0.0 is 1.0
     n_prev = sched.boundary(m - 1) - sched.boundary(m - 2)
-    denom = _log_pow(n_prev, rates.rho_prime) * math.log((m - 1) / rates.delta) * rates.comp
-    return math.sqrt(rates.C3 * num_arms * n_prev ** rates.rho / denom)
+    return _usable_rate("gamma", m, lambda: math.sqrt(rates.C3 * num_arms * n_prev ** rates.rho / (
+        math.log(n_prev) ** rates.rho_prime * math.log((m - 1) / rates.delta) * rates.comp)))
 
 
 def arm_gaps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,13 +227,13 @@ class EpochEvent:
     tau_start: int            # first round of epoch m
     tau_end: int              # last round of epoch m
     gamma: float              # gamma_m in force during the epoch
-    alpha: float              # best normalized SSE on the passive batch
-    slack: float              # constraint budget above alpha
-    lambda_star: float
-    duality_gap: float
     new_weights: np.ndarray   # model installed for epoch m+1
+    alpha: float = float("nan")  # best normalized SSE on the passive batch
+    slack: float = float("nan")  # constraint budget above alpha
+    lambda_star: float = float("nan")
+    duality_gap: float = float("nan")
     constraint_residual: float = float("nan")
-    unconstrained: bool = False  # no passive data: plain least-squares update
+    unconstrained: bool = False  # plain least squares: alpha to constraint_residual nan
     ridge_fallback: bool = False
     converged: bool = True    # the dual bisection met its tolerance
     mse_to_best_fit: float = float("nan")  # to f-hat*, on the diagnostics sample: run_lemmas
@@ -253,21 +246,20 @@ class EpsilonFalconAgent:
     ``weights`` (R, K, 1 + d) holds the model in force in each replication
     and ``events`` one list per replication, each event with the weights
     its refit installed; the epoch, the phase and gamma are shared.
-    ``stores`` holds the current epoch's "active" and "passive" moments.  Its
-    blocks are each epoch's active prefix and passive suffix, and
-    ``record_block`` refits when its rounds close the epoch.  Rounds must
-    arrive in order: a round outside the current epoch, or a block across
-    both phases, raises ``SequencingError``.
+    ``stores`` holds the current epoch's "active" moments and, for epsilon
+    > 0, its "passive" ones.  Its blocks are each epoch's active prefix and
+    passive suffix, and ``record_block`` refits when its rounds close the
+    epoch.  Rounds must arrive in order: a round outside the current epoch,
+    or a block across both phases, raises ``SequencingError``.
     """
 
-    def __init__(self, num_arms: int, context_dim: int = 1, epsilon: float = 0.1,
-                 schedule: EpochSchedule = EpochSchedule(), rates: Optional[RateParams] = None,
-                 replications: int = 1):
+    def __init__(self, num_arms: int, context_dim: int = 1, *, epsilon: float,
+                 schedule: EpochSchedule, rates: RateParams, replications: int = 1):
         _check_agent_values(epsilon=epsilon)
         self.num_arms, self.context_dim = num_arms, context_dim
         self.epsilon = epsilon
         self.schedule = schedule
-        self.rates = rates if rates is not None else RateParams.linear_preset(num_arms, context_dim)
+        self.rates = rates
         self.m = 1
         self.weights = np.zeros((replications, num_arms, context_dim + 1))
         self.gamma = gamma_for_epoch(1, schedule, self.rates, num_arms)
@@ -276,7 +268,8 @@ class EpsilonFalconAgent:
 
     def _new_stores(self) -> None:
         R, K, d = len(self.weights), self.num_arms, self.context_dim
-        self.stores = {phase: MomentStore(R, K, d) for phase in ("active", "passive")}
+        phases = ("active", "passive") if self.epsilon > 0 else ("active",)
+        self.stores = {phase: MomentStore(R, K, d) for phase in phases}
 
     def phase_of(self, t: int) -> str:
         """'active' or 'passive' for round t of the current epoch."""
@@ -325,9 +318,8 @@ class EpsilonFalconAgent:
         naming the epoch."""
         events = []
         for r in range(len(self.weights)):
-            try:  # the passive moments first, which the refit reads first
-                passive, active = (self.stores[p].replication(r) for p in ("passive", "active"))
-                events.append(self._refit(active, passive))
+            try:
+                events.append(self._refit(r))
             except Exception as exc:
                 exc.replication = r
                 exc.add_note(f"the refit after epoch {self.m}")
@@ -339,36 +331,44 @@ class EpsilonFalconAgent:
             self.weights[r] = event.new_weights
             self.events[r].append(event)
 
-    def _refit(self, active: MomentView, passive: MomentView) -> EpochEvent:
-        """One replication's update at the end of epoch m.
+    def _refit(self, r: int) -> EpochEvent:
+        """Replication r's update at the end of epoch m.
 
-        With passive data present the refit is the constrained oracle with
-        budget slack = C1 * ln^rho'(n') * ln(12 m^2 / delta) * comp / n'^rho
-        over the passive ERM's normalized SSE.  With epsilon = 0 there is
-        nothing to constrain against and the update falls back to the plain
-        unconstrained fit on the active batch.
+        With epsilon > 0 the refit is the constrained oracle with budget
+        slack = C1 * ln^rho'(n') * ln(12 m^2 / delta) * comp / n'^rho over
+        the passive ERM's normalized SSE on the n' passive rounds.  With
+        epsilon = 0 there is nothing to constrain against and the update
+        is the plain unconstrained fit on the active batch.
         """
         m, rates = self.m, self.rates
         tau_start = self.schedule.boundary(m - 1) + 1
         tau_end = self.schedule.boundary(m)
-        if len(passive) > 0:
-            n_pass = len(passive)
-            slack = (rates.C1 * _log_pow(n_pass, rates.rho_prime)
-                     * math.log(12.0 * m * m / rates.delta) * rates.comp
-                     / n_pass ** rates.rho)
-            new_model, report = constrained_fit(active, ConstraintSpec(passive, slack))
-            return EpochEvent(m, tau_start, tau_end, self.gamma, report.alpha,
-                              slack, report.lam, report.duality_gap,
-                              new_model.weights.copy(),
-                              constraint_residual=report.constraint_residual,
-                              ridge_fallback=new_model.ridge_fallback,
-                              converged=report.converged)
-        new_model = fit_ols(active)
-        return EpochEvent(m, tau_start, tau_end, self.gamma,
-                          float("nan"), float("nan"), float("nan"),
-                          float("nan"), new_model.weights.copy(),
-                          unconstrained=True,
-                          ridge_fallback=new_model.ridge_fallback)
+        if self.epsilon == 0:
+            new_model = fit_ols(self.stores["active"].replication(r))
+            return EpochEvent(m, tau_start, tau_end, self.gamma, new_model.weights.copy(),
+                              unconstrained=True, ridge_fallback=new_model.ridge_fallback)
+        # the passive moments first, which the refit reads first
+        passive, active = (self.stores[p].replication(r) for p in ("passive", "active"))
+        n_pass = len(passive)
+        slack = _usable_rate("slack", m, lambda: rates.C1 * math.log(n_pass) ** rates.rho_prime
+                             * math.log(12.0 * m * m / rates.delta) * rates.comp
+                             / n_pass ** rates.rho)
+        new_model, report = constrained_fit(active, ConstraintSpec(passive, slack))
+        return EpochEvent(m, tau_start, tau_end, self.gamma, new_model.weights.copy(),
+                          alpha=report.alpha, slack=slack, lambda_star=report.lam,
+                          duality_gap=report.duality_gap,
+                          constraint_residual=report.constraint_residual,
+                          ridge_fallback=new_model.ridge_fallback, converged=report.converged)
+
+
+def _check_finite(values: np.ndarray, message: str) -> None:
+    """A FloatingPointError(message) if the (R, ...) ``values`` are not all
+    finite, with the first replication at fault as its ``replication``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        exc = FloatingPointError(message)
+        exc.replication = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
+        raise exc
 
 
 class LinUCBAgent:
@@ -383,8 +383,8 @@ class LinUCBAgent:
     one block.
     """
 
-    def __init__(self, num_arms: int, context_dim: int = 1, alpha_ucb: float = 0.2,
-                 ridge: float = 1.0, batch_size: int = 100, replications: int = 1):
+    def __init__(self, num_arms: int, context_dim: int = 1, *, alpha_ucb: float, ridge: float,
+                 batch_size: int, replications: int = 1):
         _check_agent_values(alpha_ucb=alpha_ucb, ridge=ridge, batch_size=batch_size)
         self.num_arms, self.context_dim = num_arms, context_dim
         self.alpha_ucb, self.batch_size = alpha_ucb, batch_size
@@ -395,17 +395,11 @@ class LinUCBAgent:
         self._since_refresh = 0
 
     def _refresh(self) -> None:
-        """Invert ``G`` and solve for ``theta``.  A ``theta`` that is not
-        finite (its ``bvec`` overflowed) is a FloatingPointError with the
-        first replication at fault as its ``replication`` attribute, raised
-        before any score is taken from it."""
+        """Invert ``G`` and solve for ``theta``, which ``_check_finite`` checks
+        (its ``bvec`` can overflow) before any score is taken from it."""
         self.G_inv = np.linalg.inv(self.G)
         self.theta = np.einsum("raij,raj->rai", self.G_inv, self.bvec)
-        finite = np.isfinite(self.theta)
-        if not finite.all():
-            exc = FloatingPointError("non-finite LinUCB state (bvec or theta)")
-            exc.replication = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
-            raise exc
+        _check_finite(self.theta, "non-finite LinUCB state (bvec or theta)")
 
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
@@ -420,7 +414,10 @@ class LinUCBAgent:
 
     def act_block(self, t: int, xs, rngs) -> np.ndarray:
         Phi = featurize(xs, self.context_dim)
-        scores = rowwise_predict(self.theta, Phi) + self.alpha_ucb * self.widths(Phi)
+        # scores that overflow are reported by _check_finite, before any arm is taken
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = rowwise_predict(self.theta, Phi) + self.alpha_ucb * self.widths(Phi)
+        _check_finite(scores, "non-finite LinUCB scores (theta . phi + alpha_ucb * width)")
         # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
         return scores.argmax(axis=-1) + 1
 

@@ -114,9 +114,11 @@ class RunConfig:
             raise ConfigError(errs)
 
     def rate_params(self) -> RateParams:
-        return RateParams.linear_preset(self.env.num_arms, self.env.context_dim, rho=self.rho,
-                                        rho_prime=self.rho_prime, comp=self.comp, C1=self.c1,
-                                        C3=self.c3, delta=self.delta)
+        """The rate constants; ``comp = auto`` (None) is K * (d + 1) here alone."""
+        spec = self.env
+        comp = float(spec.num_arms * (spec.context_dim + 1)) if self.comp is None else self.comp
+        return RateParams(rho=self.rho, rho_prime=self.rho_prime, comp=comp, C1=self.c1,
+                          C3=self.c3, delta=self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +212,11 @@ def build_agent(config: RunConfig, replications: int = 1):
     spec = config.env
     K, dim = spec.num_arms, spec.context_dim
     if config.agent in ("epsilon_falcon", "falcon"):
-        return EpsilonFalconAgent(K, dim, passive_share(config), EpochSchedule(config.tau1),
-                                  config.rate_params(), replications=replications)
+        return EpsilonFalconAgent(K, dim, rates=config.rate_params(), epsilon=passive_share(config),
+                                  schedule=EpochSchedule(config.tau1), replications=replications)
     if config.agent == "lin_ucb":
-        return LinUCBAgent(K, dim, config.alpha_ucb, config.ridge, config.batch_size,
-                           replications=replications)
+        return LinUCBAgent(K, dim, alpha_ucb=config.alpha_ucb, ridge=config.ridge,
+                           batch_size=config.batch_size, replications=replications)
     if config.agent == "uniform":
         return UniformAgent(K, dim)
     raise ConfigError([f"agent.name: unknown agent {config.agent!r}"])
@@ -238,12 +240,12 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
     Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
     other seeds.  A non-finite reward (``Environment.draw``), a refit on
-    moments that overflow (``linmodel.checked_moments``), a LinUCB refresh
-    to a non-finite ``theta``, and after the last round a non-finite
-    noisy-regret total, refit weight or LinUCB state (``bvec`` can overflow
-    after the last refresh), is a FloatingPointError with the position in
-    ``seeds`` of the first replication at fault as its ``replication``
-    attribute.
+    moments that overflow (``linmodel.checked_moments``), LinUCB's
+    non-finite ``theta`` after a refresh or scores in a block, and after the
+    last round a non-finite noisy-regret total, refit weight or LinUCB state
+    (``bvec`` can overflow after the last refresh), is a FloatingPointError
+    with the position in ``seeds`` of the first replication at fault as its
+    ``replication`` attribute.
     """
     return _run_many(config, seeds, keep_data=True)
 

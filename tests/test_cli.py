@@ -1,16 +1,23 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banditlab
 from banditlab import harness, linmodel
 from banditlab.cli import main
-from banditlab.env import EnvSpec
+from banditlab.env import ENV_KINDS, EnvSpec
 from banditlab.harness import RunConfig, load_config, save_config
 
 
@@ -316,3 +323,128 @@ class TestOracleVerb:
 
     def test_sensitivity_without_theta_exits_one(self):
         assert main(["oracle", "--env", "sensitivity_family"]) == 1
+
+
+# Configs whose every value lies in its key's interval, but whose run meets a
+# number it cannot use: each is a numerical failure, with no numpy warning.
+# Each exited 1 or 0, or let a numpy RuntimeWarning out, before these checks.
+UNUSABLE_NUMBERS = {
+    # a ridge of 1e-300 leaves LinUCB's G singular to working precision
+    "singular_linucb": ("env.kind = realizable_linear\nenv.context_dim = 6\nagent.name = lin_ucb\n"
+                        "agent.ridge = 1e-300\nagent.batch_size = 2\n", "Singular matrix"),
+    # gamma_2 overflows to inf
+    "gamma_comp": ("agent.name = falcon\nagent.comp = 5e-324\n",
+                   "gamma of epoch 2 is inf; it must be finite and > 0"),
+    "gamma_c3": ("agent.name = falcon\nagent.c3 = 1.7e308\n",
+                 "gamma of epoch 2 is inf; it must be finite and > 0"),
+    # epoch 1 has ceil(0.1 * 4) = 1 passive round, and ln^0.5(1) = 0
+    "slack_rho_prime": ("agent.rho_prime = 0.5\n", "slack of epoch 1 is 0.0; it must be finite "
+                        "and > 0; the refit after epoch 1"),
+    "slack_c1": ("agent.c1 = 1.7e308\n",
+                 "slack of epoch 1 is inf; it must be finite and > 0; the refit after epoch 1"),
+    # the bonus -1e308 times a width near 1e150 overflows
+    "linucb_scores": ("agent.name = lin_ucb\nagent.ridge = 1e-300\nagent.alpha_ucb = -1e308\n",
+                      "non-finite LinUCB scores (theta . phi + alpha_ucb * width)"),
+}
+
+
+@pytest.mark.parametrize("name", UNUSABLE_NUMBERS)
+def test_unusable_numbers_exit_two(tmp_path, capsys, name):
+    lines, message = UNUSABLE_NUMBERS[name]
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"run.horizon = 64\nrun.mc_samples = 2\n{lines}")  # on step_function
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not out.exists()
+        # a suite names the replication; every one fails alike here
+        assert main(["suite", "--config", str(path), "--reps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {message}; replication 0\n"
+
+
+def edge_values(parse, allowed):
+    """Config-file values at the edges of a numeric row's interval: each
+    finite closed end, the value just inside each end, and the subnormals
+    and the magnitudes near the float maximum that lie inside it."""
+    lo, hi = (float(end) for end in allowed[1:-1].split(", "))
+    if parse is int:
+        ends = [int(lo), int(lo) + 1, *([int(hi) - 1, int(hi)] if math.isfinite(hi) else [])]
+        return [str(v) for v in ends]
+    first = lo if allowed[0] == "[" else math.nextafter(lo, math.inf)
+    last = hi if allowed[-1] == "]" else math.nextafter(hi, -math.inf)
+    values = {first, math.nextafter(first, math.inf), last, math.nextafter(last, -math.inf)}
+    values |= {s * v for s in (1, -1) for v in (5e-324, 2.225073858507201e-308, 1e308)}
+    return [repr(v) for v in sorted(values) if lo < v < hi or v in (first, last)]
+
+
+# the run's sizes, drawn apart so that every run stays short
+RUN_SIZES = {"run.horizon": ["1", "2", "5", "63", "64"], "run.replications": ["1", "2", "3"],
+             "run.mc_samples": ["2", "3"]}
+FUZZ_VALUES = {key: edge_values(parse, allowed) for key, _, parse, allowed in harness.CONFIG_KEYS
+               if allowed is not None and key not in RUN_SIZES}
+# 1e308 as an integer, in the rows whose value sizes no array
+for key in ("env.seed", "agent.batch_size", "run.base_seed"):
+    FUZZ_VALUES[key].append(str(10 ** 308))
+FUZZ_VALUES["agent.comp"].append("auto")
+FUZZ_VALUES["env.clip_rewards"] = ["true", "false"]
+# nan may appear only where an unconstrained refit has no constraint
+UNCONSTRAINED_NAN_COLUMNS = {"alpha", "slack", "lambda_star", "duality_gap"}
+
+
+def assert_clean_csvs(out, unconstrained):
+    """No cell under ``out`` is inf, and none is nan but the constraint's
+    columns of an ``epochs.csv`` row of a run with no passive share."""
+    for path in sorted(out.rglob("*.csv")):
+        header, *rows = path.read_text().splitlines()
+        columns = header.split(",")
+        for row in rows:
+            cells = dict(zip(columns, row.split(",")))
+            assert not any(cell in ("inf", "-inf") for cell in cells.values()), (path.name, row)
+            nan = {column for column, cell in cells.items() if cell == "nan"}
+            if path.name == "epochs.csv" and nan and unconstrained:
+                assert nan == UNCONSTRAINED_NAN_COLUMNS, (path.name, row)
+            else:
+                assert not nan, (path.name, row)
+
+
+@st.composite
+def edge_configs(draw, kind, agent):
+    values = {"env.kind": kind, "agent.name": agent,
+              **{key: draw(st.sampled_from(sizes)) for key, sizes in RUN_SIZES.items()}}
+    keys = draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)), max_size=3, unique=True))
+    if kind == "sensitivity_family":
+        keys.append("env.theta")
+    for key in keys:
+        values[key] = draw(st.sampled_from(FUZZ_VALUES[key]))
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@pytest.mark.parametrize("agent", harness.AGENT_NAMES)
+@pytest.mark.parametrize("kind", ENV_KINDS)
+def test_config_space_runs_cleanly_or_fails_by_name(kind, agent):
+    """Every config drawn at the edges of the key rows runs and suites with
+    exit 0 and clean CSVs, or exits 1 naming a key or 2 as a numerical
+    failure, with no exception or RuntimeWarning escaping."""
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(edge_configs(kind, agent))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            path = os.path.join(tmp, "cfg.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for verb in ("run", "suite"):
+                out, err = pathlib.Path(tmp, verb), io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([verb, "--config", path, "--out", str(out)])
+                err = err.getvalue()
+                if code == 0:
+                    assert_clean_csvs(out, harness.passive_share(harness.load_config(path)) == 0)
+                elif code == 1:
+                    assert re.match(r"error: (env|agent|run)\.\w+: ", err), (text, err)
+                else:
+                    assert code == 2 and err.startswith("numerical failure: "), (text, err)
+
+    check()

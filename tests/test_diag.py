@@ -31,7 +31,7 @@ ALWAYS_ARM1_REGRET = 0.9 * 0.95 + (-0.7785) * 0.95**2 / 2
 def suite(spec, models, gammas, xs, events=()):
     """``lemma_suite`` of a run with these per-epoch models, at ``xs``,
     as a dict by (name, epoch)."""
-    checks = lemma_suite(RunArtifacts(spec, models, gammas), xs, events)
+    checks = lemma_suite(RunArtifacts(spec, models, gammas, rho=1.0), xs, events)
     return {(c.name, c.epoch): c for c in checks}
 
 
@@ -217,7 +217,7 @@ class TestModelDriftGuard:
 class TestLemmaSuite:
     def test_realizable_trivial_bounds(self):
         spec = EnvSpec(kind="realizable_linear", seed=3)
-        arts = RunArtifacts(spec, [zero_model(2)], [1.0])
+        arts = RunArtifacts(spec, [zero_model(2)], [1.0], rho=1.0)
         xs = draw_contexts(spec, 5_000, 24)
         checks = lemma_suite(arts, xs)
         assert all(c.passed for c in checks)
@@ -227,7 +227,7 @@ class TestLemmaSuite:
         # suite and in a run's diagnostics pass
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=3, seed=3)
         xs = draw_contexts(spec, 20_000, 24)
-        reports = [lemma_suite(RunArtifacts(spec, [zero_model(3, 3)], [1.0]), xs),
+        reports = [lemma_suite(RunArtifacts(spec, [zero_model(3, 3)], [1.0], rho=1.0), xs),
                    run_one(RunConfig(env=spec, horizon=40, mc_samples=20_000), 2).lemma_report]
         for report in reports:
             b, B = (next(c.lhs for c in report if c.name == name)
@@ -237,7 +237,7 @@ class TestLemmaSuite:
     def test_sensitivity_run_snapshot(self):
         fit = best_linear_fit_uniform(SENS)
         models = [zero_model(2), fit, fit]
-        arts = RunArtifacts(SENS, models, [1.0, 0.932, 1.2], epsilon=0.1)
+        arts = RunArtifacts(SENS, models, [1.0, 0.932, 1.2], rho=1.0, epsilon=0.1)
         xs = draw_contexts(SENS, 20_000, 25)
         checks = lemma_suite(arts, xs)
         assert all(c.passed for c in checks)
@@ -252,7 +252,7 @@ class TestLemmaSuite:
         # even when the measured regret exceeds the reference value
         bad = LinearModel(np.array([[1.0, 0.0], [0.0, 0.0]]))  # backwards model
         arts = RunArtifacts(SENS, [zero_model(2), bad], [1.0, 1e6],
-                            epsilon=0.1)
+                            rho=1.0, epsilon=0.1)
         xs = draw_contexts(SENS, 5_000, 27)
         checks = lemma_suite(arts, xs)
         trend = [c for c in checks if c.name == "true_regret_trend"]

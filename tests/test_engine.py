@@ -403,7 +403,7 @@ def test_trace_writer_empty_trace_writes_header(tmp_path):
 
 class TestBlocks:
     def test_falcon_block_ends_at_phase_ends(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=EpochSchedule(8))
+        agent = harness.build_agent(RunConfig(epsilon=0.25, tau1=8))
         # epoch 1 is rounds 1..8 with ceil(0.25 * 8) = 2 passive rounds
         assert agent.block_end(1, 100) == 6
         assert agent.block_end(5, 100) == 6
@@ -411,7 +411,7 @@ class TestBlocks:
         assert agent.block_end(1, 3) == 3
 
     def test_falcon_block_across_phases_rejected(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=EpochSchedule(8))
+        agent = harness.build_agent(RunConfig(epsilon=0.25, tau1=8))
         rngs = [make_generator(0)]
         with pytest.raises(SequencingError):
             agent.act_block(5, np.full((1, 3), 0.5), rngs)
@@ -421,7 +421,7 @@ class TestBlocks:
             agent.act_block(7, np.full((1, 3), 0.5), rngs)  # runs into epoch 2
 
     def test_linucb_block_ends_at_refresh(self):
-        agent = LinUCBAgent(2, batch_size=5)
+        agent = harness.build_agent(RunConfig(agent="lin_ucb", batch_size=5))
         assert agent.block_end(1, 100) == 5
         agent.record_block(1, np.full((1, 3), 0.5), [[1, 2, 1]], [[0.1, 0.2, 0.3]])
         assert agent.block_end(4, 100) == 5
@@ -431,7 +431,7 @@ class TestBlocks:
     def test_one_row_calls_equal_block_calls(self):
         # blocks split into one-row blocks play exactly the multi-row blocks' rounds
         xs, _, rvec = (a[0] for a in Environment(SENS, [3]).draw(8))
-        a, b = EpsilonFalconAgent(2, epsilon=0.25), EpsilonFalconAgent(2, epsilon=0.25)
+        a, b = (harness.build_agent(RunConfig(epsilon=0.25)) for _ in range(2))
         ra, rb = [make_generator(4)], [make_generator(4)]
         for lo, hi in ((0, 3), (3, 4), (4, 7), (7, 8)):   # epochs 1 and 2, both phases
             arms = a.act_block(lo + 1, xs[None, lo:hi], ra)

@@ -19,8 +19,9 @@ from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, igw_kernel_r
                      linucb_scores_rows, normalized_sse, per_round, predict_matrix,
                      sample_kernel_rows, sample_scalar, tune_epsilon, zero_model)
 
-RATES = RateParams.linear_preset(2, 1, delta=0.1)
-SCHED = EpochSchedule(4)
+# the default rates and schedule of a run on K = 2 arms, d = 1
+RATES = RunConfig().rate_params()
+SCHED = EpochSchedule(RunConfig().tau1)
 
 
 def rng_of(seed):
@@ -66,7 +67,7 @@ class TestEpochSchedule:
     def test_epoch_of_rejects_round_zero(self):
         with pytest.raises(ValueError):
             EpochSchedule(4).epoch_of(0)
-        agent = EpsilonFalconAgent(2)
+        agent = build_agent(RunConfig())
         agent.m = 2  # round 0 would fall in epoch 2 by the formula
         with pytest.raises(ValueError):
             agent.phase_of(0)
@@ -99,7 +100,7 @@ class TestGamma:
     def test_second_epoch_value(self):
         # sqrt(C3*K*len1 / (ln(1/delta)*comp)) = sqrt(8 / (4 ln 10))
         expected = math.sqrt(2 * 4 / (math.log(10.0) * 4))
-        got = gamma_for_epoch(2, SCHED, RateParams(comp=4.0, delta=0.1), 2)
+        got = gamma_for_epoch(2, SCHED, replace(RATES, comp=4.0, delta=0.1), 2)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.9319812035693121, rel=1e-12)
 
@@ -120,17 +121,23 @@ class TestGamma:
 
     def test_rho_prime_zero_ignores_log_length(self):
         a = gamma_for_epoch(5, SCHED, RATES, 2)
-        b = gamma_for_epoch(5, EpochSchedule(4), RateParams(rho_prime=0.0, comp=4.0), 2)
+        b = gamma_for_epoch(5, EpochSchedule(4), replace(RATES, rho_prime=0.0, comp=4.0), 2)
         assert a == b
 
-    def test_linear_preset_overrides_win(self):
-        assert RateParams.linear_preset(2, 1, comp=8.0, rho=0.5) == RateParams(rho=0.5, comp=8.0)
-        # a comp of None is the total parameter count K * (d + 1)
-        assert RateParams.linear_preset(3, 2, comp=None, C1=2.0) == RateParams(comp=9.0, C1=2.0)
+    def test_rate_params_resolve_auto_comp(self):
+        # an explicit comp wins; auto (None) is the total parameter count K * (d + 1)
         cfg = RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2),
                         rho=0.5, c3=3.0)
-        assert cfg.rate_params() == RateParams.linear_preset(3, 2, rho=0.5, C3=3.0)
-        assert replace(cfg, comp=5.0).rate_params() == RateParams(rho=0.5, comp=5.0, C3=3.0)
+        assert replace(cfg, comp=8.0).rate_params() == \
+            RateParams(rho=0.5, rho_prime=0.0, comp=8.0, C1=1.0, C3=3.0, delta=0.1)
+        assert cfg.rate_params() == replace(cfg, comp=9.0).rate_params()
+        assert RunConfig(c1=2.0).rate_params() == \
+            RateParams(rho=1.0, rho_prime=0.0, comp=4.0, C1=2.0, C3=1.0, delta=0.1)
+        # an agent plays the gammas of the comp its config resolves: 6 at K = 3, d = 1
+        agent = build_agent(RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3)))
+        assert agent.rates.comp == 6.0
+        assert gamma_for_epoch(5, agent.schedule, agent.rates, 3) == \
+            math.sqrt(3 * 16 / (math.log(4 / 0.1) * 6.0))
 
 
 class TestActionKernel:
@@ -267,13 +274,13 @@ def play_epoch(agent, env, rng, t_start, t_end):
 
 class TestEpsilonFalconAgent:
     def test_initial_state(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.1, schedule=SCHED, rates=RATES)
         assert agent.m == 1
         assert agent.gamma == 1.0
         np.testing.assert_array_equal(agent.weights, np.zeros((1, 2, 2)))
 
     def test_phase_split_quarter_epsilon(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.25, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=SCHED, rates=RATES)
         env = per_round(EnvSpec(kind="step_function"), 0)
         play_epoch(agent, env, rng_of(0), 1, 4)
         assert agent.m == 2
@@ -282,18 +289,18 @@ class TestEpsilonFalconAgent:
 
     def test_epoch_one_draws_uniformly(self):
         # zero model => uniform kernel even in the active phase
-        agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.1, schedule=SCHED, rates=RATES)
         probs, _ = kernel_at(LinearModel(agent.weights[0]), 0.4, agent.gamma)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_sequencing_error(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.1, schedule=SCHED, rates=RATES)
         with pytest.raises(SequencingError):
             agent.act_block(100, [[0.5]], [rng_of(0)])
 
     def test_passive_round_counts(self):
         for eps in (0.05, 0.1, 0.25, 0.4):
-            agent = EpsilonFalconAgent(2, epsilon=eps, rates=RATES)
+            agent = EpsilonFalconAgent(2, epsilon=eps, schedule=SCHED, rates=RATES)
             env = per_round(EnvSpec(kind="step_function"), 1)
             rng = rng_of(1)
             for m in range(1, 7):
@@ -308,7 +315,7 @@ class TestEpsilonFalconAgent:
                 assert n_passive == math.ceil(eps * (end - start + 1))
 
     def test_active_frequencies_match_kernel(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.1, schedule=SCHED, rates=RATES)
         env = per_round(EnvSpec(kind="step_function"), 3)
         rng = rng_of(3)
         for m in (1, 2, 3):
@@ -330,7 +337,7 @@ class TestEpsilonFalconAgent:
             assert abs(draws[a] / n - probs[a]) <= 3 * se
 
     def test_epsilon_zero_update_is_plain_ols(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.0, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.0, schedule=SCHED, rates=RATES)
         env = per_round(EnvSpec(kind="step_function"), 4)
         rng = rng_of(4)
         rows = []
@@ -346,8 +353,8 @@ class TestEpsilonFalconAgent:
         np.testing.assert_allclose(agent.weights[0], direct.weights, atol=1e-12)
 
     def test_huge_budget_update_is_unconstrained_erm(self):
-        rates = RateParams(comp=4.0, delta=0.1, C1=1e9)
-        agent = EpsilonFalconAgent(2, epsilon=0.25, rates=rates)
+        rates = replace(RATES, comp=4.0, delta=0.1, C1=1e9)
+        agent = EpsilonFalconAgent(2, epsilon=0.25, schedule=SCHED, rates=rates)
         env = per_round(EnvSpec(kind="realizable_linear", seed=6), 6)
         rng = rng_of(6)
         for m in (1, 2, 3, 4, 5):
@@ -357,7 +364,7 @@ class TestEpsilonFalconAgent:
             assert ev.lambda_star == 0.0
 
     def test_constraint_tracked_every_epoch(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.3, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.3, schedule=SCHED, rates=RATES)
         env = per_round(EnvSpec(kind="sensitivity_family", theta=0.05), 7)
         rng = rng_of(7)
         for m in range(1, 9):
@@ -369,7 +376,7 @@ class TestEpsilonFalconAgent:
             assert ev.constraint_residual <= 1e-6
 
     def test_model_history_tracks_epochs(self):
-        agent = EpsilonFalconAgent(2, epsilon=0.1, rates=RATES)
+        agent = EpsilonFalconAgent(2, epsilon=0.1, schedule=SCHED, rates=RATES)
         env = per_round(EnvSpec(kind="step_function"), 8)
         rng = rng_of(8)
         for m in (1, 2, 3):
@@ -383,9 +390,9 @@ class TestEpsilonFalconAgent:
 
     def test_epsilon_range_checked(self):
         with pytest.raises(ValueError):
-            EpsilonFalconAgent(2, epsilon=0.5)
+            EpsilonFalconAgent(2, epsilon=0.5, schedule=SCHED, rates=RATES)
         with pytest.raises(ValueError):
-            EpsilonFalconAgent(2, epsilon=-0.01)
+            EpsilonFalconAgent(2, epsilon=-0.01, schedule=SCHED, rates=RATES)
 
 
 @pytest.fixture(scope="module")
@@ -455,7 +462,7 @@ class TestAdaptiveBiasGuard:
 class TestBaselines:
     def test_plain_falcon_equals_epsilon_zero(self):
         a = build_agent(RunConfig(env=EnvSpec(kind="step_function"), agent="falcon"))
-        b = EpsilonFalconAgent(2, epsilon=0.0, rates=RATES)
+        b = EpsilonFalconAgent(2, epsilon=0.0, schedule=SCHED, rates=RATES)
         env1 = per_round(EnvSpec(kind="step_function"), 12)
         env2 = per_round(EnvSpec(kind="step_function"), 12)
         r1, r2 = rng_of(12), rng_of(12)
@@ -464,6 +471,9 @@ class TestBaselines:
             acts1.append(play(a, t, env1.sample_context(), r1, env1)[0])
             acts2.append(play(b, t, env2.sample_context(), r2, env2)[0])
         assert acts1 == acts2
+        # with no passive rounds there is no passive store to fill or read
+        assert list(a.stores) == list(b.stores) == ["active"]
+        assert list(build_agent(RunConfig(epsilon=0.1)).stores) == ["active", "passive"]
 
     def test_linucb_zero_bonus_is_greedy(self):
         agent = LinUCBAgent(2, alpha_ucb=0.0, ridge=1.0, batch_size=10)
@@ -489,7 +499,7 @@ class TestBaselines:
     def test_linucb_refresh_reports_overflowed_state(self):
         # replication 2's two rewards of 1e308 overflow its bvec to inf; the
         # refresh that completes the batch reports it, warning-free
-        agent = LinUCBAgent(2, batch_size=2, replications=3)
+        agent = build_agent(RunConfig(agent="lin_ucb", batch_size=2), 3)
         rewards = [[1.0, 1.0], [1.0, 1.0], [1e308, 1e308]]
         agent.record_block(1, np.full((3, 1), 0.5), np.ones((3, 1), dtype=np.int64),
                            [row[:1] for row in rewards])
@@ -500,6 +510,19 @@ class TestBaselines:
                 agent.record_block(2, np.full((3, 1), 0.5), np.ones((3, 1), dtype=np.int64),
                                    [row[1:] for row in rewards])
         assert info.value.replication == 2
+
+    def test_linucb_scores_that_overflow_are_reported(self):
+        # replication 1's widths near 1e150 overflow its bonus of -1e308
+        # times them; no arm is taken from its scores, warning-free
+        agent = LinUCBAgent(2, alpha_ucb=-1e308, ridge=1.0, batch_size=10, replications=3)
+        agent.G_inv[1] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=r"^non-finite LinUCB scores") as info:
+                agent.act_block(1, np.full((3, 4), 0.5), None)
+        assert info.value.replication == 1
+        agent.G_inv[1] /= 1e300  # a bonus near -1.1e308 is finite
+        assert agent.act_block(1, np.full((3, 4), 0.5), None).shape == (3, 4)
 
     @pytest.mark.parametrize("arms", [
         [[0, 1], [1, 1]],             # arm 0 of replication 0 would wrap to the last one's arm K
@@ -517,7 +540,7 @@ class TestBaselines:
     ], ids=["zero_first", "zero_second", "above_k", "above_k_last", "negative",
             "integral_float", "float", "bool", "flat", "one_row", "three_rows", "three_d"])
     def test_linucb_record_rejects_bad_arms(self, arms):
-        agent = LinUCBAgent(2, batch_size=10, replications=2)
+        agent = build_agent(RunConfig(agent="lin_ucb", batch_size=10), 2)
         agent.record_block(1, [[0.2, 0.4], [0.6, 0.8]], [[1, 2], [2, 1]], [[1.0, 2.0], [3.0, 4.0]])
         G, bvec = agent.G.copy(), agent.bvec.copy()
         with pytest.raises(InvalidArmError):
@@ -548,22 +571,26 @@ class TestBaselines:
             assert_rejected_alike(key, value)
         # a rate object has no "auto" comp
         with pytest.raises(ValueError, match=r"^agent\.comp: must be in \(0, inf\)$"):
-            RateParams(comp=None)
+            replace(RATES, comp=None)
 
 
 # each agent.* row's owner in code: (label, build from one value)
 AGENT_BUILDS = {
-    "agent.epsilon": ("EpsilonFalconAgent.epsilon", lambda v: EpsilonFalconAgent(2, epsilon=v)),
-    "agent.delta": ("RateParams.delta", lambda v: RateParams(delta=v)),
+    "agent.epsilon": ("EpsilonFalconAgent.epsilon",
+                      lambda v: EpsilonFalconAgent(2, epsilon=v, schedule=SCHED, rates=RATES)),
+    "agent.delta": ("RateParams.delta", lambda v: replace(RATES, delta=v)),
     "agent.tau1": ("EpochSchedule.tau1", EpochSchedule),
-    "agent.c1": ("RateParams.C1", lambda v: RateParams(C1=v)),
-    "agent.c3": ("RateParams.C3", lambda v: RateParams(C3=v)),
-    "agent.rho": ("RateParams.rho", lambda v: RateParams(rho=v)),
-    "agent.rho_prime": ("RateParams.rho_prime", lambda v: RateParams(rho_prime=v)),
-    "agent.comp": ("RateParams.comp", lambda v: RateParams(comp=v)),
-    "agent.alpha_ucb": ("LinUCBAgent.alpha_ucb", lambda v: LinUCBAgent(2, alpha_ucb=v)),
-    "agent.ridge": ("LinUCBAgent.ridge", lambda v: LinUCBAgent(2, ridge=v)),
-    "agent.batch_size": ("LinUCBAgent.batch_size", lambda v: LinUCBAgent(2, batch_size=v)),
+    "agent.c1": ("RateParams.C1", lambda v: replace(RATES, C1=v)),
+    "agent.c3": ("RateParams.C3", lambda v: replace(RATES, C3=v)),
+    "agent.rho": ("RateParams.rho", lambda v: replace(RATES, rho=v)),
+    "agent.rho_prime": ("RateParams.rho_prime", lambda v: replace(RATES, rho_prime=v)),
+    "agent.comp": ("RateParams.comp", lambda v: replace(RATES, comp=v)),
+    "agent.alpha_ucb": ("LinUCBAgent.alpha_ucb",
+                        lambda v: build_agent(RunConfig(agent="lin_ucb", alpha_ucb=v))),
+    "agent.ridge": ("LinUCBAgent.ridge",
+                    lambda v: build_agent(RunConfig(agent="lin_ucb", ridge=v))),
+    "agent.batch_size": ("LinUCBAgent.batch_size",
+                         lambda v: build_agent(RunConfig(agent="lin_ucb", batch_size=v))),
 }
 FLOAT_AGENT_KEYS = [key for key, _, parse, _ in AGENT_KEYS if parse is not int]
 AGENT_ALLOWED = {key: allowed for key, _, _, allowed in AGENT_KEYS}
@@ -612,7 +639,7 @@ def test_linucb_widths_bit_equal_to_row_major_einsum(R, K, p):
     # scales span twelve orders of magnitude, and contexts span four, so a
     # width summed in another order would round differently
     rng = np.random.default_rng([R, K, p])
-    agent = LinUCBAgent(K, p - 1, alpha_ucb=0.7, replications=R)
+    agent = LinUCBAgent(K, p - 1, alpha_ucb=0.7, ridge=1.0, batch_size=100, replications=R)
     B = rng.standard_normal((R, K, p, 2 * p)) * 10.0 ** rng.uniform(-6, 6, (R, K, p, 1))
     agent.G_inv = np.linalg.inv(10.0 ** rng.uniform(-3, 3, (R, K, 1, 1)) * np.eye(p)
                                 + B @ B.transpose(0, 1, 3, 2))

@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import inspect
 import math
 import os
 import re
@@ -20,7 +19,7 @@ from banditlab.csvio import (EPOCHS_HEADER, TRACE_HEADER, read_weights_csv, writ
 from banditlab.diag import lemma_suite
 from banditlab.env import (EnvSpec, best_linear_fit_uniform, draw_contexts, make_generator,
                            mean_reward_matrix)
-from banditlab.falcon import EpochSchedule, EpsilonFalconAgent, LinUCBAgent, RateParams
+from banditlab.falcon import EpochSchedule
 from banditlab.harness import (ConfigError, ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config, run_lemmas, run_many,
                                run_one, run_suite, save_config, serialize_config)
@@ -42,7 +41,7 @@ INT_BUILDS = {
     "env.seed": lambda v: EnvSpec(seed=v),
     "env.context_dim": lambda v: EnvSpec(kind="realizable_linear", context_dim=v),
     "agent.tau1": EpochSchedule,
-    "agent.batch_size": lambda v: LinUCBAgent(2, batch_size=v),
+    "agent.batch_size": lambda v: harness.build_agent(RunConfig(agent="lin_ucb", batch_size=v)),
     **{key: lambda v, name=name: RunConfig(**{name: v}).validate()
        for key, name, parse, _ in harness.CONFIG_KEYS if key.startswith("run.") and parse is int},
 }
@@ -51,15 +50,15 @@ INT_BUILDS = {
 FLOAT_BUILDS = {
     "env.noise_sd": lambda v: EnvSpec(noise_sd=v),
     "env.theta": lambda v: EnvSpec(kind="sensitivity_family", theta=v),
-    "agent.epsilon": lambda v: EpsilonFalconAgent(2, epsilon=v),
-    "agent.delta": lambda v: RateParams(delta=v),
-    "agent.c1": lambda v: RateParams(C1=v),
-    "agent.c3": lambda v: RateParams(C3=v),
-    "agent.rho": lambda v: RateParams(rho=v),
-    "agent.rho_prime": lambda v: RateParams(rho_prime=v),
-    "agent.comp": lambda v: RateParams(comp=v),
-    "agent.alpha_ucb": lambda v: LinUCBAgent(2, alpha_ucb=v),
-    "agent.ridge": lambda v: LinUCBAgent(2, ridge=v),
+    "agent.epsilon": lambda v: harness.build_agent(RunConfig(epsilon=v)),
+    "agent.delta": lambda v: replace(RunConfig().rate_params(), delta=v),
+    "agent.c1": lambda v: replace(RunConfig().rate_params(), C1=v),
+    "agent.c3": lambda v: replace(RunConfig().rate_params(), C3=v),
+    "agent.rho": lambda v: replace(RunConfig().rate_params(), rho=v),
+    "agent.rho_prime": lambda v: replace(RunConfig().rate_params(), rho_prime=v),
+    "agent.comp": lambda v: replace(RunConfig().rate_params(), comp=v),
+    "agent.alpha_ucb": lambda v: harness.build_agent(RunConfig(agent="lin_ucb", alpha_ucb=v)),
+    "agent.ridge": lambda v: harness.build_agent(RunConfig(agent="lin_ucb", ridge=v)),
 }
 
 
@@ -175,21 +174,6 @@ class TestConfigValidation:
             with pytest.raises(ConfigError) as info:
                 config.validate()
             assert info.value.errors == [message]
-
-    def test_agent_defaults_agree_with_constructors(self):
-        """RunConfig's agent defaults are those of the objects it builds, the
-        one place where a default is still written twice."""
-        cfg = RunConfig()
-        assert cfg.rate_params() == RateParams() == RateParams(
-            rho=1.0, rho_prime=0.0, comp=4.0, C1=1.0, C3=1.0, delta=0.1)
-        assert EpochSchedule() == EpochSchedule(cfg.tau1) == EpochSchedule(4)
-        for cls, names in ((EpsilonFalconAgent, ("epsilon",)),
-                           (LinUCBAgent, ("alpha_ucb", "ridge", "batch_size"))):
-            params = inspect.signature(cls).parameters
-            assert {n: params[n].default for n in names} == {n: getattr(cfg, n) for n in names}
-        assert inspect.signature(EpsilonFalconAgent).parameters["schedule"].default \
-            == EpochSchedule(cfg.tau1)
-        assert (cfg.epsilon, cfg.alpha_ucb, cfg.ridge, cfg.batch_size) == (0.1, 0.2, 1.0, 100)
 
 
 class TestConfigRoundTrip:
