@@ -7,7 +7,8 @@ Verbs:
     diag     --run DIR
     oracle   --env KIND [--theta X]
 
-Exit codes: 0 on success, 1 on configuration/validation errors, 2 on
+Exit codes: 0 on success, 1 on configuration/validation errors and on a
+config that asks for arrays this machine cannot hold (MemoryError), 2 on
 numerical failure (dual non-convergence, non-finite data, a singular matrix,
 any other ArithmeticError such as a zero kernel probability).
 """
@@ -37,7 +38,7 @@ def _cmd_run(args) -> int:
     trace = result.trace
     print(f"rounds={len(trace)} cum_e_regret={trace.cum_e_regret[-1]:.4f} "
           f"noisy_regret={trace.noisy_regret_total:.4f} epochs_completed={len(result.events)}")
-    unconverged = [str(ev.m) for ev in result.events if not ev.converged]
+    unconverged = [str(ev.m) for ev in result.events if ev.report and not ev.report.converged]
     if unconverged:
         print(f"warning: the constrained refit's dual did not converge after epochs "
               f"{', '.join(unconverged)}; each installed model is feasible but the "
@@ -137,14 +138,15 @@ def main(argv=None) -> int:
     except (LinAlgError, ArithmeticError, RuntimeError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 1
 
 
 def _describe(exc: BaseException) -> str:
-    """The message plus any notes, such as which replication failed."""
-    return "; ".join([str(exc), *getattr(exc, "__notes__", [])])
+    """The message (the exception's type if it has none, as a bare
+    MemoryError) plus any notes, such as which replication failed."""
+    return "; ".join([str(exc) or type(exc).__name__, *getattr(exc, "__notes__", [])])
 
 
 if __name__ == "__main__":

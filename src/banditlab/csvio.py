@@ -275,10 +275,14 @@ def write_trace_csv(trace: RegretTrace, path: str) -> None:
 
 
 def write_events_csv(events: list[EpochEvent], path: str) -> None:
-    names = ("m", "tau_start", "tau_end", "gamma", "alpha", "slack", "lambda_star",
-             "duality_gap", "mse_to_best_fit")
-    write_csv(path, EPOCHS_HEADER, [(kind, [getattr(ev, name) for ev in events])
-                                    for kind, name in zip("dddgggggg", names)])
+    """One line per refit; alpha, slack, lambda_star and duality_gap are
+    read from its ``report``, nan where there is none (plain least squares)."""
+    write_csv(path, EPOCHS_HEADER,
+              [*((kind, [getattr(ev, name) for ev in events])
+                 for kind, name in zip("dddg", ("m", "tau_start", "tau_end", "gamma"))),
+               *(("g", [np.nan if ev.report is None else getattr(ev.report, name)
+                        for ev in events]) for name in ("alpha", "slack", "lam", "duality_gap")),
+               ("g", [ev.mse_to_best_fit for ev in events])])
 
 
 def write_weights_csv(artifacts: RunArtifacts, path: str) -> None:

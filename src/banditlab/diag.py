@@ -179,7 +179,7 @@ def lemma_suite(artifacts: RunArtifacts, xs: np.ndarray, events=()) -> list[Lemm
 
     Phi = featurize(xs, spec.context_dim)
     weights = [model.weights for model in artifacts.models[1:]]
-    weights += [ev.new_weights for ev in events[len(weights):]]
+    weights += [ev.new_model.weights for ev in events[len(weights):]]
     for m, w in enumerate(weights, start=2):
         preds = (Phi @ w.T).T.copy()
         if m - 2 < len(events):

@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from .env import interval_errors
-from .linmodel import (ConstraintSpec, MomentStore, arm_sum, constrained_fit, featurize, fit_ols,
-                       row_max_argmax, rowwise_predict)
+from .linmodel import (ConstraintSpec, DualReport, LinearModel, MomentStore, arm_sum,
+                       constrained_fit, featurize, fit_ols, row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -221,21 +221,16 @@ def uniform_arms(num_arms: int, n: int, rngs) -> np.ndarray:
 
 @dataclass
 class EpochEvent:
-    """What happened at one epoch boundary (the refit of the model)."""
+    """The refit at the end of epoch m: the very ``LinearModel`` it returned,
+    installed for epoch m + 1, and the ``DualReport`` that ``constrained_fit``
+    returned with it (None for FALCON's plain least squares, ``fit_ols``)."""
 
     m: int
     tau_start: int            # first round of epoch m
     tau_end: int              # last round of epoch m
     gamma: float              # gamma_m in force during the epoch
-    new_weights: np.ndarray   # model installed for epoch m+1
-    alpha: float = float("nan")  # best normalized SSE on the passive batch
-    slack: float = float("nan")  # constraint budget above alpha
-    lambda_star: float = float("nan")
-    duality_gap: float = float("nan")
-    constraint_residual: float = float("nan")
-    unconstrained: bool = False  # plain least squares: alpha to constraint_residual nan
-    ridge_fallback: bool = False
-    converged: bool = True    # the dual bisection met its tolerance
+    new_model: LinearModel
+    report: Optional[DualReport]
     mse_to_best_fit: float = float("nan")  # to f-hat*, on the diagnostics sample: run_lemmas
 
 
@@ -244,7 +239,7 @@ class EpsilonFalconAgent:
     ``replications`` runs in lockstep.
 
     ``weights`` (R, K, 1 + d) holds the model in force in each replication
-    and ``events`` one list per replication, each event with the weights
+    and ``events`` one list per replication, each event with the model
     its refit installed; the epoch, the phase and gamma are shared.
     ``stores`` holds the current epoch's "active" moments and, for epsilon
     > 0, its "passive" ones.  Its blocks are each epoch's active prefix and
@@ -328,7 +323,7 @@ class EpsilonFalconAgent:
         self.gamma = gamma_for_epoch(self.m, self.schedule, self.rates, self.num_arms)
         self._new_stores()
         for r, event in enumerate(events):
-            self.weights[r] = event.new_weights
+            self.weights[r] = event.new_model.weights
             self.events[r].append(event)
 
     def _refit(self, r: int) -> EpochEvent:
@@ -344,21 +339,16 @@ class EpsilonFalconAgent:
         tau_start = self.schedule.boundary(m - 1) + 1
         tau_end = self.schedule.boundary(m)
         if self.epsilon == 0:
-            new_model = fit_ols(self.stores["active"].replication(r))
-            return EpochEvent(m, tau_start, tau_end, self.gamma, new_model.weights.copy(),
-                              unconstrained=True, ridge_fallback=new_model.ridge_fallback)
+            return EpochEvent(m, tau_start, tau_end, self.gamma,
+                              fit_ols(self.stores["active"].replication(r)), None)
         # the passive moments first, which the refit reads first
         passive, active = (self.stores[p].replication(r) for p in ("passive", "active"))
         n_pass = len(passive)
         slack = _usable_rate("slack", m, lambda: rates.C1 * math.log(n_pass) ** rates.rho_prime
                              * math.log(12.0 * m * m / rates.delta) * rates.comp
                              / n_pass ** rates.rho)
-        new_model, report = constrained_fit(active, ConstraintSpec(passive, slack))
-        return EpochEvent(m, tau_start, tau_end, self.gamma, new_model.weights.copy(),
-                          alpha=report.alpha, slack=slack, lambda_star=report.lam,
-                          duality_gap=report.duality_gap,
-                          constraint_residual=report.constraint_residual,
-                          ridge_fallback=new_model.ridge_fallback, converged=report.converged)
+        return EpochEvent(m, tau_start, tau_end, self.gamma,
+                          *constrained_fit(active, ConstraintSpec(passive, slack)))
 
 
 def _check_finite(values: np.ndarray, message: str) -> None:

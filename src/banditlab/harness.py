@@ -313,7 +313,7 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
     started, results = schedule.epoch_of(T), []
     for r, seed in enumerate(seeds):
         events = agent.events[r] if is_falcon else []
-        bad = [ev.m for ev in events if not np.isfinite(ev.new_weights).all()]
+        bad = [ev.m for ev in events if not np.isfinite(ev.new_model.weights).all()]
         problem = None
         if bad:
             problem = f"non-finite weights from the refit after epoch {bad[0]}"
@@ -329,7 +329,7 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
         trace = RegretTrace(*data, e_regret[r], config.tau1, passive_share(config),
                             float(noisy_total[r]))
         # in force during each epoch that started: the zero model, then each refit's
-        weights = [np.zeros((K, dim + 1)), *(ev.new_weights for ev in events)][:started] \
+        weights = [np.zeros((K, dim + 1)), *(ev.new_model.weights for ev in events)][:started] \
             if is_falcon else []
         results.append(RunResult(config, seed, trace, events, run_artifacts(config, weights),
                                  None))

@@ -427,7 +427,7 @@ def run_lemmas_rows(config, seed: int, artifacts, events) -> tuple[list, list[fl
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
     xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
     fit_preds = envmod.best_linear_fit_uniform(config.env).predict_rows(xs)
-    mses = [mse_from(predict_matrix(LinearModel(ev.new_weights), xs), fit_preds).value
+    mses = [mse_from(predict_matrix(ev.new_model, xs), fit_preds).value
             for ev in events]
     return lemma_suite_rows(artifacts, xs, fit_preds), mses
 
@@ -677,7 +677,7 @@ def mse_to_best_fit_per_event(spec, events, num_mc: int, seed: int) -> list[floa
     mses = []
     for ev in events:
         xs = draw_contexts(spec, num_mc, rng)
-        mses.append(mse_from(predict_matrix(LinearModel(ev.new_weights), xs),
+        mses.append(mse_from(predict_matrix(ev.new_model, xs),
                              predict_matrix(best_fit, xs)).value)
     return mses
 

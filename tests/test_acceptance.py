@@ -174,7 +174,7 @@ def test_criterion_6_constraint_keeps_model_near_best_fit():
     xs = draw_contexts(SENS05, 100_000, 8)
     mse_p = mse_from(predict_matrix(final_p, xs), predict_matrix(best_fit, xs))
     drift_ok = mse_g.value < mse_p.value
-    budget_ok = all(ev.constraint_residual <= 1e-6 for ev in res_g.events)
+    budget_ok = all(ev.report.constraint_residual <= 1e-6 for ev in res_g.events)
     report(6, drift_ok and budget_ok,
            f"final-epoch mse to best fit: guarded {mse_g.value:.5f} < "
            f"plain {mse_p.value:.5f}; all {len(res_g.events)} epoch budgets "

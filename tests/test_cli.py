@@ -186,19 +186,19 @@ class TestRunVerb:
                             lambda *a, **k: results.append(run_one(*a, **k)) or results[-1])
 
         assert main(["run", "--config", path]) == 0
-        assert all(ev.converged for ev in results[-1].events)
-        assert any(ev.lambda_star > 0 for ev in results[-1].events)  # it binds
+        assert all(ev.report.converged for ev in results[-1].events)
+        assert any(ev.report.lam > 0 for ev in results[-1].events)  # it binds
         assert "did not converge" not in capsys.readouterr().err
 
         # one bisection step cannot tighten a binding constraint
         monkeypatch.setattr(linmodel, "MAX_BISECTIONS", 1)
         assert main(["run", "--config", path]) == 0
         events = results[-1].events
-        stuck = [ev.m for ev in events if not ev.converged]
+        stuck = [ev.m for ev in events if not ev.report.converged]
         assert stuck
         # feasible, but short of the binding constraint's tolerance
-        assert all(ev.lambda_star > 0 and ev.constraint_residual < -1e-6
-                   for ev in events if not ev.converged)
+        assert all(ev.report.lam > 0 and ev.report.constraint_residual < -1e-6
+                   for ev in events if not ev.report.converged)
         lines = [ln for ln in capsys.readouterr().err.splitlines() if "did not converge" in ln]
         assert len(lines) == 1
         assert f"epochs {', '.join(map(str, stuck))};" in lines[0]
@@ -362,6 +362,26 @@ def test_unusable_numbers_exit_two(tmp_path, capsys, name):
         # a suite names the replication; every one fails alike here
         assert main(["suite", "--config", str(path), "--reps", "3", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"numerical failure: {message}; replication 0\n"
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 16.0 TiB for an array with shape (1, 1099511627776, 2) and data type "
+    "float64", ""], ids=["numpy_message", "bare"])
+def test_failed_allocation_exits_one(step_config, tmp_path, monkeypatch, capsys, message):
+    # env.num_arms = 2^40 makes the agent's arrays fail to allocate (numpy's
+    # _ArrayMemoryError is a MemoryError); raised here, since whether a real
+    # allocation that large fails depends on the host's overcommit setting
+    def build_agent(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "build_agent", build_agent)
+    shown = message or "MemoryError"  # a bare MemoryError is named by its type
+    out = tmp_path / "out"
+    assert main(["run", "--config", step_config, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert main(["suite", "--config", step_config, "--reps", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {shown}; replication 0\n"
+    assert not out.exists()
 
 
 def edge_values(parse, allowed):

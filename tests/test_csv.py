@@ -1,7 +1,7 @@
 """The CSV writer against Python's own ``%`` formatting: each cell kernel of
 ``csvio.write_csv`` (``%.17g``, ``%d``, ``%s``) cell by cell, the writer's
-chunks and ``;`` cells, and the six artifact files' rows against their
-headers."""
+chunks and ``;`` cells, the six artifact files' rows against their
+headers, and README's list of those headers."""
 
 import math
 import os
@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditlab import csvio
-from banditlab.csvio import write_compare_csv, write_csv, write_run_dir, write_summary_csv
+from banditlab.csvio import (write_compare_csv, write_csv, write_run_dir, write_summary_csv,
+                             write_weights_csv)
 from banditlab.env import EnvSpec
-from banditlab.harness import RunConfig, compare, run_one, run_suite
+from banditlab.harness import RunConfig, compare, run_artifacts, run_one, run_suite
 
 
 def spelled(cells: np.ndarray) -> list[str]:
@@ -218,3 +219,18 @@ def test_every_file_has_as_many_cells_per_line_as_its_header(label, config, tmp_
 def test_lemma_notes_hold_no_comma(tmp_path):
     path = run_files(SMALL_RUNS[0][1], tmp_path)["lemmas.csv"]
     assert cells_per_line(path) == {header_cells(path)}
+
+
+def test_readme_lists_every_header(tmp_path):
+    """README's Artifacts block names each file ``csvio`` writes with its
+    header; weights.csv's is the d = 1 header, then ``,...``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("## Artifacts", 1)[1].split("```\n", 2)[1]
+    listed = dict(line.split()[:2] for line in block.splitlines())
+    weights = tmp_path / "weights.csv"  # a run without epochs: the header alone
+    write_weights_csv(run_artifacts(RunConfig(env=EnvSpec(kind="step_function")), []), str(weights))
+    assert listed == {"trace.csv:": csvio.TRACE_HEADER, "epochs.csv:": csvio.EPOCHS_HEADER,
+                      "weights.csv:": weights.read_text().rstrip("\n") + ",...",
+                      "lemmas.csv:": csvio.LEMMAS_HEADER, "summary.csv:": csvio.SUMMARY_HEADER,
+                      "compare.csv:": csvio.COMPARE_HEADER}

@@ -136,8 +136,7 @@ class TestDecisionalDivergence:
 
 def refit(weights):
     """An epoch event as ``lemma_suite`` reads and fills it."""
-    return SimpleNamespace(new_weights=np.asarray(weights, dtype=float),
-                           mse_to_best_fit=float("nan"))
+    return SimpleNamespace(new_model=LinearModel(weights), mse_to_best_fit=float("nan"))
 
 
 class TestModelMse:

@@ -97,10 +97,10 @@ def assert_equals_reference(tr, agent, r, ref, ref_agent):
         events, ref_events = agent.events[r], ref_agent.events[0]
         assert len(events) == len(ref_events)
         for ev, ev_ref in zip(events, ref_events):
-            assert ev.new_weights.tobytes() == ev_ref.new_weights.tobytes()
-        for field in ("alpha", "slack", "lambda_star", "duality_gap"):
-            got = np.array([getattr(ev, field) for ev in agent.events[r]])
-            assert got.tobytes() == np.array([getattr(ev, field)
+            assert ev.new_model.weights.tobytes() == ev_ref.new_model.weights.tobytes()
+        for field in ("alpha", "slack", "lam", "duality_gap"):  # nan where there is no report
+            got = np.array([getattr(ev.report, field, np.nan) for ev in agent.events[r]])
+            assert got.tobytes() == np.array([getattr(ev.report, field, np.nan)
                                               for ev in ref_agent.events[0]]).tobytes(), field
     if isinstance(agent, LinUCBAgent):
         for name in ("G", "bvec", "theta", "G_inv"):
@@ -443,4 +443,4 @@ class TestBlocks:
                 b.record_block(t, xs[None, t - 1:t], one, r[:, t - 1 - lo:t - lo])
         assert a.m == b.m == 3
         for ea, eb in zip(a.events[0], b.events[0], strict=True):
-            assert ea.new_weights.tobytes() == eb.new_weights.tobytes()
+            assert ea.new_model.weights.tobytes() == eb.new_model.weights.tobytes()

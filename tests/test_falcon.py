@@ -345,7 +345,7 @@ class TestEpsilonFalconAgent:
             x = env.sample_context()
             rows.append((x, *play(agent, t, x, rng, env)))
         ev = agent.events[0][0]
-        assert ev.unconstrained
+        assert ev.report is None
         direct = DataBatch(2)
         for x, a, r in rows:
             direct.append(x, a, r)
@@ -361,7 +361,7 @@ class TestEpsilonFalconAgent:
             play_epoch(agent, env, rng, agent.schedule.boundary(m - 1) + 1,
                        agent.schedule.boundary(m))
         for ev in agent.events[0]:
-            assert ev.lambda_star == 0.0
+            assert ev.report.lam == 0.0
 
     def test_constraint_tracked_every_epoch(self):
         agent = EpsilonFalconAgent(2, epsilon=0.3, schedule=SCHED, rates=RATES)
@@ -373,7 +373,7 @@ class TestEpsilonFalconAgent:
             # keep a copy of this epoch's passive rows to recheck the budget
             play_epoch(agent, env, rng, start, end)
             ev = agent.events[0][-1]
-            assert ev.constraint_residual <= 1e-6
+            assert ev.report.constraint_residual <= 1e-6
 
     def test_model_history_tracks_epochs(self):
         agent = EpsilonFalconAgent(2, epsilon=0.1, schedule=SCHED, rates=RATES)
@@ -386,7 +386,7 @@ class TestEpsilonFalconAgent:
         assert [ev.m for ev in events] == [1, 2, 3]  # one per completed epoch
         assert [ev.gamma for ev in events] == [
             gamma_for_epoch(m, agent.schedule, RATES, 2) for m in (1, 2, 3)]
-        assert all(ev.new_weights.shape == (2, 2) for ev in events)
+        assert all(ev.new_model.weights.shape == (2, 2) for ev in events)
 
     def test_epsilon_range_checked(self):
         with pytest.raises(ValueError):

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditlab import harness
+from banditlab import falcon, harness
 from banditlab.csvio import (EPOCHS_HEADER, TRACE_HEADER, read_weights_csv, write_compare_csv,
-                             write_run_dir, write_summary_csv, write_trace_csv)
+                             write_events_csv, write_run_dir, write_summary_csv, write_trace_csv)
 from banditlab.diag import lemma_suite
 from banditlab.env import (EnvSpec, best_linear_fit_uniform, draw_contexts, make_generator,
                            mean_reward_matrix)
@@ -23,7 +23,7 @@ from banditlab.falcon import EpochSchedule
 from banditlab.harness import (ConfigError, ConfigMismatchError, RunConfig, checkpoints,
                                compare, load_config, parse_config, run_lemmas, run_many,
                                run_one, run_suite, save_config, serialize_config)
-from banditlab.linmodel import DataBatch, LinearModel
+from banditlab.linmodel import DataBatch
 
 from oracles import gaps_from, mean_at, mse_from, predict_matrix
 
@@ -475,7 +475,7 @@ class TestRunOne:
         xs = draw_contexts(cfg.env, cfg.mc_samples, make_generator(diag_ss))
         best_fit = best_linear_fit_uniform(cfg.env)
         assert [ev.mse_to_best_fit for ev in res.events] == \
-            [mse_from(predict_matrix(LinearModel(ev.new_weights), xs),
+            [mse_from(predict_matrix(ev.new_model, xs),
                       best_fit.predict_rows(xs)).value for ev in res.events]
         assert res.lemma_report == lemma_suite(res.artifacts, xs)
 
@@ -485,6 +485,31 @@ class TestRunOne:
         for ev in res.events:
             assert math.isfinite(ev.mse_to_best_fit)
             assert ev.gamma > 0
+
+    def test_events_hold_the_oracles_own_model_and_report(self, monkeypatch, tmp_path):
+        # the refits run epoch by epoch, each epoch's replications in order;
+        # a small slack (c1) makes the constraint bind from epoch 6 on
+        fits, fit = [], falcon.constrained_fit
+        monkeypatch.setattr(falcon, "constrained_fit",
+                            lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+        results = run_many(small_config(env=SENS, c1=1e-3, horizon=512), [1, 2, 3])
+        assert len(fits) == 3 * len(results[0].events) == 3 * 8  # epochs ending at 4..512
+        for r, res in enumerate(results):
+            for ev in res.events:
+                model, report = fits[3 * (ev.m - 1) + r]
+                assert ev.new_model is model and ev.report is report
+                assert ev.report.n_weighted_fits >= 1
+        assert any(report.lam > 0 for _, report in fits)  # it binds
+
+        fits.clear()
+        res = run_many(small_config(env=SENS, agent="falcon", horizon=512), [1])[0]
+        assert not fits and res.events and all(ev.report is None for ev in res.events)
+        write_events_csv(res.events, str(tmp_path / "epochs.csv"))
+        header, *rows = (tmp_path / "epochs.csv").read_text().splitlines()
+        oracle_columns = ["alpha", "slack", "lambda_star", "duality_gap"]
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert [cells[name] for name in oracle_columns] == ["nan"] * 4
 
 
 class TestRunSuite:

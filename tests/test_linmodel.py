@@ -610,14 +610,14 @@ class TestBisectionStop:
                            horizon=512, c1=1e-4)
         events = run_many(config, [0])[0].events
         model, report = reports[1]
-        assert events[1].m == 2 and not events[1].converged and not report.converged
+        assert events[1].m == 2 and not events[1].report.converged and not report.converged
         assert report.lam == float.fromhex("0x1.30fa6e472428ep-27")  # 8.876e-09
         assert report.constraint_residual == pytest.approx(-0.0024695144415607623, rel=1e-9)
         np.testing.assert_allclose(
             model.weights, [[-0.30675192342010454, 1.2683892213445318],
                             [1.2368311547978204, -1.2095233289953249]], rtol=1e-12)
         assert report.n_weighted_fits < 100
-        assert [ev.converged for ev in events] == [True, False] + [True] * 6
+        assert [ev.report.converged for ev in events] == [True, False] + [True] * 6
 
 
 class TestMomentLayer:
