@@ -2,13 +2,13 @@
 
 Artifacts are plain CSV, every file written by ``write_csv`` in the bytes
 of Python's ``%`` formatting.  A run's record takes one path:
-``harness.run_artifacts`` turns the config and the weights in force in each
-epoch into what the inequality suite reads, and ``harness.run_lemmas``, the
-diagnostics pass, runs the suite and sets every ``mse_to_fhatstar`` on one
-sample from the seed's diagnostics stream.
-``harness.run_one`` feeds them the agent's refits, ``reanalyze_run_dir``
-(``banditlab diag``) the stored ``weights.csv`` and ``config.txt``, so
-``diag`` reproduces the run's ``lemmas.csv`` byte for byte.  Schemas:
+``harness.run_lemmas``, the diagnostics pass, runs the inequality suite on
+the models in force in each epoch, with the config's gammas, and sets every
+``mse_to_fhatstar``, on one sample from the seed's diagnostics stream.
+``harness.run_one`` feeds it the agent's refits, ``reanalyze_run_dir``
+(``banditlab diag``) the stored ``weights.csv``, checked against the stored
+``config.txt``, so ``diag`` reproduces the run's ``lemmas.csv`` byte for
+byte.  Schemas:
 
 * trace:   t,epoch,phase,x,action,reward,e_regret,cum_e_regret
   (a run stores x, action, reward and e_regret, a suite e_regret alone;
@@ -19,15 +19,18 @@ sample from the seed's diagnostics stream.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 
-from .diag import LemmaCheck, RegretTrace, RunArtifacts, cumsum_after
+from .diag import LemmaCheck, RegretTrace, cumsum_after
+from .env import EnvSpec
 from .falcon import EpochEvent
-from .harness import (CompareTable, RunResult, SuiteSummary, load_config, run_artifacts,
-                      run_lemmas, save_config)
+from .harness import (CompareTable, RunConfig, RunResult, SuiteSummary, epochs_started,
+                      load_config, run_lemmas, save_config)
+from .linmodel import LinearModel
 
 TRACE_HEADER = "t,epoch,phase,x,action,reward,e_regret,cum_e_regret"
 EPOCHS_HEADER = "m,tau_start,tau_end,gamma,alpha,slack,lambda_star,duality_gap,mse_to_fhatstar"
@@ -285,11 +288,16 @@ def write_events_csv(events: list[EpochEvent], path: str) -> None:
                ("g", [ev.mse_to_best_fit for ev in events])])
 
 
-def write_weights_csv(artifacts: RunArtifacts, path: str) -> None:
-    """One line per (epoch, arm); with no models, the header of the run's d."""
-    M, K, p = len(artifacts.models), artifacts.spec.num_arms, artifacts.spec.context_dim + 1
-    W = np.array([model.weights for model in artifacts.models]).reshape(M * K, p)
-    write_csv(path, "m,arm," + ",".join(f"w{j}" for j in range(p)),
+def _weights_header(spec: EnvSpec) -> str:
+    return "m,arm," + ",".join(f"w{j}" for j in range(spec.context_dim + 1))
+
+
+def write_weights_csv(models: list[LinearModel], spec: EnvSpec, path: str) -> None:
+    """One line per (epoch, arm) of the models in force during each epoch;
+    with no models, the header of the spec's d."""
+    M, K, p = len(models), spec.num_arms, spec.context_dim + 1
+    W = np.array([model.weights for model in models]).reshape(M * K, p)
+    write_csv(path, _weights_header(spec),
               [("d", np.repeat(np.arange(1, M + 1), K)), ("d", np.tile(np.arange(1, K + 1), M)),
                *(("g", w) for w in W.T)])
 
@@ -324,25 +332,41 @@ def write_run_dir(result: RunResult, out_dir: str) -> None:
                 os.path.join(out_dir, "config.txt"))
     write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
     write_events_csv(result.events, os.path.join(out_dir, "epochs.csv"))
-    write_weights_csv(result.artifacts, os.path.join(out_dir, "weights.csv"))
+    write_weights_csv(result.models, result.config.env, os.path.join(out_dir, "weights.csv"))
     write_lemmas_csv(result.lemma_report, os.path.join(out_dir, "lemmas.csv"))
 
 
-def read_weights_csv(path: str) -> list[np.ndarray]:
-    """Inverse of write_weights_csv: per-epoch weight matrices."""
+def read_weights_csv(path: str, config: RunConfig) -> list[np.ndarray]:
+    """Inverse of write_weights_csv for a run of ``config``: the header,
+    then arms 1..K of each epoch the run started, in order, each with d + 1
+    finite weights.  Any other file is a ValueError naming it and the line."""
+    spec = config.env
+    M, K, p = epochs_started(config), spec.num_arms, spec.context_dim + 1
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [[float(c) for c in ln.split(",")] for ln in fh.read().splitlines()[1:] if ln]
-    by_epoch: dict[float, list[list[float]]] = {}
-    for m, _, *w in rows:  # written epoch by epoch, arm by arm
-        by_epoch.setdefault(m, []).append(w)
-    return [np.array(ws) for ws in by_epoch.values()]
+        lines = fh.read().splitlines()
+    if lines[:1] != [_weights_header(spec)]:
+        raise ValueError(f"{path}, line 1: expected the header {_weights_header(spec)!r}")
+    rows = []
+    for lineno, (m, arm) in enumerate([(m, a) for m in range(1, M + 1) for a in range(1, K + 1)],
+                                      start=2):
+        cells = lines[lineno - 1].split(",") if lineno <= len(lines) else []
+        try:
+            rows.append([float(c) for c in cells[2:]])
+        except ValueError:
+            rows.append([])
+        if cells[:2] != [str(m), str(arm)] or len(rows[-1]) != p \
+                or not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"{path}, line {lineno}: expected epoch {m}, arm {arm} "
+                             f"and {p} finite weights")
+    if len(lines) > 1 + M * K:
+        raise ValueError(f"{path}, line {2 + M * K}: a row past the run's {M} epochs")
+    return list(np.array(rows).reshape(M, K, p))
 
 
 def reanalyze_run_dir(run_dir: str) -> list[LemmaCheck]:
-    """Re-run the inequality suite from a stored run directory: the stored
-    weights and config (whose ``base_seed`` is the run's seed) rebuild the
-    run's artifacts and its diagnostics stream, so the report equals the
-    run's own."""
+    """Re-run the inequality suite from a stored run directory: its weights,
+    checked against its config, and the diagnostics stream of the config's
+    ``base_seed`` (the run's seed), so the report equals the run's own."""
     config = load_config(os.path.join(run_dir, "config.txt"))
-    weights = read_weights_csv(os.path.join(run_dir, "weights.csv"))
-    return run_lemmas(config, config.base_seed, run_artifacts(config, weights), [])
+    weights = read_weights_csv(os.path.join(run_dir, "weights.csv"), config)
+    return run_lemmas(config, config.base_seed, [LinearModel(w) for w in weights], [])

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import diag as diagmod
-from .diag import LemmaCheck, RegretTrace, RunArtifacts, cumsum_after
+from .diag import LemmaCheck, RegretTrace, cumsum_after
 from .env import (ENV_KEYS, Environment, EnvSpec, draw_contexts, interval_errors,
                   make_generator)
 from .falcon import (AGENT_KEYS, EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
@@ -207,6 +207,13 @@ def passive_share(config: RunConfig) -> float:
     return config.epsilon if config.agent == "epsilon_falcon" else 0.0
 
 
+def epochs_started(config: RunConfig) -> int:
+    """The epochs a run of ``config`` starts (none for LinUCB and uniform)."""
+    if config.agent in ("epsilon_falcon", "falcon"):
+        return EpochSchedule(config.tau1).epoch_of(config.horizon)
+    return 0
+
+
 def build_agent(config: RunConfig, replications: int = 1):
     """The config's agent, holding ``replications`` runs in lockstep."""
     spec = config.env
@@ -228,7 +235,7 @@ class RunResult:
     seed: int
     trace: RegretTrace
     events: list[EpochEvent]
-    artifacts: RunArtifacts
+    models: list[LinearModel]  # in force in each epoch started: zero, then refits' new_model
     lemma_report: Optional[list[LemmaCheck]]
 
 
@@ -310,7 +317,7 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
     state_ok = np.ones(R, dtype=bool)
     if isinstance(agent, LinUCBAgent):
         state_ok = np.isfinite(agent.bvec.reshape(R, -1)).all(axis=1)
-    started, results = schedule.epoch_of(T), []
+    started, results = epochs_started(config), []
     for r, seed in enumerate(seeds):
         events = agent.events[r] if is_falcon else []
         bad = [ev.m for ev in events if not np.isfinite(ev.new_model.weights).all()]
@@ -328,11 +335,8 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
         data = (xs[r], actions[r], rewards[r]) if keep_data else (None, None, None)
         trace = RegretTrace(*data, e_regret[r], config.tau1, passive_share(config),
                             float(noisy_total[r]))
-        # in force during each epoch that started: the zero model, then each refit's
-        weights = [np.zeros((K, dim + 1)), *(ev.new_model.weights for ev in events)][:started] \
-            if is_falcon else []
-        results.append(RunResult(config, seed, trace, events, run_artifacts(config, weights),
-                                 None))
+        models = [LinearModel(np.zeros((K, dim + 1))), *(ev.new_model for ev in events)][:started]
+        results.append(RunResult(config, seed, trace, events, models, None))
     return results
 
 
@@ -342,31 +346,24 @@ def run_one(config: RunConfig, seed: Optional[int] = None) -> RunResult:
     if seed is None:
         seed = config.base_seed
     result = run_many(config, [seed])[0]
-    result.lemma_report = run_lemmas(config, seed, result.artifacts, result.events)
+    result.lemma_report = run_lemmas(config, seed, result.models, result.events)
     return result
 
 
-def run_artifacts(config: RunConfig, weights: list[np.ndarray]) -> RunArtifacts:
-    """What the inequality suite reads of a run: the weights in force
-    during each epoch that started, from the zero model on (none for the
-    agents without epochs), with the gammas the schedule gives them."""
-    schedule, rates = EpochSchedule(config.tau1), config.rate_params()
-    gammas = [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
-              for m in range(1, len(weights) + 1)]
-    return RunArtifacts(config.env, [LinearModel(w) for w in weights], gammas,
-                        epsilon=passive_share(config), rho=config.rho)
-
-
-def run_lemmas(config: RunConfig, seed: int, artifacts: RunArtifacts,
+def run_lemmas(config: RunConfig, seed: int, models: list[LinearModel],
                events: list[EpochEvent]) -> list[LemmaCheck]:
     """The diagnostics pass on ``min(mc_samples, 20_000)`` contexts from the
-    first child of the seed's diagnostics stream: the inequality suite and
-    each event's ``mse_to_best_fit`` against the best fit, all on that one
-    sample.  The report of a run and, from its directory, of
+    first child of the seed's diagnostics stream: the inequality suite over
+    ``models`` (in force in epochs 1, 2, ..., each with its epoch's gamma)
+    and each event's ``mse_to_best_fit`` against the best fit, all on that
+    one sample.  The report of a run and, from its directory, of
     ``csvio.reanalyze_run_dir``."""
+    schedule, rates = EpochSchedule(config.tau1), config.rate_params()
+    gammas = [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
+              for m in range(1, len(models) + 1)]
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
     xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
-    return diagmod.lemma_suite(artifacts, xs, events)
+    return diagmod.lemma_suite(config.env, models, gammas, xs, events)
 
 
 @dataclass

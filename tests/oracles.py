@@ -32,7 +32,7 @@ from banditlab import env as envmod
 from banditlab.diag import LemmaCheck, MCEstimate
 from banditlab.env import (Environment, draw_contexts, make_generator, mean_reward_matrix,
                            true_model)
-from banditlab.falcon import arm_gaps, igw_kernel
+from banditlab.falcon import EpochSchedule, arm_gaps, gamma_for_epoch, igw_kernel
 from banditlab.linmodel import LinearModel, featurize, rowwise_predict
 
 
@@ -375,11 +375,10 @@ def linucb_scores_rows(agent, xs) -> tuple[np.ndarray, np.ndarray]:
     return widths, scores.argmax(axis=-1) + 1
 
 
-def lemma_suite_rows(artifacts, xs, fit_preds: np.ndarray) -> list:
+def lemma_suite_rows(spec, models, gammas, xs, fit_preds: np.ndarray) -> list:
     """The inequality suite on one sample with (n, K) matrices: each
     epoch's model predicted by ``predict_matrix``, the row-major helpers
     above, ``einsum`` for the kernel regrets; ``fit_preds`` is (n, K)."""
-    spec = artifacts.spec
     K = spec.num_arms
     checks = []
 
@@ -392,12 +391,11 @@ def lemma_suite_rows(artifacts, xs, fit_preds: np.ndarray) -> list:
     check("error_ordering_lower", None, b.value, B.value + tol_lo, tol_lo, "b <= B")
     check("error_ordering_upper", None, B.value, K * b.value + tol_hi, tol_hi, "B <= K*b")
     a_best = gaps_from(fit_preds)[1] + 1
-    truth_gaps = gaps_from(truth)[0]
-    reg_best = mean_at(truth_gaps, a_best)
+    reg_best = mean_at(gaps_from(truth)[0], a_best)
     check("best_fit_policy_regret", None, reg_best.value,
           2.0 * math.sqrt(max(B.value, 0.0)) + 3.0 * reg_best.se, reg_best.se,
           "Reg(pi_bestfit) <= 2*sqrt(B)")
-    for m, (model, gamma) in enumerate(zip(artifacts.models[1:], artifacts.gammas[1:]), start=2):
+    for m, (model, gamma) in enumerate(zip(models[1:], gammas[1:]), start=2):
         preds = predict_matrix(model, xs)
         probs = igw_kernel_rows(preds, gamma)
         gaps, best = gaps_from(preds)
@@ -411,25 +409,27 @@ def lemma_suite_rows(artifacts, xs, fit_preds: np.ndarray) -> list:
               f"gamma*E[gap]={lo:.4g} <= V <= K+gamma*E[gap]", lo - band <= V.value <= hi + band)
         V_self = divergence_from(probs, best + 1)
         check("divergence_self", m, V_self.value, K + 3 * V_self.se, V_self.se, "V(p; pi_p) <= K")
-        true_reg = kernel_regret_from(probs, truth_gaps)
-        scale = math.sqrt(artifacts.epsilon ** artifacts.rho) if artifacts.epsilon else 1.0
-        trend = K / gamma + math.sqrt(max(K * B.value, 0.0) / scale)
-        ratio = true_reg.value / trend if trend > 0 else float("nan")
-        check("true_regret_trend", m, true_reg.value, trend, true_reg.se,
-              f"ratio {ratio:.3f} logged only; constants unknown", True)
     return checks
 
 
-def run_lemmas_rows(config, seed: int, artifacts, events) -> tuple[list, list[float]]:
+def epoch_gammas(config, epochs: int) -> list[float]:
+    """``gamma_for_epoch`` of epochs 1..epochs of a run of ``config``."""
+    schedule, rates = EpochSchedule(config.tau1), config.rate_params()
+    return [gamma_for_epoch(m, schedule, rates, config.env.num_arms)
+            for m in range(1, epochs + 1)]
+
+
+def run_lemmas_rows(config, seed: int, models, events) -> tuple[list, list[float]]:
     """A run's diagnostics pass in the row-major formulas: (the report, each
     event's MSE to the best fit), on the sample ``harness.run_lemmas`` draws,
     every event's model predicted by its own ``predict_matrix``."""
+    gammas = epoch_gammas(config, len(models))
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
     xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
     fit_preds = envmod.best_linear_fit_uniform(config.env).predict_rows(xs)
     mses = [mse_from(predict_matrix(ev.new_model, xs), fit_preds).value
             for ev in events]
-    return lemma_suite_rows(artifacts, xs, fit_preds), mses
+    return lemma_suite_rows(config.env, models, gammas, xs, fit_preds), mses
 
 
 def sample_scalar(probs: np.ndarray, rng) -> int:
@@ -589,12 +589,11 @@ def write_trace_rows(trace, path: str) -> None:
                      f"{g(trace.cum_e_regret[i])}\n")
 
 
-def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
+def lemma_suite_independent(spec, models, gammas, num_mc: int = 20_000, rng=0) -> list:
     """The inequality suite with an independent context draw for every
     estimate, in the order and with the rows and bands of
     ``banditlab.diag.lemma_suite``."""
     rng = make_generator(rng)
-    spec = artifacts.spec
     K = spec.num_arms
     best_fit = envmod.best_linear_fit_uniform(spec)
     checks = []
@@ -624,9 +623,7 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
                              reg_best.value <= bound + 3.0 * reg_best.se,
                              "Reg(pi_bestfit) <= 2*sqrt(B)"))
 
-    for m, (model, gamma) in enumerate(zip(artifacts.models, artifacts.gammas), start=1):
-        if m == 1:
-            continue
+    for m, (model, gamma) in enumerate(zip(models[1:], gammas[1:]), start=2):
         preds = predict_matrix(model, draw())
         est = kernel_regret_from(igw_kernel_rows(preds, gamma), gaps_from(preds)[0])
         rhs = K / gamma + 3.0 * est.se
@@ -650,18 +647,6 @@ def lemma_suite_independent(artifacts, num_mc: int = 20_000, rng=0) -> list:
         checks.append(LemmaCheck("divergence_self", m, V_self.value,
                                  K + 3.0 * V_self.se, V_self.se,
                                  V_self.value <= K + 3.0 * V_self.se, "V(p; pi_p) <= K"))
-
-        xs = draw()
-        true_reg = kernel_regret_from(igw_kernel_rows(predict_matrix(model, xs), gamma),
-                                      gaps_from(mean_reward_matrix(spec, xs))[0])
-        trend = K / gamma + math.sqrt(max(K * B.value, 0.0))
-        if artifacts.epsilon:
-            trend = K / gamma + math.sqrt(
-                max(K * B.value, 0.0) / math.sqrt(artifacts.epsilon ** artifacts.rho))
-        ratio = true_reg.value / trend if trend > 0 else float("nan")
-        checks.append(LemmaCheck("true_regret_trend", m, true_reg.value, trend,
-                                 true_reg.se, True,
-                                 f"ratio {ratio:.3f} logged only; constants unknown"))
     return checks
 
 

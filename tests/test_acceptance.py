@@ -112,14 +112,16 @@ def test_criterion_3_constrained_oracle_correctness():
 def test_criterion_4_kernel_invariants_and_estimated_regret(sens_run_eps01):
     """Across a full run: kernels are proper distributions and their
     self-estimated regret stays under K/gamma each epoch."""
-    arts = sens_run_eps01.artifacts
+    res = sens_run_eps01
     K = 2
     rng = np.random.default_rng(6)
     ok = True
     worst_sum = 0.0
     margins = []
-    assert len(arts.models) == 15  # horizon 2^14 * 4 with tau1 = 4
-    for m, (model, gamma) in enumerate(zip(arts.models, arts.gammas), start=1):
+    assert len(res.models) == 15  # horizon 2^14 * 4 with tau1 = 4
+    # event m holds gamma_m, the gamma of the epoch model m was in force
+    for m, (model, gamma) in enumerate(zip(res.models, [ev.gamma for ev in res.events]),
+                                       start=1):
         if m == 1:
             continue
         xs = rng.random(10_000)
@@ -131,7 +133,7 @@ def test_criterion_4_kernel_invariants_and_estimated_regret(sens_run_eps01):
         nonbest = probs.copy()
         nonbest[np.arange(len(xs)), best] = 0.0
         ok &= np.all(nonbest <= 1.0 / K + 1e-15)
-        preds = predict_matrix(model, draw_contexts(arts.spec, 10_000, rng))
+        preds = predict_matrix(model, draw_contexts(res.config.env, 10_000, rng))
         est = kernel_regret_from(package_kernel_rows(preds, gamma), gaps_from(preds)[0])
         ok &= est.value <= K / gamma + 3 * est.se
         margins.append(K / gamma - est.value)
@@ -167,8 +169,8 @@ def test_criterion_6_constraint_keeps_model_near_best_fit():
     res_g = run_many(guarded, [30])[0]
     res_p = run_many(plain, [30])[0]
     best_fit = best_linear_fit_uniform(SENS05)
-    final_g = res_g.artifacts.models[-1]
-    final_p = res_p.artifacts.models[-1]
+    final_g = res_g.models[-1]
+    final_p = res_p.models[-1]
     xs = draw_contexts(SENS05, 100_000, 7)
     mse_g = mse_from(predict_matrix(final_g, xs), predict_matrix(best_fit, xs))
     xs = draw_contexts(SENS05, 100_000, 8)

@@ -34,7 +34,7 @@ HEADLINE_FILES_PINNED = {
     "trace.csv": "cc6d09be775e576149242d41088df70538ea2c137510c499631fa56f037c38b4",
     "epochs.csv": "2b43ef361c020f38ae1f10d0db1a2d3db438d51341d73d621843443e2fbdd1fc",
     "weights.csv": "b19668ef8f6b05b8a1f96811f5a3df9934459238ce2675ce296fb2dcc2685f10",
-    "lemmas.csv": "5331e8777843178873fe0a55638462dc129526fd5bb4bbc1b70c2af16c3b4e18",
+    "lemmas.csv": "8b8ba13b8ed129698eace7fb030ad24717b7fef8684afbdf328400ee84ab769f",
 }
 
 
@@ -278,18 +278,52 @@ class TestDiagVerb:
         assert "kernel_estimated_regret" in text
         assert "FAIL" not in text
 
-    # mc_samples below, at and above the suite's 20,000-context cap
-    @pytest.mark.parametrize("agent, mc_samples", [("epsilon_falcon", 2_000),
-                                                   ("falcon", 20_000), ("lin_ucb", 100_000)])
-    def test_diag_reproduces_the_runs_lemmas(self, tmp_path, agent, mc_samples):
+    # mc_samples below, at and above the suite's 20,000-context cap; a
+    # horizon of 256 = tau_7 ends on an epoch boundary, so the last refit
+    # installs a model that no epoch plays
+    @pytest.mark.parametrize("agent, mc_samples, horizon", [
+        pytest.param("epsilon_falcon", 2_000, 300, id="epsilon_falcon-2000"),
+        pytest.param("falcon", 20_000, 300, id="falcon-20000"),
+        pytest.param("lin_ucb", 100_000, 300, id="lin_ucb-100000"),
+        pytest.param("epsilon_falcon", 2_000, 256, id="epsilon_falcon-2000-256"),
+        pytest.param("falcon", 20_000, 256, id="falcon-20000-256")])
+    def test_diag_reproduces_the_runs_lemmas(self, tmp_path, agent, mc_samples, horizon):
         path = str(tmp_path / "sens.txt")
         save_config(RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05), agent=agent,
-                              horizon=300, mc_samples=mc_samples), path)
+                              horizon=horizon, mc_samples=mc_samples), path)
         out = tmp_path / "run"
         assert main(["run", "--config", path, "--seed", "3", "--out", str(out)]) == 0
+        if horizon == 256:  # 7 refits and the models of epochs 1..7
+            assert len((out / "epochs.csv").read_text().splitlines()) == 1 + 7
+            assert len((out / "weights.csv").read_text().splitlines()) == 1 + 7 * 2
         written = (out / "lemmas.csv").read_bytes()
         assert main(["diag", "--run", str(out)]) == 0
         assert (out / "lemmas.csv").read_bytes() == written
+
+    # a weights.csv that the run did not write (header, then arms 1..2 of
+    # epochs 1..8 of a 300-round run), and the line diag names
+    MALFORMED_WEIGHTS = {
+        "missing_arm": (lambda lines: [ln for ln in lines if not re.match(r"\d+,2,", ln)], 3),
+        "relabelled_epoch": (lambda lines: [re.sub(r"^3,", "9,", ln) for ln in lines], 6),
+        "header_only": (lambda lines: lines[:1], 2),
+        "not_a_number": (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",x\n",
+                                        *lines[2:]], 2),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_WEIGHTS))
+    def test_malformed_weights_exit_one(self, tmp_path, capsys, damage):
+        path = str(tmp_path / "step.txt")
+        save_config(RunConfig(env=EnvSpec(kind="step_function"), horizon=300, mc_samples=2_000),
+                    path)
+        out = tmp_path / "run"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        weights, lemmas = out / "weights.csv", (out / "lemmas.csv").read_bytes()
+        damaged, lineno = self.MALFORMED_WEIGHTS[damage]
+        weights.write_text("".join(damaged(weights.read_text().splitlines(keepends=True))))
+        capsys.readouterr()
+        assert main(["diag", "--run", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {weights}, line {lineno}: ")
+        assert (out / "lemmas.csv").read_bytes() == lemmas
 
 
 class TestOracleVerb:

@@ -16,7 +16,7 @@ from banditlab import csvio
 from banditlab.csvio import (write_compare_csv, write_csv, write_run_dir, write_summary_csv,
                              write_weights_csv)
 from banditlab.env import EnvSpec
-from banditlab.harness import RunConfig, compare, run_artifacts, run_one, run_suite
+from banditlab.harness import RunConfig, compare, run_one, run_suite
 
 
 def spelled(cells: np.ndarray) -> list[str]:
@@ -229,7 +229,7 @@ def test_readme_lists_every_header(tmp_path):
         block = fh.read().split("## Artifacts", 1)[1].split("```\n", 2)[1]
     listed = dict(line.split()[:2] for line in block.splitlines())
     weights = tmp_path / "weights.csv"  # a run without epochs: the header alone
-    write_weights_csv(run_artifacts(RunConfig(env=EnvSpec(kind="step_function")), []), str(weights))
+    write_weights_csv([], EnvSpec(kind="step_function"), str(weights))
     assert listed == {"trace.csv:": csvio.TRACE_HEADER, "epochs.csv:": csvio.EPOCHS_HEADER,
                       "weights.csv:": weights.read_text().rstrip("\n") + ",...",
                       "lemmas.csv:": csvio.LEMMAS_HEADER, "summary.csv:": csvio.SUMMARY_HEADER,

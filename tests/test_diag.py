@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from banditlab import diag as diagmod
-from banditlab.diag import MCEstimate, RunArtifacts, lemma_suite
+from banditlab.diag import MCEstimate, lemma_suite
 from banditlab.env import (EnvSpec, best_linear_fit_uniform, closed_form_errors, draw_contexts,
                            make_generator, mean_reward_matrix)
 from banditlab.falcon import arm_gaps
 from banditlab.harness import RunConfig, run_lemmas, run_many, run_one
 from banditlab.linmodel import LinearModel
 
-from oracles import (divergence_from, error_estimates_from, gaps_from, lemma_suite_independent,
-                     lemma_suite_rows, mean_at, mse_from, package_kernel_rows, predict_matrix,
-                     run_lemmas_rows, zero_model)
+from oracles import (divergence_from, epoch_gammas, error_estimates_from, gaps_from,
+                     lemma_suite_independent, lemma_suite_rows, mean_at, mse_from,
+                     package_kernel_rows, predict_matrix, run_lemmas_rows, zero_model)
 
 STEP = EnvSpec(kind="step_function")
 SENS = EnvSpec(kind="sensitivity_family", theta=0.05)
@@ -31,7 +31,7 @@ ALWAYS_ARM1_REGRET = 0.9 * 0.95 + (-0.7785) * 0.95**2 / 2
 def suite(spec, models, gammas, xs, events=()):
     """``lemma_suite`` of a run with these per-epoch models, at ``xs``,
     as a dict by (name, epoch)."""
-    checks = lemma_suite(RunArtifacts(spec, models, gammas, rho=1.0), xs, events)
+    checks = lemma_suite(spec, models, gammas, xs, events)
     return {(c.name, c.epoch): c for c in checks}
 
 
@@ -208,17 +208,16 @@ class TestModelDriftGuard:
         res_p = run_many(plain, [60])[0]
         xs = draw_contexts(SENS, 50_000, 26)
         best = predict_matrix(best_linear_fit_uniform(SENS), xs)
-        mse_g = mse_from(predict_matrix(res_g.artifacts.models[-1], xs), best)
-        mse_p = mse_from(predict_matrix(res_p.artifacts.models[-1], xs), best)
+        mse_g = mse_from(predict_matrix(res_g.models[-1], xs), best)
+        mse_p = mse_from(predict_matrix(res_p.models[-1], xs), best)
         assert mse_g.value < mse_p.value
 
 
 class TestLemmaSuite:
     def test_realizable_trivial_bounds(self):
         spec = EnvSpec(kind="realizable_linear", seed=3)
-        arts = RunArtifacts(spec, [zero_model(2)], [1.0], rho=1.0)
         xs = draw_contexts(spec, 5_000, 24)
-        checks = lemma_suite(arts, xs)
+        checks = lemma_suite(spec, [zero_model(2)], [1.0], xs)
         assert all(c.passed for c in checks)
 
     def test_realizable_monte_carlo_errors_exactly_zero(self):
@@ -226,7 +225,7 @@ class TestLemmaSuite:
         # suite and in a run's diagnostics pass
         spec = EnvSpec(kind="realizable_linear", num_arms=3, context_dim=3, seed=3)
         xs = draw_contexts(spec, 20_000, 24)
-        reports = [lemma_suite(RunArtifacts(spec, [zero_model(3, 3)], [1.0], rho=1.0), xs),
+        reports = [lemma_suite(spec, [zero_model(3, 3)], [1.0], xs),
                    run_one(RunConfig(env=spec, horizon=40, mc_samples=20_000), 2).lemma_report]
         for report in reports:
             b, B = (next(c.lhs for c in report if c.name == name)
@@ -236,50 +235,42 @@ class TestLemmaSuite:
     def test_sensitivity_run_snapshot(self):
         fit = best_linear_fit_uniform(SENS)
         models = [zero_model(2), fit, fit]
-        arts = RunArtifacts(SENS, models, [1.0, 0.932, 1.2], rho=1.0, epsilon=0.1)
         xs = draw_contexts(SENS, 20_000, 25)
-        checks = lemma_suite(arts, xs)
+        checks = lemma_suite(SENS, models, [1.0, 0.932, 1.2], xs)
         assert all(c.passed for c in checks)
         names = {c.name for c in checks}
         assert {"error_ordering_lower", "error_ordering_upper",
                 "best_fit_policy_regret", "kernel_estimated_regret",
-                "divergence_sandwich", "divergence_self",
-                "true_regret_trend"} <= names
-
-    def test_true_regret_trend_logged_never_failed(self):
-        # unknown constants: the trend row reports a ratio but always passes,
-        # even when the measured regret exceeds the reference value
-        bad = LinearModel(np.array([[1.0, 0.0], [0.0, 0.0]]))  # backwards model
-        arts = RunArtifacts(SENS, [zero_model(2), bad], [1.0, 1e6],
-                            rho=1.0, epsilon=0.1)
-        xs = draw_contexts(SENS, 5_000, 27)
-        checks = lemma_suite(arts, xs)
-        trend = [c for c in checks if c.name == "true_regret_trend"]
-        assert len(trend) == 1
-        assert trend[0].passed
-        assert "logged only" in trend[0].note
-        assert trend[0].lhs > trend[0].rhs  # regret above the trend reference
+                "divergence_sandwich", "divergence_self"} <= names
 
 
-# Artifacts shaped like the benchmark's ``falcon_run`` (epsilon-FALCON,
+def suite_inputs(config, seed):
+    """What ``run_lemmas`` gives ``lemma_suite`` of a run: the spec, the
+    models in force during each epoch and their epochs' gammas."""
+    models = run_many(config, [seed])[0].models
+    return config.env, models, epoch_gammas(config, len(models))
+
+
+# Runs shaped like the benchmark's ``falcon_run`` (epsilon-FALCON,
 # sensitivity family) at a small horizon, and a run with K = 3, d = 2.
-FALCON_RUN_ARTS = run_many(RunConfig(env=SENS, horizon=512), [0])[0].artifacts
-REAL_ARTS = run_many(RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3, context_dim=2,
-                                           seed=4), horizon=300), [1])[0].artifacts
+FALCON_RUN_INPUTS = suite_inputs(RunConfig(env=SENS, horizon=512), 0)
+REAL_INPUTS = suite_inputs(RunConfig(env=EnvSpec(kind="realizable_linear", num_arms=3,
+                                                 context_dim=2, seed=4), horizon=300), 1)
 
 
 class TestSharedSampleSuite:
-    @pytest.mark.parametrize("arts", [FALCON_RUN_ARTS, REAL_ARTS], ids=["sens", "real_k3_d2"])
-    def test_rows_equal_public_estimators_on_the_same_contexts(self, arts):
+    @pytest.mark.parametrize("inputs", [FALCON_RUN_INPUTS, REAL_INPUTS],
+                             ids=["sens", "real_k3_d2"])
+    def test_rows_equal_public_estimators_on_the_same_contexts(self, inputs):
         # each row is its estimator in the row-major formulas, on the suite's
         # one sample: bit for bit, but for the kernel regrets at K >= 3, which
         # sum over arms in numpy's row-sum order where einsum has its own
-        spec, n, seed = arts.spec, 3_000, 31
-        xs = draw_contexts(spec, n, seed)
+        spec, models, _ = inputs
+        xs = draw_contexts(spec, 3_000, 31)
         fit_preds = best_linear_fit_uniform(spec).predict_rows(xs)
-        checks = lemma_suite(arts, xs)
-        assert len(checks) == 3 + 4 * (len(arts.models) - 1)
-        assert_rows_agree(checks, lemma_suite_rows(arts, xs, fit_preds), spec.num_arms)
+        checks = lemma_suite(*inputs, xs)
+        assert len(checks) == 3 + 3 * (len(models) - 1)
+        assert_rows_agree(checks, lemma_suite_rows(*inputs, xs, fit_preds), spec.num_arms)
 
     # The suite draws one context sample for all its checks; until it did,
     # each check drew its own.  Each check's lhs has the same distribution
@@ -292,12 +283,12 @@ class TestSharedSampleSuite:
         shared = []
         for seed in range(self.SUITE_REPS):
             xs = draw_contexts(SENS, self.SUITE_MC, seed)
-            shared.append(lemma_suite(FALCON_RUN_ARTS, xs))
-        independent = [lemma_suite_independent(FALCON_RUN_ARTS, self.SUITE_MC, rng=seed)
+            shared.append(lemma_suite(*FALCON_RUN_INPUTS, xs))
+        independent = [lemma_suite_independent(*FALCON_RUN_INPUTS, self.SUITE_MC, rng=seed)
                        for seed in range(1000, 1000 + self.SUITE_REPS)]
         keys = [(c.name, c.epoch) for c in shared[0]]
         assert all([(c.name, c.epoch) for c in run] == keys for run in shared + independent)
-        assert len(keys) == 3 + 4 * 7
+        assert len(keys) == 3 + 3 * 7
         for i, key in enumerate(keys):
             a = np.array([run[i].lhs for run in shared])
             b = np.array([run[i].lhs for run in independent])
@@ -310,7 +301,7 @@ class TestSharedSampleSuite:
         assert all(c.passed for run in shared for c in run)
 
 
-KERNEL_REGRET_ROWS = ("kernel_estimated_regret", "true_regret_trend")
+KERNEL_REGRET_ROWS = ("kernel_estimated_regret",)
 
 
 def assert_rows_agree(checks, reference, K):
@@ -357,20 +348,20 @@ class TestRowMajorReference:
         seen = []
         monkeypatch.setattr(diagmod, "arm_gaps",
                             lambda values: seen.append(values.copy()) or arm_gaps(values))
-        run_lemmas(config, 2, res.artifacts, res.events)
+        run_lemmas(config, 2, res.models, res.events)
         diag_ss = np.random.SeedSequence(2).spawn(3)[2].spawn(1)[0]
         xs = draw_contexts(spec, 300, make_generator(diag_ss))
         want = [mean_reward_matrix(spec, xs),
-                *(predict_matrix(model, xs) for model in res.artifacts.models[1:])]
-        assert len(seen) == len(want) == len(res.artifacts.models)
+                *(predict_matrix(model, xs) for model in res.models[1:])]
+        assert len(seen) == len(want) == len(res.models)
         for got, rows in zip(seen, want):
             assert got.flags.c_contiguous and got.tobytes() == rows.T.tobytes()
 
     @staticmethod
     def check_run(config, seed):
         res = run_many(config, [seed])[0]
-        report = run_lemmas(config, seed, res.artifacts, res.events)
-        ref_report, ref_mses = run_lemmas_rows(config, seed, res.artifacts, res.events)
+        report = run_lemmas(config, seed, res.models, res.events)
+        ref_report, ref_mses = run_lemmas_rows(config, seed, res.models, res.events)
         assert_rows_agree(report, ref_report, config.env.num_arms)
         assert np.array([ev.mse_to_best_fit for ev in res.events]).tobytes() == \
             np.array(ref_mses).tobytes()

@@ -243,7 +243,7 @@ def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
 # the trace digests it is tied to the numpy/BLAS build it was taken on
 # (numpy 2.4, OpenBLAS at 1 and 2 threads).
 LEMMAS_PINNED = ("eps_falcon_sens_mid_epoch",
-                 "c69efc30be2f808b8e46d3a829274e13e4cbc085b63a16151626f4b4982b917f")
+                 "b591b64858c750896a171905706e02b02b2e4c921be774715a6d67cf9f5eadf8")
 
 
 def test_lemma_report_digest_pinned(tmp_path):
@@ -279,7 +279,7 @@ def test_epochs_and_weights_digests_pinned(label, tmp_path):
     _, config, seed = next(g for g in GRID if g[0] == label)
     res = run_one(config, seed)
     write_events_csv(res.events, str(tmp_path / "epochs.csv"))
-    write_weights_csv(res.artifacts, str(tmp_path / "weights.csv"))
+    write_weights_csv(res.models, config.env, str(tmp_path / "weights.csv"))
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("epochs.csv", "weights.csv")) == RUN_FILES_PINNED[label]
 

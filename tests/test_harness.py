@@ -25,7 +25,7 @@ from banditlab.harness import (ConfigError, ConfigMismatchError, RunConfig, chec
                                run_one, run_suite, save_config, serialize_config)
 from banditlab.linmodel import DataBatch
 
-from oracles import gaps_from, mean_at, mse_from, predict_matrix
+from oracles import epoch_gammas, gaps_from, mean_at, mse_from, predict_matrix
 
 ALLOWED = {key: allowed for key, _, _, allowed in harness.CONFIG_KEYS}
 STEP = EnvSpec(kind="step_function")
@@ -387,7 +387,14 @@ class TestRunOne:
         assert res.events[0].m == 1
         assert res.events[0].tau_end == 4
         # the next epoch's model was fit at t = 4
-        assert len(res.artifacts.models) == 1  # only epoch 1 actually ran
+        assert len(res.models) == 1  # only epoch 1 actually ran
+
+    def test_models_are_the_zero_model_then_the_refits_own(self):
+        # horizon 100 ends inside epoch 6: five refits played, the sixth not yet made
+        for res in run_many(small_config(horizon=100), [0, 1, 2]):
+            assert len(res.models) == 6 and len(res.events) == 5
+            assert not res.models[0].weights.any()
+            assert all(res.models[k] is res.events[k - 1].new_model for k in range(1, 6))
 
     def test_trace_shape_and_epochs(self):
         res = run_many(small_config(horizon=20), [1])[0]
@@ -477,7 +484,8 @@ class TestRunOne:
         assert [ev.mse_to_best_fit for ev in res.events] == \
             [mse_from(predict_matrix(ev.new_model, xs),
                       best_fit.predict_rows(xs)).value for ev in res.events]
-        assert res.lemma_report == lemma_suite(res.artifacts, xs)
+        assert res.lemma_report == lemma_suite(cfg.env, res.models,
+                                               epoch_gammas(cfg, len(res.models)), xs)
 
     def test_falcon_agent_epoch_events_filled(self):
         res = run_one(small_config(horizon=64), seed=6)
@@ -702,10 +710,10 @@ class TestMemory:
     def test_diagnostics_pass_memory(self):
         cfg = RunConfig(env=SENS, horizon=2 ** 16, mc_samples=20_000)
         res = run_many(cfg, [1])[0]
-        run_lemmas(cfg, 1, res.artifacts, res.events)  # warm-up
+        run_lemmas(cfg, 1, res.models, res.events)  # warm-up
         tracemalloc.start()
         try:
-            run_lemmas(cfg, 1, res.artifacts, res.events)
+            run_lemmas(cfg, 1, res.models, res.events)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -835,10 +843,10 @@ class TestArtifacts:
         res = run_many(cfg, [10])[0]
         path = tmp_path / "weights.csv"
         from banditlab.csvio import write_weights_csv
-        write_weights_csv(res.artifacts, str(path))
-        mats = read_weights_csv(str(path))
-        assert len(mats) == len(res.artifacts.models)
-        for got, model in zip(mats, res.artifacts.models):
+        write_weights_csv(res.models, cfg.env, str(path))
+        mats = read_weights_csv(str(path), cfg)
+        assert len(mats) == len(res.models)
+        for got, model in zip(mats, res.models):
             np.testing.assert_array_equal(got, model.weights)
 
     def test_weights_header_without_epochs_follows_context_dim(self, tmp_path):
@@ -846,7 +854,7 @@ class TestArtifacts:
                            agent="lin_ucb", horizon=8)
         path = tmp_path / "w.csv"
         from banditlab.csvio import write_weights_csv
-        write_weights_csv(run_many(cfg, [0])[0].artifacts, str(path))
+        write_weights_csv(run_many(cfg, [0])[0].models, cfg.env, str(path))
         assert path.read_text() == "m,arm,w0,w1,w2,w3\n"
 
     def test_weights_row_shape_matches_schema(self, tmp_path):
@@ -854,7 +862,7 @@ class TestArtifacts:
         res = run_many(cfg, [11])[0]
         path = tmp_path / "w.csv"
         from banditlab.csvio import write_weights_csv
-        write_weights_csv(res.artifacts, str(path))
+        write_weights_csv(res.models, cfg.env, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "m,arm,w0,w1"
         assert lines[1].startswith("1,1,")
