@@ -79,6 +79,13 @@ def interval_errors(rows, values: dict) -> list[str]:
     return errs
 
 
+def python_numbers(obj) -> None:
+    """Hold numpy scalar fields as Python numbers (a float32 computes in float32)."""
+    for name, value in list(vars(obj).items()):
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, name, value.item())
+
+
 # The env.* rows of the config key table (harness.CONFIG_KEYS), in file
 # order: (key, EnvSpec field, parser, allowed interval).  EnvSpec checks its
 # fields against them, so a spec built in code meets the same intervals.
@@ -111,6 +118,7 @@ class EnvSpec:
     context_dim: int = 1
 
     def __post_init__(self):
+        python_numbers(self)
         errs = self.validation_errors()
         if errs:
             raise ValueError("; ".join(errs))

@@ -30,9 +30,9 @@ where its batch is longer than a draw.  ``act_block(t, xs, rngs)`` maps the
 (R, n) or (R, n, d) contexts of rounds t..t+n-1 and one generator per
 replication to (R, n) arms; ``record_block(t, xs, arms, rewards)`` stores
 them.  Each step is one stacked numpy call whose result rows equal the
-one-replication call's bit for bit; draws and refits stay per
-replication.  LinUCB and the epoch agents record into a
-``linmodel.MomentStore``, one call per block for all R replications.  The
+one-replication call's bit for bit; draws stay per replication.  LinUCB
+and the epoch agents record into a ``linmodel.MomentStore``, one call per
+block, and an epoch agent refits in one ``linmodel.fit_replications``.  The
 kernel is arm-major, (K, n) with one context per column, so no operation
 runs along the K arms; its sums over arms take ``linmodel.arm_sum``'s order.
 LinUCB's widths take the design rows feature-major, (R, p, n), so their
@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from .env import interval_errors
-from .linmodel import (ConstraintSpec, DualReport, LinearModel, MomentStore, arm_sum,
-                       constrained_fit, featurize, fit_ols, row_max_argmax, rowwise_predict)
+from .linmodel import (DualReport, LinearModel, MomentStore, arm_sum, featurize, fit_replications,
+                       row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -222,8 +222,8 @@ def uniform_arms(num_arms: int, n: int, rngs) -> np.ndarray:
 @dataclass
 class EpochEvent:
     """The refit at the end of epoch m: the very ``LinearModel`` it returned,
-    installed for epoch m + 1, and the ``DualReport`` that ``constrained_fit``
-    returned with it (None for FALCON's plain least squares, ``fit_ols``)."""
+    installed for epoch m + 1, and the ``DualReport`` that ``fit_replications``
+    returned with it (None for FALCON's plain least squares)."""
 
     m: int
     tau_start: int            # first round of epoch m
@@ -307,48 +307,35 @@ class EpsilonFalconAgent:
             self.end_of_epoch_update()
 
     def end_of_epoch_update(self) -> None:
-        """Refit each replication's model from its epoch data and advance
-        the epoch.  An exception from one replication's refit leaves with
-        that replication's index as its ``replication`` attribute and a note
-        naming the epoch."""
-        events = []
-        for r in range(len(self.weights)):
-            try:
-                events.append(self._refit(r))
-            except Exception as exc:
-                exc.replication = r
-                exc.add_note(f"the refit after epoch {self.m}")
-                raise
+        """Refit all replications in one ``fit_replications`` call and advance
+        the epoch: with epsilon > 0 the constrained oracle, budget slack = C1 *
+        ln^rho'(n') * ln(12 m^2 / delta) * comp / n'^rho over the passive ERM's
+        normalized SSE on the n' passive rounds; with epsilon = 0 least squares.
+        An exception leaves noting the epoch, with the replication at fault (0
+        for the shared slack) as its ``replication``."""
+        m, rates = self.m, self.rates
+        try:
+            active, passive = (self.stores[p].moments() if p in self.stores else None
+                               for p in ("active", "passive"))
+            slack = None
+            if passive is not None:  # every replication has the same passive count
+                n_pass = int(passive[3][0].sum())
+                slack = _usable_rate("slack", m, lambda: rates.C1 * math.log(n_pass)
+                                     ** rates.rho_prime * math.log(12.0 * m * m / rates.delta)
+                                     * rates.comp / n_pass ** rates.rho)
+            fits = fit_replications(active, passive, slack)
+        except Exception as exc:
+            exc.replication = getattr(exc, "replication", 0)
+            exc.add_note(f"the refit after epoch {m}")
+            raise
+        tau_start, tau_end = self.schedule.boundary(m - 1) + 1, self.schedule.boundary(m)
+        events = [EpochEvent(m, tau_start, tau_end, self.gamma, *fit) for fit in fits]
         self.m += 1
         self.gamma = gamma_for_epoch(self.m, self.schedule, self.rates, self.num_arms)
         self._new_stores()
         for r, event in enumerate(events):
             self.weights[r] = event.new_model.weights
             self.events[r].append(event)
-
-    def _refit(self, r: int) -> EpochEvent:
-        """Replication r's update at the end of epoch m.
-
-        With epsilon > 0 the refit is the constrained oracle with budget
-        slack = C1 * ln^rho'(n') * ln(12 m^2 / delta) * comp / n'^rho over
-        the passive ERM's normalized SSE on the n' passive rounds.  With
-        epsilon = 0 there is nothing to constrain against and the update
-        is the plain unconstrained fit on the active batch.
-        """
-        m, rates = self.m, self.rates
-        tau_start = self.schedule.boundary(m - 1) + 1
-        tau_end = self.schedule.boundary(m)
-        if self.epsilon == 0:
-            return EpochEvent(m, tau_start, tau_end, self.gamma,
-                              fit_ols(self.stores["active"].replication(r)), None)
-        # the passive moments first, which the refit reads first
-        passive, active = (self.stores[p].replication(r) for p in ("passive", "active"))
-        n_pass = len(passive)
-        slack = _usable_rate("slack", m, lambda: rates.C1 * math.log(n_pass) ** rates.rho_prime
-                             * math.log(12.0 * m * m / rates.delta) * rates.comp
-                             / n_pass ** rates.rho)
-        return EpochEvent(m, tau_start, tau_end, self.gamma,
-                          *constrained_fit(active, ConstraintSpec(passive, slack)))
 
 
 def _check_finite(values: np.ndarray, message: str) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 from . import diag as diagmod
 from .diag import LemmaCheck, RegretTrace, cumsum_after
 from .env import (ENV_KEYS, Environment, EnvSpec, draw_contexts, interval_errors,
-                  make_generator)
+                  make_generator, python_numbers)
 from .falcon import (AGENT_KEYS, EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
                      RateParams, UniformAgent, _auto_or_float, gamma_for_epoch)
 from .linmodel import LinearModel, row_max_argmax
@@ -100,6 +100,9 @@ class RunConfig:
     base_seed: int = 0
     mc_samples: int = 100_000
     out_dir: Optional[str] = None
+
+    def __post_init__(self):
+        python_numbers(self)
 
     def validation_errors(self) -> list[str]:
         errs = self.env.validation_errors()

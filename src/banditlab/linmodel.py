@@ -11,15 +11,16 @@ equations) this module provides a constrained regression oracle:
 where alpha is the best normalized SSE any model in the class attains on the
 passive batch.  With slack > 0 the constraint is strictly feasible, strong
 duality holds, and the dual is a concave one-dimensional maximization in the
-multiplier lambda.  ``constrained_fit`` solves it by bracketing lambda with a
-doubling pass and then bisecting; every dual evaluation is one call to the
-weighted least-squares routine, and the returned model is exactly the output
-of the final such call.
+multiplier lambda.  ``fit_replications`` solves it for R replications in
+one call, each on its own bracket; every dual evaluation is one weighted
+least-squares fit, and the returned model is exactly the output of the
+final one.  ``constrained_fit`` and ``fit_ols`` are its one-replication
+cases on ``DataBatch``es.
 
 Fits and oracle residuals read only per-arm moments ``(G_a = Phi_a' Phi_a,
 b_a = Phi_a' r_a, r_a' r_a, n_a)``, so each dual evaluation costs O(K p^3)
-whatever the row count; the K normal-equation systems are solved as one
-stack.  The engine's agents keep them as running sums in round order
+whatever the row count; the R * K normal-equation systems are solved as
+one stack.  The engine's agents keep them as running sums in round order
 (``MomentStore``, R replications at once); a ``DataBatch`` keeps appended
 rows arm by arm and folds each arm's with one GEMM.  The oracle's
 normalized SSE is ``max(0, sum_a w_a' G_a w_a - 2 w_a' b_a + r_a' r_a) / n``:
@@ -37,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RIDGE = 1e-8
-LAMBDA_TOL = 1e-8  # constrained_fit's bisection width, relative to max(1, lambda)
-LAMBDA_MAX = 1e12  # constrained_fit raises once its doubling bracket passes it
-MAX_BISECTIONS = 400  # constrained_fit's bisection steps before it stops unconverged
+LAMBDA_TOL = 1e-8  # the oracle's bisection width, relative to max(1, lambda)
+LAMBDA_MAX = 1e12  # the oracle raises once its doubling bracket passes it
+MAX_BISECTIONS = 400  # the oracle's bisection steps before it stops unconverged
 
 
 class InvalidArmError(ValueError):
@@ -136,14 +137,17 @@ class LinearModel:
 
 
 def checked_moments(G, b, yy, n):
-    """Per-arm moments (G, b, yy, n), or a FloatingPointError naming the
-    first arm whose G, b or yy is not finite."""
-    finite = np.isfinite(G).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(yy)
+    """Per-arm moments (G, b, yy, n) over any leading axes, or a FloatingPointError
+    naming the first arm whose G, b or yy is not finite (and its ``replication``)."""
+    finite = np.isfinite(G).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1) & np.isfinite(yy)
     if not finite.all():
-        a = int(np.argmin(finite))
-        raise FloatingPointError(
-            f"arm {a + 1}'s moments (G, b or yy) overflow: {n[a]} finite rows fold to "
+        *lead, a = np.unravel_index(np.argmin(finite), finite.shape)
+        exc = FloatingPointError(
+            f"arm {a + 1}'s moments (G, b or yy) overflow: {n[(*lead, a)]} finite rows fold to "
             f"non-finite sums of products")
+        if lead:
+            exc.replication = int(lead[0])
+        raise exc
     return G, b, yy, n
 
 
@@ -264,61 +268,59 @@ class MomentStore:
                       products.ravel())
         self.n += np.bincount(cell, minlength=R * K).reshape(R, K)
 
-    def replication(self, r: int) -> "MomentView":
-        """A copy of replication r's moments; raises if they overflowed."""
-        return MomentView(*(a[r].copy() for a in (self.G, self.b, self.yy, self.n)))
-
-
-class MomentView:
-    """One replication's per-arm moments, checked when made
-    (``checked_moments``), with what the fits read of a ``DataBatch``."""
-
-    def __init__(self, G, b, yy, n):
-        self._moments = checked_moments(G, b, yy, n)
-        self.num_arms, self.context_dim, self._rows = G.shape[0], G.shape[-1] - 1, int(n.sum())
-
-    def __len__(self) -> int:
-        return self._rows
-
     def moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self._moments
+        """Contiguous copies of (G, b, yy, n), which ``fit_replications`` checks:
+        the oracle's einsum residuals group their sums by stride, so over views
+        of the one buffer of sums they round apart from one replication's."""
+        return tuple(a.copy() for a in (self.G, self.b, self.yy, self.n))
 
 
-def _fit_rowweighted(batches_and_weights, num_arms: int, context_dim: int) -> LinearModel:
-    """Per-arm normal equations G_a w_a = b_a (see ``fit_ols``), solved as
-    one (K, p, p) stack: the same bits as one solve per arm."""
-    p = context_dim + 1
-    G = np.zeros((num_arms, p, p))
-    bvec = np.zeros((num_arms, p))
-    counts = np.zeros(num_arms, dtype=int)
-    for batch, w in batches_and_weights:
-        if len(batch) == 0 or w == 0.0:
-            continue
-        Gb, bb, _, nb = batch.moments()
-        G += w * Gb
-        bvec += w * bb
-        counts += nb
+def _fit(active, passive=None, lam=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm weights (..., K, p) of least squares on the active moments, or
+    minimizing SSE(active)/|active| + lam * SSE(passive)/|passive| at one lam
+    per leading index, and each index's ridge flag.  Each (p, p) system of
+    the normal equations is solved alone: arms with no rows (at a nonzero
+    weight) get zero weights, rank-deficient designs a ridge-regularized one."""
+    G, bvec, _, counts = active
+    if passive is None:  # new arrays, as the ridge below is added in place
+        G, bvec = G + 0.0, bvec + 0.0
+    else:  # summed from 0 one part after another, so no entry is -0
+        ca = (1.0 / counts.sum(axis=-1, dtype=float))[..., None, None]
+        cp = (lam / np.maximum(passive[3].sum(axis=-1, dtype=float), 1.0))[..., None, None]
+        G = 0.0 + ca[..., None] * G + cp[..., None] * passive[0]
+        bvec = 0.0 + ca * bvec + cp * passive[1]
+        counts = counts + (cp[..., 0] != 0) * passive[3]
+    p = G.shape[-1]
     # too few rows or a collinear design cannot identify all parameters
     deficient, full, rows = counts < p, counts >= p, counts > 0
     eigs = np.linalg.eigvalsh(G[full])
     deficient[full] = eigs[:, 0] <= 1e-10 * np.maximum(eigs[:, -1], 1.0)
     G[deficient] += RIDGE * np.eye(p)
-    weights = np.zeros((num_arms, p))
+    weights = np.zeros(bvec.shape)
     weights[rows] = np.linalg.solve(G[rows], bvec[rows][..., None])[..., 0]
-    return LinearModel(weights, ridge_fallback=bool(deficient.any()))
+    return weights, deficient.any(axis=-1)
 
 
-def fit_ols(batch: DataBatch | MomentView) -> LinearModel:
-    """Per-arm least squares via normal equations.
+def _nsse(weights, moments) -> np.ndarray:
+    """Normalized SSE of (..., K, p) weights on moments over the same
+    leading axes, clamped at 0 (0 with no rows)."""
+    G, b, yy, n = moments
+    total = np.einsum("...ai,...aij,...aj->...", weights, G, weights) \
+        - 2.0 * np.einsum("...ai,...ai->...", weights, b) + yy.sum(axis=-1)
+    return np.where(total > 0.0, total, 0.0) / np.maximum(n.sum(axis=-1, dtype=float), 1.0)
 
-    Arms with no rows get zero weights; rank-deficient arm designs fall back
-    to a ridge-regularized solve and flag the result.
-    """
-    return _fit_rowweighted([(batch, 1.0)], batch.num_arms, batch.context_dim)
+
+def _one(batch: DataBatch):
+    """A batch's checked moments as one replication's, (1, K, ...)."""
+    return tuple(a[None] for a in batch.moments())
 
 
-def fit_weighted(active: DataBatch | MomentView, passive: DataBatch | MomentView,
-                 lam: float) -> LinearModel:
+def fit_ols(batch: DataBatch) -> LinearModel:
+    """Per-arm least squares (``_fit``)."""
+    return fit_replications(_one(batch))[0][0]
+
+
+def fit_weighted(active: DataBatch, passive: DataBatch, lam: float) -> LinearModel:
     """Minimizer of  SSE(active)/|active| + lam * SSE(passive)/|passive|."""
     if len(active) == 0:
         raise ValueError("active batch is empty")
@@ -326,35 +328,18 @@ def fit_weighted(active: DataBatch | MomentView, passive: DataBatch | MomentView
         raise ValueError("lam must be >= 0")
     if len(passive) == 0 and lam != 0.0:
         raise ValueError("passive batch is empty but lam > 0")
-    parts = [(active, 1.0 / len(active))]
-    if len(passive) > 0:
-        parts.append((passive, lam / len(passive)))
-    return _fit_rowweighted(parts, active.num_arms, active.context_dim)
-
-
-def _moment_nsse(model: LinearModel, batch: DataBatch | MomentView) -> float:
-    """Normalized SSE (squared residuals summed, over the row count) from
-    the batch's cached moments, clamped at 0 (0 on an empty batch)."""
-    G, b, yy, _ = batch.moments()
-    W = model.weights
-    total = np.einsum("ai,aij,aj->", W, G, W) - 2.0 * np.einsum("ai,ai->", W, b) + yy.sum()
-    return max(0.0, float(total)) / max(len(batch), 1)
+    weights, fallback = _fit(_one(active), _one(passive), np.array([lam], dtype=float))
+    return LinearModel(weights[0], ridge_fallback=bool(fallback[0]))
 
 
 @dataclass
 class ConstraintSpec:
     """Budget on the passive-batch fit error: normalized SSE must stay
-    within ``slack`` of the best value ``alpha`` attainable on that batch.
+    within ``slack`` of the best value ``alpha`` attainable on that batch,
+    which each ``constrained_fit`` computes (``DualReport.alpha``) afresh."""
 
-    ``alpha`` is recomputed on every call from the batch's moments, which
-    are refolded after any append, so the budget cannot go stale.
-    """
-
-    passive_batch: DataBatch | MomentView
+    passive_batch: DataBatch
     slack: float
-
-    def alpha(self) -> float:
-        return _moment_nsse(fit_ols(self.passive_batch), self.passive_batch)
 
 
 @dataclass
@@ -371,68 +356,84 @@ class DualReport:
     converged: bool
 
 
-def constrained_fit(active: DataBatch | MomentView, cons: ConstraintSpec,
+def constrained_fit(active: DataBatch, cons: ConstraintSpec,
                     tol: float = 1e-6) -> tuple[LinearModel, DualReport]:
-    """Constrained regression via the one-dimensional concave dual.
+    """The one-replication ``fit_replications``: its model is the exact
+    output of ``fit_weighted(active, passive, report.lam)``."""
+    passive = _one(cons.passive_batch)  # alpha reads the passive moments first
+    return fit_replications(_one(active), passive, cons.slack, tol)[0]
 
-    The unconstrained minimizer is tried first; if it already satisfies the
-    passive budget it is returned with lambda = 0.  Otherwise the optimal
-    multiplier is bracketed by doubling and then located by bisection on the
-    sign of the dual's derivative, which at the weighted fit f(lambda)
-    equals the constraint residual normalized SSE(f, passive) - alpha -
-    slack.  Bisection keeps the feasible endpoint, so the returned model
-    always satisfies the budget; it stops once that endpoint is within
-    ``tol`` of tightness and the lambda interval is below ``LAMBDA_TOL``,
-    or, unconverged, at adjacent float endpoints or after ``MAX_BISECTIONS`` steps.
 
-    The returned model is the exact output of ``fit_weighted(active,
-    passive, report.lam)`` -- re-running that call reproduces it bit for
-    bit.
-    """
-    if cons.slack <= 0:
-        raise InfeasibleConstraintError(
-            f"slack must be > 0 for strict feasibility, got {cons.slack}")
+def fit_replications(active, passive=None, slack: float | None = None,
+                     tol: float = 1e-6) -> list[tuple[LinearModel, DualReport | None]]:
+    """One ``(LinearModel, DualReport | None)`` per replication of (R, K, ...)
+    moments (G, b, yy, n), each with the bits of its own (1, K, ...) call:
+    least squares without passive moments, else the constrained oracle.
+
+    Where the lambda = 0 fit misses the budget, lambda doubles from 2 until
+    a fit is feasible, then is bisected on the sign of the dual's derivative,
+    the residual normalized SSE(passive) - alpha - slack, keeping the
+    feasible end, until that end is within ``tol`` of tightness and the
+    bracket below ``LAMBDA_TOL`` or, unconverged, at adjacent floats or
+    after ``MAX_BISECTIONS`` steps.  Doubling past ``LAMBDA_MAX`` raises."""
+    # an overflow names the lowest replication at fault, its passive moments first
+    checked_moments(*(active if passive is None else
+                      (np.stack(pair, axis=1) for pair in zip(passive, active))))
+    if passive is None:
+        weights, fallback = _fit(active)
+        return [(LinearModel(w, ridge_fallback=bool(f)), None) for w, f in zip(weights, fallback)]
+    if slack <= 0:
+        raise InfeasibleConstraintError(f"slack must be > 0 for strict feasibility, got {slack}")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    passive = cons.passive_batch
-    alpha = cons.alpha()
-    budget = alpha + cons.slack
-    n_fits = 0
+    if not active[3].sum(axis=-1).all():
+        raise ValueError("active batch is empty")
+    alpha = _nsse(_fit(passive)[0], passive)
+    budget = alpha + slack
+    weights, fallback = _fit(active, passive, np.zeros(len(alpha)))
+    resid = _nsse(weights, passive) - budget
+    n_fits, binds = np.ones(len(alpha), dtype=int), ~(resid <= 0)
+    # [lo, hi, bisection steps] of each replication whose lambda = 0 fit
+    # misses the budget; hi is inf until a fit is feasible
+    brackets = {r: [0.0, np.inf, 0] for r in np.flatnonzero(binds).tolist()}
 
-    def weighted(lam: float) -> tuple[LinearModel, float]:
-        nonlocal n_fits
-        n_fits += 1
-        model = fit_weighted(active, passive, lam)
-        return model, _moment_nsse(model, passive) - budget
+    def take(moments, rows):  # fancy indexing copies, so the moments stay contiguous
+        return moments if len(rows) == len(alpha) else tuple(a[rows] for a in moments)
 
-    model, resid = weighted(0.0)
-    if resid <= 0:
-        return model, DualReport(0.0, resid, 0.0, alpha, cons.slack, n_fits, True)
+    while True:
+        tries = {}  # replication: the multiplier it fits next
+        for r, (lo, hi, steps) in brackets.items():
+            mid = 0.5 * (lo + hi)
+            if hi == np.inf:
+                tries[r] = max(2.0, 2.0 * lo)
+                if tries[r] > LAMBDA_MAX:
+                    exc = DualNonConvergenceError(
+                        f"no feasible weighted fit up to lambda={tries[r]:.3g} (alpha="
+                        f"{alpha[r]:.6g}, slack={slack:.6g}, residual at cap={resid[r]:.6g})")
+                    exc.replication = r
+                    raise exc
+            elif ((abs(resid[r]) > tol or hi - lo > LAMBDA_TOL * max(1.0, hi))
+                  and steps < MAX_BISECTIONS and mid not in (lo, hi)):  # not adjacent floats
+                tries[r] = mid
+        if not tries:
+            break
+        rows = list(tries)
+        pas = take(passive, rows)
+        w, f = _fit(take(active, rows), pas, np.array(list(tries.values())))
+        n_fits[rows] += 1
+        for i, (r, res) in enumerate(zip(rows, _nsse(w, pas) - budget[rows])):
+            lo, hi, steps = brackets[r]
+            feasible, steps = not res > 0, steps + (hi < np.inf)  # a bisection step
+            if feasible or hi == np.inf:  # doubling keeps each fit, bisection the feasible end
+                weights[r], fallback[r], resid[r] = w[i], f[i], res
+            brackets[r] = [lo, tries[r], steps] if feasible else [tries[r], hi, steps]
 
-    lam_lo, lam_hi = 0.0, 2.0
-    model, resid = weighted(lam_hi)
-    while resid > 0:
-        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
-        if lam_hi > LAMBDA_MAX:
-            raise DualNonConvergenceError(
-                f"no feasible weighted fit up to lambda={lam_hi:.3g} "
-                f"(alpha={alpha:.6g}, slack={cons.slack:.6g}, "
-                f"residual at cap={resid:.6g})")
-        model, resid = weighted(lam_hi)
-
-    iters = 0
-    while (abs(resid) > tol or (lam_hi - lam_lo) > LAMBDA_TOL * max(1.0, lam_hi)) \
-            and iters < MAX_BISECTIONS:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if mid in (lam_lo, lam_hi):
-            break  # adjacent floats: every later step refits an endpoint
-        mid_model, mid_resid = weighted(mid)
-        if mid_resid > 0:
-            lam_lo = mid
-        else:
-            lam_hi, model, resid = mid, mid_model, mid_resid
-        iters += 1
-
-    primal = _moment_nsse(model, active)  # normalized SSE(active)
-    gap = primal - (primal + lam_hi * resid)  # primal minus dual objective
-    return model, DualReport(lam_hi, resid, gap, alpha, cons.slack, n_fits, abs(resid) <= tol)
+    lam = np.zeros(len(alpha))
+    lam[list(brackets)] = [hi for _, hi, _ in brackets.values()]
+    primal = _nsse(weights, active)  # normalized SSE(active); the dual adds lam * resid
+    gap = primal - (primal + lam * resid)
+    converged = ~binds | (np.abs(resid) <= tol)
+    return [(LinearModel(weights[r], ridge_fallback=bool(fallback[r])),
+             DualReport(float(lam[r]), float(resid[r]), float(gap[r]), float(alpha[r]), slack,
+                        int(n_fits[r]), bool(converged[r])))
+            for r in range(len(alpha))]

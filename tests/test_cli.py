@@ -10,12 +10,13 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banditlab
-from banditlab import harness, linmodel
+from banditlab import csvio, harness, linmodel
 from banditlab.cli import main
 from banditlab.env import ENV_KINDS, EnvSpec
 from banditlab.harness import RunConfig, load_config, save_config
@@ -296,6 +297,20 @@ class TestDiagVerb:
         if horizon == 256:  # 7 refits and the models of epochs 1..7
             assert len((out / "epochs.csv").read_text().splitlines()) == 1 + 7
             assert len((out / "weights.csv").read_text().splitlines()) == 1 + 7 * 2
+        written = (out / "lemmas.csv").read_bytes()
+        assert main(["diag", "--run", str(out)]) == 0
+        assert (out / "lemmas.csv").read_bytes() == written
+
+    # a config built in code may hold numpy floats; config.txt must read
+    # back as the values the run used, or diag recomputes other lemmas
+    @pytest.mark.parametrize("config", [
+        pytest.param(RunConfig(env=EnvSpec(kind="step_function"), epsilon=np.float64(0.1),
+                               horizon=300, mc_samples=2_000), id="float64_epsilon"),
+        pytest.param(RunConfig(env=EnvSpec(kind="sensitivity_family", theta=np.float32(0.03)),
+                               horizon=300, mc_samples=2_000), id="float32_theta")])
+    def test_diag_reproduces_a_run_configured_with_numpy_floats(self, tmp_path, config):
+        out = tmp_path / "run"
+        csvio.write_run_dir(harness.run_one(config, seed=3), str(out))
         written = (out / "lemmas.csv").read_bytes()
         assert main(["diag", "--run", str(out)]) == 0
         assert (out / "lemmas.csv").read_bytes() == written

@@ -33,6 +33,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EnvSpec(kind="sensitivity_family", theta=0.0)
 
+    def test_numpy_scalars_held_as_python_numbers(self):
+        # a float32 is checked and computed with as the float it holds:
+        # np.float32(0.05) is 0.05000000074505806, outside (0, 0.05]
+        spec = EnvSpec(kind="sensitivity_family", theta=np.float32(0.03), seed=np.int64(4))
+        assert type(spec.theta) is float and spec.theta == float(np.float32(0.03))
+        assert type(spec.seed) is int
+        with pytest.raises(ValueError, match=r"env.theta: must be in \(0, 0.05\]"):
+            EnvSpec(kind="sensitivity_family", theta=np.float32(0.05))
+
     def test_theta_forbidden_elsewhere(self):
         with pytest.raises(ValueError):
             EnvSpec(kind="step_function", theta=0.05)

@@ -388,6 +388,28 @@ class TestEpsilonFalconAgent:
             gamma_for_epoch(m, agent.schedule, RATES, 2) for m in (1, 2, 3)]
         assert all(ev.new_model.weights.shape == (2, 2) for ev in events)
 
+    @pytest.mark.parametrize("passive_rewards, named", [
+        ([[0.5], [1e200]], "arm 1's moments (G, b or yy) overflow: 2 finite rows"),
+        ([[1e200], [1e200]], "arm 2's moments (G, b or yy) overflow: 1 finite rows"),
+    ], ids=["active_of_replication_0", "passive_of_replication_0"])
+    def test_overflow_charged_to_the_lowest_replication_passive_first(self, passive_rewards,
+                                                                       named):
+        # epoch 1 is rounds 1..3 active and round 4 passive; replication 0's
+        # active arm 1 and replication 1's passive arm 2 overflow, and in the
+        # second case replication 0's passive arm 2 too: the refit reads
+        # replication by replication, each one's passive moments first
+        agent = build_agent(RunConfig(epsilon=0.25, tau1=4), 2)
+        xs = np.full((2, 3), 0.5)
+        agent.record_block(1, xs, [[1, 1, 2], [1, 2, 2]], [[1e200, 0.5, 0.5], [0.5] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as info:
+                agent.record_block(4, xs[:, :1], [[2], [2]], passive_rewards)
+        assert str(info.value) == f"{named} fold to non-finite sums of products"
+        assert info.value.replication == 0
+        assert info.value.__notes__ == ["the refit after epoch 1"]
+        assert agent.m == 1 and not any(agent.events)
+
     def test_epsilon_range_checked(self):
         with pytest.raises(ValueError):
             EpsilonFalconAgent(2, epsilon=0.5, schedule=SCHED, rates=RATES)
@@ -424,7 +446,7 @@ class TestAdaptiveBiasGuard:
         # the fitted line averages to ~1 over the sampled region
         xs_high = np.linspace(0.9501, 0.9999, 200)
         assert abs(predict_matrix(erm, xs_high)[:, 0].mean() - 1.0) < 0.02
-        alpha = ConstraintSpec(passive, 1.0).alpha()
+        alpha = constrained_fit(active, ConstraintSpec(passive, 1.0))[1].alpha
         # the collapsed limit (arm 1 constant at 1) misses the passive
         # budget by about 0.9^2 * (1-theta) / 2 = 0.385
         collapsed = LinearModel(np.array([[1.0, 0.0], fit.weights[1]]))

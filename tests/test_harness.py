@@ -495,11 +495,11 @@ class TestRunOne:
             assert ev.gamma > 0
 
     def test_events_hold_the_oracles_own_model_and_report(self, monkeypatch, tmp_path):
-        # the refits run epoch by epoch, each epoch's replications in order;
+        # one refit call per epoch returns each replication's fit in order;
         # a small slack (c1) makes the constraint bind from epoch 6 on
-        fits, fit = [], falcon.constrained_fit
-        monkeypatch.setattr(falcon, "constrained_fit",
-                            lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+        fits, fit = [], falcon.fit_replications
+        monkeypatch.setattr(falcon, "fit_replications",
+                            lambda *a, **k: fits.extend(out := fit(*a, **k)) or out)
         results = run_many(small_config(env=SENS, c1=1e-3, horizon=512), [1, 2, 3])
         assert len(fits) == 3 * len(results[0].events) == 3 * 8  # epochs ending at 4..512
         for r, res in enumerate(results):
@@ -511,7 +511,9 @@ class TestRunOne:
 
         fits.clear()
         res = run_many(small_config(env=SENS, agent="falcon", horizon=512), [1])[0]
-        assert not fits and res.events and all(ev.report is None for ev in res.events)
+        # FALCON's refits are plain least squares: no constrained oracle ran
+        assert len(fits) == len(res.events) and all(report is None for _, report in fits)
+        assert res.events and all(ev.report is None for ev in res.events)
         write_events_csv(res.events, str(tmp_path / "epochs.csv"))
         header, *rows = (tmp_path / "epochs.csv").read_text().splitlines()
         oracle_columns = ["alpha", "slack", "lambda_star", "duality_gap"]

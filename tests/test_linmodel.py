@@ -12,8 +12,9 @@ from banditlab.env import EnvSpec
 from banditlab.harness import RunConfig, run_many
 from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceError,
                                 InfeasibleConstraintError, InvalidArmError, LinearModel,
-                                MomentStore, _moment_nsse, arm_sum, constrained_fit, featurize,
-                                fit_ols, fit_weighted, row_max_argmax)
+                                MomentStore, _fit, _nsse, arm_sum, constrained_fit,
+                                featurize, fit_ols, fit_replications, fit_weighted,
+                                row_max_argmax)
 
 from oracles import (fit_rowweighted_rows, fold_rows, grid_search_constrained,
                      grid_search_constrained_dense, normalized_sse, predict_matrix, sse,
@@ -180,7 +181,7 @@ class TestFitOls:
         for block in np.split(xs, 16):
             store.add_block(block[None], np.ones((1, len(block)), dtype=int),
                             (block[None] > 0.5).astype(float))
-        fitted = fit_ols(store.replication(0))
+        fitted = fit_replications(store.moments())[0][0]
         np.testing.assert_allclose(fitted.weights[0], [-0.25, 1.5], atol=0.01)
 
     def test_zero_row_arm_gets_zero_weights(self):
@@ -224,14 +225,15 @@ class TestExtend:
         for lo, hi in ((0, 1), (1, 17), (17, 17), (17, 40)):
             by_blocks.add_block(xs[:, lo:hi], arms[:, lo:hi], rewards[:, lo:hi])
         assert store_bytes(by_blocks) == store_bytes(by_rows)
+        moments = by_blocks.moments()
+        fits, want_fits = fit_replications(moments), fit_replications(by_rows.moments())
         for r in range(2):
-            view = by_blocks.replication(r)
-            assert len(view) == 40 and view.num_arms == 3 and view.context_dim == dim
+            view = [a[r] for a in moments]
+            assert view[3].sum() == 40 and view[0].shape == (3, dim + 1, dim + 1)
             want = fold_rows(zip(xs[r], arms[r], rewards[r]), 3, dim)
-            for got, ref in zip(view.moments(), want):
+            for got, ref in zip(view, want):
                 assert got.tobytes() == ref.tobytes()
-            assert fit_ols(view).weights.tobytes() == \
-                fit_ols(by_rows.replication(r)).weights.tobytes()
+            assert fits[r][0].weights.tobytes() == want_fits[r][0].weights.tobytes()
 
     @pytest.mark.parametrize("bad", [0, 3, -1])
     def test_extend_rejects_arm_out_of_range(self, bad):
@@ -269,7 +271,7 @@ class TestExtend:
             block.add_block(xs, arms, rewards)
         # nothing of a rejected block is stored, and the store still reads
         assert store_bytes(block) == before
-        assert block.replication(0).moments()[3].tolist() == [1, 0]
+        assert block.moments()[3][0].tolist() == [1, 0]
 
     @pytest.mark.parametrize("bad", [1.7, 2.9, float("nan"), float("inf"), True, np.True_],
                              ids=["float", "float_up", "nan", "inf", "bool", "numpy_bool"])
@@ -350,23 +352,23 @@ class TestSse:
         model = fit_ols(batch([(0.0, 1, 0.0), (1.0, 1, 1.0)]))
         b = batch([(0.0, 1, 0.0), (1.0, 1, 1.0)])
         assert sse(model, b) == pytest.approx(0.0, abs=1e-20)
-        assert _moment_nsse(model, b) == pytest.approx(0.0, abs=1e-15)
+        assert _nsse(model.weights, b.moments()) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_model_unit_residual(self):
         b = batch([(0.3, 1, 1.0)])
         assert sse(zero_model(1), b) == pytest.approx(1.0)
-        assert _moment_nsse(zero_model(1), b) == pytest.approx(1.0)
+        assert _nsse(zero_model(1).weights, b.moments()) == pytest.approx(1.0)
 
     def test_normalization(self):
         b = batch([(0.1, 1, 1.0), (0.9, 1, 1.0), (0.4, 1, 1.0)])
         model = zero_model(1)
         assert normalized_sse(model, b) == pytest.approx(sse(model, b) / 3)
-        assert _moment_nsse(model, b) == pytest.approx(sse(model, b) / 3)
+        assert _nsse(model.weights, b.moments()) == pytest.approx(sse(model, b) / 3)
 
     def test_empty_batch(self):
         assert sse(zero_model(1), batch([])) == 0.0
         assert normalized_sse(zero_model(1), batch([])) == 0.0
-        assert _moment_nsse(zero_model(1), batch([])) == 0.0
+        assert _nsse(zero_model(1).weights, batch([]).moments()) == 0.0
 
 
 class TestFitWeighted:
@@ -446,7 +448,7 @@ class TestConstrainedFit:
 
     def test_dual_is_concave_along_lambda(self):
         act, pas = batch(ACTIVE), batch(PASSIVE)
-        alpha = ConstraintSpec(pas, 0.25).alpha()
+        alpha = constrained_fit(act, ConstraintSpec(pas, 0.25))[1].alpha
         lams = np.linspace(0.0, 6.0, 61)
         g = []
         for lam in lams:
@@ -467,11 +469,11 @@ class TestConstrainedFit:
             assert normalized_sse(model, act) <= obj + 1e-2
 
     def test_alpha_recomputed_not_stale(self):
-        pas = batch(PASSIVE)
+        act, pas = batch(ACTIVE), batch(PASSIVE)
         cons = ConstraintSpec(pas, 0.25)
-        first = cons.alpha()
+        first = constrained_fit(act, cons)[1].alpha
         pas.append(0.5, 1, 3.0)  # distort the batch after building the spec
-        assert cons.alpha() != pytest.approx(first)
+        assert constrained_fit(act, cons)[1].alpha != pytest.approx(first)
 
 
 class TestGridOracle:
@@ -567,20 +569,21 @@ class TestMomentStore:
                     assert got.tobytes() == ref.tobytes()
 
     def test_replications_read_as_batches(self):
-        # a replication's view is a copy, fitted like the batch of its rows
+        # a store's moments are copies, each replication fitted like the batch of its rows
         act, pas = MomentStore(2, 1), MomentStore(2, 1)
         for store, rows in ((act, ACTIVE), (pas, PASSIVE)):
             xs, arms, rewards = (np.array([col, col]) for col in zip(*rows))
             store.add_block(xs, arms, rewards)
-        views = act.replication(1), pas.replication(1)
+        views = act.moments(), pas.moments()
         act.add_block([[0.5], [0.5]], [[1], [1]], [[9.0], [9.0]])
-        assert len(views[0]) == 2 and views[0].num_arms == 1 and views[0].context_dim == 1
-        assert views[0].moments()[3].tolist() == [2] and act.n.tolist() == [[3], [3]]
-        model, report = constrained_fit(views[0], ConstraintSpec(views[1], 0.25))
+        assert views[0][0].shape == (2, 1, 2, 2) and all(a.flags.c_contiguous for a in views[0])
+        assert views[0][3][1].tolist() == [2] and act.n.tolist() == [[3], [3]]
+        model, report = fit_replications(*views, 0.25)[1]
         want, want_report = constrained_fit(batch(ACTIVE), ConstraintSpec(batch(PASSIVE), 0.25))
         assert report.lam > 0 and report.lam == pytest.approx(want_report.lam, rel=1e-9)
         np.testing.assert_allclose(model.weights, want.weights, rtol=1e-9)
-        assert fit_weighted(*views, report.lam).weights.tobytes() == model.weights.tobytes()
+        again = _fit(*([a[1:] for a in v] for v in views), np.array([report.lam]))[0]
+        assert again[0].tobytes() == model.weights.tobytes()
 
     @pytest.mark.parametrize("rows, arm", [
         ([(0.5, 1, 1.0), (1e200, 2, 1.0)], 2),             # x^2 in G
@@ -594,7 +597,7 @@ class TestMomentStore:
             warnings.simplefilter("error", RuntimeWarning)
             store.add_block(xs, arms, rewards)
             with pytest.raises(FloatingPointError, match=f"arm {arm}'s moments .* overflow"):
-                store.replication(0)
+                fit_replications(store.moments())
 
 
 class TestBisectionStop:
@@ -603,9 +606,9 @@ class TestBisectionStop:
         # the residual jumps across zero between two adjacent floats, so no
         # multiplier meets tol.  Bisection used to run all 400 steps (402
         # weighted fits), refitting an endpoint after it reached these values.
-        reports, fit = [], linmodel.constrained_fit
-        monkeypatch.setattr(falcon, "constrained_fit",
-                            lambda *a, **k: reports.append(fit(*a, **k)) or reports[-1])
+        reports, fit = [], linmodel.fit_replications
+        monkeypatch.setattr(falcon, "fit_replications",
+                            lambda *a, **k: reports.extend(out := fit(*a, **k)) or out)
         config = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05),
                            horizon=512, c1=1e-4)
         events = run_many(config, [0])[0].events
@@ -618,6 +621,51 @@ class TestBisectionStop:
                             [1.2368311547978204, -1.2095233289953249]], rtol=1e-12)
         assert report.n_weighted_fits < 100
         assert [ev.report.converged for ev in events] == [True, False] + [True] * 6
+
+
+class TestFitReplications:
+    """The engine's one refit call for all R replications against the same
+    call on each replication's contiguous (1, K, ...) moments: the model's
+    bytes and ridge flag and every ``DualReport`` field (repr keeps each
+    float's bits and sign)."""
+
+    @pytest.mark.parametrize("agent, c1, covered", [
+        ("epsilon_falcon", 1.0, lambda fits: all(rep.lam == 0.0 for _, rep in fits)),
+        ("epsilon_falcon", 1e-3, lambda fits: any(rep.lam > 0 for _, rep in fits)),
+        ("epsilon_falcon", 1e-4, lambda fits: any(not rep.converged for _, rep in fits)),
+        ("falcon", 1.0, lambda fits: any(model.ridge_fallback for model, _ in fits)),
+    ], ids=["lambda_zero", "binding", "unconverged", "ridge_fallback"])
+    def test_each_replication_equals_its_own_call(self, monkeypatch, agent, c1, covered):
+        calls, fit = [], linmodel.fit_replications
+        monkeypatch.setattr(falcon, "fit_replications",
+                            lambda *a: calls.append((a, fit(*a))) or calls[-1][1])
+        config = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05), agent=agent,
+                           c1=c1, horizon=512)
+        run_many(config, [0, 1, 2, 3])
+        assert len(calls) == 8 and covered([f for _, fits in calls for f in fits])
+        for (active, passive, slack), fits in calls:
+            assert len(fits) == 4
+            for r, (model, report) in enumerate(fits):
+                one = [tuple(a[r:r + 1].copy() for a in ms) if ms else ms
+                       for ms in (active, passive)]
+                (want, want_report), = fit(*one, slack)
+                assert model.weights.tobytes() == want.weights.tobytes()
+                assert model.ridge_fallback == want.ridge_fallback
+                assert repr(report) == repr(want_report)
+
+    def test_lambda_cap_names_the_lowest_replication_of_the_first_epoch(self, monkeypatch):
+        # alone, seed 2 never reaches the cap, seed 4 does after epoch 8 and
+        # seeds 3 and 5 after epoch 6: the suite fails there, on seed 3
+        monkeypatch.setattr(linmodel, "LAMBDA_MAX", 2.0)
+        config = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05), c1=1e-3,
+                           horizon=512)
+        with pytest.raises(DualNonConvergenceError) as alone:
+            run_many(config, [3])
+        with pytest.raises(DualNonConvergenceError) as info:
+            run_many(config, [2, 4, 3, 5])
+        assert info.value.replication == 2 and alone.value.replication == 0
+        assert info.value.__notes__ == alone.value.__notes__ == ["the refit after epoch 6"]
+        assert str(info.value) == str(alone.value)
 
 
 class TestMomentLayer:
@@ -639,7 +687,7 @@ class TestMomentLayer:
         b = batch(list(zip(xs.tolist(), arms.tolist(), ys.tolist())), num_arms=2)
         G, bvec, yy, _ = b.moments()
         for model in (fit_ols(b), LinearModel(rng.uniform(-1, 1, (2, 2)))):
-            row, got = normalized_sse(model, b), _moment_nsse(model, b)
+            row, got = normalized_sse(model, b), _nsse(model.weights, b.moments())
             A = np.abs(model.weights)
             s = (np.einsum("ai,aij,aj->", A, np.abs(G), A)
                  + 2 * np.einsum("ai,ai->", A, np.abs(bvec)) + yy.sum()) / max(n, 1)
@@ -650,7 +698,7 @@ class TestMomentLayer:
         # noise-free points on one line: the unclamped moment sum of the
         # exact fit rounds to about -1e-16 here
         b = batch([(0.0, 1, 0.3), (0.1, 1, 0.37), (0.6, 1, 0.72)])
-        alpha = ConstraintSpec(b, 0.1).alpha()
+        alpha = constrained_fit(b, ConstraintSpec(b, 0.1))[1].alpha
         assert 0.0 <= alpha <= 1e-15
 
     @given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(1, 3),
@@ -689,12 +737,13 @@ class TestMomentLayer:
     def test_append_after_fit_refolds(self):
         act, pas = batch(ACTIVE), batch(PASSIVE)
         cons = ConstraintSpec(pas, 0.25)
-        constrained_fit(act, cons)
-        before = cons.alpha()
+        before = constrained_fit(act, cons)[1].alpha
         pas.append(0.5, 1, 3.0)
         act.append(0.5, 1, 0.5)
-        assert cons.alpha() != pytest.approx(before)
-        assert cons.alpha() == ConstraintSpec(batch(PASSIVE + [(0.5, 1, 3.0)]), 0.25).alpha()
+        after = constrained_fit(act, cons)[1].alpha
+        assert after != pytest.approx(before)
+        assert after == constrained_fit(act, ConstraintSpec(batch(PASSIVE + [(0.5, 1, 3.0)]),
+                                                            0.25))[1].alpha
         assert np.array_equal(fit_ols(act).weights,
                               fit_ols(batch(ACTIVE + [(0.5, 1, 0.5)])).weights)
 
