@@ -42,75 +42,55 @@ TRACE_ROWS_PER_WRITE = 1024  # CSV rows formatted per write: it bounds the text'
 
 # write_csv builds a chunk of text as one uint8 matrix, a row per line: each
 # cell is NUL-padded and the separators are columns of their own, so
-# dropping every NUL leaves the lines.  A number is spelled as a row of
-# 4-byte words, indices into _WORDS: the ASCII digits of 0000..9999, then
-# NUL, "-" and "." padded with NUL.
+# dropping every NUL leaves the lines.  A number's row is words taken from a
+# table, one index per word:
+# * an integer is a sign word _WORDS[20_001 - sign(v)] (NUL, "0" or "-"),
+#   then its base-10^4 words w, most significant first: up to the first
+#   nonzero one _WORDS[w], right-aligned and NUL-padded (all NUL for 0),
+#   after it the 4 digits _WORDS[10^4 + w];
+# * a float has one fixed 40-byte layout, a sign, "0.000", then the 17
+#   digits of N each followed by a point slot, in 8-byte words: the first
+#   _DIGITS[10^4 + 10 * negative + first digit] ("-0.000d."), then the
+#   "d.d.d.d." words _DIGITS[w].  The row ANDed with _MASKS[(X + 4) * 17 +
+#   end - 1] (``_masks``) keeps the bytes '%.17g' prints.
 # (The tables are built at import, in small dtypes: large temporaries would
 # raise the peak memory of every process that writes.)
-_WORDS = np.zeros((10_003, 4), np.uint8)
-_WORDS[:10_000] = np.arange(10_000, dtype=np.int16)[:, None] \
-    // np.array([1000, 100, 10, 1], np.int16) % 10 + 48
-_WORDS[10_001:, 0] = ord("-"), ord(".")
-_WORDS = _WORDS.view(np.uint32).ravel()
-_NUL, _MINUS, _POINT = 10_000, 10_001, 10_002
-_TRAILING_ZEROS = sum(np.arange(10_000, dtype=np.int16) % 10 ** k == 0
-                      for k in range(1, 5)).astype(np.int8)
+def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_WORDS, _DIGITS, and the trailing zeros of each word 0..9999 (4 for 0)."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row j: digit j of 0..9999
+    shown, trailing = digits > 0, digits == 0
+    for j in range(1, 4):  # a digit is shown from the first nonzero one on
+        shown[j] |= shown[j - 1]
+        trailing[3 - j] &= trailing[4 - j]
+    digits += ord("0")
+    words = np.zeros((20_003, 4), np.uint8)
+    words[:10_000], words[10_000:20_000] = (digits * shown).T, digits.T
+    words[20_001:, 0] = ord("0"), ord("-")
+    pairs = np.full((10_020, 8), ord("."), np.uint8)
+    pairs[:10_000, ::2] = digits.T
+    pairs[10_000:, :7], pairs[10_010:, 0] = np.frombuffer(b"\0" b"0.000" b"0", np.uint8), ord("-")
+    pairs[10_000:, 6] += np.arange(20, dtype=np.uint8) % 10
+    return (words.view(np.uint32).ravel(), pairs.view(np.uint64).ravel(),
+            trailing.sum(axis=0, dtype=np.int8))
+
+
+def _masks() -> np.ndarray:
+    """The float layout's byte masks (0 or 0xFF, read as words): row (X + 4) *
+    17 + end - 1 for -4 <= X <= 14 and end = 1..17 significant digits."""
+    X, end, i = np.arange(-4, 15)[:, None, None], np.arange(1, 18)[:, None], np.arange(17)
+    keep = np.zeros((19, 17, 40), np.uint8)
+    keep[..., :6] = (i[:6] == 0) | (X < 0) & (i[:6] < 2 - X)  # the sign; "0." and -X - 1 zeros
+    keep[..., 6::2] = i < np.maximum(end, X + 1)  # the digits
+    keep[..., 7::2] = (i == X) & (end > X + 1)  # the point, if a digit follows it
+    return (keep * 0xFF).reshape(-1, 40).view(np.uint64)
+
+
+_WORDS, _DIGITS, _TRAILING_ZEROS = _word_tables()
+_MASKS = _masks()
 _SPLIT = 134_217_729.0  # 2^27 + 1, Veltkamp's splitter for Dekker's exact product
 _TENS = 10.0 ** np.arange(22)  # exact: 5^21 < 2^53
 _TENS_HI = _SPLIT * _TENS - (_SPLIT * _TENS - _TENS)
 _TENS_LO = _TENS - _TENS_HI
-_INT_TENS = 10 ** np.arange(18, dtype=np.int64)
-
-
-def _keep_masks(q: int) -> np.ndarray:
-    """Byte masks (0 or 0xFF, read as words) over a number's words: sign,
-    q words of integer digits, point, 5 words of fraction digits.  Row
-    (X + 4) * 21 + end keeps the max(X, 0) + 1 last integer digits and the
-    fraction positions in [X + 4, end)."""
-    X, end = np.arange(-4, 16)[:, None, None], np.arange(21)[None, :, None]
-    pos = np.arange(4 * q + 28)
-    whole, frac = pos - 4, pos - 4 * q - 8
-    keep = (pos < 4) | ((whole >= 4 * q - np.maximum(X, 0) - 1) & (whole < 4 * q)) \
-        | ((frac >= -4) & (frac < 0)) | ((frac >= X + 4) & (frac < end))
-    return (keep.astype(np.uint8) * 0xFF).reshape(420, -1).view(np.uint32)
-
-
-_KEEP = [None] + [_keep_masks(q) for q in range(1, 5)]
-
-
-def _put_words(out: np.ndarray, a: np.ndarray) -> list[np.ndarray]:
-    """Write the base-10^4 digits of the int64s 0 <= a < 10^(4 k) into the k
-    columns of ``out``, most significant first, and return them."""
-    words = []
-    for _ in range(out.shape[1] - 1):
-        q = a // 10_000
-        words.insert(0, a - q * 10_000)
-        a = q
-    words.insert(0, a)
-    for j, w in enumerate(words):
-        out[:, j] = w
-    return words
-
-
-def _number_cells(negative, whole, X, fraction=None) -> np.ndarray:
-    """One NUL-padded row per number: a sign, the max(X, 0) + 1 digits of
-    the int64 ``whole``, and, if the int64 ``fraction`` (right-aligned in 20
-    digits, from position X + 4) is given, a point and its digits up to the
-    last nonzero one; no point when none is left."""
-    q = (max(int(X.max()), 0) + 4) // 4
-    words = np.empty((len(whole), q + (1 if fraction is None else 7)), np.int64)
-    words[:, 0] = np.where(negative, _MINUS, _NUL)
-    _put_words(words[:, 1:q + 1], whole)
-    end = 0
-    if fraction is not None:
-        _, *low = _put_words(words[:, q + 2:], fraction)
-        # the digits end where the trailing zeros of the last 16 begin
-        t = [_TRAILING_ZEROS[w] for w in low]
-        end = 20 - (t[3] + (low[3] == 0) * (t[2] + (low[2] == 0) * (t[1] + (low[1] == 0) * t[0])))
-        words[:, q + 1] = np.where(end > X + 4, _POINT, _NUL)
-    cells = np.take(_WORDS, words)
-    cells &= np.take(_KEEP[q], (X + 4) * 21 + end, axis=0)[:, :words.shape[1]]
-    return cells.view(np.uint8)
 
 
 def _scaled(a: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -146,15 +126,15 @@ def _with_python(cells: np.ndarray, v: np.ndarray, fast: np.ndarray, fmt: str) -
 def _float_cells(v: np.ndarray) -> np.ndarray:
     """``'%.17g' % x`` of each float64, one NUL-padded row per value.
 
-    Finite values with 1e-4 <= |x| < 1e15, and +-0, are printed in fixed
-    notation with 17 significant digits N * 10^(X - 16): X is estimated as
-    floor(log10|x|), N is |x| * 10^(16 - X) rounded half to even exactly
-    (``_scaled``), and where N falls outside [10^16, 10^17) -- the estimate
-    was off by one or the rounding carried -- X moves by one and N is made
-    again.  Every other value (nan, +-inf, and those at or near where
-    ``%.17g`` turns to scientific notation) is rare in the artifacts and goes
-    through Python's own ``'%.17g'``, one at a time, which keeps the output
-    exact for all."""
+    Finite values with 1e-4 <= |x| < 1e15, and +-0, are spelled in the
+    fixed layout above from 17 significant digits N * 10^(X - 16): X is
+    estimated as floor(log10|x|), N is |x| * 10^(16 - X) rounded half to
+    even exactly (``_scaled``), and where N falls outside [10^16, 10^17) --
+    the estimate was off by one or the rounding carried -- X moves by one
+    and N is made again.  Every other value (nan, +-inf, and those at or
+    near where ``%.17g`` turns to scientific notation) is rare in the
+    artifacts and goes through Python's own ``'%.17g'``, one at a time,
+    which keeps the output exact for all."""
     a = np.abs(v)
     fast = ((a >= 1e-4) & (a < 1e15)) | (a == 0)
     a[~fast] = 1.0
@@ -165,14 +145,23 @@ def _float_cells(v: np.ndarray) -> np.ndarray:
         X[bad] += np.where(N[bad] >= 10 ** 16, 1, -1)
         N[bad] = _scaled(a[bad], X[bad])
         bad = bad[(N[bad] < 10 ** 16) | (N[bad] >= 10 ** 17)]
-    unit = _INT_TENS[np.minimum(16 - X, 17)]
-    whole = N // unit
-    return _with_python(_number_cells(np.signbit(v), whole, X, N - whole * unit), v, fast, "%.17g")
+    words = np.empty((5, len(v)), np.int64)  # N's first digit, then its base-10^4 words
+    words[4] = N
+    for j in range(4, 0, -1):
+        np.floor_divide(words[j], 10_000, out=words[j - 1])
+    words[1:] -= 10_000 * words[:-1]
+    words[0] += 10_000 + 10 * np.signbit(v)
+    # the digits end where the trailing zeros of the last 16 begin
+    t = np.take(_TRAILING_ZEROS, words[1:])
+    tz = t[3] + (t[3] == 4) * (t[2] + (t[2] == 4) * (t[1] + (t[1] == 4) * t[0]))
+    cells = np.take(_DIGITS, words.T)
+    cells &= np.take(_MASKS, 17 * X + (84 - tz), axis=0)  # (X + 4) * 17 + end - 1, end = 17 - tz
+    return _with_python(cells.view(np.uint8), v, fast, "%.17g")
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
     """``'%d' % x`` of each integer (a bool is 0 or 1), one NUL-padded row
-    per value; those of 16 digits or more, and a column of any other type,
+    per value; those of 17 digits or more, and a column of any other type,
     go through Python's ``'%d'``."""
     if v.dtype.kind == "b" or v.dtype.kind in "iu" and v.itemsize < 8:
         v = v.astype(np.int64)  # a narrower int's minimum has no absolute value
@@ -180,8 +169,15 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
         return _text_rows([b"%d" % x for x in v.tolist()])
     fast = (v > -10 ** 16) & (v < 10 ** 16)
     a = np.abs(np.where(fast, v, 0))
-    digits = np.searchsorted(_INT_TENS[1:17], a, side="right") + 1
-    return _with_python(_number_cells(v < 0, a, digits - 1), v, fast, "%d")
+    k = (len(str(int(a.max(initial=0)))) + 3) // 4  # base-10^4 words of the largest
+    words = np.empty((len(v), k + 1), np.int64)
+    words[:, 0] = 20_001 - np.sign(v)
+    for j in range(k, 1, -1):
+        q = a // 10_000  # a word after a nonzero one is spelled in 4 digits
+        words[:, j] = a - 10_000 * (q - np.minimum(q, 1))
+        a = q
+    words[:, 1] = a
+    return _with_python(np.take(_WORDS, words).view(np.uint8), v, fast, "%d")
 
 
 def _text_cells(v: np.ndarray) -> np.ndarray:
@@ -254,7 +250,7 @@ def _write_chunks(path: str, header: str, chunks) -> None:
             sep = {c: np.full((rows, 1), ord(c), np.uint8) for c in ",;\n"}
             text = np.concatenate([part for kind, i, after in layout
                                    for part in (cells[kind][i], sep[after])], axis=1)
-            fh.write(text[text != 0].tobytes())
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def write_trace_csv(trace: RegretTrace, path: str) -> None:

@@ -129,6 +129,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
+    if isinstance(v, np.generic):  # a numpy scalar set on a config after it was built
+        v = v.item()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):

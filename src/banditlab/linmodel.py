@@ -307,7 +307,7 @@ def _nsse(weights, moments) -> np.ndarray:
     G, b, yy, n = moments
     total = np.einsum("...ai,...aij,...aj->...", weights, G, weights) \
         - 2.0 * np.einsum("...ai,...ai->...", weights, b) + yy.sum(axis=-1)
-    return np.where(total > 0.0, total, 0.0) / np.maximum(n.sum(axis=-1, dtype=float), 1.0)
+    return np.fmax(total, 0.0) / np.maximum(n.sum(axis=-1), 1)  # fmax: nan and -0 to 0
 
 
 def _one(batch: DataBatch):
@@ -377,8 +377,9 @@ def fit_replications(active, passive=None, slack: float | None = None,
     bracket below ``LAMBDA_TOL`` or, unconverged, at adjacent floats or
     after ``MAX_BISECTIONS`` steps.  Doubling past ``LAMBDA_MAX`` raises."""
     # an overflow names the lowest replication at fault, its passive moments first
-    checked_moments(*(active if passive is None else
-                      (np.stack(pair, axis=1) for pair in zip(passive, active))))
+    stores = (active,) if passive is None else (passive, active)
+    if not all(np.isfinite(a).all() for store in stores for a in store[:3]):
+        checked_moments(*(np.stack(pair, axis=1) for pair in zip(*stores)))
     if passive is None:
         weights, fallback = _fit(active)
         return [(LinearModel(w, ridge_fallback=bool(f)), None) for w, f in zip(weights, fallback)]
@@ -428,10 +429,11 @@ def fit_replications(active, passive=None, slack: float | None = None,
                 weights[r], fallback[r], resid[r] = w[i], f[i], res
             brackets[r] = [lo, tries[r], steps] if feasible else [tries[r], hi, steps]
 
-    lam = np.zeros(len(alpha))
-    lam[list(brackets)] = [hi for _, hi, _ in brackets.values()]
-    primal = _nsse(weights, active)  # normalized SSE(active); the dual adds lam * resid
-    gap = primal - (primal + lam * resid)
+    lam, gap, rows = np.zeros(len(alpha)), np.zeros(len(alpha)), list(brackets)
+    lam[rows] = [hi for _, hi, _ in brackets.values()]
+    if rows:  # where lam = 0 the dual is the primal
+        primal = _nsse(weights[rows], take(active, rows))  # normalized SSE(active)
+        gap[rows] = primal - (primal + lam[rows] * resid[rows])
     converged = ~binds | (np.abs(resid) <= tol)
     return [(LinearModel(weights[r], ridge_fallback=bool(fallback[r])),
              DualReport(float(lam[r]), float(resid[r]), float(gap[r]), float(alpha[r]), slack,

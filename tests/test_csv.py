@@ -3,6 +3,7 @@
 chunks and ``;`` cells, the six artifact files' rows against their
 headers, and README's list of those headers."""
 
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -35,6 +36,16 @@ def around(x: float, ulps: int = 3) -> list[float]:
         lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
         out += [float(lo), float(hi)]
     return out
+
+
+def with_digits(X: int, end: int) -> float:
+    """The first of m * 10^(X - end + 1), m = 10^(end - 1), 10^(end - 1) + 1,
+    ..., whose ``'%.17g'`` has exponent X and end significant digits."""
+    for m in itertools.count(10 ** (end - 1)):
+        x = float(f"{m}e{X - end + 1}")
+        digits = ("%.17g" % x).replace(".", "").strip("0")
+        if ("%.16e" % x).endswith("e%+03d" % X) and len(digits) == end:
+            return x
 
 
 class TestFloatCells:
@@ -71,6 +82,12 @@ class TestFloatCells:
         assert len(xs) > 3000
         assert float_texts(xs) == ["%.17g" % x for x in xs]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_exponent_and_significant_digit_count(self, sign):
+        # every row of the kernel's (X, end) mask table
+        xs = [sign * with_digits(X, end) for X in range(-4, 15) for end in range(1, 18)]
+        assert float_texts(xs) == ["%.17g" % x for x in xs]
+
     @pytest.mark.parametrize("seed", range(3))
     def test_seeded_sweep_over_every_decade_and_sign(self, seed):
         rng = np.random.default_rng(seed)
@@ -90,11 +107,15 @@ class TestIntCells:
         assert spelled(csvio._int_cells(np.array(values))) == ["%d" % v for v in values]
         assert spelled(csvio._int_cells(np.array([True, False]))) == ["1", "0"]
 
-    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16,
-                                       np.uint32, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                       np.uint16, np.uint32, np.uint64])
     def test_every_integer_dtype_to_its_limits(self, dtype):
         info = np.iinfo(dtype)
-        values = np.array([0, 1, info.max, info.min, info.max - 1, info.min + 1], dtype=dtype)
+        # and where a base-10^4 word is added, and the last value spelled by the kernel
+        words = [s * (10 ** (4 * k) + e) for k in (1, 2, 3) for e in (-1, 0) for s in (1, -1)]
+        values = np.array([0, 1, info.max, info.min, info.max - 1, info.min + 1]
+                          + [v for v in words + [10 ** 16 - 1, 1 - 10 ** 16]
+                             if info.min <= v <= info.max], dtype=dtype)
         assert spelled(csvio._int_cells(values)) == ["%d" % v for v in values.tolist()]
 
     def test_integers_past_int64_go_through_python(self):

@@ -201,6 +201,20 @@ class TestConfigRoundTrip:
         save_config(cfg, str(path))
         assert load_config(str(path)) == cfg
 
+    @pytest.mark.parametrize("value, text", [
+        (np.float64(0.1), "0.1"),
+        # str() of a float32 is its shortest float32 spelling, another float64
+        (np.float32(0.1), "0.10000000149011612")])
+    def test_numpy_scalar_set_after_construction_saved_as_python_number(
+            self, value, text, tmp_path):
+        cfg = small_config()
+        cfg.epsilon = value  # after construction: not converted to a Python number
+        cfg.validate()
+        assert f"agent.epsilon = {text}" in serialize_config(cfg).splitlines()
+        path = tmp_path / "config.txt"
+        save_config(cfg, str(path))
+        assert load_config(str(path)) == cfg
+
     def test_comments_and_blanks_ignored(self):
         cfg = small_config()
         text = "# a comment\n\n" + serialize_config(cfg) + "\n# trailing\n"
