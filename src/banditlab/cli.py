@@ -63,7 +63,13 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    configs = [harness.load_config(p) for p in args.config]
+    configs = []
+    for path in args.config:
+        try:
+            configs.append(harness.load_config(path))
+        except Exception as exc:
+            exc.add_note(f"config {path}")
+            raise
     table = harness.compare(configs)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "compare.csv")

@@ -136,11 +136,16 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
     of ``events`` installed epoch k+1's model; one whose model no epoch
     ran is predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
     order: at K >= 3 their last bits may differ from a row-major ``einsum``'s.
+    A check's lhs, rhs or se, or a ``mse_to_best_fit``, that is not finite is
+    a FloatingPointError naming the check or the refit.
     """
     K = spec.num_arms
     checks: list[LemmaCheck] = []
 
     def check(name, m, lhs, rhs, se, note, ok=None):  # passed: ok, by default lhs <= rhs
+        if not all(map(math.isfinite, (lhs, rhs, se))):
+            where = "" if m is None else f" of epoch {m}"
+            raise FloatingPointError(f"non-finite lhs, rhs or se in the {name} check{where}")
         checks.append(LemmaCheck(name, m, lhs, rhs, se, lhs <= rhs if ok is None else ok, note))
 
     fit_preds = np.ascontiguousarray(best_linear_fit_uniform(spec).predict_rows(xs).T)
@@ -169,7 +174,11 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
         if m - 2 < len(events):
             sq = preds - fit_preds
             sq *= sq
-            events[m - 2].mse_to_best_fit = float((arm_sum(sq) / K).mean())
+            mse = float((arm_sum(sq) / K).mean())
+            if not math.isfinite(mse):
+                raise FloatingPointError(
+                    f"non-finite mse_to_fhatstar of the refit after epoch {events[m - 2].m}")
+            events[m - 2].mse_to_best_fit = mse
             del sq
         if m > len(models):
             continue

@@ -51,8 +51,8 @@ from typing import Optional
 import numpy as np
 
 from .env import interval_errors
-from .linmodel import (DualReport, LinearModel, MomentStore, arm_sum, featurize, fit_replications,
-                       row_max_argmax, rowwise_predict)
+from .linmodel import (DualReport, LinearModel, MomentStore, arm_sum, check_finite, featurize,
+                       fit_replications, row_max_argmax, rowwise_predict)
 
 
 class SequencingError(RuntimeError):
@@ -324,6 +324,8 @@ class EpsilonFalconAgent:
                                      ** rates.rho_prime * math.log(12.0 * m * m / rates.delta)
                                      * rates.comp / n_pass ** rates.rho)
             fits = fit_replications(active, passive, slack)
+            check_finite(np.stack([model.weights for model, _ in fits]),
+                         "non-finite weights from the refit")
         except Exception as exc:
             exc.replication = getattr(exc, "replication", 0)
             exc.add_note(f"the refit after epoch {m}")
@@ -336,16 +338,6 @@ class EpsilonFalconAgent:
         for r, event in enumerate(events):
             self.weights[r] = event.new_model.weights
             self.events[r].append(event)
-
-
-def _check_finite(values: np.ndarray, message: str) -> None:
-    """A FloatingPointError(message) if the (R, ...) ``values`` are not all
-    finite, with the first replication at fault as its ``replication``."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        exc = FloatingPointError(message)
-        exc.replication = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
-        raise exc
 
 
 class LinUCBAgent:
@@ -372,11 +364,11 @@ class LinUCBAgent:
         self._since_refresh = 0
 
     def _refresh(self) -> None:
-        """Invert ``G`` and solve for ``theta``, which ``_check_finite`` checks
+        """Invert ``G`` and solve for ``theta``, which ``check_finite`` checks
         (its ``bvec`` can overflow) before any score is taken from it."""
         self.G_inv = np.linalg.inv(self.G)
         self.theta = np.einsum("raij,raj->rai", self.G_inv, self.bvec)
-        _check_finite(self.theta, "non-finite LinUCB state (bvec or theta)")
+        check_finite(self.theta, "non-finite LinUCB state (bvec or theta)")
 
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
@@ -391,10 +383,10 @@ class LinUCBAgent:
 
     def act_block(self, t: int, xs, rngs) -> np.ndarray:
         Phi = featurize(xs, self.context_dim)
-        # scores that overflow are reported by _check_finite, before any arm is taken
+        # scores that overflow are reported by check_finite, before any arm is taken
         with np.errstate(over="ignore", invalid="ignore"):
             scores = rowwise_predict(self.theta, Phi) + self.alpha_ucb * self.widths(Phi)
-        _check_finite(scores, "non-finite LinUCB scores (theta . phi + alpha_ucb * width)")
+        check_finite(scores, "non-finite LinUCB scores (theta . phi + alpha_ucb * width)")
         # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
         return scores.argmax(axis=-1) + 1
 

@@ -42,7 +42,7 @@ from .env import (ENV_KEYS, Environment, EnvSpec, draw_contexts, interval_errors
                   make_generator, python_numbers)
 from .falcon import (AGENT_KEYS, EpochEvent, EpochSchedule, EpsilonFalconAgent, LinUCBAgent,
                      RateParams, UniformAgent, _auto_or_float, gamma_for_epoch)
-from .linmodel import LinearModel, row_max_argmax
+from .linmodel import LinearModel, check_finite, row_max_argmax
 
 AGENT_NAMES = ("epsilon_falcon", "falcon", "lin_ucb", "uniform")
 
@@ -109,7 +109,11 @@ class RunConfig:
         if self.agent not in AGENT_NAMES:
             errs.append(f"agent.name: unknown agent {self.agent!r}")
         # EnvSpec checks its own rows
-        return errs + interval_errors(CONFIG_KEYS[len(ENV_KEYS):], vars(self))
+        errs += interval_errors(CONFIG_KEYS[len(ENV_KEYS):], vars(self))
+        out = self.out_dir  # as the config file would hold it: one line, no comment
+        if isinstance(out, str) and (out != out.strip() or "#" in out or len(out.splitlines()) > 1):
+            errs.append("run.out_dir: must hold no '#', line break or leading or trailing blank")
+        return errs
 
     def validate(self) -> None:
         errs = self.validation_errors()
@@ -251,13 +255,13 @@ def run_many(config: RunConfig, seeds: list[int]) -> list[RunResult]:
 
     Each replication draws from its own context, noise and agent streams
     exactly as a single run does, so its result does not depend on the
-    other seeds.  A non-finite reward (``Environment.draw``), a refit on
-    moments that overflow (``linmodel.checked_moments``), LinUCB's
-    non-finite ``theta`` after a refresh or scores in a block, and after the
-    last round a non-finite noisy-regret total, refit weight or LinUCB state
-    (``bvec`` can overflow after the last refresh), is a FloatingPointError
-    with the position in ``seeds`` of the first replication at fault as its
-    ``replication`` attribute.
+    other seeds.  Each number is checked where it is made, and the first
+    that is not finite stops the run: a reward (``Environment.draw``), a
+    refit's moments, weights or dual report, LinUCB's ``theta`` after a
+    refresh or its scores in a block, the noisy-regret total after each
+    draw and LinUCB's ``bvec`` after the last round.  Each is a
+    FloatingPointError with the position in ``seeds`` of the first
+    replication at fault as its ``replication`` attribute.
     """
     return _run_many(config, seeds, keep_data=True)
 
@@ -309,34 +313,19 @@ def _run_many(config: RunConfig, seeds: list[int], keep_data: bool) -> list[RunR
             t = end + 1
         best = arm_base + 1 + row_max_argmax(means.reshape(R * n, K))[1].reshape(R, n)
         e_regret[:, lo:stop] = rmeans[best] - rmeans[arm_base + a_n]
-        # summed round by round, like the cumulative regret; a total that
-        # overflows is reported by the finiteness check after the loop
+        # summed round by round, like the cumulative regret, and checked
+        # after each draw, so an overflowed total stops the run there
         with np.errstate(over="ignore", invalid="ignore"):
             noisy_total = cumsum_after(flat[best] - r_n, noisy_total)[:, -1]
+        check_finite(noisy_total, "non-finite noisy regret total")
         if keep_data:
             xs[:, lo:stop], actions[:, lo:stop], rewards[:, lo:stop] = x_n, a_n, r_n
 
-    # finite rewards can still overflow a sum, or LinUCB's bvec after its
-    # last refresh (each refresh checks theta); checked after the loop, so a
-    # non-finite reward is reported first, with its round
-    state_ok = np.ones(R, dtype=bool)
-    if isinstance(agent, LinUCBAgent):
-        state_ok = np.isfinite(agent.bvec.reshape(R, -1)).all(axis=1)
+    if isinstance(agent, LinUCBAgent):  # bvec can overflow after the last refresh's check
+        check_finite(agent.bvec, "non-finite LinUCB state (bvec or theta)")
     started, results = epochs_started(config), []
     for r, seed in enumerate(seeds):
         events = agent.events[r] if is_falcon else []
-        bad = [ev.m for ev in events if not np.isfinite(ev.new_model.weights).all()]
-        problem = None
-        if bad:
-            problem = f"non-finite weights from the refit after epoch {bad[0]}"
-        elif not math.isfinite(noisy_total[r]):
-            problem = "non-finite noisy regret total"
-        elif not state_ok[r]:
-            problem = "non-finite LinUCB state (bvec or theta)"
-        if problem:
-            exc = FloatingPointError(problem)
-            exc.replication = r
-            raise exc
         data = (xs[r], actions[r], rewards[r]) if keep_data else (None, None, None)
         trace = RegretTrace(*data, e_regret[r], config.tau1, passive_share(config),
                             float(noisy_total[r]))
@@ -368,7 +357,8 @@ def run_lemmas(config: RunConfig, seed: int, models: list[LinearModel],
               for m in range(1, len(models) + 1)]
     diag_ss = np.random.SeedSequence(seed).spawn(3)[2].spawn(1)[0]
     xs = draw_contexts(config.env, min(config.mc_samples, 20_000), make_generator(diag_ss))
-    return diagmod.lemma_suite(config.env, models, gammas, xs, events)
+    with np.errstate(over="ignore", invalid="ignore"):  # lemma_suite checks what it reports
+        return diagmod.lemma_suite(config.env, models, gammas, xs, events)
 
 
 @dataclass
@@ -455,7 +445,8 @@ class CompareTable:
 def compare(configs: list[RunConfig]) -> CompareTable:
     """Cumulative expected regret at {T/8, T/4, T/2, T} for each config.
 
-    All configs must share the environment and the horizon.
+    All configs must share the environment and the horizon.  An exception
+    from a config's suite leaves noting its index, ``config i``.
     """
     if len(configs) < 2:
         raise ConfigMismatchError("compare needs at least two configs")
@@ -468,7 +459,11 @@ def compare(configs: list[RunConfig]) -> CompareTable:
     cps = checkpoints(first.horizon)
     rows: list[CompareRow] = []
     for i, cfg in enumerate(configs):
-        summary = run_suite(cfg)
+        try:
+            summary = run_suite(cfg)
+        except Exception as exc:
+            exc.add_note(f"config {i}")
+            raise
         for cp in cps:
             rows.append(CompareRow(cp, i, cfg.agent,
                                    float(summary.mean_cum_e_regret[cp - 1]),

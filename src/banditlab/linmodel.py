@@ -136,6 +136,16 @@ class LinearModel:
         return rowwise_predict(self.weights, featurize(xs, self.context_dim))
 
 
+def check_finite(values: np.ndarray, message: str) -> None:
+    """A FloatingPointError(message) if the (R, ...) ``values`` are not all
+    finite, with the first replication at fault as its ``replication``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        exc = FloatingPointError(message)
+        exc.replication = int(np.argmin(finite.reshape(len(finite), -1).all(axis=1)))
+        raise exc
+
+
 def checked_moments(G, b, yy, n):
     """Per-arm moments (G, b, yy, n) over any leading axes, or a FloatingPointError
     naming the first arm whose G, b or yy is not finite (and its ``replication``)."""
@@ -303,11 +313,13 @@ def _fit(active, passive=None, lam=None) -> tuple[np.ndarray, np.ndarray]:
 
 def _nsse(weights, moments) -> np.ndarray:
     """Normalized SSE of (..., K, p) weights on moments over the same
-    leading axes, clamped at 0 (0 with no rows)."""
+    leading axes, clamped at 0 (0 with no rows); nan where the sum overflows."""
     G, b, yy, n = moments
-    total = np.einsum("...ai,...aij,...aj->...", weights, G, weights) \
-        - 2.0 * np.einsum("...ai,...ai->...", weights, b) + yy.sum(axis=-1)
-    return np.fmax(total, 0.0) / np.maximum(n.sum(axis=-1), 1)  # fmax: nan and -0 to 0
+    with np.errstate(over="ignore", invalid="ignore"):  # fit_replications checks the results
+        total = np.einsum("...ai,...aij,...aj->...", weights, G, weights) \
+            - 2.0 * np.einsum("...ai,...ai->...", weights, b) + yy.sum(axis=-1)
+    total = np.where(np.isfinite(total), np.fmax(total, 0.0), np.nan)
+    return total / np.maximum(n.sum(axis=-1), 1)
 
 
 def _one(batch: DataBatch):
@@ -375,7 +387,8 @@ def fit_replications(active, passive=None, slack: float | None = None,
     the residual normalized SSE(passive) - alpha - slack, keeping the
     feasible end, until that end is within ``tol`` of tightness and the
     bracket below ``LAMBDA_TOL`` or, unconverged, at adjacent floats or
-    after ``MAX_BISECTIONS`` steps.  Doubling past ``LAMBDA_MAX`` raises."""
+    after ``MAX_BISECTIONS`` steps.  Doubling past ``LAMBDA_MAX`` raises, and
+    so does an alpha, residual or duality gap that is not finite."""
     # an overflow names the lowest replication at fault, its passive moments first
     stores = (active,) if passive is None else (passive, active)
     if not all(np.isfinite(a).all() for store in stores for a in store[:3]):
@@ -433,7 +446,10 @@ def fit_replications(active, passive=None, slack: float | None = None,
     lam[rows] = [hi for _, hi, _ in brackets.values()]
     if rows:  # where lam = 0 the dual is the primal
         primal = _nsse(weights[rows], take(active, rows))  # normalized SSE(active)
-        gap[rows] = primal - (primal + lam[rows] * resid[rows])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            gap[rows] = primal - (primal + lam[rows] * resid[rows])
+    check_finite(np.stack([alpha, resid, gap], axis=1),
+                 "non-finite dual report (alpha, constraint residual or duality gap)")
     converged = ~binds | (np.abs(resid) <= tol)
     return [(LinearModel(weights[r], ridge_fallback=bool(fallback[r])),
              DualReport(float(lam[r]), float(resid[r]), float(gap[r]), float(alpha[r]), slack,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banditlab
-from banditlab import csvio, harness, linmodel
+from banditlab import csvio, falcon, harness, linmodel
 from banditlab.cli import main
 from banditlab.env import ENV_KINDS, EnvSpec
 from banditlab.harness import RunConfig, load_config, save_config
@@ -158,6 +158,28 @@ class TestRunVerb:
             "numerical failure: non-finite LinUCB state (bvec or theta)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("agent, noise_sd, seed, message", [
+        ("epsilon_falcon", 2e152, 0, "non-finite dual report (alpha, constraint residual or "
+                                     "duality gap); the refit after epoch 6"),
+        ("falcon", 5e151, 1, "non-finite mse_to_fhatstar of the refit after epoch 5")],
+        ids=["epsilon_falcon", "falcon"])
+    def test_overflowing_refit_and_diagnostics_exit_two_without_numpy_warnings(
+            self, tmp_path, agent, noise_sd, seed, message):
+        # in a fresh interpreter: every reward and moment is finite, but the
+        # refit's residuals or the diagnostics' squared errors overflow
+        path = tmp_path / "big_noise.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=noise_sd), agent=agent,
+                              horizon=600, mc_samples=2_000), str(path))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(banditlab.__file__)))
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "banditlab.cli", "run", "--config", str(path),
+                               "--seed", str(seed), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (2, f"numerical failure: {message}\n")
+        assert not out.exists()
+
     def test_headline_run_files_pinned(self, tmp_path):
         # The paper's headline instance at full length: 2^16 trace rows
         # (53,475 exactly zero e_regret cells, decimal exponents -7 to 3,
@@ -260,6 +282,20 @@ class TestCompareVerb:
         lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
         assert lines[0] == "checkpoint,config,agent,cum_e_regret_mean,cum_e_regret_se"
         assert "checkpoint" in capsys.readouterr().out
+
+    def test_failure_names_its_config(self, step_config, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function"), agent="lin_ucb", ridge=1e-320,
+                              horizon=64, mc_samples=2_000), str(bad))
+        args = ["compare", "--config", step_config, "--config", str(bad), "--out",
+                str(tmp_path / "cmp")]
+        assert main(args) == 2  # a run failure names the config's index in compare.csv
+        assert capsys.readouterr().err == ("numerical failure: non-finite LinUCB state "
+                                           "(bvec or theta); replication 0; config 1\n")
+        bad.write_text("env.kind = step_function\nagent.epsilon = 0.9\n")
+        assert main(args) == 1  # a load failure names its file
+        assert capsys.readouterr().err == \
+            f"error: agent.epsilon: must be in [0, 0.5); config {bad}\n"
 
     def test_mismatched_envs_exit_one(self, step_config, tmp_path):
         other = RunConfig(env=EnvSpec(kind="sensitivity_family", theta=0.05),
@@ -517,3 +553,53 @@ def test_config_space_runs_cleanly_or_fails_by_name(kind, agent):
                     assert code == 2 and err.startswith("numerical failure: "), (text, err)
 
     check()
+
+
+def poison_third_refit(monkeypatch, replication):
+    """Give the third refit's model nan weights in ``replication``; returns
+    the list of refits made, one entry per ``fit_replications`` call."""
+    calls = []
+
+    def fit_replications(*args):
+        calls.append(len(calls) + 1)
+        fits = linmodel.fit_replications(*args)
+        if len(calls) == 3:
+            fits[replication][0].weights[:] = np.nan
+        return fits
+
+    monkeypatch.setattr(falcon, "fit_replications", fit_replications)
+    return calls
+
+
+def test_non_finite_refit_weights_stop_at_that_refit(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg.txt"
+    save_config(RunConfig(horizon=1024, base_seed=1, mc_samples=2_000), str(path))
+    out, message = tmp_path / "out", "non-finite weights from the refit; the refit after epoch 3"
+    calls = poison_third_refit(monkeypatch, 0)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert calls == [1, 2, 3]  # no later refit runs: the horizon holds nine
+    calls = poison_third_refit(monkeypatch, 1)
+    assert main(["suite", "--config", str(path), "--reps", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical failure: {message}; replication 1\n"
+    assert calls == [1, 2, 3]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("agent", harness.AGENT_NAMES)
+def test_overflow_band_runs_cleanly_or_fails_by_name(tmp_path, capsys, agent):
+    # every reward and moment is finite; between about 1.3e151 and 1e153 an
+    # epoch agent's refit residuals and diagnostics can overflow
+    for noise_sd in (2e151, 5e151, 2e152, 1e153):
+        path = tmp_path / "cfg.txt"
+        save_config(RunConfig(env=EnvSpec(kind="step_function", noise_sd=noise_sd), agent=agent,
+                              horizon=600, mc_samples=2_000), str(path))
+        for seed in range(3):
+            out = tmp_path / f"out_{noise_sd}_{seed}"
+            code = main(["run", "--config", str(path), "--seed", str(seed), "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == 0:
+                assert_clean_csvs(out, agent == "falcon")
+            else:
+                assert code == 2 and re.fullmatch(r"numerical failure: [^\n]+\n", err), err
+                assert not out.exists()

@@ -320,6 +320,9 @@ run.mc_samples = 100000
 ]
 
 
+OUT_DIR_ERROR = "run.out_dir: must hold no '#', line break or leading or trailing blank"
+
+
 def floats(lo=None, hi=None, exclude_lo=False, exclude_hi=False):
     return st.floats(lo, hi, exclude_min=exclude_lo, exclude_max=exclude_hi,
                      allow_nan=False, allow_infinity=False)
@@ -327,8 +330,9 @@ def floats(lo=None, hi=None, exclude_lo=False, exclude_hi=False):
 
 @st.composite
 def valid_configs(draw):
-    """A valid config with every key set: each value inside its allowed
-    interval, ``comp`` auto or a float, ``theta`` and ``out_dir`` absent or set."""
+    """A config with every key set: each value inside its allowed interval,
+    ``comp`` auto or a float, ``theta`` absent or set, and ``out_dir``
+    absent or any text, the one value that validation may refuse."""
     kind = draw(st.sampled_from(["step_function", "sensitivity_family", "realizable_linear"]))
     realizable = kind == "realizable_linear"
     spec = EnvSpec(
@@ -358,7 +362,7 @@ def valid_configs(draw):
         replications=draw(st.integers(1, 10**4)),
         base_seed=draw(st.integers(0, 2**63)),
         mc_samples=draw(st.integers(2, 10**9)),
-        out_dir=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)))
+        out_dir=draw(st.none() | st.text()))
 
 
 class TestConfigFormat:
@@ -370,7 +374,16 @@ class TestConfigFormat:
     @settings(max_examples=200, deadline=None)
     @given(valid_configs())
     def test_round_trip_any_valid_config(self, cfg):
-        assert parse_config(serialize_config(cfg)) == cfg
+        if cfg.validation_errors():  # an out_dir the config file cannot hold
+            assert cfg.validation_errors() == [OUT_DIR_ERROR]
+        else:
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out_dir", ["/tmp/a#b", "a\nb", "a\r", " a", "a\t", "a\u2028b"])
+    def test_out_dir_the_file_cannot_hold_is_refused(self, out_dir):
+        # '#' starts a comment, a line break a new line, and a value is stripped
+        assert RunConfig(out_dir=out_dir).validation_errors() == [OUT_DIR_ERROR]
+        assert RunConfig(out_dir="a b/c=d").validation_errors() == []
 
 
 def readme_key_rows():
