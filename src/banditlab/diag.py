@@ -27,7 +27,7 @@ import numpy as np
 
 from .env import EnvSpec, best_linear_fit_uniform, mean_reward_matrix
 from .falcon import arm_gaps, igw_kernel, schedule_position
-from .linmodel import LinearModel, arm_sum, featurize, row_max_argmax
+from .linmodel import LinearModel, arm_sum, featurize, predict_arm_major, row_max_argmax
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ class LemmaCheck:
 def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], xs: np.ndarray,
                 events=()) -> list[LemmaCheck]:
     """Check the testable population inequalities of a finished run at the
-    contexts ``xs`` against the best uniform-design fit (predicted row by
-    row), each with 3 combined standard errors of Monte Carlo slack, all on
+    contexts ``xs`` against the best uniform-design fit (``predict_arm_major``),
+    each with 3 combined standard errors of Monte Carlo slack, all on
     the one sample (common random numbers).  ``models`` are the models in
     force during each epoch that started, the zero model of epoch 1 first,
     and ``gammas`` their epochs' gammas:
@@ -130,11 +130,11 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
       gamma*E[gap] <= V(p_m, pi) <= K + gamma*E[gap] for the best-fit
       policy, and V(p_m, pi_{f_m}) <= K for the kernel's own policy.
 
-    Each epoch model is predicted once, by ``Phi @ W.T`` transposed
-    (OpenBLAS's ``W @ Phi.T`` rounds differently at some K and n), and
-    dropped after its checks and its refit's ``mse_to_best_fit`` (the k-th
-    of ``events`` installed epoch k+1's model; one whose model no epoch
-    ran is predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
+    Each epoch model is predicted once, by ``Phi @ W.T`` (``W.T`` contiguous:
+    faster) transposed (OpenBLAS's ``W @ Phi.T`` rounds differently at some K
+    and n), and dropped after its checks and its refit's ``mse_to_best_fit``
+    (the k-th of ``events`` installed epoch k+1's model; one whose model no
+    epoch ran is predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
     order: at K >= 3 their last bits may differ from a row-major ``einsum``'s.
     A check's lhs, rhs or se, or a ``mse_to_best_fit``, that is not finite is
     a FloatingPointError naming the check or the refit.
@@ -148,7 +148,7 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
             raise FloatingPointError(f"non-finite lhs, rhs or se in the {name} check{where}")
         checks.append(LemmaCheck(name, m, lhs, rhs, se, lhs <= rhs if ok is None else ok, note))
 
-    fit_preds = np.ascontiguousarray(best_linear_fit_uniform(spec).predict_rows(xs).T)
+    fit_preds = predict_arm_major(best_linear_fit_uniform(spec).weights, xs, spec.context_dim)
     truth = np.ascontiguousarray(mean_reward_matrix(spec, xs).T)
     sq = (fit_preds - truth) ** 2
     # b: the squared errors averaged over the arms; B: at the worst arm
@@ -170,7 +170,7 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
     weights = [model.weights for model in models[1:]]
     weights += [ev.new_model.weights for ev in events[len(weights):]]
     for m, w in enumerate(weights, start=2):
-        preds = (Phi @ w.T).T.copy()
+        preds = (Phi @ np.ascontiguousarray(w.T)).T.copy()
         if m - 2 < len(events):
             sq = preds - fit_preds
             sq *= sq

@@ -196,7 +196,7 @@ def true_model(spec: EnvSpec) -> Optional[LinearModel]:
 
 def mean_reward_matrix(spec: EnvSpec, xs: np.ndarray) -> np.ndarray:
     """The truth surface, one formula for runs and diagnostics: (n, K) mean
-    rewards, a linear truth row by row (a row never depends on the others)."""
+    rewards, a linear truth by ``predict_rows`` (no row depends on the others)."""
     xs = np.asarray(xs, dtype=float)
     shape = _two_level(spec)
     if shape is None:

@@ -32,14 +32,14 @@ replication to (R, n) arms; ``record_block(t, xs, arms, rewards)`` stores
 them.  Each step is one stacked numpy call whose result rows equal the
 one-replication call's bit for bit; draws stay per replication.  LinUCB
 and the epoch agents record into a ``linmodel.MomentStore``, one call per
-block, and an epoch agent refits in one ``linmodel.fit_replications``.  The
-kernel is arm-major, (K, n) with one context per column, so no operation
-runs along the K arms; its sums over arms take ``linmodel.arm_sum``'s order.
-LinUCB's widths take the design rows feature-major, (R, p, n), so their
-einsum's inner loop runs along the n rows, not the p features; each width
-still adds its p * p terms in the (i, j) order of the row-major
-"rni,raij,rnj->rna" on (R, n, p) rows, so it keeps that formula's bits
-at every p, K and n.
+block, and an epoch agent refits in one ``linmodel.fit_replications``.  Both
+predict with ``linmodel.predict_arm_major``, (R, K, n).  The kernel is
+arm-major, (K, R, n), so no operation runs along the K arms; its sums over
+arms take ``linmodel.arm_sum``'s order.  LinUCB's (R, K, n) widths take the
+design rows feature-major, (R, p, n), so their einsum's inner loop runs
+along the n rows, not the p features; each still adds its p * p terms in
+the (i, j) order of the row-major "rni,raij,rnj->rna" on (R, n, p) rows,
+so it keeps that formula's bits at every p, K and n.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 
 from .env import interval_errors
 from .linmodel import (DualReport, LinearModel, MomentStore, arm_sum, check_finite, featurize,
-                       fit_replications, row_max_argmax, rowwise_predict)
+                       fit_replications, predict_arm_major, row_max_argmax)
 
 
 class SequencingError(RuntimeError):
@@ -177,7 +177,7 @@ def gamma_for_epoch(m: int, sched: EpochSchedule, rates: RateParams, num_arms: i
 
 
 def arm_gaps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps below each context's maximum in an arm-major (K, n) matrix, one
+    """Gaps below each context's maximum in an arm-major (K, ...) array, one
     context per column, laid out C-contiguous whatever the layout of
     ``values``, and each context's 0-based argmax (ties to the first arm)."""
     top, best = row_max_argmax(values.T)
@@ -185,8 +185,8 @@ def arm_gaps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def igw_kernel(gaps: np.ndarray, best: np.ndarray, gamma: float) -> np.ndarray:
-    """Arm-major (K, n) inverse-gap-weighted kernel from the ``arm_gaps`` of
-    (K, n) predictions.  Gaps are nonnegative, so every denominator is >= K;
+    """Arm-major (K, ...) inverse-gap-weighted kernel from the ``arm_gaps`` of
+    (K, ...) predictions.  Gaps are nonnegative, so every denominator is >= K;
     the best arm takes 1 minus the others' ``arm_sum``, which is >= 1/K."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -195,7 +195,7 @@ def igw_kernel(gaps: np.ndarray, best: np.ndarray, gamma: float) -> np.ndarray:
     np.divide(1.0, probs, out=probs)
     # the best arm's entry to 0, then to the remainder; the other entries
     # are positive, so multiplying by 1 and adding 0 keeps them
-    is_best = best == np.arange(len(gaps))[:, None]
+    is_best = best == np.arange(len(gaps)).reshape(-1, *[1] * best.ndim)
     probs *= ~is_best
     probs += is_best * (1.0 - arm_sum(probs))
     return probs
@@ -294,9 +294,8 @@ class EpsilonFalconAgent:
         n = np.shape(xs)[1]
         if self._block_phase(t, n) == "passive":
             return uniform_arms(self.num_arms, n, rngs)
-        preds = rowwise_predict(self.weights, featurize(xs, self.context_dim))
-        probs = igw_kernel(*arm_gaps(preds.reshape(-1, self.num_arms).T), self.gamma)
-        return sample_kernel(probs.reshape(-1, *preds.shape[:2]), rngs)
+        preds = predict_arm_major(self.weights, xs, self.context_dim)  # (R, K, n)
+        return sample_kernel(igw_kernel(*arm_gaps(preds.swapaxes(0, 1)), self.gamma), rngs)
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
         """Add the block's rounds to the moments of its phase; refit if
@@ -373,22 +372,15 @@ class LinUCBAgent:
     def block_end(self, t: int, last: int) -> int:
         return min(last, t + self.batch_size - self._since_refresh - 1)
 
-    def widths(self, Phi: np.ndarray) -> np.ndarray:
-        """(R, n, K) confidence widths sqrt(phi' G_inv_a phi) of (R, n, p)
-        design rows, summed over the rows held feature-major (see the module
-        docstring) and copied back to (R, n, K), where scoring runs."""
-        cols = np.ascontiguousarray(Phi.transpose(0, 2, 1))
-        sums = np.einsum("rin,raij,rjn->ran", cols, self.G_inv, cols)
-        return np.sqrt(np.ascontiguousarray(sums.transpose(0, 2, 1)))
-
     def act_block(self, t: int, xs, rngs) -> np.ndarray:
-        Phi = featurize(xs, self.context_dim)
+        cols = np.ascontiguousarray(featurize(xs, self.context_dim).transpose(0, 2, 1))
         # scores that overflow are reported by check_finite, before any arm is taken
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = rowwise_predict(self.theta, Phi) + self.alpha_ucb * self.widths(Phi)
+            widths = np.sqrt(np.einsum("rin,raij,rjn->ran", cols, self.G_inv, cols))
+            scores = predict_arm_major(self.theta, xs, self.context_dim) + self.alpha_ucb * widths
         check_finite(scores, "non-finite LinUCB scores (theta . phi + alpha_ucb * width)")
-        # a block has at most batch_size rows: numpy's argmax beats row_max_argmax there
-        return scores.argmax(axis=-1) + 1
+        # over few replications or many arms numpy's argmax beats row_max_argmax
+        return scores.argmax(axis=1) + 1
 
     def record_block(self, t: int, xs, arms, rewards) -> None:
         """Add the block's rounds to ``stats`` (``MomentStore.add_block``,

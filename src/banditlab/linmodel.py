@@ -1,9 +1,9 @@
 """Per-arm linear reward models and least-squares fitting.
 
-The model class is deliberately narrow: for each arm a, predictions are
-``w_a . phi(x)`` with ``phi(x) = [1, x_1, ..., x_d]`` and nothing fancier.
-On top of ordinary and row-weighted least squares (solved by per-arm normal
-equations) this module provides a constrained regression oracle:
+Per arm a, predictions are ``w_a . phi(x)`` with ``phi(x) = [1, x_1, ...,
+x_d]``, summed left to right by ``predict_arm_major`` with no BLAS kernel
+(the fits' ``solve`` and ``eigvalsh`` use LAPACK).  On top of ordinary and
+row-weighted least squares this module provides a constrained regression oracle:
 
     minimize   normalized SSE on an "active" batch
     subject to normalized SSE on a "passive" batch <= alpha + slack,
@@ -67,22 +67,27 @@ def featurize(xs, dim: int) -> np.ndarray:
     return out
 
 
-def rowwise_predict(weights: np.ndarray, Phi: np.ndarray) -> np.ndarray:
-    """(n, K) rows ``weights @ Phi[i]``, each its own matrix-vector product
-    (a GEMM over all rows can round differently in the last bits); with
-    stacked (R, K, p) weights and (R, n, p) rows, (R, n, K)."""
-    return (weights[..., None, :, :] @ Phi[..., None])[..., 0]
+def predict_arm_major(weights: np.ndarray, xs, dim: int) -> np.ndarray:
+    """(..., K, n) predictions of (..., K, 1 + dim) weights at (..., n) or
+    (..., n, dim) contexts, ((0 + w_0) + w_1 x_1) + ... + w_d x_d in one numpy
+    step per feature: no BLAS kernel, and each the same however many are made."""
+    w, xs = weights[..., None], np.asarray(xs, dtype=float)
+    cols = xs[..., None, :, None] if dim == 1 else xs[..., None, :, :]
+    preds = (0.0 + w[..., 0, :]) + w[..., 1, :] * cols[..., 0]
+    for i in range(2, dim + 1):
+        preds += w[..., i, :] * cols[..., i - 1]
+    return preds
 
 
 def row_max_argmax(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact row maxima and 0-based argmaxes (ties to the first column) of a
-    finite (n, K) matrix (an arm-major ``P`` as ``P.T``), column by column:
-    faster than a short-row reduction."""
-    top, best = values[:, 0].copy(), np.zeros(len(values), dtype=np.intp)
-    for a in range(1, values.shape[1]):
+    finite (n, K) matrix (an arm-major ``P`` of any shape (K, ...) as ``P.T``),
+    column by column: faster than a short-row reduction."""
+    top, best = values.T[0].copy(), np.zeros(values.T.shape[1:], dtype=np.intp)
+    for a, arm in enumerate(values.T[1:], start=1):
         # best < a so far: arithmetic, where a masked copy branches per row
-        np.maximum(best, (values[:, a] > top) * a, out=best)
-        np.maximum(top, values[:, a], out=top)
+        np.maximum(best, (arm > top) * a, out=best)
+        np.maximum(top, arm, out=top)
     return top, best
 
 
@@ -131,9 +136,9 @@ class LinearModel:
         return self.weights.shape[1] - 1
 
     def predict_rows(self, xs) -> np.ndarray:
-        """(n, K) predictions, row i bit-equal to ``weights @ phi(xs[i])``,
-        so a row does not depend on how many rows are predicted together."""
-        return rowwise_predict(self.weights, featurize(xs, self.context_dim))
+        """(n, K) predictions, the transpose of ``predict_arm_major``'s: a row
+        does not depend on how many rows are predicted together."""
+        return predict_arm_major(self.weights, xs, self.context_dim).T
 
 
 def check_finite(values: np.ndarray, message: str) -> None:
@@ -388,7 +393,7 @@ def fit_replications(active, passive=None, slack: float | None = None,
     feasible end, until that end is within ``tol`` of tightness and the
     bracket below ``LAMBDA_TOL`` or, unconverged, at adjacent floats or
     after ``MAX_BISECTIONS`` steps.  Doubling past ``LAMBDA_MAX`` raises, and
-    so does an alpha, residual or duality gap that is not finite."""
+    so does a non-finite alpha, duality gap or bracket step's residual."""
     # an overflow names the lowest replication at fault, its passive moments first
     stores = (active,) if passive is None else (passive, active)
     if not all(np.isfinite(a).all() for store in stores for a in store[:3]):
@@ -402,6 +407,7 @@ def fit_replications(active, passive=None, slack: float | None = None,
         raise ValueError("tol must be > 0")
     if not active[3].sum(axis=-1).all():
         raise ValueError("active batch is empty")
+    fault = "non-finite dual report (alpha, constraint residual or duality gap)"
     alpha = _nsse(_fit(passive)[0], passive)
     budget = alpha + slack
     weights, fallback = _fit(active, passive, np.zeros(len(alpha)))
@@ -435,9 +441,12 @@ def fit_replications(active, passive=None, slack: float | None = None,
         pas = take(passive, rows)
         w, f = _fit(take(active, rows), pas, np.array(list(tries.values())))
         n_fits[rows] += 1
-        for i, (r, res) in enumerate(zip(rows, _nsse(w, pas) - budget[rows])):
+        step = np.zeros(len(alpha))  # a nan residual would count as feasible
+        step[rows] = _nsse(w, pas) - budget[rows]
+        check_finite(step, fault)
+        for i, (r, res) in enumerate(zip(rows, step[rows])):
             lo, hi, steps = brackets[r]
-            feasible, steps = not res > 0, steps + (hi < np.inf)  # a bisection step
+            feasible, steps = res <= 0, steps + (hi < np.inf)  # a bisection step
             if feasible or hi == np.inf:  # doubling keeps each fit, bisection the feasible end
                 weights[r], fallback[r], resid[r] = w[i], f[i], res
             brackets[r] = [lo, tries[r], steps] if feasible else [tries[r], hi, steps]
@@ -448,8 +457,7 @@ def fit_replications(active, passive=None, slack: float | None = None,
         primal = _nsse(weights[rows], take(active, rows))  # normalized SSE(active)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             gap[rows] = primal - (primal + lam[rows] * resid[rows])
-    check_finite(np.stack([alpha, resid, gap], axis=1),
-                 "non-finite dual report (alpha, constraint residual or duality gap)")
+    check_finite(gap, fault)
     converged = ~binds | (np.abs(resid) <= tol)
     return [(LinearModel(weights[r], ridge_fallback=bool(fallback[r])),
              DualReport(float(lam[r]), float(resid[r]), float(gap[r]), float(alpha[r]), slack,

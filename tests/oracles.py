@@ -5,8 +5,9 @@ done by Simpson quadrature on a dense grid, regressions by numpy lstsq on
 large samples, the constrained problem by grid search (column by column,
 and checked against the brute-force grid on coarse grids),
 row-weighted fits by rebuilding every arm's design from the raw rows, running
-moments by summing each row's products in Python floats, epochs
-by walking the doubling schedule, and whole runs by a round-by-round
+moments by summing each row's products in Python floats, linear
+predictions by summing w . phi in Python floats, epochs by walking the
+doubling schedule, and whole runs by a round-by-round
 simulator with its own kernel, sampler and phase bookkeeping, on an
 environment drawn one round at a time (its truth surface is the
 package's), in the package's stream layout or in the earlier single-stream
@@ -33,7 +34,7 @@ from banditlab.diag import LemmaCheck, MCEstimate
 from banditlab.env import (Environment, draw_contexts, make_generator, mean_reward_matrix,
                            true_model)
 from banditlab.falcon import EpochSchedule, arm_gaps, gamma_for_epoch, igw_kernel
-from banditlab.linmodel import LinearModel, featurize, rowwise_predict
+from banditlab.linmodel import LinearModel, featurize
 
 
 def simpson(f, a: float, b: float, n: int = 2_000_001) -> float:
@@ -273,12 +274,24 @@ def phases_by_walk(tau1: int, epsilon: float, horizon: int) -> list[str]:
     return phases
 
 
+def predict_one(weights: np.ndarray, phi) -> np.ndarray:
+    """(K,) predictions at one design row, each w . phi summed left to right
+    in Python floats from 0, with no BLAS call."""
+    preds = []
+    for w in weights:
+        total = 0.0
+        for wi, xi in zip(w, phi):
+            total += float(wi) * float(xi)
+        preds.append(total)
+    return np.array(preds)
+
+
 def igw_kernel_one(weights: np.ndarray, x, gamma: float) -> np.ndarray:
-    """Inverse-gap-weighted kernel at one context, from ``weights @ phi``."""
+    """Inverse-gap-weighted kernel at one context, from ``predict_one``."""
     phi = np.empty(weights.shape[1])
     phi[0] = 1.0
     phi[1:] = x
-    preds = weights @ phi
+    preds = predict_one(weights, phi)
     K = len(preds)
     best = int(np.argmax(preds))
     probs = 1.0 / (K + gamma * (preds[best] - preds))
@@ -371,7 +384,10 @@ def linucb_scores_rows(agent, xs) -> tuple[np.ndarray, np.ndarray]:
     "rni,raij,rnj->rna", whose inner loop runs over the p features."""
     Phi = featurize(xs, agent.context_dim)
     widths = np.sqrt(np.einsum("rni,raij,rnj->rna", Phi, agent.G_inv, Phi))
-    scores = rowwise_predict(agent.theta, Phi) + agent.alpha_ucb * widths
+    preds = 0.0  # theta . phi as predict_one sums it, all rows at once
+    for i in range(Phi.shape[-1]):
+        preds = preds + agent.theta[:, None, :, i] * Phi[:, :, None, i]
+    scores = preds + agent.alpha_ucb * widths
     return widths, scores.argmax(axis=-1) + 1
 
 
@@ -466,7 +482,7 @@ class PerRoundEnvironment:
     (``per_round``) it draws what ``Environment.draw`` draws; given one
     generator as both, it is the single-stream layout the package had before
     contexts and noise got child streams of their own.  A linear truth is
-    evaluated as ``weights @ phi``."""
+    evaluated by ``predict_one``."""
 
     def __init__(self, spec, context_rng, noise_rng):
         self.spec, self.num_arms = spec, spec.num_arms
@@ -480,7 +496,7 @@ class PerRoundEnvironment:
     def means(self, x) -> np.ndarray:
         if self.truth is None:
             return mean_reward_matrix(self.spec, np.array([x], dtype=float))[0]
-        return self.truth.weights @ np.concatenate(([1.0], np.atleast_1d(x)))
+        return predict_one(self.truth.weights, np.concatenate(([1.0], np.atleast_1d(x))))
 
     def observe(self, x):
         """(mean rewards, noisy reward vector) at one context."""
@@ -543,7 +559,7 @@ def simulate_per_round(env, agent, rng, horizon: int, tau1: int) -> dict:
                 a = sample_scalar(igw_kernel_one(agent.weights[0], x, agent.gamma), rng)
         elif kind == "LinUCBAgent":
             widths = np.sqrt(np.einsum("i,aij,j->a", phi, agent.G_inv[0], phi))
-            a = int(np.argmax(agent.theta[0] @ phi + agent.alpha_ucb * widths)) + 1
+            a = int(np.argmax(predict_one(agent.theta[0], phi) + agent.alpha_ucb * widths)) + 1
         else:
             a = int(rng.integers(K)) + 1
         means, rvec = env.observe(x)

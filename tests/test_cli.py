@@ -184,8 +184,9 @@ class TestRunVerb:
         # The paper's headline instance at full length: 2^16 trace rows
         # (53,475 exactly zero e_regret cells, decimal exponents -7 to 3,
         # negative rewards) through every CSV writer.  Like the digests in
-        # test_engine.py they hold fits, so they are tied to the numpy/BLAS
-        # build they were taken on (numpy 2.4, OpenBLAS at 1 and 2 threads).
+        # test_engine.py they hold fits and the diagnostics' GEMM, so they
+        # are tied to the numpy/BLAS build they were taken on (numpy 2.4,
+        # OpenBLAS at 1 and 2 threads); the predictions involve no BLAS kernel.
         path = tmp_path / "falcon.cfg"
         path.write_text("env.kind = sensitivity_family\nenv.theta = 0.05\n"
                         "agent.name = epsilon_falcon\nagent.epsilon = 0.1\n"

@@ -193,10 +193,12 @@ def stream_digests(config, seed, monkeypatch):
 # the values drawn involve no linear algebra, so they hold on any build of
 # numpy.  A change to the layout must show here, and be recorded in
 # CHANGES.md and the README with a statistical-equivalence test.  The trace
-# file digests also run OLS, constrained and LinUCB fits, so they are tied
-# to the numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS at 1 and
-# 2 threads); on another build only they may move, by the last bits of a
-# fit.  LinUCB's agent draws nothing (the empty stream's digest is
+# file digests also run OLS, constrained and LinUCB fits, whose LAPACK
+# solves and inverses tie them to the numpy/BLAS build they were taken on
+# (numpy 2.4, OpenBLAS at 1 and 2 threads); on another build only they may
+# move, by the last bits of a fit.  The predictions involve no BLAS kernel
+# (lin_ucb_real_d3's trace moved once when they stopped making one BLAS
+# product per row).  LinUCB's agent draws nothing (the empty stream's digest is
 # e3b0c442...); every run draws one diagnostics sample, for its epochs'
 # mse_to_fhatstar and its inequality suite.
 PINNED = {
@@ -211,7 +213,7 @@ PINNED = {
     "lin_ucb_real_d3": (
         {"context": "432b1947a3d420c6", "noise": "5d271c4e41f10cd8",
          "agent": "e3b0c44298fc1c14", "diag": "fd72517e5057fa21"},
-        "dff40c80f7f9c71ee0d557a2b3574523410c065a48aa6061783fe8b3667376c2"),
+        "3899c39803884e705b4421893c36bb0b286de28ea2844c602a393d4f85b6c897"),
     "lin_ucb_real_k9": (
         {"context": "8cf63547f82a7058", "noise": "255ceddc7b2d65cb",
          "agent": "e3b0c44298fc1c14", "diag": "e4f644c25db94433"},
@@ -239,9 +241,9 @@ def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
 
 
 # The inequality suite draws one context sample from the diagnostics stream
-# for all its checks.  Its report also involves GEMM predictions, so like
-# the trace digests it is tied to the numpy/BLAS build it was taken on
-# (numpy 2.4, OpenBLAS at 1 and 2 threads).
+# for all its checks.  Its report also involves the epoch models' GEMM
+# predictions, so like the trace digests it is tied to the numpy/BLAS build
+# it was taken on (numpy 2.4, OpenBLAS at 1 and 2 threads).
 LEMMAS_PINNED = ("eps_falcon_sens_mid_epoch",
                  "b591b64858c750896a171905706e02b02b2e4c921be774715a6d67cf9f5eadf8")
 
@@ -258,9 +260,9 @@ def test_lemma_report_digest_pinned(tmp_path):
 # a FALCON run (whose unconstrained refits leave nan alpha/slack cells) and
 # of a LinUCB run (no epochs: the header, with one weight column per
 # context dimension and the intercept).  They hold fits and the model MSEs
-# on the diagnostics sample, so like the trace digests they are tied to the
-# numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS at 1 and 2
-# threads).
+# on the diagnostics sample (fits and the epoch models' GEMM), so like the
+# trace digests they are tied to the numpy/BLAS build they were taken on
+# (numpy 2.4, OpenBLAS at 1 and 2 threads).
 RUN_FILES_PINNED = {
     "eps_falcon_sens_mid_epoch": (
         "a93915916290a95bdefbec37ed7d3ed2abe8f81e1119d4a5ea100962eff1e5aa",

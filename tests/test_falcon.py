@@ -13,7 +13,7 @@ from banditlab.falcon import (AGENT_KEYS, EpochSchedule, EpsilonFalconAgent, Lin
                               gamma_for_epoch, igw_kernel, sample_kernel, schedule_position)
 from banditlab.harness import ConfigError, RunConfig, build_agent, parse_config
 from banditlab.linmodel import (ConstraintSpec, DataBatch, InvalidArmError, LinearModel,
-                                constrained_fit, featurize, fit_ols, row_max_argmax)
+                                constrained_fit, fit_ols, row_max_argmax)
 
 from oracles import (epoch_of_walk, epochs_by_walk, igw_kernel_one, igw_kernel_rows,
                      linucb_scores_rows, normalized_sse, per_round, predict_matrix,
@@ -659,17 +659,21 @@ LINUCB_BLOCK_ROWS = [*range(1, 17), 31, 64, 99, 100, 101, 128, 257]
 def test_linucb_widths_bit_equal_to_row_major_einsum(R, K, p):
     # each arm's G_inv is the inverse of a ridge plus outer products whose
     # scales span twelve orders of magnitude, and contexts span four, so a
-    # width summed in another order would round differently
+    # width summed in another order would round differently.  The widths
+    # are seen through act_block's arms: also with theta = 0 and each arm's
+    # G_inv the first arm's times 1 + a * 2^-52, where the widths nearly
+    # tie and the arm taken turns on their last bits
     rng = np.random.default_rng([R, K, p])
     agent = LinUCBAgent(K, p - 1, alpha_ucb=0.7, ridge=1.0, batch_size=100, replications=R)
     B = rng.standard_normal((R, K, p, 2 * p)) * 10.0 ** rng.uniform(-6, 6, (R, K, p, 1))
-    agent.G_inv = np.linalg.inv(10.0 ** rng.uniform(-3, 3, (R, K, 1, 1)) * np.eye(p)
-                                + B @ B.transpose(0, 1, 3, 2))
-    agent.theta = rng.standard_normal((R, K, p)) * 10.0 ** rng.uniform(-3, 3, (R, K, 1))
+    G_inv = np.linalg.inv(10.0 ** rng.uniform(-3, 3, (R, K, 1, 1)) * np.eye(p)
+                          + B @ B.transpose(0, 1, 3, 2))
+    theta = rng.standard_normal((R, K, p)) * 10.0 ** rng.uniform(-3, 3, (R, K, 1))
+    near_ties = G_inv[:, :1] * (1.0 + 2.0 ** -52 * np.arange(K))[:, None, None]
     for n in LINUCB_BLOCK_ROWS:
         shape = (R, n) if p == 2 else (R, n, p - 1)
         xs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape)
-        widths, arms = linucb_scores_rows(agent, xs)
-        assert np.isfinite(widths).all()
-        assert agent.widths(featurize(xs, p - 1)).tobytes() == widths.tobytes(), n
-        assert agent.act_block(1, xs, None).tobytes() == arms.tobytes(), n
+        for agent.theta, agent.G_inv in ((theta, G_inv), (0.0 * theta, near_ties)):
+            widths, arms = linucb_scores_rows(agent, xs)
+            assert np.isfinite(widths).all()
+            assert agent.act_block(1, xs, None).tobytes() == arms.tobytes(), n

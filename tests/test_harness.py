@@ -760,8 +760,9 @@ def summary_sha256(summary) -> str:
 # The four summary arrays of two suites, pinned when every replication still
 # ran alone: the criterion-5 LinUCB suite and a small epsilon-FALCON suite
 # whose constrained refits bind.  Like the trace digests in test_engine.py,
-# they involve LinUCB and oracle fits, so they are tied to the numpy/BLAS
-# build they were taken on (numpy 2.4, OpenBLAS).
+# they involve LinUCB and oracle fits, whose LAPACK solves and inverses tie
+# them to the numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS); the
+# predictions involve no BLAS kernel.
 SUITES_PINNED = [
     ("lin_ucb_criterion_5",
      RunConfig(env=STEP, agent="lin_ucb", batch_size=100, alpha_ucb=0.2, ridge=1.0,
@@ -794,8 +795,8 @@ def test_suite_summary_digest_pinned(label, config, sha256):
 
 
 # The bytes of one summary.csv and one compare.csv; they hold fits, so like
-# the digests above they are tied to the numpy/BLAS build they were taken on
-# (numpy 2.4, OpenBLAS).
+# the digests above they are tied, through the fits' LAPACK calls, to the
+# numpy/BLAS build they were taken on (numpy 2.4, OpenBLAS).
 SUMMARY_CSV_SHA256 = "dc3b60c24737810d3e745fa9640e3ee1053b27b792a6dd75156d4554cb59bb86"
 COMPARE_CSV_SHA256 = "4255302f5254bce126698d9980dd8b957f2fac077d0bbd5851eafabb665a44f4"
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -14,11 +17,11 @@ from banditlab.linmodel import (ConstraintSpec, DataBatch, DualNonConvergenceErr
                                 InfeasibleConstraintError, InvalidArmError, LinearModel,
                                 MomentStore, _fit, _nsse, arm_sum, constrained_fit,
                                 featurize, fit_ols, fit_replications, fit_weighted,
-                                row_max_argmax)
+                                predict_arm_major, row_max_argmax)
 
 from oracles import (fit_rowweighted_rows, fold_rows, grid_search_constrained,
-                     grid_search_constrained_dense, normalized_sse, predict_matrix, sse,
-                     zero_model)
+                     grid_search_constrained_dense, normalized_sse, predict_matrix, predict_one,
+                     sse, zero_model)
 
 # the worked instance: passive ERM is the line y=x with zero error, while the
 # active ERM is the line 1-x, which misses the passive budget by a mile
@@ -78,8 +81,9 @@ class TestPredict:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_predict_rows_row_exact(self, K, d, n, seed):
-        # every row equals the one-context prediction and weights @ phi, bit
-        # for bit, however many rows are predicted together
+        # every row equals the one-context prediction and the per-round
+        # reference's w . phi, bit for bit, however many rows are predicted
+        # together
         rng = np.random.default_rng(seed)
         model = LinearModel(rng.normal(size=(K, d + 1)) * 10.0 ** rng.integers(-3, 4))
         xs = rng.random(n) if d == 1 else rng.random((n, d))
@@ -88,7 +92,58 @@ class TestPredict:
         for i in range(n):
             phi = np.concatenate(([1.0], np.atleast_1d(xs[i])))
             assert rows[i].tobytes() == model.predict_rows(xs[i:i + 1])[0].tobytes()
-            assert rows[i].tobytes() == (model.weights @ phi).tobytes()
+            assert rows[i].tobytes() == predict_one(model.weights, phi).tobytes()
+
+    @given(R=st.integers(1, 3), K=st.integers(1, 6), d=st.integers(1, 9), n=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_arm_major_equals_left_to_right_sum(self, R, K, d, n, seed):
+        # weights over +-16 orders of magnitude with signed zeros, contexts of
+        # either sign over +-4: each prediction is the per-round reference's
+        # Python sum, at d = 1 (K >= 2) also numpy's weights @ phi, and its
+        # bytes do not depend on the other rows and replications predicted
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], (R, K, d + 1))
+        weights = signs * np.where(rng.random((R, K, d + 1)) < 0.2, 0.0, rng.random(
+            (R, K, d + 1)) * 10.0 ** rng.integers(-16, 17, (R, K, d + 1)))
+        shape = (R, n) if d == 1 else (R, n, d)
+        xs = rng.choice([-1.0, 1.0], shape) * np.where(
+            rng.random(shape) < 0.1, 0.0, rng.random(shape) * 10.0 ** rng.integers(-4, 5, shape))
+        preds = predict_arm_major(weights, xs, d)
+        assert preds.shape == (R, K, n)
+        for r in range(R):
+            for i in range(n):
+                got = preds[r, :, i].tobytes()
+                phi = np.concatenate(([1.0], np.atleast_1d(xs[r, i])))
+                assert got == predict_one(weights[r], phi).tobytes()
+                if d == 1 and K >= 2:
+                    assert got == (weights[r] @ phi).tobytes()
+                assert got == predict_arm_major(weights[r], xs[r, i:i + 1], d)[:, 0].tobytes()
+
+    def test_arm_major_bytes_independent_of_the_blas_kernel(self):
+        # two interpreters, one on OpenBLAS's default kernels and one on its
+        # Sandybridge ones: the per-row matrix products at d = 3 differ
+        # between them (else the switch shows nothing and the test skips),
+        # the arm-major predictions do not
+        code = ("import hashlib, numpy as np\n"
+                "from banditlab.linmodel import featurize, predict_arm_major\n"
+                "rng = np.random.default_rng(7)\n"
+                "w = rng.normal(size=(5, 4, 4)) * 10.0 ** rng.integers(-3, 4, (5, 4, 4))\n"
+                "xs = rng.random((5, 300, 3))\n"
+                "old = (w[:, None] @ featurize(xs, 3)[..., None])[..., 0]\n"
+                "for a in (predict_arm_major(w, xs, 3), old):\n"
+                "    print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(linmodel.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        (new, old), (new_sb, old_sb) = (
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**env, **extra}).stdout.split()
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}))
+        if old == old_sb:
+            pytest.skip("OPENBLAS_CORETYPE=Sandybridge changes no matrix-product bits here")
+        assert new == new_sb
 
 
 # values from a small pool tie often within a row, signed zeros included;
@@ -666,6 +721,25 @@ class TestFitReplications:
         assert info.value.replication == 2 and alone.value.replication == 0
         assert info.value.__notes__ == alone.value.__notes__ == ["the refit after epoch 6"]
         assert str(info.value) == str(alone.value)
+
+    def test_non_finite_residual_stops_the_refit(self, monkeypatch):
+        # step_function at noise_sd 5e152, seed 0: in the refit after epoch
+        # 6 the passive error of the first doubling step's fit overflows.  A
+        # nan residual would count as feasible and be bisected on for 28 more
+        # fits
+        fits, fit, refit = [], linmodel._fit, falcon.fit_replications
+        monkeypatch.setattr(linmodel, "_fit", lambda *args: fits.append(1) or fit(*args))
+        monkeypatch.setattr(falcon, "fit_replications",
+                            lambda *args: fits.clear() or refit(*args))
+        config = RunConfig(env=EnvSpec(kind="step_function", noise_sd=5e152), horizon=600,
+                           mc_samples=2_000)
+        with pytest.raises(FloatingPointError) as info:
+            run_many(config, [0])
+        assert str(info.value) == \
+            "non-finite dual report (alpha, constraint residual or duality gap)"
+        assert info.value.__notes__ == ["the refit after epoch 6"]
+        assert info.value.replication == 0
+        assert len(fits) == 3  # alpha's fit and those at lambda = 0 and 2
 
 
 class TestMomentLayer:
