@@ -6,8 +6,9 @@ caller drew (a run's sample comes from its seed's diagnostics stream, in
 ``harness.run_lemmas``) and report a standard error alongside each point
 estimate.  Every matrix over arms is arm-major, (K, n) with one context
 per column, so each operation runs along the n contexts and none along
-the K arms; every sum over arms goes through ``linmodel.arm_sum``, which
-has the bits of numpy's sum over the arms of the row-major (n, K) layout.
+the K arms.  Every prediction goes through ``linmodel.predict_arm_major``
+and every sum over arms through ``linmodel.arm_sum``, which adds the arms
+left to right from +0, so no check depends on a BLAS kernel.
 Inequality checks compare population statements at a 3-standard-error
 band, since sampling noise sits on both sides.
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .env import EnvSpec, best_linear_fit_uniform, mean_reward_matrix
 from .falcon import arm_gaps, igw_kernel, schedule_position
-from .linmodel import LinearModel, arm_sum, featurize, predict_arm_major, row_max_argmax
+from .linmodel import LinearModel, arm_sum, predict_arm_major, row_max_argmax
 
 
 @dataclass(frozen=True)
@@ -130,14 +131,12 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
       gamma*E[gap] <= V(p_m, pi) <= K + gamma*E[gap] for the best-fit
       policy, and V(p_m, pi_{f_m}) <= K for the kernel's own policy.
 
-    Each epoch model is predicted once, by ``Phi @ W.T`` (``W.T`` contiguous:
-    faster) transposed (OpenBLAS's ``W @ Phi.T`` rounds differently at some K
-    and n), and dropped after its checks and its refit's ``mse_to_best_fit``
-    (the k-th of ``events`` installed epoch k+1's model; one whose model no
-    epoch ran is predicted for that alone).  The kernel regrets sum in ``arm_sum``'s
-    order: at K >= 3 their last bits may differ from a row-major ``einsum``'s.
-    A check's lhs, rhs or se, or a ``mse_to_best_fit``, that is not finite is
-    a FloatingPointError naming the check or the refit.
+    Each epoch model is predicted once, by ``predict_arm_major``, and
+    dropped after its checks and its refit's ``mse_to_best_fit`` (the k-th of
+    ``events`` installed epoch k+1's model; one whose model no epoch ran is
+    predicted for that alone).  A check's lhs, rhs or se, or a
+    ``mse_to_best_fit``, that is not finite is a FloatingPointError naming
+    the check or the refit.
     """
     K = spec.num_arms
     checks: list[LemmaCheck] = []
@@ -166,11 +165,10 @@ def lemma_suite(spec: EnvSpec, models: list[LinearModel], gammas: list[float], x
           2.0 * math.sqrt(max(B.value, 0.0)) + 3.0 * reg_best.se, reg_best.se,
           "Reg(pi_bestfit) <= 2*sqrt(B)")
 
-    Phi = featurize(xs, spec.context_dim)
     weights = [model.weights for model in models[1:]]
     weights += [ev.new_model.weights for ev in events[len(weights):]]
     for m, w in enumerate(weights, start=2):
-        preds = (Phi @ np.ascontiguousarray(w.T)).T.copy()
+        preds = predict_arm_major(w, xs, spec.context_dim)
         if m - 2 < len(events):
             sq = preds - fit_preds
             sq *= sq

@@ -34,12 +34,13 @@ one-replication call's bit for bit; draws stay per replication.  LinUCB
 and the epoch agents record into a ``linmodel.MomentStore``, one call per
 block, and an epoch agent refits in one ``linmodel.fit_replications``.  Both
 predict with ``linmodel.predict_arm_major``, (R, K, n).  The kernel is
-arm-major, (K, R, n), so no operation runs along the K arms; its sums over
-arms take ``linmodel.arm_sum``'s order.  LinUCB's (R, K, n) widths take the
-design rows feature-major, (R, p, n), so their einsum's inner loop runs
-along the n rows, not the p features; each still adds its p * p terms in
-the (i, j) order of the row-major "rni,raij,rnj->rna" on (R, n, p) rows,
-so it keeps that formula's bits at every p, K and n.
+arm-major, (K, R, n), so no operation runs along the K arms; its sums
+over arms add the arms left to right (``linmodel.arm_sum``).  LinUCB's
+(R, K, n) widths take the design rows feature-major, (R, p, n), so their
+einsum's inner loop runs along the n rows, not the p features; each still
+adds its p * p terms in the (i, j) order of the row-major
+"rni,raij,rnj->rna" on (R, n, p) rows, so it keeps that formula's bits at
+every p, K and n.
 """
 
 from __future__ import annotations

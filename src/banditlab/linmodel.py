@@ -1,8 +1,9 @@
 """Per-arm linear reward models and least-squares fitting.
 
 Per arm a, predictions are ``w_a . phi(x)`` with ``phi(x) = [1, x_1, ...,
-x_d]``, summed left to right by ``predict_arm_major`` with no BLAS kernel
-(the fits' ``solve`` and ``eigvalsh`` use LAPACK).  On top of ordinary and
+x_d]``, summed left to right by ``predict_arm_major`` with no BLAS kernel,
+and sums over the arms run left to right too (``arm_sum``); the fits'
+``solve`` and ``eigvalsh`` use LAPACK.  On top of ordinary and
 row-weighted least squares this module provides a constrained regression oracle:
 
     minimize   normalized SSE on an "active" batch
@@ -92,27 +93,12 @@ def row_max_argmax(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def arm_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over the arms of an arm-major (K, ...) array with the bits of
-    numpy's row sums of its (..., K) transpose: one arm after another below
-    K = 8, eight interleaved lanes up to K = 128, split in two above (the
-    first part a multiple of 8), and a zero sum is +0."""
-    K = len(values)
-    if K < 8:
-        total = values[0] + 0.0
-        for v in values[1:]:
-            total += v
-        return total
-    if K > 128:
-        half = K // 2 - K // 2 % 8
-        return arm_sum(values[:half]) + arm_sum(values[half:])
-    lanes, stop = values[:8].copy(), K - K % 8
-    for i in range(8, stop, 8):
-        lanes += values[i:i + 8]
-    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + \
-        ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-    for v in values[stop:]:
+    """Sum over the arms of an arm-major (K, ...) array, one arm after
+    another from +0 (so a sum of zeros is +0), whatever K."""
+    total = 0.0 + values[0]
+    for v in values[1:]:
         total += v
-    return total + 0.0
+    return total
 
 
 @dataclass

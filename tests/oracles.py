@@ -13,7 +13,8 @@ environment drawn one round at a time (its truth surface is the
 package's), in the package's stream layout or in the earlier single-stream
 one.  The estimators, the kernel, the sampler and the diagnostics pass
 in the row-major (n, K) formulas the package used before it held these
-matrices arm-major are the references for its arm-major code, and
+matrices arm-major, each row's arms summed one column after another, are
+the references for its arm-major code, and
 LinUCB's widths from row-major design rows for its feature-major ones; the
 inequality suite as it ran before it shared one context sample (every
 check on its own draw, in those formulas) is the reference for the
@@ -296,20 +297,33 @@ def igw_kernel_one(weights: np.ndarray, x, gamma: float) -> np.ndarray:
     best = int(np.argmax(preds))
     probs = 1.0 / (K + gamma * (preds[best] - preds))
     probs[best] = 0.0
-    probs[best] = 1.0 - probs.sum()
+    probs[best] = 1.0 - row_sums(probs)
     return probs
 
 
 # ---------------------------------------------------------------------------
-# The row-major formulas: (n, K) matrices, one context per row, reduced along
-# the rows by numpy.  The package holds these matrices arm-major, (K, n);
+# The row-major formulas: (n, K) matrices, one context per row, each row
+# summed by ``row_sums``.  The package holds these matrices arm-major, (K, n);
 # these are the references its kernel, sampler and diagnostics are checked
 # against.
 # ---------------------------------------------------------------------------
 
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's sum over the last axis, one column after another from 0."""
+    total = np.zeros(values.shape[:-1])
+    for i in range(values.shape[-1]):
+        total += values[..., i]
+    return total
+
+
 def predict_matrix(model, xs) -> np.ndarray:
-    """(n, K) predictions of a ``LinearModel`` as one GEMM, ``Phi @ W.T``."""
-    return featurize(xs, model.context_dim) @ model.weights.T
+    """(n, K) predictions of a ``LinearModel``, Phi . w summed feature by
+    feature from 0, in ``predict_one``'s order, all rows at once."""
+    Phi = featurize(xs, model.context_dim)
+    preds = 0.0
+    for i in range(Phi.shape[1]):
+        preds = preds + model.weights[:, i] * Phi[:, i, None]
+    return preds
 
 
 def estimate(samples: np.ndarray) -> MCEstimate:
@@ -338,30 +352,30 @@ def divergence_from(probs: np.ndarray, actions: np.ndarray) -> MCEstimate:
 
 def kernel_regret_from(probs: np.ndarray, gaps: np.ndarray) -> MCEstimate:
     """Mean over rows of sum_a p(a) * gap(a)."""
-    return estimate(np.einsum("ij,ij->i", probs, gaps))
+    return estimate(row_sums(probs * gaps))
 
 
 def mse_from(f_values: np.ndarray, g_values: np.ndarray,
              probs=None) -> MCEstimate:
     """Mean squared gap between two reward matrices, over arms or weighted by ``probs``."""
     sq = (f_values - g_values) ** 2
-    return estimate(sq.mean(axis=1) if probs is None else (probs * sq).sum(axis=1))
+    return estimate(row_sums(sq) / sq.shape[1] if probs is None else row_sums(probs * sq))
 
 
 def error_estimates_from(fit_preds: np.ndarray, truth: np.ndarray):
     """b and B: the fit's squared error averaged over arms, or at the worst arm."""
     sq = (fit_preds - truth) ** 2
-    return estimate(sq.mean(axis=1)), estimate(sq.max(axis=1))
+    return estimate(row_sums(sq) / sq.shape[1]), estimate(sq.max(axis=1))
 
 
 def igw_kernel_rows(preds: np.ndarray, gamma: float) -> np.ndarray:
     """(n, K) inverse-gap-weighted kernel from (n, K) predictions, the best
-    arm's remainder from each row's ``sum``."""
+    arm's remainder from each row's ``row_sums``."""
     gaps, best = gaps_from(preds)
     probs = 1.0 / (preds.shape[1] + gamma * gaps)
     rows = np.arange(len(preds))
     probs[rows, best] = 0.0
-    probs[rows, best] = 1.0 - probs.sum(axis=1)
+    probs[rows, best] = 1.0 - row_sums(probs)
     return probs
 
 
@@ -394,7 +408,7 @@ def linucb_scores_rows(agent, xs) -> tuple[np.ndarray, np.ndarray]:
 def lemma_suite_rows(spec, models, gammas, xs, fit_preds: np.ndarray) -> list:
     """The inequality suite on one sample with (n, K) matrices: each
     epoch's model predicted by ``predict_matrix``, the row-major helpers
-    above, ``einsum`` for the kernel regrets; ``fit_preds`` is (n, K)."""
+    above; ``fit_preds`` is (n, K)."""
     K = spec.num_arms
     checks = []
 
@@ -671,8 +685,8 @@ def mse_to_best_fit_per_event(spec, events, num_mc: int, seed: int) -> list[floa
     linear fit, as the harness computed ``mse_to_fhatstar`` before the
     diagnostics pass shared one sample: a fresh draw of ``num_mc`` contexts
     per event, all from one generator on the seed's diagnostics stream
-    itself (``SeedSequence(seed).spawn(3)[2]``), and both models' GEMM
-    predictions there."""
+    itself (``SeedSequence(seed).spawn(3)[2]``), and both models'
+    ``predict_matrix`` predictions there."""
     best_fit = envmod.best_linear_fit_uniform(spec)
     rng = make_generator(np.random.SeedSequence(seed).spawn(3)[2])
     mses = []

@@ -33,9 +33,9 @@ def step_config(tmp_path):
 
 HEADLINE_FILES_PINNED = {
     "trace.csv": "cc6d09be775e576149242d41088df70538ea2c137510c499631fa56f037c38b4",
-    "epochs.csv": "2b43ef361c020f38ae1f10d0db1a2d3db438d51341d73d621843443e2fbdd1fc",
+    "epochs.csv": "880924bcdcb08be514f9ef93a8535998f0a02852b07f269a7cc261cafa5a628d",
     "weights.csv": "b19668ef8f6b05b8a1f96811f5a3df9934459238ce2675ce296fb2dcc2685f10",
-    "lemmas.csv": "8b8ba13b8ed129698eace7fb030ad24717b7fef8684afbdf328400ee84ab769f",
+    "lemmas.csv": "e915a37bcd068f661f2a7f2509a086d54d3fc7abfe3d9b16921c6e0f961f1555",
 }
 
 
@@ -184,9 +184,10 @@ class TestRunVerb:
         # The paper's headline instance at full length: 2^16 trace rows
         # (53,475 exactly zero e_regret cells, decimal exponents -7 to 3,
         # negative rewards) through every CSV writer.  Like the digests in
-        # test_engine.py they hold fits and the diagnostics' GEMM, so they
-        # are tied to the numpy/BLAS build they were taken on (numpy 2.4,
-        # OpenBLAS at 1 and 2 threads); the predictions involve no BLAS kernel.
+        # test_engine.py they hold fits, so they are tied to the numpy/BLAS
+        # build they were taken on (numpy 2.4, OpenBLAS at 1 and 2 threads);
+        # the predictions, the agents' and the diagnostics', involve no BLAS
+        # kernel.
         path = tmp_path / "falcon.cfg"
         path.write_text("env.kind = sensitivity_family\nenv.theta = 0.05\n"
                         "agent.name = epsilon_falcon\nagent.epsilon = 0.1\n"

@@ -36,7 +36,7 @@ REAL130 = EnvSpec(kind="realizable_linear", num_arms=130, seed=4)
 # (label, config, seed): all four agents, the three kinds, d > 1, noise-free
 # clipped rewards, tau1 = 7 and 64, horizons ending on a boundary, mid-epoch
 # and mid-window, kernels and LinUCB scores over K = 9 and 130 arms (the
-# kernel's sums over arms take numpy's eight-lane and halving orders), and a
+# kernel's sums over arms add them left to right at every K), and a
 # LinUCB refresh batch longer than a lockstep draw
 GRID = [
     ("eps_falcon_sens_mid_epoch", RunConfig(env=SENS, horizon=300), 1),
@@ -241,11 +241,11 @@ def test_stream_and_trace_digests_pinned(label, tmp_path, monkeypatch):
 
 
 # The inequality suite draws one context sample from the diagnostics stream
-# for all its checks.  Its report also involves the epoch models' GEMM
-# predictions, so like the trace digests it is tied to the numpy/BLAS build
-# it was taken on (numpy 2.4, OpenBLAS at 1 and 2 threads).
+# for all its checks.  It predicts the epoch models with no BLAS kernel, but
+# those models are fits, so like the trace digests it is tied to the
+# numpy/BLAS build it was taken on (numpy 2.4, OpenBLAS at 1 and 2 threads).
 LEMMAS_PINNED = ("eps_falcon_sens_mid_epoch",
-                 "b591b64858c750896a171905706e02b02b2e4c921be774715a6d67cf9f5eadf8")
+                 "54a4a075651c3b944aab9086ed1002fbeefdbe291ce4ec01f10f8bfb720c1395")
 
 
 def test_lemma_report_digest_pinned(tmp_path):
@@ -260,15 +260,15 @@ def test_lemma_report_digest_pinned(tmp_path):
 # a FALCON run (whose unconstrained refits leave nan alpha/slack cells) and
 # of a LinUCB run (no epochs: the header, with one weight column per
 # context dimension and the intercept).  They hold fits and the model MSEs
-# on the diagnostics sample (fits and the epoch models' GEMM), so like the
-# trace digests they are tied to the numpy/BLAS build they were taken on
-# (numpy 2.4, OpenBLAS at 1 and 2 threads).
+# on the diagnostics sample (of the fits, predicted with no BLAS kernel), so
+# like the trace digests they are tied to the numpy/BLAS build they were
+# taken on (numpy 2.4, OpenBLAS at 1 and 2 threads).
 RUN_FILES_PINNED = {
     "eps_falcon_sens_mid_epoch": (
-        "a93915916290a95bdefbec37ed7d3ed2abe8f81e1119d4a5ea100962eff1e5aa",
+        "091951d5ba04238d6400b32ce511cc820cd4248b72abc0160104747c2521a942",
         "f58da43da07b061e2ff1d9a1c7fe35697bfa8ad9e458d1392ac2a6138fa4edf5"),
     "falcon_step_on_boundary": (
-        "50f24966d1d068ac79ed82b622f03b7d54fcef37f2b246df0e6a8a1ddea937c3",
+        "795d32df133fa1cd489bdf9e05d6bd3c1b9dcae057f2fe64b78381f3e2ed24b2",
         "9a8da33a1a6048a96db2603db5e43b41e9fdcecea6b06f21a6f8d9de37743a60"),
     "lin_ucb_real_d3": (
         "8f5e989637777aa6c1e59d70bf6dc274e7f079dfad3f8d1a833bcfac8baa369f",

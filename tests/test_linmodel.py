@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from collections import Counter
 
@@ -122,25 +123,53 @@ class TestPredict:
 
     def test_arm_major_bytes_independent_of_the_blas_kernel(self):
         # two interpreters, one on OpenBLAS's default kernels and one on its
-        # Sandybridge ones: the per-row matrix products at d = 3 differ
-        # between them (else the switch shows nothing and the test skips),
-        # the arm-major predictions do not
-        code = ("import hashlib, numpy as np\n"
-                "from banditlab.linmodel import featurize, predict_arm_major\n"
-                "rng = np.random.default_rng(7)\n"
-                "w = rng.normal(size=(5, 4, 4)) * 10.0 ** rng.integers(-3, 4, (5, 4, 4))\n"
-                "xs = rng.random((5, 300, 3))\n"
-                "old = (w[:, None] @ featurize(xs, 3)[..., None])[..., 0]\n"
-                "for a in (predict_arm_major(w, xs, 3), old):\n"
-                "    print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+        # Sandybridge ones: the per-row matrix products at d = 3 and the
+        # Phi @ W.T products the diagnostics used to make differ between them
+        # (else the switch shows nothing and the test skips); the arm-major
+        # predictions, and the diagnostics' report on fixed models at the
+        # headline (K, d, n) = (2, 1, 20,000) and at (12, 3, 5,000), do not
+        code = textwrap.dedent("""\
+            import hashlib, numpy as np
+            from banditlab.diag import lemma_suite
+            from banditlab.env import EnvSpec, draw_contexts
+            from banditlab.falcon import EpochEvent
+            from banditlab.linmodel import LinearModel, featurize, predict_arm_major
+            def show(kind, name, data):
+                print(kind, name, hashlib.sha256(data).hexdigest())
+            rng = np.random.default_rng(7)
+            w = rng.normal(size=(5, 4, 4)) * 10.0 ** rng.integers(-3, 4, (5, 4, 4))
+            xs = rng.random((5, 300, 3))
+            show("new", "predict", predict_arm_major(w, xs, 3).tobytes())
+            show("old", "predict", (w[:, None] @ featurize(xs, 3)[..., None])[..., 0].tobytes())
+            for spec, n in ((EnvSpec(kind="sensitivity_family", theta=0.05), 20_000),
+                            (EnvSpec(kind="realizable_linear", num_arms=12, context_dim=3,
+                                     seed=12), 5_000)):
+                K, d = spec.num_arms, spec.context_dim
+                models = [LinearModel(np.zeros((K, d + 1)))]
+                models += [LinearModel(rng.normal(size=(K, d + 1))) for _ in range(4)]
+                events = [EpochEvent(m, 0, 0, 1.0, model, None)
+                          for m, model in enumerate(models[1:], start=1)]
+                xs = draw_contexts(spec, n, 3)
+                report = lemma_suite(spec, models, [1.0, 2.0, 8.0, 30.0, 100.0], xs, events)
+                mses = [ev.mse_to_best_fit for ev in events]
+                show("new", f"lemmas_k{K}", repr((report, mses)).encode())
+                show("old", f"lemmas_k{K}", b"".join(
+                    (featurize(xs, d) @ model.weights.T).tobytes() for model in models))
+            """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(linmodel.__file__)))
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env.update(OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        (new, old), (new_sb, old_sb) = (
-            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           check=True, env={**env, **extra}).stdout.split()
-            for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}))
+
+        def digests(extra):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 check=True, env={**env, **extra}).stdout
+            rows = [line.split() for line in out.splitlines()]
+            return [{name: digest for k, name, digest in rows if k == kind}
+                    for kind in ("new", "old")]
+
+        (new, old), (new_sb, old_sb) = digests({}), digests({"OPENBLAS_CORETYPE": "Sandybridge"})
+        assert sorted(new) == sorted(old) == ["lemmas_k12", "lemmas_k2", "predict"]
         if old == old_sb:
             pytest.skip("OPENBLAS_CORETYPE=Sandybridge changes no matrix-product bits here")
         assert new == new_sb
@@ -167,9 +196,9 @@ class TestRowMaxArgmax:
 
 
 class TestArmSum:
-    """``arm_sum`` of an arm-major (K, n) matrix against numpy's row sums of
-    its (n, K) transpose: numpy adds one arm after another below K = 8, in
-    eight lanes up to K = 128, and halves longer rows."""
+    """``arm_sum`` of an arm-major (K, ...) array against each row of its
+    (..., K) transpose summed in Python floats, one arm after another from
+    +0, at every K."""
 
     @staticmethod
     def mixed(rng, n, K):
@@ -181,30 +210,45 @@ class TestArmSum:
         values[0] = -0.0  # a row of negative zeros sums to +0
         return values
 
-    def test_equals_numpy_row_sums_for_every_K_to_300(self):
+    @staticmethod
+    def left_to_right(rows):
+        sums = []
+        for row in rows.reshape(-1, rows.shape[-1]).tolist():
+            total = 0.0
+            for v in row:
+                total += v
+            sums.append(total)
+        return np.array(sums).reshape(rows.shape[:-1])
+
+    def test_equals_left_to_right_sum_for_every_K_to_300(self):
         rng = np.random.default_rng(7)
         for K in range(2, 301):
             rows = self.mixed(rng, 12, K)
-            want = rows.sum(axis=1)
+            want = self.left_to_right(rows)
+            assert not np.signbit(want[0])
             for arm_major in (np.ascontiguousarray(rows.T), rows.T):
                 assert arm_sum(arm_major).tobytes() == want.tobytes(), K
 
     def test_stacked_replications(self):
+        # (R, n, K) rows as the kernel holds them, arm-major (K, R, n)
         rng = np.random.default_rng(8)
-        for K in (2, 9, 130):
+        for K in range(2, 301):
             rows = self.mixed(rng, 3 * 5, K).reshape(3, 5, K)
-            assert arm_sum(np.moveaxis(rows, -1, 0)).tobytes() == rows.sum(axis=-1).tobytes()
+            want = self.left_to_right(rows)
+            assert not np.signbit(want[0, 0])
+            for arm_major in (np.ascontiguousarray(np.moveaxis(rows, -1, 0)),
+                              np.moveaxis(rows, -1, 0)):
+                assert arm_sum(arm_major).tobytes() == want.tobytes(), K
 
     def test_a_different_order_would_show(self):
-        # rows on which a plain left-to-right sum differs from numpy's order
+        # rows on which numpy's row sums (eight interleaved lanes at K = 9,
+        # halved at K = 130) differ from the left-to-right sum, so a slide
+        # back to numpy's order fails the tests above
         rng = np.random.default_rng(9)
         for K in (9, 130):
             rows = rng.random((200, K))
-            sequential = np.zeros(200)
-            for a in range(K):
-                sequential += rows[:, a]
-            assert sequential.tobytes() != rows.sum(axis=1).tobytes()
-            assert arm_sum(rows.T).tobytes() == rows.sum(axis=1).tobytes()
+            assert arm_sum(rows.T).tobytes() == self.left_to_right(rows).tobytes()
+            assert arm_sum(rows.T).tobytes() != rows.sum(axis=1).tobytes()
 
 
 class TestFitOls:
